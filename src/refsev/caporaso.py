@@ -6,21 +6,23 @@ P(1,1,m) run through the Sigma_m states with c = 0 (same polygons, same
 degrees); the recursion terminates at the fiber bundles (d = 0): the count
 is 1 exactly for delta = 0, beta = 0 and alpha = c simple contacts.
 
-Three modes share the implementation: 'sym' computes exact Laurent
-polynomials in y; 1 and -1 are pure integer fast paths (classical Severi
-degrees and tropical Welschinger numbers).
+The recursion runs once, over a value ring (ylaurent.YRing) chosen by y:
+'sym' computes exact Laurent polynomials in y; 1 and -1 evaluate them on
+plain ints (classical Severi degrees and tropical Welschinger numbers).
+Only the quantum numbers [i]_y differ between the rings; a factor that
+vanishes at y = -1 prunes its branch.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import sys
 from dataclasses import dataclass
 from math import comb
 
 from .cache import CacheStore
 from .rationals import QQ
-from .ylaurent import YLaurent, YL_ZERO, qnum, qnum_at
+from .ylaurent import RINGS, ring_at
 
 __all__ = [
     "SurfaceBundle",
@@ -169,7 +171,7 @@ class CHTable:
     """
 
     def __init__(self, store: CacheStore | None = None):
-        self.memo = {"sym": {}, 1: {}, -1: {}}
+        self.memo = {r.mode: {} for r in RINGS}
         self.store = store
 
     @staticmethod
@@ -186,10 +188,7 @@ class CHTable:
         if self.store is not None:
             payload = self.store.get(self._store_key(mode, key))
             if payload is not None:
-                if mode == "sym":
-                    val = YLaurent.from_triples(json.loads(payload))
-                else:
-                    val = int(payload)
+                val = ring_at(mode).decode(payload)
                 self.memo[mode][key] = val
                 return val
         return None
@@ -197,11 +196,7 @@ class CHTable:
     def insert(self, mode, key, value):
         self.memo[mode][key] = value
         if self.store is not None:
-            if mode == "sym":
-                payload = json.dumps(value.to_triples(), separators=(",", ":"))
-            else:
-                payload = str(value)
-            self.store.put(self._store_key(mode, key), payload)
+            self.store.put(self._store_key(mode, key), ring_at(mode).encode(value))
 
     def flush(self):
         if self.store is not None:
@@ -211,35 +206,9 @@ class CHTable:
 _DEFAULT_TABLE = CHTable()
 
 
-# -- mode helpers --------------------------------------------------------------
-
-_QPOW: dict = {}
-
-
-def _qnum_pow(i: int, e: int, mode):
-    """[i]_y ** e in the given mode; None signals an exactly-zero factor."""
-    if mode == 1:
-        return i ** e
-    if mode == -1:
-        v = qnum_at(i, -1)
-        if v == 0:
-            return None
-        return 1 if (v == 1 or e % 2 == 0) else -1
-    key = (i, e)
-    hit = _QPOW.get(key)
-    if hit is None:
-        hit = qnum(i) ** e
-        _QPOW[key] = hit
-    return hit
-
-
-_PARTS_OF: dict = {}
-
-
-def _partitions(e: int):
+@functools.cache
+def _partitions(e: int) -> tuple:
     """All partitions of e as tuples of parts >= 1, descending."""
-    if e in _PARTS_OF:
-        return _PARTS_OF[e]
     out = []
 
     def rec(rest, maxpart, acc):
@@ -252,8 +221,7 @@ def _partitions(e: int):
             acc.pop()
 
     rec(e, e, [])
-    _PARTS_OF[e] = out
-    return out
+    return tuple(out)
 
 
 # -- the recursion -------------------------------------------------------------
@@ -275,8 +243,7 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
         raise ValueError(
             f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}"
         )
-    if y not in ("sym", 1, -1):
-        raise ValueError("y must be 'sym', 1 or -1")
+    ring = ring_at(y)
     if strict:
         gamma = s.dim_L - s.HL + sum(beta) - delta
         if gamma < 0:
@@ -287,49 +254,44 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
     if old < 50000:
         sys.setrecursionlimit(50000)
     try:
-        return _N(s.m, s.c, s.d, delta, alpha, beta, y, table)
+        return _N(s.m, s.c, s.d, delta, alpha, beta, ring, table)
     finally:
         sys.setrecursionlimit(old)
 
 
-def _N(m, c, d, delta, alpha, beta, mode, table):
+def _N(m, c, d, delta, alpha, beta, ring, table):
     key = (m, c, d, delta, alpha, beta)
+    mode = ring.mode
     hit = table.lookup(mode, key)
     if hit is not None:
         return hit
 
-    zero = YL_ZERO if mode == "sym" else 0
     # initial conditions: the fiber bundles cF on Sigma_m
     if d == 0 and delta == 0 and not beta and alpha == canon_seq((c,)):
-        val = YLaurent.const(1) if mode == "sym" else 1
-        table.insert(mode, key, val)
-        return val
+        table.insert(mode, key, ring.one)
+        return ring.one
 
     dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
     HL = c + m * d
     gamma = dim - HL + sum(beta) - delta
     if gamma <= 0:
-        table.insert(mode, key, zero)
-        return zero
+        table.insert(mode, key, ring.zero)
+        return ring.zero
 
-    total = zero
+    total = ring.zero
     # first sum: trade one moving contact of order k for a fixed one
     for k_idx, bk in enumerate(beta):
         if bk <= 0:
             continue
         k = k_idx + 1
-        factor = _qnum_pow(k, 1, mode)
-        if factor is None:
+        f = ring.qnum_prod(((k, 1),))
+        if not f:
             continue
         a2 = list(alpha) + [0] * (k - len(alpha))
         a2[k - 1] += 1
         b2 = list(beta)
         b2[k - 1] -= 1
-        sub = _N(m, c, d, delta, canon_seq(a2), canon_seq(b2), mode, table)
-        if mode == "sym":
-            total = total + factor * sub
-        else:
-            total += factor * sub
+        total = total + f * _N(m, c, d, delta, canon_seq(a2), canon_seq(b2), ring, table)
 
     # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
     # the bottom of the tower
@@ -360,19 +322,8 @@ def _N(m, c, d, delta, alpha, beta, mode, table):
                     gam[1] = ones
                 for p in mu:
                     gam[p + 1] = gam.get(p + 1, 0) + 1
-                factor = ca
-                sym_factor = None
-                ok = True
-                for i, gi in gam.items():
-                    f = _qnum_pow(i, gi, mode)
-                    if f is None:
-                        ok = False
-                        break
-                    if mode == "sym":
-                        sym_factor = f if sym_factor is None else sym_factor * f
-                    else:
-                        factor *= f
-                if not ok:
+                f = ring.qnum_prod(tuple(gam.items()))
+                if not f:
                     continue
                 b2 = list(beta) + [0] * (max(gam) - len(beta) if gam else 0)
                 for i, gi in gam.items():
@@ -381,16 +332,9 @@ def _N(m, c, d, delta, alpha, beta, mode, table):
                 cb = _binom_seq(b2t, beta)
                 if cb == 0:
                     continue
-                sub = _N(m, c, d - 1, delta2, a2, b2t, mode, table)
-                if mode == "sym":
-                    if sub.is_zero():
-                        continue
-                    term = sub * (factor * cb)
-                    if sym_factor is not None:
-                        term = term * sym_factor
-                    total = total + term
-                else:
-                    total += factor * cb * sub
+                sub = _N(m, c, d - 1, delta2, a2, b2t, ring, table)
+                if sub:
+                    total = total + sub * (ca * cb) * f
 
     table.insert(mode, key, total)
     return total
@@ -406,6 +350,6 @@ def severi_degree(s: SurfaceBundle, delta: int, y="sym",
 
 def welschinger_degree(s: SurfaceBundle, delta: int,
                        table: CHTable | None = None) -> int:
-    """Tropical Welschinger number: the y = -1 specialization, computed on
-    the dedicated integer path."""
+    """Tropical Welschinger number: the recursion over the integers at
+    y = -1."""
     return severi_degree(s, delta, y=-1, table=table)

@@ -7,6 +7,7 @@ q-power, doubled y-exponent) so table-typo triage is possible.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import modular
@@ -383,7 +384,14 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
     return rep
 
 
-def _check_series_identity(ident, K=15, param=None) -> ConjectureReport:
+def _check_conjan_p112(table, ms=None, **params) -> ConjectureReport:
+    """The ruled-surface check for P(1,1,2) alone, by the eta route; any
+    ms given is ignored."""
+    return _check_ruledblow(table, ms=(2,), eta_route=True, **params)
+
+
+def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:
+    """A q-series identity; needs no recursion table."""
     rep = ConjectureReport(ident, {"order": K})
     r = modular.verify_series_identity(ident, K, param=param)
     rep.record({"order": K, "detail": r["detail"]}, r["ok"],
@@ -398,42 +406,31 @@ _SERIES_IDS = (
     "B_minus1_tables", "fhat_general_tables",
 )
 
-CHECK_IDS = (
-    "refpol", "GSPSigmaW", "ruledblow", "conjan_P112", "blowk",
-    "A1con_sigma2", "P2blow", "multcon_H12", "multcon_H34_at_pm1",
-    "cross_engine", "solveB",
-) + _SERIES_IDS
+# check id -> checker(table, **params); the order is the order of CHECK_IDS
+_CHECKS = {
+    "refpol": _check_refpol,
+    "GSPSigmaW": _check_gsp_sigma_w,
+    "ruledblow": _check_ruledblow,
+    "conjan_P112": _check_conjan_p112,
+    "blowk": _check_blowk,
+    "A1con_sigma2": _check_a1con_sigma2,
+    "P2blow": _check_p2blow,
+    "multcon_H12": _check_multcon_h12,
+    "multcon_H34_at_pm1": _check_multcon_h34,
+    "cross_engine": _check_cross_engine,
+    "solveB": _check_solve_b,
+    **{i: functools.partial(_check_series_identity, i) for i in _SERIES_IDS},
+}
+
+CHECK_IDS = tuple(_CHECKS)
 
 
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
     """Run a named check; returns a ConjectureReport whose verdicts are
     reproducible from the recorded parameters."""
+    if conj_id not in _CHECKS:
+        raise ValueError(f"unknown check id {conj_id!r}")
     if table is None:
         table = CHTable()
-    if conj_id == "refpol":
-        return _check_refpol(table, **params)
-    if conj_id == "GSPSigmaW":
-        return _check_gsp_sigma_w(table, **params)
-    if conj_id == "ruledblow":
-        return _check_ruledblow(table, **params)
-    if conj_id == "conjan_P112":
-        return _check_ruledblow(table, ms=(2,), eta_route=True,
-                                **{k: v for k, v in params.items() if k != "ms"})
-    if conj_id == "blowk":
-        return _check_blowk(table, **params)
-    if conj_id == "A1con_sigma2":
-        return _check_a1con_sigma2(table, **params)
-    if conj_id == "P2blow":
-        return _check_p2blow(table, **params)
-    if conj_id == "multcon_H12":
-        return _check_multcon_h12(table, **params)
-    if conj_id == "multcon_H34_at_pm1":
-        return _check_multcon_h34(table, **params)
-    if conj_id == "cross_engine":
-        return _check_cross_engine(table, **params)
-    if conj_id == "solveB":
-        return _check_solve_b(table, **params)
-    if conj_id in _SERIES_IDS:
-        return _check_series_identity(conj_id, **params)
-    raise ValueError(f"unknown check id {conj_id!r}")
+    return _CHECKS[conj_id](table, **params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .ylaurent import YLaurent, YL_ZERO, qnum
+from .ylaurent import ring_named
 
 __all__ = [
     "FloorDiagram",
@@ -48,20 +48,8 @@ class FloorDiagram:
         return out - into
 
     def multiplicity(self, mode: str = "refined"):
-        if mode == "refined":
-            out = YLaurent.const(1)
-            for _, _, w in self.edges:
-                q = qnum(w)
-                out = out * q * q
-            return out
-        if mode == "severi":
-            out = 1
-            for _, _, w in self.edges:
-                out *= w * w
-            return out
-        if mode == "welschinger":
-            return 1 if all(w % 2 == 1 for _, _, w in self.edges) else 0
-        raise ValueError(f"unknown mode {mode!r}")
+        """Refined (Laurent), Severi (y=1) or Welschinger (y=-1) multiplicity."""
+        return ring_named(mode).multiplicity(w for _, _, w in self.edges)
 
     def __repr__(self):
         return f"FD(d={self.d}, edges={list(self.edges)}, s={self.s}, free={self.free})"
@@ -241,14 +229,10 @@ def floor_diagram_count(c: int, m: int, d: int, delta: int, mode: str = "refined
         raise FloorDiagramTooLarge(
             f"floor-diagram brute force guarded out (d={d}, dim={dim})"
         )
-    acc = YL_ZERO if mode == "refined" else 0
+    ring = ring_named(mode)
+    acc = ring.zero
     for D in enumerate_floor_diagrams(c, m, d, delta):
         nu = marking_count(D)
-        if nu == 0:
-            continue
-        mult = D.multiplicity(mode)
-        if mode == "refined":
-            acc = acc + mult * nu
-        else:
-            acc += mult * nu
+        if nu:
+            acc = acc + D.multiplicity(mode) * nu
     return acc

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import solve_exact_vec
+from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
@@ -171,7 +171,7 @@ def solve_universal_B(datasets, order: int, y=None):
             known = S.coeff_at(n)
             A.append([QQ(inv.K2), QQ(inv.LK)])
             rhs.append(vals[n] - known)
-        sol = solve_exact_vec(A, rhs)
+        sol = solve_exact(A, rhs)
         b1.append(sol[0])
         b2.append(sol[1])
     B1 = QSeries(b1, trunc=order)

@@ -13,12 +13,13 @@ the linear fit of Phi in beta.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb, factorial
 
 from .linalg import solve_exact
 from .rationals import QQ
-from .ylaurent import YLaurent, YL_ZERO, qnum
+from .ylaurent import YL_ZERO, ring_named
 
 __all__ = [
     "LongEdgeGraph",
@@ -111,20 +112,7 @@ class LongEdgeGraph:
 
     def multiplicity(self, mode: str = "refined"):
         """Refined (Laurent), Severi (y=1) or Welschinger (y=-1) multiplicity."""
-        if mode == "refined":
-            out = YLaurent.const(1)
-            for _, _, w in self.edges:
-                q = qnum(w)
-                out = out * q * q
-            return out
-        if mode == "severi":
-            out = 1
-            for _, _, w in self.edges:
-                out *= w * w
-            return out
-        if mode == "welschinger":
-            return 1 if all(w % 2 == 1 for _, _, w in self.edges) else 0
-        raise ValueError(f"unknown mode {mode!r}")
+        return ring_named(mode).multiplicity(w for _, _, w in self.edges)
 
     # -- allowability ------------------------------------------------------
 
@@ -193,16 +181,12 @@ def enumerate_graphs(delta: int, maxv_bound: int) -> list:
     return out
 
 
-_TEMPLATE_CACHE: dict = {}
-
-
+@functools.cache
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
-    if delta not in _TEMPLATE_CACHE:
-        # a template of cogenus delta has length at most delta + 1
-        cands = enumerate_graphs(delta, maxv_bound=delta + 1)
-        _TEMPLATE_CACHE[delta] = [G for G in cands if G.is_template()]
-    return _TEMPLATE_CACHE[delta]
+    # a template of cogenus delta has length at most delta + 1
+    cands = enumerate_graphs(delta, maxv_bound=delta + 1)
+    return [G for G in cands if G.is_template()]
 
 
 # -- ordering counts ----------------------------------------------------------
@@ -419,14 +403,9 @@ def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
 # -- counts ------------------------------------------------------------------
 
 
-_GRAPH_CACHE: dict = {}
-
-
-def _graphs(delta: int, maxv_bound: int):
-    key = (delta, maxv_bound)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE[key] = enumerate_graphs(delta, maxv_bound)
-    return _GRAPH_CACHE[key]
+@functools.cache
+def _graphs(delta: int, maxv_bound: int) -> list:
+    return enumerate_graphs(delta, maxv_bound)
 
 
 def refined_count(beta, delta: int, mode: str = "refined"):
@@ -435,22 +414,13 @@ def refined_count(beta, delta: int, mode: str = "refined"):
     graphs with maxv <= M+1."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
+    ring = ring_named(mode)
     M = len(beta) - 1
-    if mode == "refined":
-        acc = YL_ZERO
-    else:
-        acc = 0
+    acc = ring.zero
     for G in _graphs(delta, M + 1):
         P = count_orderings(G, beta, strict=True)
-        if P == 0:
-            continue
-        mult = G.multiplicity(mode)
-        if mode == "refined":
-            acc = acc + mult * P
-        else:
-            acc += mult * P
-    if mode == "refined" and acc.is_zero():
-        return YL_ZERO
+        if P:
+            acc = acc + G.multiplicity(mode) * P
     return acc
 
 

@@ -7,81 +7,34 @@ from .rationals import QQ
 def solve_exact(A, b):
     """Solve A x = b by Gaussian elimination over exact rationals.
 
-    A is a list of rows (each a list), b a list. A may be overdetermined;
-    returns the unique solution and raises ValueError when the system is
-    rank-deficient or inconsistent.
+    A is a list of rows (each a list) of rationals. The entries of b need
+    only +, - and multiplication by a rational, so they may be rationals or
+    ring elements such as YLaurent. A may be overdetermined; returns the
+    unique solution and raises ValueError when the system is
+    underdetermined, rank-deficient or inconsistent.
     """
-    rows = [[QQ(x) for x in row] + [bv] for row, bv in zip(A, b)]
+    rows = [[QQ(x) for x in row] for row in A]
+    vals = list(b)
     nrow = len(rows)
-    ncol = len(rows[0]) - 1 if rows else 0
+    ncol = len(rows[0]) if rows else 0
     if nrow < ncol:
         raise ValueError("underdetermined system")
-    piv_rows = []
-    r = 0
-    for col in range(ncol):
-        piv = None
-        for k in range(r, nrow):
-            if rows[k][col] != 0:
-                piv = k
-                break
-        if piv is None:
-            raise ValueError("rank-deficient system")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        inv = QQ(1) / QQ(pr[col])
-        rows[r] = pr = [x * inv for x in pr]
-        for k in range(nrow):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * p for a, p in zip(rows[k], pr)]
-        piv_rows.append(col)
-        r += 1
-        if r == ncol:
-            break
-    # remaining rows must be identically zero (consistency of overdetermined data)
-    for k in range(r, nrow):
-        if any(x != 0 for x in rows[k]):
-            raise ValueError("inconsistent system (nonzero residual)")
-    x = [QQ(0)] * ncol
-    for i, col in enumerate(piv_rows):
-        x[col] = rows[i][-1]
-    return x
-
-
-def solve_exact_vec(A, b_vectors):
-    """Solve A x = b where entries of b are ring elements supporting
-    +, -, and scalar multiplication by rationals (e.g. YLaurent)."""
-    rows = [[QQ(x) for x in row] for row in A]
-    vals = list(b_vectors)
-    nrow, ncol = len(rows), len(rows[0])
-    r = 0
-    piv_rows = []
-    for col in range(ncol):
-        piv = None
-        for k in range(r, nrow):
-            if rows[k][col] != 0:
-                piv = k
-                break
+    for r in range(ncol):
+        piv = next((k for k in range(r, nrow) if rows[k][r] != 0), None)
         if piv is None:
             raise ValueError("rank-deficient system")
         rows[r], rows[piv] = rows[piv], rows[r]
         vals[r], vals[piv] = vals[piv], vals[r]
-        inv = QQ(1) / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
+        inv = 1 / rows[r][r]
+        rows[r] = pr = [x * inv for x in rows[r]]
         vals[r] = vals[r] * inv
         for k in range(nrow):
-            if k != r and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [a - f * p for a, p in zip(rows[k], rows[r])]
+            if k != r and rows[k][r] != 0:
+                f = rows[k][r]
+                rows[k] = [a - f * p for a, p in zip(rows[k], pr)]
                 vals[k] = vals[k] - vals[r] * f
-        piv_rows.append(col)
-        r += 1
-        if r == ncol:
-            break
-    for k in range(r, nrow):
-        if any(x != 0 for x in rows[k]) or vals[k]:
-            raise ValueError("inconsistent system (nonzero residual)")
-    out = [None] * ncol
-    for i, col in enumerate(piv_rows):
-        out[col] = vals[i]
-    return out
+    # rows past the pivots are zero in A, so overdetermined data must leave
+    # a zero residual there
+    if any(vals[ncol:]):
+        raise ValueError("inconsistent system (nonzero residual)")
+    return vals[:ncol]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graphs import q_log_count, s_beta
-from .linalg import solve_exact_vec
+from .linalg import solve_exact
 from .qseries import QSeries
 from .rationals import QQ
 from .ylaurent import YLaurent, YL_ZERO
@@ -100,7 +100,7 @@ def _fit(family: str, delta: int, probes, holdout):
     for (c, m, d) in probes:
         A.append([QQ(_MONOMIALS[name](c, m, d)) for name in basis])
         rhs.append(_engine_q((c, m, d), delta))
-    coeffs = solve_exact_vec(A, rhs)
+    coeffs = solve_exact(A, rhs)
     np = NodePolynomial(family, delta, basis, coeffs,
                         fitted_from=list(probes), validated_on=[])
     for (c, m, d) in holdout:

@@ -1,34 +1,15 @@
-"""Exact rational backend.
+"""Exact rationals.
 
 Everything in this package computes over exact rationals; no floating point
-is ever introduced. By default we use gmpy2.mpq (much faster on the deep
-recursions), falling back to fractions.Fraction when gmpy2 is missing.
-Set REFSEV_RATIONAL_BACKEND=fraction to force the stdlib path (used by
-scripts/bench_rationals.py to compare the two).
+is ever introduced. QQ is the stdlib fractions.Fraction.
 """
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
-_BACKEND = os.environ.get("REFSEV_RATIONAL_BACKEND", "gmpy2").lower()
-
-if _BACKEND not in ("gmpy2", "fraction"):
-    raise RuntimeError(f"unknown REFSEV_RATIONAL_BACKEND {_BACKEND!r}")
-
-if _BACKEND == "gmpy2":
-    try:
-        from gmpy2 import mpq as QQ
-    except ImportError:
-        QQ = Fraction
-        _BACKEND = "fraction"
-else:
-    QQ = Fraction
+QQ = Fraction
 
 
 def backend_name() -> str:
-    return _BACKEND
-
-
-ZERO = QQ(0)
-ONE = QQ(1)
+    """The name of the rational type, for run headers."""
+    return "fraction"

@@ -3,12 +3,19 @@
 Exponents are stored doubled (an int k stands for y^(k/2)), so half-integer
 powers such as the quantum number [2]_y = y^(1/2) + y^(-1/2) are exact.
 Coefficients are exact rationals; zero coefficients are never stored.
+
+YRing is where refined counts take their values: the Laurent polynomials
+themselves (y = 'sym'), or their evaluations at y = 1 and y = -1 on plain
+ints.
 """
 from __future__ import annotations
 
+import json
+
 from .rationals import QQ
 
-__all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE"]
+__all__ = ["YLaurent", "qnum", "qnum_at", "YL_ZERO", "YL_ONE", "YRing",
+           "RINGS", "ring_at", "ring_named"]
 
 
 class YLaurent:
@@ -265,9 +272,75 @@ def qnum(n: int) -> YLaurent:
 
 
 def qnum_at(n: int, y: int) -> int:
-    """Integer specialization of [n]_y at y = 1 or y = -1 (fast paths)."""
+    """Integer specialization of [n]_y at y = 1 or y = -1."""
     if y == 1:
         return n
     if y == -1:
         return 0 if n % 2 == 0 else (1 if ((n - 1) // 2) % 2 == 0 else -1)
     raise ValueError("qnum_at supports y = 1 and y = -1 only")
+
+
+class YRing:
+    """The values of refined counts: Laurent polynomials in y, or their
+    evaluation at y = 1 (Severi degrees) or y = -1 (tropical Welschinger
+    numbers). The engines need only zero, one, +, * and products of
+    quantum numbers, so one code path serves all three rings.
+
+    mode is the y of the recursion ('sym', 1, -1), name the count mode of
+    the graph engines ('refined', 'severi', 'welschinger'); encode and
+    decode convert values to and from cache payloads.
+    """
+
+    __slots__ = ("mode", "name", "zero", "one", "qnum", "encode", "decode",
+                 "_prods")
+
+    def __init__(self, mode, name, zero, one, qnum, encode, decode):
+        self.mode = mode
+        self.name = name
+        self.zero = zero
+        self.one = one
+        self.qnum = qnum
+        self.encode = encode
+        self.decode = decode
+        self._prods: dict = {}
+
+    def qnum_prod(self, powers: tuple):
+        """prod [i]_y ** e over the (i, e) pairs of powers; memoised."""
+        hit = self._prods.get(powers)
+        if hit is None:
+            hit = self.one
+            for i, e in powers:
+                hit = hit * self.qnum(i) ** e
+            self._prods[powers] = hit
+        return hit
+
+    def multiplicity(self, weights):
+        """prod [w]_y ** 2 over the edge weights of a long edge graph or a
+        floor diagram."""
+        return self.qnum_prod(tuple((w, 2) for w in sorted(weights)))
+
+
+RINGS = (
+    YRing("sym", "refined", YL_ZERO, YL_ONE, qnum,
+          lambda v: json.dumps(v.to_triples(), separators=(",", ":")),
+          lambda p: YLaurent.from_triples(json.loads(p))),
+    YRing(1, "severi", 0, 1, lambda n: qnum_at(n, 1), str, int),
+    YRing(-1, "welschinger", 0, 1, lambda n: qnum_at(n, -1), str, int),
+)
+
+
+def ring_at(y) -> YRing:
+    """The ring of the recursion at y = 'sym', 1 or -1."""
+    for r in RINGS:
+        if r.mode == y:
+            return r
+    raise ValueError("y must be 'sym', 1 or -1")
+
+
+def ring_named(mode) -> YRing:
+    """The ring of a graph-engine count mode: 'refined', 'severi' or
+    'welschinger'."""
+    for r in RINGS:
+        if r.name == mode:
+            return r
+    raise ValueError(f"unknown mode {mode!r}")

@@ -90,3 +90,15 @@ def test_integer_mode_payloads(tmp_path):
     store.close()
     t2 = CHTable(store=CacheStore(p))
     assert severi_degree(P2(4), 2, y=-1, table=t2) == v
+    # y = 1 payloads: warm values come back as plain ints
+    q = str(tmp_path / "ch1.txt")
+    store = CacheStore(q)
+    t = CHTable(store=store)
+    cold = severi_degree(P2(4), 2, y=1, table=t)
+    assert cold == 225
+    t.flush()
+    store.close()
+    t3 = CHTable(store=CacheStore(q))
+    warm = severi_degree(P2(4), 2, y=1, table=t3)
+    assert type(warm) is int and warm == cold
+    assert t3.memo[1] and all(type(x) is int for x in t3.memo[1].values())

@@ -86,6 +86,21 @@ def test_integer_fast_paths_match_specialization(chtable):
             N = severi_degree(P2(d), delta, table=chtable)
             assert severi_degree(P2(d), delta, y=1, table=chtable) == N.at_one()
             assert welschinger_degree(P2(d), delta, table=chtable) == N.at_minus_one()
+    # (surface, delta, alpha, beta), relative states with fixed contacts too
+    states = [
+        (Sigma(1, 2, 3), 2, (), (5,)),
+        (P11m(2, 3), 2, (), (6,)),
+        (P2(4), 2, (0, 1), (2,)),
+        (P2(5), 2, (1, 0, 1), (1,)),
+        (Sigma(2, 1, 2), 1, (1, 1), (2,)),
+        (Sigma(2, 1, 2), 2, (1,), (0, 2)),  # vanishes at y = -1
+    ]
+    for s, delta, alpha, beta in states:
+        N = relative_degree(s, delta, alpha, beta, table=chtable)
+        for y, value in ((1, N.at_one()), (-1, N.at_minus_one())):
+            v = relative_degree(s, delta, alpha, beta, y=y, table=chtable)
+            assert type(v) is int, (s, y)
+            assert v == value, (s, delta, alpha, beta, y)
 
 
 def test_relative_memo_values_palindromic_nonnegative(chtable):

@@ -44,6 +44,8 @@ def test_fiber_only_surface():
     # d = 0: the curve is c fibers; only delta = 0 counts, and it counts 1
     assert floor_diagram_count(3, 1, 0, 0, "severi") == 1
     assert floor_diagram_count(3, 1, 0, 2, "severi") == 0
+    with pytest.raises(ValueError, match="unknown mode"):
+        floor_diagram_count(3, 1, 0, 2, "sym")
 
 
 def test_marking_count_against_literal_orbits():
@@ -63,8 +65,12 @@ def test_marking_count_against_literal_orbits():
 def test_cross_engine_small_grid():
     for (c, m, d) in itertools.product(range(3), range(3), range(1, 4)):
         for delta in range(3):
-            assert floor_diagram_count(c, m, d, delta) == \
-                refined_count(s_beta(c, m, d), delta), (c, m, d, delta)
+            N = refined_count(s_beta(c, m, d), delta)
+            assert floor_diagram_count(c, m, d, delta) == N, (c, m, d, delta)
+            # the integer counts are the evaluations at y = 1 and y = -1
+            assert floor_diagram_count(c, m, d, delta, "severi") == N.at_one()
+            assert floor_diagram_count(c, m, d, delta, "welschinger") == \
+                N.at_minus_one(), (c, m, d, delta)
 
 
 @pytest.mark.slow

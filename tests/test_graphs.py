@@ -192,6 +192,9 @@ def test_phi_strict_bracketing():
 
 def test_refined_count_cogenus_zero():
     assert refined_count(s_beta(0, 1, 3), 0).is_one()
+    # an unknown mode is refused even where no graph contributes
+    with pytest.raises(ValueError, match="unknown mode"):
+        refined_count((0, 0, 0), 2, "sym")
 
 
 def test_severi_twelve():
@@ -240,13 +243,13 @@ def test_qlog_equals_series_log(args):
 
 def test_qlog_degree_two_in_d():
     # fitted on d = delta..delta+2, predicts d = delta+3..delta+5
-    from refsev.linalg import solve_exact_vec
+    from refsev.linalg import solve_exact
     for delta in (1, 2):
         samples = {d: q_log_count(s_beta(0, 1, d), delta)
                    for d in range(delta, delta + 6)}
         A = [[QQ(1), QQ(d), QQ(d * d)] for d in range(delta, delta + 3)]
         rhs = [samples[d] for d in range(delta, delta + 3)]
-        c0, c1, c2 = solve_exact_vec(A, rhs)
+        c0, c1, c2 = solve_exact(A, rhs)
         for d in range(delta + 3, delta + 6):
             pred = c0 + c1.scale(d) + c2.scale(d * d)
             assert pred == samples[d]
