@@ -7,10 +7,13 @@ degrees); the recursion terminates at the fiber bundles (d = 0): the count
 is 1 exactly for delta = 0, beta = 0 and alpha = c simple contacts.
 
 The recursion runs once, over a value ring (ylaurent.YRing) chosen by y:
-'sym' computes exact Laurent polynomials in y; 1 and -1 evaluate them on
-plain ints (classical Severi degrees and tropical Welschinger numbers).
-Only the quantum numbers [i]_y differ between the rings; a factor that
-vanishes at y = -1 prunes its branch.
+'sym' computes exact Laurent polynomials in y; 1 and -1 compute their
+values on plain ints (classical Severi degrees and tropical Welschinger
+numbers), the integer rings being the images of the Laurent ring under
+evaluation. At y = -1 the half-integer powers are taken at y^(1/2) = i,
+so [n]_{-1} = 0 for even n and a factor that vanishes there prunes its
+branch; the value of a refined count at y = -1 is always real, since the
+count is palindromic.
 """
 from __future__ import annotations
 
@@ -171,32 +174,32 @@ class CHTable:
     """
 
     def __init__(self, store: CacheStore | None = None):
-        self.memo = {r.mode: {} for r in RINGS}
+        self.memo = {y: {} for y in RINGS}
         self.store = store
 
     @staticmethod
-    def _store_key(mode, key) -> str:
+    def _store_key(y, key) -> str:
         m, c, d, delta, alpha, beta = key
         a = ",".join(map(str, alpha))
         b = ",".join(map(str, beta))
-        return f"{mode}|{m}|{c}|{d}|{delta}|{a}|{b}"
+        return f"{y}|{m}|{c}|{d}|{delta}|{a}|{b}"
 
-    def lookup(self, mode, key):
-        hit = self.memo[mode].get(key)
+    def lookup(self, y, key):
+        hit = self.memo[y].get(key)
         if hit is not None:
             return hit
         if self.store is not None:
-            payload = self.store.get(self._store_key(mode, key))
+            payload = self.store.get(self._store_key(y, key))
             if payload is not None:
-                val = ring_at(mode).decode(payload)
-                self.memo[mode][key] = val
+                val = ring_at(y).decode(payload)
+                self.memo[y][key] = val
                 return val
         return None
 
-    def insert(self, mode, key, value):
-        self.memo[mode][key] = value
+    def insert(self, y, key, value):
+        self.memo[y][key] = value
         if self.store is not None:
-            self.store.put(self._store_key(mode, key), ring_at(mode).encode(value))
+            self.store.put(self._store_key(y, key), ring_at(y).encode(value))
 
     def flush(self):
         if self.store is not None:
@@ -233,7 +236,7 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
 
     alpha are fixed contacts with the bottom divisor, beta moving ones;
     I(alpha) + I(beta) must equal HL. y is 'sym' for the Laurent polynomial,
-    1 or -1 for the integer specializations.
+    1 or -1 for its integer value there (at y = -1, y^(1/2) = i).
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
@@ -261,21 +264,21 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
 
 def _N(m, c, d, delta, alpha, beta, ring, table):
     key = (m, c, d, delta, alpha, beta)
-    mode = ring.mode
-    hit = table.lookup(mode, key)
+    y = ring.y
+    hit = table.lookup(y, key)
     if hit is not None:
         return hit
 
     # initial conditions: the fiber bundles cF on Sigma_m
     if d == 0 and delta == 0 and not beta and alpha == canon_seq((c,)):
-        table.insert(mode, key, ring.one)
+        table.insert(y, key, ring.one)
         return ring.one
 
     dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
     HL = c + m * d
     gamma = dim - HL + sum(beta) - delta
     if gamma <= 0:
-        table.insert(mode, key, ring.zero)
+        table.insert(y, key, ring.zero)
         return ring.zero
 
     total = ring.zero
@@ -296,7 +299,7 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
     # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
     # the bottom of the tower
     if d == 0:
-        table.insert(mode, key, total)
+        table.insert(y, key, total)
         return total
     HL2 = c + m * (d - 1)
     ibeta = iseq(beta)
@@ -336,7 +339,7 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
                 if sub:
                     total = total + sub * (ca * cb) * f
 
-    table.insert(mode, key, total)
+    table.insert(y, key, total)
     return total
 
 

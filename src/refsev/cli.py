@@ -24,6 +24,8 @@ from .rationals import QQ
 from .ylaurent import YLaurent
 
 CACHE_ENV = "REFSEV_CACHE_DIR"
+# --y text -> the y of the value rings
+Y_VALUES = {"sym": "sym", "1": 1, "-1": -1}
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -127,7 +129,7 @@ def _emit(out, config: dict, rows: list, fmt: str, value_kind: str = "ylaurent")
 def _cmd_compute(args, out) -> int:
     table = _table(args)
     rows = []
-    y = {"sym": "sym", "1": 1, "-1": -1}[args.y]
+    y = Y_VALUES[args.y]
     config = {
         "command": "compute", "surface": args.surface, "m": args.m, "c": args.c,
         "d": args.d_raw, "delta": args.delta_raw, "k": args.k, "y": args.y,
@@ -163,7 +165,7 @@ def _cmd_compute(args, out) -> int:
 
 def _cmd_relative(args, out) -> int:
     table = _table(args)
-    y = {"sym": "sym", "1": 1, "-1": -1}[args.y]
+    y = Y_VALUES[args.y]
     bundle = _bundle(args)
     alpha = _parse_seq(args.alpha)
     beta = _parse_seq(args.beta)
@@ -197,28 +199,14 @@ def _cmd_solve_b(args, out) -> int:
     table = _table(args)
     config = {"command": "solve-B", "order": args.order, "y": args.y,
               "format": args.format}
-    if args.y == "-1":
-        d0 = max(args.order, 2)
-        data = [
-            (Invariants.of(P2(d0)),
-             {dl: severi_degree(P2(d0), dl, y=-1, table=table)
-              for dl in range(args.order)}),
-            (Invariants.of(Sigma(0, d0, d0)),
-             {dl: severi_degree(Sigma(0, d0, d0), dl, y=-1, table=table)
-              for dl in range(args.order)}),
-        ]
-        B1, B2 = solve_universal_B(data, args.order, y=-1)
-    else:
-        d0 = max(args.order, 2)
-        data = [
-            (Invariants.of(P2(d0)),
-             {dl: severi_degree(P2(d0), dl, table=table)
-              for dl in range(args.order)}),
-            (Invariants.of(Sigma(0, d0, d0)),
-             {dl: severi_degree(Sigma(0, d0, d0), dl, table=table)
-              for dl in range(args.order)}),
-        ]
-        B1, B2 = solve_universal_B(data, args.order)
+    y = Y_VALUES[args.y]
+    d0 = max(args.order, 2)
+    data = [
+        (Invariants.of(b),
+         {dl: severi_degree(b, dl, y=y, table=table) for dl in range(args.order)})
+        for b in (P2(d0), Sigma(0, d0, d0))
+    ]
+    B1, B2 = solve_universal_B(data, args.order, y=y)
     _emit(out, config, [({"series": "B1"}, B1), ({"series": "B2"}, B2)],
           args.format)
     table.flush()
@@ -233,13 +221,20 @@ def _cmd_series(args, out) -> int:
     return 0
 
 
-def _cmd_verify(args, out) -> int:
-    table = _table(args)
+def verify_id(text: str) -> str:
+    """The check id a --id value names ('fbar' and 'cross-engine' are
+    aliases; dashes stand for underscores); SystemExit when there is none."""
     cid = {"fbar": "fbar_closed_form", "cross-engine": "cross_engine"}.get(
-        args.id, args.id.replace("-", "_") if args.id not in CHECK_IDS else args.id
+        text, text.replace("-", "_") if text not in CHECK_IDS else text
     )
     if cid not in CHECK_IDS:
-        raise SystemExit(f"unknown verify id {args.id!r}; known: {', '.join(CHECK_IDS)}")
+        raise SystemExit(f"unknown verify id {text!r}; known: {', '.join(CHECK_IDS)}")
+    return cid
+
+
+def _cmd_verify(args, out) -> int:
+    table = _table(args)
+    cid = verify_id(args.id)
     params = {}
     if cid == "cross_engine":
         params = {"cmax": args.cmax, "dmax": args.dmax, "mmax": args.mmax,
@@ -290,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
         q.add_argument("--format", choices=("json", "csv", "text"), default="text")
         q.add_argument("--cache", default=None, help="persistent recursion cache file")
         if with_y:
-            q.add_argument("--y", choices=("sym", "1", "-1"), default="sym")
+            q.add_argument("--y", choices=tuple(Y_VALUES), default="sym")
 
     c = sub.add_parser("compute", help="refined/Severi/Welschinger degrees")
     c.add_argument("--surface", choices=("p2", "p11m", "sigma"), required=True)

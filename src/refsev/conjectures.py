@@ -81,18 +81,11 @@ def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
         )
 
 
-def _b_tables(K: int, y=None):
+def _b_tables(K: int, y="sym"):
     if y == -1:
         return modular.b_bar_series(1, K), modular.b_bar_series(2, K)
-    b1 = modular.b_series(1, K)
-    b2 = modular.b_series(2, K)
-    if y == 1:
-        return b1.specialize_y(1), b2.specialize_y(1)
-    return b1, b2
-
-
-def _as_value(x, y):
-    return YLaurent.const(x) if y in (1, -1) else x
+    return (modular.b_series(1, K).specialize_y(y),
+            modular.b_series(2, K).specialize_y(y))
 
 
 # -- individual checks ---------------------------------------------------------
@@ -309,7 +302,7 @@ def _check_multcon_h34(table, delta_max=3, with_ambiguous_probe=True) -> Conject
                     for delta in range(min(delta_max, 2 * (d - m)) + 1):
                         eng = severi_degree(bundle, delta, y=yv, table=table)
                         gen = S.coeff_at(delta + shift)
-                        if YLaurent.const(eng) != gen:
+                        if eng != gen:
                             bad = (delta, eng, gen)
                             break
                     outcomes.append((tag, bad))
@@ -399,13 +392,6 @@ def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:
     return rep
 
 
-_SERIES_IDS = (
-    "F0_theta", "F1_theta", "F2_theta", "fbar_closed_form",
-    "eta_quotient_theta2", "Fhat_c2_is_theta2", "jacobi_triple",
-    "theta_prod_sum", "dgtilde2_minus1", "delta_tilde_minus1",
-    "B_minus1_tables", "fhat_general_tables",
-)
-
 # check id -> checker(table, **params); the order is the order of CHECK_IDS
 _CHECKS = {
     "refpol": _check_refpol,
@@ -419,7 +405,8 @@ _CHECKS = {
     "multcon_H34_at_pm1": _check_multcon_h34,
     "cross_engine": _check_cross_engine,
     "solveB": _check_solve_b,
-    **{i: functools.partial(_check_series_identity, i) for i in _SERIES_IDS},
+    **{i: functools.partial(_check_series_identity, i)
+       for i in modular.SERIES_IDENTITIES},
 }
 
 CHECK_IDS = tuple(_CHECKS)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .ylaurent import ring_named
+from .ylaurent import ring_at
 
 __all__ = [
     "FloorDiagram",
@@ -47,9 +47,10 @@ class FloorDiagram:
         into = sum(w for i, k, w in self.edges if k == j)
         return out - into
 
-    def multiplicity(self, mode: str = "refined"):
-        """Refined (Laurent), Severi (y=1) or Welschinger (y=-1) multiplicity."""
-        return ring_named(mode).multiplicity(w for _, _, w in self.edges)
+    def multiplicity(self, y="sym"):
+        """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
+        Welschinger (y=-1) multiplicity."""
+        return ring_at(y).multiplicity(w for _, _, w in self.edges)
 
     def __repr__(self):
         return f"FD(d={self.d}, edges={list(self.edges)}, s={self.s}, free={self.free})"
@@ -221,18 +222,19 @@ def marking_count_literal(D: FloorDiagram, guard: int = 8) -> int:
     return len(seen)
 
 
-def floor_diagram_count(c: int, m: int, d: int, delta: int, mode: str = "refined"):
+def floor_diagram_count(c: int, m: int, d: int, delta: int, y="sym"):
     """Sum of mult(D) * nu(D) over Delta_{c,m,d}-floor diagrams of cogenus
-    delta: the brute-force value of the refined Severi degree."""
+    delta: the brute-force value of the refined Severi degree at y ('sym'
+    for the Laurent polynomial, 1 or -1 for its integer value)."""
     dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
     if d > 8 or dim > 70:
         raise FloorDiagramTooLarge(
             f"floor-diagram brute force guarded out (d={d}, dim={dim})"
         )
-    ring = ring_named(mode)
+    ring = ring_at(y)
     acc = ring.zero
     for D in enumerate_floor_diagrams(c, m, d, delta):
         nu = marking_count(D)
         if nu:
-            acc = acc + D.multiplicity(mode) * nu
+            acc = acc + D.multiplicity(y) * nu
     return acc

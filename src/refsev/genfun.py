@@ -54,24 +54,20 @@ class Invariants:
 
 
 @lru_cache(maxsize=32)
-def base_series(K: int, y=None):
-    """(P, DP, Dtilde) to order K; y = 1 or -1 specializes, None is refined."""
-    dg = dgtilde2(K)
-    dt = delta_tilde(K)
-    if y is not None:
-        dg = dg.specialize_y(y)
-        dt = dt.specialize_y(y)
-    return dg, dg.D(), dt
+def base_series(K: int, y="sym"):
+    """(P, DP, Dtilde) to order K at y: 'sym' is refined, 1 or -1 specializes."""
+    dg = dgtilde2(K).specialize_y(y)
+    return dg, dg.D(), delta_tilde(K).specialize_y(y)
 
 
 @lru_cache(maxsize=32)
-def _inverse_point_series(T: int, y=None) -> QSeries:
+def _inverse_point_series(T: int, y="sym") -> QSeries:
     dg, _, _ = base_series(T, y)
     return compose_inverse(dg)
 
 
 def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
-                order: int, R: QSeries | None = None, shift=0, y=None):
+                order: int, R: QSeries | None = None, shift=0, y="sym"):
     """Evaluate the chosen form of the generating identity.
 
     form 1 -> the q-series RHS mod q^order;
@@ -141,18 +137,16 @@ def _ceil_exp(x) -> int:
     return -int((-q.numerator) // q.denominator)
 
 
-def solve_universal_B(datasets, order: int, y=None):
+def solve_universal_B(datasets, order: int, y="sym"):
     """Solve for B_1, B_2 mod q^order from node-polynomial data.
 
     datasets: iterable of (Invariants, {delta: M^delta}) with at least two
-    (K2, LK) pairs of full rank; values are YLaurent ('sym') or ints when
-    y = 1/-1. Solves order by order through form (2): at q-order n the
+    (K2, LK) pairs of full rank; values are YLaurent (y = 'sym') or ints
+    (y = 1/-1). Solves order by order through form (2): at q-order n the
     unknown coefficients (b1_n, b2_n) enter the t^n coefficient affinely
     as K2*b1_n + LK*b2_n. Overdetermined data must be consistent.
     """
-    datasets = [
-        (inv, {d: _as_yl(v) for d, v in vals.items()}) for inv, vals in datasets
-    ]
+    datasets = list(datasets)
     if len(datasets) < 2:
         raise ValueError("need at least two bundles to separate B_1 and B_2")
     b1 = [YLaurent.const(1)]
@@ -185,9 +179,3 @@ def solve_universal_B(datasets, order: int, y=None):
                     f"inconsistent data: delta={d} residual at {inv}"
                 )
     return B1, B2
-
-
-def _as_yl(v) -> YLaurent:
-    if isinstance(v, YLaurent):
-        return v
-    return YLaurent.const(v)

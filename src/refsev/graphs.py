@@ -19,7 +19,7 @@ from math import comb, factorial
 
 from .linalg import solve_exact
 from .rationals import QQ
-from .ylaurent import YL_ZERO, ring_named
+from .ylaurent import YL_ZERO, ring_at
 
 __all__ = [
     "LongEdgeGraph",
@@ -110,9 +110,10 @@ class LongEdgeGraph:
             for v in range(1, self.length())
         )
 
-    def multiplicity(self, mode: str = "refined"):
-        """Refined (Laurent), Severi (y=1) or Welschinger (y=-1) multiplicity."""
-        return ring_named(mode).multiplicity(w for _, _, w in self.edges)
+    def multiplicity(self, y="sym"):
+        """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
+        Welschinger (y=-1) multiplicity."""
+        return ring_at(y).multiplicity(w for _, _, w in self.edges)
 
     # -- allowability ------------------------------------------------------
 
@@ -408,19 +409,20 @@ def _graphs(delta: int, maxv_bound: int) -> list:
     return enumerate_graphs(delta, maxv_bound)
 
 
-def refined_count(beta, delta: int, mode: str = "refined"):
-    """N^delta_beta (refined), n^delta_beta (severi) or W^delta_beta
-    (welschinger): sum of multiplicity times P^s_beta over all cogenus-delta
-    graphs with maxv <= M+1."""
+def refined_count(beta, delta: int, y="sym"):
+    """N^delta_beta at y: the Laurent polynomial (y='sym'), the Severi count
+    n^delta_beta (y=1) or the Welschinger count W^delta_beta (y=-1). The sum
+    of multiplicity times P^s_beta over all cogenus-delta graphs with
+    maxv <= M+1."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
-    ring = ring_named(mode)
+    ring = ring_at(y)
     M = len(beta) - 1
     acc = ring.zero
     for G in _graphs(delta, M + 1):
         P = count_orderings(G, beta, strict=True)
         if P:
-            acc = acc + G.multiplicity(mode) * P
+            acc = acc + G.multiplicity(y) * P
     return acc
 
 
@@ -441,7 +443,7 @@ def q_log_count(beta, delta: int):
         for k in range(lo, hi + 1):
             s += phi(T.shift(k), beta)
         if s:
-            acc = acc + T.multiplicity("refined").scale(s)
+            acc = acc + T.multiplicity().scale(s)
     return acc
 
 

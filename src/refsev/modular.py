@@ -7,6 +7,7 @@ the YLaurent ring. The default K = 20 covers the embedded tables to q^17.
 """
 from __future__ import annotations
 
+import functools
 from math import comb, factorial
 
 from . import tables
@@ -39,6 +40,7 @@ __all__ = [
     "b_series",
     "b_bar_series",
     "named_series",
+    "SERIES_IDENTITIES",
     "verify_series_identity",
 ]
 
@@ -47,23 +49,16 @@ DEFAULT_TRUNC = 20
 
 # -- basics --------------------------------------------------------------------
 
-_BERN: dict = {}
-
-
+@functools.cache
 def bernoulli(n: int) -> QQ:
     """Bernoulli number B_n (B_1 = -1/2 convention), exact."""
-    if n in _BERN:
-        return _BERN[n]
     if n == 0:
-        b = QQ(1)
-    elif n == 1:
-        b = QQ(-1, 2)
-    elif n % 2 == 1:
-        b = QQ(0)
-    else:
-        b = -sum(QQ(comb(n + 1, k)) * bernoulli(k) for k in range(n)) / QQ(n + 1)
-    _BERN[n] = b
-    return b
+        return QQ(1)
+    if n == 1:
+        return QQ(-1, 2)
+    if n % 2 == 1:
+        return QQ(0)
+    return -sum(QQ(comb(n + 1, k)) * bernoulli(k) for k in range(n)) / QQ(n + 1)
 
 
 def _divisors(n: int):
@@ -502,6 +497,33 @@ def b_bar_series(which: int, K: int) -> QSeries:
 
 # -- dispatcher ---------------------------------------------------------------------
 
+# lower-cased name -> constructor(K, param)
+_NAMED = {
+    "eta": lambda K, p: eta(K),
+    "delta": lambda K, p: eta(K).pow(24),
+    "g2k": lambda K, p: eisenstein(p, K),
+    "gbar2k": lambda K, p: eisenstein_bar(p, K),
+    "theta2": lambda K, p: theta2(K),
+    "theta2ofqsquared": lambda K, p: theta2_of_qsq(K),
+    "dgtilde2": lambda K, p: dgtilde2(K),
+    "ddgtilde2": lambda K, p: ddgtilde2(K),
+    "deltatilde": lambda K, p: delta_tilde(K),
+    "thetay": lambda K, p: theta_y(K),
+    "flower": lambda K, p: f_lower(p, K),
+    "fbar": lambda K, p: f_bar(p, K),
+    "fhatcm": lambda K, p: fhat_cm(p, K),
+    "h": lambda K, p: h_series(p, K),
+    "h_at1": lambda K, p: h_at(p, 1, K),
+    "h_atminus1": lambda K, p: h_at(p, -1, K),
+    "b1": lambda K, p: b_series(1, K),
+    "b2": lambda K, p: b_series(2, K),
+    "b1bar": lambda K, p: b_bar_series(1, K),
+    "b2bar": lambda K, p: b_bar_series(2, K),
+    "f0": lambda K, p: dgtilde2(K) * QSeries([YLaurent({2: 1, 0: -2, -2: 1})], trunc=K),
+    "f1": lambda K, p: _f1_series(K),
+    "f2": lambda K, p: _f2_series(K),
+}
+
 
 def named_series(name: str, K: int = DEFAULT_TRUNC, param: int | None = None) -> QSeries:
     """Construct a named series to truncation order K.
@@ -512,147 +534,123 @@ def named_series(name: str, K: int = DEFAULT_TRUNC, param: int | None = None) ->
     weight as param (2k); fLower/fBar the multiplicity l; FhatCm/H/H_at*
     the parameter m.
     """
-    key = name.lower()
-    if key == "eta":
-        return eta(K)
-    if key == "delta":
-        return eta(K).pow(24)
-    if key == "g2k":
-        return eisenstein(param, K)
-    if key == "gbar2k":
-        return eisenstein_bar(param, K)
-    if key == "theta2":
-        return theta2(K)
-    if key == "theta2ofqsquared":
-        return theta2_of_qsq(K)
-    if key == "dgtilde2":
-        return dgtilde2(K)
-    if key == "ddgtilde2":
-        return ddgtilde2(K)
-    if key == "deltatilde":
-        return delta_tilde(K)
-    if key == "thetay":
-        return theta_y(K)
-    if key == "flower":
-        return f_lower(param, K)
-    if key == "fbar":
-        return f_bar(param, K)
-    if key == "fhatcm":
-        return fhat_cm(param, K)
-    if key == "h":
-        return h_series(param, K)
-    if key == "h_at1":
-        return h_at(param, 1, K)
-    if key == "h_atminus1":
-        return h_at(param, -1, K)
-    if key == "b1":
-        return b_series(1, K)
-    if key == "b2":
-        return b_series(2, K)
-    if key == "b1bar":
-        return b_bar_series(1, K)
-    if key == "b2bar":
-        return b_bar_series(2, K)
-    if key == "f0":
-        return dgtilde2(K) * QSeries([YLaurent({2: 1, 0: -2, -2: 1})], trunc=K)
-    if key == "f1":
-        return _f1_series(K)
-    if key == "f2":
-        return _f2_series(K)
-    raise ValueError(f"unknown series name {name!r}")
+    make = _NAMED.get(name.lower())
+    if make is None:
+        raise ValueError(f"unknown series name {name!r}")
+    return make(K, param)
 
 
 # -- identity checks ------------------------------------------------------------------
+#
+# Each checker takes (K, param) and returns (first difference or None, detail).
+
+
+def _same(lhs, rhs):
+    """The checker of lhs(K) == rhs(K)."""
+    return lambda K, param: (lhs(K).first_difference(rhs(K)), "")
+
+
+def _id_f0_theta(K, param):
+    th = theta_y(K)
+    lhs = named_series("F0", K) * th
+    rhs = -(th.D()) - eisenstein(2, K).scale(3) * th
+    return lhs.first_difference(rhs), ""
+
+
+def _id_f1_theta(K, param):
+    th = theta_y(K)
+    dth = th.D()
+    g2 = eisenstein(2, K)
+    lhs = _f1_series(K) * th * th
+    rhs = (dth * dth).scale(QQ(1, 2)) + (dth * th * g2).scale(3) \
+        + (dth * th).scale(QQ(1, 2)) \
+        + th * th * (eisenstein(4, K).scale(QQ(15, 8))
+                     - eisenstein(2, K).D().scale(QQ(9, 4)) + g2.scale(QQ(3, 2)))
+    return lhs.first_difference(rhs), ""
+
+
+def _id_f2_theta(K, param):
+    th = theta_y(K)
+    dth = th.D()
+    thp = th.dy()
+    lhs = _f2_series(K) * th * th
+    rhs = -(dth * thp).scale(QQ(1, 2)) - (thp.D() * th).scale(QQ(1, 6)) \
+        - eisenstein(2, K) * thp * th * 2
+    return lhs.first_difference(rhs), ""
+
+
+def _id_fbar_closed_form(K, param):
+    lmax = param if param is not None else 12
+    for l in range(1, lmax + 1):
+        fb = f_bar(l, K)
+        d = fb.first_difference(f_bar_closed(l, K))
+        if d is not None:
+            return d, f"l={l}"
+        one = QSeries.one(min(K, l + 1))
+        d = fb.truncate(l + 1).first_difference(one)
+        if d is not None:
+            return d, f"l={l} (fbar != 1 mod q^(l+1))"
+    return None, ""
+
+
+def _id_jacobi_triple(K, param):
+    # eta(q^2)^3 = q^(1/4) sum_{n>=0} (-1)^n (2n+1) q^(n(n+1))
+    lhs = eta(K).subs_qpow(2).pow(3)
+    coeffs = [QQ(0)] * K
+    n = 0
+    while n * (n + 1) < K:
+        coeffs[n * (n + 1)] = QQ((-1) ** n * (2 * n + 1))
+        n += 1
+    rhs = QSeries(coeffs, trunc=K, offset24=6)
+    return lhs.first_difference(rhs), ""
+
+
+def _id_b_minus1_tables(K, param):
+    KK = min(K, tables.B_TRUSTED)
+    for which in (1, 2):
+        lhs = b_series(which, KK).specialize_y(-1)
+        d = lhs.first_difference(b_bar_series(which, KK))
+        if d is not None:
+            return d, f"B{which}"
+    return None, ""
+
+
+def _id_fhat_general_tables(K, param):
+    for m in (2, 3, 4):
+        d = fhat_cm_general(m, 4).first_difference(fhat_cm(m, 4))
+        if d is not None:
+            return d, f"m={m}"
+    return None, ""
+
+
+# identity id -> checker; conjectures.CHECK_IDS lists them in this order
+SERIES_IDENTITIES = {
+    "F0_theta": _id_f0_theta,
+    "F1_theta": _id_f1_theta,
+    "F2_theta": _id_f2_theta,
+    "fbar_closed_form": _id_fbar_closed_form,
+    "eta_quotient_theta2": _same(lambda K: eta(K) * eta(K) / eta(K).subs_qpow(2),
+                                 theta2_of_qsq),
+    "Fhat_c2_is_theta2": _same(lambda K: fhat_cm(2, K), theta2_of_qsq),
+    "jacobi_triple": _id_jacobi_triple,
+    "theta_prod_sum": _same(theta_y, theta_y_product),
+    "dgtilde2_minus1": _same(lambda K: dgtilde2(K).specialize_y(-1),
+                             lambda K: eisenstein_bar(2, K)),
+    "delta_tilde_minus1": _same(
+        lambda K: delta_tilde(K).specialize_y(-1),
+        lambda K: eta(K).pow(16) * eta(K).subs_qpow(2).pow(4)),
+    "B_minus1_tables": _id_b_minus1_tables,
+    "fhat_general_tables": _id_fhat_general_tables,
+}
 
 
 def verify_series_identity(ident: str, K: int = 15, param: int | None = None) -> dict:
     """Evaluate both sides of a named identity to order K; report the first
     discrepancy or pass. Failures are reported, never raised."""
-    first = None
-    extra = ""
-    if ident == "F0_theta":
-        th = theta_y(K)
-        lhs = named_series("F0", K) * th
-        rhs = -(th.D()) - eisenstein(2, K).scale(3) * th
-        first = lhs.first_difference(rhs)
-    elif ident == "F1_theta":
-        th = theta_y(K)
-        dth = th.D()
-        g2 = eisenstein(2, K)
-        lhs = _f1_series(K) * th * th
-        rhs = (dth * dth).scale(QQ(1, 2)) + (dth * th * g2).scale(3) \
-            + (dth * th).scale(QQ(1, 2)) \
-            + th * th * (eisenstein(4, K).scale(QQ(15, 8))
-                         - eisenstein(2, K).D().scale(QQ(9, 4)) + g2.scale(QQ(3, 2)))
-        first = lhs.first_difference(rhs)
-    elif ident == "F2_theta":
-        th = theta_y(K)
-        dth = th.D()
-        thp = th.dy()
-        lhs = _f2_series(K) * th * th
-        rhs = -(dth * thp).scale(QQ(1, 2)) - (thp.D() * th).scale(QQ(1, 6)) \
-            - eisenstein(2, K) * thp * th * 2
-        first = lhs.first_difference(rhs)
-    elif ident == "fbar_closed_form":
-        lmax = param if param is not None else 12
-        for l in range(1, lmax + 1):
-            fb = f_bar(l, K)
-            cf = f_bar_closed(l, K)
-            d = fb.first_difference(cf)
-            if d is not None:
-                first = d
-                extra = f"l={l}"
-                break
-            one = QSeries.one(min(K, l + 1))
-            d = fb.truncate(l + 1).first_difference(one)
-            if d is not None:
-                first = d
-                extra = f"l={l} (fbar != 1 mod q^(l+1))"
-                break
-    elif ident == "eta_quotient_theta2":
-        lhs = eta(K) * eta(K) / eta(K).subs_qpow(2)
-        first = lhs.first_difference(theta2_of_qsq(K))
-    elif ident == "Fhat_c2_is_theta2":
-        first = fhat_cm(2, K).first_difference(theta2_of_qsq(K))
-    elif ident == "jacobi_triple":
-        # eta(q^2)^3 = q^(1/4) sum_{n>=0} (-1)^n (2n+1) q^(n(n+1))
-        lhs = eta(K).subs_qpow(2).pow(3)
-        coeffs = [QQ(0)] * K
-        n = 0
-        while n * (n + 1) < K:
-            coeffs[n * (n + 1)] = QQ((-1) ** n * (2 * n + 1))
-            n += 1
-        rhs = QSeries(coeffs, trunc=K, offset24=6)
-        first = lhs.first_difference(rhs)
-    elif ident == "theta_prod_sum":
-        first = theta_y(K).first_difference(theta_y_product(K))
-    elif ident == "dgtilde2_minus1":
-        first = dgtilde2(K).specialize_y(-1).first_difference(eisenstein_bar(2, K))
-    elif ident == "delta_tilde_minus1":
-        lhs = delta_tilde(K).specialize_y(-1)
-        rhs = eta(K).pow(16) * eta(K).subs_qpow(2).pow(4)
-        first = lhs.first_difference(rhs)
-    elif ident == "B_minus1_tables":
-        KK = min(K, tables.B_TRUSTED)
-        for which in (1, 2):
-            lhs = b_series(which, KK).specialize_y(-1)
-            rhs = b_bar_series(which, KK)
-            d = lhs.first_difference(rhs)
-            if d is not None:
-                first = d
-                extra = f"B{which}"
-                break
-    elif ident == "fhat_general_tables":
-        for m in (2, 3, 4):
-            gen = fhat_cm_general(m, 4)
-            tab = fhat_cm(m, 4)
-            d = gen.first_difference(tab)
-            if d is not None:
-                first = d
-                extra = f"m={m}"
-                break
-    else:
+    check = SERIES_IDENTITIES.get(ident)
+    if check is None:
         raise ValueError(f"unknown identity {ident!r}")
+    first, extra = check(K, param)
     return {
         "id": ident,
         "order": K,

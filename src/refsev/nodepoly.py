@@ -21,7 +21,7 @@ from .qseries import QSeries
 from .rationals import QQ
 from .ylaurent import YLaurent, YL_ZERO
 
-__all__ = ["NodePolynomial", "fit_node_polynomial", "node_values", "q_value"]
+__all__ = ["NodePolynomial", "fit_node_polynomial", "node_values"]
 
 
 BASES = {
@@ -159,10 +159,6 @@ def fit_node_polynomial(family: str, delta: int, m: int = None,
                    (0, d0 + 2, d0 + 1)]
         return _fit("p11m", delta, pts, holdout)
     raise ValueError(f"unknown family {family!r}")
-
-
-def q_value(fits: dict, delta: int, c=0, m=0, d=0) -> YLaurent:
-    return fits[delta].q_at(c=c, m=m, d=d)
 
 
 def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:

@@ -354,8 +354,11 @@ class QSeries:
         return QSeries(out, lead=self.lead * r, trunc=(self.trunc - 1) * r + 1,
                        offset24=self.offset24 * r, step24=self.step24)
 
-    def specialize_y(self, y: int) -> "QSeries":
-        """Evaluate every coefficient at y = 1 or y = -1."""
+    def specialize_y(self, y) -> "QSeries":
+        """Evaluate every coefficient at y = 1 or y = -1 (y^(1/2) = i); the
+        identity at y = 'sym'."""
+        if y == "sym":
+            return self
         if y == 1:
             vals = [c.at_one() for c in self.coeffs]
         elif y == -1:

@@ -5,8 +5,10 @@ powers such as the quantum number [2]_y = y^(1/2) + y^(-1/2) are exact.
 Coefficients are exact rationals; zero coefficients are never stored.
 
 YRing is where refined counts take their values: the Laurent polynomials
-themselves (y = 'sym'), or their evaluations at y = 1 and y = -1 on plain
-ints.
+themselves (y = 'sym'), or their images on plain ints under evaluation at
+y = 1 and y = -1. Evaluation at y = -1 sets y^(1/2) = i, so [n]_{-1} is 0
+for even n; it is defined where the value is real, which holds for every
+palindromic element and so for every refined count.
 """
 from __future__ import annotations
 
@@ -14,8 +16,8 @@ import json
 
 from .rationals import QQ
 
-__all__ = ["YLaurent", "qnum", "qnum_at", "YL_ZERO", "YL_ONE", "YRing",
-           "RINGS", "ring_at", "ring_named"]
+__all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "YRing", "RINGS",
+           "ring_at"]
 
 
 class YLaurent:
@@ -170,13 +172,17 @@ class YLaurent:
         return s
 
     def at_minus_one(self):
-        """Value at y = -1; defined only for integral elements."""
-        if not self.is_integral():
-            raise ValueError("specialization at y = -1 needs integral exponents")
-        s = QQ(0)
+        """Value at y = -1, taken at y^(1/2) = i (so y^(e/2) -> i^e); raises
+        ValueError when that value is not real."""
+        real = imag = QQ(0)
         for e, c in self.terms.items():
-            s += c if (e // 2) % 2 == 0 else -c
-        return s
+            if e % 2:
+                imag += c if e % 4 == 1 else -c
+            else:
+                real += c if e % 4 == 0 else -c
+        if imag:
+            raise ValueError(f"{self} is not real at y^(1/2) = i")
+        return real
 
     def mirror(self) -> "YLaurent":
         """Apply y -> 1/y."""
@@ -263,7 +269,8 @@ YL_ONE = YLaurent({0: QQ(1)}, _canonical=True)
 def qnum(n: int) -> YLaurent:
     """Quantum number [n]_y = y^((n-1)/2) + y^((n-3)/2) + ... + y^(-(n-1)/2).
 
-    [n]_y at y=1 is n; at y=-1 it is 0 for even n and (-1)^((n-1)/2) for odd n.
+    [n]_y at y=1 is n; at y=-1 (y^(1/2) = i) it is 0 for even n and
+    (-1)^((n-1)/2) for odd n.
     """
     if n <= 0:
         raise ValueError(f"[n]_y requires n >= 1, got {n}")
@@ -271,35 +278,24 @@ def qnum(n: int) -> YLaurent:
     return YLaurent({e: one for e in range(-(n - 1), n, 2)}, _canonical=True)
 
 
-def qnum_at(n: int, y: int) -> int:
-    """Integer specialization of [n]_y at y = 1 or y = -1."""
-    if y == 1:
-        return n
-    if y == -1:
-        return 0 if n % 2 == 0 else (1 if ((n - 1) // 2) % 2 == 0 else -1)
-    raise ValueError("qnum_at supports y = 1 and y = -1 only")
-
-
 class YRing:
     """The values of refined counts: Laurent polynomials in y, or their
-    evaluation at y = 1 (Severi degrees) or y = -1 (tropical Welschinger
-    numbers). The engines need only zero, one, +, * and products of
-    quantum numbers, so one code path serves all three rings.
+    images under evaluation at y = 1 (Severi degrees) or y = -1 (tropical
+    Welschinger numbers). The engines need only zero, one, +, * and products
+    of quantum numbers, so one code path serves all three rings.
 
-    mode is the y of the recursion ('sym', 1, -1), name the count mode of
-    the graph engines ('refined', 'severi', 'welschinger'); encode and
-    decode convert values to and from cache payloads.
+    y is the y of the ring ('sym', 1, -1); at maps a Laurent polynomial
+    into the ring, and zero, one and [n]_y are the images of YL_ZERO, YL_ONE
+    and qnum(n); encode and decode convert values to and from cache payloads.
     """
 
-    __slots__ = ("mode", "name", "zero", "one", "qnum", "encode", "decode",
-                 "_prods")
+    __slots__ = ("y", "at", "zero", "one", "encode", "decode", "_prods")
 
-    def __init__(self, mode, name, zero, one, qnum, encode, decode):
-        self.mode = mode
-        self.name = name
-        self.zero = zero
-        self.one = one
-        self.qnum = qnum
+    def __init__(self, y, at, encode, decode):
+        self.y = y
+        self.at = at
+        self.zero = at(YL_ZERO)
+        self.one = at(YL_ONE)
         self.encode = encode
         self.decode = decode
         self._prods: dict = {}
@@ -310,7 +306,7 @@ class YRing:
         if hit is None:
             hit = self.one
             for i, e in powers:
-                hit = hit * self.qnum(i) ** e
+                hit = hit * self.at(qnum(i)) ** e
             self._prods[powers] = hit
         return hit
 
@@ -320,27 +316,28 @@ class YRing:
         return self.qnum_prod(tuple((w, 2) for w in sorted(weights)))
 
 
-RINGS = (
-    YRing("sym", "refined", YL_ZERO, YL_ONE, qnum,
+def _integer_ring(y, at) -> YRing:
+    """The image of the Laurent ring under the evaluation `at`, on ints."""
+    def to_int(v) -> int:
+        q = at(v)
+        if q.denominator != 1:
+            raise ValueError(f"{v} has no integer value at y = {y}")
+        return q.numerator
+    return YRing(y, to_int, str, int)
+
+
+RINGS = {r.y: r for r in (
+    YRing("sym", lambda v: v,
           lambda v: json.dumps(v.to_triples(), separators=(",", ":")),
           lambda p: YLaurent.from_triples(json.loads(p))),
-    YRing(1, "severi", 0, 1, lambda n: qnum_at(n, 1), str, int),
-    YRing(-1, "welschinger", 0, 1, lambda n: qnum_at(n, -1), str, int),
-)
+    _integer_ring(1, YLaurent.at_one),
+    _integer_ring(-1, YLaurent.at_minus_one),
+)}
 
 
 def ring_at(y) -> YRing:
-    """The ring of the recursion at y = 'sym', 1 or -1."""
-    for r in RINGS:
-        if r.mode == y:
-            return r
-    raise ValueError("y must be 'sym', 1 or -1")
-
-
-def ring_named(mode) -> YRing:
-    """The ring of a graph-engine count mode: 'refined', 'severi' or
-    'welschinger'."""
-    for r in RINGS:
-        if r.name == mode:
-            return r
-    raise ValueError(f"unknown mode {mode!r}")
+    """The ring of values at y = 'sym', 1 or -1."""
+    ring = RINGS.get(y)
+    if ring is None:
+        raise ValueError(f"y must be 'sym', 1 or -1, not {y!r}")
+    return ring

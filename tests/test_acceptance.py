@@ -52,12 +52,12 @@ def test_criterion_01_cross_engine(table):
 def test_criterion_02_classical_sanity(table):
     """N^{3,1}(1) = 12 via the independent floor-diagram oracle, and
     N^{d,0} = 1 for d <= 8."""
-    oracle12 = floor_diagram_count(0, 1, 3, 1, "severi")
+    oracle12 = floor_diagram_count(0, 1, 3, 1, 1)
     ok = oracle12 == 12
     ok = ok and severi_degree(P2(3), 1, y=1, table=table) == 12
     for d in range(1, 9):
         ok = ok and severi_degree(P2(d), 0, y=1, table=table) == 1
-        ok = ok and floor_diagram_count(0, 1, d, 0, "severi") == 1
+        ok = ok and floor_diagram_count(0, 1, d, 0, 1) == 1
     _report(2, "classical sanity at y=1 (12 cubics; rational degrees 1)", ok)
 
 

@@ -94,6 +94,7 @@ def test_integer_fast_paths_match_specialization(chtable):
         (P2(5), 2, (1, 0, 1), (1,)),
         (Sigma(2, 1, 2), 1, (1, 1), (2,)),
         (Sigma(2, 1, 2), 2, (1,), (0, 2)),  # vanishes at y = -1
+        (P2(4), 1, (2,), (0, 1)),  # half-integer powers of y, 0 at y = -1
     ]
     for s, delta, alpha, beta in states:
         N = relative_degree(s, delta, alpha, beta, table=chtable)
@@ -101,6 +102,23 @@ def test_integer_fast_paths_match_specialization(chtable):
             v = relative_degree(s, delta, alpha, beta, y=y, table=chtable)
             assert type(v) is int, (s, y)
             assert v == value, (s, delta, alpha, beta, y)
+
+
+def test_integer_rings_are_evaluations_of_the_laurent_ring():
+    # every state the integer recursions visit is the image of the same
+    # state of the Laurent recursion, half-integer powers of y included
+    table = CHTable()
+    for y in ("sym", 1, -1):
+        severi_degree(P2(5), 3, y=y, table=table)
+        relative_degree(P2(4), 1, (2,), (0, 1), y=y, table=table)
+    sym = table.memo["sym"]
+    assert set(table.memo[1]) <= set(sym)
+    assert set(table.memo[-1]) <= set(sym)
+    for key, value in table.memo[1].items():
+        assert value == sym[key].at_one(), key
+    for key, value in table.memo[-1].items():
+        assert value == sym[key].at_minus_one(), key
+    assert sum(not v.is_integral() for v in sym.values()) >= 18
 
 
 def test_relative_memo_values_palindromic_nonnegative(chtable):
@@ -135,4 +153,4 @@ def test_welschinger_known_values(chtable):
     # W^{3,1} = 8 and W^{4,1} = 2*N^{4,1}(-1) sanity via both engines
     assert welschinger_degree(P2(3), 1, table=chtable) == 8
     assert welschinger_degree(P2(4), 1, table=chtable) == \
-        refined_count(s_beta(0, 1, 4), 1, "welschinger")
+        refined_count(s_beta(0, 1, 4), 1, -1)

@@ -40,7 +40,7 @@ def test_compute_sigma_matches_graphs():
     code, out = run_cli(["compute", "--surface", "sigma", "--m", "2", "--c", "0",
                          "--d", "2", "--delta", "1", "--y", "-1"])
     assert code == 0
-    expect = refined_count(s_beta(0, 2, 2), 1, "welschinger")
+    expect = refined_count(s_beta(0, 2, 2), 1, -1)
     assert out.strip().endswith(f": {expect}")
 
 
@@ -110,6 +110,18 @@ def test_solve_b_command():
     code, out = run_cli(["solve-B", "--order", "3"])
     assert code == 0
     assert "B1" in out and "B2" in out
+
+
+def test_solve_b_at_y_one():
+    # --y 1 solves over the y = 1 values, not the symbolic ones
+    from refsev.modular import b_series
+    code, out = run_cli(["solve-B", "--order", "4", "--y", "1",
+                         "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["y"] == "1"
+    got = [QSeries.from_dict(r["value"]) for r in payload["rows"]]
+    assert got == [b_series(1, 4).specialize_y(1), b_series(2, 4).specialize_y(1)]
 
 
 def test_fit_nodepoly_command():

@@ -17,11 +17,11 @@ from refsev.ylaurent import YLaurent
 def test_cogenus_zero_is_one():
     assert floor_diagram_count(0, 1, 3, 0).is_one()
     for d in range(1, 9):
-        assert floor_diagram_count(0, 1, d, 0, "severi") == 1
+        assert floor_diagram_count(0, 1, d, 0, 1) == 1
 
 
 def test_twelve_rational_cubics():
-    assert floor_diagram_count(0, 1, 3, 1, "severi") == 12
+    assert floor_diagram_count(0, 1, 3, 1, 1) == 12
     assert floor_diagram_count(0, 1, 3, 1) == YLaurent({2: 1, 0: 10, -2: 1})
 
 
@@ -29,7 +29,7 @@ def test_hand_checked_d3_diagrams():
     # three cogenus-1 diagrams for the plane cubic: multiplicities 4, 1, 1
     # with marking counts 1, 5, 3
     ds = enumerate_floor_diagrams(0, 1, 3, 1)
-    got = sorted((D.multiplicity("severi"), marking_count(D)) for D in ds)
+    got = sorted((D.multiplicity(1), marking_count(D)) for D in ds)
     assert got == [(1, 3), (1, 5), (4, 1)]
 
 
@@ -42,10 +42,10 @@ def test_divergence_condition_enforced():
 
 def test_fiber_only_surface():
     # d = 0: the curve is c fibers; only delta = 0 counts, and it counts 1
-    assert floor_diagram_count(3, 1, 0, 0, "severi") == 1
-    assert floor_diagram_count(3, 1, 0, 2, "severi") == 0
-    with pytest.raises(ValueError, match="unknown mode"):
-        floor_diagram_count(3, 1, 0, 2, "sym")
+    assert floor_diagram_count(3, 1, 0, 0, 1) == 1
+    assert floor_diagram_count(3, 1, 0, 2, 1) == 0
+    with pytest.raises(ValueError, match="y must be"):
+        floor_diagram_count(3, 1, 0, 2, "refined")
 
 
 def test_marking_count_against_literal_orbits():
@@ -68,8 +68,8 @@ def test_cross_engine_small_grid():
             N = refined_count(s_beta(c, m, d), delta)
             assert floor_diagram_count(c, m, d, delta) == N, (c, m, d, delta)
             # the integer counts are the evaluations at y = 1 and y = -1
-            assert floor_diagram_count(c, m, d, delta, "severi") == N.at_one()
-            assert floor_diagram_count(c, m, d, delta, "welschinger") == \
+            assert floor_diagram_count(c, m, d, delta, 1) == N.at_one()
+            assert floor_diagram_count(c, m, d, delta, -1) == \
                 N.at_minus_one(), (c, m, d, delta)
 
 

@@ -89,23 +89,23 @@ def test_templates_are_spanned():
 
 def test_multiplicity_empty():
     G = LongEdgeGraph([])
-    assert G.multiplicity("refined").is_one()
-    assert G.multiplicity("severi") == 1
-    assert G.multiplicity("welschinger") == 1
+    assert G.multiplicity("sym").is_one()
+    assert G.multiplicity(1) == 1
+    assert G.multiplicity(-1) == 1
 
 
 def test_multiplicity_single_weight_two():
     G = LongEdgeGraph([(0, 1, 2)])
-    assert G.multiplicity("refined") == YLaurent({2: 1, 0: 2, -2: 1})
-    assert G.multiplicity("severi") == 4
-    assert G.multiplicity("welschinger") == 0
+    assert G.multiplicity("sym") == YLaurent({2: 1, 0: 2, -2: 1})
+    assert G.multiplicity(1) == 4
+    assert G.multiplicity(-1) == 0
 
 
 def test_multiplicity_specializations_agree():
     for G in enumerate_graphs(3, 3):
-        m = G.multiplicity("refined")
-        assert m.at_one() == G.multiplicity("severi")
-        assert m.at_minus_one() == G.multiplicity("welschinger")
+        m = G.multiplicity("sym")
+        assert m.at_one() == G.multiplicity(1)
+        assert m.at_minus_one() == G.multiplicity(-1)
 
 
 # -- ordering counts --------------------------------------------------------------
@@ -192,13 +192,13 @@ def test_phi_strict_bracketing():
 
 def test_refined_count_cogenus_zero():
     assert refined_count(s_beta(0, 1, 3), 0).is_one()
-    # an unknown mode is refused even where no graph contributes
-    with pytest.raises(ValueError, match="unknown mode"):
-        refined_count((0, 0, 0), 2, "sym")
+    # an unknown y is refused even where no graph contributes
+    with pytest.raises(ValueError, match="y must be"):
+        refined_count((0, 0, 0), 2, "refined")
 
 
 def test_severi_twelve():
-    assert refined_count(s_beta(0, 1, 3), 1, "severi") == 12
+    assert refined_count(s_beta(0, 1, 3), 1, 1) == 12
 
 
 def test_refined_d3_delta1():
@@ -212,9 +212,9 @@ def test_welschinger_is_specialization():
     for (c, m, d) in [(0, 1, 3), (1, 1, 3), (0, 2, 2), (2, 0, 3)]:
         for delta in (1, 2, 3):
             N = refined_count(s_beta(c, m, d), delta)
-            W = refined_count(s_beta(c, m, d), delta, "welschinger")
+            W = refined_count(s_beta(c, m, d), delta, -1)
             assert N.at_minus_one() == W
-            assert N.at_one() == refined_count(s_beta(c, m, d), delta, "severi")
+            assert N.at_one() == refined_count(s_beta(c, m, d), delta, 1)
 
 
 def test_refined_counts_palindromic_nonnegative():

@@ -1,7 +1,7 @@
 import pytest
 
 from refsev.rationals import QQ
-from refsev.ylaurent import YLaurent, YL_ONE, YL_ZERO, qnum, qnum_at
+from refsev.ylaurent import YLaurent, YL_ONE, YL_ZERO, qnum, ring_at
 
 
 def test_qnum_one_is_one():
@@ -22,13 +22,23 @@ def test_qnum_values_and_symmetry(n):
     q = qnum(n)
     assert q.at_one() == n
     assert q.is_palindromic()
-    assert qnum_at(n, 1) == n
+    assert ring_at(1).at(q) == n
     if n % 2 == 0:
-        with pytest.raises(ValueError):
-            q.at_minus_one()  # half-integer exponents refuse y = -1
-        assert qnum_at(n, -1) == 0
+        assert q.at_minus_one() == 0  # y^(1/2) = i
     else:
-        assert q.at_minus_one() == qnum_at(n, -1)
+        assert q.at_minus_one() == (-1) ** ((n - 1) // 2)
+    assert ring_at(-1).at(q) == q.at_minus_one()
+
+
+def test_at_minus_one_refuses_non_real_values():
+    # y^(1/2) = i: y^(1/2) alone has the value i, y^(1/2) - y^(-1/2) has 2i
+    with pytest.raises(ValueError, match="not real"):
+        YLaurent({1: 1}).at_minus_one()
+    with pytest.raises(ValueError, match="not real"):
+        YLaurent({1: 1, -1: -1}).at_minus_one()
+    # palindromic elements are real there: y^(3/2) + y^(-3/2) -> -i + i
+    assert YLaurent({3: 1, -3: 1}).at_minus_one() == 0
+    assert YLaurent({4: 2, 0: 1, -4: 2}).at_minus_one() == 5
 
 
 def test_qnum_rejects_nonpositive():
