@@ -32,9 +32,11 @@ Y_VALUES = {"sym": "sym", "1": 1, "-1": -1}
 
 
 def _parse_range(text: str):
-    """'3' -> [3]; '0-4' -> [0,1,2,3,4]."""
+    """'3' -> [3]; '0-4' -> [0,1,2,3,4]; an empty range ('3-1') is refused."""
     if "-" in text.lstrip("-")[1:] or ("-" in text and not text.startswith("-")):
         lo, _, hi = text.partition("-")
+        if int(hi) < int(lo):
+            raise ValueError(f"empty range {text!r}: {hi} is below {lo}")
         return list(range(int(lo), int(hi) + 1))
     return [int(text)]
 
@@ -144,10 +146,10 @@ def _cmd_compute(args, out) -> int:
             if args.k is not None:
                 k = _parse_half(args.k)
                 if args.surface != "sigma" or args.m != 2:
-                    raise SystemExit("--k needs --surface sigma --m 2")
+                    raise ValueError("--k needs --surface sigma --m 2")
                 dp = QQ(d) - k
                 if dp.denominator != 1 or dp < 0:
-                    raise SystemExit("--k needs d - k a nonnegative integer")
+                    raise ValueError("--k needs d - k a nonnegative integer")
                 bundle = Sigma(2, int(2 * k), int(dp))
                 params = {"surface": "sigma2-blowup", "d": str(d), "k": str(k),
                           "delta": delta, "y": args.y}
@@ -196,6 +198,8 @@ def _cmd_fit_nodepoly(args, out) -> int:
 
 
 def _cmd_solve_b(args, out) -> int:
+    if args.order < 1:
+        raise ValueError("--order must be >= 1")
     table = _table(args)
     config = {"command": "solve-B", "order": args.order, "y": args.y,
               "format": args.format}

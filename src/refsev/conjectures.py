@@ -415,9 +415,13 @@ CHECK_IDS = tuple(_CHECKS)
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
     """Run a named check; returns a ConjectureReport whose verdicts are
-    reproducible from the recorded parameters."""
+    reproducible from the recorded parameters. Raises ValueError when the
+    parameters leave no point to check, which must not read as a pass."""
     if conj_id not in _CHECKS:
         raise ValueError(f"unknown check id {conj_id!r}")
     if table is None:
         table = CHTable()
-    return _CHECKS[conj_id](table, **params)
+    rep = _CHECKS[conj_id](table, **params)
+    if all(v == "skip" for _, v, _ in rep.instances):
+        raise ValueError(f"{conj_id}: the given ranges hold no point to check")
+    return rep

@@ -45,7 +45,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges",)
+    __slots__ = ("edges", "_loads")
 
     def __init__(self, edges):
         es = []
@@ -56,6 +56,7 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
+        self._loads = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -84,9 +85,20 @@ class LongEdgeGraph:
     def shift(self, k: int) -> "LongEdgeGraph":
         return LongEdgeGraph([(i + k, j + k, w) for i, j, w in self.edges])
 
+    def loads(self) -> tuple:
+        """The gap loads (lambda_1, ..., lambda_maxv); computed once."""
+        if self._loads is None:
+            lam = [0] * (self.maxv() if self.edges else 0)
+            for i, k, w in self.edges:
+                for g in range(i, k):
+                    lam[g] += w
+            self._loads = tuple(lam)
+        return self._loads
+
     def lambda_j(self, j: int) -> int:
         """Total weight of edges (i -> k) spanning the gap i < j <= k."""
-        return sum(w for i, k, w in self.edges if i < j <= k)
+        lam = self.loads()
+        return lam[j - 1] if 0 < j <= len(lam) else 0
 
     def lambda_bar_j(self, j: int) -> int:
         return self.lambda_j(j) - sum(
@@ -118,10 +130,10 @@ class LongEdgeGraph:
     # -- allowability ------------------------------------------------------
 
     def beta_allowable(self, beta) -> bool:
-        M = len(beta) - 1
-        if self.edges and self.maxv() > M + 1:
-            return False
-        return all(beta[j - 1] >= self.lambda_j(j) for j in range(1, M + 2))
+        # maxv <= M + 1 and beta_j >= lambda_j on every gap j = 1, ..., M + 1
+        lam = self.loads()
+        return len(lam) <= len(beta) and all(
+            b >= l for b, l in itertools.zip_longest(beta, lam, fillvalue=0))
 
     def beta_semiallowable(self, beta) -> bool:
         M = len(beta) - 1
@@ -217,11 +229,10 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
         return 0
     if G.is_empty():
         return 1
-    M = len(beta) - 1
     classes = _edge_classes(G)
-    short = {j: beta[j - 1] - G.lambda_j(j) for j in range(1, M + 2)}
+    gap_counts = {j: b - l for j, (b, l)
+                  in enumerate(itertools.zip_longest(beta, G.loads(), fillvalue=0), 1)}
     total = 0
-    gap_counts = {j: short[j] for j in short}
 
     def rec(ci: int, acc: int):
         nonlocal total

@@ -427,7 +427,7 @@ def _divide_coeff(num: YLaurent, den: YLaurent) -> YLaurent:
         return num
     if len(den.terms) == 1:
         (e, c), = den.terms.items()
-        return YLaurent({k - e: v / c for k, v in num.terms.items()}, _canonical=True)
+        return YLaurent({k - e: QQ(v) / c for k, v in num.terms.items()})
     return num.divexact(den)
 
 
@@ -441,7 +441,7 @@ def _pow_coeff(c: YLaurent, r: QQ) -> YLaurent:
         return c ** ri
     if len(c.terms) == 1:
         (e, v), = c.terms.items()
-        inv = YLaurent({-e: QQ(1) / v}, _canonical=True)
+        inv = YLaurent({-e: QQ(1) / v})
         return inv ** (-ri)
     raise ValueError("leading coefficient is not invertible in the Laurent ring")
 

@@ -2,7 +2,10 @@
 
 Exponents are stored doubled (an int k stands for y^(k/2)), so half-integer
 powers such as the quantum number [2]_y = y^(1/2) + y^(-1/2) are exact.
-Coefficients are exact rationals; zero coefficients are never stored.
+Coefficients are exact rationals, stored as int when integral and as Fraction
+otherwise, so the engines, whose values are integral, compute on plain ints;
+every division of coefficients goes through QQ, never int / int. Zero
+coefficients are never stored.
 
 YRing is where refined counts take their values: the Laurent polynomials
 themselves (y = 'sym'), or their images on plain ints under evaluation at
@@ -20,10 +23,16 @@ __all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "YRing", "RINGS",
            "ring_at"]
 
 
+def _exact(c):
+    """c as an int when it is an integral rational, else as a Fraction."""
+    q = QQ(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 class YLaurent:
     """A Laurent polynomial in y^(1/2) with rational coefficients.
 
-    terms: dict mapping doubled exponent -> nonzero rational coefficient.
+    terms: dict mapping doubled exponent -> nonzero int or Fraction coefficient.
     Instances are treated as immutable; all operations return new objects.
     """
 
@@ -35,19 +44,19 @@ class YLaurent:
         elif _canonical:
             self.terms = terms
         else:
-            self.terms = {int(e): QQ(c) for e, c in dict(terms).items() if c != 0}
+            self.terms = {int(e): _exact(c) for e, c in dict(terms).items() if c != 0}
         self._hash = None
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c) -> "YLaurent":
-        c = QQ(c)
+        c = _exact(c)
         return YLaurent({0: c} if c != 0 else {}, _canonical=True)
 
     @staticmethod
     def y_pow(doubled_exp: int, coeff=1) -> "YLaurent":
-        c = QQ(coeff)
+        c = _exact(coeff)
         return YLaurent({int(doubled_exp): c} if c != 0 else {}, _canonical=True)
 
     # -- basic predicates ----------------------------------------------
@@ -56,7 +65,7 @@ class YLaurent:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: 1} or (len(self.terms) == 1 and self.terms.get(0) == 1)
+        return self.terms == {0: 1}
 
     def is_integral(self) -> bool:
         """True iff all exponents of y are integers (doubled exponents even)."""
@@ -99,10 +108,10 @@ class YLaurent:
 
     def __mul__(self, other):
         if not isinstance(other, YLaurent):
-            c = QQ(other)
+            c = _exact(other)
             if not c:
                 return YL_ZERO
-            return YLaurent({e: v * c for e, v in self.terms.items()}, _canonical=True)
+            return YLaurent({e: v * c for e, v in self.terms.items()})
         a, b = self.terms, other.terms
         if not a or not b:
             return YL_ZERO
@@ -151,7 +160,7 @@ class YLaurent:
             e = hi_r - hi_d
             if e < qmin:
                 raise ValueError("YLaurent division is not exact")
-            c = rem[hi_r] / lead
+            c = _exact(QQ(rem[hi_r]) / lead)
             quot[e] = c
             for ed, cd in other.terms.items():
                 k = e + ed
@@ -166,7 +175,7 @@ class YLaurent:
 
     def at_one(self):
         """Value at y = 1 (sum of coefficients)."""
-        s = QQ(0)
+        s = 0
         for c in self.terms.values():
             s += c
         return s
@@ -174,7 +183,7 @@ class YLaurent:
     def at_minus_one(self):
         """Value at y = -1, taken at y^(1/2) = i (so y^(e/2) -> i^e); raises
         ValueError when that value is not real."""
-        real = imag = QQ(0)
+        real = imag = 0
         for e, c in self.terms.items():
             if e % 2:
                 imag += c if e % 4 == 1 else -c
@@ -190,17 +199,15 @@ class YLaurent:
 
     def dy(self) -> "YLaurent":
         """The operator y d/dy (multiplies each y^(e/2) by e/2)."""
-        return YLaurent(
-            {e: c * QQ(e, 2) for e, c in self.terms.items() if e != 0}, _canonical=True
-        )
+        return YLaurent({e: c * QQ(e, 2) for e, c in self.terms.items() if e})
 
     def scale(self, c) -> "YLaurent":
-        return self * QQ(c)
+        return self * c
 
     # -- structure ------------------------------------------------------
 
     def coeff(self, doubled_exp: int):
-        return self.terms.get(doubled_exp, QQ(0))
+        return self.terms.get(doubled_exp, 0)
 
     def min_exp(self) -> int:
         return min(self.terms)
@@ -211,8 +218,8 @@ class YLaurent:
     def __eq__(self, other):
         if isinstance(other, YLaurent):
             return self.terms == other.terms
-        if isinstance(other, (int, type(QQ(0)))):
-            return self.terms == ({0: QQ(other)} if other else {})
+        if isinstance(other, (int, QQ)):
+            return self.terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
@@ -263,7 +270,7 @@ class YLaurent:
 
 
 YL_ZERO = YLaurent({}, _canonical=True)
-YL_ONE = YLaurent({0: QQ(1)}, _canonical=True)
+YL_ONE = YLaurent({0: 1}, _canonical=True)
 
 
 def qnum(n: int) -> YLaurent:
@@ -274,8 +281,7 @@ def qnum(n: int) -> YLaurent:
     """
     if n <= 0:
         raise ValueError(f"[n]_y requires n >= 1, got {n}")
-    one = QQ(1)
-    return YLaurent({e: one for e in range(-(n - 1), n, 2)}, _canonical=True)
+    return YLaurent({e: 1 for e in range(-(n - 1), n, 2)}, _canonical=True)
 
 
 class YRing:

@@ -61,6 +61,9 @@ def test_cold_vs_warm_identical(tmp_path):
     t2 = CHTable(store=store2)
     warm = [severi_degree(P2(4), delta, table=t2) for delta in range(3)]
     assert cold == warm
+    # decoded payloads keep integral coefficients as plain ints
+    assert all(type(c) is int
+               for v in t2.memo["sym"].values() for c in v.terms.values())
     # warm run must be pure lookups: nothing new appended
     size_before = os.path.getsize(p)
     t2.flush()

@@ -119,6 +119,8 @@ def test_integer_rings_are_evaluations_of_the_laurent_ring():
     for key, value in table.memo[-1].items():
         assert value == sym[key].at_minus_one(), key
     assert sum(not v.is_integral() for v in sym.values()) >= 18
+    # the Laurent recursion computes on plain ints
+    assert all(type(c) is int for v in sym.values() for c in v.terms.values())
 
 
 def test_relative_memo_values_palindromic_nonnegative(chtable):

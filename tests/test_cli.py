@@ -145,6 +145,31 @@ def test_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--k", "1/3"],
+     "error: --k needs --surface sigma --m 2"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "3", "--delta", "1",
+      "--k", "7/2"],
+     "error: --k needs d - k a nonnegative integer"),
+    (["solve-B", "--order", "0"], "error: --order must be >= 1"),
+    (["solve-B", "--order", "-3"], "error: --order must be >= 1"),
+    (["fit-nodepoly", "--family", "p2", "--delta", "3-1"], "error: empty range '3-1'"),
+    (["compute", "--surface", "p2", "--d", "4", "--delta", "3-1"],
+     "error: empty range '3-1'"),
+    (["verify", "--id", "cross-engine", "--dmax", "-1"], "no point to check"),
+    (["verify", "--id", "cross-engine", "--deltamax", "-1"], "no point to check"),
+    (["verify", "--id", "refpol", "--dmax", "-1"], "no point to check"),
+], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
+        "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax"])
+def test_bad_arguments_exit_two(args, message, capsys):
+    # refused as usage errors, with nothing on stdout; a check over zero
+    # points must not report a pass
+    code, out = run_cli(args)
+    assert code == 2
+    assert out == ""
+    assert message in capsys.readouterr().err
+
+
 def test_cache_file_cold_warm(tmp_path):
     cache = str(tmp_path / "ch.txt")
     code1, out1 = run_cli(["compute", "--surface", "p2", "--d", "4",

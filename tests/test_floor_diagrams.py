@@ -71,6 +71,9 @@ def test_cross_engine_small_grid():
             assert floor_diagram_count(c, m, d, delta, 1) == N.at_one()
             assert floor_diagram_count(c, m, d, delta, -1) == \
                 N.at_minus_one(), (c, m, d, delta)
+    F = floor_diagram_count(1, 1, 3, 3)
+    assert F == refined_count(s_beta(1, 1, 3), 3)
+    assert all(type(v) is int for v in F.terms.values())
 
 
 @pytest.mark.slow

@@ -108,6 +108,32 @@ def test_multiplicity_specializations_agree():
         assert m.at_minus_one() == G.multiplicity(-1)
 
 
+# -- gap loads ------------------------------------------------------------------
+
+
+def _literal_lambda(G, j):
+    """Oracle: the total weight of edges (i -> k) with i < j <= k."""
+    return sum(w for i, k, w in G.edges if i < j <= k)
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3, 4])
+def test_loads_match_literal_gap_sums(delta):
+    betas = [(0, 0), (2, 2, 2), (3, 1, 2), (1, 3, 2, 0), (4, 4, 4, 4, 4, 4)]
+    for G in enumerate_graphs(delta, 5):
+        lam = G.loads()
+        maxv = G.maxv() if G.edges else 0
+        assert len(lam) == maxv
+        for j in range(-1, maxv + 3):
+            assert G.lambda_j(j) == _literal_lambda(G, j), (G, j)
+            if 1 <= j <= maxv:
+                assert lam[j - 1] == _literal_lambda(G, j), (G, j)
+        for beta in betas:
+            M = len(beta) - 1
+            literal = maxv <= M + 1 and all(
+                beta[j - 1] >= _literal_lambda(G, j) for j in range(1, M + 2))
+            assert G.beta_allowable(beta) == literal, (G, beta)
+
+
 # -- ordering counts --------------------------------------------------------------
 
 
@@ -218,12 +244,13 @@ def test_welschinger_is_specialization():
 
 
 def test_refined_counts_palindromic_nonnegative():
-    for (c, m, d) in [(0, 1, 4), (2, 1, 3), (1, 2, 3)]:
+    for (c, m, d) in [(0, 1, 4), (2, 1, 3), (1, 2, 3), (1, 1, 3)]:
         for delta in range(4):
             N = refined_count(s_beta(c, m, d), delta)
             assert N.is_palindromic()
             assert N.is_integral()
             assert all(v >= 0 and v.denominator == 1 for v in N.terms.values())
+            assert all(type(v) is int for v in N.terms.values())
 
 
 def test_qlog_first_order_is_count():

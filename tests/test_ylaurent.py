@@ -74,6 +74,50 @@ def test_divexact_rejects_inexact():
         (qnum(2) + 1).divexact(YLaurent({2: 1, 0: -1}))
 
 
+def test_integral_coefficients_are_ints():
+    a = YLaurent({2: QQ(6, 3), 0: QQ(1, 2), -2: 4})
+    assert [type(c) for _, c in sorted(a.terms.items())] == [int, QQ, int]
+    assert type(YLaurent.const(QQ(4, 2)).terms[0]) is int
+    assert type(YLaurent.y_pow(2, QQ(-3, 1)).terms[2]) is int
+    assert type((YLaurent({2: QQ(1, 2)}) * 2).terms[2]) is int
+    assert type(YLaurent({2: QQ(1, 4)}).scale(QQ(8)).terms[2]) is int
+    assert type(YL_ONE.terms[0]) is int and YLaurent({0: QQ(1)}).is_one()
+    for n in (1, 2, 5):
+        q = qnum(n)
+        assert all(type(c) is int for c in q.terms.values())
+        assert type(q.at_one()) is int and type(q.at_minus_one()) is int
+        assert type((q * q + q).coeff(0)) is int
+    assert type(a.coeff(7)) is int and a.coeff(7) == 0
+    assert a.at_one() == QQ(13, 2) and YL_ZERO.at_one() == 0
+    # equality and hashing do not see the type of a coefficient
+    b = YLaurent({2: 1})
+    b.terms[2] = QQ(1)
+    assert b == YLaurent({2: 1}) and hash(b) == hash(YLaurent({2: 1}))
+    assert YLaurent.const(3) == 3 and YLaurent.const(3) == QQ(3)
+
+
+def _no_floats(v):
+    return all(type(c) in (int, QQ) for c in v.terms.values())
+
+
+def test_divisions_are_exact_never_float():
+    from refsev.qseries import QSeries, _pow_coeff
+    half = YLaurent({2: 3, 0: 1}).divexact(YLaurent.const(2))
+    assert half == YLaurent({2: QQ(3, 2), 0: QQ(1, 2)}) and _no_floats(half)
+    assert type(YLaurent.const(4).divexact(YLaurent.const(2)).terms[0]) is int
+    d = YLaurent({1: 1, 3: 3, -2: 5}).dy()
+    assert d == YLaurent({1: QQ(1, 2), 3: QQ(9, 2), -2: -5}) and _no_floats(d)
+    # (3 + q) / (2 + 2q) = 3/2 - q + O(q^2)
+    s = QSeries([3, 1]) / QSeries([2, 2])
+    assert s == QSeries([QQ(3, 2), -1])
+    assert all(_no_floats(c) for c in s.coeffs)
+    inv = _pow_coeff(YLaurent.y_pow(2, 2), QQ(-2))
+    assert inv == YLaurent.y_pow(-4, QQ(1, 4)) and _no_floats(inv)
+    p = QSeries([2, 1, 0], trunc=3).pow(-1)  # 1/2 - q/4 + q^2/8
+    assert p == QSeries([QQ(1, 2), QQ(-1, 4), QQ(1, 8)])
+    assert all(_no_floats(c) for c in p.coeffs)
+
+
 def test_mirror_and_dy():
     a = YLaurent({3: 2, -1: 5})
     assert a.mirror() == YLaurent({-3: 2, 1: 5})
