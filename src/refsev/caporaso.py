@@ -91,9 +91,10 @@ class SurfaceBundle:
         if self.family not in ("p2", "p11m", "sigma"):
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "p2" and (self.m != 1 or self.c != 0):
-            raise ValueError("P2 bundles have m = 1, c = 0")
+            raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {self.m}, "
+                             f"c = {self.c}")
         if self.family == "p11m" and self.c != 0:
-            raise ValueError("P(1,1,m) bundles have c = 0")
+            raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {self.c}")
         if self.m < 0 or self.c < 0 or self.d < 0:
             raise ValueError("parameters must be nonnegative")
 
@@ -146,9 +147,6 @@ class SurfaceBundle:
                 return num // 2
             return QQ(num, 2)
         return num / 2
-
-    def sub_H(self) -> "SurfaceBundle":
-        return SurfaceBundle(self.family, self.m, self.c, self.d - 1)
 
 
 def P2(d: int) -> SurfaceBundle:

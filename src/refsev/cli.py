@@ -15,7 +15,7 @@ import sys
 
 from . import modular, tables
 from .cache import CacheStore
-from .caporaso import CHTable, P2, P11m, Sigma, relative_degree, severi_degree
+from .caporaso import CHTable, P2, Sigma, SurfaceBundle, relative_degree, severi_degree
 from .conjectures import CHECK_IDS, check_conjecture
 from .genfun import Invariants, solve_universal_B
 from .nodepoly import fit_node_polynomial
@@ -55,18 +55,8 @@ def _parse_seq(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _bundle(args):
-    if args.surface == "p2":
-        return P2(args.d)
-    if args.surface == "p11m":
-        return P11m(args.m, args.d)
-    if args.surface == "sigma":
-        return Sigma(args.m, args.c, args.d)
-    raise ValueError(f"unknown surface {args.surface!r}")
-
-
 def _table(args) -> CHTable:
-    path = getattr(args, "cache", None)
+    path = args.cache
     if path is None:
         base = os.environ.get(CACHE_ENV)
         if base:
@@ -80,18 +70,14 @@ def _table(args) -> CHTable:
 # -- output ----------------------------------------------------------------------
 
 
-def _yl_json(v: YLaurent):
-    return v.to_triples()
-
-
-def _emit(out, config: dict, rows: list, fmt: str, value_kind: str = "ylaurent"):
+def _emit(out, config: dict, rows: list, fmt: str):
     """rows: list of (params dict, value). Deterministic ordering is the
     caller's job; every format embeds the config header."""
     if fmt == "json":
         payload = {"config": config, "rows": []}
         for params, value in rows:
             if isinstance(value, YLaurent):
-                enc = _yl_json(value)
+                enc = value.to_triples()
             elif hasattr(value, "to_dict"):
                 enc = value.to_dict()
             else:
@@ -128,7 +114,32 @@ def _emit(out, config: dict, rows: list, fmt: str, value_kind: str = "ylaurent")
 # -- subcommands -------------------------------------------------------------------
 
 
+def compute_bundles(args) -> list:
+    """(row params, bundle) for each degree of a compute run; ValueError
+    for a bundle its surface does not have. Under --k the bundle is the
+    blowup Sigma(2, 2k, d - k), so --c is refused there."""
+    if args.k is None:
+        return [({"surface": args.surface, "m": args.m, "c": args.c, "d": d},
+                 SurfaceBundle(args.surface, args.m, args.c, d))
+                for d in _parse_range(args.d_raw)]
+    k = _parse_half(args.k)
+    if args.surface != "sigma" or args.m != 2:
+        raise ValueError("--k needs --surface sigma --m 2")
+    if args.c:
+        raise ValueError(f"--k sets c = 2k; --c {args.c} is refused")
+    out = []
+    for d in map(_parse_half, args.d_raw.split(",")):
+        dp = d - k
+        if dp.denominator != 1 or dp < 0:
+            raise ValueError("--k needs d - k a nonnegative integer")
+        out.append(({"surface": "sigma2-blowup", "d": str(d), "k": str(k)},
+                    Sigma(2, int(2 * k), int(dp))))
+    return out
+
+
 def _cmd_compute(args, out) -> int:
+    bundles = compute_bundles(args)
+    deltas = _parse_range(args.delta_raw)
     table = _table(args)
     rows = []
     y = Y_VALUES[args.y]
@@ -137,38 +148,19 @@ def _cmd_compute(args, out) -> int:
         "d": args.d_raw, "delta": args.delta_raw, "k": args.k, "y": args.y,
         "format": args.format,
     }
-    if args.k is not None:
-        d_list = [_parse_half(x) for x in args.d_raw.split(",")]
-    else:
-        d_list = _parse_range(args.d_raw)
-    for d in d_list:
-        for delta in _parse_range(args.delta_raw):
-            if args.k is not None:
-                k = _parse_half(args.k)
-                if args.surface != "sigma" or args.m != 2:
-                    raise ValueError("--k needs --surface sigma --m 2")
-                dp = QQ(d) - k
-                if dp.denominator != 1 or dp < 0:
-                    raise ValueError("--k needs d - k a nonnegative integer")
-                bundle = Sigma(2, int(2 * k), int(dp))
-                params = {"surface": "sigma2-blowup", "d": str(d), "k": str(k),
-                          "delta": delta, "y": args.y}
-            else:
-                bundle = _bundle(argparse.Namespace(surface=args.surface,
-                                                    m=args.m, c=args.c, d=d))
-                params = {"surface": args.surface, "m": args.m, "c": args.c,
-                          "d": d, "delta": delta, "y": args.y}
+    for params, bundle in bundles:
+        for delta in deltas:
             val = severi_degree(bundle, delta, y=y, table=table)
-            rows.append((params, val))
+            rows.append(({**params, "delta": delta, "y": args.y}, val))
     _emit(out, config, rows, args.format)
     table.flush()
     return 0
 
 
 def _cmd_relative(args, out) -> int:
+    bundle = SurfaceBundle(args.surface, args.m, args.c, args.d)
     table = _table(args)
     y = Y_VALUES[args.y]
-    bundle = _bundle(args)
     alpha = _parse_seq(args.alpha)
     beta = _parse_seq(args.beta)
     config = {
@@ -226,33 +218,57 @@ def _cmd_series(args, out) -> int:
 
 
 def verify_id(text: str) -> str:
-    """The check id a --id value names ('fbar' and 'cross-engine' are
-    aliases; dashes stand for underscores); SystemExit when there is none."""
-    cid = {"fbar": "fbar_closed_form", "cross-engine": "cross_engine"}.get(
-        text, text.replace("-", "_") if text not in CHECK_IDS else text
-    )
+    """The check id a --id value names ('fbar' is an alias; dashes stand
+    for underscores); argparse.ArgumentTypeError when there is none."""
+    cid = "fbar_closed_form" if text == "fbar" else text.replace("-", "_")
     if cid not in CHECK_IDS:
-        raise SystemExit(f"unknown verify id {text!r}; known: {', '.join(CHECK_IDS)}")
+        raise argparse.ArgumentTypeError(
+            f"unknown verify id {text!r}; known: {', '.join(CHECK_IDS)}")
     return cid
 
 
-def _cmd_verify(args, out) -> int:
-    table = _table(args)
-    cid = verify_id(args.id)
+# verify's range flags, all defaulting to None so that a given one is seen
+VERIFY_RANGE_FLAGS = ("order", "lmax", "cmax", "dmax", "mmax", "deltamax")
+_P2_RANGES = {"deltamax": ("delta_max", None), "dmax": ("d_max", None)}
+# check id -> {flag: (check parameter, CLI default)}; a CLI default of None
+# leaves the check's own; a check missing here takes no flag, as
+# fhat_general_tables, which compares a fixed q^3 expansion at any order
+VERIFY_FLAGS = {
+    **{i: {"order": ("K", 15)} for i in modular.SERIES_IDENTITIES
+       if i != "fhat_general_tables"},
+    "cross_engine": {"cmax": ("cmax", 4), "dmax": ("dmax", 4),
+                     "mmax": ("mmax", 2), "deltamax": ("deltamax", 3)},
+    "solveB": {"order": ("order", 5)},
+    "fbar_closed_form": {"order": ("K", 40), "lmax": ("param", 12)},
+    "refpol": _P2_RANGES,
+    "GSPSigmaW": _P2_RANGES,
+}
+
+
+def verify_params(args) -> dict:
+    """The check parameters verify's flags set for the check args.id;
+    ValueError for a flag that check does not take, and for a non-positive
+    --order or --lmax."""
+    takes = VERIFY_FLAGS.get(args.id, {})
+    for flag in VERIFY_RANGE_FLAGS:
+        if getattr(args, flag) is not None and flag not in takes:
+            raise ValueError(f"verify --id {args.id} takes no --{flag}")
     params = {}
-    if cid == "cross_engine":
-        params = {"cmax": args.cmax, "dmax": args.dmax, "mmax": args.mmax,
-                  "deltamax": args.deltamax}
-    elif cid == "solveB":
-        params = {"order": args.order or 5}
-    elif cid == "fbar_closed_form":
-        params = {"K": args.order or 40, "param": args.lmax}
-    elif cid in ("refpol", "GSPSigmaW"):
-        if args.deltamax is not None:
-            params["delta_max"] = args.deltamax
-        if args.dmax is not None:
-            params["d_max"] = args.dmax
-    rep = check_conjecture(cid, table=table, **params)
+    for flag, (name, default) in takes.items():
+        value = getattr(args, flag)
+        if value is None:
+            value = default
+        elif flag in ("order", "lmax") and value < 1:
+            raise ValueError(f"--{flag} must be >= 1")
+        if value is not None:
+            params[name] = value
+    return params
+
+
+def _cmd_verify(args, out) -> int:
+    params = verify_params(args)
+    table = _table(args)
+    rep = check_conjecture(args.id, table=table, **params)
     out.write(rep.summary() + "\n")
     table.flush()
     return 0 if rep.ok else 1
@@ -285,10 +301,13 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(q, with_y=True):
-        q.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        q.add_argument("--cache", default=None, help="persistent recursion cache file")
-        if with_y:
+    def common(q, *names):
+        """Add the shared options named among format, cache and y."""
+        if "format" in names:
+            q.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        if "cache" in names:
+            q.add_argument("--cache", default=None, help="persistent recursion cache file")
+        if "y" in names:
             q.add_argument("--y", choices=tuple(Y_VALUES), default="sym")
 
     c = sub.add_parser("compute", help="refined/Severi/Welschinger degrees")
@@ -298,7 +317,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--d", dest="d_raw", required=True, help="degree or range a-b")
     c.add_argument("--delta", dest="delta_raw", required=True, help="cogenus or range")
     c.add_argument("--k", default=None, help="blowup multiplicity (halves as n/2)")
-    common(c)
+    common(c, "format", "cache", "y")
     c.set_defaults(func=_cmd_compute)
 
     r = sub.add_parser("relative", help="relative degrees N(alpha, beta)")
@@ -309,7 +328,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=int, required=True)
     r.add_argument("--alpha", default="", help="comma list, e.g. 1,0,2")
     r.add_argument("--beta", default="", help="comma list")
-    common(r)
+    common(r, "format", "cache", "y")
     r.set_defaults(func=_cmd_relative)
 
     f = sub.add_parser("fit-nodepoly", help="fit Q_delta polynomial shapes")
@@ -317,34 +336,29 @@ def make_parser() -> argparse.ArgumentParser:
                    required=True)
     f.add_argument("--delta", dest="delta_raw", required=True)
     f.add_argument("--m", type=int, default=None)
-    common(f, with_y=False)
+    common(f, "format")
     f.set_defaults(func=_cmd_fit_nodepoly)
 
     s = sub.add_parser("solve-B", help="recover the universal series from engine data")
     s.add_argument("--order", type=int, default=5)
-    common(s)
+    common(s, "format", "cache", "y")
     s.set_defaults(func=_cmd_solve_b)
 
     se = sub.add_parser("series", help="print a named q-series")
     se.add_argument("--name", required=True)
     se.add_argument("--order", type=int, default=modular.DEFAULT_TRUNC)
     se.add_argument("--param", type=int, default=None)
-    common(se, with_y=False)
+    common(se, "format")
     se.set_defaults(func=_cmd_series)
 
     v = sub.add_parser("verify", help="run a conjecture/identity check")
-    v.add_argument("--id", required=True)
-    v.add_argument("--order", type=int, default=None)
-    v.add_argument("--lmax", type=int, default=12)
-    v.add_argument("--cmax", type=int, default=4)
-    v.add_argument("--dmax", type=int, default=None)
-    v.add_argument("--mmax", type=int, default=2)
-    v.add_argument("--deltamax", type=int, default=None)
-    common(v, with_y=False)
+    v.add_argument("--id", type=verify_id, required=True)
+    for flag in VERIFY_RANGE_FLAGS:
+        v.add_argument(f"--{flag}", type=int, default=None)
+    common(v, "cache")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("export-tables", help="dump the embedded tables")
-    common(e, with_y=False)
     e.set_defaults(func=_cmd_export_tables)
 
     return p
@@ -352,16 +366,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    # verify's cross-engine grid wants explicit defaults
-    if args.command == "verify":
-        if args.dmax is None and args.id in ("cross-engine", "cross_engine"):
-            args.dmax = 4
-        if args.deltamax is None and args.id in ("cross-engine", "cross_engine"):
-            args.deltamax = 3
     try:
         return args.func(args, sys.stdout)
-    except SystemExit:
-        raise
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

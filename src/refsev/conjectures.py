@@ -8,6 +8,7 @@ q-power, doubled y-exponent) so table-typo triage is possible.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 
 from . import modular
@@ -377,10 +378,9 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
     return rep
 
 
-def _check_conjan_p112(table, ms=None, **params) -> ConjectureReport:
-    """The ruled-surface check for P(1,1,2) alone, by the eta route; any
-    ms given is ignored."""
-    return _check_ruledblow(table, ms=(2,), eta_route=True, **params)
+def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
+    """The ruled-surface check for P(1,1,2) alone, by the eta route."""
+    return _check_ruledblow(table, ms=(2,), d_max=d_max, eta_route=True)
 
 
 def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:
@@ -415,13 +415,18 @@ CHECK_IDS = tuple(_CHECKS)
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
     """Run a named check; returns a ConjectureReport whose verdicts are
-    reproducible from the recorded parameters. Raises ValueError when the
-    parameters leave no point to check, which must not read as a pass."""
+    reproducible from the recorded parameters. Raises ValueError for a
+    parameter the check does not take, and when the parameters leave no
+    point to check, which must not read as a pass."""
     if conj_id not in _CHECKS:
         raise ValueError(f"unknown check id {conj_id!r}")
+    check = _CHECKS[conj_id]
+    extra = sorted(set(params) - set(inspect.signature(check).parameters))
+    if extra:
+        raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
     if table is None:
         table = CHTable()
-    rep = _CHECKS[conj_id](table, **params)
+    rep = check(table, **params)
     if all(v == "skip" for _, v, _ in rep.instances):
         raise ValueError(f"{conj_id}: the given ranges hold no point to check")
     return rep

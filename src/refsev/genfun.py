@@ -88,7 +88,7 @@ def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
         gp = g.tderiv()
         _, _, dt = base_series(T, y)
         g_over_t = QSeries(list(g.coeffs), lead=0, trunc=T - 1)
-        s = g_over_t.pow(-_as_exp(inv.chi_L))
+        s = g_over_t.pow(-inv.chi_L)
         s = s * compose(B1.truncate(T), g).pow(inv.K2)
         s = s * compose(B2.truncate(T), g).pow(inv.LK)
         core = (g * gp) / compose(dt, g)
@@ -105,31 +105,22 @@ def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
         )
         dg, ddg, dt = base_series(K, y)
         if form == 1:
-            F = (dg.shift(-1)).pow(_as_exp(inv.chi_L))
+            F = (dg.shift(-1)).pow(inv.chi_L)
             F = F * B1.truncate(K).pow(inv.K2) * B2.truncate(K).pow(inv.LK)
             F = F * (dt * ddg).shift(-2).pow(QQ(-inv.chi_O, 2))
             if shift:
-                F = F * dg.pow(-QQ(shift) if not isinstance(shift, int) else -shift)
+                F = F * dg.pow(-shift)
             if R is not None:
                 F = F * R
             return F.truncate(order)
         e = inv.chi_L - 1 - delta - shift
-        F = dg.pow(QQ(e) if not isinstance(e, int) else e)
+        F = dg.pow(e)
         F = F * B1.truncate(K).pow(inv.K2) * B2.truncate(K).pow(inv.LK)
         F = F * ddg * (dt * ddg).pow(QQ(-inv.chi_O, 2))
         if R is not None:
             F = F * R
         return F.coeff_at(inv.qexp)
     raise ValueError("form must be 1, 2 or 3")
-
-
-def _as_exp(x):
-    if isinstance(x, int):
-        return x
-    q = QQ(x)
-    if q.denominator == 1:
-        return int(q)
-    return q
 
 
 def _ceil_exp(x) -> int:

@@ -131,14 +131,9 @@ def theta2_of_qsq(K: int) -> QSeries:
 
 
 def theta2(K: int) -> QSeries:
-    """theta_2(q) = sum_n (-1)^n q^(n^2/2), on the half-integer lattice."""
-    coeffs = [QQ(0)] * (2 * K)  # step24 = 12: index k <-> q^(k/2)
-    coeffs[0] = QQ(1)
-    n = 1
-    while n * n < 2 * K:
-        coeffs[n * n] = QQ(2 * (-1) ** n)
-        n += 1
-    return QSeries(coeffs, trunc=2 * K, step24=12)
+    """theta_2(q) = sum_n (-1)^n q^(n^2/2), on the half-integer lattice:
+    theta_2(q^2) to order 2K, read with step24 = 12 (index k <-> q^(k/2))."""
+    return QSeries(theta2_of_qsq(2 * K).coeffs, trunc=2 * K, step24=12)
 
 
 def theta_y(K: int) -> QSeries:
@@ -498,30 +493,34 @@ def b_bar_series(which: int, K: int) -> QSeries:
 # -- dispatcher ---------------------------------------------------------------------
 
 # lower-cased name -> constructor(K, param)
+# lower-cased name -> series(K)
 _NAMED = {
-    "eta": lambda K, p: eta(K),
-    "delta": lambda K, p: eta(K).pow(24),
+    "eta": eta,
+    "delta": lambda K: eta(K).pow(24),
+    "theta2": theta2,
+    "theta2ofqsquared": theta2_of_qsq,
+    "dgtilde2": dgtilde2,
+    "ddgtilde2": ddgtilde2,
+    "deltatilde": delta_tilde,
+    "thetay": theta_y,
+    "b1": lambda K: b_series(1, K),
+    "b2": lambda K: b_series(2, K),
+    "b1bar": lambda K: b_bar_series(1, K),
+    "b2bar": lambda K: b_bar_series(2, K),
+    "f0": lambda K: dgtilde2(K) * QSeries([YLaurent({2: 1, 0: -2, -2: 1})], trunc=K),
+    "f1": _f1_series,
+    "f2": _f2_series,
+}
+# lower-cased name -> series(K, param), for the names that need a param
+_NAMED_WITH_PARAM = {
     "g2k": lambda K, p: eisenstein(p, K),
     "gbar2k": lambda K, p: eisenstein_bar(p, K),
-    "theta2": lambda K, p: theta2(K),
-    "theta2ofqsquared": lambda K, p: theta2_of_qsq(K),
-    "dgtilde2": lambda K, p: dgtilde2(K),
-    "ddgtilde2": lambda K, p: ddgtilde2(K),
-    "deltatilde": lambda K, p: delta_tilde(K),
-    "thetay": lambda K, p: theta_y(K),
     "flower": lambda K, p: f_lower(p, K),
     "fbar": lambda K, p: f_bar(p, K),
     "fhatcm": lambda K, p: fhat_cm(p, K),
     "h": lambda K, p: h_series(p, K),
     "h_at1": lambda K, p: h_at(p, 1, K),
     "h_atminus1": lambda K, p: h_at(p, -1, K),
-    "b1": lambda K, p: b_series(1, K),
-    "b2": lambda K, p: b_series(2, K),
-    "b1bar": lambda K, p: b_bar_series(1, K),
-    "b2bar": lambda K, p: b_bar_series(2, K),
-    "f0": lambda K, p: dgtilde2(K) * QSeries([YLaurent({2: 1, 0: -2, -2: 1})], trunc=K),
-    "f1": lambda K, p: _f1_series(K),
-    "f2": lambda K, p: _f2_series(K),
 }
 
 
@@ -532,12 +531,21 @@ def named_series(name: str, K: int = DEFAULT_TRUNC, param: int | None = None) ->
     DDGtilde2, DeltaTilde, ThetaY, fLower, fBar, FhatCm, H, H_at1,
     H_atMinus1, B1, B2, B1bar, B2bar, F0, F1, F2. G2k/Gbar2k take the
     weight as param (2k); fLower/fBar the multiplicity l; FhatCm/H/H_at*
-    the parameter m.
+    the parameter m. ValueError for an order below 1, a missing param,
+    and a param given to a name that takes none.
     """
-    make = _NAMED.get(name.lower())
-    if make is None:
+    key = name.lower()
+    if key not in _NAMED and key not in _NAMED_WITH_PARAM:
         raise ValueError(f"unknown series name {name!r}")
-    return make(K, param)
+    if K < 1:
+        raise ValueError(f"order must be >= 1, not {K}")
+    if key in _NAMED_WITH_PARAM:
+        if param is None:
+            raise ValueError(f"series {name!r} needs a param")
+        return _NAMED_WITH_PARAM[key](K, param)
+    if param is not None:
+        raise ValueError(f"series {name!r} takes no param")
+    return _NAMED[key](K)
 
 
 # -- identity checks ------------------------------------------------------------------

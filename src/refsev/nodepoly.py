@@ -115,17 +115,19 @@ def _fit(family: str, delta: int, probes, holdout):
     return np
 
 
-def fit_node_polynomial(family: str, delta: int, m: int = None,
-                        c: int = None) -> NodePolynomial:
+def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomial:
     """Fit Q_delta for the family, on the ranges the shape theorems allow.
 
     'p2': degree 2 in d, fitted on d = delta..delta+2, validated on
-    d = delta+3..delta+5. 'p11m-fixed-m' same at fixed m (pass m).
-    'p1xp1': {1, c+d, cd} on c,d >= delta. 'sigma': the seven-term form on
-    c,d >= delta, m in {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta.
+    d = delta+3..delta+5. 'p11m-fixed-m' same at fixed m (pass m; no other
+    family takes one). 'p1xp1': {1, c+d, cd} on c,d >= delta. 'sigma': the
+    seven-term form on c,d >= delta, m in {0,1,2}. 'p11m': {1,m,d,dm,d^2m}
+    on d,m >= delta.
     """
     if delta == 0:
         raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
+    if m is not None and family != "p11m-fixed-m":
+        raise ValueError(f"the {family} fit takes no m (only p11m-fixed-m does)")
     d0 = max(delta, 1)
     if family == "p2":
         probes = [(0, 1, d) for d in range(d0, d0 + 3)]

@@ -24,13 +24,6 @@ class TruncationError(ValueError):
     """Result would have no known coefficients."""
 
 
-def _gcd(*xs):
-    g = 0
-    for x in xs:
-        g = gcd(g, abs(x))
-    return g
-
-
 def _coerce_coeff(c) -> YLaurent:
     if isinstance(c, YLaurent):
         return c
@@ -449,7 +442,7 @@ def _pow_coeff(c: YLaurent, r: QQ) -> YLaurent:
 def _unify_step(a: QSeries, b: QSeries):
     if a.step24 == b.step24:
         return a, b
-    s = _gcd(a.step24, b.step24)
+    s = gcd(a.step24, b.step24)
     return _respace(a, s), _respace(b, s)
 
 
@@ -457,7 +450,7 @@ def _align(a: QSeries, b: QSeries):
     """Put two series on a common (offset24, step24) lattice for add/compare."""
     if a.offset24 == b.offset24 and a.step24 == b.step24:
         return a, b
-    s = _gcd(a.step24, b.step24, a.offset24 - b.offset24)
+    s = gcd(a.step24, b.step24, a.offset24 - b.offset24)
     o = a.offset24 % s
     return _rebase(a, o, s), _rebase(b, o, s)
 

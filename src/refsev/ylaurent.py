@@ -209,12 +209,6 @@ class YLaurent:
     def coeff(self, doubled_exp: int):
         return self.terms.get(doubled_exp, 0)
 
-    def min_exp(self) -> int:
-        return min(self.terms)
-
-    def max_exp(self) -> int:
-        return max(self.terms)
-
     def __eq__(self, other):
         if isinstance(other, YLaurent):
             return self.terms == other.terms

@@ -159,15 +159,54 @@ def test_usage_error_exit_two():
     (["verify", "--id", "cross-engine", "--dmax", "-1"], "no point to check"),
     (["verify", "--id", "cross-engine", "--deltamax", "-1"], "no point to check"),
     (["verify", "--id", "refpol", "--dmax", "-1"], "no point to check"),
+    (["verify", "--id", "conjan_P112", "--dmax", "1"],
+     "error: verify --id conjan_P112 takes no --dmax"),
+    (["verify", "--id", "ruledblow", "--deltamax", "2"],
+     "error: verify --id ruledblow takes no --deltamax"),
+    (["verify", "--id", "cross-engine", "--order", "3"],
+     "error: verify --id cross_engine takes no --order"),
+    (["verify", "--id", "fhat_general_tables", "--order", "12"],
+     "error: verify --id fhat_general_tables takes no --order"),
+    (["verify", "--id", "solveB", "--order", "0"], "error: --order must be >= 1"),
+    (["verify", "--id", "fbar", "--order", "0"], "error: --order must be >= 1"),
+    (["verify", "--id", "fbar", "--lmax", "0"], "error: --lmax must be >= 1"),
+    (["verify", "--id", "bogus"], "unknown verify id 'bogus'"),
+    (["verify", "--id", "refpol", "--format", "json"],
+     "unrecognized arguments: --format json"),
+    (["compute", "--surface", "p2", "--m", "3", "--d", "3", "--delta", "1"],
+     "not m = 3, c = 0"),
+    (["compute", "--surface", "p11m", "--m", "2", "--c", "1", "--d", "2",
+      "--delta", "0"], "not c = 1"),
+    (["compute", "--surface", "sigma", "--m", "2", "--c", "5", "--d", "5/2",
+      "--k", "1/2", "--delta", "0"], "--c 5 is refused"),
+    (["relative", "--surface", "p2", "--m", "2", "--d", "3", "--delta", "1",
+      "--alpha", "1", "--beta", "2"], "not m = 2, c = 0"),
+    (["fit-nodepoly", "--family", "p2", "--delta", "1", "--m", "7"],
+     "error: the p2 fit takes no m"),
+    (["series", "--name", "eta", "--param", "3"], "error: series 'eta' takes no param"),
+    (["series", "--name", "fbar", "--order", "8"], "error: series 'fbar' needs a param"),
+    (["series", "--name", "eta", "--order", "0"], "error: order must be >= 1, not 0"),
+    (["series", "--name", "eta", "--cache", "x"], "unrecognized arguments: --cache x"),
+    (["export-tables", "--format", "json"], "unrecognized arguments: --format json"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
-        "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax"])
+        "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
+        "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
+        "solveB-order-0",
+        "fbar-order-0", "fbar-lmax-0", "unknown-id", "verify-format",
+        "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
+        "nodepoly-m", "series-param-given", "series-param-missing",
+        "series-order-0", "series-cache", "export-format"])
 def test_bad_arguments_exit_two(args, message, capsys):
     # refused as usage errors, with nothing on stdout; a check over zero
-    # points must not report a pass
-    code, out = run_cli(args)
+    # points must not report a pass, and no option may go unread
+    try:
+        code = main(args)
+    except SystemExit as exc:  # refused by argparse
+        code = exc.code
+    captured = capsys.readouterr()
     assert code == 2
-    assert out == ""
-    assert message in capsys.readouterr().err
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_cache_file_cold_warm(tmp_path):

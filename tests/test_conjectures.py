@@ -77,6 +77,16 @@ def test_unknown_id_rejected(chtable):
         check_conjecture("nonsense", table=chtable)
 
 
+@pytest.mark.parametrize("conj_id, params, name", [
+    ("conjan_P112", {"ms": (3,)}, "ms"),  # was silently dropped
+    ("refpol", {"cmax": 1}, "cmax"),      # was a TypeError
+    ("jacobi_triple", {"order": 5}, "order"),
+])
+def test_unknown_parameter_rejected(chtable, conj_id, params, name):
+    with pytest.raises(ValueError, match=f"takes no parameter {name}"):
+        check_conjecture(conj_id, table=chtable, **params)
+
+
 def test_reports_are_structured(chtable):
     rep = check_conjecture("Fhat_c2_is_theta2", K=10)
     assert rep.ok

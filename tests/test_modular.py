@@ -151,6 +151,19 @@ def test_named_series_dispatch():
         named_series("H", 8, param=3)  # refined H_3 is not on record
 
 
+@pytest.mark.parametrize("name, K, param, message", [
+    ("Eta", 0, None, "order must be >= 1"),
+    ("fBar", -2, 3, "order must be >= 1"),
+    ("Eta", 8, 3, "takes no param"),
+    ("B1", 8, 0, "takes no param"),
+] + [(name, 8, None, "needs a param")
+     for name in ("G2k", "Gbar2k", "fLower", "fBar", "FhatCm", "H", "H_at1",
+                  "H_atMinus1")])
+def test_named_series_refusals(name, K, param, message):
+    with pytest.raises(ValueError, match=message):
+        named_series(name, K, param=param)
+
+
 def test_named_series_palindromic():
     for name, param in [("DGtilde2", None), ("DDGtilde2", None),
                         ("DeltaTilde", None), ("B1", None), ("B2", None),

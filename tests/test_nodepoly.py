@@ -40,6 +40,13 @@ def test_fixed_m_fit():
     assert np.q_at(d=7) == q_log_count(s_beta(0, 2, 7), 2)
 
 
+@pytest.mark.parametrize("family", ["p2", "p1xp1", "sigma", "p11m"])
+def test_m_refused_outside_fixed_m(family):
+    # only the fixed-m fit reads m; any other family would ignore it
+    with pytest.raises(ValueError, match="takes no m"):
+        fit_node_polynomial(family, 1, m=7)
+
+
 def test_node_values_match_engine(chtable):
     fits = {dl: fit_node_polynomial("p2", dl) for dl in (1, 2, 3, 4)}
     nv = node_values(fits, 4, m=1, d=6)

@@ -1,5 +1,7 @@
 """README drift: the documented command lines and verify ids must be the
-ones the command line accepts. Nothing is executed; lines are only parsed."""
+ones the command line accepts. Nothing is executed; lines are only parsed
+and their options resolved: verify flags through cli.VERIFY_FLAGS, compute
+and relative surfaces into their bundles."""
 import pathlib
 import re
 import shlex
@@ -7,6 +9,7 @@ import shlex
 import pytest
 
 from refsev import cli
+from refsev.caporaso import SurfaceBundle
 from refsev.conjectures import CHECK_IDS
 
 README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -31,7 +34,11 @@ def _verify_ids():
 def test_readme_command_parses(line):
     args = cli.make_parser().parse_args(shlex.split(line)[1:])
     if args.command == "verify":
-        cli.verify_id(args.id)
+        cli.verify_params(args)
+    elif args.command == "compute":
+        cli.compute_bundles(args)
+    elif args.command == "relative":
+        SurfaceBundle(args.surface, args.m, args.c, args.d)
 
 
 def test_readme_lists_commands_and_ids():
