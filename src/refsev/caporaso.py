@@ -95,6 +95,8 @@ class SurfaceBundle:
                              f"c = {self.c}")
         if self.family == "p11m" and self.c != 0:
             raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {self.c}")
+        if self.family == "p11m" and self.m < 1:
+            raise ValueError(f"P(1,1,m) bundles have m >= 1, not m = {self.m}")
         if self.m < 0 or self.c < 0 or self.d < 0:
             raise ValueError("parameters must be nonnegative")
 

@@ -4,6 +4,11 @@ Every check compares an engine-computed degree (recursion or graph count)
 against a generating-function evaluation, coefficient by coefficient.
 Passes are exact; a failure reports the earliest discrepancy (delta,
 q-power, doubled y-exponent) so table-typo triage is possible.
+
+The second-part checks (singular surfaces, blowups, multiple points)
+share one path, `_against`: at each delta it records the recursion degree
+of a bundle against the identity's value gen(delta), or a SKIP with the
+reason the check's validity predicate skip(delta) returns.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 from . import modular
 from .caporaso import CHTable, P2, Sigma, severi_degree
-from .genfun import Invariants, reform_eval, solve_universal_B
+from .genfun import Invariants, engine_data, reform_eval, solve_universal_B
 from .graphs import refined_count, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
@@ -82,6 +87,21 @@ def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
         )
 
 
+def _against(rep, table, params, bundle, gen, deltas, y="sym", skip=None):
+    """The one comparison path of the second-part checks: at each delta,
+    the engine degree of bundle against the identity's value gen(delta),
+    or a SKIP with the reason skip(delta) gives outside the regime."""
+    for delta in deltas:
+        p = {**params, "delta": delta}
+        reason = skip(delta) if skip else None
+        if reason:
+            rep.skip(p, reason)
+            continue
+        eng = severi_degree(bundle, delta, y=y, table=table)
+        _compare(rep, p, YLaurent.const(eng) if y != "sym" else eng,
+                 gen(delta), delta)
+
+
 def _b_tables(K: int, y="sym"):
     if y == -1:
         return modular.b_bar_series(1, K), modular.b_bar_series(2, K)
@@ -120,54 +140,45 @@ def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
     rep = ConjectureReport("GSPSigmaW", {"delta_max": delta_max, "d_max": d_max})
     B1, B2 = _b_tables(delta_max + 2, y=-1)
     for d in range(2, d_max + 1):
-        inv = Invariants.of(P2(d))
-        S = reform_eval(inv, B1, B2, form=2, order=delta_max, y=-1)
-        for delta in range(delta_max + 1):
-            if delta > 3 * (d - 1):
-                rep.skip({"d": d, "delta": delta}, "d < delta/3 + 1")
-                continue
-            w = severi_degree(P2(d), delta, y=-1, table=table)
-            _compare(rep, {"d": d, "delta": delta},
-                     YLaurent.const(w), S.coeff_at(delta), delta)
+        S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2, order=delta_max, y=-1)
+        _against(rep, table, {"d": d}, P2(d), S.coeff_at, range(delta_max + 1), y=-1,
+                 skip=lambda delta: "d < delta/3 + 1" if delta > 3 * (d - 1) else None)
     return rep
 
 
 _RULED_DELTA = {2: 5, 3: 4, 4: 3}  # table-limited scaled-down bounds
 
 
-def _check_ruledblow(table, ms=(2, 3, 4), d_max=4, eta_route=False) -> ConjectureReport:
-    """N^{(Sigma_m,dH),delta} against the singular-surface identity with the
-    1/m(1,1) correction factor Fhat_{c_m}."""
-    rep = ConjectureReport(
-        "conjan_P112" if eta_route else "ruledblow",
-        {"ms": list(ms), "d_max": d_max},
-    )
+def _ruled(rep, table, ms, d_max, factor) -> ConjectureReport:
+    """N^{(Sigma_m,dH),delta} against the singular-surface identity whose
+    1/m(1,1) correction factor is factor(m, K)."""
     for m in ms:
-        delta_m = _RULED_DELTA[m]
-        K = delta_m + 2
+        K = _RULED_DELTA[m] + 2
         B1, B2 = _b_tables(K)
-        if eta_route:
-            e = modular.eta(K)
-            R = e * e / e.subs_qpow(2)
-        else:
-            R = modular.fhat_cm(m, min(K, modular.tables.FHAT_TRUSTED.get(m, K)))
+        R = factor(m, K)
         for d in range(1, d_max + 1):
-            dmax_here = min(delta_m, d, R.trunc - 2)
+            top = min(_RULED_DELTA[m], d, R.trunc - 2)
             bundle = Sigma(m, 0, d)
-            inv = Invariants(K2=8, LK=-(d * (m + 2)), chi_L=bundle.chi_L)
-            S = reform_eval(inv, B1, B2, form=2, order=dmax_here, R=R)
-            for delta in range(dmax_here + 1):
-                eng = severi_degree(bundle, delta, table=table)
-                _compare(rep, {"m": m, "d": d, "delta": delta},
-                         eng, S.coeff_at(delta), delta)
+            S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=top, R=R)
+            _against(rep, table, {"m": m, "d": d}, bundle, S.coeff_at, range(top + 1))
     return rep
 
 
-def _blowk_cases(ks, dprimes):
-    for k2 in ks:          # k2 = 2k, so half-integers stay exact
-        k = QQ(k2, 2)
-        for dp in dprimes:  # dp = d - k, an integer
-            yield k, QQ(dp) + k
+def _check_ruledblow(table, ms=(2, 3, 4), d_max=4) -> ConjectureReport:
+    """The ruled-surface identity with the factor Fhat_{c_m}."""
+    return _ruled(ConjectureReport("ruledblow", {"ms": list(ms), "d_max": d_max}),
+                  table, ms, d_max, lambda m, K: modular.fhat_cm(
+                      m, min(K, modular.tables.FHAT_TRUSTED.get(m, K))))
+
+
+def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
+    """The ruled-surface identity for P(1,1,2) alone, with the factor
+    eta(q)^2/eta(q^2)."""
+    def eta_quotient(m, K):
+        e = modular.eta(K)
+        return e * e / e.subs_qpow(2)
+    return _ruled(ConjectureReport("conjan_P112", {"ms": [2], "d_max": d_max}),
+                  table, (2,), d_max, eta_quotient)
 
 
 def _check_blowk(table, ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2) -> ConjectureReport:
@@ -175,21 +186,17 @@ def _check_blowk(table, ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2) -> Conject
     blown-up identity with the correction factor fbar_{2k}."""
     rep = ConjectureReport("blowk", {"2k": list(ks), "dprimes": list(dprimes),
                                      "delta_max": delta_max})
-    for k, d in _blowk_cases(ks, dprimes):
-        if delta_max > 2 * (d - k) + 1:
-            rep.skip({"k": str(k), "d": str(d)}, "outside delta <= 2(d-k)+1")
-            continue
-        k2 = int(2 * k)
-        chi_L = (d + 1) ** 2 - k * k
-        inv = Invariants(K2=8, LK=int(-4 * d), chi_L=int(chi_L))
-        R = modular.f_bar(k2, delta_max + 3)
-        B1, B2 = _b_tables(delta_max + 2)
-        S = reform_eval(inv, B1, B2, form=2, order=delta_max, R=R)
-        bundle = Sigma(2, k2, int(d - k))
-        for delta in range(delta_max + 1):
-            eng = severi_degree(bundle, delta, table=table)
-            _compare(rep, {"k": str(k), "d": str(d), "delta": delta},
-                     eng, S.coeff_at(delta), delta)
+    for k2 in ks:          # k2 = 2k, so half-integers stay exact
+        for dp in dprimes:  # dp = d - k, an integer
+            case = {"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}
+            if delta_max > 2 * dp + 1:
+                rep.skip(case, "outside delta <= 2(d-k)+1")
+                continue
+            bundle = Sigma(2, k2, dp)
+            B1, B2 = _b_tables(delta_max + 2)
+            S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=delta_max,
+                            R=modular.f_bar(k2, delta_max + 3))
+            _against(rep, table, case, bundle, S.coeff_at, range(delta_max + 1))
     return rep
 
 
@@ -203,7 +210,6 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # extraction at L(L-K_S)/2 of the *unblown* bundle; the k^2 lives in
         # the point-series exponent shift and in f_{2k} = q^(k^2) fbar_{2k}
         qexp = d * d + 2 * d
-        chi_L = qexp + 1
         Kq = int(qexp) + 2
         if Kq > modular.tables.B_TRUSTED:
             rep.skip({"k": str(k), "d": str(d)}, "beyond the B tables")
@@ -213,15 +219,28 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # chi(L) = (d+1)^2 is fractional for half-integral Weil divisors;
         # only chi - 1 - delta - k^2 and the extraction exponent need to
         # land on the exponent lattice, and they do
-        inv = Invariants(K2=8, LK=int(-4 * d), chi_L=chi_L)
-        bundle = Sigma(2, k2, int(d - k))
-        for delta in range(delta_max + 1):
-            eng = severi_degree(bundle, delta, table=table)
-            gen = reform_eval(inv, B1, B2, form=3, order=delta, R=R,
-                              shift=k * k)
-            _compare(rep, {"k": str(k), "d": str(d), "delta": delta},
-                     eng, gen, delta)
+        inv = Invariants(K2=8, LK=int(-4 * d), chi_L=qexp + 1)
+        _against(rep, table, {"k": str(k), "d": str(d)}, Sigma(2, k2, int(d - k)),
+                 lambda delta: reform_eval(inv, B1, B2, form=3, order=delta, R=R,
+                                           shift=k * k),
+                 range(delta_max + 1))
     return rep
+
+
+def _multiple_point(rep, table, m, ds, delta_max, skip=None):
+    """Curves with an ordinary m-fold point on P^2 as curves on the blowup
+    Sigma_1: the identity with the factor H_m and the point-series
+    exponent shifted by m(m+1)/2; skip(d, delta) gives the regime."""
+    shift = m * (m + 1) // 2
+    K = delta_max + shift + 2
+    B1, B2 = _b_tables(K)
+    R = modular.h_series(m, K)
+    for d in ds:
+        S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2, order=delta_max, R=R,
+                        shift=shift)
+        _against(rep, table, {"m": m, "d": d}, Sigma(1, m, d - m),
+                 lambda delta: S.coeff_at(delta + shift), range(delta_max + 1),
+                 skip=skip and functools.partial(skip, d))
 
 
 def _check_p2blow(table, m_max=1, delta_max=4, d_max=8) -> ConjectureReport:
@@ -230,95 +249,65 @@ def _check_p2blow(table, m_max=1, delta_max=4, d_max=8) -> ConjectureReport:
     exponent."""
     rep = ConjectureReport("P2blow", {"m_max": m_max, "delta_max": delta_max,
                                       "d_max": d_max})
-    B1, B2 = _b_tables(delta_max + 2 + m_max * (m_max + 1) // 2)
     for m in range(1, m_max + 1):
-        shift = m * (m + 1) // 2
-        K = delta_max + shift + 2
-        R = modular.h_series(m, K)
-        for d in range(m + 1, d_max + 1):
-            inv = Invariants.of(P2(d))
-            S = reform_eval(inv, B1, B2, form=2, order=delta_max, R=R,
-                            shift=shift)
-            bundle = Sigma(1, m, d - m)
-            for delta in range(delta_max + 1):
-                # the naive validity bound overreaches at tiny d (the
-                # identity demonstrably fails at m=1, d=2, delta=3, where
-                # both engines give 0); stay within delta <= 2(d-m)
-                if delta > 2 * (d - m):
-                    rep.skip({"m": m, "d": d, "delta": delta}, "outside validity")
-                    continue
-                eng = severi_degree(bundle, delta, table=table)
-                _compare(rep, {"m": m, "d": d, "delta": delta},
-                         eng, S.coeff_at(delta + shift), delta)
+        # the naive validity bound overreaches at tiny d (the identity
+        # demonstrably fails at m=1, d=2, delta=3, where both engines give
+        # 0); stay within delta <= 2(d-m)
+        _multiple_point(rep, table, m, range(m + 1, d_max + 1), delta_max,
+                        skip=lambda d, delta: "outside validity"
+                        if delta > 2 * (d - m) else None)
     return rep
 
 
-def _check_multcon_h12(table, delta_max_h1=4, delta_max_h2=3, d_max=7) -> ConjectureReport:
+def _check_multcon_h12(table, delta_max_h1=4, delta_max_h2=3,
+                       d_max=7) -> ConjectureReport:
     """The refined multiple-point factors H_1 = point series and H_2 =
     theta-derived combination, on Sigma_1 data."""
     rep = ConjectureReport("multcon_H12", {"delta_max": (delta_max_h1, delta_max_h2),
                                            "d_max": d_max})
-    for m, dmax_delta in ((1, delta_max_h1), (2, delta_max_h2)):
-        shift = m * (m + 1) // 2
-        K = dmax_delta + shift + 2
-        B1, B2 = _b_tables(K)
-        R = modular.h_series(m, K)
-        for d in range(m + 2, d_max + 1):
-            inv = Invariants.of(P2(d))
-            S = reform_eval(inv, B1, B2, form=2, order=dmax_delta, R=R, shift=shift)
-            bundle = Sigma(1, m, d - m)
-            for delta in range(dmax_delta + 1):
-                eng = severi_degree(bundle, delta, table=table)
-                _compare(rep, {"m": m, "d": d, "delta": delta},
-                         eng, S.coeff_at(delta + shift), delta)
+    for m, delta_max in ((1, delta_max_h1), (2, delta_max_h2)):
+        _multiple_point(rep, table, m, range(m + 2, d_max + 1), delta_max)
     return rep
 
 
-def _check_multcon_h34(table, delta_max=3, with_ambiguous_probe=True) -> ConjectureReport:
+def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
     """H_3 and H_4 at y = +-1 from the quasimodular expressions. A failure
-    localized to the single ambiguous H_4(1) monomial is reported as a
-    table-typo candidate rather than a failure."""
+    that the literal D^4G_4 reading of the single ambiguous H_4(1) monomial
+    mends is reported as a table-typo candidate rather than a failure."""
     rep = ConjectureReport("multcon_H34_at_pm1", {"delta_max": delta_max})
     for m in (3, 4):
         shift = m * (m + 1) // 2
         K = delta_max + shift + 2
         for yv in (1, -1):
             B1, B2 = _b_tables(K, y=yv)
-            variants = [("primary", None)]
-            if m == 4 and yv == 1 and with_ambiguous_probe:
-                literal = [
-                    t if t != modular.H4_AT1_AMBIGUOUS else modular.H4_AT1_LITERAL
-                    for t in modular._H_AT1[4]
-                ]
-                variants.append(("literal D^4G_4", literal))
+            primary = modular.h_at(m, yv, K)
             for d in (m + 2, m + 3):
-                inv = Invariants.of(P2(d))
                 bundle = Sigma(1, m, d - m)
-                outcomes = []
-                for tag, terms in variants:
-                    R = modular.h_at(m, yv, K, terms_override=terms)
-                    S = reform_eval(inv, B1, B2, form=2, order=delta_max,
-                                    R=R, shift=shift, y=yv)
-                    bad = None
+
+                def first_bad(R):
+                    S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2,
+                                    order=delta_max, R=R, shift=shift, y=yv)
                     for delta in range(min(delta_max, 2 * (d - m)) + 1):
                         eng = severi_degree(bundle, delta, y=yv, table=table)
                         gen = S.coeff_at(delta + shift)
                         if eng != gen:
-                            bad = (delta, eng, gen)
-                            break
-                    outcomes.append((tag, bad))
-                tag0, bad0 = outcomes[0]
-                if bad0 is None:
-                    rep.record({"m": m, "y": yv, "d": d}, True)
-                elif len(outcomes) > 1 and outcomes[1][1] is None:
-                    rep.record({"m": m, "y": yv, "d": d}, True,
+                            return delta, eng, gen
+                    return None
+
+                params = {"m": m, "y": yv, "d": d}
+                bad = first_bad(primary)
+                if bad is None:
+                    rep.record(params, True)
+                elif m == 4 and yv == 1 and first_bad(modular.quasimodular_sum(
+                        [modular.H4_AT1_LITERAL if t == modular.H4_AT1_AMBIGUOUS else t
+                         for t in modular._H_AT1[4]], K)) is None:
+                    rep.record(params, True,
                                "table-typo candidate: only the literal "
                                "D^4G_4 reading of the ambiguous monomial passes")
                     rep.notes.append("H_4(1) ambiguous monomial sensitive")
                 else:
-                    delta, eng, gen = bad0
-                    rep.record({"m": m, "y": yv, "d": d}, False,
-                               f"delta={delta}: engine {eng} vs genfun {gen}")
+                    rep.record(params, False,
+                               "delta={}: engine {} vs genfun {}".format(*bad))
     return rep
 
 
@@ -350,37 +339,17 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
         (Invariants.of(P2(5)), node_values(fits_p2, order - 1, m=1, d=5)),
         (Invariants.of(Sigma(0, 5, 5)), node_values(fits_s0, order - 1, c=5, d=5)),
     ]
-    rb1, rb2 = solve_universal_B(data, order)
-    t1, t2 = _b_tables(order)
-    d1 = rb1.first_difference(t1)
-    d2 = rb2.first_difference(t2)
-    rep.record({"side": "B1", "order": order}, d1 is None,
-               "" if d1 is None else f"first difference at q^{d1[0]}")
-    rep.record({"side": "B2", "order": order}, d2 is None,
-               "" if d2 is None else f"first difference at q^{d2[0]}")
     # y = -1: direct engine data at d = 9 and (9,9) (inside the regime)
-    wdata = [
-        (Invariants.of(P2(9)),
-         {dl: severi_degree(P2(9), dl, y=-1, table=table)
-          for dl in range(order_minus1)}),
-        (Invariants.of(Sigma(0, 9, 9)),
-         {dl: severi_degree(Sigma(0, 9, 9), dl, y=-1, table=table)
-          for dl in range(order_minus1)}),
-    ]
-    wb1, wb2 = solve_universal_B(wdata, order_minus1, y=-1)
-    bb1, bb2 = _b_tables(order_minus1, y=-1)
-    d1 = wb1.first_difference(bb1)
-    d2 = wb2.first_difference(bb2)
-    rep.record({"side": "B1bar", "order": order_minus1}, d1 is None,
-               "" if d1 is None else f"first difference at q^{d1[0]}")
-    rep.record({"side": "B2bar", "order": order_minus1}, d2 is None,
-               "" if d2 is None else f"first difference at q^{d2[0]}")
+    wdata = engine_data((P2(9), Sigma(0, 9, 9)), order_minus1, -1, table)
+    sides = zip(("B1", "B2", "B1bar", "B2bar"), (order,) * 2 + (order_minus1,) * 2,
+                solve_universal_B(data, order)
+                + solve_universal_B(wdata, order_minus1, y=-1),
+                _b_tables(order) + _b_tables(order_minus1, y=-1))
+    for side, n, got, want in sides:
+        diff = got.first_difference(want)
+        rep.record({"side": side, "order": n}, diff is None,
+                   "" if diff is None else f"first difference at q^{diff[0]}")
     return rep
-
-
-def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
-    """The ruled-surface check for P(1,1,2) alone, by the eta route."""
-    return _check_ruledblow(table, ms=(2,), d_max=d_max, eta_route=True)
 
 
 def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:

@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .caporaso import severi_degree
 from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
 from .ylaurent import YLaurent, YL_ZERO
 
-__all__ = ["Invariants", "reform_eval", "solve_universal_B", "base_series"]
+__all__ = ["Invariants", "reform_eval", "engine_data", "solve_universal_B", "base_series"]
 
 
 @dataclass(frozen=True)
@@ -126,6 +127,14 @@ def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
 def _ceil_exp(x) -> int:
     q = QQ(x)
     return -int((-q.numerator) // q.denominator)
+
+
+def engine_data(bundles, order: int, y, table):
+    """The data solve_universal_B takes, from the recursion: per bundle
+    (Invariants, {delta: degree at y}) for delta < order."""
+    return [(Invariants.of(b),
+             {dl: severi_degree(b, dl, y=y, table=table) for dl in range(order)})
+            for b in bundles]
 
 
 def solve_universal_B(datasets, order: int, y="sym"):

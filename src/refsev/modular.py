@@ -449,14 +449,18 @@ def _eval_factor(fac, K: int) -> QSeries:
     return s
 
 
-def h_at(m: int, y: int, K: int, terms_override=None) -> QSeries:
+def h_at(m: int, y: int, K: int) -> QSeries:
     """The quasimodular expression for H_m(y) at y = 1 or y = -1, m <= 4."""
     table = _H_AT1 if y == 1 else (_H_ATM1 if y == -1 else None)
     if table is None:
         raise ValueError("y must be 1 or -1")
     if m not in table:
         raise ValueError(f"no quasimodular expression on record for H_{m}({y})")
-    terms = terms_override if terms_override is not None else table[m]
+    return quasimodular_sum(table[m], K)
+
+
+def quasimodular_sum(terms, K: int) -> QSeries:
+    """sum coeff * prod factors mod q^K over terms in the H tables' format."""
     acc = QSeries.zero(K)
     for coeff, facs in terms:
         prod = QSeries.one(K)
@@ -477,7 +481,7 @@ def b_series(which: int, K: int) -> QSeries:
         return QSeries([tables.B1_TABLE[n] for n in range(K)], trunc=K)
     if which == 2:
         bracket = QSeries([tables.B2_BRACKET_TABLE[n] for n in range(K)], trunc=K)
-        pref = QSeries([YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE], trunc=K)
+        pref = QSeries([YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE][:K], trunc=K)
         return bracket / pref
     raise ValueError("which must be 1 or 2")
 
@@ -614,10 +618,11 @@ def _id_jacobi_triple(K, param):
 
 
 def _id_b_minus1_tables(K, param):
-    KK = min(K, tables.B_TRUSTED)
+    if K > tables.B_TRUSTED:
+        raise ValueError(f"B_minus1_tables checks orders 1 to {tables.B_TRUSTED}, not {K}")
     for which in (1, 2):
-        lhs = b_series(which, KK).specialize_y(-1)
-        d = lhs.first_difference(b_bar_series(which, KK))
+        lhs = b_series(which, K).specialize_y(-1)
+        d = lhs.first_difference(b_bar_series(which, K))
         if d is not None:
             return d, f"B{which}"
     return None, ""

@@ -137,10 +137,12 @@ def test_export_tables():
 
 
 def test_usage_error_exit_two():
+    # run from src/, where `-m` finds the package without an install
     proc = subprocess.run(
         [sys.executable, "-m", "refsev.cli", "compute", "--surface", "marsupial",
          "--d", "1", "--delta", "0"],
         capture_output=True, text=True,
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"),
     )
     assert proc.returncode == 2
 
@@ -188,6 +190,10 @@ def test_usage_error_exit_two():
     (["series", "--name", "eta", "--order", "0"], "error: order must be >= 1, not 0"),
     (["series", "--name", "eta", "--cache", "x"], "unrecognized arguments: --cache x"),
     (["export-tables", "--format", "json"], "unrecognized arguments: --format json"),
+    (["verify", "--id", "B_minus1_tables", "--order", "19"],
+     "error: B_minus1_tables checks orders 1 to 18"),
+    (["compute", "--surface", "p11m", "--m", "0", "--d", "2", "--delta", "1"],
+     "error: P(1,1,m) bundles have m >= 1, not m = 0"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -195,7 +201,8 @@ def test_usage_error_exit_two():
         "fbar-order-0", "fbar-lmax-0", "unknown-id", "verify-format",
         "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
         "nodepoly-m", "series-param-given", "series-param-missing",
-        "series-order-0", "series-cache", "export-format"])
+        "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
+        "compute-p11m-m0"])
 def test_bad_arguments_exit_two(args, message, capsys):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread

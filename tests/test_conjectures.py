@@ -2,6 +2,7 @@
 full ranges."""
 import pytest
 
+from refsev import modular
 from refsev.conjectures import CHECK_IDS, check_conjecture
 
 
@@ -14,6 +15,15 @@ def test_refpol_small(chtable):
 def test_gsp_sigma_w_small(chtable):
     rep = check_conjecture("GSPSigmaW", table=chtable, delta_max=4, d_max=5)
     assert rep.ok, rep.summary()
+
+
+def test_gsp_sigma_w_instances(chtable):
+    # d = 2 leaves the regime d >= delta/3 + 1 at delta = 4
+    rep = check_conjecture("GSPSigmaW", table=chtable, delta_max=4, d_max=3)
+    assert rep.instances == (
+        [({"d": 2, "delta": dl}, "pass", "") for dl in range(4)]
+        + [({"d": 2, "delta": 4}, "skip", "d < delta/3 + 1")]
+        + [({"d": 3, "delta": dl}, "pass", "") for dl in range(5)])
 
 
 def test_ruledblow_m2(chtable):
@@ -40,6 +50,18 @@ def test_blowk_small(chtable):
     assert seen == {"1/2", "1", "3/2", "2"}
 
 
+def test_blowk_instances(chtable):
+    # d - k = 0 leaves delta <= 2(d-k)+1 at delta_max = 2: one skip per case
+    rep = check_conjecture("blowk", table=chtable, ks=(1, 2), dprimes=(0, 1),
+                           delta_max=2)
+    reason = "outside delta <= 2(d-k)+1"
+    assert rep.instances == (
+        [({"k": "1/2", "d": "1/2"}, "skip", reason)]
+        + [({"k": "1/2", "d": "3/2", "delta": dl}, "pass", "") for dl in range(3)]
+        + [({"k": "1", "d": "1"}, "skip", reason)]
+        + [({"k": "1", "d": "2", "delta": dl}, "pass", "") for dl in range(3)])
+
+
 def test_a1_form3_small(chtable):
     rep = check_conjecture("A1con_sigma2", table=chtable, delta_max=1)
     assert rep.ok, rep.summary()
@@ -48,6 +70,15 @@ def test_a1_form3_small(chtable):
 def test_p2blow_reduction(chtable):
     rep = check_conjecture("P2blow", table=chtable, delta_max=3, d_max=6)
     assert rep.ok, rep.summary()
+
+
+def test_p2blow_instances(chtable):
+    # m = 1, d = 2 leaves delta <= 2(d-m) at delta = 3
+    rep = check_conjecture("P2blow", table=chtable, delta_max=3, d_max=3)
+    assert rep.instances == (
+        [({"m": 1, "d": 2, "delta": dl}, "pass", "") for dl in range(3)]
+        + [({"m": 1, "d": 2, "delta": 3}, "skip", "outside validity")]
+        + [({"m": 1, "d": 3, "delta": dl}, "pass", "") for dl in range(4)])
 
 
 def test_multcon_h12_small(chtable):
@@ -59,6 +90,22 @@ def test_multcon_h12_small(chtable):
 def test_multcon_h34_small(chtable):
     rep = check_conjecture("multcon_H34_at_pm1", table=chtable, delta_max=2)
     assert rep.ok, rep.summary()
+
+
+def test_multcon_h34_table_typo_candidate(chtable, monkeypatch):
+    # swap the two readings of the ambiguous H_4(1) monomial: the primary
+    # D^4G_4 fails at m = 4, y = 1, and the D^4G_8 probe passes there
+    amb, lit = modular.H4_AT1_AMBIGUOUS, modular.H4_AT1_LITERAL
+    monkeypatch.setitem(modular._H_AT1, 4,
+                        [lit if t == amb else t for t in modular._H_AT1[4]])
+    monkeypatch.setattr(modular, "H4_AT1_AMBIGUOUS", lit)
+    monkeypatch.setattr(modular, "H4_AT1_LITERAL", amb)
+    rep = check_conjecture("multcon_H34_at_pm1", table=chtable, delta_max=2)
+    assert rep.counts == {"pass": 8, "fail": 0, "skip": 0}
+    typo = [p for p, _, detail in rep.instances
+            if detail.startswith("table-typo candidate")]
+    assert typo == [{"m": 4, "y": 1, "d": 6}, {"m": 4, "y": 1, "d": 7}]
+    assert rep.notes == ["H_4(1) ambiguous monomial sensitive"] * 2
 
 
 def test_cross_engine_small(chtable):
@@ -81,6 +128,8 @@ def test_unknown_id_rejected(chtable):
     ("conjan_P112", {"ms": (3,)}, "ms"),  # was silently dropped
     ("refpol", {"cmax": 1}, "cmax"),      # was a TypeError
     ("jacobi_triple", {"order": 5}, "order"),
+    ("ruledblow", {"eta_route": True}, "eta_route"),
+    ("multcon_H34_at_pm1", {"with_ambiguous_probe": False}, "with_ambiguous_probe"),
 ])
 def test_unknown_parameter_rejected(chtable, conj_id, params, name):
     with pytest.raises(ValueError, match=f"takes no parameter {name}"):

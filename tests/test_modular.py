@@ -84,6 +84,13 @@ def test_b_tables_basic():
     assert B1.is_palindromic() and B2.is_palindromic()
 
 
+@pytest.mark.parametrize("K", [1, 2])
+def test_b2_below_its_prefactor_length(K):
+    # the prefactor (1-yq)(1-q/y) has three coefficients; below order 3 it
+    # is cut to the order instead of overflowing the window
+    assert b_series(2, K) == b_series(2, 5).truncate(K)
+
+
 def test_b_tables_trusted_order():
     with pytest.raises(ValueError):
         b_series(1, 19)
