@@ -15,9 +15,9 @@ import sys
 
 from . import modular, tables
 from .cache import CacheStore
-from .caporaso import CHTable, P2, Sigma, SurfaceBundle, relative_degree, severi_degree
+from .caporaso import CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
 from .conjectures import CHECK_IDS, check_conjecture
-from .genfun import engine_data, solve_universal_B
+from .genfun import engine_data, solve_bundles, solve_universal_B
 from .nodepoly import fit_node_polynomial
 from .qseries import QSeries
 from .rationals import QQ
@@ -196,8 +196,7 @@ def _cmd_solve_b(args, out) -> int:
     config = {"command": "solve-B", "order": args.order, "y": args.y,
               "format": args.format}
     y = Y_VALUES[args.y]
-    d0 = max(args.order, 2)
-    data = engine_data((P2(d0), Sigma(0, d0, d0)), args.order, y, table)
+    data = engine_data(solve_bundles(args.order), args.order, y, table)
     B1, B2 = solve_universal_B(data, args.order, y=y)
     _emit(out, config, [({"series": "B1"}, B1), ({"series": "B2"}, B2)],
           args.format)

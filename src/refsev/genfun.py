@@ -1,5 +1,5 @@
 """The generating-function identity in its three equivalent forms, and the
-order-by-order solver for the universal series B_1, B_2.
+solver for the universal series B_1, B_2 from node-polynomial data.
 
 Invariants of the pair (surface, bundle) enter as exponents:
 
@@ -20,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .caporaso import severi_degree
+from .caporaso import P2, Sigma, severi_degree
 from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
-from .ylaurent import YLaurent, YL_ZERO
+from .ylaurent import YL_ZERO
 
-__all__ = ["Invariants", "reform_eval", "engine_data", "solve_universal_B", "base_series"]
+__all__ = ["Invariants", "reform_eval", "solve_bundles", "engine_data",
+           "solve_universal_B", "base_series"]
 
 
 @dataclass(frozen=True)
@@ -67,13 +68,15 @@ def _inverse_point_series(T: int, y="sym") -> QSeries:
     return compose_inverse(dg)
 
 
-def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
+def reform_eval(inv: Invariants | list, B1: QSeries, B2: QSeries, form: int,
                 order: int, R: QSeries | None = None, shift=0, y="sym"):
     """Evaluate the chosen form of the generating identity.
 
     form 1 -> the q-series RHS mod q^order;
     form 2 -> the t-series whose coeff_at(delta + shift) is M^delta,
-              valid for delta + shift < order;
+              valid for delta + shift < order; given a list of Invariants,
+              the list of their t-series, composing B_1, B_2, Dtilde and R
+              with g once;
     form 3 -> the single YLaurent M^delta with delta = order.
 
     `shift` lowers the point-series exponent (multiple-point checks);
@@ -89,14 +92,21 @@ def reform_eval(inv: Invariants, B1: QSeries, B2: QSeries, form: int,
         gp = g.tderiv()
         _, _, dt = base_series(T, y)
         g_over_t = QSeries(list(g.coeffs), lead=0, trunc=T - 1)
-        s = g_over_t.pow(-inv.chi_L)
-        s = s * compose(B1.truncate(T), g).pow(inv.K2)
-        s = s * compose(B2.truncate(T), g).pow(inv.LK)
+        B1g = compose(B1.truncate(T), g)
+        B2g = compose(B2.truncate(T), g)
         core = (g * gp) / compose(dt, g)
-        s = s * core.pow(QQ(inv.chi_O, 2))
-        if R is not None:
-            s = s * compose(R, g)
-        return s
+        Rg = None if R is None else compose(R, g)
+
+        def series(inv):
+            s = g_over_t.pow(-inv.chi_L)
+            s = s * B1g.pow(inv.K2)
+            s = s * B2g.pow(inv.LK)
+            s = s * core.pow(QQ(inv.chi_O, 2))
+            return s if Rg is None else s * Rg
+
+        if isinstance(inv, Invariants):
+            return series(inv)
+        return [series(i) for i in inv]
     if form in (1, 3):
         delta = order if form == 3 else None
         K = (
@@ -129,6 +139,16 @@ def _ceil_exp(x) -> int:
     return -int((-q.numerator) // q.denominator)
 
 
+def solve_bundles(order: int):
+    """The bundles solve-B takes its data from at the given order:
+    P^2(d0), Sigma_0(d0, d0) and P^2(d0 + 1), with d0 = max(order // 2 + 1,
+    2) the smallest degree whose Goettsche threshold delta <= 2 d0 - 2
+    covers every delta < order. Two bundles fix B; the third overdetermines
+    the solve, so data outside the regime raises instead of passing."""
+    d0 = max(order // 2 + 1, 2)
+    return P2(d0), Sigma(0, d0, d0), P2(d0 + 1)
+
+
 def engine_data(bundles, order: int, y, table):
     """The data solve_universal_B takes, from the recursion: per bundle
     (Invariants, {delta: degree at y}) for delta < order."""
@@ -140,41 +160,49 @@ def engine_data(bundles, order: int, y, table):
 def solve_universal_B(datasets, order: int, y="sym"):
     """Solve for B_1, B_2 mod q^order from node-polynomial data.
 
-    datasets: iterable of (Invariants, {delta: M^delta}) with at least two
-    (K2, LK) pairs of full rank; values are YLaurent (y = 'sym') or ints
-    (y = 1/-1). Solves order by order through form (2): at q-order n the
-    unknown coefficients (b1_n, b2_n) enter the t^n coefficient affinely
-    as K2*b1_n + LK*b2_n. Overdetermined data must be consistent.
+    datasets: iterable of (Invariants, {delta: M^delta}) for delta < order,
+    with M^0 = 1 and at least two (K2, LK) pairs of full rank; values are
+    YLaurent (y = 'sym') or ints (y = 1/-1). The logarithm of form (2) is
+    linear in the unknowns: with M(t) = sum_delta M^delta t^delta,
+
+      log M + chi(L) log(g/t) - chi(O)/2 log(g g'/Dtilde(g)) = K2 u + LK v,
+
+    u = log(B_1)(g), v = log(B_2)(g). The B-independent left side is built
+    once; each t^n coefficient is one exact solve over all bundles, so a
+    third bundle makes inconsistent data raise. Then B_j = exp(u(P)) and
+    exp(v(P)), and every datum is fed back through form (2).
     """
     datasets = list(datasets)
     if len(datasets) < 2:
         raise ValueError("need at least two bundles to separate B_1 and B_2")
-    b1 = [YLaurent.const(1)]
-    b2 = [YLaurent.const(1)]
-    for n in range(1, order):
-        A = []
-        rhs = []
-        for inv, vals in datasets:
+    for inv, vals in datasets:
+        for n in range(order):
             if n not in vals:
                 raise ValueError(f"dataset lacks the delta = {n} value")
-            # pad the known B's with an exact-zero q^n slot so the product
-            # machinery exposes the t^n coefficient of the known part
-            B1t = QSeries(b1 + [YL_ZERO], trunc=n + 1)
-            B2t = QSeries(b2 + [YL_ZERO], trunc=n + 1)
-            S = reform_eval(inv, B1t, B2t, form=2, order=n, y=y)
-            known = S.coeff_at(n)
-            A.append([QQ(inv.K2), QQ(inv.LK)])
-            rhs.append(vals[n] - known)
-        sol = solve_exact(A, rhs)
-        b1.append(sol[0])
-        b2.append(sol[1])
-    B1 = QSeries(b1, trunc=order)
-    B2 = QSeries(b2, trunc=order)
-    # idempotence: feeding the solution back must reproduce every datum
-    for inv, vals in datasets:
-        S = reform_eval(inv, B1, B2, form=2, order=order - 1, y=y)
-        for d, v in vals.items():
-            if d < order and S.coeff_at(d) != v:
+        if vals[0] != 1:
+            raise ValueError(f"M^0 = {vals[0]}, not 1, at {inv}")
+    T = order + 1
+    g = _inverse_point_series(T, y)
+    dg, _, dt = base_series(T, y)
+    log_g_over_t = QSeries(list(g.coeffs), lead=0, trunc=order).log()
+    log_core = ((g * g.tderiv()) / compose(dt, g)).log()
+    lhs = [QSeries([vals[n] for n in range(order)]).log()
+           + log_g_over_t.scale(QQ(inv.chi_L)) - log_core.scale(QQ(inv.chi_O, 2))
+           for inv, vals in datasets]
+    A = [[QQ(inv.K2), QQ(inv.LK)] for inv, _ in datasets]
+    u, v = [YL_ZERO], [YL_ZERO]
+    for n in range(1, order):
+        un, vn = solve_exact(A, [s.coeff_index(n) for s in lhs])
+        u.append(un)
+        v.append(vn)
+    P = dg.truncate(order)
+    B1, B2 = (compose(QSeries(w), P).exp() for w in (u, v))
+    # feeding the solution back must reproduce every datum
+    fed_back = reform_eval([inv for inv, _ in datasets], B1, B2, form=2,
+                           order=order - 1, y=y)
+    for (inv, vals), S in zip(datasets, fed_back):
+        for d, val in vals.items():
+            if d < order and S.coeff_at(d) != val:
                 raise ValueError(
                     f"inconsistent data: delta={d} residual at {inv}"
                 )

@@ -87,10 +87,12 @@ class YLaurent:
                 t[e] = c
             else:
                 s = s + c
-                if s:
-                    t[e] = s
-                else:
+                if not s:
                     del t[e]
+                elif type(s) is int or s.denominator != 1:
+                    t[e] = s
+                else:  # two Fractions summing to an integer
+                    t[e] = s.numerator
         return YLaurent(t, _canonical=True)
 
     __radd__ = __add__
@@ -108,6 +110,13 @@ class YLaurent:
 
     def __mul__(self, other):
         if not isinstance(other, YLaurent):
+            if type(other) is int:
+                # int * int stays an int; only Fraction products can turn
+                # integral and need normalising
+                if not other:
+                    return YL_ZERO
+                return YLaurent({e: v * other if type(v) is int else _exact(v * other)
+                                 for e, v in self.terms.items()}, _canonical=True)
             c = _exact(other)
             if not c:
                 return YL_ZERO

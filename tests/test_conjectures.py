@@ -31,6 +31,16 @@ def test_ruledblow_m2(chtable):
     assert rep.ok, rep.summary()
 
 
+def test_ruledblow_skips_past_d(chtable):
+    # delta runs to the m = 2 bound 5; past delta <= d it is a SKIP
+    rep = check_conjecture("ruledblow", table=chtable, ms=(2,), d_max=2)
+    assert rep.counts == {"pass": 5, "fail": 0, "skip": 7}
+    assert [p for p, v, _ in rep.instances if v == "skip"] == (
+        [{"m": 2, "d": 1, "delta": dl} for dl in range(2, 6)]
+        + [{"m": 2, "d": 2, "delta": dl} for dl in range(3, 6)])
+    assert {r for _, v, r in rep.instances if v == "skip"} == {"outside delta <= d"}
+
+
 def test_ruledblow_tables_m34(chtable):
     rep = check_conjecture("ruledblow", table=chtable, ms=(3, 4), d_max=3)
     assert rep.ok, rep.summary()
@@ -90,6 +100,15 @@ def test_multcon_h12_small(chtable):
 def test_multcon_h34_small(chtable):
     rep = check_conjecture("multcon_H34_at_pm1", table=chtable, delta_max=2)
     assert rep.ok, rep.summary()
+
+
+def test_multcon_h34_skips_past_2_d_minus_m(chtable):
+    # delta_max = 5 passes 2(d - m) = 4 at d = m + 2: one SKIP per (m, y)
+    rep = check_conjecture("multcon_H34_at_pm1", table=chtable, delta_max=5)
+    assert rep.counts == {"pass": 8, "fail": 0, "skip": 4}
+    assert [(p, r) for p, v, r in rep.instances if v == "skip"] == [
+        ({"m": m, "y": yv, "d": m + 2, "delta": 5}, "outside delta <= 2(d-m)")
+        for m in (3, 4) for yv in (1, -1)]
 
 
 def test_multcon_h34_table_typo_candidate(chtable, monkeypatch):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from refsev.caporaso import P2, Sigma, severi_degree
-from refsev.genfun import Invariants, base_series, reform_eval, solve_universal_B
+from refsev.genfun import (Invariants, base_series, engine_data, reform_eval,
+                           solve_bundles, solve_universal_B)
 from refsev.modular import b_series, b_bar_series
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
@@ -122,3 +123,69 @@ def test_solve_detects_inconsistent_data(chtable):
     data[2][1][2] = data[2][1][2] + YLaurent.const(1)
     with pytest.raises(ValueError):
         solve_universal_B(data, 3)
+
+
+def test_solve_refuses_data_without_m0_one():
+    B1, B2 = rand_unit(4), rand_unit(4)
+    data = []
+    for inv in (Invariants(K2=9, LK=-15, chi_L=21),
+                Invariants(K2=8, LK=-20, chi_L=36)):
+        S = reform_eval(inv, B1, B2, form=2, order=3)
+        data.append((inv, {d: S.coeff_at(d) for d in range(4)}))
+    del data[1][1][0]
+    with pytest.raises(ValueError, match="lacks the delta = 0 value"):
+        solve_universal_B(data, 4)
+    data[1][1][0] = YLaurent.const(2)
+    with pytest.raises(ValueError, match="M\\^0 = 2, not 1"):
+        solve_universal_B(data, 4)
+
+
+def test_form2_takes_several_invariants():
+    B1, B2 = rand_unit(7), rand_unit(7)
+    R = rand_unit(9)
+    invs = [Invariants(K2=9, LK=-15, chi_L=21), Invariants(K2=8, LK=-20, chi_L=36)]
+    both = reform_eval(invs, B1, B2, form=2, order=4, R=R, shift=1)
+    assert both == [reform_eval(inv, B1, B2, form=2, order=4, R=R, shift=1)
+                    for inv in invs]
+
+
+def test_solve_bundles_smallest_in_regime():
+    # P^2(d0), Sigma_0(d0, d0) and the overdetermining P^2(d0 + 1), d0 the
+    # smallest degree with delta <= 2 d0 - 2 for every delta < order
+    for order in range(1, 32):
+        d0 = max(order // 2 + 1, 2)
+        assert solve_bundles(order) == (P2(d0), Sigma(0, d0, d0), P2(d0 + 1))
+        assert order - 1 <= 2 * d0 - 2
+        assert d0 == 2 or order - 1 > 2 * (d0 - 1) - 2
+
+
+@pytest.mark.parametrize("order, y, tables", [
+    (12, "sym", b_series),   # refined, to q^11
+    (18, -1, b_bar_series),  # Welschinger, to q^17
+])
+def test_solve_from_smallest_bundles_gives_tables(chtable, order, y, tables):
+    B = solve_universal_B(engine_data(solve_bundles(order), order, y, chtable),
+                          order, y=y)
+    assert B == (tables(1, order), tables(2, order))
+    assert all(type(c) is int or c.denominator != 1
+               for b in B for a in b.coeffs for c in a.terms.values())
+
+
+@pytest.mark.parametrize("d0, order, y", [(6, 12, "sym"), (4, 12, -1)])
+def test_solve_below_regime_is_inconsistent(chtable, d0, order, y):
+    # bundles below the regime, where the third bundle exposes the error:
+    # refined d0 = 6 is one below solve_bundles(12); at y = -1, d0 = 4 is
+    # below even GSPSigmaW's d >= delta/3 + 1
+    data = engine_data((P2(d0), Sigma(0, d0, d0), P2(d0 + 1)), order, y, chtable)
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_universal_B(data, order, y=y)
+
+
+def test_two_bundles_below_regime_pass_silently(chtable):
+    # why solve_bundles adds a third bundle: with two, each coefficient is
+    # an exactly determined 2x2 solve, so data below the regime (d0 = 6 at
+    # order 12) gives a wrong B from q^11 on and nothing raises
+    data = engine_data((P2(6), Sigma(0, 6, 6)), 12, "sym", chtable)
+    B1, B2 = solve_universal_B(data, 12)
+    assert B1.first_difference(b_series(1, 12))[0] == 11
+    assert B2.first_difference(b_series(2, 12))[0] == 11

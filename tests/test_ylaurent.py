@@ -80,6 +80,7 @@ def test_integral_coefficients_are_ints():
     assert type(YLaurent.const(QQ(4, 2)).terms[0]) is int
     assert type(YLaurent.y_pow(2, QQ(-3, 1)).terms[2]) is int
     assert type((YLaurent({2: QQ(1, 2)}) * 2).terms[2]) is int
+    assert type((YLaurent({2: QQ(1, 3)}) + YLaurent({2: QQ(2, 3)})).terms[2]) is int
     assert type(YLaurent({2: QQ(1, 4)}).scale(QQ(8)).terms[2]) is int
     assert type(YL_ONE.terms[0]) is int and YLaurent({0: QQ(1)}).is_one()
     for n in (1, 2, 5):
