@@ -2,7 +2,8 @@
 
 Format: a text file whose first line is a version header, followed by one
 record per line: "key<TAB>payload". Records are only ever appended; a torn
-final record (interrupted write) is detected on open and truncated away.
+final record (interrupted write) is detected on open and truncated away,
+and a malformed complete record is skipped, leaving the records after it.
 A version mismatch is refused, never migrated silently.
 """
 from __future__ import annotations
@@ -29,29 +30,26 @@ class CacheStore:
                 fh.write(MAGIC + "\n")
             self._fh = open(self.path, "a")
             return
-        good = 0
-        with open(self.path, "r", newline="") as fh:
-            header = fh.readline()
-            if header.rstrip("\n") != MAGIC:
-                raise CacheVersionError(
-                    f"cache {self.path} has header {header!r}, expected {MAGIC!r}"
-                )
-            good = fh.tell()
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                if not line.endswith("\n"):
-                    break  # torn final record
-                key, sep, payload = line.rstrip("\n").partition("\t")
-                if sep != "\t" or not key:
-                    break
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        header, _, body = data.partition(b"\n")
+        if header != MAGIC.encode():
+            raise CacheVersionError(f"cache {self.path} has header "
+                                    f"{header.decode('utf-8', 'replace')!r}, "
+                                    f"expected {MAGIC!r}")
+        records = body.split(b"\n")
+        # every record but the last ended in a newline; a malformed one is
+        # dropped, and a nonempty last one is a torn write, cut from the file
+        for raw in records[:-1]:
+            try:
+                key, sep, payload = raw.decode("utf-8").partition("\t")
+            except UnicodeDecodeError:
+                continue
+            if sep and key:
                 self._data[key] = payload
-                good = fh.tell()
-        size = os.path.getsize(self.path)
-        if size != good:
-            with open(self.path, "r+") as fh:
-                fh.truncate(good)
+        if records[-1]:
+            with open(self.path, "r+b") as fh:
+                fh.truncate(len(data) - len(records[-1]))
         self._fh = open(self.path, "a")
 
     def __len__(self):

@@ -6,9 +6,16 @@ Passes are exact; a failure reports the earliest discrepancy (delta,
 q-power, doubled y-exponent) so table-typo triage is possible.
 
 The second-part checks (singular surfaces, blowups, multiple points)
-share one path, `_against`: at each delta it records the recursion degree
-of a bundle against the identity's value gen(delta), or a SKIP with the
-reason the check's validity predicate skip(delta) returns.
+share one path, `_against`. A check hands it its cases as (params,
+bundle, Invariants), the correction factor R as a function of the order,
+the point-series exponent shift and a validity predicate skip(params,
+delta). `_against` takes the B tables and R to the order form (2) needs,
+evaluates form (2) once for all cases, and at each delta records the
+recursion degree of the bundle against the t^(delta + shift) coefficient,
+or a SKIP with the reason skip returns. blowk skips whole cases before
+it calls `_against`. Two checks keep their own loops: A1con_sigma2 goes
+through form (3), and multcon_H34_at_pm1 gives one verdict per case so
+that its table-typo probe can re-read a whole case.
 """
 from __future__ import annotations
 
@@ -88,26 +95,42 @@ def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
         )
 
 
-def _against(rep, table, params, bundle, gen, deltas, y="sym", skip=None):
-    """The one comparison path of the second-part checks: at each delta,
-    the engine degree of bundle against the identity's value gen(delta),
-    or a SKIP with the reason skip(delta) gives outside the regime."""
-    for delta in deltas:
-        p = {**params, "delta": delta}
-        reason = skip(delta) if skip else None
-        if reason:
-            rep.skip(p, reason)
-            continue
-        eng = severi_degree(bundle, delta, y=y, table=table)
-        _compare(rep, p, YLaurent.const(eng) if y != "sym" else eng,
-                 gen(delta), delta)
-
-
 def _b_tables(K: int, y="sym"):
     if y == -1:
         return modular.b_bar_series(1, K), modular.b_bar_series(2, K)
     return (modular.b_series(1, K).specialize_y(y),
             modular.b_series(2, K).specialize_y(y))
+
+
+def _identity(invs, delta_max, factor=None, shift=0, y="sym"):
+    """Form (2) for each of invs: the t-series whose t^(delta + shift)
+    coefficient is M^delta for delta <= delta_max, with the B tables and
+    R = factor(K) (R = 1 if None) to the order K form (2) needs."""
+    K = delta_max + shift + 2
+    B1, B2 = _b_tables(K, y)
+    return reform_eval(invs, B1, B2, form=2, order=delta_max,
+                       R=factor(K) if factor else None, shift=shift, y=y)
+
+
+def _against(rep, table, cases, delta_max, factor=None, shift=0, y="sym",
+             skip=None):
+    """The one comparison path of the second-part checks. cases are
+    (params, bundle, Invariants); at each delta <= delta_max it records
+    the engine degree of the bundle against the t^(delta + shift)
+    coefficient of the identity (one form (2) evaluation for all cases),
+    or a SKIP with the reason skip(params, delta) gives outside the
+    regime."""
+    series = _identity([inv for _, _, inv in cases], delta_max, factor, shift, y)
+    for (params, bundle, _), S in zip(cases, series):
+        for delta in range(delta_max + 1):
+            p = {**params, "delta": delta}
+            reason = skip and skip(params, delta)
+            if reason:
+                rep.skip(p, reason)
+                continue
+            eng = severi_degree(bundle, delta, y=y, table=table)
+            _compare(rep, p, YLaurent.const(eng) if y != "sym" else eng,
+                     S.coeff_at(delta + shift), delta)
 
 
 # -- individual checks ---------------------------------------------------------
@@ -118,10 +141,8 @@ def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
     embedded B tables equal the fitted ones and the engine degrees."""
     rep = ConjectureReport("refpol", {"delta_max": delta_max, "d_max": d_max})
     fits = {dl: fit_node_polynomial("p2", dl) for dl in range(1, delta_max + 1)}
-    B1, B2 = _b_tables(delta_max + 2)
-    for d in range(1, d_max + 1):
-        inv = Invariants.of(P2(d))
-        S = reform_eval(inv, B1, B2, form=2, order=delta_max)
+    ds = range(1, d_max + 1)
+    for d, S in zip(ds, _identity([Invariants.of(P2(d)) for d in ds], delta_max)):
         nv = node_values(fits, delta_max, m=1, d=d)
         for delta in range(delta_max + 1):
             if d < delta:
@@ -139,11 +160,10 @@ def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
 def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
     """The Welschinger generating identity on P^2 with the Bbar tables."""
     rep = ConjectureReport("GSPSigmaW", {"delta_max": delta_max, "d_max": d_max})
-    B1, B2 = _b_tables(delta_max + 2, y=-1)
-    for d in range(2, d_max + 1):
-        S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2, order=delta_max, y=-1)
-        _against(rep, table, {"d": d}, P2(d), S.coeff_at, range(delta_max + 1), y=-1,
-                 skip=lambda delta: "d < delta/3 + 1" if delta > 3 * (d - 1) else None)
+    cases = [({"d": d}, P2(d), Invariants.of(P2(d))) for d in range(2, d_max + 1)]
+    _against(rep, table, cases, delta_max, y=-1,
+             skip=lambda p, delta: "d < delta/3 + 1"
+             if delta > 3 * (p["d"] - 1) else None)
     return rep
 
 
@@ -154,14 +174,10 @@ def _ruled(rep, table, ms, d_max, factor) -> ConjectureReport:
     """N^{(Sigma_m,dH),delta} against the singular-surface identity whose
     1/m(1,1) correction factor is factor(m, K)."""
     for m in ms:
-        top = _RULED_DELTA[m]
-        B1, B2 = _b_tables(top + 2)
-        R = factor(m, top + 2)
-        for d in range(1, d_max + 1):
-            bundle = Sigma(m, 0, d)
-            S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=top, R=R)
-            _against(rep, table, {"m": m, "d": d}, bundle, S.coeff_at, range(top + 1),
-                     skip=lambda delta: "outside delta <= d" if delta > d else None)
+        cases = [({"m": m, "d": d}, Sigma(m, 0, d), Invariants.of(Sigma(m, 0, d)))
+                 for d in range(1, d_max + 1)]
+        _against(rep, table, cases, _RULED_DELTA[m], functools.partial(factor, m),
+                 skip=lambda p, delta: "outside delta <= d" if delta > p["d"] else None)
     return rep
 
 
@@ -194,10 +210,8 @@ def _check_blowk(table, ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2) -> Conject
                 rep.skip(case, "outside delta <= 2(d-k)+1")
                 continue
             bundle = Sigma(2, k2, dp)
-            B1, B2 = _b_tables(delta_max + 2)
-            S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=delta_max,
-                            R=modular.f_bar(k2, delta_max + 3))
-            _against(rep, table, case, bundle, S.coeff_at, range(delta_max + 1))
+            _against(rep, table, [(case, bundle, Invariants.of(bundle))], delta_max,
+                     functools.partial(modular.f_bar, k2))
     return rep
 
 
@@ -221,27 +235,20 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # only chi - 1 - delta - k^2 and the extraction exponent need to
         # land on the exponent lattice, and they do
         inv = Invariants(K2=8, LK=int(-4 * d), chi_L=qexp + 1)
-        _against(rep, table, {"k": str(k), "d": str(d)}, Sigma(2, k2, int(d - k)),
-                 lambda delta: reform_eval(inv, B1, B2, form=3, order=delta, R=R,
-                                           shift=k * k),
-                 range(delta_max + 1))
+        for delta in range(delta_max + 1):
+            eng = severi_degree(Sigma(2, k2, int(d - k)), delta, table=table)
+            gen = reform_eval(inv, B1, B2, form=3, order=delta, R=R, shift=k * k)
+            _compare(rep, {"k": str(k), "d": str(d), "delta": delta}, eng, gen, delta)
     return rep
 
 
 def _multiple_point(rep, table, m, ds, delta_max, skip=None):
     """Curves with an ordinary m-fold point on P^2 as curves on the blowup
     Sigma_1: the identity with the factor H_m and the point-series
-    exponent shifted by m(m+1)/2; skip(d, delta) gives the regime."""
-    shift = m * (m + 1) // 2
-    K = delta_max + shift + 2
-    B1, B2 = _b_tables(K)
-    R = modular.h_series(m, K)
-    for d in ds:
-        S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2, order=delta_max, R=R,
-                        shift=shift)
-        _against(rep, table, {"m": m, "d": d}, Sigma(1, m, d - m),
-                 lambda delta: S.coeff_at(delta + shift), range(delta_max + 1),
-                 skip=skip and functools.partial(skip, d))
+    exponent shifted by m(m+1)/2."""
+    cases = [({"m": m, "d": d}, Sigma(1, m, d - m), Invariants.of(P2(d))) for d in ds]
+    _against(rep, table, cases, delta_max, functools.partial(modular.h_series, m),
+             shift=m * (m + 1) // 2, skip=skip)
 
 
 def _check_p2blow(table, m_max=1, delta_max=4, d_max=8) -> ConjectureReport:
@@ -255,8 +262,8 @@ def _check_p2blow(table, m_max=1, delta_max=4, d_max=8) -> ConjectureReport:
         # demonstrably fails at m=1, d=2, delta=3, where both engines give
         # 0); stay within delta <= 2(d-m)
         _multiple_point(rep, table, m, range(m + 1, d_max + 1), delta_max,
-                        skip=lambda d, delta: "outside validity"
-                        if delta > 2 * (d - m) else None)
+                        skip=lambda p, delta: "outside validity"
+                        if delta > 2 * (p["d"] - p["m"]) else None)
     return rep
 
 
@@ -278,33 +285,31 @@ def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
     ambiguous H_4(1) monomial mends is reported as a table-typo candidate
     rather than a failure."""
     rep = ConjectureReport("multcon_H34_at_pm1", {"delta_max": delta_max})
+    literal = [modular.H4_AT1_LITERAL if t == modular.H4_AT1_AMBIGUOUS else t
+               for t in modular._H_AT1[4]]
     for m in (3, 4):
         shift = m * (m + 1) // 2
-        K = delta_max + shift + 2
         for yv in (1, -1):
-            B1, B2 = _b_tables(K, y=yv)
-            primary = modular.h_at(m, yv, K)
-            for d in (m + 2, m + 3):
-                bundle = Sigma(1, m, d - m)
-                top = min(delta_max, 2 * (d - m))
+            def series(factor, ds):
+                return _identity([Invariants.of(P2(d)) for d in ds], delta_max,
+                                 factor, shift, yv)
 
-                def first_bad(R):
-                    S = reform_eval(Invariants.of(P2(d)), B1, B2, form=2,
-                                    order=delta_max, R=R, shift=shift, y=yv)
-                    for delta in range(top + 1):
-                        eng = severi_degree(bundle, delta, y=yv, table=table)
-                        gen = S.coeff_at(delta + shift)
-                        if eng != gen:
-                            return delta, eng, gen
-                    return None
+            def first_bad(S, d):
+                for delta in range(min(delta_max, 2 * (d - m)) + 1):
+                    eng = severi_degree(Sigma(1, m, d - m), delta, y=yv, table=table)
+                    gen = S.coeff_at(delta + shift)
+                    if eng != gen:
+                        return delta, eng, gen
+                return None
 
+            ds = (m + 2, m + 3)
+            for d, S in zip(ds, series(functools.partial(modular.h_at, m, yv), ds)):
                 params = {"m": m, "y": yv, "d": d}
-                bad = first_bad(primary)
+                bad = first_bad(S, d)
                 if bad is None:
                     rep.record(params, True)
-                elif m == 4 and yv == 1 and first_bad(modular.quasimodular_sum(
-                        [modular.H4_AT1_LITERAL if t == modular.H4_AT1_AMBIGUOUS else t
-                         for t in modular._H_AT1[4]], K)) is None:
+                elif m == 4 and yv == 1 and first_bad(series(functools.partial(
+                        modular.quasimodular_sum, literal), [d])[0], d) is None:
                     rep.record(params, True,
                                "table-typo candidate: only the literal "
                                "D^4G_4 reading of the ambiguous monomial passes")
@@ -312,7 +317,7 @@ def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
                 else:
                     rep.record(params, False,
                                "delta={}: engine {} vs genfun {}".format(*bad))
-                for delta in range(top + 1, delta_max + 1):
+                for delta in range(2 * (d - m) + 1, delta_max + 1):
                     rep.skip({**params, "delta": delta}, "outside delta <= 2(d-m)")
     return rep
 

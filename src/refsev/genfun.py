@@ -63,9 +63,14 @@ def base_series(K: int, y="sym"):
 
 
 @lru_cache(maxsize=32)
-def _inverse_point_series(T: int, y="sym") -> QSeries:
-    dg, _, _ = base_series(T, y)
-    return compose_inverse(dg)
+def _substitution(T: int, y="sym"):
+    """The pieces of q = g(t) to order T, g the compositional inverse of
+    the point series: (g, g/t, g g'/Dtilde(g)); the last two are known one
+    order below g, as g' = dg/dt is."""
+    dg, _, dt = base_series(T, y)
+    g = compose_inverse(dg)
+    core = (g * g.tderiv()) / compose(dt, g)
+    return g, QSeries(list(g.coeffs), lead=0, trunc=T - 1), core
 
 
 def reform_eval(inv: Invariants | list, B1: QSeries, B2: QSeries, form: int,
@@ -74,9 +79,8 @@ def reform_eval(inv: Invariants | list, B1: QSeries, B2: QSeries, form: int,
 
     form 1 -> the q-series RHS mod q^order;
     form 2 -> the t-series whose coeff_at(delta + shift) is M^delta,
-              valid for delta + shift < order; given a list of Invariants,
-              the list of their t-series, composing B_1, B_2, Dtilde and R
-              with g once;
+              valid for delta <= order; given a list of Invariants, the
+              list of their t-series, composing B_1, B_2 and R with g once;
     form 3 -> the single YLaurent M^delta with delta = order.
 
     `shift` lowers the point-series exponent (multiple-point checks);
@@ -87,14 +91,8 @@ def reform_eval(inv: Invariants | list, B1: QSeries, B2: QSeries, form: int,
         if not isinstance(shift, int):
             raise ValueError("form 2 needs an integer exponent shift")
         # one extra order: g' = dg/dt is known one order below g
-        T = order + shift + 2
-        g = _inverse_point_series(T, y)
-        gp = g.tderiv()
-        _, _, dt = base_series(T, y)
-        g_over_t = QSeries(list(g.coeffs), lead=0, trunc=T - 1)
-        B1g = compose(B1.truncate(T), g)
-        B2g = compose(B2.truncate(T), g)
-        core = (g * gp) / compose(dt, g)
+        g, g_over_t, core = _substitution(order + shift + 2, y)
+        B1g, B2g = compose(B1, g), compose(B2, g)
         Rg = None if R is None else compose(R, g)
 
         def series(inv):
@@ -182,10 +180,8 @@ def solve_universal_B(datasets, order: int, y="sym"):
         if vals[0] != 1:
             raise ValueError(f"M^0 = {vals[0]}, not 1, at {inv}")
     T = order + 1
-    g = _inverse_point_series(T, y)
-    dg, _, dt = base_series(T, y)
-    log_g_over_t = QSeries(list(g.coeffs), lead=0, trunc=order).log()
-    log_core = ((g * g.tderiv()) / compose(dt, g)).log()
+    _, g_over_t, core = _substitution(T, y)
+    log_g_over_t, log_core = g_over_t.log(), core.log()
     lhs = [QSeries([vals[n] for n in range(order)]).log()
            + log_g_over_t.scale(QQ(inv.chi_L)) - log_core.scale(QQ(inv.chi_O, 2))
            for inv, vals in datasets]
@@ -195,7 +191,7 @@ def solve_universal_B(datasets, order: int, y="sym"):
         un, vn = solve_exact(A, [s.coeff_index(n) for s in lhs])
         u.append(un)
         v.append(vn)
-    P = dg.truncate(order)
+    P = base_series(T, y)[0]
     B1, B2 = (compose(QSeries(w), P).exp() for w in (u, v))
     # feeding the solution back must reproduce every datum
     fed_back = reform_eval([inv for inv, _ in datasets], B1, B2, form=2,

@@ -458,7 +458,7 @@ def q_log_count(beta, delta: int):
     return acc
 
 
-def fit_phi_linear(T: LongEdgeGraph, probes, beta_len: int = None):
+def fit_phi_linear(T: LongEdgeGraph, probes):
     """Fit Phi_beta(T) as an affine-linear form in the window entries
     beta_i, minv(T) <= i <= maxv(T) (capped at the last beta index), from
     probe beta sequences on which T is beta-semiallowable.

@@ -473,49 +473,35 @@ def _rebase(a: QSeries, new_offset24: int, new_step: int) -> QSeries:
 
 
 def compose(outer: QSeries, inner: QSeries) -> QSeries:
-    """outer(inner). inner must be a plain power series of positive order.
+    """outer(inner) for a power series outer and inner = O(t), both with
+    integer exponents; known to the lesser of their truncations.
 
-    Negative outer leads are allowed (Laurent in q): they use the inverse
-    of inner's unit part.
+    Horner from the top coefficient down: the partial sum that inner^k
+    will still multiply is needed only below order n - k.
     """
     if inner.offset24 != 0 or inner.step24 != 24 or inner.lead < 1:
         raise ValueError("compose needs inner = O(t) with integer exponents")
-    if outer.offset24 != 0 or outer.step24 != 24:
-        raise ValueError("compose needs an integer-exponent outer series")
-    m = inner.trunc
-    lo = outer.lead
-    n_abs = min(outer.trunc, m if lo >= 0 else lo + m - 1)
-    if lo >= 0:
-        # Horner from the top coefficient down, then restore the lead power
-        acc = QSeries.zero(n_abs)
-        for k in range(outer.trunc - 1, lo - 1, -1):
-            acc = (acc * inner).truncate(n_abs) + outer.coeff_index(k)
-        for _ in range(lo):
-            acc = (acc * inner).truncate(n_abs)
-        return acc.truncate(n_abs)
-    # Laurent case: outer = q^lo * (regular part)
-    reg = QSeries(list(outer.coeffs), lead=0, trunc=outer.trunc - lo)
-    comp = compose(reg, inner)
-    inv = inner.pow(lo)  # t^lo * unit^lo
-    return (comp * inv).truncate(n_abs)
+    if outer.offset24 != 0 or outer.step24 != 24 or outer.lead < 0:
+        raise ValueError("compose needs an integer-exponent power series outer")
+    n = min(outer.trunc, inner.trunc)
+    acc = QSeries.zero(n)
+    for k in range(n - 1, -1, -1):
+        acc = (acc * inner).truncate(n - k) + outer.coeff_index(k)
+    return acc
 
 
 def compose_inverse(a: QSeries) -> QSeries:
     """The compositional inverse g with a(g(t)) = t to truncation order.
 
-    a must be t + O(t^2) on the integer lattice.
+    a must be t + O(t^2) on the integer lattice. Lagrange inversion:
+    [t^k] g = (1/k) [t^(k-1)] (t/a)^k.
     """
     if a.offset24 != 0 or a.step24 != 24 or a.lead != 1 or not a.coeffs or not a.coeffs[0].is_one():
         raise ValueError("compositional inverse needs a = t + O(t^2)")
-    n = a.trunc
-    g = QSeries([YL_ONE], lead=1, trunc=2)
-    for order in range(2, n):
-        g = QSeries(list(g.coeffs) + [YL_ZERO] * (order + 1 - g.trunc),
-                    lead=1, trunc=order + 1)
-        err = compose(a.truncate(order + 1), g) - QSeries([YL_ONE], lead=1, trunc=order + 1)
-        c = err.coeff_at(order)
-        if not c.is_zero():
-            coeffs = list(g.coeffs)
-            coeffs[order - 1] = coeffs[order - 1] - c
-            g = QSeries(coeffs, lead=1, trunc=order + 1)
-    return g
+    h = a.shift(-1).pow(-1)  # t/a
+    hk = QSeries.one(a.trunc)
+    coeffs = []
+    for k in range(1, a.trunc):
+        hk = hk * h
+        coeffs.append(hk.coeff_index(k - 1).scale(QQ(1, k)))
+    return QSeries(coeffs, lead=1, trunc=a.trunc)

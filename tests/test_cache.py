@@ -34,6 +34,19 @@ def test_torn_trailing_record_dropped(tmp_path):
         assert s.get("k3") == "v3"
 
 
+def test_malformed_record_keeps_the_records_after_it(tmp_path):
+    p = str(tmp_path / "c.txt")
+    body = "a\t1\ngarbage-no-tab\nb\t2\nc\t3\n"
+    with open(p, "w") as fh:
+        fh.write(MAGIC + "\n" + body)
+    with CacheStore(p) as s:
+        assert (s.get("a"), s.get("b"), s.get("c")) == ("1", "2", "3")
+        assert len(s) == 3
+    # the file is left as it was: only a torn final record is cut
+    with open(p) as fh:
+        assert fh.read() == MAGIC + "\n" + body
+
+
 def test_version_mismatch_refused(tmp_path):
     p = str(tmp_path / "c.txt")
     with open(p, "w") as fh:

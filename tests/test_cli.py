@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,3 +239,16 @@ def test_blowup_flag():
                          "--d", "5/2", "--k", "1/2", "--delta", "0"])
     assert code == 0
     assert out.strip().endswith(": 1")
+
+
+@pytest.mark.parametrize("check_id", [
+    "GSPSigmaW", "ruledblow", "conjan_P112", "blowk", "A1con_sigma2", "P2blow",
+    "multcon_H12", "multcon_H34_at_pm1"])
+def test_verify_summary_golden(check_id):
+    # the default summary (counts, SKIP and FAIL lines, notes) of every
+    # check that evaluates the generating identity on engine data, pinned
+    # byte for byte
+    code, out = run_cli(["verify", "--id", check_id])
+    golden = Path(__file__).parent / "golden" / f"verify-{check_id}.out"
+    assert code == 0
+    assert out == golden.read_text()

@@ -2,8 +2,9 @@
 full ranges."""
 import pytest
 
-from refsev import modular
+from refsev import conjectures, modular
 from refsev.conjectures import CHECK_IDS, check_conjecture
+from refsev.genfun import reform_eval
 
 
 def test_refpol_small(chtable):
@@ -24,6 +25,20 @@ def test_gsp_sigma_w_instances(chtable):
         [({"d": 2, "delta": dl}, "pass", "") for dl in range(4)]
         + [({"d": 2, "delta": 4}, "skip", "d < delta/3 + 1")]
         + [({"d": 3, "delta": dl}, "pass", "") for dl in range(5)])
+
+
+def test_gsp_sigma_w_evaluates_the_identity_once(chtable, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return reform_eval(*args, **kwargs)
+
+    monkeypatch.setattr(conjectures, "reform_eval", counted)
+    rep = check_conjecture("GSPSigmaW", table=chtable)
+    assert rep.ok, rep.summary()
+    # one form (2) call for all nine degrees d = 2..10
+    assert len(calls) == 1 and len(calls[0]) == 9
 
 
 def test_ruledblow_m2(chtable):
@@ -70,6 +85,16 @@ def test_blowk_instances(chtable):
         + [({"k": "1/2", "d": "3/2", "delta": dl}, "pass", "") for dl in range(3)]
         + [({"k": "1", "d": "1"}, "skip", reason)]
         + [({"k": "1", "d": "2", "delta": dl}, "pass", "") for dl in range(3)])
+
+
+def test_blowk_fails_at_the_edge_of_its_regime(chtable):
+    # delta = 2(d-k)+1 is inside the stated regime, and the identity
+    # disagrees with the engine there: a FAIL, never a SKIP
+    rep = check_conjecture("blowk", table=chtable, ks=(1,), dprimes=(1,),
+                           delta_max=3)
+    assert [v for _, v, _ in rep.instances] == ["pass"] * 3 + ["fail"]
+    assert rep.instances[3][:2] == ({"k": "1/2", "d": "3/2", "delta": 3}, "fail")
+    assert "engine 0 vs genfun -4" in rep.instances[3][2]
 
 
 def test_a1_form3_small(chtable):

@@ -139,6 +139,53 @@ def test_compose_inverse_roundtrip_random():
         assert compose(g, a).agrees_with(t)
 
 
+def _naive_compose(outer, inner):
+    # sum_k b_k inner^k, cut where compose's result is known
+    n = min(outer.trunc, inner.trunc)
+    acc, power = QSeries.zero(n), QSeries.one(n)
+    for k in range(n):
+        acc = acc + power.scale(outer.coeff_index(k))
+        power = power * inner
+    return acc.truncate(n)
+
+
+@pytest.mark.parametrize("outer_lead", [0, 1, 2])
+@pytest.mark.parametrize("outer_trunc, inner_trunc", [(5, 9), (9, 5), (7, 7)])
+def test_compose_matches_naive_sum(outer_lead, outer_trunc, inner_trunc):
+    rng = random.Random(outer_lead * 100 + outer_trunc * 10 + inner_trunc)
+
+    def series(lead, trunc):
+        return QSeries([YLaurent({e: rng.randint(-3, 3) for e in (-1, 0, 1)})
+                        for _ in range(lead, trunc)], lead=lead, trunc=trunc)
+
+    outer = series(outer_lead, outer_trunc)
+    for inner_lead in (1, 2):
+        inner = series(inner_lead, inner_trunc)
+        assert compose(outer, inner) == _naive_compose(outer, inner)
+
+
+def test_compose_refuses_laurent_outer():
+    with pytest.raises(ValueError, match="power series outer"):
+        compose(QSeries([1, 2, 3], lead=-1), QSeries([1], lead=1, trunc=5))
+
+
+def test_compose_inverse_at_low_truncations():
+    c = YLaurent({2: 1, 0: 4, -2: 1})
+    t2 = QSeries([1], lead=1, trunc=2)
+    assert compose_inverse(t2) == t2
+    # a = t + c t^2 inverts to t - c t^2 mod t^3
+    assert compose_inverse(QSeries([1, c], lead=1)) == QSeries([1, -c], lead=1)
+
+
+def test_compose_inverse_roundtrip_trunc_12():
+    t = QSeries([1], lead=1, trunc=12)
+    for a in (dgtilde2(12), dgtilde2(12).specialize_y(-1)):
+        g = compose_inverse(a)
+        assert g.trunc == 12
+        assert compose(a, g) == t
+        assert compose(g, a) == t
+
+
 def test_coeff_at():
     assert QSeries.one(3).coeff_at(0).is_one()
     s = QSeries([5], lead=2, trunc=7, offset24=3)
