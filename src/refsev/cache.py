@@ -2,8 +2,9 @@
 
 Format: a text file whose first line is a version header, followed by one
 record per line: "key<TAB>payload". Records are only ever appended; a torn
-final record (interrupted write) is detected on open and truncated away,
-and a malformed complete record is skipped, leaving the records after it.
+final record (interrupted write) is detected on open and truncated away, a
+header missing its newline gets it back, and a malformed complete record is
+skipped, leaving the records after it.
 A version mismatch is refused, never migrated silently.
 """
 from __future__ import annotations
@@ -32,11 +33,16 @@ class CacheStore:
             return
         with open(self.path, "rb") as fh:
             data = fh.read()
-        header, _, body = data.partition(b"\n")
+        header, sep, body = data.partition(b"\n")
         if header != MAGIC.encode():
             raise CacheVersionError(f"cache {self.path} has header "
                                     f"{header.decode('utf-8', 'replace')!r}, "
                                     f"expected {MAGIC!r}")
+        if not sep:
+            # a write torn just after the header: restore its newline, or
+            # the next record would extend the header line
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
         records = body.split(b"\n")
         # every record but the last ended in a newline; a malformed one is
         # dropped, and a nonempty last one is a torn write, cut from the file

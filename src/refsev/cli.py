@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import modular, tables
-from .cache import CacheStore
+from .cache import CacheStore, CacheVersionError
 from .caporaso import CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
 from .conjectures import CHECK_IDS, check_conjecture
 from .genfun import engine_data, solve_bundles, solve_universal_B
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.func(args, sys.stdout)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, CacheVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

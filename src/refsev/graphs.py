@@ -9,13 +9,17 @@ over all graphs finite and fast.
 This module provides the graph-side engine: enumeration by cogenus,
 multiplicities, beta-extended ordering counts P_beta / P^s_beta, the
 log-transform Phi, template sums for the log of the generating series, and
-the linear fit of Phi in beta.
+the linear fit of Phi in beta. Phi is computed in integers, by the Euler
+operator recursion on log P (see phi). Within one q_log_count, the P of
+every sub-multiset of every shifted template is read from one memo, keyed
+by its edges shifted to minv 0 and its beta window.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from math import comb, factorial
+import operator
+from math import comb, factorial, prod
 
 from .linalg import solve_exact
 from .rationals import QQ
@@ -157,49 +161,47 @@ class LongEdgeGraph:
 
 
 def _edge_types(delta: int, maxv_bound: int):
-    """All edge types (i, j, w) of cogenus excess (j-i)w-1 between 1 and delta."""
-    types = []
-    for i in range(maxv_bound):
-        for j in range(i + 1, maxv_bound + 1):
-            ell = j - i
-            w = 1
-            while ell * w - 1 <= delta:
-                if not (ell == 1 and w == 1):
-                    types.append((i, j, w))
-                w += 1
-    return types
+    """All edge types (i, j, w) of cogenus excess (j-i)w-1 between 1 and
+    delta, ordered by i, then j, then w."""
+    return [(i, j, w) for i in range(maxv_bound) for j in range(i + 1, maxv_bound + 1)
+            for w in range(1 + (j == i + 1), (delta + 1) // (j - i) + 1)]
+
+
+def _iter_graphs(delta: int, maxv_bound: int, from_zero: bool = False):
+    """Yield the cogenus-delta graphs with maxv <= maxv_bound; from_zero
+    stops once the first edge would start after vertex 0."""
+    if delta < 0:
+        raise ValueError("cogenus must be nonnegative")
+    types = _edge_types(delta, maxv_bound)
+    excess = [(j - i) * w - 1 for i, j, w in types]
+    chosen = []
+
+    def rec(start: int, remaining: int):
+        if remaining == 0:
+            yield LongEdgeGraph(chosen)
+            return
+        for t in range(start, len(types)):
+            if from_zero and not chosen and types[t][0]:
+                return
+            if excess[t] <= remaining:
+                chosen.append(types[t])
+                yield from rec(t, remaining - excess[t])
+                chosen.pop()
+
+    return rec(0, delta)
 
 
 def enumerate_graphs(delta: int, maxv_bound: int) -> list:
     """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound."""
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    if delta == 0:
-        return [LongEdgeGraph([])]
-    types = _edge_types(delta, maxv_bound)
-    excess = [(j - i) * w - 1 for i, j, w in types]
-    out = []
-
-    def rec(start: int, remaining: int, chosen: list):
-        if remaining == 0:
-            out.append(LongEdgeGraph(chosen))
-            return
-        for t in range(start, len(types)):
-            if excess[t] <= remaining:
-                chosen.append(types[t])
-                rec(t, remaining - excess[t], chosen)
-                chosen.pop()
-
-    rec(0, delta, [])
-    return out
+    return list(_iter_graphs(delta, maxv_bound))
 
 
 @functools.cache
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    cands = enumerate_graphs(delta, maxv_bound=delta + 1)
-    return [G for G in cands if G.is_template()]
+    return [G for G in _iter_graphs(delta, delta + 1, from_zero=True)
+            if G.is_template()]
 
 
 # -- ordering counts ----------------------------------------------------------
@@ -207,10 +209,7 @@ def enumerate_templates(delta: int) -> list:
 
 def _edge_classes(G: LongEdgeGraph):
     """Group identical edges: list of ((i, j, w), multiplicity)."""
-    out = []
-    for e, grp in itertools.groupby(G.edges):
-        out.append((e, len(list(grp))))
-    return out
+    return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
 
 
 def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
@@ -273,9 +272,8 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     elif not G.beta_allowable(beta):
         return 0
     M = len(beta) - 1
-    items = []  # (allowed gap range) per distinguishable instance
-    for i, j, w in G.edges:
-        items.append(range(i + 1, j + 1))
+    # (allowed gap range) per distinguishable instance
+    items = [range(i + 1, j + 1) for i, j, _ in G.edges]
     sym = 1
     for _, mult in _edge_classes(G):
         sym *= factorial(mult)
@@ -302,96 +300,95 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
 
 
 _PHI_CACHE: dict = {}
+# non-strict P by (edges shifted to minv 0, beta window); emptied at the
+# start of each q_log_count, so it holds the sub-multisets of one (beta, delta)
+_P_MEMO: dict = {}
+
+
+def _refuse_negative(beta) -> None:
+    for i, b in enumerate(beta):
+        if b < 0:
+            raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
 def phi(G: LongEdgeGraph, beta, strict: bool = False):
     """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
-    decompositions of the edge multiset; an exact rational.
+    decompositions of the edge multiset; an exact rational. A negative
+    beta entry raises ValueError.
 
-    Computed as a truncated multivariate logarithm over the edge classes,
-    never by literal ordered-tuple enumeration (same value, exponentially
-    fewer terms).
+    With F_j the P of the sub-multiset of class multiplicities j <= m, the
+    Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k}, with
+    A_k = |k| [x^k] log F. Every A_j is an integer and Phi = A_m / |m|.
+    Non-strict P comes from _P_MEMO, shared by every sub-multiset of every
+    shifted template in one q_log_count.
     """
+    _refuse_negative(beta)
     if G.is_empty():
         return QQ(0)
-    if not strict:
-        # P_beta(G') for G' <= G depends only on beta over [minv, maxv) and
-        # on maxv <= M+1, so shift-normalize the cache key.
-        M = len(beta) - 1
-        if G.maxv() > M + 1:
-            return QQ(0)
-        v0 = G.minv()
-        window = tuple(beta[v0:G.maxv()])
-        key = (G.shift(-v0).edges, window)
-        hit = _PHI_CACHE.get(key)
-        if hit is not None:
-            return hit
-        val = _phi_compute(G, beta, strict=False)
-        _PHI_CACHE[key] = val
-        return val
-    return _phi_compute(G, beta, strict=True)
+    if strict:
+        return _phi_compute(G, beta, strict=True)
+    if G.maxv() > len(beta):
+        return QQ(0)
+    key = _window_key(G.edges, beta)
+    val = _PHI_CACHE.get(key)
+    if val is None:
+        val = _PHI_CACHE[key] = _phi_compute(G, beta, strict=False)
+    return val
+
+
+def _window_key(edges, beta) -> tuple:
+    """(sorted edges shifted to minv 0, beta over [minv, maxv)). With
+    beta >= 0 it fixes the P of the edges, and of each sub-multiset."""
+    v0 = edges[0][0]
+    return (tuple((i - v0, j - v0, w) for i, j, w in edges),
+            tuple(beta[v0:max(j for _, j, _ in edges)]))
+
+
+def _orderings(edges: list, beta, strict: bool) -> int:
+    """P of the sorted edge list; non-strict through _P_MEMO."""
+    if strict:
+        return count_orderings(LongEdgeGraph(edges), beta, strict=True)
+    key = _window_key(edges, beta)
+    val = _P_MEMO.get(key)
+    if val is None:
+        # a window shorter than the graph gives 0, as maxv > M + 1 does
+        val = _P_MEMO[key] = count_orderings(LongEdgeGraph(key[0]), key[1])
+    return val
+
+
+def _sub_multiset(edges, j) -> list:
+    """The sorted edge list taking j[c] copies of the class edge edges[c]."""
+    return [e for e, c in zip(edges, j) for _ in range(c)]
 
 
 def _phi_compute(G: LongEdgeGraph, beta, strict: bool):
-    classes = _edge_classes(G)
-    m = tuple(mult for _, mult in classes)
-    edges = [e for e, _ in classes]
-
-    Pv = {}
-
-    def F(j):
-        # P of the sub-multiset with class multiplicities j
-        if j not in Pv:
-            sub = []
-            for e, cnt in zip(edges, j):
-                sub.extend([e] * cnt)
-            Pv[j] = QQ(count_orderings(LongEdgeGraph(sub), beta, strict=strict))
-        return Pv[j]
-
-    Lv: dict = {}
-
-    def sub_indices(bound):
-        return itertools.product(*[range(b + 1) for b in bound])
-
-    def L(j):
-        # coefficient of x^j in log(sum_k F(k) x^k), F(0) = 1
-        if all(x == 0 for x in j):
-            return QQ(0)
-        if j in Lv:
-            return Lv[j]
-        c = next(i for i, x in enumerate(j) if x > 0)
-        s = F(j)
-        for k in sub_indices(j):
-            if all(x == 0 for x in k) or k == j or k[c] == 0:
-                continue
-            jk = tuple(a - b for a, b in zip(j, k))
-            s -= QQ(k[c], j[c]) * L(k) * F(jk)
-        Lv[j] = s
-        return s
-
-    return L(m)
+    edges, m = zip(*_edge_classes(G))
+    strides = [prod(x + 1 for x in m[c + 1:]) for c in range(len(m))]
+    F, A = [], []
+    # j <= m in itertools.product order sits at its mixed-radix index; the
+    # box k <= j, listed by index, is the box of j - k listed backwards
+    for j in itertools.product(*[range(x + 1) for x in m]):
+        sub = _sub_multiset(edges, j)
+        F.append(_orderings(sub, beta, strict) if sub else 1)
+        box = list(map(sum, itertools.product(
+            *[range(0, (x + 1) * s, s) for x, s in zip(j, strides)])))
+        A.append(sum(j) * F[-1] - sum(map(
+            operator.mul, [A[k] for k in box[:-1]], [F[k] for k in box[:0:-1]])))
+    return QQ(A[-1], sum(m))
 
 
 def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
     """Oracle for Phi: literal sum over ordered decompositions of the edge
     multiset into nonempty sub-multisets (only sane for a few edges)."""
-    classes = _edge_classes(G)
-    m = tuple(mult for _, mult in classes)
-    edges = [e for e, _ in classes]
-    if not edges:
+    if G.is_empty():
         return QQ(0)
+    edges, m = zip(*_edge_classes(G))
 
     def P_of(j):
-        sub = []
-        for e, cnt in zip(edges, j):
-            sub.extend([e] * cnt)
-        return count_orderings(LongEdgeGraph(sub), beta, strict=strict)
+        return count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta, strict)
 
-    nonzero = [
-        j
-        for j in itertools.product(*[range(x + 1) for x in m])
-        if any(j)
-    ]
+    nonzero = [j for j in itertools.product(*[range(x + 1) for x in m])
+               if any(j)]
     total = QQ(0)
     nmax = sum(m)
 
@@ -442,6 +439,8 @@ def q_log_count(beta, delta: int):
     computed by the template sum (shifted-template support of Phi^s)."""
     if delta < 1:
         raise ValueError("the log transform starts at cogenus 1")
+    _refuse_negative(beta)
+    _P_MEMO.clear()
     M = len(beta) - 1
     acc = YL_ZERO
     for T in enumerate_templates(delta):

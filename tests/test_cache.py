@@ -55,6 +55,34 @@ def test_version_mismatch_refused(tmp_path):
         CacheStore(p)
 
 
+def test_truncation_at_every_offset(tmp_path):
+    # a write torn at any byte: what loads is a subset of the records with
+    # their values, a later put is kept, and the file stays openable
+    p = str(tmp_path / "c.txt")
+    records = {"a|1": "10", "bb|2": "-3", "c|33": "y^2"}
+    with CacheStore(p) as s:
+        for key, payload in records.items():
+            s.put(key, payload)
+    with open(p, "rb") as fh:
+        data = fh.read()
+    for cut in range(len(data) + 1):
+        with open(p, "wb") as fh:
+            fh.write(data[:cut])
+        if cut < len(MAGIC):
+            with pytest.raises(CacheVersionError):
+                CacheStore(p)
+            continue
+        for new in (False, True):
+            with CacheStore(p) as s:
+                kept = {k: s.get(k) for k in records if k in s}
+                assert kept.items() <= records.items(), cut
+                assert len(s) == len(kept) + new, cut
+                if new:
+                    assert s.get("new") == "v", cut
+                else:
+                    s.put("new", "v")
+
+
 def test_header_written(tmp_path):
     p = str(tmp_path / "c.txt")
     CacheStore(p).close()

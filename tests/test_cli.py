@@ -195,6 +195,9 @@ def test_usage_error_exit_two():
      "error: B_minus1_tables checks orders 1 to 18"),
     (["compute", "--surface", "p11m", "--m", "0", "--d", "2", "--delta", "1"],
      "error: P(1,1,m) bundles have m >= 1, not m = 0"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
+      "FOREIGN"], "error: cache FOREIGN has header 'some other format v9', "
+                  "expected 'refsev-cache v1'"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -203,10 +206,15 @@ def test_usage_error_exit_two():
         "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
         "nodepoly-m", "series-param-given", "series-param-missing",
         "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
-        "compute-p11m-m0"])
-def test_bad_arguments_exit_two(args, message, capsys):
+        "compute-p11m-m0", "foreign-cache"])
+def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
-    # points must not report a pass, and no option may go unread
+    # points must not report a pass, and no option may go unread; FOREIGN
+    # names a file that is not a refsev cache
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_text("some other format v9\n")
+    args = [str(foreign) if a == "FOREIGN" else a for a in args]
+    message = message.replace("FOREIGN", str(foreign))
     try:
         code = main(args)
     except SystemExit as exc:  # refused by argparse
@@ -239,6 +247,18 @@ def test_blowup_flag():
                          "--d", "5/2", "--k", "1/2", "--delta", "0"])
     assert code == 0
     assert out.strip().endswith(": 1")
+
+
+@pytest.mark.parametrize("family, extra", [
+    ("p1xp1", []), ("sigma", []), ("p11m", []), ("p11m-fixed-m", ["--m", "3"])])
+def test_fit_nodepoly_golden(family, extra):
+    # the JSON fits (coefficients, fitted and held-out points) of the
+    # families the benchmark does not run, pinned byte for byte
+    code, out = run_cli(["fit-nodepoly", "--family", family, "--delta", "1-3",
+                         "--format", "json", *extra])
+    golden = Path(__file__).parent / "golden" / f"fit-nodepoly-{family}.out"
+    assert code == 0
+    assert out == golden.read_text()
 
 
 @pytest.mark.parametrize("check_id", [

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from refsev import graphs
 from refsev.graphs import (
     LongEdgeGraph,
     count_orderings,
@@ -82,6 +84,13 @@ def test_templates_are_spanned():
         for T in enumerate_templates(delta):
             assert T.minv() == 0
             assert T.is_template()
+
+
+@pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5])
+def test_templates_are_the_templates_among_all_graphs(delta):
+    # same graphs in the same order as filtering the full enumeration
+    assert enumerate_templates(delta) == [
+        G for G in enumerate_graphs(delta, delta + 1) if G.is_template()]
 
 
 # -- multiplicities -------------------------------------------------------------
@@ -179,12 +188,61 @@ def test_phi_two_identical_edges():
     assert phi(G, b) == QQ(count_orderings(G, b)) - QQ(count_orderings(e, b)) ** 2 / 2
 
 
-@pytest.mark.parametrize("delta", [1, 2])
-def test_phi_matches_literal_partition_sum(delta):
-    for G in enumerate_graphs(delta, 3):
+@pytest.mark.parametrize("delta", [1, 2, 3])
+def test_phi_matches_literal_partition_sum(delta, monkeypatch):
+    # a fresh memo, so every value is computed by the integer recursion
+    monkeypatch.setattr(graphs, "_PHI_CACHE", {})
+    cands = enumerate_graphs(delta, 3)
+    if delta > 1:  # repeated edge classes are covered
+        assert any(len(set(G.edges)) < len(G.edges) for G in cands)
+    for G in cands:
         for beta in [(2, 2, 2), (3, 1, 2), (4, 4)]:
             for strict in (False, True):
                 assert phi(G, beta, strict) == phi_bruteforce(G, beta, strict)
+
+
+def test_phi_refuses_negative_beta():
+    # the memo keys ignore beta outside the window, which is sound only
+    # for beta >= 0: a negative entry is refused whatever ran before
+    G = LongEdgeGraph([(1, 3, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"beta\[0\] = -1 is negative"):
+            phi(G, (-1, 2, 2))
+        assert phi(G, (0, 2, 2)) == 4
+    with pytest.raises(ValueError, match=r"beta\[2\] = -3 is negative"):
+        phi(G, (0, 2, -3), strict=True)
+    with pytest.raises(ValueError, match=r"beta\[1\] = -1 is negative"):
+        q_log_count((2, -1, 2), 1)
+
+
+def test_q_log_count_counts_each_window_once(monkeypatch):
+    # one count_orderings call per distinct (sub-multiset shifted to
+    # minv 0, beta window) over every shifted template
+    beta, delta = s_beta(0, 1, 4), 3
+    M = len(beta) - 1
+    expect = set()
+    for T in enumerate_templates(delta):
+        for k in range(1 - T.eps0(), M - T.length() + T.eps1() + 1):
+            edges = T.shift(k).edges
+            for pick in itertools.product((0, 1), repeat=len(edges)):
+                sub = LongEdgeGraph([e for e, p in zip(edges, pick) if p])
+                if sub.edges:
+                    expect.add((sub.shift(-sub.minv()).edges,
+                                beta[sub.minv():sub.maxv()]))
+    calls = []
+    count = graphs.count_orderings
+
+    def counting(G, b, strict=False):
+        calls.append((G.edges, tuple(b)))
+        return count(G, b, strict)
+
+    monkeypatch.setattr(graphs, "_PHI_CACHE", {})
+    monkeypatch.setattr(graphs, "count_orderings", counting)
+    got = q_log_count(beta, delta)
+    assert len(calls) == len(set(calls)) == len(expect)
+    assert set(calls) == expect
+    monkeypatch.undo()
+    assert got == q_log_count(beta, delta)
 
 
 def test_phi_strict_vanishes_off_shifted_templates():
