@@ -4,7 +4,8 @@ Format: a text file whose first line is a version header, followed by one
 record per line: "key<TAB>payload". Records are only ever appended; a torn
 final record (interrupted write) is detected on open and truncated away, a
 header missing its newline gets it back, and a malformed complete record is
-skipped, leaving the records after it.
+skipped, leaving the records after it. Of two records with one key the
+later wins, so a value recomputed after a forget replaces the old record.
 A version mismatch is refused, never migrated silently.
 """
 from __future__ import annotations
@@ -66,6 +67,10 @@ class CacheStore:
 
     def get(self, key: str):
         return self._data.get(key)
+
+    def forget(self, key: str):
+        """Drop a loaded record, so that the next put of key appends."""
+        self._data.pop(key, None)
 
     def put(self, key: str, payload: str):
         if "\t" in key or "\n" in key or "\n" in payload:

@@ -189,9 +189,16 @@ class CHTable:
         if hit is not None:
             return hit
         if self.store is not None:
-            payload = self.store.get(self._store_key(y, key))
+            skey = self._store_key(y, key)
+            payload = self.store.get(skey)
             if payload is not None:
-                val = ring_at(y).decode(payload)
+                try:
+                    val = ring_at(y).decode(payload)
+                except (ValueError, TypeError, ZeroDivisionError):
+                    # undecodable: a miss, so the recomputed value is
+                    # appended and wins on the next open
+                    self.store.forget(skey)
+                    return None
                 self.memo[y][key] = val
                 return val
         return None
@@ -204,9 +211,6 @@ class CHTable:
     def flush(self):
         if self.store is not None:
             self.store.flush()
-
-
-_DEFAULT_TABLE = CHTable()
 
 
 @functools.cache
@@ -252,7 +256,7 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
         if gamma < 0:
             raise ValueError(f"gamma = {gamma} < 0 for the requested state")
     if table is None:
-        table = _DEFAULT_TABLE
+        table = CHTable()
     old = sys.getrecursionlimit()
     if old < 50000:
         sys.setrecursionlimit(50000)

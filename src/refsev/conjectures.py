@@ -23,7 +23,7 @@ import functools
 import inspect
 from dataclasses import dataclass, field
 
-from . import modular
+from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
 from .genfun import (Invariants, engine_data, reform_eval, solve_bundles,
                      solve_universal_B)
@@ -167,7 +167,9 @@ def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
     return rep
 
 
-_RULED_DELTA = {2: 5, 3: 4, 4: 3}  # table-limited scaled-down bounds
+# table-limited scaled-down bounds: the Fhat_c3, Fhat_c4 tables reach
+# two orders past them
+_RULED_DELTA = {2: 5, **{m: t - 2 for m, t in tables.FHAT_TRUSTED.items()}}
 
 
 def _ruled(rep, table, ms, d_max, factor) -> ConjectureReport:
@@ -183,9 +185,12 @@ def _ruled(rep, table, ms, d_max, factor) -> ConjectureReport:
 
 def _check_ruledblow(table, ms=(2, 3, 4), d_max=4) -> ConjectureReport:
     """The ruled-surface identity with the factor Fhat_{c_m}."""
+    for m in ms:
+        if m not in _RULED_DELTA:
+            raise ValueError(f"ruledblow has no Fhat_c{m} table for m = {m}; "
+                             f"the tables cover m in {sorted(_RULED_DELTA)}")
     return _ruled(ConjectureReport("ruledblow", {"ms": list(ms), "d_max": d_max}),
-                  table, ms, d_max, lambda m, K: modular.fhat_cm(
-                      m, min(K, modular.tables.FHAT_TRUSTED.get(m, K))))
+                  table, ms, d_max, modular.fhat_cm)
 
 
 def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
@@ -226,7 +231,7 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # the point-series exponent shift and in f_{2k} = q^(k^2) fbar_{2k}
         qexp = d * d + 2 * d
         Kq = int(qexp) + 2
-        if Kq > modular.tables.B_TRUSTED:
+        if Kq > tables.B_TRUSTED:
             rep.skip({"k": str(k), "d": str(d)}, "beyond the B tables")
             continue
         B1, B2 = _b_tables(Kq)

@@ -73,18 +73,49 @@ def _divisors(n: int):
     return out
 
 
-def euler_product(K: int) -> QSeries:
-    """prod_{n>0} (1 - q^n) mod q^K by the pentagonal number theorem."""
-    coeffs = [QQ(0)] * K
-    coeffs[0] = QQ(1)
-    k = 1
-    while k * (3 * k - 1) // 2 < K:
-        sgn = (-1) ** k
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e < K:
-                coeffs[e] += sgn
-        k += 1
+def _divisor_sum(K: int, term, c0=0) -> QSeries:
+    """c0 + sum_{n>0} (sum_{d|n} term(n, d)) q^n mod q^K."""
+    coeffs = [c0]
+    for n in range(1, K):
+        coeffs.append(sum(term(n, d) for d in _divisors(n)))
     return QSeries(coeffs, trunc=K)
+
+
+def _lacunary(K: int, term, offset24: int = 0) -> QSeries:
+    """sum_{n>=0} c q^e mod q^K (times q^(offset24/24)), where
+    (e, c) = term(n) and e increases with n."""
+    coeffs = [0] * K
+    n = 0
+    e, c = term(n)
+    while e < K:
+        coeffs[e] = c
+        n += 1
+        e, c = term(n)
+    return QSeries(coeffs, trunc=K, offset24=offset24)
+
+
+def _euler_type(K: int, poly, power: int = 1, out: QSeries | None = None) -> QSeries:
+    """out * prod_{n>0} poly(q^n)^power mod q^K, where poly lists the
+    coefficients of a polynomial; out defaults to 1."""
+    out = QSeries.one(K) if out is None else out
+    for n in range(1, K):
+        fac = [YL_ZERO] * K
+        for i, c in enumerate(poly):
+            if i * n < K:
+                fac[i * n] = c
+        fac = QSeries(fac, trunc=K)
+        for _ in range(power):
+            out = out * fac
+    return out
+
+
+def euler_product(K: int) -> QSeries:
+    """prod_{n>0} (1 - q^n) mod q^K by the pentagonal number theorem: the
+    sum of (-1)^k q^(k(3k-1)/2) over k = 0, 1, -1, 2, -2, ..."""
+    def term(n):
+        k = (n + 1) // 2 * (-1) ** (n + 1)
+        return k * (3 * k - 1) // 2, (-1) ** k
+    return _lacunary(K, term)
 
 
 def eta(K: int) -> QSeries:
@@ -97,23 +128,12 @@ def eisenstein(k2: int, K: int) -> QSeries:
     """G_{2k}: -B_{2k}/4k + sum_n sigma_{2k-1}(n) q^n (k2 = 2k)."""
     if k2 < 2 or k2 % 2:
         raise ValueError("Eisenstein index must be a positive even integer")
-    k = k2 // 2
-    coeffs = [YLaurent.const(-bernoulli(k2) / QQ(4 * k))]
-    for n in range(1, K):
-        coeffs.append(YLaurent.const(sum(d ** (k2 - 1) for d in _divisors(n))))
-    return QSeries(coeffs, trunc=K)
+    return _divisor_sum(K, lambda n, d: d ** (k2 - 1), -bernoulli(k2) / QQ(2 * k2))
 
 
 def eisenstein_bar(k2: int, K: int) -> QSeries:
     """Gbar_{2k} = G_{2k}(q) - G_{2k}(q^2) = sum_{n/d odd} d^{2k-1} q^n."""
-    coeffs = [YL_ZERO]
-    for n in range(1, K):
-        coeffs.append(
-            YLaurent.const(
-                sum(d ** (k2 - 1) for d in _divisors(n) if (n // d) % 2 == 1)
-            )
-        )
-    return QSeries(coeffs, trunc=K)
+    return _divisor_sum(K, lambda n, d: d ** (k2 - 1) if (n // d) % 2 else 0)
 
 
 # -- theta functions -------------------------------------------------------------
@@ -121,46 +141,29 @@ def eisenstein_bar(k2: int, K: int) -> QSeries:
 
 def theta2_of_qsq(K: int) -> QSeries:
     """theta_2(q^2) = sum_n (-1)^n q^(n^2) = eta(q)^2/eta(q^2)."""
-    coeffs = [QQ(0)] * K
-    coeffs[0] = QQ(1)
-    n = 1
-    while n * n < K:
-        coeffs[n * n] = QQ(2 * (-1) ** n)
-        n += 1
-    return QSeries(coeffs, trunc=K)
+    return _lacunary(K, lambda n: (n * n, 2 * (-1) ** n if n else 1))
 
 
 def theta2(K: int) -> QSeries:
     """theta_2(q) = sum_n (-1)^n q^(n^2/2), on the half-integer lattice:
-    theta_2(q^2) to order 2K, read with step24 = 12 (index k <-> q^(k/2))."""
+    theta_2(q^2) to order 2K, read with step24 = 12 (index k <-> q^(k/2)).
+    Series operations need operands with the same step24, so it combines
+    only with other step-12 series; every caller prints it as it is."""
     return QSeries(theta2_of_qsq(2 * K).coeffs, trunc=2 * K, step24=12)
 
 
 def theta_y(K: int) -> QSeries:
     """theta(y,q) = sum_n (-1)^n q^((n+1/2)^2/2) y^(n+1/2): offset 1/8."""
-    coeffs = [YL_ZERO] * K
-    n = 0
-    while n * (n + 1) // 2 < K:
-        e = n * (n + 1) // 2
+    def term(n):
         sgn = (-1) ** n
-        coeffs[e] = coeffs[e] + YLaurent({2 * n + 1: QQ(sgn), -(2 * n + 1): QQ(-sgn)})
-        n += 1
-    return QSeries(coeffs, trunc=K, offset24=3)
+        return n * (n + 1) // 2, YLaurent({2 * n + 1: sgn, -(2 * n + 1): -sgn})
+    return _lacunary(K, term, offset24=3)
 
 
 def theta_unit(K: int) -> QSeries:
     """prod (1-q^n)(1-y q^n)(1-q^n/y): theta stripped of q^(1/8)(y^(1/2)-y^(-1/2))."""
-    out = QSeries.one(K)
     u = YLaurent({2: 1, 0: 1, -2: 1})  # y + 1 + 1/y
-    for n in range(1, K):
-        slots = {0: YL_ONE, n: -u}
-        if 2 * n < K:
-            slots[2 * n] = u
-        if 3 * n < K:
-            slots[3 * n] = -YL_ONE
-        fac = QSeries([slots.get(i, YL_ZERO) for i in range(K)], trunc=K)
-        out = out * fac
-    return out
+    return _euler_type(K, [YL_ONE, -u, u, -YL_ONE])
 
 
 def theta_y_product(K: int) -> QSeries:
@@ -174,14 +177,7 @@ def theta_y_product(K: int) -> QSeries:
 
 def dgtilde2(K: int) -> QSeries:
     """sum_{n>=1} sum_{d|n} (n/d) [d]_y^2 q^n: the point-condition series."""
-    coeffs = [YL_ZERO]
-    for n in range(1, K):
-        acc = YL_ZERO
-        for d in _divisors(n):
-            q = qnum(d)
-            acc = acc + (q * q).scale(n // d)
-        coeffs.append(acc)
-    return QSeries(coeffs, trunc=K)
+    return _divisor_sum(K, lambda n, d: (qnum(d) * qnum(d)).scale(n // d))
 
 
 def ddgtilde2(K: int) -> QSeries:
@@ -190,15 +186,9 @@ def ddgtilde2(K: int) -> QSeries:
 
 def delta_tilde(K: int) -> QSeries:
     """q prod (1-q^n)^20 (1-yq^n)^2 (1-q^n/y)^2 = eta^18 theta^2/(y-2+1/y)."""
-    out = euler_product(K).pow(20)
-    for n in range(1, K):
-        # (1 - y q^n)(1 - q^n/y) = 1 - (y + 1/y) q^n + q^(2n), squared
-        slots = {0: YL_ONE, n: YLaurent({2: -1, -2: -1})}
-        if 2 * n < K:
-            slots[2 * n] = YL_ONE
-        fac = QSeries([slots.get(i, YL_ZERO) for i in range(K)], trunc=K)
-        out = out * fac * fac
-    return out.shift(1)
+    # (1 - y q^n)(1 - q^n/y) = 1 - (y + 1/y) q^n + q^(2n), squared
+    return _euler_type(K, [YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE], power=2,
+                       out=euler_product(K).pow(20)).shift(1)
 
 
 # -- A_1 correction factors ----------------------------------------------------------
@@ -238,12 +228,8 @@ def f_bar_closed(l: int, K: int) -> QSeries:
     """Closed form: sum_m (-1)^m (2m+l)/(m+l) C(m+l,l) q^(m(m+l)), l >= 1."""
     if l < 1:
         raise ValueError("the closed form needs l >= 1")
-    coeffs = [QQ(0)] * K
-    m = 0
-    while m * (m + l) < K:
-        coeffs[m * (m + l)] += QQ((-1) ** m) * QQ(2 * m + l, m + l) * comb(m + l, l)
-        m += 1
-    return QSeries(coeffs, trunc=K)
+    return _lacunary(K, lambda m: (m * (m + l),
+                                   (-1) ** m * QQ(2 * m + l, m + l) * comb(m + l, l)))
 
 
 # -- the 1/m(1,1) singularity factors ---------------------------------------------------
@@ -283,28 +269,20 @@ def fhat_cm_general(m: int, K: int = 4) -> QSeries:
 
 
 def _f1_series(K: int) -> QSeries:
-    coeffs = [YL_ZERO]
-    for n in range(1, K):
-        acc = YL_ZERO
-        for d in _divisors(n):
-            nd = n // d
-            coef = QQ(-(nd ** 3) + nd * n - nd, 2)
-            acc = acc + YLaurent({2 * d: coef, 0: -2 * coef, -2 * d: coef})
-        coeffs.append(acc)
-    return QSeries(coeffs, trunc=K)
+    def term(n, d):
+        nd = n // d
+        coef = QQ(-(nd ** 3) + nd * n - nd, 2)
+        return YLaurent({2 * d: coef, 0: -2 * coef, -2 * d: coef})
+    return _divisor_sum(K, term)
 
 
 def _f2_series(K: int) -> QSeries:
     # the proof's divisor sum: sum sgn(d)(m^2 - md/2) y^d q^(md)
-    coeffs = [YL_ZERO]
-    for n in range(1, K):
-        acc = YL_ZERO
-        for d in _divisors(n):
-            nd = n // d
-            coef = QQ(nd * nd) - QQ(n, 2)
-            acc = acc + YLaurent({2 * d: coef, -2 * d: -coef})
-        coeffs.append(acc)
-    return QSeries(coeffs, trunc=K)
+    def term(n, d):
+        nd = n // d
+        coef = QQ(nd * nd) - QQ(n, 2)
+        return YLaurent({2 * d: coef, -2 * d: -coef})
+    return _divisor_sum(K, term)
 
 
 def h_series(m: int, K: int) -> QSeries:
@@ -608,12 +586,7 @@ def _id_fbar_closed_form(K, param):
 def _id_jacobi_triple(K, param):
     # eta(q^2)^3 = q^(1/4) sum_{n>=0} (-1)^n (2n+1) q^(n(n+1))
     lhs = eta(K).subs_qpow(2).pow(3)
-    coeffs = [QQ(0)] * K
-    n = 0
-    while n * (n + 1) < K:
-        coeffs[n * (n + 1)] = QQ((-1) ** n * (2 * n + 1))
-        n += 1
-    rhs = QSeries(coeffs, trunc=K, offset24=6)
+    rhs = _lacunary(K, lambda n: (n * (n + 1), (-1) ** n * (2 * n + 1)), offset24=6)
     return lhs.first_difference(rhs), ""
 
 

@@ -7,12 +7,12 @@ per-term fractional powers. Everything below `lead` is exactly zero; the
 only knowledge boundary is `trunc`. step24 is 24 (integer q-powers) for all
 but one construction (theta_2(q) needs half-integer steps).
 
-All operations are exact; truncations combine by the min rule, shifted by
-leading orders under multiplication and division.
+Operands share one lattice: +, - and first_difference need equal
+(offset24, step24), * and / equal step24 (their offsets add); anything else
+raises ValueError. All operations are exact; truncations combine by the
+min rule, shifted by leading orders under multiplication and division.
 """
 from __future__ import annotations
-
-from math import gcd
 
 from .rationals import QQ
 from .ylaurent import YLaurent, YL_ONE, YL_ZERO
@@ -109,24 +109,22 @@ class QSeries:
         """Exact equality of the stored data (same lattice, same window)."""
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b = _align(self, other)
         return (
-            a.lead == b.lead
-            and a.trunc == b.trunc
-            and a.offset24 == b.offset24
-            and a.coeffs == b.coeffs
+            self.offset24 == other.offset24
+            and self.step24 == other.step24
+            and self.lead == other.lead
+            and self.trunc == other.trunc
+            and self.coeffs == other.coeffs
         )
 
     def first_difference(self, other: "QSeries"):
         """Earliest exponent where the two series disagree on the common
         known window, or None. Returns (exponent, coeff_self, coeff_other)."""
-        a, b = _align(self, other)
-        lo = min(a.lead, b.lead)
-        hi = min(a.trunc, b.trunc)
-        for k in range(lo, hi):
-            ca, cb = a.coeff_index(k), b.coeff_index(k)
+        _same_lattice(self, other, "first_difference")
+        for k in range(min(self.lead, other.lead), min(self.trunc, other.trunc)):
+            ca, cb = self.coeff_index(k), other.coeff_index(k)
             if ca != cb:
-                return (a.exponent(k), ca, cb)
+                return (self.exponent(k), ca, cb)
         return None
 
     def agrees_with(self, other: "QSeries") -> bool:
@@ -136,16 +134,14 @@ class QSeries:
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
-            c = _coerce_coeff(other)
-            e24_t = self.offset24 + self.trunc * self.step24
-            trunc_c = max(1, -(-e24_t // 24) + 1)  # past our own boundary
-            other = QSeries([c], lead=0, trunc=trunc_c)
-        a, b = _align(self, other)
-        lead = min(a.lead, b.lead)
-        trunc = min(a.trunc, b.trunc)
-        coeffs = [a.coeff_index(k) + b.coeff_index(k) for k in range(lead, trunc)]
+            # the constant term, known past our own boundary
+            other = QSeries([other], trunc=max(1, self.trunc + 1), step24=self.step24)
+        _same_lattice(self, other, "+")
+        lead = min(self.lead, other.lead)
+        trunc = min(self.trunc, other.trunc)
+        coeffs = [self.coeff_index(k) + other.coeff_index(k) for k in range(lead, trunc)]
         return QSeries(coeffs, lead=lead, trunc=trunc,
-                       offset24=a.offset24, step24=a.step24)
+                       offset24=self.offset24, step24=self.step24)
 
     __radd__ = __add__
 
@@ -154,12 +150,7 @@ class QSeries:
                        offset24=self.offset24, step24=self.step24)
 
     def __sub__(self, other):
-        if not isinstance(other, QSeries):
-            return self + (-QQ(other) if not isinstance(other, YLaurent) else -other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c) -> "QSeries":
         c = _coerce_coeff(c)
@@ -169,7 +160,8 @@ class QSeries:
     def __mul__(self, other):
         if not isinstance(other, QSeries):
             return self.scale(other)
-        a, b = _unify_step(self, other)
+        _same_lattice(self, other, "*", offsets=False)
+        a, b = self, other
         na, nb = a.known_length(), b.known_length()
         if a.is_known_zero() or b.is_known_zero():
             # a = O(q^ta) exactly zero below, so a*b = O(q^(ta+lb))
@@ -200,7 +192,8 @@ class QSeries:
         if not isinstance(other, QSeries):
             inv = QQ(1) / QQ(other)
             return self.scale(inv)
-        a, b = _unify_step(self, other)
+        _same_lattice(self, other, "/", offsets=False)
+        a, b = self, other
         if b.is_known_zero():
             raise ZeroDivisionError("division by a series with no nonzero known part")
         if a.is_known_zero():
@@ -224,9 +217,6 @@ class QSeries:
         lead = a.lead - b.lead
         return QSeries(out, lead=lead, trunc=lead + n,
                        offset24=a.offset24 - b.offset24, step24=a.step24)
-
-    def __pow__(self, r):
-        return self.pow(r)
 
     def pow(self, r) -> "QSeries":
         """Raise to an exact rational power.
@@ -439,37 +429,13 @@ def _pow_coeff(c: YLaurent, r: QQ) -> YLaurent:
     raise ValueError("leading coefficient is not invertible in the Laurent ring")
 
 
-def _unify_step(a: QSeries, b: QSeries):
-    if a.step24 == b.step24:
-        return a, b
-    s = gcd(a.step24, b.step24)
-    return _respace(a, s), _respace(b, s)
-
-
-def _align(a: QSeries, b: QSeries):
-    """Put two series on a common (offset24, step24) lattice for add/compare."""
-    if a.offset24 == b.offset24 and a.step24 == b.step24:
-        return a, b
-    s = gcd(a.step24, b.step24, a.offset24 - b.offset24)
-    o = a.offset24 % s
-    return _rebase(a, o, s), _rebase(b, o, s)
-
-
-def _respace(a: QSeries, new_step: int) -> QSeries:
-    return _rebase(a, a.offset24, new_step)
-
-
-def _rebase(a: QSeries, new_offset24: int, new_step: int) -> QSeries:
-    if (a.offset24 - new_offset24) % new_step or a.step24 % new_step:
-        raise ValueError("incompatible exponent lattices")
-    ratio = a.step24 // new_step
-    base = (a.offset24 - new_offset24) // new_step
-    lead = base + a.lead * ratio
-    trunc = base + a.trunc * ratio
-    out = [YL_ZERO] * (trunc - lead)
-    for i, c in enumerate(a.coeffs):
-        out[i * ratio] = c
-    return QSeries(out, lead=lead, trunc=trunc, offset24=new_offset24, step24=new_step)
+def _same_lattice(a: QSeries, b: QSeries, op: str, offsets: bool = True):
+    """Refuse operands of op on different exponent lattices: equal step24,
+    and equal offset24 unless offsets add under op."""
+    if a.step24 != b.step24 or (offsets and a.offset24 != b.offset24):
+        raise ValueError(
+            f"{op} needs operands on one exponent lattice, not (offset24, step24) = "
+            f"({a.offset24}, {a.step24}) and ({b.offset24}, {b.step24})")
 
 
 def compose(outer: QSeries, inner: QSeries) -> QSeries:

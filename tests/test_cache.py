@@ -4,6 +4,8 @@ import pytest
 
 from refsev.cache import CacheStore, CacheVersionError, MAGIC
 from refsev.caporaso import CHTable, P2, Sigma, severi_degree
+from refsev.cli import main
+from refsev.ylaurent import ring_at
 
 
 def test_roundtrip(tmp_path):
@@ -146,3 +148,34 @@ def test_integer_mode_payloads(tmp_path):
     warm = severi_degree(P2(4), 2, y=1, table=t3)
     assert type(warm) is int and warm == cold
     assert t3.memo[1] and all(type(x) is int for x in t3.memo[1].values())
+
+
+@pytest.mark.parametrize("y, payload", [
+    ("1", "garbage"), ("sym", "not json"), ("sym", "[1, 2]"),
+    ("sym", '[["1","0",0]]')])
+def test_undecodable_record_is_recomputed(tmp_path, capsys, y, payload):
+    # a payload the ring cannot decode is a miss: the value is recomputed,
+    # appended, and the next warm run reads it and writes nothing
+    p = tmp_path / "F"
+    args = ["compute", "--surface", "p2", "--d", "4", "--delta", "2", "--y", y,
+            "--cache", str(p)]
+    key = f"{y}|1|0|4|2||4\t"
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    lines = p.read_text().splitlines(keepends=True)
+    hits = [i for i, line in enumerate(lines) if line.startswith(key)]
+    assert len(hits) == 1
+    good = lines[hits[0]]
+    lines[hits[0]] = key + payload + "\n"
+    p.write_text("".join(lines))
+    assert main(args) == 0
+    out, err = capsys.readouterr()
+    assert out == clean and err == ""
+    assert p.read_text().endswith(good)
+    size = p.stat().st_size
+    assert main(args) == 0
+    assert capsys.readouterr().out == clean
+    assert p.stat().st_size == size
+    # the recomputed record is 225 at y = 1
+    value = ring_at("sym" if y == "sym" else 1).decode(good.split("\t")[1])
+    assert (value.at_one() if y == "sym" else value) == 225

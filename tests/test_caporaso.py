@@ -156,3 +156,20 @@ def test_welschinger_known_values(chtable):
     assert welschinger_degree(P2(3), 1, table=chtable) == 8
     assert welschinger_degree(P2(4), 1, table=chtable) == \
         refined_count(s_beta(0, 1, 4), 1, -1)
+
+
+def test_no_table_means_a_fresh_table(monkeypatch):
+    # without a table each call memoises in a CHTable of its own, so the
+    # second call computes every state again
+    inserts = []
+    insert = CHTable.insert
+
+    def counting(self, y, key, value):
+        inserts[-1] += 1
+        insert(self, y, key, value)
+
+    monkeypatch.setattr(CHTable, "insert", counting)
+    for _ in range(2):
+        inserts.append(0)
+        severi_degree(P2(3), 1)
+    assert inserts[0] == inserts[1] > 0

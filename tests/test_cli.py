@@ -272,3 +272,21 @@ def test_verify_summary_golden(check_id):
     golden = Path(__file__).parent / "golden" / f"verify-{check_id}.out"
     assert code == 0
     assert out == golden.read_text()
+
+
+@pytest.mark.parametrize("golden, args", [
+    ("solve-B-4-sym.csv", ["solve-B", "--order", "4", "--format", "csv"]),
+    ("solve-B-4-ym1.csv", ["solve-B", "--order", "4", "--y", "-1", "--format", "csv"]),
+    ("series-theta2-3.csv", ["series", "--name", "theta2", "--order", "3",
+                             "--format", "csv"]),
+    ("compute-p2-4-0-2-y1.csv", ["compute", "--surface", "p2", "--d", "4", "--delta",
+                                 "0-2", "--y", "1", "--format", "csv"]),
+    ("compute-p2-4-0-2-y1.json", ["compute", "--surface", "p2", "--d", "4", "--delta",
+                                  "0-2", "--y", "1", "--format", "json"]),
+])
+def test_emit_golden(golden, args):
+    # csv of a QSeries (theta2 is the one half-integer lattice), csv and
+    # json of integer values, pinned byte for byte
+    code, out = run_cli(args)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / f"{golden}.out").read_text()

@@ -61,6 +61,20 @@ def test_ruledblow_tables_m34(chtable):
     assert rep.ok, rep.summary()
 
 
+def test_ruledblow_refuses_m_without_table(chtable):
+    with pytest.raises(ValueError, match=r"m = 5; the tables cover m in \[2, 3, 4\]"):
+        check_conjecture("ruledblow", table=chtable, ms=(5,))
+
+
+def test_ruledblow_factor_past_its_table_raises(chtable, monkeypatch):
+    # the m = 3, 4 bounds sit two orders below the trusted tables; one more
+    # order asks Fhat_c3 past its table, which raises instead of narrowing
+    assert conjectures._RULED_DELTA == {2: 5, 3: 4, 4: 3}
+    monkeypatch.setitem(conjectures._RULED_DELTA, 3, 5)
+    with pytest.raises(ValueError, match=r"Fhat_c3 is only trusted to q\^6"):
+        check_conjecture("ruledblow", table=chtable, ms=(3,), d_max=1)
+
+
 def test_conjan_via_eta_quotient(chtable):
     rep = check_conjecture("conjan_P112", table=chtable, d_max=3)
     assert rep.ok, rep.summary()

@@ -208,14 +208,30 @@ def test_truncation_bound_after_division():
 
 
 def test_half_step_lattice():
-    # theta_2(q) lives on half-integer q-powers; mixing with integer-step
-    # series refines the lattice exactly
+    # theta_2(q) lives on half-integer q-powers; a product, a sum or a
+    # comparison with an integer-step series is refused, naming both lattices
     from refsev.modular import theta2
     th = theta2(10)
     assert th.step24 == 12
     assert th.coeff_at(QQ(1, 2)) == YLaurent.const(-2)
-    mixed = th * QSeries([1, 1], trunc=5)
-    assert mixed.coeff_at(QQ(3, 2)) == YLaurent.const(-2)
+    whole = QSeries([1, 1], trunc=5)
+    for op in (QSeries.__mul__, QSeries.__add__, QSeries.first_difference):
+        with pytest.raises(ValueError, match=r"\(0, 12\) and \(0, 24\)"):
+            op(th, whole)
+
+
+def test_one_lattice_per_operation():
+    # offsets add under * and /, but + and first_difference need equal
+    # offsets; == compares the stored data and never raises
+    from refsev.modular import theta2, theta_y
+    th, e = theta_y(6), eta(6)
+    assert (th * e).offset24 == 4 and (th / e).offset24 == 2
+    for op in (QSeries.__add__, QSeries.__sub__, QSeries.first_difference):
+        with pytest.raises(ValueError, match=r"\(3, 24\) and \(1, 24\)"):
+            op(th, e)
+    with pytest.raises(ValueError, match=r"\(0, 12\) and \(0, 24\)"):
+        theta2(6) / QSeries.one(6)
+    assert th != e and theta2(3) != theta2_of_qsq(6) and th == theta_y(6)
 
 
 def test_specialize_y():
