@@ -1,18 +1,25 @@
 """Append-only persistent store for recursion values.
 
 Format: a text file whose first line is a version header, followed by one
-record per line: "key<TAB>payload". Records are only ever appended; a torn
-final record (interrupted write) is detected on open and truncated away, a
-header missing its newline gets it back, and a malformed complete record is
-skipped, leaving the records after it. Of two records with one key the
-later wins, so a value recomputed after a forget replaces the old record.
-A version mismatch is refused, never migrated silently.
+record per line: "key<TAB>payload<TAB>crc", crc the CRC-32 of
+"key<TAB>payload" in eight hex digits. Records are only ever appended; a
+torn final record (interrupted write) is detected on open and truncated
+away, a header missing its newline gets it back, and a complete record that
+is malformed or fails its checksum is skipped, leaving the records after
+it, so its value is recomputed and appended. Of two records with one key
+the later wins, so a value recomputed after a forget replaces the old
+record. A version mismatch is refused, never migrated silently.
 """
 from __future__ import annotations
 
 import os
+import zlib
 
-MAGIC = "refsev-cache v1"
+MAGIC = "refsev-cache v2"
+
+
+def _crc(record: str) -> str:
+    return f"{zlib.crc32(record.encode()):08x}"
 
 
 class CacheVersionError(RuntimeError):
@@ -45,14 +52,16 @@ class CacheStore:
             with open(self.path, "ab") as fh:
                 fh.write(b"\n")
         records = body.split(b"\n")
-        # every record but the last ended in a newline; a malformed one is
-        # dropped, and a nonempty last one is a torn write, cut from the file
+        # every record but the last ended in a newline; a malformed one or
+        # one failing its checksum is dropped, and a nonempty last one is a
+        # torn write, cut from the file
         for raw in records[:-1]:
             try:
-                key, sep, payload = raw.decode("utf-8").partition("\t")
+                record, _, crc = raw.decode("utf-8").rpartition("\t")
             except UnicodeDecodeError:
                 continue
-            if sep and key:
+            key, sep, payload = record.partition("\t")
+            if sep and key and crc == _crc(record):
                 self._data[key] = payload
         if records[-1]:
             with open(self.path, "r+b") as fh:
@@ -78,7 +87,8 @@ class CacheStore:
         if key in self._data:
             return
         self._data[key] = payload
-        self._fh.write(f"{key}\t{payload}\n")
+        record = f"{key}\t{payload}"
+        self._fh.write(f"{record}\t{_crc(record)}\n")
 
     def flush(self):
         if self._fh:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from math import comb
 
 from .cache import CacheStore
-from .rationals import QQ
 from .ylaurent import RINGS, ring_at
 
 __all__ = [
@@ -78,8 +77,9 @@ class SurfaceBundle:
     """A pair (surface, line bundle) from the three h-transversal families.
 
     family 'p2' is (P^2, dH); 'p11m' is (P(1,1,m), dH); 'sigma' is
-    (Sigma_m, cF + dH). The recursion only sees the polygon Delta_{c,m,d};
-    the intersection numbers below feed the generating-function checks.
+    (Sigma_m, cF + dH). It holds only the data of the polygon Delta_{c,m,d}
+    the recursion reads; genfun.Invariants.of(bundle) gives the
+    intersection numbers the generating function reads.
     """
 
     family: str
@@ -100,8 +100,6 @@ class SurfaceBundle:
         if self.m < 0 or self.c < 0 or self.d < 0:
             raise ValueError("parameters must be nonnegative")
 
-    # lattice data of Delta_{c,m,d}
-
     @property
     def HL(self) -> int:
         return self.c + self.m * self.d
@@ -109,46 +107,6 @@ class SurfaceBundle:
     @property
     def dim_L(self) -> int:
         return (self.d + 1) * (self.c + 1) + self.m * self.d * (self.d + 1) // 2 - 1
-
-    # intersection numbers
-
-    @property
-    def chi_O(self) -> int:
-        return 1
-
-    @property
-    def chi_L(self) -> int:
-        return self.dim_L + 1
-
-    @property
-    def L2(self):
-        if self.family == "p2":
-            return self.d * self.d
-        return 2 * self.c * self.d + self.m * self.d * self.d
-
-    @property
-    def LK(self):
-        if self.family == "p2":
-            return -3 * self.d
-        return -(2 * self.c + (self.m + 2) * self.d)
-
-    @property
-    def K2(self):
-        if self.family == "p2":
-            return 9
-        if self.family == "sigma":
-            return 8
-        return QQ((self.m + 2) ** 2, self.m)
-
-    @property
-    def qexp(self):
-        """(L^2 - L.K)/2, the coefficient-extraction exponent."""
-        num = self.L2 - self.LK
-        if isinstance(num, int):
-            if num % 2 == 0:
-                return num // 2
-            return QQ(num, 2)
-        return num / 2
 
 
 def P2(d: int) -> SurfaceBundle:
@@ -235,7 +193,7 @@ def _partitions(e: int) -> tuple:
 
 
 def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
-                    table: CHTable | None = None, strict: bool = False):
+                    table: CHTable | None = None):
     """The relative refined degree N^{(S,L),delta}(alpha,beta).
 
     alpha are fixed contacts with the bottom divisor, beta moving ones;
@@ -251,10 +209,6 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
             f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}"
         )
     ring = ring_at(y)
-    if strict:
-        gamma = s.dim_L - s.HL + sum(beta) - delta
-        if gamma < 0:
-            raise ValueError(f"gamma = {gamma} < 0 for the requested state")
     if table is None:
         table = CHTable()
     old = sys.getrecursionlimit()

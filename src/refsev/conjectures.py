@@ -12,10 +12,10 @@ the point-series exponent shift and a validity predicate skip(params,
 delta). `_against` takes the B tables and R to the order form (2) needs,
 evaluates form (2) once for all cases, and at each delta records the
 recursion degree of the bundle against the t^(delta + shift) coefficient,
-or a SKIP with the reason skip returns. blowk skips whole cases before
-it calls `_against`. Two checks keep their own loops: A1con_sigma2 goes
-through form (3), and multcon_H34_at_pm1 gives one verdict per case so
-that its table-typo probe can re-read a whole case.
+or a SKIP with the reason skip returns. Two checks keep their own loops:
+A1con_sigma2 goes through form (3) (genfun.reform_coefficient), and
+multcon_H34_at_pm1 gives one verdict per case so that its table-typo
+probe can re-read a whole case.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
-from .genfun import (Invariants, engine_data, reform_eval, solve_bundles,
-                     solve_universal_B)
+from .genfun import (Invariants, engine_data, reform_coefficient, reform_eval,
+                     solve_bundles, solve_universal_B)
 from .graphs import refined_count, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
@@ -108,8 +108,8 @@ def _identity(invs, delta_max, factor=None, shift=0, y="sym"):
     R = factor(K) (R = 1 if None) to the order K form (2) needs."""
     K = delta_max + shift + 2
     B1, B2 = _b_tables(K, y)
-    return reform_eval(invs, B1, B2, form=2, order=delta_max,
-                       R=factor(K) if factor else None, shift=shift, y=y)
+    return reform_eval(invs, B1, B2, delta_max, R=factor(K) if factor else None,
+                       shift=shift, y=y)
 
 
 def _against(rep, table, cases, delta_max, factor=None, shift=0, y="sym",
@@ -205,18 +205,22 @@ def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
 
 def _check_blowk(table, ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2) -> ConjectureReport:
     """Multiplicity-k points at the A_1 singularity of P(1,1,2): the
-    blown-up identity with the correction factor fbar_{2k}."""
+    blown-up identity with the correction factor fbar_{2k}, for delta <=
+    2(d - k). At delta = 2(d - k) + 1 the identity disagrees with both
+    engines (its coefficient is negative, e.g. -4 at k = 1/2, d = 3/2,
+    where no refined count can be), so that delta is a SKIP naming it."""
     rep = ConjectureReport("blowk", {"2k": list(ks), "dprimes": list(dprimes),
                                      "delta_max": delta_max})
-    for k2 in ks:          # k2 = 2k, so half-integers stay exact
-        for dp in dprimes:  # dp = d - k, an integer
-            case = {"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}
-            if delta_max > 2 * dp + 1:
-                rep.skip(case, "outside delta <= 2(d-k)+1")
-                continue
-            bundle = Sigma(2, k2, dp)
-            _against(rep, table, [(case, bundle, Invariants.of(bundle))], delta_max,
-                     functools.partial(modular.f_bar, k2))
+
+    def skip(p, delta):
+        if delta > 2 * (QQ(p["d"]) - QQ(p["k"])):
+            return "outside delta <= 2(d-k): the identity fails at 2(d-k)+1"
+
+    for k2 in ks:  # k2 = 2k and dp = d - k, so half-integers stay exact
+        cases = [({"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}, Sigma(2, k2, dp),
+                  Invariants.of(Sigma(2, k2, dp))) for dp in dprimes]
+        _against(rep, table, cases, delta_max, functools.partial(modular.f_bar, k2),
+                 skip=skip)
     return rep
 
 
@@ -242,7 +246,7 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         inv = Invariants(K2=8, LK=int(-4 * d), chi_L=qexp + 1)
         for delta in range(delta_max + 1):
             eng = severi_degree(Sigma(2, k2, int(d - k)), delta, table=table)
-            gen = reform_eval(inv, B1, B2, form=3, order=delta, R=R, shift=k * k)
+            gen = reform_coefficient(inv, B1, B2, delta, R=R, shift=k * k)
             _compare(rep, {"k": str(k), "d": str(d), "delta": delta}, eng, gen, delta)
     return rep
 

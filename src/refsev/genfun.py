@@ -1,7 +1,8 @@
 """The generating-function identity in its three equivalent forms, and the
 solver for the universal series B_1, B_2 from node-polynomial data.
 
-Invariants of the pair (surface, bundle) enter as exponents:
+The identity depends on (S, L) only through the invariants K^2, L.K,
+chi(L) and chi(O), carried by `Invariants`; they enter as exponents:
 
   (1) sum_delta M^delta * P^delta = (P/q)^chi(L) B1^{K^2} B2^{LK}
         / (Dtilde * DP / q^2)^{chi(O)/2} * R,        P = the point series,
@@ -10,13 +11,17 @@ Invariants of the pair (surface, bundle) enter as exponents:
   (3) M^delta = Coeff_{q^{chi(L)-chi(O)}} [ P^{chi(L)-1-delta} B1^{K^2}
         B2^{LK} DP / (Dtilde*DP)^{chi(O)/2} * R ].
 
-Form (2) is the workhorse: it needs the B tables only to q-order delta,
-which is what makes every conjecture check feasible with the embedded
-tables. Multiple-point checks pass R = H_m together with a shift of the
-point-series exponent (equivalently a Laurent R = H_m * P^{-shift}).
+One function per form: `reform_q_series` (1), `reform_eval` (2) and
+`reform_coefficient` (3). Form (2) is the workhorse: it needs the B tables
+only to q-order delta, which is what makes every conjecture check feasible
+with the embedded tables. Form (3) takes a rational point-series shift;
+form (1) is the reference the other two are tested against. Multiple-point
+checks pass R = H_m together with a shift of the point-series exponent
+(equivalently a Laurent R = H_m * P^{-shift}).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,13 +32,13 @@ from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
 from .ylaurent import YL_ZERO
 
-__all__ = ["Invariants", "reform_eval", "solve_bundles", "engine_data",
-           "solve_universal_B", "base_series"]
+__all__ = ["Invariants", "reform_q_series", "reform_eval", "reform_coefficient",
+           "solve_bundles", "engine_data", "solve_universal_B", "base_series"]
 
 
 @dataclass(frozen=True)
 class Invariants:
-    """The intersection numbers a reform evaluation needs.
+    """The intersection numbers K^2, L.K, chi(L) and chi(O) of (S, L).
 
     chi_L may be rational only in so far as chi_L - chi_O stays a valid
     q-exponent; K2 may be rational (fractional powers of B_1 are fine since
@@ -47,12 +52,19 @@ class Invariants:
 
     @property
     def qexp(self):
+        """chi(L) - chi(O) = (L^2 - L.K)/2, the extraction exponent."""
         return self.chi_L - self.chi_O
 
     @staticmethod
     def of(bundle) -> "Invariants":
-        return Invariants(K2=bundle.K2, LK=bundle.LK, chi_L=bundle.chi_L,
-                          chi_O=bundle.chi_O)
+        """The invariants of a caporaso.SurfaceBundle: K^2 is 9 on P^2, 8 on
+        Sigma_m and (m+2)^2/m on P(1,1,m); chi(L) = dim|L| + 1 and chi(O) = 1
+        (rational surfaces)."""
+        m, c, d, chi_L = bundle.m, bundle.c, bundle.d, bundle.dim_L + 1
+        if bundle.family == "p2":
+            return Invariants(K2=9, LK=-3 * d, chi_L=chi_L)
+        K2 = 8 if bundle.family == "sigma" else QQ((m + 2) ** 2, m)
+        return Invariants(K2=K2, LK=-(2 * c + (m + 2) * d), chi_L=chi_L)
 
 
 @lru_cache(maxsize=32)
@@ -73,68 +85,58 @@ def _substitution(T: int, y="sym"):
     return g, QSeries(list(g.coeffs), lead=0, trunc=T - 1), core
 
 
-def reform_eval(inv: Invariants | list, B1: QSeries, B2: QSeries, form: int,
-                order: int, R: QSeries | None = None, shift=0, y="sym"):
-    """Evaluate the chosen form of the generating identity.
+def reform_q_series(inv: Invariants, B1: QSeries, B2: QSeries, order: int,
+                    R: QSeries | None = None, shift=0) -> QSeries:
+    """Form (1): the refined q-series right side mod q^order, its point
+    series raised to -shift. R defaults to 1."""
+    dg, ddg, dt = base_series(order)
+    F = dg.shift(-1).pow(inv.chi_L)
+    F = F * B1.truncate(order).pow(inv.K2) * B2.truncate(order).pow(inv.LK)
+    F = F * (dt * ddg).shift(-2).pow(QQ(-inv.chi_O, 2))
+    if shift:
+        F = F * dg.pow(-shift)
+    if R is not None:
+        F = F * R
+    return F.truncate(order)
 
-    form 1 -> the q-series RHS mod q^order;
-    form 2 -> the t-series whose coeff_at(delta + shift) is M^delta,
-              valid for delta <= order; given a list of Invariants, the
-              list of their t-series, composing B_1, B_2 and R with g once;
-    form 3 -> the single YLaurent M^delta with delta = order.
 
-    `shift` lowers the point-series exponent (multiple-point checks);
-    it may be rational as long as exponents stay on the 1/24 lattice.
-    R defaults to 1. y = 1/-1 run the scalar specializations.
+def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,
+                R: QSeries | None = None, shift: int = 0, y="sym") -> list:
+    """Form (2) for each of invs: the list of t-series whose
+    coeff_at(delta + shift) is M^delta, valid for delta <= order. B_1, B_2
+    and R (default 1) are composed with g once for all of them.
+
+    `shift` lowers the point-series exponent (multiple-point checks).
+    y = 1/-1 run the scalar specializations.
     """
-    if form == 2:
-        if not isinstance(shift, int):
-            raise ValueError("form 2 needs an integer exponent shift")
-        # one extra order: g' = dg/dt is known one order below g
-        g, g_over_t, core = _substitution(order + shift + 2, y)
-        B1g, B2g = compose(B1, g), compose(B2, g)
-        Rg = None if R is None else compose(R, g)
-
-        def series(inv):
-            s = g_over_t.pow(-inv.chi_L)
-            s = s * B1g.pow(inv.K2)
-            s = s * B2g.pow(inv.LK)
-            s = s * core.pow(QQ(inv.chi_O, 2))
-            return s if Rg is None else s * Rg
-
-        if isinstance(inv, Invariants):
-            return series(inv)
-        return [series(i) for i in inv]
-    if form in (1, 3):
-        delta = order if form == 3 else None
-        K = (
-            _ceil_exp(inv.qexp) + 2
-            if form == 3
-            else order
-        )
-        dg, ddg, dt = base_series(K, y)
-        if form == 1:
-            F = (dg.shift(-1)).pow(inv.chi_L)
-            F = F * B1.truncate(K).pow(inv.K2) * B2.truncate(K).pow(inv.LK)
-            F = F * (dt * ddg).shift(-2).pow(QQ(-inv.chi_O, 2))
-            if shift:
-                F = F * dg.pow(-shift)
-            if R is not None:
-                F = F * R
-            return F.truncate(order)
-        e = inv.chi_L - 1 - delta - shift
-        F = dg.pow(e)
-        F = F * B1.truncate(K).pow(inv.K2) * B2.truncate(K).pow(inv.LK)
-        F = F * ddg * (dt * ddg).pow(QQ(-inv.chi_O, 2))
-        if R is not None:
-            F = F * R
-        return F.coeff_at(inv.qexp)
-    raise ValueError("form must be 1, 2 or 3")
+    if not isinstance(shift, int):
+        raise ValueError("form 2 needs an integer exponent shift; "
+                         "reform_coefficient takes a rational one")
+    # one extra order: g' = dg/dt is known one order below g
+    g, g_over_t, core = _substitution(order + shift + 2, y)
+    B1g, B2g = compose(B1, g), compose(B2, g)
+    Rg = None if R is None else compose(R, g)
+    out = []
+    for inv in invs:
+        s = g_over_t.pow(-inv.chi_L) * B1g.pow(inv.K2) * B2g.pow(inv.LK)
+        s = s * core.pow(QQ(inv.chi_O, 2))
+        out.append(s if Rg is None else s * Rg)
+    return out
 
 
-def _ceil_exp(x) -> int:
-    q = QQ(x)
-    return -int((-q.numerator) // q.denominator)
+def reform_coefficient(inv: Invariants, B1: QSeries, B2: QSeries, delta: int,
+                       R: QSeries | None = None, shift=0):
+    """Form (3): the single refined YLaurent M^delta. shift lowers the
+    point-series exponent and may be rational as long as exponents stay on
+    the 1/24 lattice. R defaults to 1."""
+    K = math.ceil(QQ(inv.qexp)) + 2
+    dg, ddg, dt = base_series(K)
+    F = dg.pow(inv.chi_L - 1 - delta - shift)
+    F = F * B1.truncate(K).pow(inv.K2) * B2.truncate(K).pow(inv.LK)
+    F = F * ddg * (dt * ddg).pow(QQ(-inv.chi_O, 2))
+    if R is not None:
+        F = F * R
+    return F.coeff_at(inv.qexp)
 
 
 def solve_bundles(order: int):
@@ -194,8 +196,7 @@ def solve_universal_B(datasets, order: int, y="sym"):
     P = base_series(T, y)[0]
     B1, B2 = (compose(QSeries(w), P).exp() for w in (u, v))
     # feeding the solution back must reproduce every datum
-    fed_back = reform_eval([inv for inv, _ in datasets], B1, B2, form=2,
-                           order=order - 1, y=y)
+    fed_back = reform_eval([inv for inv, _ in datasets], B1, B2, order - 1, y=y)
     for (inv, vals), S in zip(datasets, fed_back):
         for d, val in vals.items():
             if d < order and S.coeff_at(d) != val:

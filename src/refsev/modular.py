@@ -105,7 +105,7 @@ def _euler_type(K: int, poly, power: int = 1, out: QSeries | None = None) -> QSe
                 fac[i * n] = c
         fac = QSeries(fac, trunc=K)
         for _ in range(power):
-            out = out * fac
+            out = fac * out  # __mul__ skips the sparse factor's zeros
     return out
 
 

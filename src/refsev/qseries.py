@@ -190,33 +190,10 @@ class QSeries:
 
     def __truediv__(self, other):
         if not isinstance(other, QSeries):
-            inv = QQ(1) / QQ(other)
-            return self.scale(inv)
-        _same_lattice(self, other, "/", offsets=False)
-        a, b = self, other
-        if b.is_known_zero():
+            return self.scale(QQ(1) / QQ(other))
+        if other.is_known_zero():
             raise ZeroDivisionError("division by a series with no nonzero known part")
-        if a.is_known_zero():
-            return QSeries.zero(a.trunc - b.lead,
-                                offset24=a.offset24 - b.offset24, step24=a.step24)
-        nb = b.known_length()
-        na = a.known_length()
-        n = min(na, nb)
-        if n <= 0:
-            raise TruncationError("division result has no known coefficients")
-        b0 = b.coeffs[0]
-        out = []
-        acoef = a.coeffs
-        for k in range(n):
-            s = acoef[k] if k < len(acoef) else YL_ZERO
-            for j in range(1, min(k, nb - 1) + 1):
-                bj = b.coeffs[j]
-                if not bj.is_zero():
-                    s = s - bj * out[k - j]
-            out.append(_divide_coeff(s, b0))
-        lead = a.lead - b.lead
-        return QSeries(out, lead=lead, trunc=lead + n,
-                       offset24=a.offset24 - b.offset24, step24=a.step24)
+        return self * other.pow(-1)
 
     def pow(self, r) -> "QSeries":
         """Raise to an exact rational power.

@@ -1,4 +1,5 @@
 import os
+import zlib
 
 import pytest
 
@@ -36,9 +37,15 @@ def test_torn_trailing_record_dropped(tmp_path):
         assert s.get("k3") == "v3"
 
 
+def _record(key, payload):
+    """A record line as CacheStore.put writes it, checksum included."""
+    record = f"{key}\t{payload}"
+    return f"{record}\t{zlib.crc32(record.encode()):08x}\n"
+
+
 def test_malformed_record_keeps_the_records_after_it(tmp_path):
     p = str(tmp_path / "c.txt")
-    body = "a\t1\ngarbage-no-tab\nb\t2\nc\t3\n"
+    body = _record("a", "1") + "garbage-no-tab\n" + _record("b", "2") + _record("c", "3")
     with open(p, "w") as fh:
         fh.write(MAGIC + "\n" + body)
     with CacheStore(p) as s:
@@ -166,7 +173,8 @@ def test_undecodable_record_is_recomputed(tmp_path, capsys, y, payload):
     hits = [i for i, line in enumerate(lines) if line.startswith(key)]
     assert len(hits) == 1
     good = lines[hits[0]]
-    lines[hits[0]] = key + payload + "\n"
+    # a record with a valid checksum, so the ring's decoder sees it
+    lines[hits[0]] = _record(key[:-1], payload)
     p.write_text("".join(lines))
     assert main(args) == 0
     out, err = capsys.readouterr()
@@ -179,3 +187,57 @@ def test_undecodable_record_is_recomputed(tmp_path, capsys, y, payload):
     # the recomputed record is 225 at y = 1
     value = ring_at("sym" if y == "sym" else 1).decode(good.split("\t")[1])
     assert (value.at_one() if y == "sym" else value) == 225
+
+
+def test_edited_value_is_recomputed_not_served(tmp_path, capsys):
+    # a value edited by hand (225 -> 999) fails its checksum: the record is
+    # skipped, 225 is recomputed and appended, and the next run reads it
+    p = tmp_path / "F"
+    args = ["compute", "--surface", "p2", "--d", "4", "--delta", "2", "--y", "1",
+            "--cache", str(p)]
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    text = p.read_text()
+    good = next(line for line in text.splitlines(keepends=True)
+                if line.startswith("1|1|0|4|2||4\t225\t"))
+    p.write_text(text.replace(good, good.replace("\t225\t", "\t999\t")))
+    assert main(args) == 0
+    assert capsys.readouterr().out == clean
+    assert p.read_text().endswith(good)
+    size = p.stat().st_size
+    assert main(args) == 0
+    assert capsys.readouterr().out == clean
+    assert p.stat().st_size == size
+
+
+def test_byte_flip_never_returns_a_wrong_value(tmp_path):
+    # every single-byte change of one record, newline included, loses at
+    # most that record (or merges it with the next, losing both): no key
+    # ever loads with a value it was not given, and the recursion value
+    # read through the cache stays 225
+    p = tmp_path / "ch.txt"
+    with CacheStore(str(p)) as store:
+        assert severi_degree(P2(4), 2, y=1, table=CHTable(store=store)) == 225
+    data = p.read_bytes()
+    records = dict(line.split("\t")[:2] for line in data.decode().splitlines()[1:])
+    start = data.index(b"\n1|1|0|4|2||4\t") + 1
+    end = data.index(b"\n", start) + 1
+    for offset in range(start, end):
+        for flip in (0x01, 0x20, 0xff):
+            p.write_bytes(data[:offset] + bytes([data[offset] ^ flip])
+                          + data[offset + 1:])
+            with CacheStore(str(p)) as store:
+                kept = {k: store.get(k) for k in records if k in store}
+                assert kept.items() <= records.items(), (offset, flip)
+                assert len(store) == len(kept) >= len(records) - 2, (offset, flip)
+                table = CHTable(store=store)
+                assert severi_degree(P2(4), 2, y=1, table=table) == 225
+
+
+def test_v1_cache_refused(tmp_path, capsys):
+    # the unchecksummed v1 format is refused, not read as v2
+    p = tmp_path / "F"
+    p.write_text("refsev-cache v1\n1|1|0|4|2||4\t225\n")
+    assert main(["compute", "--surface", "p2", "--d", "4", "--delta", "2",
+                 "--y", "1", "--cache", str(p)]) == 2
+    assert "expected 'refsev-cache v2'" in capsys.readouterr().err

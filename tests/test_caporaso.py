@@ -14,7 +14,9 @@ from refsev.caporaso import (
     welschinger_degree,
 )
 from refsev.floor_diagrams import floor_diagram_count
+from refsev.genfun import Invariants
 from refsev.graphs import refined_count, s_beta
+from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
 
 
@@ -40,9 +42,7 @@ def test_sequence_mismatch_rejected(chtable):
 
 
 def test_strict_flags_negative_gamma(chtable):
-    # d = 1, delta huge: gamma < 0
-    with pytest.raises(ValueError):
-        relative_degree(P2(1), 9, (), (1,), table=chtable, strict=True)
+    # d = 1, delta huge: gamma < 0, so the degree vanishes
     assert relative_degree(P2(1), 9, (), (1,), table=chtable).is_zero()
 
 
@@ -50,11 +50,14 @@ def test_bundle_invariants():
     b = Sigma(2, 1, 3)
     assert b.HL == 7
     assert b.dim_L == (3 + 1) * (1 + 1) + 2 * 3 * 4 // 2 - 1
-    assert b.L2 == 2 * 1 * 3 + 2 * 9
-    assert b.LK == -(2 * 1 + 4 * 3)
-    assert b.chi_L - b.chi_O == b.qexp
-    p = P2(4)
-    assert (p.dim_L, p.HL, p.L2, p.LK, p.K2) == (14, 4, 16, -12, 9)
+    inv = Invariants.of(b)
+    assert (inv.K2, inv.LK) == (8, -(2 * 1 + 4 * 3))
+    # Riemann-Roch: chi(L) - chi(O) = (L^2 - L.K)/2, L^2 = 2cd + m d^2
+    assert inv.qexp == (2 * 1 * 3 + 2 * 9 - inv.LK) / 2
+    p, inv = P2(4), Invariants.of(P2(4))
+    assert (p.dim_L, p.HL, inv.LK, inv.K2, inv.qexp) == (14, 4, -12, 9, (16 + 12) / 2)
+    assert Invariants.of(P11m(2, 3)) == Invariants(K2=8, LK=-12, chi_L=16)
+    assert Invariants.of(P11m(3, 1)).K2 == QQ(25, 3)
 
 
 def test_dim_formulas():

@@ -197,7 +197,7 @@ def test_usage_error_exit_two():
      "error: P(1,1,m) bundles have m >= 1, not m = 0"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
       "FOREIGN"], "error: cache FOREIGN has header 'some other format v9', "
-                  "expected 'refsev-cache v1'"),
+                  "expected 'refsev-cache v2'"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",

@@ -1,10 +1,13 @@
 """Scaled-down runs of every checker; the acceptance module runs the
 full ranges."""
+import functools
+
 import pytest
 
 from refsev import conjectures, modular
-from refsev.conjectures import CHECK_IDS, check_conjecture
-from refsev.genfun import reform_eval
+from refsev.caporaso import Sigma, severi_degree
+from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
+from refsev.genfun import Invariants, reform_eval
 
 
 def test_refpol_small(chtable):
@@ -90,25 +93,36 @@ def test_blowk_small(chtable):
 
 
 def test_blowk_instances(chtable):
-    # d - k = 0 leaves delta <= 2(d-k)+1 at delta_max = 2: one skip per case
+    # d - k = 0 leaves delta <= 2(d-k) at delta = 0: deltas 1 and 2 skip
     rep = check_conjecture("blowk", table=chtable, ks=(1, 2), dprimes=(0, 1),
                            delta_max=2)
-    reason = "outside delta <= 2(d-k)+1"
+    reason = "outside delta <= 2(d-k): the identity fails at 2(d-k)+1"
     assert rep.instances == (
-        [({"k": "1/2", "d": "1/2"}, "skip", reason)]
+        [({"k": "1/2", "d": "1/2", "delta": 0}, "pass", "")]
+        + [({"k": "1/2", "d": "1/2", "delta": dl}, "skip", reason) for dl in (1, 2)]
         + [({"k": "1/2", "d": "3/2", "delta": dl}, "pass", "") for dl in range(3)]
-        + [({"k": "1", "d": "1"}, "skip", reason)]
+        + [({"k": "1", "d": "1", "delta": 0}, "pass", "")]
+        + [({"k": "1", "d": "1", "delta": dl}, "skip", reason) for dl in (1, 2)]
         + [({"k": "1", "d": "2", "delta": dl}, "pass", "") for dl in range(3)])
 
 
 def test_blowk_fails_at_the_edge_of_its_regime(chtable):
-    # delta = 2(d-k)+1 is inside the stated regime, and the identity
-    # disagrees with the engine there: a FAIL, never a SKIP
+    # at delta = 2(d-k)+1 the identity's coefficient is negative where the
+    # engine's refined count is 0: (k, d-k) = (1/2, 1), delta = 3, engine 0
+    # against identity -4. The check skips that delta, naming the edge
+    rep = ConjectureReport("blowk", {})
+    bundle = Sigma(2, 1, 1)
+    conjectures._against(rep, chtable, [({}, bundle, Invariants.of(bundle))], 3,
+                         functools.partial(modular.f_bar, 1))
+    assert [v for _, v, _ in rep.instances] == ["pass"] * 3 + ["fail"]
+    assert "engine 0 vs genfun -4" in rep.instances[3][2]
+    assert severi_degree(bundle, 3, table=chtable).is_zero()
     rep = check_conjecture("blowk", table=chtable, ks=(1,), dprimes=(1,),
                            delta_max=3)
-    assert [v for _, v, _ in rep.instances] == ["pass"] * 3 + ["fail"]
-    assert rep.instances[3][:2] == ({"k": "1/2", "d": "3/2", "delta": 3}, "fail")
-    assert "engine 0 vs genfun -4" in rep.instances[3][2]
+    assert rep.instances[3] == ({"k": "1/2", "d": "3/2", "delta": 3}, "skip",
+                                "outside delta <= 2(d-k): the identity fails "
+                                "at 2(d-k)+1")
+    assert [v for _, v, _ in rep.instances[:3]] == ["pass"] * 3
 
 
 def test_a1_form3_small(chtable):

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from refsev.caporaso import P2, Sigma, severi_degree
-from refsev.genfun import (Invariants, base_series, engine_data, reform_eval,
-                           solve_bundles, solve_universal_B)
+from refsev.genfun import (Invariants, base_series, engine_data, reform_coefficient,
+                           reform_eval, reform_q_series, solve_bundles,
+                           solve_universal_B)
 from refsev.modular import b_series, b_bar_series
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
@@ -29,8 +30,8 @@ def test_three_forms_agree_on_toy_data():
         R = rand_unit(8)
         B1, B2 = rand_unit(8), rand_unit(8)
         inv = Invariants(K2=2, LK=-3, chi_L=5, chi_O=1)
-        f1 = reform_eval(inv, B1, B2, form=1, order=6, R=R)
-        S = reform_eval(inv, B1, B2, form=2, order=4, R=R)
+        f1 = reform_q_series(inv, B1, B2, 6, R=R)
+        S, = reform_eval([inv], B1, B2, 4, R=R)
         # assemble sum_delta M^delta P^delta from the form-2 coefficients
         dg, _, _ = base_series(6)
         acc = QSeries.zero(6)
@@ -40,7 +41,7 @@ def test_three_forms_agree_on_toy_data():
             powers = (powers * dg).truncate(6)
         assert acc.agrees_with(f1.truncate(5))
         for delta in range(4):
-            f3 = reform_eval(inv, B1, B2, form=3, order=delta, R=R)
+            f3 = reform_coefficient(inv, B1, B2, delta, R=R)
             assert f3 == S.coeff_at(delta), delta
 
 
@@ -51,21 +52,21 @@ def test_form3_is_plane_curve_identity(chtable):
     for d in (2, 3):
         inv = Invariants.of(P2(d))
         for delta in range(2 * d - 1):
-            got = reform_eval(inv, B1, B2, form=3, order=delta)
+            got = reform_coefficient(inv, B1, B2, delta)
             assert got == severi_degree(P2(d), delta, table=chtable)
 
 
 def test_form2_matches_engines(chtable):
     B1, B2 = b_series(1, 18), b_series(2, 18)
     for bundle in (P2(5), Sigma(0, 5, 5), Sigma(1, 4, 4)):
-        S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=4)
+        S, = reform_eval([Invariants.of(bundle)], B1, B2, 4)
         for delta in range(5):
             assert S.coeff_at(delta) == severi_degree(bundle, delta, table=chtable)
 
 
 def test_form2_welschinger(chtable):
     B1, B2 = b_bar_series(1, 10), b_bar_series(2, 10)
-    S = reform_eval(Invariants.of(P2(6)), B1, B2, form=2, order=6, y=-1)
+    S, = reform_eval([Invariants.of(P2(6))], B1, B2, 6, y=-1)
     for delta in range(7):
         w = severi_degree(P2(6), delta, y=-1, table=chtable)
         assert S.coeff_at(delta) == YLaurent.const(w)
@@ -75,7 +76,7 @@ def test_form2_welschinger_ruled(chtable):
     # the ruled-surface side of the Welschinger identity
     B1, B2 = b_bar_series(1, 10), b_bar_series(2, 10)
     for bundle in (Sigma(0, 6, 6), Sigma(1, 5, 5), Sigma(2, 5, 4)):
-        S = reform_eval(Invariants.of(bundle), B1, B2, form=2, order=5, y=-1)
+        S, = reform_eval([Invariants.of(bundle)], B1, B2, 5, y=-1)
         for delta in range(6):
             w = severi_degree(bundle, delta, y=-1, table=chtable)
             assert S.coeff_at(delta) == YLaurent.const(w), (bundle, delta)
@@ -87,7 +88,7 @@ def test_solve_recovers_synthetic_b():
     data = []
     for inv in (Invariants(K2=9, LK=-15, chi_L=21),
                 Invariants(K2=8, LK=-20, chi_L=36)):
-        S = reform_eval(inv, B1, B2, form=2, order=5)
+        S, = reform_eval([inv], B1, B2, 5)
         data.append((inv, {d: S.coeff_at(d) for d in range(6)}))
     r1, r2 = solve_universal_B(data, 6)
     assert r1.agrees_with(B1) and r2.agrees_with(B2)
@@ -104,7 +105,7 @@ def test_solve_rejects_rank_deficient():
     inv2 = Invariants(K2=18, LK=-30, chi_L=36)  # proportional (K2, LK)
     data = []
     for inv in (inv1, inv2):
-        S = reform_eval(inv, B1, B2, form=2, order=3)
+        S, = reform_eval([inv], B1, B2, 3)
         data.append((inv, {d: S.coeff_at(d) for d in range(4)}))
     with pytest.raises(ValueError):
         solve_universal_B(data, 4)
@@ -130,7 +131,7 @@ def test_solve_refuses_data_without_m0_one():
     data = []
     for inv in (Invariants(K2=9, LK=-15, chi_L=21),
                 Invariants(K2=8, LK=-20, chi_L=36)):
-        S = reform_eval(inv, B1, B2, form=2, order=3)
+        S, = reform_eval([inv], B1, B2, 3)
         data.append((inv, {d: S.coeff_at(d) for d in range(4)}))
     del data[1][1][0]
     with pytest.raises(ValueError, match="lacks the delta = 0 value"):
@@ -144,9 +145,8 @@ def test_form2_takes_several_invariants():
     B1, B2 = rand_unit(7), rand_unit(7)
     R = rand_unit(9)
     invs = [Invariants(K2=9, LK=-15, chi_L=21), Invariants(K2=8, LK=-20, chi_L=36)]
-    both = reform_eval(invs, B1, B2, form=2, order=4, R=R, shift=1)
-    assert both == [reform_eval(inv, B1, B2, form=2, order=4, R=R, shift=1)
-                    for inv in invs]
+    both = reform_eval(invs, B1, B2, 4, R=R, shift=1)
+    assert both == [reform_eval([inv], B1, B2, 4, R=R, shift=1)[0] for inv in invs]
 
 
 def test_solve_bundles_smallest_in_regime():

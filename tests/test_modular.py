@@ -1,9 +1,11 @@
 import pytest
 
+from refsev import ylaurent
 from refsev.modular import (
     b_bar_series,
     b_series,
     bernoulli,
+    delta_tilde,
     dgtilde2,
     eisenstein,
     eisenstein_bar,
@@ -124,6 +126,25 @@ def test_theta_sum_vs_product():
     assert theta_y(14).agrees_with(
         QSeries([YLaurent({1: 1, -1: -1})], trunc=14, offset24=3) * theta_unit(14)
     )
+
+
+def test_euler_products_skip_the_factors_zeros(monkeypatch):
+    # each factor poly(q^n) is nonzero at no more than 4 of its K indices;
+    # multiplying it from the left lets QSeries.__mul__ skip the rest
+    # (8,155 coefficient products at K = 20 when the dense product led)
+    calls = []
+    mul = ylaurent.YLaurent.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(ylaurent.YLaurent, "__mul__", counted)
+    delta_tilde(20)
+    assert len(calls) <= 1495
+    calls.clear()
+    theta_unit(20)
+    assert len(calls) <= 717
 
 
 def test_theta_offset_is_eighth():
