@@ -21,7 +21,8 @@ import functools
 import itertools
 import sys
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
+from operator import mul
 
 from .cache import CacheStore
 from .ylaurent import RINGS, ring_at
@@ -54,19 +55,16 @@ def canon_seq(seq) -> tuple:
 
 
 def iseq(seq) -> int:
-    return sum((i + 1) * x for i, x in enumerate(seq))
+    """I(seq) = sum_i i * seq_i."""
+    return sum(map(mul, seq, itertools.count(1)))
 
 
-def _binom_seq(a: tuple, b: tuple) -> int:
-    """prod_i C(a_i, b_i); zero when b_i > a_i somewhere."""
-    out = 1
-    for i in range(max(len(a), len(b))):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        if bi > ai:
-            return 0
-        out *= comb(ai, bi)
-    return out
+def _strip(seq) -> tuple:
+    """seq without trailing zeros, for sequences nonnegative by construction."""
+    n = len(seq)
+    while n and not seq[n - 1]:
+        n -= 1
+    return tuple(seq[:n])
 
 
 # -- surfaces ----------------------------------------------------------------
@@ -228,7 +226,7 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
         return hit
 
     # initial conditions: the fiber bundles cF on Sigma_m
-    if d == 0 and delta == 0 and not beta and alpha == canon_seq((c,)):
+    if d == 0 and delta == 0 and not beta and alpha == _strip((c,)):
         table.insert(y, key, ring.one)
         return ring.one
 
@@ -239,10 +237,11 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
         table.insert(y, key, ring.zero)
         return ring.zero
 
-    total = ring.zero
+    # the children as (factor, binomial, value) triples, summed once
+    terms = []
     # first sum: trade one moving contact of order k for a fixed one
     for k_idx, bk in enumerate(beta):
-        if bk <= 0:
+        if not bk:
             continue
         k = k_idx + 1
         f = ring.qnum_prod(((k, 1),))
@@ -252,51 +251,47 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
         a2[k - 1] += 1
         b2 = list(beta)
         b2[k - 1] -= 1
-        total = total + f * _N(m, c, d, delta, canon_seq(a2), canon_seq(b2), ring, table)
+        # a2 ends in a positive entry; b2 may end in a zero
+        terms.append((f, 1, _N(m, c, d, delta, tuple(a2), _strip(b2), ring, table)))
 
     # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
-    # the bottom of the tower
-    if d == 0:
-        table.insert(y, key, total)
-        return total
-    HL2 = c + m * (d - 1)
-    ibeta = iseq(beta)
-    ranges = [range(x + 1) for x in alpha]
-    for a2_raw in itertools.product(*ranges):
-        a2 = canon_seq(a2_raw)
-        R = HL2 - iseq(a2) - ibeta
-        if R < 0:
-            continue
-        ca = _binom_seq(alpha, a2)
-        emax = delta - HL2 + R
-        if emax < 0:
-            continue
-        for e in range(0, min(R, emax) + 1):
-            delta2 = delta - HL2 + R - e
-            for mu in _partitions(e):
-                ones = R - e - len(mu)
-                if ones < 0:
-                    continue
-                # gamma' has `ones` parts of size 1 and parts mu_j + 1
-                gam: dict = {}
-                if ones:
-                    gam[1] = ones
-                for p in mu:
-                    gam[p + 1] = gam.get(p + 1, 0) + 1
-                f = ring.qnum_prod(tuple(gam.items()))
-                if not f:
-                    continue
-                b2 = list(beta) + [0] * (max(gam) - len(beta) if gam else 0)
-                for i, gi in gam.items():
-                    b2[i - 1] += gi
-                b2t = canon_seq(b2)
-                cb = _binom_seq(b2t, beta)
-                if cb == 0:
-                    continue
-                sub = _N(m, c, d - 1, delta2, a2, b2t, ring, table)
-                if sub:
-                    total = total + sub * (ca * cb) * f
+    # the bottom of the tower. alpha' <= alpha and beta' = beta + gamma' with
+    # I(gamma') = R = HL2 - I(alpha') - I(beta) in R - e parts, and
+    # delta' = delta - HL2 + R - e; a tuple alpha' with R < 0 or no
+    # delta' >= 0 is dropped before any sequence work
+    if d > 0:
+        HL2 = c + m * (d - 1)
+        room = HL2 - iseq(beta)
+        for a2_raw in itertools.product(*[range(x + 1) for x in alpha]):
+            R = room - iseq(a2_raw)
+            emax = delta - HL2 + R
+            if R < 0 or emax < 0:
+                continue
+            a2 = _strip(a2_raw)
+            ca = prod(map(comb, alpha, a2_raw))
+            for e in range(min(R, emax) + 1):
+                for mu in _partitions(e):
+                    ones = R - e - len(mu)
+                    if ones < 0:
+                        continue
+                    # gamma' has `ones` parts of size 1 and parts mu_j + 1
+                    gam: dict = {}
+                    if ones:
+                        gam[1] = ones
+                    for p in mu:
+                        gam[p + 1] = gam.get(p + 1, 0) + 1
+                    f = ring.qnum_prod(tuple(gam.items()))
+                    if not f:
+                        continue
+                    b2 = list(beta) + [0] * (max(gam, default=0) - len(beta))
+                    for i, gi in gam.items():
+                        b2[i - 1] += gi
+                    # b2 ends in a positive entry, the last of beta or gamma'
+                    terms.append((f, ca * prod(map(comb, b2, beta)),
+                                  _N(m, c, d - 1, emax - e, a2, tuple(b2), ring,
+                                     table)))
 
+    total = ring.sum_products(terms)
     table.insert(y, key, total)
     return total
 

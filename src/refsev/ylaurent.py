@@ -276,6 +276,21 @@ YL_ZERO = YLaurent({}, _canonical=True)
 YL_ONE = YLaurent({0: 1}, _canonical=True)
 
 
+def _sum_products(triples) -> YLaurent:
+    """sum f * c * v over (f, c, v) triples, f and v YLaurent and c an int,
+    accumulated in one term dict."""
+    t: dict = {}
+    get = t.get
+    for f, c, v in triples:
+        for ef, cf in f.terms.items():
+            k = cf * c
+            for ev, cv in v.terms.items():
+                e = ef + ev
+                t[e] = get(e, 0) + k * cv
+    return YLaurent({e: s if type(s) is int else _exact(s)
+                     for e, s in t.items() if s}, _canonical=True)
+
+
 def qnum(n: int) -> YLaurent:
     """Quantum number [n]_y = y^((n-1)/2) + y^((n-3)/2) + ... + y^(-(n-1)/2).
 
@@ -295,16 +310,20 @@ class YRing:
 
     y is the y of the ring ('sym', 1, -1); at maps a Laurent polynomial
     into the ring, and zero, one and [n]_y are the images of YL_ZERO, YL_ONE
-    and qnum(n); encode and decode convert values to and from cache payloads.
+    and qnum(n); sum_products(triples) is the sum of f * c * v over (f, c, v)
+    triples, c an int; encode and decode convert values to and from cache
+    payloads.
     """
 
-    __slots__ = ("y", "at", "zero", "one", "encode", "decode", "_prods")
+    __slots__ = ("y", "at", "zero", "one", "sum_products", "encode", "decode",
+                 "_prods")
 
-    def __init__(self, y, at, encode, decode):
+    def __init__(self, y, at, sum_products, encode, decode):
         self.y = y
         self.at = at
         self.zero = at(YL_ZERO)
         self.one = at(YL_ONE)
+        self.sum_products = sum_products
         self.encode = encode
         self.decode = decode
         self._prods: dict = {}
@@ -332,11 +351,12 @@ def _integer_ring(y, at) -> YRing:
         if q.denominator != 1:
             raise ValueError(f"{v} has no integer value at y = {y}")
         return q.numerator
-    return YRing(y, to_int, str, int)
+    return YRing(y, to_int, lambda triples: sum(f * c * v for f, c, v in triples),
+                 str, int)
 
 
 RINGS = {r.y: r for r in (
-    YRing("sym", lambda v: v,
+    YRing("sym", lambda v: v, _sum_products,
           lambda v: json.dumps(v.to_triples(), separators=(",", ":")),
           lambda p: YLaurent.from_triples(json.loads(p))),
     _integer_ring(1, YLaurent.at_one),

@@ -1,5 +1,6 @@
 import os
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +242,16 @@ def test_v1_cache_refused(tmp_path, capsys):
     assert main(["compute", "--surface", "p2", "--d", "4", "--delta", "2",
                  "--y", "1", "--cache", str(p)]) == 2
     assert "expected 'refsev-cache v2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("golden, y", [("solve-B-5-sym", []),
+                                       ("solve-B-5-ym1", ["--y", "-1"])],
+                         ids=["sym", "ym1"])
+def test_cache_file_golden(tmp_path, capsys, golden, y):
+    # the file a cold solve-B writes, byte for byte: header, the order in
+    # which the recursion inserts its states, payloads and checksums
+    p = tmp_path / "F"
+    assert main(["solve-B", "--order", "5", *y, "--cache", str(p)]) == 0
+    capsys.readouterr()
+    expected = (Path(__file__).parent / "golden" / f"{golden}.cache").read_bytes()
+    assert p.read_bytes() == expected

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -14,7 +15,7 @@ from refsev.caporaso import (
     welschinger_degree,
 )
 from refsev.floor_diagrams import floor_diagram_count
-from refsev.genfun import Invariants
+from refsev.genfun import Invariants, engine_data, solve_bundles
 from refsev.graphs import refined_count, s_beta
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
@@ -176,3 +177,30 @@ def test_no_table_means_a_fresh_table(monkeypatch):
         inserts.append(0)
         severi_degree(P2(3), 1)
     assert inserts[0] == inserts[1] > 0
+
+
+@pytest.mark.parametrize("y, states", [("sym", 3899), (1, 3899), (-1, 1541)])
+def test_states_per_ring(y, states):
+    # the states solve-B --order 10 computes; at y = -1 a branch whose
+    # quantum-number factor vanishes is never entered, so fewer states are
+    # computed and cached than at 'sym' and y = 1
+    table = CHTable()
+    engine_data(solve_bundles(10), 10, y, table)
+    assert len(table.memo[y]) == states
+
+
+def test_deep_state_and_recursion_limit():
+    # P2(50), delta = 1 nests about 1300 calls of the recursion, past the
+    # default limit of 1000; the limit it raises is restored afterwards,
+    # also when the table raises
+    old = sys.getrecursionlimit()
+    assert severi_degree(P2(50), 1, y=1) == 3 * 49 ** 2
+    assert sys.getrecursionlimit() == old
+
+    class Broken(CHTable):
+        def lookup(self, y, key):
+            raise RuntimeError("lookup failed")
+
+    with pytest.raises(RuntimeError, match="lookup failed"):
+        severi_degree(P2(5), 1, table=Broken())
+    assert sys.getrecursionlimit() == old

@@ -142,3 +142,45 @@ def test_refined_degree_shape():
     assert m.is_integral()
     assert all(c > 0 and c.denominator == 1 for c in m.terms.values())
     assert m.at_one() == 4 * 9
+
+
+def _naive_sum(ring, triples):
+    total = ring.zero
+    for f, c, v in triples:
+        total = total + f * c * v
+    return total
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_sum_products_is_the_naive_sum(y):
+    ring = ring_at(y)
+    factors = [YL_ONE, qnum(2), qnum(3) * qnum(2), qnum(4) ** 2]
+    values = [qnum(2) * 2, YLaurent({4: 1, 0: -3, -4: 1}), YL_ZERO, qnum(5)]
+    triples = [(ring.at(f), c, ring.at(v))
+               for f, c, v in zip(factors * 4, (1, 3, -2, 7, 0, 5), values * 4)]
+    triples += [(ring.at(f), 6, ring.at(v)) for f in factors for v in values]
+    assert ring.sum_products(triples) == _naive_sum(ring, triples)
+    # empty input
+    empty = ring.sum_products([])
+    assert empty == ring.zero and type(empty) is type(ring.zero)
+    # terms that cancel, wholly and in part
+    v = ring.at(YLaurent({2: 1, -2: 1}))
+    assert ring.sum_products([(ring.one, 1, v), (ring.one, -1, v)]) == ring.zero
+    part = ring.sum_products([(ring.at(qnum(2)), 1, ring.at(qnum(2))),
+                              (ring.one, -1, v)])
+    assert part == ring.at(YLaurent.const(2))
+    if y == "sym":
+        assert part.terms == {0: 2}
+        assert ring.sum_products([(ring.one, 1, v), (ring.one, -1, v)]).terms == {}
+
+
+def test_sum_products_keeps_integral_coefficients_as_ints():
+    ring = ring_at("sym")
+    triples = [(YL_ONE, 1, YLaurent({2: QQ(1, 3)})),
+               (qnum(1), 2, YLaurent({2: QQ(1, 3), 0: QQ(1, 2)})),
+               (YL_ONE, 1, YLaurent({0: QQ(1, 2)}))]
+    total = ring.sum_products(triples)
+    assert total == _naive_sum(ring, triples) == YLaurent({2: 1, 0: QQ(3, 2)})
+    assert type(total.terms[2]) is int and type(total.terms[0]) is QQ
+    # 2 * 1/2 = 1 from one Fraction times an int
+    assert type(ring.sum_products(triples[:2]).terms[0]) is int
