@@ -222,8 +222,11 @@ def verify_id(text: str) -> str:
     return cid
 
 
-# verify's range flags, all defaulting to None so that a given one is seen
-VERIFY_RANGE_FLAGS = ("order", "lmax", "cmax", "dmax", "mmax", "deltamax")
+# verify's range flags (--order-minus1 for order_minus1), all defaulting to
+# None so that a given one is seen
+VERIFY_RANGE_FLAGS = ("order", "order_minus1", "lmax", "cmax", "dmax", "mmax",
+                      "deltamax")
+_POSITIVE_FLAGS = ("order", "order_minus1", "lmax")
 _P2_RANGES = {"deltamax": ("delta_max", None), "dmax": ("d_max", None)}
 # check id -> {flag: (check parameter, CLI default)}; a CLI default of None
 # leaves the check's own; a check missing here takes no flag, as
@@ -233,7 +236,7 @@ VERIFY_FLAGS = {
        if i != "fhat_general_tables"},
     "cross_engine": {"cmax": ("cmax", 4), "dmax": ("dmax", 4),
                      "mmax": ("mmax", 2), "deltamax": ("deltamax", 3)},
-    "solveB": {"order": ("order", 5)},
+    "solveB": {"order": ("order", 5), "order_minus1": ("order_minus1", 9)},
     "fbar_closed_form": {"order": ("K", 40), "lmax": ("param", 12)},
     "refpol": _P2_RANGES,
     "GSPSigmaW": _P2_RANGES,
@@ -243,21 +246,26 @@ VERIFY_FLAGS = {
 def verify_params(args) -> dict:
     """The check parameters verify's flags set for the check args.id;
     ValueError for a flag that check does not take, and for a non-positive
-    --order or --lmax."""
+    --order, --order-minus1 or --lmax."""
     takes = VERIFY_FLAGS.get(args.id, {})
     for flag in VERIFY_RANGE_FLAGS:
         if getattr(args, flag) is not None and flag not in takes:
-            raise ValueError(f"verify --id {args.id} takes no --{flag}")
+            raise ValueError(f"verify --id {args.id} takes no {_option(flag)}")
     params = {}
     for flag, (name, default) in takes.items():
         value = getattr(args, flag)
         if value is None:
             value = default
-        elif flag in ("order", "lmax") and value < 1:
-            raise ValueError(f"--{flag} must be >= 1")
+        elif flag in _POSITIVE_FLAGS and value < 1:
+            raise ValueError(f"{_option(flag)} must be >= 1")
         if value is not None:
             params[name] = value
     return params
+
+
+def _option(flag: str) -> str:
+    """The command-line spelling of a verify range flag."""
+    return "--" + flag.replace("_", "-")
 
 
 def _cmd_verify(args, out) -> int:
@@ -349,7 +357,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a conjecture/identity check")
     v.add_argument("--id", type=verify_id, required=True)
     for flag in VERIFY_RANGE_FLAGS:
-        v.add_argument(f"--{flag}", type=int, default=None)
+        v.add_argument(_option(flag), type=int, default=None)
     common(v, "cache")
     v.set_defaults(func=_cmd_verify)
 

@@ -9,10 +9,21 @@ over all graphs finite and fast.
 This module provides the graph-side engine: enumeration by cogenus,
 multiplicities, beta-extended ordering counts P_beta / P^s_beta, the
 log-transform Phi, template sums for the log of the generating series, and
-the linear fit of Phi in beta. Phi is computed in integers, by the Euler
-operator recursion on log P (see phi). Within one q_log_count, the P of
-every sub-multiset of every shifted template is read from one memo, keyed
-by its edges shifted to minv 0 and its beta window.
+the linear fit of Phi in beta.
+
+P is a dynamic programme over the edge classes on {per-gap fill vector:
+count}: placing t copies of a class into a gap holding f edges multiplies
+by C(f + t, t), so placements that reach the same fill merge. Phi is
+computed in integers, by the Euler operator recursion on log P (see
+_log_numerator), from a plan built once per graph (_PhiPlan): the
+sub-multisets of the edge classes as shapes at minv 0 with their vertex
+spans, and the recursion's index terms, shared per multiplicity tuple.
+enumerate_templates builds the plans of its templates, sharing equal
+shapes, so they live exactly as long as the templates. A template sum then
+reads, for each shift, only slices of beta: the P of every sub-multiset
+comes from one memo per q_log_count, keyed by its shape and beta window,
+and the integer numerator of Phi from _PHI_CACHE, keyed by the template
+and its window.
 """
 from __future__ import annotations
 
@@ -49,7 +60,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges", "_loads")
+    __slots__ = ("edges", "_loads", "_plan")
 
     def __init__(self, edges):
         es = []
@@ -60,7 +71,7 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
-        self._loads = None
+        self._loads = self._plan = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -78,7 +89,7 @@ class LongEdgeGraph:
         return sum((j - i) * w - 1 for i, j, w in self.edges)
 
     def minv(self) -> int:
-        return min(i for i, _, _ in self.edges)
+        return self.edges[0][0]  # the edges are sorted by their start
 
     def maxv(self) -> int:
         return max(j for _, j, _ in self.edges)
@@ -200,8 +211,14 @@ def enumerate_graphs(delta: int, maxv_bound: int) -> list:
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    return [G for G in _iter_graphs(delta, delta + 1, from_zero=True)
-            if G.is_template()]
+    templates = [G for G in _iter_graphs(delta, delta + 1, from_zero=True)
+                 if G.is_template()]
+    # their Phi plans share one graph per sub-multiset shape (shapes recur
+    # across templates) and live as long as the templates
+    intern: dict = {}
+    for T in templates:
+        _phi_plan(T, intern)
+    return templates
 
 
 # -- ordering counts ----------------------------------------------------------
@@ -212,6 +229,15 @@ def _edge_classes(G: LongEdgeGraph):
     return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
 
 
+@functools.cache
+def _compositions(n: int, parts: int) -> tuple:
+    """The ways to write n as an ordered sum of parts terms >= 0."""
+    if parts == 1:
+        return ((n,),)
+    return tuple((t,) + rest for t in range(n + 1)
+                 for rest in _compositions(n - t, parts - 1))
+
+
 def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
     up to permutation of identical edges.
@@ -219,47 +245,33 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     Each edge of ext_beta(G) occupies one gap j between vertices j-1 and j
     of its span; orderings of a gap's edges count once per multiset
     permutation. The beta[j-1] - lambda_j(G) added short edges sit in gap j
-    as one indistinguishable class.
+    as one indistinguishable class. Placing t copies of a class into a gap
+    that holds f edges multiplies by C(f + t, t), which depends on the
+    placement only through the fill f; so the count is a dynamic programme
+    over the edge classes on {per-gap fill vector: count}, merging the
+    placements that reach the same fill.
     """
-    if strict:
-        if not G.strictly_beta_allowable(beta):
-            return 0
-    elif not G.beta_allowable(beta):
+    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
         return 0
-    if G.is_empty():
-        return 1
-    classes = _edge_classes(G)
-    gap_counts = {j: b - l for j, (b, l)
-                  in enumerate(itertools.zip_longest(beta, G.loads(), fillvalue=0), 1)}
-    total = 0
-
-    def rec(ci: int, acc: int):
-        nonlocal total
-        if ci == len(classes):
-            total += acc
-            return
-        (i, j, w), mult = classes[ci]
-        gaps = list(range(i + 1, j + 1))
-
-        def distribute(gi: int, left: int, acc2: int):
-            if gi == len(gaps) - 1:
-                g = gaps[gi]
-                f = comb(gap_counts[g] + left, left)
-                gap_counts[g] += left
-                rec(ci + 1, acc2 * f)
-                gap_counts[g] -= left
-                return
-            g = gaps[gi]
-            for take in range(left + 1):
-                f = comb(gap_counts[g] + take, take)
-                gap_counts[g] += take
-                distribute(gi + 1, left - take, acc2 * f)
-                gap_counts[g] -= take
-
-        distribute(0, mult, acc)
-
-    rec(0, 1)
-    return total
+    fills = {tuple(b - l for b, l
+                   in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
+    for (i, j, _), mult in _edge_classes(G):
+        if j == i + 1:  # one gap: one placement per fill
+            fills = {f[:i] + (f[i] + mult,) + f[j:]: n * comb(f[i] + mult, mult)
+                     for f, n in fills.items()}
+            continue
+        placed: dict = {}
+        for fill, n in fills.items():
+            for ts in _compositions(mult, j - i):
+                f, c = list(fill), n
+                for g, t in enumerate(ts, i):
+                    if t:
+                        c *= comb(f[g] + t, t)
+                        f[g] += t
+                f = tuple(f)
+                placed[f] = placed.get(f, 0) + c
+        fills = placed
+    return sum(fills.values())
 
 
 def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> int:
@@ -299,6 +311,7 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
 # -- the log transform Phi ---------------------------------------------------
 
 
+# integer A_m by (edges shifted to minv 0, beta window); Phi = A_m / |m|
 _PHI_CACHE: dict = {}
 # non-strict P by (edges shifted to minv 0, beta window); emptied at the
 # start of each q_log_count, so it holds the sub-multisets of one (beta, delta)
@@ -311,70 +324,109 @@ def _refuse_negative(beta) -> None:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
+class _PhiPlan:
+    """What Phi needs of a graph, listed once: |m| for its class
+    multiplicities m, the Euler terms of m, and for each nonzero j <= m (in
+    itertools.product order) the j-th sub-multiset shifted to minv 0 (its
+    shape, a LongEdgeGraph shared through intern) with its vertex span
+    [lo, hi) relative to the graph's minv."""
+
+    __slots__ = ("size", "terms", "shapes", "spans")
+
+    def __init__(self, G: LongEdgeGraph, intern: dict):
+        edges, m = zip(*_edge_classes(G))
+        v0 = edges[0][0]
+        self.size, self.terms = sum(m), _euler_terms(m)
+        shapes, spans = [], []
+        for j in itertools.islice(itertools.product(*[range(x + 1) for x in m]), 1, None):
+            sub = _sub_multiset(edges, j)
+            lo, hi = sub[0][0], max(b for _, b, _ in sub)
+            shape = tuple((a - lo, b - lo, w) for a, b, w in sub)
+            if shape not in intern:
+                intern[shape] = LongEdgeGraph(shape)
+            shapes.append(intern[shape])
+            spans.append(intern.setdefault((lo - v0, hi - v0), (lo - v0, hi - v0)))
+        self.shapes, self.spans = tuple(shapes), tuple(spans)
+
+
+def _phi_plan(G: LongEdgeGraph, intern=None) -> _PhiPlan:
+    """G's plan, built once and kept on G; intern shares equal tuples."""
+    if G._plan is None:
+        G._plan = _PhiPlan(G, {} if intern is None else intern)
+    return G._plan
+
+
+@functools.cache
+def _euler_terms(m: tuple) -> tuple:
+    """For each nonzero j <= m in itertools.product order: (|j|, the
+    indices of the k with 0 < k < j, the indices of the matching j - k)."""
+    strides = [prod(x + 1 for x in m[c + 1:]) for c in range(len(m))]
+    terms = []
+    for j in itertools.islice(itertools.product(*[range(x + 1) for x in m]), 1, None):
+        # the box k <= j, listed by index, is the box of j - k listed backwards
+        box = list(map(sum, itertools.product(
+            *[range(0, (x + 1) * s, s) for x, s in zip(j, strides)])))
+        terms.append((sum(j), tuple(box[1:-1]), tuple(box[-2:0:-1])))
+    return tuple(terms)
+
+
+def _log_numerator(plan: _PhiPlan, F: list) -> int:
+    """A_m, from F = [1] + the P of each sub-multiset in plan order.
+
+    The Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k},
+    with A_k = |k| [x^k] log F; every A_j is an integer."""
+    A = [0]
+    for (size, ks, rs), f in zip(plan.terms, itertools.islice(F, 1, None)):
+        A.append(size * f - sum(map(operator.mul, map(A.__getitem__, ks),
+                                    map(F.__getitem__, rs))))
+    return A[-1]
+
+
+def _window_numerator(edges0: tuple, plan: _PhiPlan, window: tuple) -> int:
+    """A_m of the graph edges0 (minv 0) under the beta window over
+    [0, maxv), through _PHI_CACHE, with every P read from _P_MEMO."""
+    key = (edges0, window)
+    val = _PHI_CACHE.get(key)
+    if val is None:
+        F = [1]
+        for shape, (lo, hi) in zip(plan.shapes, plan.spans):
+            sub = (shape.edges, window[lo:hi])
+            p = _P_MEMO.get(sub)
+            if p is None:
+                p = _P_MEMO[sub] = count_orderings(shape, sub[1])
+            F.append(p)
+        val = _PHI_CACHE[key] = _log_numerator(plan, F)
+    return val
+
+
 def phi(G: LongEdgeGraph, beta, strict: bool = False):
     """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
     decompositions of the edge multiset; an exact rational. A negative
     beta entry raises ValueError.
 
-    With F_j the P of the sub-multiset of class multiplicities j <= m, the
-    Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k}, with
-    A_k = |k| [x^k] log F. Every A_j is an integer and Phi = A_m / |m|.
-    Non-strict P comes from _P_MEMO, shared by every sub-multiset of every
-    shifted template in one q_log_count.
+    With F_j the P of the sub-multiset of class multiplicities j <= m,
+    Phi = A_m / |m| by the integer recursion of _log_numerator. Non-strict
+    P depends only on the sub-multiset's shape and its beta window, and is
+    read from _P_MEMO; strict P is counted at the sub-multiset's place.
     """
     _refuse_negative(beta)
     if G.is_empty():
         return QQ(0)
+    plan = _phi_plan(G)
+    v0, v1 = G.minv(), G.maxv()
     if strict:
-        return _phi_compute(G, beta, strict=True)
-    if G.maxv() > len(beta):
+        F = [1] + [count_orderings(shape.shift(v0 + lo), beta, strict=True)
+                   for shape, (lo, _) in zip(plan.shapes, plan.spans)]
+        return QQ(_log_numerator(plan, F), plan.size)
+    if v1 > len(beta):
         return QQ(0)
-    key = _window_key(G.edges, beta)
-    val = _PHI_CACHE.get(key)
-    if val is None:
-        val = _PHI_CACHE[key] = _phi_compute(G, beta, strict=False)
-    return val
-
-
-def _window_key(edges, beta) -> tuple:
-    """(sorted edges shifted to minv 0, beta over [minv, maxv)). With
-    beta >= 0 it fixes the P of the edges, and of each sub-multiset."""
-    v0 = edges[0][0]
-    return (tuple((i - v0, j - v0, w) for i, j, w in edges),
-            tuple(beta[v0:max(j for _, j, _ in edges)]))
-
-
-def _orderings(edges: list, beta, strict: bool) -> int:
-    """P of the sorted edge list; non-strict through _P_MEMO."""
-    if strict:
-        return count_orderings(LongEdgeGraph(edges), beta, strict=True)
-    key = _window_key(edges, beta)
-    val = _P_MEMO.get(key)
-    if val is None:
-        # a window shorter than the graph gives 0, as maxv > M + 1 does
-        val = _P_MEMO[key] = count_orderings(LongEdgeGraph(key[0]), key[1])
-    return val
+    edges0 = tuple((i - v0, j - v0, w) for i, j, w in G.edges)
+    return QQ(_window_numerator(edges0, plan, tuple(beta[v0:v1])), plan.size)
 
 
 def _sub_multiset(edges, j) -> list:
     """The sorted edge list taking j[c] copies of the class edge edges[c]."""
     return [e for e, c in zip(edges, j) for _ in range(c)]
-
-
-def _phi_compute(G: LongEdgeGraph, beta, strict: bool):
-    edges, m = zip(*_edge_classes(G))
-    strides = [prod(x + 1 for x in m[c + 1:]) for c in range(len(m))]
-    F, A = [], []
-    # j <= m in itertools.product order sits at its mixed-radix index; the
-    # box k <= j, listed by index, is the box of j - k listed backwards
-    for j in itertools.product(*[range(x + 1) for x in m]):
-        sub = _sub_multiset(edges, j)
-        F.append(_orderings(sub, beta, strict) if sub else 1)
-        box = list(map(sum, itertools.product(
-            *[range(0, (x + 1) * s, s) for x, s in zip(j, strides)])))
-        A.append(sum(j) * F[-1] - sum(map(
-            operator.mul, [A[k] for k in box[:-1]], [F[k] for k in box[:0:-1]])))
-    return QQ(A[-1], sum(m))
 
 
 def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
@@ -441,19 +493,26 @@ def q_log_count(beta, delta: int):
         raise ValueError("the log transform starts at cogenus 1")
     _refuse_negative(beta)
     _P_MEMO.clear()
+    beta = tuple(beta)
     M = len(beta) - 1
-    acc = YL_ZERO
+    by_mult: dict = {}  # the multiplicity -> the sum of Phi it scales
     for T in enumerate_templates(delta):
         ell = T.length()
         lo = 1 - T.eps0()
         hi = M - ell + T.eps1()
         if hi < lo:
             continue
-        s = QQ(0)
-        for k in range(lo, hi + 1):
-            s += phi(T.shift(k), beta)
+        # Phi(T shifted by k) under beta is Phi(T) under beta[k:k + ell]
+        plan = _phi_plan(T)
+        s = sum(_window_numerator(T.edges, plan, beta[k:k + ell])
+                for k in range(lo, hi + 1))
         if s:
-            acc = acc + T.multiplicity().scale(s)
+            mu = T.multiplicity()
+            by_mult[mu] = by_mult.get(mu, 0) + QQ(s, plan.size)
+    acc = YL_ZERO
+    for mu, s in by_mult.items():
+        if s:
+            acc = acc + mu.scale(s)
     return acc
 
 

@@ -102,6 +102,26 @@ def test_verify_cross_engine():
     assert "cross_engine" in out
 
 
+def test_verify_solve_b_minus1_order(monkeypatch):
+    # --order-minus1 sets the order of the y = -1 side (9 when not given)
+    from refsev import cli
+    seen = []
+    real = cli.check_conjecture
+
+    def spy(cid, table=None, **params):
+        seen.append(params)
+        return real(cid, table=table, **params)
+
+    monkeypatch.setattr(cli, "check_conjecture", spy)
+    code, out = run_cli(["verify", "--id", "solveB", "--order", "2",
+                         "--order-minus1", "3"])
+    assert code == 0
+    assert out == "[PASS] solveB: 4 pass, 0 fail, 0 skip\n"
+    assert seen == [{"order": 2, "order_minus1": 3}]
+    args = cli.make_parser().parse_args(["verify", "--id", "solveB"])
+    assert cli.verify_params(args) == {"order": 5, "order_minus1": 9}
+
+
 def test_verify_unknown_id():
     with pytest.raises(SystemExit):
         run_cli(["verify", "--id", "bogus"])
@@ -171,6 +191,12 @@ def test_usage_error_exit_two():
     (["verify", "--id", "fhat_general_tables", "--order", "12"],
      "error: verify --id fhat_general_tables takes no --order"),
     (["verify", "--id", "solveB", "--order", "0"], "error: --order must be >= 1"),
+    (["verify", "--id", "solveB", "--order-minus1", "0"],
+     "error: --order-minus1 must be >= 1"),
+    (["verify", "--id", "solveB", "--order-minus1", "-2"],
+     "error: --order-minus1 must be >= 1"),
+    (["verify", "--id", "refpol", "--order-minus1", "3"],
+     "error: verify --id refpol takes no --order-minus1"),
     (["verify", "--id", "fbar", "--order", "0"], "error: --order must be >= 1"),
     (["verify", "--id", "fbar", "--lmax", "0"], "error: --lmax must be >= 1"),
     (["verify", "--id", "bogus"], "unknown verify id 'bogus'"),
@@ -201,7 +227,8 @@ def test_usage_error_exit_two():
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
-        "solveB-order-0",
+        "solveB-order-0", "solveB-order-minus1-0", "solveB-order-minus1-neg",
+        "refpol-order-minus1",
         "fbar-order-0", "fbar-lmax-0", "unknown-id", "verify-format",
         "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
         "nodepoly-m", "series-param-given", "series-param-missing",

@@ -162,14 +162,22 @@ def test_orderings_zero_when_not_allowable():
     assert count_orderings(G, (1, 1)) == 0
 
 
-@pytest.mark.parametrize("delta", [1, 2, 3])
+@pytest.mark.parametrize("delta", [1, 2, 3, 4])
 def test_orderings_match_bruteforce(delta):
-    betas = [(2, 2, 2), (3, 1, 2), (4, 4), (1, 3, 2), (5, 0, 2), (2, 4, 6)]
-    for G in enumerate_graphs(delta, 3):
+    # every graph with maxv <= 5 (996 at delta = 4); the fill-vector
+    # programme merges placements only where a repeated class spans two or
+    # more gaps, which occurs from delta = 2 on (209 graphs at delta = 4)
+    betas = [(2, 2, 2), (3, 1, 2), (4, 4), (1, 3, 2), (5, 0, 2), (2, 4, 6),
+             (2, 2, 2, 2, 2), (3, 2, 4, 2, 3), (5, 5, 5, 5, 5), (1, 2, 3, 4, 5)]
+    merged = 0
+    for G in enumerate_graphs(delta, 5):
+        merging = any(n > 1 and j - i > 1 for (i, j, _), n in graphs._edge_classes(G))
         for beta in betas:
             for strict in (False, True):
-                assert count_orderings(G, beta, strict) == \
-                    count_orderings_bruteforce(G, beta, strict), (G, beta, strict)
+                got = count_orderings(G, beta, strict)
+                assert got == count_orderings_bruteforce(G, beta, strict), (G, beta, strict)
+                merged += merging and got > 0
+    assert merged > 0 or delta == 1
 
 
 # -- the log transform ---------------------------------------------------------------
@@ -317,12 +325,15 @@ def test_qlog_first_order_is_count():
         assert q_log_count(beta, 1) == refined_count(beta, 1)
 
 
-@pytest.mark.parametrize("args", [(1, 1, 4), (0, 1, 4), (2, 2, 3), (3, 0, 3)])
+@pytest.mark.parametrize("args", [(1, 1, 4), (0, 1, 4), (2, 2, 3), (3, 0, 3), (0, 1, 5)])
 def test_qlog_equals_series_log(args):
+    # the template route against the log of the strict counts, which reads
+    # no Phi plan; on two sequences up to delta = 5
+    top = 5 if args in ((1, 1, 4), (0, 1, 5)) else 4
     beta = s_beta(*args)
-    Ns = [refined_count(beta, delta) for delta in range(5)]
-    logN = QSeries(Ns, trunc=5).log()
-    for delta in (1, 2, 3, 4):
+    Ns = [refined_count(beta, delta) for delta in range(top + 1)]
+    logN = QSeries(Ns, trunc=top + 1).log()
+    for delta in range(1, top + 1):
         assert q_log_count(beta, delta) == logN.coeff_at(delta)
 
 
