@@ -56,15 +56,19 @@ def _parse_seq(text: str) -> tuple:
 
 
 def _table(args) -> CHTable:
+    """The recursion table, on the --cache file or the one in CACHE_ENV;
+    ValueError naming the path when it cannot be created or opened."""
     path = args.cache
-    if path is None:
-        base = os.environ.get(CACHE_ENV)
-        if base:
-            os.makedirs(base, exist_ok=True)
-            path = os.path.join(base, "ch-cache.txt")
-    if path:
-        return CHTable(store=CacheStore(path))
-    return CHTable()
+    try:
+        if path is None:
+            base = os.environ.get(CACHE_ENV)
+            if base:
+                os.makedirs(base, exist_ok=True)
+                path = os.path.join(base, "ch-cache.txt")
+        return CHTable(store=CacheStore(path)) if path else CHTable()
+    except OSError as exc:
+        raise ValueError(f"cannot use cache {exc.filename or path}: "
+                         f"{exc.strerror}") from exc
 
 
 # -- output ----------------------------------------------------------------------

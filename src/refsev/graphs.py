@@ -18,12 +18,14 @@ computed in integers, by the Euler operator recursion on log P (see
 _log_numerator), from a plan built once per graph (_PhiPlan): the
 sub-multisets of the edge classes as shapes at minv 0 with their vertex
 spans, and the recursion's index terms, shared per multiplicity tuple.
-enumerate_templates builds the plans of its templates, sharing equal
-shapes, so they live exactly as long as the templates. A template sum then
-reads, for each shift, only slices of beta: the P of every sub-multiset
-comes from one memo per q_log_count, keyed by its shape and beta window,
-and the integer numerator of Phi from _PHI_CACHE, keyed by the template
-and its window.
+Phi^s is Phi or 0 (see phi), so both take the one route through the plan.
+The memos have owners. A plan keeps the integer numerators of Phi by beta
+window, so they live as long as its graph: enumerate_templates builds the
+plans of its templates, sharing equal shapes, so a template's numerators
+live as long as the cached template. The P of every sub-multiset, keyed
+by its shape and beta window, goes into a dict that each q_log_count or
+phi call makes and drops, so a template sum reads, for each shift, only
+slices of beta.
 """
 from __future__ import annotations
 
@@ -157,15 +159,12 @@ class LongEdgeGraph:
         return all(beta[j - 1] >= self.lambda_bar_j(j) for j in range(1, M + 2))
 
     def strictly_beta_allowable(self, beta) -> bool:
-        if not self.beta_allowable(beta):
-            return False
-        if self.is_empty():
-            return True
-        M = len(beta) - 1
-        for i, j, w in self.edges:
-            if (i == 0 or j == M + 1) and w != 1:
-                return False
-        return True
+        return self.beta_allowable(beta) and not self._heavy_end(len(beta))
+
+    def _heavy_end(self, n: int) -> bool:
+        """An edge of weight > 1 at vertex 0 or at vertex n = M + 1: what
+        strict allowability under a beta of length n adds."""
+        return any(w > 1 and (i == 0 or j == n) for i, j, w in self.edges)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -256,10 +255,6 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     fills = {tuple(b - l for b, l
                    in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
     for (i, j, _), mult in _edge_classes(G):
-        if j == i + 1:  # one gap: one placement per fill
-            fills = {f[:i] + (f[i] + mult,) + f[j:]: n * comb(f[i] + mult, mult)
-                     for f, n in fills.items()}
-            continue
         placed: dict = {}
         for fill, n in fills.items():
             for ts in _compositions(mult, j - i):
@@ -311,13 +306,6 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
 # -- the log transform Phi ---------------------------------------------------
 
 
-# integer A_m by (edges shifted to minv 0, beta window); Phi = A_m / |m|
-_PHI_CACHE: dict = {}
-# non-strict P by (edges shifted to minv 0, beta window); emptied at the
-# start of each q_log_count, so it holds the sub-multisets of one (beta, delta)
-_P_MEMO: dict = {}
-
-
 def _refuse_negative(beta) -> None:
     for i, b in enumerate(beta):
         if b < 0:
@@ -329,9 +317,10 @@ class _PhiPlan:
     multiplicities m, the Euler terms of m, and for each nonzero j <= m (in
     itertools.product order) the j-th sub-multiset shifted to minv 0 (its
     shape, a LongEdgeGraph shared through intern) with its vertex span
-    [lo, hi) relative to the graph's minv."""
+    [lo, hi) relative to the graph's minv; and the numerators of Phi by
+    beta window, memoised."""
 
-    __slots__ = ("size", "terms", "shapes", "spans")
+    __slots__ = ("size", "terms", "shapes", "spans", "numerators")
 
     def __init__(self, G: LongEdgeGraph, intern: dict):
         edges, m = zip(*_edge_classes(G))
@@ -347,6 +336,24 @@ class _PhiPlan:
             shapes.append(intern[shape])
             spans.append(intern.setdefault((lo - v0, hi - v0), (lo - v0, hi - v0)))
         self.shapes, self.spans = tuple(shapes), tuple(spans)
+        self.numerators: dict = {}
+
+    def numerator(self, window: tuple, pmemo: dict) -> int:
+        """A_m under the beta window over the graph's [minv, maxv), with
+        the P of each sub-multiset read from pmemo, keyed by its shape and
+        window: for beta >= 0, P of a sub-multiset under beta is P of its
+        shape under the entries of beta it spans."""
+        val = self.numerators.get(window)
+        if val is None:
+            F = [1]
+            for shape, (lo, hi) in zip(self.shapes, self.spans):
+                key = (shape.edges, window[lo:hi])
+                p = pmemo.get(key)
+                if p is None:
+                    p = pmemo[key] = count_orderings(shape, key[1])
+                F.append(p)
+            val = self.numerators[window] = _log_numerator(self, F)
+        return val
 
 
 def _phi_plan(G: LongEdgeGraph, intern=None) -> _PhiPlan:
@@ -382,46 +389,24 @@ def _log_numerator(plan: _PhiPlan, F: list) -> int:
     return A[-1]
 
 
-def _window_numerator(edges0: tuple, plan: _PhiPlan, window: tuple) -> int:
-    """A_m of the graph edges0 (minv 0) under the beta window over
-    [0, maxv), through _PHI_CACHE, with every P read from _P_MEMO."""
-    key = (edges0, window)
-    val = _PHI_CACHE.get(key)
-    if val is None:
-        F = [1]
-        for shape, (lo, hi) in zip(plan.shapes, plan.spans):
-            sub = (shape.edges, window[lo:hi])
-            p = _P_MEMO.get(sub)
-            if p is None:
-                p = _P_MEMO[sub] = count_orderings(shape, sub[1])
-            F.append(p)
-        val = _PHI_CACHE[key] = _log_numerator(plan, F)
-    return val
-
-
 def phi(G: LongEdgeGraph, beta, strict: bool = False):
     """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
     decompositions of the edge multiset; an exact rational. A negative
     beta entry raises ValueError.
 
     With F_j the P of the sub-multiset of class multiplicities j <= m,
-    Phi = A_m / |m| by the integer recursion of _log_numerator. Non-strict
-    P depends only on the sub-multiset's shape and its beta window, and is
-    read from _P_MEMO; strict P is counted at the sub-multiset's place.
+    Phi = A_m / |m| by the integer recursion of _log_numerator. F_j = 0
+    whenever j takes a class past vertex len(beta); then log F does not
+    depend on that class, and Phi = 0. P^s of a sub-multiset is its P, or
+    0 when it has an edge of weight > 1 at vertex 0 or len(beta); such an
+    edge is a class of G, so by the same argument Phi^s is Phi, or 0 when
+    G has such an edge.
     """
     _refuse_negative(beta)
-    if G.is_empty():
+    if G.is_empty() or G.maxv() > len(beta) or strict and G._heavy_end(len(beta)):
         return QQ(0)
     plan = _phi_plan(G)
-    v0, v1 = G.minv(), G.maxv()
-    if strict:
-        F = [1] + [count_orderings(shape.shift(v0 + lo), beta, strict=True)
-                   for shape, (lo, _) in zip(plan.shapes, plan.spans)]
-        return QQ(_log_numerator(plan, F), plan.size)
-    if v1 > len(beta):
-        return QQ(0)
-    edges0 = tuple((i - v0, j - v0, w) for i, j, w in G.edges)
-    return QQ(_window_numerator(edges0, plan, tuple(beta[v0:v1])), plan.size)
+    return QQ(plan.numerator(tuple(beta[G.minv():G.maxv()]), {}), plan.size)
 
 
 def _sub_multiset(edges, j) -> list:
@@ -492,10 +477,10 @@ def q_log_count(beta, delta: int):
     if delta < 1:
         raise ValueError("the log transform starts at cogenus 1")
     _refuse_negative(beta)
-    _P_MEMO.clear()
     beta = tuple(beta)
     M = len(beta) - 1
     by_mult: dict = {}  # the multiplicity -> the sum of Phi it scales
+    pmemo: dict = {}  # P by (shape, beta window), for this (beta, delta)
     for T in enumerate_templates(delta):
         ell = T.length()
         lo = 1 - T.eps0()
@@ -504,8 +489,7 @@ def q_log_count(beta, delta: int):
             continue
         # Phi(T shifted by k) under beta is Phi(T) under beta[k:k + ell]
         plan = _phi_plan(T)
-        s = sum(_window_numerator(T.edges, plan, beta[k:k + ell])
-                for k in range(lo, hi + 1))
+        s = sum(plan.numerator(beta[k:k + ell], pmemo) for k in range(lo, hi + 1))
         if s:
             mu = T.multiplicity()
             by_mult[mu] = by_mult.get(mu, 0) + QQ(s, plan.size)

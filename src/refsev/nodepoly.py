@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .caporaso import SurfaceBundle
 from .graphs import q_log_count, s_beta
 from .linalg import solve_exact
 from .qseries import QSeries
@@ -136,6 +137,7 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
     if family == "p11m-fixed-m":
         if m is None:
             raise ValueError("pass m for the fixed-m fit")
+        SurfaceBundle("p11m", m, 0, d0)  # refuses m < 1, as compute does
         probes = [(0, m, d) for d in range(d0, d0 + 3)]
         holdout = [(0, m, d) for d in range(d0 + 3, d0 + 6)]
         return _fit("p11m-fixed-m", delta, probes, holdout)

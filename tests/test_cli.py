@@ -224,6 +224,15 @@ def test_usage_error_exit_two():
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
       "FOREIGN"], "error: cache FOREIGN has header 'some other format v9', "
                   "expected 'refsev-cache v2'"),
+    (["fit-nodepoly", "--family", "p11m-fixed-m", "--m", "0", "--delta", "1"],
+     "error: P(1,1,m) bundles have m >= 1, not m = 0"),
+    (["fit-nodepoly", "--family", "p11m-fixed-m", "--m", "-1", "--delta", "1"],
+     "error: P(1,1,m) bundles have m >= 1, not m = -1"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
+      "TMP/missing/ch.txt"],
+     "error: cannot use cache TMP/missing/ch.txt: No such file or directory"),
+    (["solve-B", "--order", "2", "--cache", "TMP"],
+     "error: cannot use cache TMP: Is a directory"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -233,15 +242,17 @@ def test_usage_error_exit_two():
         "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
         "nodepoly-m", "series-param-given", "series-param-missing",
         "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
-        "compute-p11m-m0", "foreign-cache"])
+        "compute-p11m-m0", "foreign-cache", "nodepoly-p11m-m0",
+        "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN
-    # names a file that is not a refsev cache
+    # names a file that is not a refsev cache, TMP the test's directory
     foreign = tmp_path / "foreign.txt"
     foreign.write_text("some other format v9\n")
-    args = [str(foreign) if a == "FOREIGN" else a for a in args]
-    message = message.replace("FOREIGN", str(foreign))
+    args = [str(foreign) if a == "FOREIGN" else a.replace("TMP", str(tmp_path))
+            for a in args]
+    message = message.replace("FOREIGN", str(foreign)).replace("TMP", str(tmp_path))
     try:
         code = main(args)
     except SystemExit as exc:  # refused by argparse
@@ -267,6 +278,16 @@ def test_cache_env_var(tmp_path, monkeypatch):
     code, _ = run_cli(["compute", "--surface", "p2", "--d", "3", "--delta", "1"])
     assert code == 0
     assert os.path.exists(tmp_path / "ch-cache.txt")
+
+
+def test_cache_env_var_that_cannot_be_created(tmp_path, monkeypatch, capsys):
+    # a cache directory under a plain file is a usage error, not a failed check
+    (tmp_path / "file").write_text("")
+    base = str(tmp_path / "file" / "cache")
+    monkeypatch.setenv("REFSEV_CACHE_DIR", base)
+    code, out = run_cli(["compute", "--surface", "p2", "--d", "3", "--delta", "1"])
+    assert code == 2 and out == ""
+    assert f"error: cannot use cache {base}: Not a directory" in capsys.readouterr().err
 
 
 def test_blowup_flag():

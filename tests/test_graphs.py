@@ -197,9 +197,9 @@ def test_phi_two_identical_edges():
 
 
 @pytest.mark.parametrize("delta", [1, 2, 3])
-def test_phi_matches_literal_partition_sum(delta, monkeypatch):
-    # a fresh memo, so every value is computed by the integer recursion
-    monkeypatch.setattr(graphs, "_PHI_CACHE", {})
+def test_phi_matches_literal_partition_sum(delta):
+    # enumerate_graphs makes fresh graphs, whose plans hold no numerator
+    # yet, so every value is computed by the integer recursion
     cands = enumerate_graphs(delta, 3)
     if delta > 1:  # repeated edge classes are covered
         assert any(len(set(G.edges)) < len(G.edges) for G in cands)
@@ -207,6 +207,19 @@ def test_phi_matches_literal_partition_sum(delta, monkeypatch):
         for beta in [(2, 2, 2), (3, 1, 2), (4, 4)]:
             for strict in (False, True):
                 assert phi(G, beta, strict) == phi_bruteforce(G, beta, strict)
+
+
+def test_phi_strict_matches_literal_partition_sum_at_heavy_ends():
+    # strict Phi on the graphs an end-vertex mask acts on: an edge of
+    # weight > 1 at vertex 0 or at vertex len(beta) = 4
+    cands = [G for G in enumerate_graphs(4, 4)
+             if any(w > 1 and (i == 0 or j == 4) for i, j, w in G.edges)]
+    compared = 0
+    for G in cands:
+        for beta in [(3, 3, 3, 3), (2, 4, 1, 3)]:
+            assert phi(G, beta, strict=True) == phi_bruteforce(G, beta, strict=True), (G, beta)
+            compared += 1
+    assert compared == 594
 
 
 def test_phi_refuses_negative_beta():
@@ -244,13 +257,27 @@ def test_q_log_count_counts_each_window_once(monkeypatch):
         calls.append((G.edges, tuple(b)))
         return count(G, b, strict)
 
-    monkeypatch.setattr(graphs, "_PHI_CACHE", {})
+    # fresh templates, whose plans hold no numerator yet
+    enumerate_templates.cache_clear()
     monkeypatch.setattr(graphs, "count_orderings", counting)
     got = q_log_count(beta, delta)
     assert len(calls) == len(set(calls)) == len(expect)
     assert set(calls) == expect
     monkeypatch.undo()
     assert got == q_log_count(beta, delta)
+
+
+def test_warm_plan_memos_match_fresh_ones():
+    # the numerators kept on the template plans across calls serve the
+    # values that fresh plans compute
+    points = [(d, delta) for d in range(4, 7) for delta in range(1, 5)]
+    warm = [q_log_count(s_beta(0, 1, d), delta) for d, delta in points]
+    assert warm == [q_log_count(s_beta(0, 1, d), delta) for d, delta in points]
+    fresh = []
+    for d, delta in points:
+        enumerate_templates.cache_clear()
+        fresh.append(q_log_count(s_beta(0, 1, d), delta))
+    assert warm == fresh
 
 
 def test_phi_strict_vanishes_off_shifted_templates():
