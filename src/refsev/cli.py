@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: compute | relative | fit-nodepoly | solve-B | series | verify
-| export-tables. Every run embeds its full configuration in the output
-header, outputs are deterministic, and exact rationals are serialized as
-decimal strings. Exit status: 0 success, 1 verification failure, 2 usage
-error.
+| export-tables, each a function from the parsed options (and the recursion
+table, when it takes --cache) to its result. `main` alone owns the cache
+file, writes the result under a header of every option but --cache and sets
+the exit status: 0 success, 1 verification failure, 2 usage error. Outputs
+are deterministic; exact rationals are serialized as decimal strings.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 from . import modular, tables
 from .cache import CacheStore, CacheVersionError
 from .caporaso import CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
-from .conjectures import CHECK_IDS, check_conjecture
+from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .genfun import engine_data, solve_bundles, solve_universal_B
 from .nodepoly import fit_node_polynomial
 from .qseries import QSeries
@@ -41,12 +42,12 @@ def _parse_range(text: str):
     return [int(text)]
 
 
-def _parse_half(text: str) -> QQ:
-    """Accept '2' or '3/2'."""
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return QQ(int(num), int(den))
-    return QQ(int(text))
+def _parse_half(text: str, option: str) -> QQ:
+    """Accept '2' or '3/2'; a zero denominator is refused."""
+    num, _, den = text.partition("/")
+    if den and int(den) == 0:
+        raise ValueError(f"{option} {text}: zero denominator")
+    return QQ(int(num), int(den or 1))
 
 
 def _parse_seq(text: str) -> tuple:
@@ -55,8 +56,8 @@ def _parse_seq(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _table(args) -> CHTable:
-    """The recursion table, on the --cache file or the one in CACHE_ENV;
+def _store(args) -> CacheStore | None:
+    """The recursion cache on the --cache file or in CACHE_ENV, or None;
     ValueError naming the path when it cannot be created or opened."""
     path = args.cache
     try:
@@ -65,7 +66,7 @@ def _table(args) -> CHTable:
             if base:
                 os.makedirs(base, exist_ok=True)
                 path = os.path.join(base, "ch-cache.txt")
-        return CHTable(store=CacheStore(path)) if path else CHTable()
+        return CacheStore(path) if path else None
     except OSError as exc:
         raise ValueError(f"cannot use cache {exc.filename or path}: "
                          f"{exc.strerror}") from exc
@@ -89,30 +90,25 @@ def _emit(out, config: dict, rows: list, fmt: str):
             payload["rows"].append({"params": params, "value": enc})
         out.write(json.dumps(payload, indent=1) + "\n")
         return
-    if fmt == "csv":
-        out.write("# " + json.dumps(config, separators=(",", ":")) + "\n")
-        out.write("params,doubled_y_exponent,numerator,denominator\n")
-        for params, value in rows:
-            tag = ";".join(f"{k}={v}" for k, v in params.items())
-            if isinstance(value, YLaurent):
-                terms = sorted(value.terms.items()) or [(0, QQ(0))]
-                for e, c in terms:
-                    out.write(f"{tag},{e},{c.numerator},{c.denominator}\n")
-            elif isinstance(value, QSeries):
-                for i, c in enumerate(value.coeffs):
-                    qe = value.exponent(value.lead + i)
-                    for e, cc in sorted(c.terms.items()) or [(0, QQ(0))]:
-                        out.write(
-                            f"{tag};q={qe},{e},{cc.numerator},{cc.denominator}\n"
-                        )
-            else:
-                out.write(f"{tag},0,{value},1\n")
-        return
-    # text
     out.write("# " + json.dumps(config, separators=(",", ":")) + "\n")
+    if fmt == "text":
+        for params, value in rows:
+            tag = " ".join(f"{k}={v}" for k, v in params.items())
+            out.write(f"{tag}: {value}\n")
+        return
+    out.write("params,doubled_y_exponent,numerator,denominator\n")
     for params, value in rows:
-        tag = " ".join(f"{k}={v}" for k, v in params.items())
-        out.write(f"{tag}: {value}\n")
+        tag = ";".join(f"{k}={v}" for k, v in params.items())
+        # a q-series is one YLaurent per power of q, each tagged with it
+        parts = ([(f"{tag};q={value.exponent(value.lead + i)}", c)
+                  for i, c in enumerate(value.coeffs)]
+                 if isinstance(value, QSeries) else [(tag, value)])
+        for label, v in parts:
+            if not isinstance(v, YLaurent):
+                out.write(f"{label},0,{v},1\n")
+                continue
+            for e, c in sorted(v.terms.items()) or [(0, QQ(0))]:
+                out.write(f"{label},{e},{c.numerator},{c.denominator}\n")
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -121,18 +117,21 @@ def _emit(out, config: dict, rows: list, fmt: str):
 def compute_bundles(args) -> list:
     """(row params, bundle) for each degree of a compute run; ValueError
     for a bundle its surface does not have. Under --k the bundle is the
-    blowup Sigma(2, 2k, d - k), so --c is refused there."""
+    blowup Sigma(2, 2k, d - k), so --c is refused there, as is a k whose
+    2k is not a nonnegative integer."""
     if args.k is None:
         return [({"surface": args.surface, "m": args.m, "c": args.c, "d": d},
                  SurfaceBundle(args.surface, args.m, args.c, d))
-                for d in _parse_range(args.d_raw)]
-    k = _parse_half(args.k)
+                for d in _parse_range(args.d)]
+    k = _parse_half(args.k, "--k")
     if args.surface != "sigma" or args.m != 2:
         raise ValueError("--k needs --surface sigma --m 2")
     if args.c:
         raise ValueError(f"--k sets c = 2k; --c {args.c} is refused")
+    if k < 0 or (2 * k).denominator != 1:
+        raise ValueError(f"--k {args.k}: 2k must be a nonnegative integer")
     out = []
-    for d in map(_parse_half, args.d_raw.split(",")):
+    for d in (_parse_half(text, "--d") for text in args.d.split(",")):
         dp = d - k
         if dp.denominator != 1 or dp < 0:
             raise ValueError("--k needs d - k a nonnegative integer")
@@ -141,79 +140,46 @@ def compute_bundles(args) -> list:
     return out
 
 
-def _cmd_compute(args, out) -> int:
+def _cmd_compute(args, table) -> list:
     bundles = compute_bundles(args)
-    deltas = _parse_range(args.delta_raw)
-    table = _table(args)
-    rows = []
+    deltas = _parse_range(args.delta)
     y = Y_VALUES[args.y]
-    config = {
-        "command": "compute", "surface": args.surface, "m": args.m, "c": args.c,
-        "d": args.d_raw, "delta": args.delta_raw, "k": args.k, "y": args.y,
-        "format": args.format,
-    }
-    for params, bundle in bundles:
-        for delta in deltas:
-            val = severi_degree(bundle, delta, y=y, table=table)
-            rows.append(({**params, "delta": delta, "y": args.y}, val))
-    _emit(out, config, rows, args.format)
-    table.flush()
-    return 0
+    return [({**params, "delta": delta, "y": args.y},
+             severi_degree(bundle, delta, y=y, table=table))
+            for params, bundle in bundles for delta in deltas]
 
 
-def _cmd_relative(args, out) -> int:
+def _cmd_relative(args, table) -> list:
     bundle = SurfaceBundle(args.surface, args.m, args.c, args.d)
-    table = _table(args)
-    y = Y_VALUES[args.y]
-    alpha = _parse_seq(args.alpha)
-    beta = _parse_seq(args.beta)
-    config = {
-        "command": "relative", "surface": args.surface, "m": args.m,
-        "c": args.c, "d": args.d, "delta": args.delta, "alpha": args.alpha,
-        "beta": args.beta, "y": args.y, "format": args.format,
-    }
-    val = relative_degree(bundle, args.delta, alpha, beta, y=y, table=table)
-    _emit(out, config, [({"delta": args.delta}, val)], args.format)
-    table.flush()
-    return 0
+    val = relative_degree(bundle, args.delta, _parse_seq(args.alpha),
+                          _parse_seq(args.beta), y=Y_VALUES[args.y], table=table)
+    return [({"delta": args.delta}, val)]
 
 
-def _cmd_fit_nodepoly(args, out) -> int:
-    config = {"command": "fit-nodepoly", "family": args.family,
-              "delta": args.delta_raw, "m": args.m, "format": args.format}
+def _cmd_fit_nodepoly(args) -> list:
     rows = []
-    for delta in _parse_range(args.delta_raw):
+    for delta in _parse_range(args.delta):
         np = fit_node_polynomial(args.family, delta, m=args.m)
         if args.format == "json":
             rows.append(({"delta": delta}, np))
         else:
-            for name, coeff in zip(np.basis, np.coeffs):
-                rows.append(({"delta": delta, "monomial": name}, coeff))
-    _emit(out, config, rows, args.format)
-    return 0
+            rows += [({"delta": delta, "monomial": name}, coeff)
+                     for name, coeff in zip(np.basis, np.coeffs)]
+    return rows
 
 
-def _cmd_solve_b(args, out) -> int:
+def _cmd_solve_b(args, table) -> list:
     if args.order < 1:
         raise ValueError("--order must be >= 1")
-    table = _table(args)
-    config = {"command": "solve-B", "order": args.order, "y": args.y,
-              "format": args.format}
     y = Y_VALUES[args.y]
     data = engine_data(solve_bundles(args.order), args.order, y, table)
     B1, B2 = solve_universal_B(data, args.order, y=y)
-    _emit(out, config, [({"series": "B1"}, B1), ({"series": "B2"}, B2)],
-          args.format)
-    table.flush()
-    return 0
+    return [({"series": "B1"}, B1), ({"series": "B2"}, B2)]
 
 
-def _cmd_series(args, out) -> int:
-    config = {"command": "series", "name": args.name, "order": args.order,
-              "param": args.param, "format": args.format}
+def _cmd_series(args) -> list:
     s = modular.named_series(args.name, args.order, param=args.param)
-    _emit(out, config, [({"name": args.name}, s)], args.format)
-    return 0
+    return [({"name": args.name}, s)]
 
 
 def verify_id(text: str) -> str:
@@ -272,29 +238,20 @@ def _option(flag: str) -> str:
     return "--" + flag.replace("_", "-")
 
 
-def _cmd_verify(args, out) -> int:
-    params = verify_params(args)
-    table = _table(args)
-    rep = check_conjecture(args.id, table=table, **params)
-    out.write(rep.summary() + "\n")
-    table.flush()
-    return 0 if rep.ok else 1
+def _cmd_verify(args, table) -> ConjectureReport:
+    return check_conjecture(args.id, table=table, **verify_params(args))
 
 
-def _cmd_export_tables(args, out) -> int:
-    out.write("# B1 (symmetric-table format, trusted to q^17)\n")
-    out.write(tables.B1_TEXT.strip() + "\n")
-    out.write("# B2 bracket (full B2 = bracket/((1-yq)(1-q/y)))\n")
-    out.write(tables.B2_BRACKET_TEXT.strip() + "\n")
-    out.write("# B1bar (y=-1, q^0..q^30)\n")
-    out.write(" ".join(str(x) for x in tables.B1BAR) + "\n")
-    out.write("# B2bar (y=-1, q^0..q^30)\n")
-    out.write(" ".join(str(x) for x in tables.B2BAR) + "\n")
-    out.write("# Fhat_c3\n")
-    out.write(tables.FHAT_C3_TEXT.strip() + "\n")
-    out.write("# Fhat_c4\n")
-    out.write(tables.FHAT_C4_TEXT.strip() + "\n")
-    return 0
+def _cmd_export_tables(args) -> str:
+    """The embedded tables, each under a '# title' line."""
+    return "".join(f"# {title}\n{body.strip()}\n" for title, body in (
+        ("B1 (symmetric-table format, trusted to q^17)", tables.B1_TEXT),
+        ("B2 bracket (full B2 = bracket/((1-yq)(1-q/y)))", tables.B2_BRACKET_TEXT),
+        ("B1bar (y=-1, q^0..q^30)", " ".join(map(str, tables.B1BAR))),
+        ("B2bar (y=-1, q^0..q^30)", " ".join(map(str, tables.B2BAR))),
+        ("Fhat_c3", tables.FHAT_C3_TEXT),
+        ("Fhat_c4", tables.FHAT_C4_TEXT),
+    ))
 
 
 # -- parser -------------------------------------------------------------------------
@@ -309,22 +266,22 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(q, *names):
-        """Add the shared options named among format, cache and y."""
+        """Add the shared options named, in header order: y, format, cache."""
+        if "y" in names:
+            q.add_argument("--y", choices=tuple(Y_VALUES), default="sym")
         if "format" in names:
             q.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if "cache" in names:
             q.add_argument("--cache", default=None, help="persistent recursion cache file")
-        if "y" in names:
-            q.add_argument("--y", choices=tuple(Y_VALUES), default="sym")
 
     c = sub.add_parser("compute", help="refined/Severi/Welschinger degrees")
     c.add_argument("--surface", choices=("p2", "p11m", "sigma"), required=True)
     c.add_argument("--m", type=int, default=1)
     c.add_argument("--c", type=int, default=0)
-    c.add_argument("--d", dest="d_raw", required=True, help="degree or range a-b")
-    c.add_argument("--delta", dest="delta_raw", required=True, help="cogenus or range")
+    c.add_argument("--d", required=True, help="degree or range a-b")
+    c.add_argument("--delta", required=True, help="cogenus or range")
     c.add_argument("--k", default=None, help="blowup multiplicity (halves as n/2)")
-    common(c, "format", "cache", "y")
+    common(c, "y", "format", "cache")
     c.set_defaults(func=_cmd_compute)
 
     r = sub.add_parser("relative", help="relative degrees N(alpha, beta)")
@@ -335,20 +292,20 @@ def make_parser() -> argparse.ArgumentParser:
     r.add_argument("--delta", type=int, required=True)
     r.add_argument("--alpha", default="", help="comma list, e.g. 1,0,2")
     r.add_argument("--beta", default="", help="comma list")
-    common(r, "format", "cache", "y")
+    common(r, "y", "format", "cache")
     r.set_defaults(func=_cmd_relative)
 
     f = sub.add_parser("fit-nodepoly", help="fit Q_delta polynomial shapes")
     f.add_argument("--family", choices=("p2", "p11m-fixed-m", "p1xp1", "sigma", "p11m"),
                    required=True)
-    f.add_argument("--delta", dest="delta_raw", required=True)
+    f.add_argument("--delta", required=True)
     f.add_argument("--m", type=int, default=None)
     common(f, "format")
     f.set_defaults(func=_cmd_fit_nodepoly)
 
     s = sub.add_parser("solve-B", help="recover the universal series from engine data")
     s.add_argument("--order", type=int, default=5)
-    common(s, "format", "cache", "y")
+    common(s, "y", "format", "cache")
     s.set_defaults(func=_cmd_solve_b)
 
     se = sub.add_parser("series", help="print a named q-series")
@@ -373,11 +330,30 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    store = None
     try:
-        return args.func(args, sys.stdout)
+        if "cache" in args:
+            store = _store(args)
+            result = args.func(args, CHTable(store=store))
+        else:
+            result = args.func(args)
+        if isinstance(result, ConjectureReport):
+            print(result.summary())
+        elif isinstance(result, str):
+            sys.stdout.write(result)
+        else:  # rows, under the header of every option but --cache
+            header = {k: v for k, v in vars(args).items()
+                      if k not in ("cache", "func")}
+            _emit(sys.stdout, header, result, args.format)
+        if store is not None:
+            store.flush()
     except (ValueError, KeyError, CacheVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if store is not None:
+            store.close()
+    return 1 if isinstance(result, ConjectureReport) and not result.ok else 0
 
 
 if __name__ == "__main__":

@@ -177,28 +177,36 @@ def _edge_types(delta: int, maxv_bound: int):
             for w in range(1 + (j == i + 1), (delta + 1) // (j - i) + 1)]
 
 
-def _iter_graphs(delta: int, maxv_bound: int, from_zero: bool = False):
-    """Yield the cogenus-delta graphs with maxv <= maxv_bound; from_zero
-    stops once the first edge would start after vertex 0."""
+def _iter_graphs(delta: int, maxv_bound: int, templates: bool = False):
+    """Yield the cogenus-delta graphs with maxv <= maxv_bound; templates
+    yields only the templates among them."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
+    if templates and not delta:
+        return iter(())  # the empty graph is no template
     types = _edge_types(delta, maxv_bound)
     excess = [(j - i) * w - 1 for i, j, w in types]
     chosen = []
 
-    def rec(start: int, remaining: int):
+    def rec(start: int, remaining: int, reach: int):
+        # a template's first edge starts before vertex 1, and each later one
+        # before the farthest end so far, else that end is an interior
+        # vertex no edge spans; the types come sorted by start, so the first
+        # type at or past reach ends the loop
         if remaining == 0:
             yield LongEdgeGraph(chosen)
             return
         for t in range(start, len(types)):
-            if from_zero and not chosen and types[t][0]:
+            i, j, _ = types[t]
+            if i >= reach:
                 return
             if excess[t] <= remaining:
                 chosen.append(types[t])
-                yield from rec(t, remaining - excess[t])
+                yield from rec(t, remaining - excess[t], max(reach, j))
                 chosen.pop()
 
-    return rec(0, delta)
+    # no type starts at maxv_bound, so a walk of all graphs never stops
+    return rec(0, delta, 1 if templates else maxv_bound)
 
 
 def enumerate_graphs(delta: int, maxv_bound: int) -> list:
@@ -210,8 +218,7 @@ def enumerate_graphs(delta: int, maxv_bound: int) -> list:
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    templates = [G for G in _iter_graphs(delta, delta + 1, from_zero=True)
-                 if G.is_template()]
+    templates = list(_iter_graphs(delta, delta + 1, templates=True))
     # their Phi plans share one graph per sub-multiset shape (shapes recur
     # across templates) and live as long as the templates
     intern: dict = {}

@@ -246,7 +246,7 @@ def fhat_cm(m: int, K: int) -> QSeries:
     if m in tables.FHAT_TABLES:
         trusted = tables.FHAT_TRUSTED[m]
         if K > trusted:
-            raise ValueError(f"Fhat_c{m} is only trusted to q^{trusted}")
+            raise ValueError(f"Fhat_c{m} is only trusted to q^{trusted - 1}")
         tab = tables.FHAT_TABLES[m]
         return QSeries([tab.get(n, YL_ZERO) for n in range(K)], trunc=K)
     raise ValueError(f"no embedded table for Fhat_c{m}")

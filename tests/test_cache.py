@@ -142,8 +142,9 @@ def test_integer_mode_payloads(tmp_path):
     v = severi_degree(P2(4), 2, y=-1, table=t)
     t.flush()
     store.close()
-    t2 = CHTable(store=CacheStore(p))
-    assert severi_degree(P2(4), 2, y=-1, table=t2) == v
+    with CacheStore(p) as warm_store:
+        t2 = CHTable(store=warm_store)
+        assert severi_degree(P2(4), 2, y=-1, table=t2) == v
     # y = 1 payloads: warm values come back as plain ints
     q = str(tmp_path / "ch1.txt")
     store = CacheStore(q)
@@ -152,8 +153,9 @@ def test_integer_mode_payloads(tmp_path):
     assert cold == 225
     t.flush()
     store.close()
-    t3 = CHTable(store=CacheStore(q))
-    warm = severi_degree(P2(4), 2, y=1, table=t3)
+    with CacheStore(q) as warm_store:
+        t3 = CHTable(store=warm_store)
+        warm = severi_degree(P2(4), 2, y=1, table=t3)
     assert type(warm) is int and warm == cold
     assert t3.memo[1] and all(type(x) is int for x in t3.memo[1].values())
 

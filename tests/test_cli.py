@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from refsev import cli
 from refsev.cli import main
 from refsev.qseries import QSeries
 from refsev.ylaurent import YLaurent
@@ -104,7 +106,6 @@ def test_verify_cross_engine():
 
 def test_verify_solve_b_minus1_order(monkeypatch):
     # --order-minus1 sets the order of the y = -1 side (9 when not given)
-    from refsev import cli
     seen = []
     real = cli.check_conjecture
 
@@ -233,6 +234,14 @@ def test_usage_error_exit_two():
      "error: cannot use cache TMP/missing/ch.txt: No such file or directory"),
     (["solve-B", "--order", "2", "--cache", "TMP"],
      "error: cannot use cache TMP: Is a directory"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "4/3", "--k", "1/3",
+      "--delta", "0-1"], "error: --k 1/3: 2k must be a nonnegative integer"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "7/4", "--k", "3/4",
+      "--delta", "1"], "error: --k 3/4: 2k must be a nonnegative integer"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "3", "--k", "1/0",
+      "--delta", "1"], "error: --k 1/0: zero denominator"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "1/0", "--k", "1/2",
+      "--delta", "1"], "error: --d 1/0: zero denominator"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -243,7 +252,8 @@ def test_usage_error_exit_two():
         "nodepoly-m", "series-param-given", "series-param-missing",
         "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
         "compute-p11m-m0", "foreign-cache", "nodepoly-p11m-m0",
-        "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir"])
+        "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir", "k-third",
+        "k-three-quarters", "k-zero-denominator", "d-zero-denominator"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN
@@ -331,10 +341,70 @@ def test_verify_summary_golden(check_id):
                                  "0-2", "--y", "1", "--format", "csv"]),
     ("compute-p2-4-0-2-y1.json", ["compute", "--surface", "p2", "--d", "4", "--delta",
                                   "0-2", "--y", "1", "--format", "json"]),
+    ("compute-p2-3-0-4.text", ["compute", "--surface", "p2", "--d", "3", "--delta",
+                               "0-4"]),
+    ("compute-k-half.text", ["compute", "--surface", "sigma", "--m", "2", "--d",
+                             "5/2,7/2", "--k", "1/2", "--delta", "0-2"]),
+    ("relative-p2-3-1.text", ["relative", "--surface", "p2", "--d", "3", "--delta",
+                              "1", "--alpha", "1", "--beta", "2"]),
+    ("relative-p2-3-1.json", ["relative", "--surface", "p2", "--d", "3", "--delta",
+                              "1", "--alpha", "1", "--beta", "2", "--format", "json"]),
+    ("relative-p2-3-1-ym1.csv", ["relative", "--surface", "p2", "--d", "3", "--delta",
+                                 "1", "--alpha", "1", "--beta", "2", "--y", "-1",
+                                 "--format", "csv"]),
+    ("series-Gbar2k-2-5.text", ["series", "--name", "Gbar2k", "--param", "2",
+                                "--order", "5"]),
+    ("series-Gbar2k-2-5.json", ["series", "--name", "Gbar2k", "--param", "2",
+                                "--order", "5", "--format", "json"]),
+    ("solve-B-3-sym.text", ["solve-B", "--order", "3"]),
+    ("solve-B-3-sym.json", ["solve-B", "--order", "3", "--format", "json"]),
+    ("fit-nodepoly-p2-1-3.text", ["fit-nodepoly", "--family", "p2", "--delta", "1-3"]),
+    ("fit-nodepoly-p2-1-3.csv", ["fit-nodepoly", "--family", "p2", "--delta", "1-3",
+                                 "--format", "csv"]),
+    ("export-tables", ["export-tables"]),
 ])
 def test_emit_golden(golden, args):
     # csv of a QSeries (theta2 is the one half-integer lattice), csv and
-    # json of integer values, pinned byte for byte
+    # json of integer values, and every (subcommand, format) pair that no
+    # other golden or benchmark reference pins, byte for byte
     code, out = run_cli(args)
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / f"{golden}.out").read_text()
+
+
+@pytest.mark.parametrize("args", [
+    ["compute", "--surface", "p2", "--d", "1", "--delta", "0"],
+    ["relative", "--surface", "p2", "--d", "1", "--delta", "0", "--alpha", "1"],
+    ["fit-nodepoly", "--family", "p2", "--delta", "1"],
+    ["solve-B", "--order", "1"],
+    ["series", "--name", "eta", "--order", "2"],
+], ids=lambda args: args[0])
+def test_header_is_every_option_but_cache(args):
+    # the run header holds the command and each of the subcommand's parser
+    # options but --cache, in parser order
+    code, out = run_cli([*args, "--format", "json"])
+    sub = next(a for a in cli.make_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[args[0]]
+    options = [a.dest for a in sub._actions if a.dest not in ("help", "cache")]
+    assert code == 0
+    assert list(json.loads(out)["config"]) == ["command", *options]
+
+
+@pytest.mark.parametrize("args, code", [
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1"], 0),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "3-1"], 2),
+    (["verify", "--id", "solveB", "--order", "1"], 0),
+], ids=["success", "usage-error", "verify"])
+def test_cache_file_closed(args, code, tmp_path, monkeypatch):
+    # the --cache store is closed however the run ends
+    stores = []
+
+    class Store(cli.CacheStore):
+        def __init__(self, path):
+            super().__init__(path)
+            stores.append(self)
+
+    monkeypatch.setattr(cli, "CacheStore", Store)
+    got, _ = run_cli([*args, "--cache", str(tmp_path / "ch.txt")])
+    assert got == code
+    assert len(stores) == 1 and stores[0]._fh is None

@@ -74,7 +74,7 @@ def test_ruledblow_factor_past_its_table_raises(chtable, monkeypatch):
     # order asks Fhat_c3 past its table, which raises instead of narrowing
     assert conjectures._RULED_DELTA == {2: 5, 3: 4, 4: 3}
     monkeypatch.setitem(conjectures._RULED_DELTA, 3, 5)
-    with pytest.raises(ValueError, match=r"Fhat_c3 is only trusted to q\^6"):
+    with pytest.raises(ValueError, match=r"Fhat_c3 is only trusted to q\^5"):
         check_conjecture("ruledblow", table=chtable, ms=(3,), d_max=1)
 
 
