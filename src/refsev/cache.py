@@ -31,12 +31,14 @@ class CacheStore:
         self.path = path
         self._data: dict = {}
         self._fh = None
+        self.created = False  # whether this store made the file
         self._open()
 
     def _open(self):
         if not os.path.exists(self.path):
             with open(self.path, "w") as fh:
                 fh.write(MAGIC + "\n")
+            self.created = True
             self._fh = open(self.path, "a")
             return
         with open(self.path, "rb") as fh:

@@ -69,6 +69,8 @@ def _strip(seq) -> tuple:
 
 # -- surfaces ----------------------------------------------------------------
 
+SURFACES = ("p2", "p11m", "sigma")
+
 
 @dataclass(frozen=True)
 class SurfaceBundle:
@@ -86,7 +88,7 @@ class SurfaceBundle:
     d: int
 
     def __post_init__(self):
-        if self.family not in ("p2", "p11m", "sigma"):
+        if self.family not in SURFACES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family == "p2" and (self.m != 1 or self.c != 0):
             raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {self.m}, "

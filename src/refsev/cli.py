@@ -16,17 +16,17 @@ import sys
 
 from . import modular, tables
 from .cache import CacheStore, CacheVersionError
-from .caporaso import CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
+from .caporaso import SURFACES, CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .genfun import engine_data, solve_bundles, solve_universal_B
-from .nodepoly import fit_node_polynomial
+from .nodepoly import BASES, fit_node_polynomial
 from .qseries import QSeries
 from .rationals import QQ
-from .ylaurent import YLaurent
+from .ylaurent import RINGS, YLaurent
 
 CACHE_ENV = "REFSEV_CACHE_DIR"
 # --y text -> the y of the value rings
-Y_VALUES = {"sym": "sym", "1": 1, "-1": -1}
+Y_VALUES = {str(y): y for y in RINGS}
 
 
 # -- small parsers ---------------------------------------------------------------
@@ -275,7 +275,7 @@ def make_parser() -> argparse.ArgumentParser:
             q.add_argument("--cache", default=None, help="persistent recursion cache file")
 
     c = sub.add_parser("compute", help="refined/Severi/Welschinger degrees")
-    c.add_argument("--surface", choices=("p2", "p11m", "sigma"), required=True)
+    c.add_argument("--surface", choices=SURFACES, required=True)
     c.add_argument("--m", type=int, default=1)
     c.add_argument("--c", type=int, default=0)
     c.add_argument("--d", required=True, help="degree or range a-b")
@@ -285,7 +285,7 @@ def make_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_compute)
 
     r = sub.add_parser("relative", help="relative degrees N(alpha, beta)")
-    r.add_argument("--surface", choices=("p2", "p11m", "sigma"), required=True)
+    r.add_argument("--surface", choices=SURFACES, required=True)
     r.add_argument("--m", type=int, default=1)
     r.add_argument("--c", type=int, default=0)
     r.add_argument("--d", type=int, required=True)
@@ -296,8 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_relative)
 
     f = sub.add_parser("fit-nodepoly", help="fit Q_delta polynomial shapes")
-    f.add_argument("--family", choices=("p2", "p11m-fixed-m", "p1xp1", "sigma", "p11m"),
-                   required=True)
+    f.add_argument("--family", choices=tuple(BASES), required=True)
     f.add_argument("--delta", required=True)
     f.add_argument("--m", type=int, default=None)
     common(f, "format")
@@ -349,6 +348,9 @@ def main(argv=None) -> int:
             store.flush()
     except (ValueError, KeyError, CacheVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if store is not None and store.created and not len(store):
+            store.close()  # a usage error leaves no new cache file behind
+            os.remove(store.path)
         return 2
     finally:
         if store is not None:

@@ -234,10 +234,7 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # extraction at L(L-K_S)/2 of the *unblown* bundle; the k^2 lives in
         # the point-series exponent shift and in f_{2k} = q^(k^2) fbar_{2k}
         qexp = d * d + 2 * d
-        Kq = int(qexp) + 2
-        if Kq > tables.B_TRUSTED:
-            rep.skip({"k": str(k), "d": str(d)}, "beyond the B tables")
-            continue
+        Kq = int(qexp) + 2  # at most 17, inside the B tables
         B1, B2 = _b_tables(Kq)
         R = modular.f_lower(k2, Kq)
         # chi(L) = (d+1)^2 is fractional for half-integral Weil divisors;

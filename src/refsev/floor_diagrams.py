@@ -143,53 +143,25 @@ def _marking_classes(D: FloorDiagram):
 
 def marking_count(D: FloorDiagram) -> int:
     """Number of markings of D up to equivalence: assign each class of
-    indistinguishable items to gaps inside its window; a gap holding n
-    items from classes of sizes (m_1, m_2, ...) contributes the multiset
-    permutation count n!/(m_1! m_2! ...)."""
-    classes = _marking_classes(D)
-    # pinned classes first, then narrow windows: better memoization
-    classes.sort(key=lambda t: (t[2] - t[1], t[1]))
-    gaps = [0] * (D.d + 1)
-    pre = 1
-    movable = []
-    for cnt, lo, hi in classes:
-        if lo == hi:
-            pre *= comb(gaps[lo] + cnt, cnt)
-            gaps[lo] += cnt
-        else:
-            movable.append((cnt, lo, hi))
+    indistinguishable items to gaps inside its window, narrowest windows
+    first as they branch least; a gap holding n items from classes of sizes
+    (m_1, m_2, ...) contributes the multiset permutation count n!/(m_1! m_2! ...)."""
+    classes = sorted(_marking_classes(D), key=lambda t: t[2] - t[1])
 
-    if not movable:
-        return pre
-
-    memo: dict = {}
-
-    def go(ci: int, state: tuple) -> int:
-        if ci == len(movable):
+    def place(ci: int, gaps: tuple) -> int:
+        if ci == len(classes):
             return 1
-        key = (ci, state)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        cnt, lo, hi = movable[ci]
+        cnt, lo, hi = classes[ci]
         total = 0
-
-        def distribute(g: int, left: int, st: tuple, factor: int):
-            nonlocal total
-            if g == hi:
-                f = factor * comb(st[g] + left, left)
-                st2 = st[:g] + (st[g] + left,) + st[g + 1:]
-                total += f * go(ci + 1, st2)
-                return
-            for take in range(left + 1):
-                st2 = st[:g] + (st[g] + take,) + st[g + 1:]
-                distribute(g + 1, left - take, st2, factor * comb(st[g] + take, take))
-
-        distribute(lo, cnt, state, 1)
-        memo[key] = total
+        for takes in _compositions(cnt, hi - lo + 1):
+            factor, after = 1, list(gaps)
+            for g, take in enumerate(takes, lo):
+                factor *= comb(after[g] + take, take)
+                after[g] += take
+            total += factor * place(ci + 1, tuple(after))
         return total
 
-    return pre * go(0, tuple(gaps))
+    return place(0, (0,) * (D.d + 1))
 
 
 def marking_count_literal(D: FloorDiagram, guard: int = 8) -> int:

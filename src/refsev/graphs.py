@@ -122,13 +122,15 @@ class LongEdgeGraph:
             1 for i, k, _ in self.edges if i == j - 1 and k == j
         )
 
+    def _light_at(self, *vs: int) -> bool:
+        """Every edge at any of the vertices vs has weight 1."""
+        return all(w == 1 for i, j, w in self.edges if i in vs or j in vs)
+
     def eps0(self) -> int:
-        v = self.minv()
-        return 1 if all(w == 1 for i, j, w in self.edges if i == v or j == v) else 0
+        return int(self._light_at(self.minv()))
 
     def eps1(self) -> int:
-        v = self.maxv()
-        return 1 if all(w == 1 for i, j, w in self.edges if i == v or j == v) else 0
+        return int(self._light_at(self.maxv()))
 
     def is_template(self) -> bool:
         """minv = 0 and every interior vertex is strictly spanned by an edge."""
@@ -163,8 +165,9 @@ class LongEdgeGraph:
 
     def _heavy_end(self, n: int) -> bool:
         """An edge of weight > 1 at vertex 0 or at vertex n = M + 1: what
-        strict allowability under a beta of length n adds."""
-        return any(w > 1 and (i == 0 or j == n) for i, j, w in self.edges)
+        strict allowability under a beta of length n adds. An edge starting
+        at n counts too; both callers rule it out first by maxv <= n."""
+        return not self._light_at(0, n)
 
 
 # -- enumeration -------------------------------------------------------------

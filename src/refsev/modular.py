@@ -218,10 +218,8 @@ def f_lower(l: int, K: int) -> QSeries:
 def f_bar(l: int, K: int) -> QSeries:
     """fbar_l = f_l / q^(l^2/4); integer q-powers for every l."""
     f = f_lower(l, K + (l * l + 3) // 4)
-    off = f.offset24 - 6 * l * l
-    shift, off = divmod(off, 24)
-    return QSeries(list(f.coeffs), lead=f.lead + shift, trunc=f.trunc + shift,
-                   offset24=off, step24=f.step24)
+    return QSeries(list(f.coeffs), lead=f.lead, trunc=f.trunc,
+                   offset24=f.offset24 - 6 * l * l, step24=f.step24)
 
 
 def f_bar_closed(l: int, K: int) -> QSeries:

@@ -162,17 +162,8 @@ class QSeries:
             return self.scale(other)
         _same_lattice(self, other, "*", offsets=False)
         a, b = self, other
-        na, nb = a.known_length(), b.known_length()
-        if a.is_known_zero() or b.is_known_zero():
-            # a = O(q^ta) exactly zero below, so a*b = O(q^(ta+lb))
-            cands = []
-            if a.is_known_zero():
-                cands.append(a.trunc + b.lead)
-            if b.is_known_zero():
-                cands.append(b.trunc + a.lead)
-            return QSeries.zero(max(cands),
-                                offset24=a.offset24 + b.offset24, step24=a.step24)
-        n = min(na, nb)
+        # a known-zero operand has lead == trunc, so n = 0: O(q^(ta + lb))
+        n = min(a.known_length(), b.known_length())
         lead = a.lead + b.lead
         out = [YL_ZERO] * n
         for i, ca in enumerate(a.coeffs):
@@ -288,17 +279,9 @@ class QSeries:
         """d/dt for plain power series (offset 0, integer steps)."""
         if self.offset24 != 0 or self.step24 != 24:
             raise ValueError("tderiv needs an integer-exponent power series")
-        new_trunc = self.trunc - 1
-        slots = {}
-        for i, c in enumerate(self.coeffs):
-            k = self.lead + i
-            if k != 0:
-                slots[k - 1] = c.scale(k)
-        if not slots:
-            return QSeries.zero(new_trunc)
-        lead = min(slots)
-        dense = [slots.get(k, YL_ZERO) for k in range(lead, new_trunc)]
-        return QSeries(dense, lead=lead, trunc=new_trunc, offset24=0, step24=24)
+        return QSeries([self.coeff_index(k + 1).scale(k + 1)
+                        for k in range(self.lead - 1, self.trunc - 1)],
+                       lead=self.lead - 1, trunc=self.trunc - 1)
 
     def subs_qpow(self, r: int) -> "QSeries":
         """Substitute q -> q^r for a positive integer r."""

@@ -93,6 +93,29 @@ def test_truncation_at_every_offset(tmp_path):
                     s.put("new", "v")
 
 
+@pytest.mark.parametrize("key, payload", [("a\tb", "1"), ("a\nb", "1"), ("a", "1\n2")],
+                         ids=["tab-in-key", "newline-in-key", "newline-in-payload"])
+def test_put_refuses_what_would_split_a_record(tmp_path, key, payload):
+    # read back, a tab in the key or a newline anywhere would split the
+    # record; the refusal writes nothing
+    path = tmp_path / "ch.txt"
+    with CacheStore(str(path)) as store:
+        with pytest.raises(ValueError, match="single-line, tab-free"):
+            store.put(key, payload)
+        assert key not in store
+    assert path.read_text() == MAGIC + "\n"
+
+
+def test_payload_tab_round_trips(tmp_path):
+    # the checksum is the last tab-separated field and the key the first,
+    # so a tab inside a payload is read back whole
+    path = str(tmp_path / "ch.txt")
+    with CacheStore(path) as store:
+        store.put("k", "a\tb")
+    with CacheStore(path) as store:
+        assert store.get("k") == "a\tb"
+
+
 def test_header_written(tmp_path):
     p = str(tmp_path / "c.txt")
     CacheStore(p).close()

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from refsev import cli
+from refsev.cache import MAGIC
 from refsev.cli import main
 from refsev.qseries import QSeries
 from refsev.ylaurent import YLaurent
@@ -298,6 +299,32 @@ def test_cache_env_var_that_cannot_be_created(tmp_path, monkeypatch, capsys):
     code, out = run_cli(["compute", "--surface", "p2", "--d", "3", "--delta", "1"])
     assert code == 2 and out == ""
     assert f"error: cannot use cache {base}: Not a directory" in capsys.readouterr().err
+
+
+def test_usage_error_leaves_no_new_cache_file(tmp_path, monkeypatch):
+    # a usage error removes the cache file its run created, and leaves an
+    # existing one, records or header alone, byte for byte as it was
+    bad = ["compute", "--surface", "p2", "--d", "3", "--delta", "3-1", "--cache"]
+    new = tmp_path / "new.txt"
+    assert run_cli([*bad, str(new)]) == (2, "")
+    assert not new.exists()
+    old, bare = tmp_path / "old.txt", tmp_path / "bare.txt"
+    assert run_cli(["compute", "--surface", "p2", "--d", "3", "--delta", "1",
+                    "--cache", str(old)])[0] == 0
+    bare.write_text(MAGIC + "\n")
+    for path in (old, bare):
+        before = path.read_bytes()
+        assert run_cli([*bad, str(path)]) == (2, "")
+        assert path.read_bytes() == before
+
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    # a new file that got records before the error keeps them
+    monkeypatch.setattr(cli, "solve_universal_B", refuse)
+    kept = tmp_path / "kept.txt"
+    assert run_cli(["solve-B", "--order", "2", "--cache", str(kept)]) == (2, "")
+    assert kept.read_text().count("\n") > 1
 
 
 def test_blowup_flag():

@@ -8,6 +8,7 @@ from refsev import conjectures, modular
 from refsev.caporaso import Sigma, severi_degree
 from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from refsev.genfun import Invariants, reform_eval
+from refsev.qseries import QSeries
 
 
 def test_refpol_small(chtable):
@@ -178,6 +179,23 @@ def test_multcon_h34_table_typo_candidate(chtable, monkeypatch):
             if detail.startswith("table-typo candidate")]
     assert typo == [{"m": 4, "y": 1, "d": 6}, {"m": 4, "y": 1, "d": 7}]
     assert rep.notes == ["H_4(1) ambiguous monomial sensitive"] * 2
+
+
+def test_multcon_h34_reports_a_failure(chtable, monkeypatch):
+    # a perturbed H_3(1) fails both m = 3, y = 1 cases, each naming its
+    # first bad delta; the other six still pass
+    real = modular.h_at
+
+    def perturbed(m, y, K):
+        S = real(m, y, K)
+        return S + QSeries.monomial(7, 1, trunc=S.trunc) if (m, y) == (3, 1) else S
+
+    monkeypatch.setattr(modular, "h_at", perturbed)
+    rep = check_conjecture("multcon_H34_at_pm1", table=chtable, delta_max=2)
+    assert not rep.ok and rep.counts == {"pass": 6, "fail": 2, "skip": 0}
+    assert [(p, detail) for p, v, detail in rep.instances if v == "fail"] == [
+        ({"m": 3, "y": 1, "d": 5}, "delta=1: engine 28 vs genfun 29"),
+        ({"m": 3, "y": 1, "d": 6}, "delta=1: engine 55 vs genfun 56")]
 
 
 def test_cross_engine_small(chtable):

@@ -5,6 +5,7 @@ import pytest
 from refsev.floor_diagrams import (
     FloorDiagram,
     FloorDiagramTooLarge,
+    _marking_classes,
     enumerate_floor_diagrams,
     floor_diagram_count,
     marking_count,
@@ -49,7 +50,7 @@ def test_fiber_only_surface():
 
 
 def test_marking_count_against_literal_orbits():
-    checked = 0
+    checked = mixed = 0
     for (c, m, d, delta) in [(0, 1, 2, 0), (0, 1, 2, 1), (1, 1, 2, 1),
                              (0, 2, 2, 1), (2, 0, 2, 1), (0, 1, 3, 2)]:
         for D in enumerate_floor_diagrams(c, m, d, delta):
@@ -59,7 +60,10 @@ def test_marking_count_against_literal_orbits():
                 continue
             assert lit == marking_count(D), D
             checked += 1
-    assert checked >= 10
+            # classes pinned to one gap beside classes that move
+            widths = {hi > lo for _, lo, hi in _marking_classes(D)}
+            mixed += widths == {False, True}
+    assert checked >= 10 and mixed >= 5
 
 
 def test_cross_engine_small_grid():

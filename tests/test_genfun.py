@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from refsev import genfun
 from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.genfun import (Invariants, base_series, engine_data, reform_coefficient,
                            reform_eval, reform_q_series, solve_bundles,
                            solve_universal_B)
-from refsev.modular import b_series, b_bar_series
+from refsev.modular import b_bar_series, b_series, h_series
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
@@ -189,3 +190,35 @@ def test_two_bundles_below_regime_pass_silently(chtable):
     B1, B2 = solve_universal_B(data, 12)
     assert B1.first_difference(b_series(1, 12))[0] == 11
     assert B2.first_difference(b_series(2, 12))[0] == 11
+
+
+def test_solve_refuses_a_fed_back_residual(chtable, monkeypatch):
+    # the solve is exact, so only a fault in form (2) can leave a residual
+    # when the solution is fed back; one perturbed coefficient is refused
+    real = genfun.reform_eval
+
+    def perturbed(invs, B1, B2, order, **kwargs):
+        first, *rest = real(invs, B1, B2, order, **kwargs)
+        return [first + QSeries.monomial(order, 1, trunc=first.trunc), *rest]
+
+    data = engine_data(solve_bundles(3), 3, "sym", chtable)
+    monkeypatch.setattr(genfun, "reform_eval", perturbed)
+    with pytest.raises(ValueError, match="inconsistent data: delta=2 residual at"):
+        solve_universal_B(data, 3)
+
+
+def test_form1_shift_against_form2_at_a_double_point():
+    # an ordinary double point on P^2(4): form (1), its point series raised
+    # to -3, is sum_delta M^delta P^delta with M^delta the t^(delta + 3)
+    # coefficient of form (2) under the same shift
+    m, K = 2, 9
+    shift = m * (m + 1) // 2
+    inv = Invariants.of(P2(4))
+    B1, B2, R = b_series(1, K), b_series(2, K), h_series(m, K)
+    f1 = reform_q_series(inv, B1, B2, K, R=R, shift=shift)
+    S, = reform_eval([inv], B1, B2, K - shift, R=R, shift=shift)
+    dg = base_series(K)[0]
+    acc = QSeries.zero(f1.trunc)
+    for n in range(f1.trunc + shift):
+        acc = acc + dg.pow(n - shift).truncate(f1.trunc).scale(S.coeff_at(n))
+    assert acc.trunc == 5 and acc.agrees_with(f1)

@@ -1,9 +1,11 @@
 import pytest
 
+from refsev import nodepoly
 from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.graphs import q_log_count, s_beta
 from refsev.nodepoly import fit_node_polynomial, node_values
 from refsev.rationals import QQ
+from refsev.ylaurent import YLaurent
 
 
 def test_delta_zero_is_trivial():
@@ -68,3 +70,18 @@ def test_nodepoly_json_roundtrip():
     assert back.basis == np.basis and back.coeffs == np.coeffs
     assert back.q_at(d=9) == np.q_at(d=9)
     assert back.fitted_from == np.fitted_from
+
+
+def test_held_out_mismatch_rejects_the_fit(monkeypatch):
+    # one perturbed held-out engine value (p2, delta = 1 validates on
+    # d = 4, 5, 6) rejects the fit and names the point
+    real = nodepoly._engine_q
+
+    def perturbed(point, delta):
+        value = real(point, delta)
+        return value + YLaurent.const(1) if point == (0, 1, 5) else value
+
+    monkeypatch.setattr(nodepoly, "_engine_q", perturbed)
+    with pytest.raises(ValueError, match=r"held-out mismatch for p2 delta=1 at "
+                                         r"\(c,m,d\)=\(0,1,5\): fit rejected"):
+        fit_node_polynomial("p2", 1)

@@ -246,3 +246,27 @@ def test_json_roundtrip():
     s = dgtilde2(5)
     assert QSeries.from_dict(s.to_dict()).agrees_with(s)
     assert QSeries.from_dict(s.to_dict()) == s
+
+
+def test_product_with_a_known_zero_operand_at_offsets():
+    # O(q^t) times a series led by q^l is O(q^(t + l)), on the sum of the
+    # offsets brought back into [0, step24)
+    a = QSeries([2, 0, 1], lead=-1, trunc=3, offset24=13)
+    z = QSeries.zero(4, offset24=17)
+    for got in (a * z, z * a):
+        assert got.is_known_zero()
+        assert (got.lead, got.trunc, got.offset24) == (4, 4, 6)
+    both = QSeries.zero(-2, offset24=5, step24=12) * QSeries.zero(3, offset24=7, step24=12)
+    assert (both.lead, both.trunc, both.offset24, both.step24) == (2, 2, 0, 12)
+
+
+def test_tderiv_of_a_series_with_a_negative_lead():
+    # d/dt (3t^-2 + 5 + t^2 + O(t^3)) = -6t^-3 + 2t + O(t^2)
+    s = QSeries([3, 0, 5, 0, 1], lead=-2, trunc=3)
+    d = s.tderiv()
+    assert (d.lead, d.trunc) == (-3, 2)
+    assert d.coeffs == [YLaurent.const(c) for c in (-6, 0, 0, 0, 2)]
+    # a constant differentiates to O(1), a known zero to one order less
+    const = QSeries([7], trunc=1).tderiv()
+    assert const.is_known_zero() and const.trunc == 0
+    assert QSeries.zero(3).tderiv() == QSeries.zero(2)
