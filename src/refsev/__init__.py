@@ -5,7 +5,7 @@ two independent exact engines, plus generating-function verification."""
 from .caporaso import CHTable, P2, P11m, Sigma, SurfaceBundle, \
     relative_degree, severi_degree, welschinger_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
-from .graphs import LongEdgeGraph, q_log_count, refined_count, s_beta
+from .graphs import LongEdgeGraph, q_log_count, refined_count, refined_counts, s_beta
 from .floor_diagrams import floor_diagram_count
 from .modular import named_series, verify_series_identity
 from .qseries import QSeries, compose, compose_inverse
@@ -17,7 +17,7 @@ __all__ = [
     "CHECK_IDS", "CHTable", "ConjectureReport", "LongEdgeGraph", "P2",
     "P11m", "QSeries", "Sigma", "SurfaceBundle", "YLaurent",
     "check_conjecture", "compose", "compose_inverse", "floor_diagram_count",
-    "named_series", "q_log_count", "qnum", "refined_count",
+    "named_series", "q_log_count", "qnum", "refined_count", "refined_counts",
     "relative_degree", "s_beta", "severi_degree", "verify_series_identity",
     "welschinger_degree", "__version__",
 ]

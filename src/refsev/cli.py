@@ -56,20 +56,32 @@ def _parse_seq(text: str) -> tuple:
     return tuple(int(x) for x in text.split(","))
 
 
-def _store(args) -> CacheStore | None:
-    """The recursion cache on the --cache file or in CACHE_ENV, or None;
-    ValueError naming the path when it cannot be created or opened."""
-    path = args.cache
+def _store(args) -> tuple:
+    """The recursion cache on the --cache file or in CACHE_ENV, or None,
+    and the directories made for it, deepest first; ValueError naming the
+    path when it cannot be created or opened."""
+    path, made = args.cache, []
     try:
         if path is None:
             base = os.environ.get(CACHE_ENV)
             if base:
+                made = _missing_dirs(base)
                 os.makedirs(base, exist_ok=True)
                 path = os.path.join(base, "ch-cache.txt")
-        return CacheStore(path) if path else None
+        return (CacheStore(path) if path else None), made
     except OSError as exc:
         raise ValueError(f"cannot use cache {exc.filename or path}: "
                          f"{exc.strerror}") from exc
+
+
+def _missing_dirs(path: str) -> list:
+    """path and those of its ancestors that do not exist, deepest first."""
+    out = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        out.append(path)
+        path = os.path.dirname(path)
+    return out
 
 
 # -- output ----------------------------------------------------------------------
@@ -329,10 +341,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    store = None
+    store, made = None, []
     try:
         if "cache" in args:
-            store = _store(args)
+            store, made = _store(args)
             result = args.func(args, CHTable(store=store))
         else:
             result = args.func(args)
@@ -349,8 +361,10 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, CacheVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if store is not None and store.created and not len(store):
-            store.close()  # a usage error leaves no new cache file behind
-            os.remove(store.path)
+            store.close()  # a usage error leaves no new cache file behind,
+            os.remove(store.path)  # nor the directories made for it
+            for path in made:
+                os.rmdir(path)
         return 2
     finally:
         if store is not None:

@@ -27,7 +27,7 @@ from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
 from .genfun import (Invariants, engine_data, reform_coefficient, reform_eval,
                      solve_bundles, solve_universal_B)
-from .graphs import refined_count, s_beta
+from .graphs import refined_counts, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
@@ -336,12 +336,14 @@ def _check_cross_engine(table, cmax=6, dmax=6, mmax=3, deltamax=4) -> Conjecture
     )
     for m in range(mmax + 1):
         for c in range(cmax + 1):
+            counts = {}  # d -> the graph counts for delta <= deltamax
             for delta in range(deltamax, -1, -1):
                 for d in range(dmax, 0, -1):
                     a = severi_degree(Sigma(m, c, d), delta, table=table)
-                    b = refined_count(s_beta(c, m, d), delta)
+                    if d not in counts:
+                        counts[d] = refined_counts(s_beta(c, m, d), deltamax)
                     _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
-                             a, b, delta)
+                             a, counts[d][delta], delta)
     return rep
 
 

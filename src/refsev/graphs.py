@@ -3,13 +3,15 @@
 A long edge graph lives on the vertex set Z_{>=0}; edges (i -> j, w) carry
 i < j and weight w >= 1, and weight-1 edges of length 1 are forbidden. The
 cogenus is sum((j-i)w - 1) over edges, so a cogenus-delta graph has at most
-delta edges, all short-ranged -- which is what makes the per-cogenus sums
-over all graphs finite and fast.
+delta edges, all short-ranged. Cut at the vertices no edge spans strictly,
+a graph is a unique arrangement of shifted templates, and its cogenus,
+multiplicity and P^s_beta are sums or products over them.
 
 This module provides the graph-side engine: enumeration by cogenus,
-multiplicities, beta-extended ordering counts P_beta / P^s_beta, the
-log-transform Phi, template sums for the log of the generating series, and
-the linear fit of Phi in beta.
+multiplicities, beta-extended ordering counts P_beta / P^s_beta, the counts
+N^delta_beta by template composition (refined_counts, a transfer sum over
+template placements), the log-transform Phi, template sums for the log of
+the generating series, and the linear fit of Phi in beta.
 
 P is a dynamic programme over the edge classes on {per-gap fill vector:
 count}: placing t copies of a class into a gap holding f edges multiplies
@@ -25,14 +27,15 @@ plans of its templates, sharing equal shapes, so a template's numerators
 live as long as the cached template. The P of every sub-multiset, keyed
 by its shape and beta window, goes into a dict that each q_log_count or
 phi call makes and drops, so a template sum reads, for each shift, only
-slices of beta.
+slices of beta; refined_counts keeps the P of each template and window in
+a dict of its own call in the same way.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 import operator
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .linalg import solve_exact
 from .rationals import QQ
@@ -44,10 +47,9 @@ __all__ = [
     "enumerate_graphs",
     "enumerate_templates",
     "count_orderings",
-    "count_orderings_bruteforce",
     "phi",
-    "phi_bruteforce",
     "refined_count",
+    "refined_counts",
     "q_log_count",
     "fit_phi_linear",
     "eval_phi_linear",
@@ -62,7 +64,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges", "_loads", "_plan")
+    __slots__ = ("edges", "_loads", "_plan", "_placement")
 
     def __init__(self, edges):
         es = []
@@ -73,7 +75,7 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
-        self._loads = self._plan = None
+        self._loads = self._plan = self._placement = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -132,6 +134,14 @@ class LongEdgeGraph:
     def eps1(self) -> int:
         return int(self._light_at(self.maxv()))
 
+    def placement(self) -> tuple:
+        """(length, eps0, eps1, the sorted edge weights): what a sum over
+        shifts of the graph as a template reads of it; computed once."""
+        if self._placement is None:
+            self._placement = (self.length(), self.eps0(), self.eps1(),
+                               tuple(sorted(w for _, _, w in self.edges)))
+        return self._placement
+
     def is_template(self) -> bool:
         """minv = 0 and every interior vertex is strictly spanned by an edge."""
         if self.is_empty() or self.minv() != 0:
@@ -180,13 +190,13 @@ def _edge_types(delta: int, maxv_bound: int):
             for w in range(1 + (j == i + 1), (delta + 1) // (j - i) + 1)]
 
 
-def _iter_graphs(delta: int, maxv_bound: int, templates: bool = False):
-    """Yield the cogenus-delta graphs with maxv <= maxv_bound; templates
-    yields only the templates among them."""
+def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> list:
+    """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound;
+    templates keeps only the templates among them."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     if templates and not delta:
-        return iter(())  # the empty graph is no template
+        return []  # the empty graph is no template
     types = _edge_types(delta, maxv_bound)
     excess = [(j - i) * w - 1 for i, j, w in types]
     chosen = []
@@ -209,19 +219,14 @@ def _iter_graphs(delta: int, maxv_bound: int, templates: bool = False):
                 chosen.pop()
 
     # no type starts at maxv_bound, so a walk of all graphs never stops
-    return rec(0, delta, 1 if templates else maxv_bound)
-
-
-def enumerate_graphs(delta: int, maxv_bound: int) -> list:
-    """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound."""
-    return list(_iter_graphs(delta, maxv_bound))
+    return list(rec(0, delta, 1 if templates else maxv_bound))
 
 
 @functools.cache
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    templates = list(_iter_graphs(delta, delta + 1, templates=True))
+    templates = enumerate_graphs(delta, delta + 1, templates=True)
     # their Phi plans share one graph per sub-multiset shape (shapes recur
     # across templates) and live as long as the templates
     intern: dict = {}
@@ -277,40 +282,6 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
                 placed[f] = placed.get(f, 0) + c
         fills = placed
     return sum(fills.values())
-
-
-def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> int:
-    """Oracle: place distinguishable edge instances, count linear orders per
-    gap as n!, then divide by the product of identical-class factorials
-    (the identical-edge permutation group acts freely on orderings)."""
-    if strict:
-        if not G.strictly_beta_allowable(beta):
-            return 0
-    elif not G.beta_allowable(beta):
-        return 0
-    M = len(beta) - 1
-    # (allowed gap range) per distinguishable instance
-    items = [range(i + 1, j + 1) for i, j, _ in G.edges]
-    sym = 1
-    for _, mult in _edge_classes(G):
-        sym *= factorial(mult)
-    for j in range(1, M + 2):
-        s = beta[j - 1] - G.lambda_j(j)
-        for _ in range(s):
-            items.append(range(j, j + 1))
-        sym *= factorial(s)
-    total = 0
-    for assignment in itertools.product(*items):
-        ngap: dict = {}
-        for g in assignment:
-            ngap[g] = ngap.get(g, 0) + 1
-        t = 1
-        for n in ngap.values():
-            t *= factorial(n)
-        total += t
-    q, r = divmod(total, sym)
-    assert r == 0, "free action of identical-edge permutations violated"
-    return q
 
 
 # -- the log transform Phi ---------------------------------------------------
@@ -424,61 +395,76 @@ def _sub_multiset(edges, j) -> list:
     return [e for e, c in zip(edges, j) for _ in range(c)]
 
 
-def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
-    """Oracle for Phi: literal sum over ordered decompositions of the edge
-    multiset into nonempty sub-multisets (only sane for a few edges)."""
-    if G.is_empty():
-        return QQ(0)
-    edges, m = zip(*_edge_classes(G))
-
-    def P_of(j):
-        return count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta, strict)
-
-    nonzero = [j for j in itertools.product(*[range(x + 1) for x in m])
-               if any(j)]
-    total = QQ(0)
-    nmax = sum(m)
-
-    def rec(remaining, nblocks, prod):
-        nonlocal total
-        if not any(remaining):
-            total += QQ((-1) ** (nblocks + 1), nblocks) * prod
-            return
-        if nblocks == nmax:
-            return
-        for j in nonzero:
-            if all(a <= b for a, b in zip(j, remaining)):
-                p = P_of(j)
-                if p:
-                    rec(tuple(b - a for a, b in zip(j, remaining)), nblocks + 1, prod * p)
-
-    rec(m, 0, 1)
-    return total
-
-
 # -- counts ------------------------------------------------------------------
 
 
-@functools.cache
-def _graphs(delta: int, maxv_bound: int) -> list:
-    return enumerate_graphs(delta, maxv_bound)
+def refined_counts(beta, delta: int, y="sym") -> list:
+    """[N^0_beta, ..., N^delta_beta] at y: the Laurent polynomials
+    (y='sym'), the Severi counts n^delta_beta (y=1) or the Welschinger
+    counts W^delta_beta (y=-1). A negative beta entry raises ValueError.
+
+    N^delta_beta sums multiplicity times P^s_beta over the cogenus-delta
+    graphs with maxv <= M + 1. Cut at the vertices no edge spans strictly,
+    such a graph is one arrangement of shifted templates in [0, M + 1], and
+    its cogenus, multiplicity and P are sums or products over them: P of a
+    template shifted to p is its P under beta[p:p + length], and P^s asks
+    eps0 of a template at p = 0 and eps1 of one ending at M + 1. So the
+    counts are a transfer sum over p = 0, ..., M + 1 of g[p][k], the total
+    over the arrangements inside [0, p] of cogenus k: an empty gap steps
+    to p + 1, and the templates of cogenus kappa and length l step to
+    p + l, weighted by the sum of their P (integers) times their
+    multiplicity, one ring product per weight tuple. The P of each
+    template and window is memoised in a dict this call makes and drops.
+    """
+    ring = ring_at(y)
+    if delta < 0:
+        raise ValueError("cogenus must be nonnegative")
+    _refuse_negative(beta)
+    beta = tuple(beta)
+    n = len(beta)  # the last vertex, M + 1
+    templates: dict = {}  # (length, cogenus, weights) -> [(T, eps0, eps1)]
+    for kappa in range(1, delta + 1):
+        for T in enumerate_templates(kappa):
+            ell, e0, e1, weights = T.placement()
+            if ell <= n:
+                templates.setdefault((ell, kappa, weights), []).append((T, e0, e1))
+    # a multiplicity of 0 (an even weight at y = -1) drops its templates
+    placements = [(ell, kappa, mu, ts)
+                  for (ell, kappa, weights), ts in templates.items()
+                  if (mu := ring.multiplicity(weights))]
+    pmemo: dict = {}  # P by (template, beta window), for this beta
+    # into[p][k]: the (g, P sum, multiplicity) triples that sum to g[p][k]
+    into = [[[] for _ in range(delta + 1)] for _ in range(n + 1)]
+    into[0][0].append((ring.one, 1, ring.one))
+    for p in range(n + 1):
+        g = [ring.sum_products(triples) for triples in into[p]]
+        if p == n:
+            return g
+        for k in range(delta + 1):
+            if g[k]:
+                into[p + 1][k].append((g[k], 1, ring.one))
+        for ell, kappa, mu, ts in placements:
+            if p + ell > n:
+                continue
+            window = beta[p:p + ell]
+            s = 0
+            for T, e0, e1 in ts:
+                if (e0 or p) and (e1 or p + ell < n):
+                    key = (T.edges, window)
+                    P = pmemo.get(key)
+                    if P is None:
+                        P = pmemo[key] = count_orderings(T, window)
+                    s += P
+            if s:
+                for k in range(delta + 1 - kappa):
+                    if g[k]:
+                        into[p + ell][k + kappa].append((g[k], s, mu))
 
 
 def refined_count(beta, delta: int, y="sym"):
-    """N^delta_beta at y: the Laurent polynomial (y='sym'), the Severi count
-    n^delta_beta (y=1) or the Welschinger count W^delta_beta (y=-1). The sum
-    of multiplicity times P^s_beta over all cogenus-delta graphs with
-    maxv <= M+1."""
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    ring = ring_at(y)
-    M = len(beta) - 1
-    acc = ring.zero
-    for G in _graphs(delta, M + 1):
-        P = count_orderings(G, beta, strict=True)
-        if P:
-            acc = acc + G.multiplicity(y) * P
-    return acc
+    """N^delta_beta at y ('sym', 1 or -1): the last entry of
+    refined_counts(beta, delta, y)."""
+    return refined_counts(beta, delta, y)[delta]
 
 
 def q_log_count(beta, delta: int):
@@ -492,9 +478,8 @@ def q_log_count(beta, delta: int):
     by_mult: dict = {}  # the multiplicity -> the sum of Phi it scales
     pmemo: dict = {}  # P by (shape, beta window), for this (beta, delta)
     for T in enumerate_templates(delta):
-        ell = T.length()
-        lo = 1 - T.eps0()
-        hi = M - ell + T.eps1()
+        ell, e0, e1, _ = T.placement()
+        lo, hi = 1 - e0, M - ell + e1
         if hi < lo:
             continue
         # Phi(T shifted by k) under beta is Phi(T) under beta[k:k + ell]

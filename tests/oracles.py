@@ -1,0 +1,92 @@
+"""Independent oracles for the graph engine, slow by design: the all-graph
+sum for N^delta_beta, ordering counts by distinguishable edge instances,
+and Phi by its literal partition sum."""
+import itertools
+from math import factorial
+
+from refsev.graphs import (
+    LongEdgeGraph,
+    _edge_classes,
+    _sub_multiset,
+    count_orderings,
+    enumerate_graphs,
+)
+from refsev.rationals import QQ
+from refsev.ylaurent import ring_at
+
+
+def refined_count_all_graphs(beta, delta: int, y="sym"):
+    """N^delta_beta at y as the sum of multiplicity times P^s_beta over all
+    cogenus-delta graphs with maxv <= M + 1."""
+    acc = ring_at(y).zero
+    for G in enumerate_graphs(delta, len(beta)):
+        P = count_orderings(G, beta, strict=True)
+        if P:
+            acc = acc + G.multiplicity(y) * P
+    return acc
+
+
+def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+    """Place distinguishable edge instances, count linear orders per gap as
+    n!, then divide by the product of identical-class factorials (the
+    identical-edge permutation group acts freely on orderings)."""
+    if strict:
+        if not G.strictly_beta_allowable(beta):
+            return 0
+    elif not G.beta_allowable(beta):
+        return 0
+    M = len(beta) - 1
+    # (allowed gap range) per distinguishable instance
+    items = [range(i + 1, j + 1) for i, j, _ in G.edges]
+    sym = 1
+    for _, mult in _edge_classes(G):
+        sym *= factorial(mult)
+    for j in range(1, M + 2):
+        s = beta[j - 1] - G.lambda_j(j)
+        for _ in range(s):
+            items.append(range(j, j + 1))
+        sym *= factorial(s)
+    total = 0
+    for assignment in itertools.product(*items):
+        ngap: dict = {}
+        for g in assignment:
+            ngap[g] = ngap.get(g, 0) + 1
+        t = 1
+        for n in ngap.values():
+            t *= factorial(n)
+        total += t
+    q, r = divmod(total, sym)
+    assert r == 0, "free action of identical-edge permutations violated"
+    return q
+
+
+def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
+    """Phi as the literal sum over ordered decompositions of the edge
+    multiset into nonempty sub-multisets (only sane for a few edges)."""
+    if G.is_empty():
+        return QQ(0)
+    edges, m = zip(*_edge_classes(G))
+
+    def P_of(j):
+        return count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta, strict)
+
+    nonzero = [j for j in itertools.product(*[range(x + 1) for x in m])
+               if any(j)]
+    total = QQ(0)
+    nmax = sum(m)
+
+    def rec(remaining, nblocks, prod):
+        nonlocal total
+        if not any(remaining):
+            total += QQ((-1) ** (nblocks + 1), nblocks) * prod
+            return
+        if nblocks == nmax:
+            return
+        for j in nonzero:
+            if all(a <= b for a, b in zip(j, remaining)):
+                p = P_of(j)
+                if p:
+                    rec(tuple(b - a for a, b in zip(j, remaining)), nblocks + 1, prod * p)
+
+    rec(m, 0, 1)
+    return total

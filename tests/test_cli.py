@@ -327,6 +327,28 @@ def test_usage_error_leaves_no_new_cache_file(tmp_path, monkeypatch):
     assert kept.read_text().count("\n") > 1
 
 
+def test_usage_error_leaves_no_new_cache_dir(tmp_path, monkeypatch):
+    # the directories made for a new cache file go with it
+    monkeypatch.setenv("REFSEV_CACHE_DIR", str(tmp_path / "a" / "b"))
+    bad = ["compute", "--surface", "p2", "--d", "3", "--delta", "3-1"]
+    assert run_cli(bad) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_error_keeps_an_existing_cache_dir(tmp_path, monkeypatch):
+    # only what the run made is removed: a directory that existed stays
+    (tmp_path / "old").mkdir()
+    monkeypatch.setenv("REFSEV_CACHE_DIR", str(tmp_path / "old" / "new"))
+    bad = ["compute", "--surface", "p2", "--d", "3", "--delta", "3-1"]
+    assert run_cli(bad) == (2, "")
+    assert list(tmp_path.iterdir()) == [tmp_path / "old"]
+    assert list((tmp_path / "old").iterdir()) == []
+    monkeypatch.setenv("REFSEV_CACHE_DIR", str(tmp_path / "old"))
+    assert run_cli(bad) == (2, "")
+    assert list(tmp_path.iterdir()) == [tmp_path / "old"]
+    assert list((tmp_path / "old").iterdir()) == []
+
+
 def test_blowup_flag():
     code, out = run_cli(["compute", "--surface", "sigma", "--m", "2",
                          "--d", "5/2", "--k", "1/2", "--delta", "0"])

@@ -7,20 +7,21 @@ from refsev import graphs
 from refsev.graphs import (
     LongEdgeGraph,
     count_orderings,
-    count_orderings_bruteforce,
     enumerate_graphs,
     enumerate_templates,
     eval_phi_linear,
     fit_phi_linear,
     phi,
-    phi_bruteforce,
     q_log_count,
     refined_count,
+    refined_counts,
     s_beta,
 )
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent, YL_ZERO
+
+from oracles import count_orderings_bruteforce, phi_bruteforce, refined_count_all_graphs
 
 random.seed(1759)
 
@@ -314,6 +315,36 @@ def test_refined_count_cogenus_zero():
     # an unknown y is refused even where no graph contributes
     with pytest.raises(ValueError, match="y must be"):
         refined_count((0, 0, 0), 2, "refined")
+
+
+# beta sequences for the template composition against the all-graph sum:
+# the s(c, m, d) grid, interior zeros, non-monotone, length 1 and empty
+COMPOSITION_BETAS = sorted({s_beta(c, m, d) for c in range(3) for m in range(3)
+                            for d in range(4)}) + [
+    (2, 0, 3), (0, 0, 0), (0, 4, 0, 4), (3, 0, 0, 2, 5),
+    (5, 1, 4, 0, 2), (1, 2, 3, 2, 1), (4, 1, 4), (0,), (3,), ()]
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_refined_count_matches_all_graph_sum(y):
+    for beta in COMPOSITION_BETAS:
+        for delta in range(5):
+            assert refined_count(beta, delta, y) == refined_count_all_graphs(
+                beta, delta, y), (beta, delta, y)
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_refined_counts_row_is_each_count(y):
+    for beta in COMPOSITION_BETAS:
+        row = refined_counts(beta, 4, y)
+        assert row == [refined_count(beta, k, y) for k in range(5)], (beta, y)
+
+
+def test_refined_counts_refuses_negative_cogenus_and_beta():
+    with pytest.raises(ValueError, match="cogenus must be nonnegative"):
+        refined_counts(s_beta(0, 1, 3), -1)
+    with pytest.raises(ValueError, match=r"beta\[1\] = -2 is negative"):
+        refined_count((2, -2, 2), 1)
 
 
 def test_severi_twelve():
