@@ -17,7 +17,6 @@ count is palindromic.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from dataclasses import dataclass
@@ -128,12 +127,17 @@ class CHTable:
     """Memo for recursion values, optionally backed by an append-only store.
 
     Entries are immutable once written; recomputation of a key reproduces
-    the stored value bit for bit (asserted in the test suite).
+    the stored value bit for bit (asserted in the test suite). The table
+    also owns the lists the recursion's second sum reads (_splits per
+    alpha, _gammas per (R, emax)): they hold sequences and integers, no
+    ring values, so they serve every ring and never reach the store.
     """
 
     def __init__(self, store: CacheStore | None = None):
         self.memo = {y: {} for y in RINGS}
         self.store = store
+        self.splits: dict = {}
+        self.gammas: dict = {}
 
     @staticmethod
     def _store_key(y, key) -> str:
@@ -170,8 +174,37 @@ class CHTable:
         if self.store is not None:
             self.store.flush()
 
+    def _splits(self, alpha) -> list:
+        """(alpha' stripped, I(alpha'), prod_i C(alpha_i, alpha'_i)) for
+        every alpha' <= alpha, in itertools.product order."""
+        hit = self.splits.get(alpha)
+        if hit is None:
+            hit = self.splits[alpha] = [
+                (_strip(a2), iseq(a2), prod(map(comb, alpha, a2)))
+                for a2 in itertools.product(*[range(x + 1) for x in alpha])]
+        return hit
 
-@functools.cache
+    def _gammas(self, R: int, emax: int) -> list:
+        """(e, gamma', its largest part) for every gamma' with I(gamma') = R
+        in R - e parts, e <= emax: `ones` parts of size 1 and the parts
+        mu_j + 1 of a partition mu of e, listed by e, then by _partitions."""
+        hit = self.gammas.get((R, emax))
+        if hit is None:
+            hit = self.gammas[R, emax] = []
+            for e in range(min(R, emax) + 1):
+                for mu in _partitions(e):
+                    ones = R - e - len(mu)
+                    if ones < 0:
+                        continue
+                    gam: dict = {}
+                    if ones:
+                        gam[1] = ones
+                    for p in mu:
+                        gam[p + 1] = gam.get(p + 1, 0) + 1
+                    hit.append((e, tuple(gam.items()), max(gam, default=0)))
+        return hit
+
+
 def _partitions(e: int) -> tuple:
     """All partitions of e as tuples of parts >= 1, descending."""
     out = []
@@ -259,39 +292,34 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
     # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
     # the bottom of the tower. alpha' <= alpha and beta' = beta + gamma' with
     # I(gamma') = R = HL2 - I(alpha') - I(beta) in R - e parts, and
-    # delta' = delta - HL2 + R - e; a tuple alpha' with R < 0 or no
-    # delta' >= 0 is dropped before any sequence work
+    # delta' = delta - HL2 + R - e; an alpha' with R < 0 or no delta' >= 0
+    # is dropped. The children (f, C(beta', beta), delta', beta') depend on
+    # alpha' only through R, so they are built once per R.
     if d > 0:
         HL2 = c + m * (d - 1)
         room = HL2 - iseq(beta)
-        for a2_raw in itertools.product(*[range(x + 1) for x in alpha]):
-            R = room - iseq(a2_raw)
+        by_R: dict = {}
+        for a2, ia2, ca in table._splits(alpha):
+            R = room - ia2
             emax = delta - HL2 + R
             if R < 0 or emax < 0:
                 continue
-            a2 = _strip(a2_raw)
-            ca = prod(map(comb, alpha, a2_raw))
-            for e in range(min(R, emax) + 1):
-                for mu in _partitions(e):
-                    ones = R - e - len(mu)
-                    if ones < 0:
-                        continue
-                    # gamma' has `ones` parts of size 1 and parts mu_j + 1
-                    gam: dict = {}
-                    if ones:
-                        gam[1] = ones
-                    for p in mu:
-                        gam[p + 1] = gam.get(p + 1, 0) + 1
-                    f = ring.qnum_prod(tuple(gam.items()))
+            children = by_R.get(R)
+            if children is None:
+                children = by_R[R] = []
+                for e, gam, top in table._gammas(R, emax):
+                    f = ring.qnum_prod(gam)
                     if not f:
                         continue
-                    b2 = list(beta) + [0] * (max(gam, default=0) - len(beta))
-                    for i, gi in gam.items():
+                    b2 = list(beta) + [0] * (top - len(beta))
+                    for i, gi in gam:
                         b2[i - 1] += gi
                     # b2 ends in a positive entry, the last of beta or gamma'
-                    terms.append((f, ca * prod(map(comb, b2, beta)),
-                                  _N(m, c, d - 1, emax - e, a2, tuple(b2), ring,
-                                     table)))
+                    children.append((f, prod(map(comb, b2, beta)), emax - e,
+                                     tuple(b2)))
+            for f, cb, delta2, b2 in children:
+                terms.append((f, ca * cb,
+                              _N(m, c, d - 1, delta2, a2, b2, ring, table)))
 
     total = ring.sum_products(terms)
     table.insert(y, key, total)

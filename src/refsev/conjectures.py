@@ -27,7 +27,7 @@ from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
 from .genfun import (Invariants, engine_data, reform_coefficient, reform_eval,
                      solve_bundles, solve_universal_B)
-from .graphs import refined_counts, s_beta
+from .graphs import refined_counts_by_prefix, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
@@ -336,14 +336,17 @@ def _check_cross_engine(table, cmax=6, dmax=6, mmax=3, deltamax=4) -> Conjecture
     )
     for m in range(mmax + 1):
         for c in range(cmax + 1):
-            counts = {}  # d -> the graph counts for delta <= deltamax
+            # s(c, m, d) is a prefix of s(c, m, dmax), so one sweep gives the
+            # graph counts of every d, at counts[d + 1]; it runs at the first
+            # point, so that an empty range computes none
+            counts = None
             for delta in range(deltamax, -1, -1):
                 for d in range(dmax, 0, -1):
                     a = severi_degree(Sigma(m, c, d), delta, table=table)
-                    if d not in counts:
-                        counts[d] = refined_counts(s_beta(c, m, d), deltamax)
+                    if counts is None:
+                        counts = refined_counts_by_prefix(s_beta(c, m, dmax), deltamax)
                     _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
-                             a, counts[d][delta], delta)
+                             a, counts[d + 1][delta], delta)
     return rep
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "FloorDiagram",
     "enumerate_floor_diagrams",
     "marking_count",
-    "marking_count_literal",
     "floor_diagram_count",
 ]
 
@@ -162,36 +161,6 @@ def marking_count(D: FloorDiagram) -> int:
         return total
 
     return place(0, (0,) * (D.d + 1))
-
-
-def marking_count_literal(D: FloorDiagram, guard: int = 8) -> int:
-    """Literal orbit count: enumerate every ordering of distinguishable
-    items, canonicalize by the class-label sequence per gap, and count
-    distinct canonical forms. Validates the free-action division used by
-    marking_count; only viable for a handful of items."""
-    classes = _marking_classes(D)
-    items = []
-    for cid, (cnt, lo, hi) in enumerate(classes):
-        items.extend([(cid, lo, hi)] * cnt)
-    if len(items) > guard:
-        raise FloorDiagramTooLarge(f"{len(items)} items exceeds literal guard {guard}")
-    seen = set()
-    windows = [range(lo, hi + 1) for _, lo, hi in items]
-    n = len(items)
-    for assign in itertools.product(*windows):
-        by_gap: dict = {}
-        for idx, g in enumerate(assign):
-            by_gap.setdefault(g, []).append(idx)
-        pergap = sorted(by_gap.items())
-        for perms in itertools.product(
-            *[itertools.permutations(members) for _, members in pergap]
-        ):
-            canon = tuple(
-                (g, tuple(items[i][0] for i in perm))
-                for (g, _), perm in zip(pergap, perms)
-            )
-            seen.add(canon)
-    return len(seen)
 
 
 def floor_diagram_count(c: int, m: int, d: int, delta: int, y="sym"):

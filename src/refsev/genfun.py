@@ -11,13 +11,14 @@ chi(L) and chi(O), carried by `Invariants`; they enter as exponents:
   (3) M^delta = Coeff_{q^{chi(L)-chi(O)}} [ P^{chi(L)-1-delta} B1^{K^2}
         B2^{LK} DP / (Dtilde*DP)^{chi(O)/2} * R ].
 
-One function per form: `reform_q_series` (1), `reform_eval` (2) and
-`reform_coefficient` (3). Form (2) is the workhorse: it needs the B tables
+Forms (2) and (3) have one function each: `reform_eval` and
+`reform_coefficient`. Form (2) is the workhorse: it needs the B tables
 only to q-order delta, which is what makes every conjecture check feasible
-with the embedded tables. Form (3) takes a rational point-series shift;
-form (1) is the reference the other two are tested against. Multiple-point
-checks pass R = H_m together with a shift of the point-series exponent
-(equivalently a Laurent R = H_m * P^{-shift}).
+with the embedded tables. Form (3) takes a rational point-series shift.
+Form (1) runs on no check; it is the reference the other two are tested
+against, and lives with the test oracles. Multiple-point checks pass
+R = H_m together with a shift of the point-series exponent (equivalently
+a Laurent R = H_m * P^{-shift}).
 """
 from __future__ import annotations
 
@@ -32,8 +33,8 @@ from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
 from .ylaurent import YL_ZERO
 
-__all__ = ["Invariants", "reform_q_series", "reform_eval", "reform_coefficient",
-           "solve_bundles", "engine_data", "solve_universal_B", "base_series"]
+__all__ = ["Invariants", "reform_eval", "reform_coefficient", "solve_bundles",
+           "engine_data", "solve_universal_B", "base_series"]
 
 
 @dataclass(frozen=True)
@@ -83,21 +84,6 @@ def _substitution(T: int, y="sym"):
     g = compose_inverse(dg)
     core = (g * g.tderiv()) / compose(dt, g)
     return g, QSeries(list(g.coeffs), lead=0, trunc=T - 1), core
-
-
-def reform_q_series(inv: Invariants, B1: QSeries, B2: QSeries, order: int,
-                    R: QSeries | None = None, shift=0) -> QSeries:
-    """Form (1): the refined q-series right side mod q^order, its point
-    series raised to -shift. R defaults to 1."""
-    dg, ddg, dt = base_series(order)
-    F = dg.shift(-1).pow(inv.chi_L)
-    F = F * B1.truncate(order).pow(inv.K2) * B2.truncate(order).pow(inv.LK)
-    F = F * (dt * ddg).shift(-2).pow(QQ(-inv.chi_O, 2))
-    if shift:
-        F = F * dg.pow(-shift)
-    if R is not None:
-        F = F * R
-    return F.truncate(order)
 
 
 def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,

@@ -9,9 +9,10 @@ multiplicity and P^s_beta are sums or products over them.
 
 This module provides the graph-side engine: enumeration by cogenus,
 multiplicities, beta-extended ordering counts P_beta / P^s_beta, the counts
-N^delta_beta by template composition (refined_counts, a transfer sum over
-template placements), the log-transform Phi, template sums for the log of
-the generating series, and the linear fit of Phi in beta.
+N^delta_beta by template composition (refined_counts_by_prefix, one
+transfer sum over template placements for every prefix of beta), the
+log-transform Phi, template sums for the log of the generating series,
+and the linear fit of Phi in beta.
 
 P is a dynamic programme over the edge classes on {per-gap fill vector:
 count}: placing t copies of a class into a gap holding f edges multiplies
@@ -27,8 +28,9 @@ plans of its templates, sharing equal shapes, so a template's numerators
 live as long as the cached template. The P of every sub-multiset, keyed
 by its shape and beta window, goes into a dict that each q_log_count or
 phi call makes and drops, so a template sum reads, for each shift, only
-slices of beta; refined_counts keeps the P of each template and window in
-a dict of its own call in the same way.
+slices of beta; refined_counts_by_prefix keeps the P of each template and
+window in a dict of its own call in the same way, and one call serves
+every prefix of its beta.
 """
 from __future__ import annotations
 
@@ -50,6 +52,7 @@ __all__ = [
     "phi",
     "refined_count",
     "refined_counts",
+    "refined_counts_by_prefix",
     "q_log_count",
     "fit_phi_linear",
     "eval_phi_linear",
@@ -398,10 +401,11 @@ def _sub_multiset(edges, j) -> list:
 # -- counts ------------------------------------------------------------------
 
 
-def refined_counts(beta, delta: int, y="sym") -> list:
-    """[N^0_beta, ..., N^delta_beta] at y: the Laurent polynomials
-    (y='sym'), the Severi counts n^delta_beta (y=1) or the Welschinger
-    counts W^delta_beta (y=-1). A negative beta entry raises ValueError.
+def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
+    """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
+    ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
+    n^delta (y=1) or the Welschinger counts W^delta (y=-1). A negative beta
+    entry raises ValueError.
 
     N^delta_beta sums multiplicity times P^s_beta over the cogenus-delta
     graphs with maxv <= M + 1. Cut at the vertices no edge spans strictly,
@@ -409,12 +413,16 @@ def refined_counts(beta, delta: int, y="sym") -> list:
     its cogenus, multiplicity and P are sums or products over them: P of a
     template shifted to p is its P under beta[p:p + length], and P^s asks
     eps0 of a template at p = 0 and eps1 of one ending at M + 1. So the
-    counts are a transfer sum over p = 0, ..., M + 1 of g[p][k], the total
-    over the arrangements inside [0, p] of cogenus k: an empty gap steps
-    to p + 1, and the templates of cogenus kappa and length l step to
-    p + l, weighted by the sum of their P (integers) times their
-    multiplicity, one ring product per weight tuple. The P of each
-    template and window is memoised in a dict this call makes and drops.
+    counts are a transfer sum over p of g[p][k], the total over the
+    arrangements inside [0, p] of cogenus k: an empty gap steps to p + 1,
+    and the templates of cogenus kappa and length l step to p + l, weighted
+    by the sum of their P (integers) times their multiplicity, one ring
+    product per weight tuple. A window of beta[:q] is a window of beta, so
+    one sweep serves every prefix: the counts of beta[:q] are the end row
+    of q, the arrangements whose last piece is an empty gap or a template
+    with eps1, and g[q] adds to it those ending in any other template; at
+    the last vertex only the end row is needed. The P of each template and
+    window is memoised in a dict this call makes and drops.
     """
     ring = ring_at(y)
     if delta < 0:
@@ -433,32 +441,44 @@ def refined_counts(beta, delta: int, y="sym") -> list:
                   for (ell, kappa, weights), ts in templates.items()
                   if (mu := ring.multiplicity(weights))]
     pmemo: dict = {}  # P by (template, beta window), for this beta
-    # into[p][k]: the (g, P sum, multiplicity) triples that sum to g[p][k]
-    into = [[[] for _ in range(delta + 1)] for _ in range(n + 1)]
-    into[0][0].append((ring.one, 1, ring.one))
+    # end[q][k], rest[q][k]: the (g, P sum, multiplicity) triples that sum
+    # to the end row of q and to g[q][k] less it
+    end = [[[] for _ in range(delta + 1)] for _ in range(n + 1)]
+    rest = [[[] for _ in range(delta + 1)] for _ in range(n + 1)]
+    end[0][0].append((ring.one, 1, ring.one))
+    out = []
     for p in range(n + 1):
-        g = [ring.sum_products(triples) for triples in into[p]]
+        out.append([ring.sum_products(triples) for triples in end[p]])
         if p == n:
-            return g
+            return out
+        g = [e + ring.sum_products(r) if r else e for e, r in zip(out[p], rest[p])]
         for k in range(delta + 1):
             if g[k]:
-                into[p + 1][k].append((g[k], 1, ring.one))
+                end[p + 1][k].append((g[k], 1, ring.one))
         for ell, kappa, mu, ts in placements:
-            if p + ell > n:
+            q = p + ell
+            if q > n:
                 continue
-            window = beta[p:p + ell]
-            s = 0
+            window = beta[p:q]
+            sums = [0, 0]  # the P sums of the templates without and with eps1
             for T, e0, e1 in ts:
-                if (e0 or p) and (e1 or p + ell < n):
+                if (e0 or p) and (e1 or q < n):
                     key = (T.edges, window)
                     P = pmemo.get(key)
                     if P is None:
                         P = pmemo[key] = count_orderings(T, window)
-                    s += P
-            if s:
-                for k in range(delta + 1 - kappa):
-                    if g[k]:
-                        into[p + ell][k + kappa].append((g[k], s, mu))
+                    sums[e1] += P
+            for row, s in zip((rest[q], end[q]), sums):
+                if s:
+                    for k in range(delta + 1 - kappa):
+                        if g[k]:
+                            row[k + kappa].append((g[k], s, mu))
+
+
+def refined_counts(beta, delta: int, y="sym") -> list:
+    """[N^0_beta, ..., N^delta_beta] at y ('sym', 1 or -1): the last entry
+    of refined_counts_by_prefix(beta, delta, y)."""
+    return refined_counts_by_prefix(beta, delta, y)[-1]
 
 
 def refined_count(beta, delta: int, y="sym"):

@@ -1,9 +1,13 @@
-"""Independent oracles for the graph engine, slow by design: the all-graph
-sum for N^delta_beta, ordering counts by distinguishable edge instances,
-and Phi by its literal partition sum."""
+"""Independent oracles, slow by design: for the graph engine the all-graph
+sum for N^delta_beta, ordering counts by distinguishable edge instances
+and Phi by its literal partition sum; for the floor diagrams the literal
+orbit count of markings; for the generating function its form (1), the
+q-series product."""
 import itertools
 from math import factorial
 
+from refsev.floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
+from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
     _edge_classes,
@@ -11,6 +15,7 @@ from refsev.graphs import (
     count_orderings,
     enumerate_graphs,
 )
+from refsev.qseries import QSeries
 from refsev.rationals import QQ
 from refsev.ylaurent import ring_at
 
@@ -90,3 +95,47 @@ def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
 
     rec(m, 0, 1)
     return total
+
+
+def marking_count_literal(D: FloorDiagram, guard: int = 8) -> int:
+    """Literal orbit count: enumerate every ordering of distinguishable
+    items, canonicalize by the class-label sequence per gap, and count
+    distinct canonical forms. Validates the free-action division used by
+    marking_count; only viable for a handful of items."""
+    classes = _marking_classes(D)
+    items = []
+    for cid, (cnt, lo, hi) in enumerate(classes):
+        items.extend([(cid, lo, hi)] * cnt)
+    if len(items) > guard:
+        raise FloorDiagramTooLarge(f"{len(items)} items exceeds literal guard {guard}")
+    seen = set()
+    windows = [range(lo, hi + 1) for _, lo, hi in items]
+    for assign in itertools.product(*windows):
+        by_gap: dict = {}
+        for idx, g in enumerate(assign):
+            by_gap.setdefault(g, []).append(idx)
+        pergap = sorted(by_gap.items())
+        for perms in itertools.product(
+            *[itertools.permutations(members) for _, members in pergap]
+        ):
+            canon = tuple(
+                (g, tuple(items[i][0] for i in perm))
+                for (g, _), perm in zip(pergap, perms)
+            )
+            seen.add(canon)
+    return len(seen)
+
+
+def reform_q_series(inv: Invariants, B1: QSeries, B2: QSeries, order: int,
+                    R: QSeries | None = None, shift=0) -> QSeries:
+    """Form (1): the refined q-series right side mod q^order, its point
+    series raised to -shift. R defaults to 1."""
+    dg, ddg, dt = base_series(order)
+    F = dg.shift(-1).pow(inv.chi_L)
+    F = F * B1.truncate(order).pow(inv.K2) * B2.truncate(order).pow(inv.LK)
+    F = F * (dt * ddg).shift(-2).pow(QQ(-inv.chi_O, 2))
+    if shift:
+        F = F * dg.pow(-shift)
+    if R is not None:
+        F = F * R
+    return F.truncate(order)

@@ -4,10 +4,11 @@ import functools
 
 import pytest
 
-from refsev import conjectures, modular
+from refsev import conjectures, graphs, modular
 from refsev.caporaso import Sigma, severi_degree
 from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from refsev.genfun import Invariants, reform_eval
+from refsev.graphs import s_beta
 from refsev.qseries import QSeries
 
 
@@ -202,6 +203,37 @@ def test_cross_engine_small(chtable):
     rep = check_conjecture("cross_engine", table=chtable, cmax=2, dmax=3,
                            mmax=2, deltamax=2)
     assert rep.ok, rep.summary()
+
+
+def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
+    # one sweep of s(c, m, dmax) per (m, c), and in each sweep one
+    # count_orderings call at most per (template, beta window)
+    grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
+    sweeps, calls = [], []
+    sweep, count = conjectures.refined_counts_by_prefix, graphs.count_orderings
+
+    def sweeping(beta, delta, y="sym"):
+        sweeps.append((tuple(beta), delta))
+        calls.append([])
+        return sweep(beta, delta, y)
+
+    def counting(G, b, strict=False):
+        calls[-1].append((G.edges, tuple(b)))
+        return count(G, b, strict)
+
+    monkeypatch.setattr(conjectures, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "count_orderings", counting)
+    rep = check_conjecture("cross_engine", table=chtable, **grid)
+    assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
+    assert sweeps == [(s_beta(c, m, 3), 3) for m in range(3) for c in range(3)]
+    pairs = 0
+    for (beta, delta), made in zip(sweeps, calls):
+        assert len(made) == len(set(made))
+        pairs += len({(T.edges, beta[p:p + T.length()])
+                      for kappa in range(1, delta + 1)
+                      for T in graphs.enumerate_templates(kappa)
+                      for p in range(len(beta) - T.length() + 1)})
+    assert 0 < sum(map(len, calls)) <= pairs
 
 
 def test_solve_b_small(chtable):

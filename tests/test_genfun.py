@@ -5,12 +5,13 @@ import pytest
 from refsev import genfun
 from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.genfun import (Invariants, base_series, engine_data, reform_coefficient,
-                           reform_eval, reform_q_series, solve_bundles,
-                           solve_universal_B)
+                           reform_eval, solve_bundles, solve_universal_B)
 from refsev.modular import b_bar_series, b_series, h_series
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
+
+from oracles import reform_q_series
 
 random.seed(404)
 

@@ -15,6 +15,7 @@ from refsev.graphs import (
     q_log_count,
     refined_count,
     refined_counts,
+    refined_counts_by_prefix,
     s_beta,
 )
 from refsev.qseries import QSeries
@@ -338,6 +339,21 @@ def test_refined_counts_row_is_each_count(y):
     for beta in COMPOSITION_BETAS:
         row = refined_counts(beta, 4, y)
         assert row == [refined_count(beta, k, y) for k in range(5)], (beta, y)
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_refined_counts_by_prefix_matches_all_graph_sum(y):
+    # every prefix, the empty one and those of length 1 included, so a
+    # template with eps1 ends at every vertex of the sweep
+    oracle: dict = {}
+    for beta in COMPOSITION_BETAS:
+        rows = refined_counts_by_prefix(beta, 4, y)
+        assert len(rows) == len(beta) + 1
+        for n, row in enumerate(rows):
+            if beta[:n] not in oracle:
+                oracle[beta[:n]] = [refined_count_all_graphs(beta[:n], k, y)
+                                    for k in range(5)]
+            assert row == oracle[beta[:n]], (beta, n, y)
 
 
 def test_refined_counts_refuses_negative_cogenus_and_beta():
