@@ -10,27 +10,22 @@ multiplicity and P^s_beta are sums or products over them.
 This module provides the graph-side engine: enumeration by cogenus,
 multiplicities, beta-extended ordering counts P_beta / P^s_beta, the counts
 N^delta_beta by template composition (refined_counts_by_prefix, one
-transfer sum over template placements for every prefix of beta), the
-log-transform Phi, template sums for the log of the generating series,
-and the linear fit of Phi in beta.
+transfer sum over template placements for every prefix of beta), their
+log Q^delta_beta (q_log_count), the log-transform Phi of one graph, and the
+linear fit of Phi in beta.
 
 P is a dynamic programme over the edge classes on {per-gap fill vector:
 count}: placing t copies of a class into a gap holding f edges multiplies
 by C(f + t, t), so placements that reach the same fill merge. Phi is
 computed in integers, by the Euler operator recursion on log P (see
-_log_numerator), from a plan built once per graph (_PhiPlan): the
-sub-multisets of the edge classes as shapes at minv 0 with their vertex
-spans, and the recursion's index terms, shared per multiplicity tuple.
-Phi^s is Phi or 0 (see phi), so both take the one route through the plan.
-The memos have owners. A plan keeps the integer numerators of Phi by beta
-window, so they live as long as its graph: enumerate_templates builds the
-plans of its templates, sharing equal shapes, so a template's numerators
-live as long as the cached template. The P of every sub-multiset, keyed
-by its shape and beta window, goes into a dict that each q_log_count or
-phi call makes and drops, so a template sum reads, for each shift, only
-slices of beta; refined_counts_by_prefix keeps the P of each template and
-window in a dict of its own call in the same way, and one call serves
-every prefix of its beta.
+_log_numerator) over the P of each sub-multiset of the edge classes;
+Phi^s is Phi or 0 (see phi). Q^delta is the t^delta coefficient of the
+log of the counts N^0, ..., N^delta, taken by q_log_of_counts; the
+template sum of Phi^s that it equals is kept as a test oracle. Beside the
+index tables of _compositions and _euler_terms, the only memo that
+outlives a call is the template list of each cogenus:
+refined_counts_by_prefix keeps the P of each template and window in a
+dict of its own call, and one call serves every prefix of its beta.
 """
 from __future__ import annotations
 
@@ -40,8 +35,9 @@ import operator
 from math import comb, prod
 
 from .linalg import solve_exact
+from .qseries import QSeries
 from .rationals import QQ
-from .ylaurent import YL_ZERO, ring_at
+from .ylaurent import ring_at
 
 __all__ = [
     "LongEdgeGraph",
@@ -54,6 +50,7 @@ __all__ = [
     "refined_counts",
     "refined_counts_by_prefix",
     "q_log_count",
+    "q_log_of_counts",
     "fit_phi_linear",
     "eval_phi_linear",
 ]
@@ -67,7 +64,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges", "_loads", "_plan", "_placement")
+    __slots__ = ("edges", "_loads", "_placement")
 
     def __init__(self, edges):
         es = []
@@ -78,7 +75,7 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
-        self._loads = self._plan = self._placement = None
+        self._loads = self._placement = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -229,13 +226,7 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    templates = enumerate_graphs(delta, delta + 1, templates=True)
-    # their Phi plans share one graph per sub-multiset shape (shapes recur
-    # across templates) and live as long as the templates
-    intern: dict = {}
-    for T in templates:
-        _phi_plan(T, intern)
-    return templates
+    return enumerate_graphs(delta, delta + 1, templates=True)
 
 
 # -- ordering counts ----------------------------------------------------------
@@ -296,57 +287,6 @@ def _refuse_negative(beta) -> None:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
-class _PhiPlan:
-    """What Phi needs of a graph, listed once: |m| for its class
-    multiplicities m, the Euler terms of m, and for each nonzero j <= m (in
-    itertools.product order) the j-th sub-multiset shifted to minv 0 (its
-    shape, a LongEdgeGraph shared through intern) with its vertex span
-    [lo, hi) relative to the graph's minv; and the numerators of Phi by
-    beta window, memoised."""
-
-    __slots__ = ("size", "terms", "shapes", "spans", "numerators")
-
-    def __init__(self, G: LongEdgeGraph, intern: dict):
-        edges, m = zip(*_edge_classes(G))
-        v0 = edges[0][0]
-        self.size, self.terms = sum(m), _euler_terms(m)
-        shapes, spans = [], []
-        for j in itertools.islice(itertools.product(*[range(x + 1) for x in m]), 1, None):
-            sub = _sub_multiset(edges, j)
-            lo, hi = sub[0][0], max(b for _, b, _ in sub)
-            shape = tuple((a - lo, b - lo, w) for a, b, w in sub)
-            if shape not in intern:
-                intern[shape] = LongEdgeGraph(shape)
-            shapes.append(intern[shape])
-            spans.append(intern.setdefault((lo - v0, hi - v0), (lo - v0, hi - v0)))
-        self.shapes, self.spans = tuple(shapes), tuple(spans)
-        self.numerators: dict = {}
-
-    def numerator(self, window: tuple, pmemo: dict) -> int:
-        """A_m under the beta window over the graph's [minv, maxv), with
-        the P of each sub-multiset read from pmemo, keyed by its shape and
-        window: for beta >= 0, P of a sub-multiset under beta is P of its
-        shape under the entries of beta it spans."""
-        val = self.numerators.get(window)
-        if val is None:
-            F = [1]
-            for shape, (lo, hi) in zip(self.shapes, self.spans):
-                key = (shape.edges, window[lo:hi])
-                p = pmemo.get(key)
-                if p is None:
-                    p = pmemo[key] = count_orderings(shape, key[1])
-                F.append(p)
-            val = self.numerators[window] = _log_numerator(self, F)
-        return val
-
-
-def _phi_plan(G: LongEdgeGraph, intern=None) -> _PhiPlan:
-    """G's plan, built once and kept on G; intern shares equal tuples."""
-    if G._plan is None:
-        G._plan = _PhiPlan(G, {} if intern is None else intern)
-    return G._plan
-
-
 @functools.cache
 def _euler_terms(m: tuple) -> tuple:
     """For each nonzero j <= m in itertools.product order: (|j|, the
@@ -361,13 +301,14 @@ def _euler_terms(m: tuple) -> tuple:
     return tuple(terms)
 
 
-def _log_numerator(plan: _PhiPlan, F: list) -> int:
-    """A_m, from F = [1] + the P of each sub-multiset in plan order.
+def _log_numerator(terms: tuple, F: list) -> int:
+    """A_m, from the Euler terms of m and F = [1] + the P of each nonzero
+    sub-multiset j <= m in itertools.product order.
 
     The Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k},
     with A_k = |k| [x^k] log F; every A_j is an integer."""
     A = [0]
-    for (size, ks, rs), f in zip(plan.terms, itertools.islice(F, 1, None)):
+    for (size, ks, rs), f in zip(terms, itertools.islice(F, 1, None)):
         A.append(size * f - sum(map(operator.mul, map(A.__getitem__, ks),
                                     map(F.__getitem__, rs))))
     return A[-1]
@@ -389,8 +330,11 @@ def phi(G: LongEdgeGraph, beta, strict: bool = False):
     _refuse_negative(beta)
     if G.is_empty() or G.maxv() > len(beta) or strict and G._heavy_end(len(beta)):
         return QQ(0)
-    plan = _phi_plan(G)
-    return QQ(plan.numerator(tuple(beta[G.minv():G.maxv()]), {}), plan.size)
+    edges, m = zip(*_edge_classes(G))
+    F = [1] + [count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta)
+               for j in itertools.islice(
+                   itertools.product(*[range(x + 1) for x in m]), 1, None)]
+    return QQ(_log_numerator(_euler_terms(m), F), sum(m))
 
 
 def _sub_multiset(edges, j) -> list:
@@ -487,32 +431,19 @@ def refined_count(beta, delta: int, y="sym"):
     return refined_counts(beta, delta, y)[delta]
 
 
+def q_log_of_counts(counts: list):
+    """The t^delta coefficient of log sum_k counts[k] t^k, delta =
+    len(counts) - 1: Q^delta from the counts [N^0, ..., N^delta]."""
+    return QSeries(counts, trunc=len(counts)).log().coeff_at(len(counts) - 1)
+
+
 def q_log_count(beta, delta: int):
     """Q^delta_beta: the t^delta coefficient of log sum_delta N^delta t^delta,
-    computed by the template sum (shifted-template support of Phi^s)."""
+    the log of refined_counts(beta, delta). A negative beta entry raises
+    ValueError."""
     if delta < 1:
         raise ValueError("the log transform starts at cogenus 1")
-    _refuse_negative(beta)
-    beta = tuple(beta)
-    M = len(beta) - 1
-    by_mult: dict = {}  # the multiplicity -> the sum of Phi it scales
-    pmemo: dict = {}  # P by (shape, beta window), for this (beta, delta)
-    for T in enumerate_templates(delta):
-        ell, e0, e1, _ = T.placement()
-        lo, hi = 1 - e0, M - ell + e1
-        if hi < lo:
-            continue
-        # Phi(T shifted by k) under beta is Phi(T) under beta[k:k + ell]
-        plan = _phi_plan(T)
-        s = sum(plan.numerator(beta[k:k + ell], pmemo) for k in range(lo, hi + 1))
-        if s:
-            mu = T.multiplicity()
-            by_mult[mu] = by_mult.get(mu, 0) + QQ(s, plan.size)
-    acc = YL_ZERO
-    for mu, s in by_mult.items():
-        if s:
-            acc = acc + mu.scale(s)
-    return acc
+    return q_log_of_counts(refined_counts(beta, delta))
 
 
 def fit_phi_linear(T: LongEdgeGraph, probes):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .caporaso import SurfaceBundle
-from .graphs import q_log_count, s_beta
+from .graphs import q_log_of_counts, refined_counts_by_prefix, s_beta
 from .linalg import solve_exact
 from .qseries import QSeries
 from .rationals import QQ
@@ -88,26 +88,27 @@ class NodePolynomial:
         )
 
 
-def _engine_q(beta_args, delta: int) -> YLaurent:
-    c, m, d = beta_args
-    return q_log_count(s_beta(c, m, d), delta)
+def _engine_q(points, delta: int) -> dict:
+    """{(c, m, d): Q_delta of s(c, m, d)} over the points. s(c, m, d) is a
+    prefix of s(c, m, dmax), so one sweep per (c, m), at its largest d,
+    gives the counts of every d, at row d + 1."""
+    sweeps: dict = {}
+    for c, m, d in sorted(points, key=lambda p: -p[2]):
+        if (c, m) not in sweeps:
+            sweeps[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta)
+    return {(c, m, d): q_log_of_counts(sweeps[c, m][d + 1]) for c, m, d in points}
 
 
 def _fit(family: str, delta: int, probes, holdout):
     """Solve Q_delta = sum coeff_i * monomial_i on probes; verify holdout."""
     basis = BASES[family]
-    A = []
-    rhs = []
-    for (c, m, d) in probes:
-        A.append([QQ(_MONOMIALS[name](c, m, d)) for name in basis])
-        rhs.append(_engine_q((c, m, d), delta))
-    coeffs = solve_exact(A, rhs)
+    q = _engine_q(probes + holdout, delta)
+    A = [[QQ(_MONOMIALS[name](c, m, d)) for name in basis] for c, m, d in probes]
+    coeffs = solve_exact(A, [q[p] for p in probes])
     np = NodePolynomial(family, delta, basis, coeffs,
                         fitted_from=list(probes), validated_on=[])
     for (c, m, d) in holdout:
-        pred = np.q_at(c=c, m=m, d=d)
-        real = _engine_q((c, m, d), delta)
-        if pred != real:
+        if np.q_at(c=c, m=m, d=d) != q[c, m, d]:
             raise ValueError(
                 f"held-out mismatch for {family} delta={delta} at "
                 f"(c,m,d)=({c},{m},{d}): fit rejected"
@@ -125,11 +126,11 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
     seven-term form on c,d >= delta, m in {0,1,2}. 'p11m': {1,m,d,dm,d^2m}
     on d,m >= delta.
     """
-    if delta == 0:
+    if delta < 1:
         raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
     if m is not None and family != "p11m-fixed-m":
         raise ValueError(f"the {family} fit takes no m (only p11m-fixed-m does)")
-    d0 = max(delta, 1)
+    d0 = delta  # where the ranges of the shape theorems start
     if family == "p2":
         probes = [(0, 1, d) for d in range(d0, d0 + 3)]
         holdout = [(0, 1, d) for d in range(d0 + 3, d0 + 6)]

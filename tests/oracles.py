@@ -1,6 +1,7 @@
 """Independent oracles, slow by design: for the graph engine the all-graph
-sum for N^delta_beta, ordering counts by distinguishable edge instances
-and Phi by its literal partition sum; for the floor diagrams the literal
+sum for N^delta_beta, ordering counts by distinguishable edge instances,
+Phi by its literal partition sum and Q^delta_beta by the template sum of
+Phi; for the floor diagrams the literal
 orbit count of markings; for the generating function its form (1), the
 q-series product."""
 import itertools
@@ -14,10 +15,12 @@ from refsev.graphs import (
     _sub_multiset,
     count_orderings,
     enumerate_graphs,
+    enumerate_templates,
+    phi,
 )
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
-from refsev.ylaurent import ring_at
+from refsev.ylaurent import YL_ZERO, ring_at
 
 
 def refined_count_all_graphs(beta, delta: int, y="sym"):
@@ -28,6 +31,19 @@ def refined_count_all_graphs(beta, delta: int, y="sym"):
         P = count_orderings(G, beta, strict=True)
         if P:
             acc = acc + G.multiplicity(y) * P
+    return acc
+
+
+def q_log_count_templates(beta, delta: int):
+    """Q^delta_beta as the sum of mu(T) Phi_beta(T shifted by k) over the
+    templates T of cogenus delta and the shifts 1 - eps0 <= k <= M - length
+    + eps1: the shifted templates that Phi^s does not send to 0, where it
+    equals Phi."""
+    M = len(beta) - 1
+    acc = YL_ZERO
+    for T in enumerate_templates(delta):
+        for k in range(1 - T.eps0(), M - T.length() + T.eps1() + 1):
+            acc = acc + T.multiplicity().scale(phi(T.shift(k), beta))
     return acc
 
 

@@ -214,6 +214,8 @@ def test_usage_error_exit_two():
       "--alpha", "1", "--beta", "2"], "not m = 2, c = 0"),
     (["fit-nodepoly", "--family", "p2", "--delta", "1", "--m", "7"],
      "error: the p2 fit takes no m"),
+    (["fit-nodepoly", "--family", "p2", "--delta=-1"],
+     "error: Q_delta starts at delta = 1"),
     (["series", "--name", "eta", "--param", "3"], "error: series 'eta' takes no param"),
     (["series", "--name", "fbar", "--order", "8"], "error: series 'fbar' needs a param"),
     (["series", "--name", "eta", "--order", "0"], "error: order must be >= 1, not 0"),
@@ -250,7 +252,7 @@ def test_usage_error_exit_two():
         "refpol-order-minus1",
         "fbar-order-0", "fbar-lmax-0", "unknown-id", "verify-format",
         "compute-p2-m", "compute-p11m-c", "compute-k-c", "relative-p2-m",
-        "nodepoly-m", "series-param-given", "series-param-missing",
+        "nodepoly-m", "nodepoly-delta-neg", "series-param-given", "series-param-missing",
         "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
         "compute-p11m-m0", "foreign-cache", "nodepoly-p11m-m0",
         "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir", "k-third",

@@ -72,14 +72,39 @@ def test_nodepoly_json_roundtrip():
     assert back.fitted_from == np.fitted_from
 
 
+@pytest.mark.parametrize("family", ["p2", "sigma"])
+def test_fit_sweeps_each_c_m_once(family, monkeypatch):
+    # one sweep of s(c, m, dmax) per distinct (c, m) among the probe and
+    # held-out points, at the largest d among them, and each value is
+    # the engine's
+    sweeps = []
+    sweep = nodepoly.refined_counts_by_prefix
+
+    def sweeping(beta, delta, y="sym"):
+        sweeps.append((tuple(beta), delta))
+        return sweep(beta, delta, y)
+
+    monkeypatch.setattr(nodepoly, "refined_counts_by_prefix", sweeping)
+    np = fit_node_polynomial(family, 1)
+    points = np.fitted_from + np.validated_on
+    dmax: dict = {}
+    for c, m, d in points:
+        dmax[c, m] = max(d, dmax.get((c, m), d))
+    assert sorted(sweeps) == sorted((s_beta(c, m, d), 1) for (c, m), d in dmax.items())
+    monkeypatch.undo()
+    for c, m, d in points:
+        assert np.q_at(c=c, m=m, d=d) == q_log_count(s_beta(c, m, d), 1)
+
+
 def test_held_out_mismatch_rejects_the_fit(monkeypatch):
     # one perturbed held-out engine value (p2, delta = 1 validates on
     # d = 4, 5, 6) rejects the fit and names the point
     real = nodepoly._engine_q
 
-    def perturbed(point, delta):
-        value = real(point, delta)
-        return value + YLaurent.const(1) if point == (0, 1, 5) else value
+    def perturbed(points, delta):
+        values = real(points, delta)
+        values[0, 1, 5] = values[0, 1, 5] + YLaurent.const(1)
+        return values
 
     monkeypatch.setattr(nodepoly, "_engine_q", perturbed)
     with pytest.raises(ValueError, match=r"held-out mismatch for p2 delta=1 at "
