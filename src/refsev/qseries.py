@@ -11,11 +11,17 @@ Operands share one lattice: +, - and first_difference need equal
 (offset24, step24), * and / equal step24 (their offsets add); anything else
 raises ValueError. All operations are exact; truncations combine by the
 min rule, shifted by leading orders under multiplication and division.
+
+The product, power, log and exp build each output coefficient by one
+integer-weighted accumulation (ylaurent.sum_products) and one exact
+division, never a YLaurent per term of the sum.
 """
 from __future__ import annotations
 
+import math
+
 from .rationals import QQ
-from .ylaurent import YLaurent, YL_ONE, YL_ZERO
+from .ylaurent import YLaurent, YL_ONE, YL_ZERO, sum_products
 
 __all__ = ["QSeries", "compose", "compose_inverse"]
 
@@ -153,7 +159,7 @@ class QSeries:
         return self + (-other)
 
     def scale(self, c) -> "QSeries":
-        c = _coerce_coeff(c)
+        """Each coefficient times c, a YLaurent or an exact scalar."""
         return QSeries([ci * c for ci in self.coeffs], lead=self.lead,
                        trunc=self.trunc, offset24=self.offset24, step24=self.step24)
 
@@ -161,21 +167,14 @@ class QSeries:
         if not isinstance(other, QSeries):
             return self.scale(other)
         _same_lattice(self, other, "*", offsets=False)
-        a, b = self, other
+        a, b = self.coeffs, other.coeffs
         # a known-zero operand has lead == trunc, so n = 0: O(q^(ta + lb))
-        n = min(a.known_length(), b.known_length())
-        lead = a.lead + b.lead
-        out = [YL_ZERO] * n
-        for i, ca in enumerate(a.coeffs):
-            if ca.is_zero() or i >= n:
-                continue
-            for j, cb in enumerate(b.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                out[k] = out[k] + ca * cb
+        n = min(len(a), len(b))
+        out = [sum_products([(a[i], 1, b[k - i]) for i in range(k + 1)])
+               for k in range(n)]
+        lead = self.lead + other.lead
         return QSeries(out, lead=lead, trunc=lead + n,
-                       offset24=a.offset24 + b.offset24, step24=a.step24)
+                       offset24=self.offset24 + other.offset24, step24=self.step24)
 
     __rmul__ = __mul__
 
@@ -191,7 +190,9 @@ class QSeries:
 
         Integer r works for any series with invertible leading coefficient.
         Fractional r needs leading coefficient 1 and the leading exponent
-        times r must land back on the 1/24 lattice.
+        times r must land back on the 1/24 lattice. With r = p/q and unit
+        part u, the coefficients w of u^r satisfy
+            m q u_0 w_m = sum_(1<=k<=m) (k p - (m - k) q) u_k w_(m-k).
         """
         r = QQ(r)
         if self.is_known_zero():
@@ -202,44 +203,39 @@ class QSeries:
             return QSeries.zero(self.trunc, offset24=self.offset24, step24=self.step24)
         if r == 0:
             return QSeries.one(self.known_length())
-        e24_lead = self.offset24 + self.lead * self.step24
-        e24_new = QQ(e24_lead) * r
+        e24_new = QQ(self.offset24 + self.lead * self.step24) * r
         if e24_new.denominator != 1:
             raise ValueError("fractional power leaves the 1/24 exponent lattice")
-        e24_new = int(e24_new)
         n = self.known_length()
         u = self.coeffs  # unit part, u[0] != 0
         u0 = u[0]
-        if r.denominator != 1 and not u0.is_one():
-            raise ValueError("fractional power requires leading coefficient 1")
-        out = [_pow_coeff(u0, r)]
+        p, q = r.numerator, r.denominator
+        out = [_pow_coeff(u0, r)]  # refuses a fractional r unless u0 = 1
         for m in range(1, n):
-            s = YL_ZERO
-            for k in range(1, m + 1):
-                uk = u[k] if k < len(u) else YL_ZERO
-                if uk.is_zero():
-                    continue
-                s = s + (uk * out[m - k]).scale(QQ(k) * r - QQ(m - k))
-            out.append(_divide_coeff(s.scale(QQ(1, m)), u0))
-        return QSeries(out, lead=0, trunc=n, offset24=e24_new, step24=self.step24)
+            s = sum_products([(u[k], k * p - (m - k) * q, out[m - k])
+                              for k in range(1, m + 1)])
+            out.append(_divide_coeff(s * QQ(1, m * q), u0))
+        return QSeries(out, lead=0, trunc=n, offset24=e24_new.numerator,
+                       step24=self.step24)
 
     def log(self) -> "QSeries":
-        """Formal logarithm; requires constant term exactly 1."""
+        """Formal logarithm; requires constant term exactly 1. The k w_k
+        (integral when u is) satisfy m w_m = m u_m - sum_(k<m) k w_k u_(m-k)."""
         if self.offset24 + self.lead * self.step24 != 0 or not self.coeffs or not self.coeffs[0].is_one():
             raise ValueError("log requires a series with constant term 1")
         n = self.known_length()
         u = self.coeffs
-        out = [YL_ZERO]
+        out, d = [YL_ZERO], [YL_ZERO]
         for m in range(1, n):
-            s = u[m]
-            for k in range(1, m):
-                if not out[k].is_zero() and not u[m - k].is_zero():
-                    s = s - (out[k] * u[m - k]).scale(QQ(k, m))
-            out.append(s)
+            s = sum_products([(u[m], m, YL_ONE)]
+                             + [(d[k], -1, u[m - k]) for k in range(1, m)])
+            d.append(s)
+            out.append(s * QQ(1, m))
         return QSeries(out, lead=0, trunc=n, offset24=0, step24=self.step24)
 
     def exp(self) -> "QSeries":
-        """Formal exponential; requires constant term 0 and no lower terms."""
+        """Formal exponential; requires constant term 0 and no lower terms.
+        Its coefficients w satisfy m w_m = sum_(1<=k<=m) k a_k w_(m-k)."""
         if self.lead < 0 or self.offset24 != 0:
             raise ValueError("exp requires a power series (no negative exponents)")
         if self.lead == 0 and self.coeffs and not self.coeffs[0].is_zero():
@@ -247,15 +243,11 @@ class QSeries:
         n = self.trunc
         if n <= 0:
             raise TruncationError("exp has no known coefficients")
-        a = [self.coeff_index(k) if self.lead <= k < self.trunc else YL_ZERO
-             for k in range(n)]
+        a = [self.coeff_index(k) for k in range(n)]
         out = [YL_ONE]
         for m in range(1, n):
-            s = YL_ZERO
-            for k in range(1, m + 1):
-                if not a[k].is_zero():
-                    s = s + (a[k] * out[m - k]).scale(QQ(k, m))
-            out.append(s)
+            s = sum_products([(a[k], k, out[m - k]) for k in range(1, m + 1)])
+            out.append(s * QQ(1, m))
         return QSeries(out, lead=0, trunc=n, offset24=0, step24=self.step24)
 
     # -- operators -----------------------------------------------------------
@@ -403,17 +395,22 @@ def compose(outer: QSeries, inner: QSeries) -> QSeries:
     integer exponents; known to the lesser of their truncations.
 
     Horner from the top coefficient down: the partial sum that inner^k
-    will still multiply is needed only below order n - k.
+    will still multiply is needed only below order n - k, and inner = O(t)
+    needs it only below order n - k - 1. outer is taken times the common
+    denominator of its coefficients, which is divided out once at the end,
+    so an integral inner keeps every product on ints.
     """
     if inner.offset24 != 0 or inner.step24 != 24 or inner.lead < 1:
         raise ValueError("compose needs inner = O(t) with integer exponents")
     if outer.offset24 != 0 or outer.step24 != 24 or outer.lead < 0:
         raise ValueError("compose needs an integer-exponent power series outer")
     n = min(outer.trunc, inner.trunc)
+    den = math.lcm(*(c.denominator for y in outer.coeffs for c in y.terms.values()))
     acc = QSeries.zero(n)
     for k in range(n - 1, -1, -1):
-        acc = (acc * inner).truncate(n - k) + outer.coeff_index(k)
-    return acc
+        acc = (acc.truncate(n - k - 1) * inner).truncate(n - k) \
+            + outer.coeff_index(k) * den
+    return acc if den == 1 else acc.scale(QQ(1, den))
 
 
 def compose_inverse(a: QSeries) -> QSeries:

@@ -19,8 +19,8 @@ import json
 
 from .rationals import QQ
 
-__all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "YRing", "RINGS",
-           "ring_at"]
+__all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "sum_products", "YRing",
+           "RINGS", "ring_at"]
 
 
 def _exact(c):
@@ -135,7 +135,9 @@ class YLaurent:
                     t[e] = ca * cb
                 else:
                     t[e] = s + ca * cb
-        return YLaurent({e: c for e, c in t.items() if c}, _canonical=True)
+        # Fraction products can turn integral
+        return YLaurent({e: c if type(c) is int or c.denominator != 1 else c.numerator
+                         for e, c in t.items() if c}, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -276,9 +278,9 @@ YL_ZERO = YLaurent({}, _canonical=True)
 YL_ONE = YLaurent({0: 1}, _canonical=True)
 
 
-def _sum_products(triples) -> YLaurent:
+def sum_products(triples) -> YLaurent:
     """sum f * c * v over (f, c, v) triples, f and v YLaurent and c an int,
-    accumulated in one term dict."""
+    accumulated in one term dict; integral coefficients come out as ints."""
     t: dict = {}
     get = t.get
     for f, c, v in triples:
@@ -356,7 +358,7 @@ def _integer_ring(y, at) -> YRing:
 
 
 RINGS = {r.y: r for r in (
-    YRing("sym", lambda v: v, _sum_products,
+    YRing("sym", lambda v: v, sum_products,
           lambda v: json.dumps(v.to_triples(), separators=(",", ":")),
           lambda p: YLaurent.from_triples(json.loads(p))),
     _integer_ring(1, YLaurent.at_one),

@@ -3,7 +3,8 @@ sum for N^delta_beta, ordering counts by distinguishable edge instances,
 Phi by its literal partition sum and Q^delta_beta by the template sum of
 Phi; for the floor diagrams the literal
 orbit count of markings; for the generating function its form (1), the
-q-series product."""
+q-series product; for the q-series kernel the term-by-term loops of the
+product, power, log, exp and composition."""
 import itertools
 from math import factorial
 
@@ -18,9 +19,9 @@ from refsev.graphs import (
     enumerate_templates,
     phi,
 )
-from refsev.qseries import QSeries
+from refsev.qseries import QSeries, _divide_coeff, _pow_coeff, _same_lattice
 from refsev.rationals import QQ
-from refsev.ylaurent import YL_ZERO, ring_at
+from refsev.ylaurent import YL_ONE, YL_ZERO, ring_at
 
 
 def refined_count_all_graphs(beta, delta: int, y="sym"):
@@ -155,3 +156,100 @@ def reform_q_series(inv: Invariants, B1: QSeries, B2: QSeries, order: int,
     if R is not None:
         F = F * R
     return F.truncate(order)
+
+
+# -- the q-series kernel, one YLaurent product and partial sum per term ------
+
+
+def mul_termwise(a: QSeries, b: QSeries) -> QSeries:
+    """a * b by adding each product a_i b_j into its coefficient."""
+    _same_lattice(a, b, "*", offsets=False)
+    n = min(a.known_length(), b.known_length())
+    lead = a.lead + b.lead
+    out = [YL_ZERO] * n
+    for i, ca in enumerate(a.coeffs):
+        if ca.is_zero() or i >= n:
+            continue
+        for j, cb in enumerate(b.coeffs):
+            k = i + j
+            if k >= n:
+                break
+            out[k] = out[k] + ca * cb
+    return QSeries(out, lead=lead, trunc=lead + n,
+                   offset24=a.offset24 + b.offset24, step24=a.step24)
+
+
+def pow_termwise(s: QSeries, r) -> QSeries:
+    """s ** r by the recurrence m u0 w_m = sum_k (k r - (m - k)) u_k w_(m-k),
+    one scaled product per term; the same refusals as QSeries.pow."""
+    r = QQ(r)
+    if s.is_known_zero():
+        if r < 0:
+            raise ZeroDivisionError("negative power of known-zero series")
+        if r == 0:
+            return QSeries.one(1)
+        return QSeries.zero(s.trunc, offset24=s.offset24, step24=s.step24)
+    if r == 0:
+        return QSeries.one(s.known_length())
+    e24_new = QQ(s.offset24 + s.lead * s.step24) * r
+    if e24_new.denominator != 1:
+        raise ValueError("fractional power leaves the 1/24 exponent lattice")
+    n = s.known_length()
+    u = s.coeffs
+    u0 = u[0]
+    if r.denominator != 1 and not u0.is_one():
+        raise ValueError("fractional power requires leading coefficient 1")
+    out = [_pow_coeff(u0, r)]
+    for m in range(1, n):
+        acc = YL_ZERO
+        for k in range(1, m + 1):
+            if u[k].is_zero():
+                continue
+            acc = acc + (u[k] * out[m - k]).scale(QQ(k) * r - QQ(m - k))
+        out.append(_divide_coeff(acc.scale(QQ(1, m)), u0))
+    return QSeries(out, lead=0, trunc=n, offset24=int(e24_new), step24=s.step24)
+
+
+def log_termwise(s: QSeries) -> QSeries:
+    """log s by m w_m = m u_m - sum_(k<m) k w_k u_(m-k), one scaled product
+    per term."""
+    if s.offset24 + s.lead * s.step24 != 0 or not s.coeffs or not s.coeffs[0].is_one():
+        raise ValueError("log requires a series with constant term 1")
+    n = s.known_length()
+    u = s.coeffs
+    out = [YL_ZERO]
+    for m in range(1, n):
+        acc = u[m]
+        for k in range(1, m):
+            if not out[k].is_zero() and not u[m - k].is_zero():
+                acc = acc - (out[k] * u[m - k]).scale(QQ(k, m))
+        out.append(acc)
+    return QSeries(out, lead=0, trunc=n, offset24=0, step24=s.step24)
+
+
+def exp_termwise(s: QSeries) -> QSeries:
+    """exp s by m w_m = sum_k k a_k w_(m-k), one scaled product per term."""
+    if s.lead < 0 or s.offset24 != 0:
+        raise ValueError("exp requires a power series (no negative exponents)")
+    if s.lead == 0 and s.coeffs and not s.coeffs[0].is_zero():
+        raise ValueError("exp requires constant term 0")
+    n = s.trunc
+    a = [s.coeff_index(k) if s.lead <= k < s.trunc else YL_ZERO for k in range(n)]
+    out = [YL_ONE]
+    for m in range(1, n):
+        acc = YL_ZERO
+        for k in range(1, m + 1):
+            if not a[k].is_zero():
+                acc = acc + (a[k] * out[m - k]).scale(QQ(k, m))
+        out.append(acc)
+    return QSeries(out, lead=0, trunc=n, offset24=0, step24=s.step24)
+
+
+def compose_termwise(outer: QSeries, inner: QSeries) -> QSeries:
+    """outer(inner) by Horner on the term-by-term product, each partial
+    sum multiplied in full and then cut to the order still needed."""
+    n = min(outer.trunc, inner.trunc)
+    acc = QSeries.zero(n)
+    for k in range(n - 1, -1, -1):
+        acc = mul_termwise(acc, inner).truncate(n - k) + outer.coeff_index(k)
+    return acc

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from refsev import cli
+from refsev import cli, modular
 from refsev.cache import MAGIC
 from refsev.cli import main
 from refsev.qseries import QSeries
@@ -421,6 +421,28 @@ def test_emit_golden(golden, args):
     code, out = run_cli(args)
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / f"{golden}.out").read_text()
+
+
+# one valid param for each named series that takes one
+SERIES_GOLDEN_PARAMS = {"g2k": 4, "gbar2k": 4, "flower": 2, "fbar": 2, "fhatcm": 2,
+                        "h": 2, "h_at1": 2, "h_atminus1": 2}
+
+
+@pytest.mark.parametrize("name", sorted([*modular._NAMED, *modular._NAMED_WITH_PARAM]))
+def test_named_series_golden(name):
+    # every named series to q^8 as JSON, pinning pow, compose and the
+    # half-step lattice end to end, byte for byte against outputs recorded
+    # with the term-by-term q-series loops
+    assert SERIES_GOLDEN_PARAMS.keys() == modular._NAMED_WITH_PARAM.keys()
+    param = SERIES_GOLDEN_PARAMS.get(name)
+    args = ["series", "--name", name, "--order", "8", "--format", "json"]
+    stem = f"series-{name}-8"
+    if param is not None:
+        args += ["--param", str(param)]
+        stem = f"series-{name}-{param}-8"
+    code, out = run_cli(args)
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / f"{stem}.json.out").read_text()
 
 
 @pytest.mark.parametrize("args", [

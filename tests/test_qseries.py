@@ -1,8 +1,11 @@
+import functools
 import random
 
 import pytest
 
-from refsev.modular import ddgtilde2, delta_tilde, dgtilde2, eta, theta2_of_qsq
+from oracles import (compose_termwise, exp_termwise, log_termwise, mul_termwise,
+                     pow_termwise)
+from refsev.modular import ddgtilde2, delta_tilde, dgtilde2, eta, theta2, theta2_of_qsq
 from refsev.qseries import QSeries, TruncationError, compose, compose_inverse
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
@@ -270,3 +273,77 @@ def test_tderiv_of_a_series_with_a_negative_lead():
     const = QSeries([7], trunc=1).tderiv()
     assert const.is_known_zero() and const.trunc == 0
     assert QSeries.zero(3).tderiv() == QSeries.zero(2)
+
+
+# -- the kernel against the term-by-term oracle --------------------------------
+
+
+def _coeff(rng, kind):
+    # sym: Laurent coefficients with Fraction entries; int: the constant
+    # coefficients of the y = 1 and y = -1 specialisations; some are zero
+    if kind == "int":
+        return YLaurent.const(rng.randint(-3, 3))
+    return YLaurent({e: QQ(rng.randint(-4, 4), rng.randint(1, 3)) for e in (-1, 0, 1)})
+
+
+def _series(rng, kind, trunc, lead=0, unit=None, offset24=0, step24=24):
+    trunc = max(trunc, lead)
+    coeffs = [_coeff(rng, kind) for _ in range(lead, trunc)]
+    if unit is not None and coeffs:
+        coeffs[0] = unit
+    return QSeries(coeffs, lead=lead, trunc=trunc, offset24=offset24, step24=step24)
+
+
+def _kernel_cases(op, kind, t, rng):
+    """(kernel, oracle, operands) triples for op at truncation t."""
+    one = YLaurent.const(1)
+    # an invertible leading coefficient other than 1
+    mono = YLaurent.const(-2) if kind == "int" else YLaurent({1: QQ(3, 2)})
+    S = functools.partial(_series, rng, kind)
+    if op == "mul":
+        pairs = [(S(trunc=t), S(trunc=t + 1, lead=1)),
+                 (S(trunc=t + 2, lead=2, offset24=5), S(trunc=t, lead=-1, offset24=13)),
+                 (QSeries.zero(t, offset24=7), S(trunc=t, lead=1)),
+                 (theta2(t), S(trunc=t, step24=12)),
+                 (theta2(t), theta2(t + 1))]
+        return [(QSeries.__mul__, mul_termwise, ab) for ab in pairs]
+    if op == "pow":
+        cases = [(S(trunc=t, unit=one), r) for r in (-1, -3, QQ(1, 2), QQ(-3, 2), QQ(5, 3))]
+        cases += [(S(trunc=t, unit=mono), r) for r in (-1, -2, 3)]
+        cases += [(S(trunc=t + 1, lead=1, unit=one), QQ(1, 2)),
+                  (S(trunc=t + 2, lead=2, offset24=5, unit=mono), -2),
+                  (QSeries.zero(t, offset24=3), 2), (QSeries.zero(t), 0),
+                  (theta2(t), -1), (theta2(t), 3)]
+        return [(QSeries.pow, pow_termwise, sr) for sr in cases]
+    if op == "log":
+        return [(QSeries.log, log_termwise, (s,))
+                for s in (S(trunc=t, unit=one), S(trunc=t, unit=one, step24=12))]
+    if op == "exp":
+        return [(QSeries.exp, exp_termwise, (s,))
+                for s in (S(trunc=t, lead=1), S(trunc=t + 1, lead=2, step24=12),
+                          QSeries.zero(t))]
+    assert op == "compose"
+    # (outer lead, inner lead, extra truncation of outer, of inner)
+    pairs = [(S(trunc=t + dt, lead=lo), S(trunc=t + di, lead=li))
+             for lo, li, dt, di in ((0, 1, 0, 2), (1, 2, 2, 0), (2, 1, 2, 0), (0, 2, 0, 0))]
+    pairs.append((S(trunc=t), QSeries.zero(t)))
+    return [(compose, compose_termwise, ab) for ab in pairs]
+
+
+@pytest.mark.parametrize("op", ["mul", "pow", "log", "exp", "compose"])
+@pytest.mark.parametrize("kind", ["sym", "int"])
+@pytest.mark.parametrize("trunc", range(1, 13))
+def test_kernel_equals_termwise_oracle(op, kind, trunc):
+    # one accumulation per coefficient gives the very data of the
+    # term-by-term loops: lattice, window, and per coefficient the same
+    # terms with the same int or Fraction type
+    rng = random.Random(f"{op}-{kind}-{trunc}")
+    for kernel, oracle, operands in _kernel_cases(op, kind, trunc, rng):
+        got, want = kernel(*operands), oracle(*operands)
+        assert (got.offset24, got.step24, got.lead, got.trunc) == \
+            (want.offset24, want.step24, want.lead, want.trunc)
+        assert len(got.coeffs) == len(want.coeffs)
+        for g, w in zip(got.coeffs, want.coeffs):
+            assert g.terms == w.terms
+            assert {e: type(c) for e, c in g.terms.items()} == \
+                {e: type(c) for e, c in w.terms.items()}

@@ -184,3 +184,6 @@ def test_sum_products_keeps_integral_coefficients_as_ints():
     assert type(total.terms[2]) is int and type(total.terms[0]) is QQ
     # 2 * 1/2 = 1 from one Fraction times an int
     assert type(ring.sum_products(triples[:2]).terms[0]) is int
+    # and so does the product of two Laurent polynomials: 2/3 * 3/2 = 1
+    prod = YLaurent({0: QQ(2, 3), 2: QQ(1, 3)}) * YLaurent({0: QQ(3, 2)})
+    assert prod.terms == {0: 1, 2: QQ(1, 2)} and type(prod.terms[0]) is int
