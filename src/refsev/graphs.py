@@ -14,18 +14,20 @@ transfer sum over template placements for every prefix of beta), their
 log Q^delta_beta (q_log_count), the log-transform Phi of one graph, and the
 linear fit of Phi in beta.
 
-P is a dynamic programme over the edge classes on {per-gap fill vector:
-count}: placing t copies of a class into a gap holding f edges multiplies
-by C(f + t, t), so placements that reach the same fill merge. Phi is
-computed in integers, by the Euler operator recursion on log P (see
-_log_numerator) over the P of each sub-multiset of the edge classes;
-Phi^s is Phi or 0 (see phi). Q^delta is the t^delta coefficient of the
-log of the counts N^0, ..., N^delta, taken by q_log_of_counts; the
+P is a polynomial in the free fills f = beta - lambda: a dynamic
+programme over the edge classes on {per-gap fill vector: count}, run once
+per graph from an empty fill (_fill_weights), gives weights W(n) with n_g
+of the graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g)
+(_fill_sum). Phi is computed in integers, by the Euler operator recursion
+on log P (see _log_numerator) over the P of each sub-multiset of the edge
+classes; Phi^s is Phi or 0 (see phi). Q^delta is the t^delta coefficient
+of the log of the counts N^0, ..., N^delta, taken by q_log_of_counts; the
 template sum of Phi^s that it equals is kept as a test oracle. Beside the
-index tables of _compositions and _euler_terms, the only memo that
-outlives a call is the template list of each cogenus:
-refined_counts_by_prefix keeps the P of each template and window in a
-dict of its own call, and one call serves every prefix of its beta.
+index tables of _compositions and _euler_terms, the memos that outlive a
+call are the template list of each cogenus and, beside it, its placement
+table (_placement_tables): the templates' weights summed per placement and
+load vector, which every refined_counts_by_prefix sweep reads, so a sweep
+makes no P call and one sweep serves every prefix of its beta.
 """
 from __future__ import annotations
 
@@ -246,23 +248,16 @@ def _compositions(n: int, parts: int) -> tuple:
                  for rest in _compositions(n - t, parts - 1))
 
 
-def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
-    """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
-    up to permutation of identical edges.
+def _fill_weights(G: LongEdgeGraph) -> dict:
+    """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
+    gap g + 1, by the fill-vector programme from an empty fill.
 
-    Each edge of ext_beta(G) occupies one gap j between vertices j-1 and j
-    of its span; orderings of a gap's edges count once per multiset
-    permutation. The beta[j-1] - lambda_j(G) added short edges sit in gap j
-    as one indistinguishable class. Placing t copies of a class into a gap
-    that holds f edges multiplies by C(f + t, t), which depends on the
-    placement only through the fill f; so the count is a dynamic programme
-    over the edge classes on {per-gap fill vector: count}, merging the
-    placements that reach the same fill.
+    Placing t copies of a class into a gap that holds f edges multiplies
+    by C(f + t, t), which depends on the placement only through the fill
+    f; so this is a dynamic programme over the edge classes on {per-gap
+    fill vector: count}, merging the placements that reach the same fill.
     """
-    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
-        return 0
-    fills = {tuple(b - l for b, l
-                   in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
+    fills = {(0,) * len(G.loads()): 1}
     for (i, j, _), mult in _edge_classes(G):
         placed: dict = {}
         for fill, n in fills.items():
@@ -275,7 +270,56 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
                 f = tuple(f)
                 placed[f] = placed.get(f, 0) + c
         fills = placed
-    return sum(fills.values())
+    return fills
+
+
+def _fill_sum(weights: dict, free) -> int:
+    """sum_n W(n) prod_g C(free[g] + n[g], n[g]): P from the fill weights
+    of a graph and its free fills beta_g - lambda_g."""
+    return sum(w * prod(map(comb, map(operator.add, free, n), n))
+               for n, w in weights.items())
+
+
+def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+    """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
+    up to permutation of identical edges.
+
+    Each edge of ext_beta(G) occupies one gap j between vertices j-1 and j
+    of its span; orderings of a gap's edges count once per multiset
+    permutation. The f_j = beta[j-1] - lambda_j(G) added short edges sit in
+    gap j as one indistinguishable class. Placed after G's own edges, they
+    interleave with the n_j of those in gap j in C(f_j + n_j, n_j) ways, so
+    P is a polynomial in the free fills f: the sum over n of the fill
+    weights W_G(n) of _fill_weights times prod_j C(f_j + n_j, n_j).
+    """
+    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
+        return 0
+    # beta is at least as long as the loads, so map stops at the last gap
+    return _fill_sum(_fill_weights(G), tuple(map(operator.sub, beta, G.loads())))
+
+
+@functools.cache
+def _placement_tables(kappa: int) -> dict:
+    """(length, weights) -> {(eps0, eps1): {loads: {n: W}}}: the fill
+    weights of the templates of cogenus kappa, summed per placement and
+    load vector, for _table_sum."""
+    tables: dict = {}
+    for T in enumerate_templates(kappa):
+        ell, e0, e1, weights = T.placement()
+        summed = (tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
+                  .setdefault(T.loads(), {}))
+        for n, w in _fill_weights(T).items():
+            summed[n] = summed.get(n, 0) + w
+    return tables
+
+
+def _table_sum(by_loads: dict, window) -> int:
+    """The P sum under window of the templates of one _placement_tables
+    entry {loads: {n: W}}: a load vector above the window in any entry
+    leaves its templates not beta-allowable, and adds 0."""
+    return sum(_fill_sum(weights, tuple(map(operator.sub, window, loads)))
+               for loads, weights in by_loads.items()
+               if all(map(operator.ge, window, loads)))
 
 
 # -- the log transform Phi ---------------------------------------------------
@@ -361,12 +405,13 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     arrangements inside [0, p] of cogenus k: an empty gap steps to p + 1,
     and the templates of cogenus kappa and length l step to p + l, weighted
     by the sum of their P (integers) times their multiplicity, one ring
-    product per weight tuple. A window of beta[:q] is a window of beta, so
-    one sweep serves every prefix: the counts of beta[:q] are the end row
-    of q, the arrangements whose last piece is an empty gap or a template
-    with eps1, and g[q] adds to it those ending in any other template; at
-    the last vertex only the end row is needed. The P of each template and
-    window is memoised in a dict this call makes and drops.
+    product per weight tuple. That P sum is read off the placement table of
+    kappa, one _fill_sum per load vector at most the window. A window of
+    beta[:q] is a window of beta, so one sweep serves every prefix: the
+    counts of beta[:q] are the end row of q, the arrangements whose last
+    piece is an empty gap or a template with eps1, and g[q] adds to it
+    those ending in any other template; at the last vertex only the end
+    row is needed.
     """
     ring = ring_at(y)
     if delta < 0:
@@ -374,17 +419,11 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     _refuse_negative(beta)
     beta = tuple(beta)
     n = len(beta)  # the last vertex, M + 1
-    templates: dict = {}  # (length, cogenus, weights) -> [(T, eps0, eps1)]
-    for kappa in range(1, delta + 1):
-        for T in enumerate_templates(kappa):
-            ell, e0, e1, weights = T.placement()
-            if ell <= n:
-                templates.setdefault((ell, kappa, weights), []).append((T, e0, e1))
     # a multiplicity of 0 (an even weight at y = -1) drops its templates
-    placements = [(ell, kappa, mu, ts)
-                  for (ell, kappa, weights), ts in templates.items()
-                  if (mu := ring.multiplicity(weights))]
-    pmemo: dict = {}  # P by (template, beta window), for this beta
+    placements = [(ell, kappa, mu, tuple(classes.items()))
+                  for kappa in range(1, delta + 1)
+                  for (ell, weights), classes in _placement_tables(kappa).items()
+                  if ell <= n and (mu := ring.multiplicity(weights))]
     # end[q][k], rest[q][k]: the (g, P sum, multiplicity) triples that sum
     # to the end row of q and to g[q][k] less it
     end = [[[] for _ in range(delta + 1)] for _ in range(n + 1)]
@@ -399,19 +438,15 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
         for k in range(delta + 1):
             if g[k]:
                 end[p + 1][k].append((g[k], 1, ring.one))
-        for ell, kappa, mu, ts in placements:
+        for ell, kappa, mu, classes in placements:
             q = p + ell
             if q > n:
                 continue
             window = beta[p:q]
             sums = [0, 0]  # the P sums of the templates without and with eps1
-            for T, e0, e1 in ts:
+            for (e0, e1), by_loads in classes:
                 if (e0 or p) and (e1 or q < n):
-                    key = (T.edges, window)
-                    P = pmemo.get(key)
-                    if P is None:
-                        P = pmemo[key] = count_orderings(T, window)
-                    sums[e1] += P
+                    sums[e1] += _table_sum(by_loads, window)
             for row, s in zip((rest[q], end[q]), sums):
                 if s:
                     for k in range(delta + 1 - kappa):

@@ -1,17 +1,19 @@
 """Independent oracles, slow by design: for the graph engine the all-graph
 sum for N^delta_beta, ordering counts by distinguishable edge instances,
-Phi by its literal partition sum and Q^delta_beta by the template sum of
-Phi; for the floor diagrams the literal
+ordering counts by the fill-vector programme from the free fills
+beta - lambda, Phi by its literal partition sum and Q^delta_beta by the
+template sum of Phi; for the floor diagrams the literal
 orbit count of markings; for the generating function its form (1), the
 q-series product; for the q-series kernel the term-by-term loops of the
 product, power, log, exp and composition."""
 import itertools
-from math import factorial
+from math import comb, factorial
 
 from refsev.floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
+    _compositions,
     _edge_classes,
     _sub_multiset,
     count_orderings,
@@ -80,6 +82,29 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     q, r = divmod(total, sym)
     assert r == 0, "free action of identical-edge permutations violated"
     return q
+
+
+def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+    """The fill-vector programme over the edge classes, started from the
+    free fills beta_g - lambda_g: placing t copies of a class into a gap
+    holding f edges multiplies by C(f + t, t)."""
+    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
+        return 0
+    fills = {tuple(b - l for b, l
+                   in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
+    for (i, j, _), mult in _edge_classes(G):
+        placed: dict = {}
+        for fill, n in fills.items():
+            for ts in _compositions(mult, j - i):
+                f, c = list(fill), n
+                for g, t in enumerate(ts, i):
+                    if t:
+                        c *= comb(f[g] + t, t)
+                        f[g] += t
+                f = tuple(f)
+                placed[f] = placed.get(f, 0) + c
+        fills = placed
+    return sum(fills.values())
 
 
 def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):

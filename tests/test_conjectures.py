@@ -206,34 +206,25 @@ def test_cross_engine_small(chtable):
 
 
 def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
-    # one sweep of s(c, m, dmax) per (m, c), and in each sweep one
-    # count_orderings call at most per (template, beta window)
+    # one sweep of s(c, m, dmax) per (m, c); the sweeps read the placement
+    # tables, make no count_orderings call, and build each cogenus's table
+    # once over the whole check
     grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
     sweeps, calls = [], []
-    sweep, count = conjectures.refined_counts_by_prefix, graphs.count_orderings
+    sweep = conjectures.refined_counts_by_prefix
 
     def sweeping(beta, delta, y="sym"):
         sweeps.append((tuple(beta), delta))
-        calls.append([])
         return sweep(beta, delta, y)
 
-    def counting(G, b, strict=False):
-        calls[-1].append((G.edges, tuple(b)))
-        return count(G, b, strict)
-
     monkeypatch.setattr(conjectures, "refined_counts_by_prefix", sweeping)
-    monkeypatch.setattr(graphs, "count_orderings", counting)
+    monkeypatch.setattr(graphs, "count_orderings", lambda *args: calls.append(args))
+    graphs._placement_tables.cache_clear()
     rep = check_conjecture("cross_engine", table=chtable, **grid)
     assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
     assert sweeps == [(s_beta(c, m, 3), 3) for m in range(3) for c in range(3)]
-    pairs = 0
-    for (beta, delta), made in zip(sweeps, calls):
-        assert len(made) == len(set(made))
-        pairs += len({(T.edges, beta[p:p + T.length()])
-                      for kappa in range(1, delta + 1)
-                      for T in graphs.enumerate_templates(kappa)
-                      for p in range(len(beta) - T.length() + 1)})
-    assert 0 < sum(map(len, calls)) <= pairs
+    assert calls == []
+    assert graphs._placement_tables.cache_info().misses <= grid["deltamax"]
 
 
 def test_solve_b_small(chtable):

@@ -22,6 +22,7 @@ from refsev.ylaurent import YLaurent
 
 from oracles import (
     count_orderings_bruteforce,
+    count_orderings_fill_dp,
     phi_bruteforce,
     q_log_count_templates,
     refined_count_all_graphs,
@@ -183,6 +184,53 @@ def test_orderings_match_bruteforce(delta):
                 assert got == count_orderings_bruteforce(G, beta, strict), (G, beta, strict)
                 merged += merging and got > 0
     assert merged > 0 or delta == 1
+
+
+def _windows(T: LongEdgeGraph) -> list:
+    """beta windows for template T: its loads (no free fill), zeros, one
+    entry below its load, too short, random free fills, entries up to 12,
+    and one gap longer than T."""
+    lam = T.loads()
+    rng = random.Random(hash(T.edges))
+    below = [lam[:g] + (lam[g] - 1,) + lam[g + 1:] for g in range(len(lam)) if lam[g]]
+    return [lam, (0,) * len(lam), (12,) * len(lam), (12,) * (len(lam) + 1),
+            lam[:-1], lam + (0,), rng.choice(below)] + [
+        tuple(rng.randint(l, 12) for l in lam) + (rng.randint(0, 12),) * extra
+        for extra in (0, 0, 1)]
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
+def test_orderings_match_fill_dp_on_templates(kappa):
+    # P from the fill weights against the programme started from the free
+    # fills, on every template of cogenus kappa, shifted by 0 and by 1, on
+    # windows past the reach of the brute force
+    for T in enumerate_templates(kappa):
+        for beta in _windows(T):
+            for G, b in ((T, beta), (T.shift(1), (3,) + beta)):
+                for strict in (False, True):
+                    assert count_orderings(G, b, strict) == count_orderings_fill_dp(
+                        G, b, strict), (G, b, strict)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
+def test_placement_tables_sum_their_templates(kappa):
+    # each entry of the table, at each window, is the sum of the P of the
+    # templates of that length, weights, eps0, eps1; and the entries hold
+    # every template of cogenus kappa once
+    groups: dict = {}
+    for T in enumerate_templates(kappa):
+        ell, e0, e1, weights = T.placement()
+        groups.setdefault((ell, weights, e0, e1), []).append(T)
+    tables = graphs._placement_tables(kappa)
+    assert sorted(groups) == sorted((ell, weights, e0, e1)
+                                    for (ell, weights), classes in tables.items()
+                                    for e0, e1 in classes)
+    for (ell, weights, e0, e1), ts in groups.items():
+        by_loads = tables[ell, weights][e0, e1]
+        assert sorted(by_loads) == sorted({T.loads() for T in ts})
+        for beta in {b[:ell] for T in ts for b in _windows(T) if len(b) >= ell}:
+            assert graphs._table_sum(by_loads, beta) == sum(
+                count_orderings_fill_dp(T, beta) for T in ts), (ts, beta)
 
 
 # -- the log transform ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 import pytest
 
-from refsev import nodepoly
+from refsev import graphs, nodepoly
 from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.graphs import q_log_count, s_beta
 from refsev.nodepoly import fit_node_polynomial, node_values
@@ -74,9 +74,10 @@ def test_nodepoly_json_roundtrip():
 
 @pytest.mark.parametrize("family", ["p2", "sigma"])
 def test_fit_sweeps_each_c_m_once(family, monkeypatch):
-    # one sweep of s(c, m, dmax) per distinct (c, m) among the probe and
-    # held-out points, at the largest d among them, and each value is
-    # the engine's
+    # the fits of --delta 1-5: each makes one sweep of s(c, m, dmax) per
+    # distinct (c, m) among its probe and held-out points, at the largest d
+    # among them, and each value is the engine's; the five share the
+    # placement table of each cogenus
     sweeps = []
     sweep = nodepoly.refined_counts_by_prefix
 
@@ -85,15 +86,22 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
         return sweep(beta, delta, y)
 
     monkeypatch.setattr(nodepoly, "refined_counts_by_prefix", sweeping)
-    np = fit_node_polynomial(family, 1)
-    points = np.fitted_from + np.validated_on
-    dmax: dict = {}
-    for c, m, d in points:
-        dmax[c, m] = max(d, dmax.get((c, m), d))
-    assert sorted(sweeps) == sorted((s_beta(c, m, d), 1) for (c, m), d in dmax.items())
+    graphs._placement_tables.cache_clear()
+    fits = {}
+    for delta in range(1, 6):
+        sweeps.clear()
+        np = fits[delta] = fit_node_polynomial(family, delta)
+        dmax: dict = {}
+        for c, m, d in np.fitted_from + np.validated_on:
+            dmax[c, m] = max(d, dmax.get((c, m), d))
+        assert sorted(sweeps) == sorted((s_beta(c, m, d), delta)
+                                        for (c, m), d in dmax.items())
+    assert graphs._placement_tables.cache_info().misses <= 5
     monkeypatch.undo()
-    for c, m, d in points:
-        assert np.q_at(c=c, m=m, d=d) == q_log_count(s_beta(c, m, d), 1)
+    for delta in (1, 5):
+        np = fits[delta]
+        for c, m, d in np.fitted_from + np.validated_on:
+            assert np.q_at(c=c, m=m, d=d) == q_log_count(s_beta(c, m, d), delta)
 
 
 def test_held_out_mismatch_rejects_the_fit(monkeypatch):
