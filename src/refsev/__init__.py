@@ -1,12 +1,13 @@
 """refsev: refined Severi degrees, node polynomials and tropical Welschinger
 numbers for P^2, P(1,1,m) and the rational ruled surfaces Sigma_m, computed by
-two independent exact engines, plus generating-function verification."""
+two independent exact engines (the Caporaso-Harris recursion and long-edge
+graphs), plus generating-function verification; the brute-force oracles,
+floor diagrams among them, live in tests/."""
 
 from .caporaso import CHTable, P2, P11m, Sigma, SurfaceBundle, \
     relative_degree, severi_degree, welschinger_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .graphs import LongEdgeGraph, q_log_count, refined_count, refined_counts, s_beta
-from .floor_diagrams import floor_diagram_count
 from .modular import named_series, verify_series_identity
 from .qseries import QSeries, compose, compose_inverse
 from .ylaurent import YLaurent, qnum
@@ -16,8 +17,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CHECK_IDS", "CHTable", "ConjectureReport", "LongEdgeGraph", "P2",
     "P11m", "QSeries", "Sigma", "SurfaceBundle", "YLaurent",
-    "check_conjecture", "compose", "compose_inverse", "floor_diagram_count",
-    "named_series", "q_log_count", "qnum", "refined_count", "refined_counts",
+    "check_conjecture", "compose", "compose_inverse", "named_series",
+    "q_log_count", "qnum", "refined_count", "refined_counts",
     "relative_degree", "s_beta", "severi_degree", "verify_series_identity",
     "welschinger_degree", "__version__",
 ]

@@ -32,28 +32,39 @@ Y_VALUES = {str(y): y for y in RINGS}
 # -- small parsers ---------------------------------------------------------------
 
 
-def _parse_range(text: str):
+def _int(part: str, option: str, text: str) -> int:
+    """part of the text given to option as an int; a ValueError naming
+    both when it is none."""
+    try:
+        return int(part)
+    except ValueError:
+        raise ValueError(f"{option} {text}: {part!r} is not an integer") from None
+
+
+def _parse_range(text: str, option: str):
     """'3' -> [3]; '0-4' -> [0,1,2,3,4]; an empty range ('3-1') is refused."""
     if "-" in text.lstrip("-")[1:] or ("-" in text and not text.startswith("-")):
         lo, _, hi = text.partition("-")
-        if int(hi) < int(lo):
+        lo, hi = _int(lo, option, text), _int(hi, option, text)
+        if hi < lo:
             raise ValueError(f"empty range {text!r}: {hi} is below {lo}")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return list(range(lo, hi + 1))
+    return [_int(text, option, text)]
 
 
 def _parse_half(text: str, option: str) -> QQ:
     """Accept '2' or '3/2'; a zero denominator is refused."""
     num, _, den = text.partition("/")
-    if den and int(den) == 0:
+    den = _int(den, option, text) if den else 1
+    if den == 0:
         raise ValueError(f"{option} {text}: zero denominator")
-    return QQ(int(num), int(den or 1))
+    return QQ(_int(num, option, text), den)
 
 
-def _parse_seq(text: str) -> tuple:
+def _parse_seq(text: str, option: str) -> tuple:
     if not text:
         return ()
-    return tuple(int(x) for x in text.split(","))
+    return tuple(_int(x, option, text) for x in text.split(","))
 
 
 def _store(args) -> tuple:
@@ -134,7 +145,7 @@ def compute_bundles(args) -> list:
     if args.k is None:
         return [({"surface": args.surface, "m": args.m, "c": args.c, "d": d},
                  SurfaceBundle(args.surface, args.m, args.c, d))
-                for d in _parse_range(args.d)]
+                for d in _parse_range(args.d, "--d")]
     k = _parse_half(args.k, "--k")
     if args.surface != "sigma" or args.m != 2:
         raise ValueError("--k needs --surface sigma --m 2")
@@ -154,7 +165,7 @@ def compute_bundles(args) -> list:
 
 def _cmd_compute(args, table) -> list:
     bundles = compute_bundles(args)
-    deltas = _parse_range(args.delta)
+    deltas = _parse_range(args.delta, "--delta")
     y = Y_VALUES[args.y]
     return [({**params, "delta": delta, "y": args.y},
              severi_degree(bundle, delta, y=y, table=table))
@@ -163,14 +174,15 @@ def _cmd_compute(args, table) -> list:
 
 def _cmd_relative(args, table) -> list:
     bundle = SurfaceBundle(args.surface, args.m, args.c, args.d)
-    val = relative_degree(bundle, args.delta, _parse_seq(args.alpha),
-                          _parse_seq(args.beta), y=Y_VALUES[args.y], table=table)
+    val = relative_degree(bundle, args.delta, _parse_seq(args.alpha, "--alpha"),
+                          _parse_seq(args.beta, "--beta"), y=Y_VALUES[args.y],
+                          table=table)
     return [({"delta": args.delta}, val)]
 
 
 def _cmd_fit_nodepoly(args) -> list:
     rows = []
-    for delta in _parse_range(args.delta):
+    for delta in _parse_range(args.delta, "--delta"):
         np = fit_node_polynomial(args.family, delta, m=args.m)
         if args.format == "json":
             rows.append(({"delta": delta}, np))

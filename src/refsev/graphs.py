@@ -8,26 +8,23 @@ a graph is a unique arrangement of shifted templates, and its cogenus,
 multiplicity and P^s_beta are sums or products over them.
 
 This module provides the graph-side engine: enumeration by cogenus,
-multiplicities, beta-extended ordering counts P_beta / P^s_beta, the counts
-N^delta_beta by template composition (refined_counts_by_prefix, one
-transfer sum over template placements for every prefix of beta), their
-log Q^delta_beta (q_log_count), the log-transform Phi of one graph, and the
-linear fit of Phi in beta.
+multiplicities, the counts N^delta_beta by template composition
+(refined_counts_by_prefix, one transfer sum over template placements for
+every prefix of beta) and their log Q^delta_beta (q_log_count). The
+ordering count P_beta of one graph, its log transform Phi and the sum of
+N^delta_beta over all graphs are test oracles, kept in tests/oracles.py.
 
 P is a polynomial in the free fills f = beta - lambda: a dynamic
 programme over the edge classes on {per-gap fill vector: count}, run once
 per graph from an empty fill (_fill_weights), gives weights W(n) with n_g
 of the graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g)
-(_fill_sum). Phi is computed in integers, by the Euler operator recursion
-on log P (see _log_numerator) over the P of each sub-multiset of the edge
-classes; Phi^s is Phi or 0 (see phi). Q^delta is the t^delta coefficient
-of the log of the counts N^0, ..., N^delta, taken by q_log_of_counts; the
-template sum of Phi^s that it equals is kept as a test oracle. Beside the
-index tables of _compositions and _euler_terms, the memos that outlive a
-call are the template list of each cogenus and, beside it, its placement
-table (_placement_tables): the templates' weights summed per placement and
-load vector, which every refined_counts_by_prefix sweep reads, so a sweep
-makes no P call and one sweep serves every prefix of its beta.
+(_fill_sum). Q^delta is the t^delta coefficient of the log of the counts
+N^0, ..., N^delta, taken by q_log_of_counts. Beside the index table of
+_compositions, the memos that outlive a call are the template list of each
+cogenus and, beside it, its placement table (_placement_tables): the
+templates' weights summed per placement and load vector, which every
+refined_counts_by_prefix sweep reads, so a sweep makes no P call and one
+sweep serves every prefix of its beta.
 """
 from __future__ import annotations
 
@@ -36,9 +33,7 @@ import itertools
 import operator
 from math import comb, prod
 
-from .linalg import solve_exact
 from .qseries import QSeries
-from .rationals import QQ
 from .ylaurent import ring_at
 
 __all__ = [
@@ -46,15 +41,11 @@ __all__ = [
     "s_beta",
     "enumerate_graphs",
     "enumerate_templates",
-    "count_orderings",
-    "phi",
     "refined_count",
     "refined_counts",
     "refined_counts_by_prefix",
     "q_log_count",
     "q_log_of_counts",
-    "fit_phi_linear",
-    "eval_phi_linear",
 ]
 
 
@@ -66,7 +57,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges", "_loads", "_placement")
+    __slots__ = ("edges", "_loads")
 
     def __init__(self, edges):
         es = []
@@ -77,7 +68,7 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
-        self._loads = self._placement = None
+        self._loads = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -88,12 +79,6 @@ class LongEdgeGraph:
     def __repr__(self):
         return f"LEG{list(self.edges)}"
 
-    def is_empty(self) -> bool:
-        return not self.edges
-
-    def cogenus(self) -> int:
-        return sum((j - i) * w - 1 for i, j, w in self.edges)
-
     def minv(self) -> int:
         return self.edges[0][0]  # the edges are sorted by their start
 
@@ -102,9 +87,6 @@ class LongEdgeGraph:
 
     def length(self) -> int:
         return self.maxv() - self.minv() if self.edges else 0
-
-    def shift(self, k: int) -> "LongEdgeGraph":
-        return LongEdgeGraph([(i + k, j + k, w) for i, j, w in self.edges])
 
     def loads(self) -> tuple:
         """The gap loads (lambda_1, ..., lambda_maxv); computed once."""
@@ -116,19 +98,9 @@ class LongEdgeGraph:
             self._loads = tuple(lam)
         return self._loads
 
-    def lambda_j(self, j: int) -> int:
-        """Total weight of edges (i -> k) spanning the gap i < j <= k."""
-        lam = self.loads()
-        return lam[j - 1] if 0 < j <= len(lam) else 0
-
-    def lambda_bar_j(self, j: int) -> int:
-        return self.lambda_j(j) - sum(
-            1 for i, k, _ in self.edges if i == j - 1 and k == j
-        )
-
-    def _light_at(self, *vs: int) -> bool:
-        """Every edge at any of the vertices vs has weight 1."""
-        return all(w == 1 for i, j, w in self.edges if i in vs or j in vs)
+    def _light_at(self, v: int) -> bool:
+        """Every edge at the vertex v has weight 1."""
+        return all(w == 1 for i, j, w in self.edges if v in (i, j))
 
     def eps0(self) -> int:
         return int(self._light_at(self.minv()))
@@ -138,48 +110,14 @@ class LongEdgeGraph:
 
     def placement(self) -> tuple:
         """(length, eps0, eps1, the sorted edge weights): what a sum over
-        shifts of the graph as a template reads of it; computed once."""
-        if self._placement is None:
-            self._placement = (self.length(), self.eps0(), self.eps1(),
-                               tuple(sorted(w for _, _, w in self.edges)))
-        return self._placement
-
-    def is_template(self) -> bool:
-        """minv = 0 and every interior vertex is strictly spanned by an edge."""
-        if self.is_empty() or self.minv() != 0:
-            return False
-        return all(
-            any(i < v < j for i, j, _ in self.edges)
-            for v in range(1, self.length())
-        )
+        shifts of the graph as a template reads of it."""
+        return (self.length(), self.eps0(), self.eps1(),
+                tuple(sorted(w for _, _, w in self.edges)))
 
     def multiplicity(self, y="sym"):
         """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
         Welschinger (y=-1) multiplicity."""
         return ring_at(y).multiplicity(w for _, _, w in self.edges)
-
-    # -- allowability ------------------------------------------------------
-
-    def beta_allowable(self, beta) -> bool:
-        # maxv <= M + 1 and beta_j >= lambda_j on every gap j = 1, ..., M + 1
-        lam = self.loads()
-        return len(lam) <= len(beta) and all(
-            b >= l for b, l in itertools.zip_longest(beta, lam, fillvalue=0))
-
-    def beta_semiallowable(self, beta) -> bool:
-        M = len(beta) - 1
-        if self.edges and self.maxv() > M + 1:
-            return False
-        return all(beta[j - 1] >= self.lambda_bar_j(j) for j in range(1, M + 2))
-
-    def strictly_beta_allowable(self, beta) -> bool:
-        return self.beta_allowable(beta) and not self._heavy_end(len(beta))
-
-    def _heavy_end(self, n: int) -> bool:
-        """An edge of weight > 1 at vertex 0 or at vertex n = M + 1: what
-        strict allowability under a beta of length n adds. An edge starting
-        at n counts too; both callers rule it out first by maxv <= n."""
-        return not self._light_at(0, n)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -280,24 +218,6 @@ def _fill_sum(weights: dict, free) -> int:
                for n, w in weights.items())
 
 
-def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
-    """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
-    up to permutation of identical edges.
-
-    Each edge of ext_beta(G) occupies one gap j between vertices j-1 and j
-    of its span; orderings of a gap's edges count once per multiset
-    permutation. The f_j = beta[j-1] - lambda_j(G) added short edges sit in
-    gap j as one indistinguishable class. Placed after G's own edges, they
-    interleave with the n_j of those in gap j in C(f_j + n_j, n_j) ways, so
-    P is a polynomial in the free fills f: the sum over n of the fill
-    weights W_G(n) of _fill_weights times prod_j C(f_j + n_j, n_j).
-    """
-    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
-        return 0
-    # beta is at least as long as the loads, so map stops at the last gap
-    return _fill_sum(_fill_weights(G), tuple(map(operator.sub, beta, G.loads())))
-
-
 @functools.cache
 def _placement_tables(kappa: int) -> dict:
     """(length, weights) -> {(eps0, eps1): {loads: {n: W}}}: the fill
@@ -322,71 +242,13 @@ def _table_sum(by_loads: dict, window) -> int:
                if all(map(operator.ge, window, loads)))
 
 
-# -- the log transform Phi ---------------------------------------------------
+# -- counts ------------------------------------------------------------------
 
 
 def _refuse_negative(beta) -> None:
     for i, b in enumerate(beta):
         if b < 0:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
-
-
-@functools.cache
-def _euler_terms(m: tuple) -> tuple:
-    """For each nonzero j <= m in itertools.product order: (|j|, the
-    indices of the k with 0 < k < j, the indices of the matching j - k)."""
-    strides = [prod(x + 1 for x in m[c + 1:]) for c in range(len(m))]
-    terms = []
-    for j in itertools.islice(itertools.product(*[range(x + 1) for x in m]), 1, None):
-        # the box k <= j, listed by index, is the box of j - k listed backwards
-        box = list(map(sum, itertools.product(
-            *[range(0, (x + 1) * s, s) for x, s in zip(j, strides)])))
-        terms.append((sum(j), tuple(box[1:-1]), tuple(box[-2:0:-1])))
-    return tuple(terms)
-
-
-def _log_numerator(terms: tuple, F: list) -> int:
-    """A_m, from the Euler terms of m and F = [1] + the P of each nonzero
-    sub-multiset j <= m in itertools.product order.
-
-    The Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k},
-    with A_k = |k| [x^k] log F; every A_j is an integer."""
-    A = [0]
-    for (size, ks, rs), f in zip(terms, itertools.islice(F, 1, None)):
-        A.append(size * f - sum(map(operator.mul, map(A.__getitem__, ks),
-                                    map(F.__getitem__, rs))))
-    return A[-1]
-
-
-def phi(G: LongEdgeGraph, beta, strict: bool = False):
-    """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
-    decompositions of the edge multiset; an exact rational. A negative
-    beta entry raises ValueError.
-
-    With F_j the P of the sub-multiset of class multiplicities j <= m,
-    Phi = A_m / |m| by the integer recursion of _log_numerator. F_j = 0
-    whenever j takes a class past vertex len(beta); then log F does not
-    depend on that class, and Phi = 0. P^s of a sub-multiset is its P, or
-    0 when it has an edge of weight > 1 at vertex 0 or len(beta); such an
-    edge is a class of G, so by the same argument Phi^s is Phi, or 0 when
-    G has such an edge.
-    """
-    _refuse_negative(beta)
-    if G.is_empty() or G.maxv() > len(beta) or strict and G._heavy_end(len(beta)):
-        return QQ(0)
-    edges, m = zip(*_edge_classes(G))
-    F = [1] + [count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta)
-               for j in itertools.islice(
-                   itertools.product(*[range(x + 1) for x in m]), 1, None)]
-    return QQ(_log_numerator(_euler_terms(m), F), sum(m))
-
-
-def _sub_multiset(edges, j) -> list:
-    """The sorted edge list taking j[c] copies of the class edge edges[c]."""
-    return [e for e, c in zip(edges, j) for _ in range(c)]
-
-
-# -- counts ------------------------------------------------------------------
 
 
 def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
@@ -479,28 +341,3 @@ def q_log_count(beta, delta: int):
     if delta < 1:
         raise ValueError("the log transform starts at cogenus 1")
     return q_log_of_counts(refined_counts(beta, delta))
-
-
-def fit_phi_linear(T: LongEdgeGraph, probes):
-    """Fit Phi_beta(T) as an affine-linear form in the window entries
-    beta_i, minv(T) <= i <= maxv(T) (capped at the last beta index), from
-    probe beta sequences on which T is beta-semiallowable.
-
-    Returns (const, {i: coeff}). Raises when the probes are rank-deficient.
-    """
-    if T.is_empty():
-        return QQ(0), {}
-    lo, hi = T.minv(), T.maxv()
-    for beta in probes:
-        if not T.beta_semiallowable(beta):
-            raise ValueError("probe beta must make the graph semiallowable")
-    idxs = [i for i in range(lo, hi + 1) if i < len(probes[0])]
-    A = [[QQ(1)] + [QQ(b[i]) for i in idxs] for b in probes]
-    rhs = [phi(T, b) for b in probes]
-    sol = solve_exact(A, rhs)
-    return sol[0], {i: c for i, c in zip(idxs, sol[1:])}
-
-
-def eval_phi_linear(form, beta):
-    const, coeffs = form
-    return const + sum(c * beta[i] for i, c in coeffs.items())

@@ -120,28 +120,26 @@ def _fit(family: str, delta: int, probes, holdout):
 def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomial:
     """Fit Q_delta for the family, on the ranges the shape theorems allow.
 
-    'p2': degree 2 in d, fitted on d = delta..delta+2, validated on
-    d = delta+3..delta+5. 'p11m-fixed-m' same at fixed m (pass m; no other
-    family takes one). 'p1xp1': {1, c+d, cd} on c,d >= delta. 'sigma': the
-    seven-term form on c,d >= delta, m in {0,1,2}. 'p11m': {1,m,d,dm,d^2m}
-    on d,m >= delta.
+    'p11m-fixed-m': degree 2 in d at fixed m (pass m; no other family
+    takes one), fitted on d = delta..delta+2, validated on
+    d = delta+3..delta+5; 'p2' is that fit at m = 1. 'p1xp1': {1, c+d, cd}
+    on c,d >= delta. 'sigma': the seven-term form on c,d >= delta, m in
+    {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta.
     """
     if delta < 1:
         raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
     if m is not None and family != "p11m-fixed-m":
         raise ValueError(f"the {family} fit takes no m (only p11m-fixed-m does)")
     d0 = delta  # where the ranges of the shape theorems start
-    if family == "p2":
-        probes = [(0, 1, d) for d in range(d0, d0 + 3)]
-        holdout = [(0, 1, d) for d in range(d0 + 3, d0 + 6)]
-        return _fit("p2", delta, probes, holdout)
-    if family == "p11m-fixed-m":
-        if m is None:
+    if family in ("p2", "p11m-fixed-m"):
+        if family == "p2":
+            m = 1  # P^2 is P(1,1,1), its tangencies s(0, 1, d)
+        elif m is None:
             raise ValueError("pass m for the fixed-m fit")
         SurfaceBundle("p11m", m, 0, d0)  # refuses m < 1, as compute does
         probes = [(0, m, d) for d in range(d0, d0 + 3)]
         holdout = [(0, m, d) for d in range(d0 + 3, d0 + 6)]
-        return _fit("p11m-fixed-m", delta, probes, holdout)
+        return _fit(family, delta, probes, holdout)
     if family == "p1xp1":
         pts = [(a, 0, b) for a in range(d0, d0 + 2) for b in range(d0, d0 + 2)]
         holdout = [(d0 + 2, 0, d0 + 2), (d0, 0, d0 + 3), (d0 + 3, 0, d0 + 1)]

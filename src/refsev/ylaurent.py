@@ -121,23 +121,7 @@ class YLaurent:
             if not c:
                 return YL_ZERO
             return YLaurent({e: v * c for e, v in self.terms.items()})
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return YL_ZERO
-        if len(a) > len(b):
-            a, b = b, a
-        t: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                s = t.get(e)
-                if s is None:
-                    t[e] = ca * cb
-                else:
-                    t[e] = s + ca * cb
-        # Fraction products can turn integral
-        return YLaurent({e: c if type(c) is int or c.denominator != 1 else c.numerator
-                         for e, c in t.items() if c}, _canonical=True)
+        return sum_products(((self, 1, other),))
 
     __rmul__ = __mul__
 
@@ -341,8 +325,7 @@ class YRing:
         return hit
 
     def multiplicity(self, weights):
-        """prod [w]_y ** 2 over the edge weights of a long edge graph or a
-        floor diagram."""
+        """prod [w]_y ** 2 over the edge weights of a long edge graph."""
         return self.qnum_prod(tuple((w, 2) for w in sorted(weights)))
 
 

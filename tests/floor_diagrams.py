@@ -1,6 +1,6 @@
 """Floor diagrams for the polygons Delta_{c,m,d} and their marking counts.
 
-This is the brute-force engine: it enumerates weighted directed graphs on
+This is the tests' brute-force engine: it enumerates weighted directed graphs on
 vertices 1..d with a divergence condition, and counts markings of each
 diagram up to equivalence by the four-step construction (attach s_j source
 leaves and m+s_j-div(j) sink leaves, subdivide edges, linearly order).
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .ylaurent import ring_at
+from refsev.ylaurent import ring_at
 
 __all__ = [
     "FloorDiagram",

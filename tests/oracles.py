@@ -1,29 +1,202 @@
-"""Independent oracles, slow by design: for the graph engine the all-graph
-sum for N^delta_beta, ordering counts by distinguishable edge instances,
-ordering counts by the fill-vector programme from the free fills
-beta - lambda, Phi by its literal partition sum and Q^delta_beta by the
-template sum of Phi; for the floor diagrams the literal
-orbit count of markings; for the generating function its form (1), the
-q-series product; for the q-series kernel the term-by-term loops of the
-product, power, log, exp and composition."""
-import itertools
-from math import comb, factorial
+"""Independent oracles, slow by design, and the per-graph quantities of
+the graph engine that only the tests use.
 
-from refsev.floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
+For one long edge graph: its cogenus, shifts, gap loads lambda_j and
+lambda_bar_j, template test and (semi-, strict) beta-allowability; the
+ordering count P_beta (or P^s_beta) from its fill weights; Phi_beta (or
+Phi^s) by the integer Euler operator recursion, and its affine-linear fit
+in beta. Against these: ordering counts by distinguishable edge instances
+and by the fill-vector programme from the free fills beta - lambda, and
+Phi by its literal partition sum. For the graph engine's counts the
+all-graph sum for N^delta_beta and Q^delta_beta by the template sum of
+Phi; for the floor diagrams (floor_diagrams.py) the literal orbit count of
+markings; for the generating function its form (1), the q-series product;
+for the q-series kernel the term-by-term loops of the product, power,
+log, exp and composition."""
+import functools
+import itertools
+import operator
+from math import comb, factorial, prod
+
+from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
     _compositions,
     _edge_classes,
-    _sub_multiset,
-    count_orderings,
+    _fill_sum,
+    _fill_weights,
+    _refuse_negative,
     enumerate_graphs,
     enumerate_templates,
-    phi,
 )
+from refsev.linalg import solve_exact
 from refsev.qseries import QSeries, _divide_coeff, _pow_coeff, _same_lattice
 from refsev.rationals import QQ
 from refsev.ylaurent import YL_ONE, YL_ZERO, ring_at
+
+
+# -- one long edge graph: its gap loads, allowability under beta, P and Phi --
+
+
+def is_empty(G: LongEdgeGraph) -> bool:
+    return not G.edges
+
+
+def cogenus(G: LongEdgeGraph) -> int:
+    return sum((j - i) * w - 1 for i, j, w in G.edges)
+
+
+def shift(G: LongEdgeGraph, k: int) -> LongEdgeGraph:
+    return LongEdgeGraph([(i + k, j + k, w) for i, j, w in G.edges])
+
+
+def lambda_j(G: LongEdgeGraph, j: int) -> int:
+    """Total weight of edges (i -> k) spanning the gap i < j <= k."""
+    lam = G.loads()
+    return lam[j - 1] if 0 < j <= len(lam) else 0
+
+
+def lambda_bar_j(G: LongEdgeGraph, j: int) -> int:
+    return lambda_j(G, j) - sum(
+        1 for i, k, _ in G.edges if i == j - 1 and k == j
+    )
+
+
+def is_template(G: LongEdgeGraph) -> bool:
+    """minv = 0 and every interior vertex is strictly spanned by an edge."""
+    if is_empty(G) or G.minv() != 0:
+        return False
+    return all(
+        any(i < v < j for i, j, _ in G.edges)
+        for v in range(1, G.length())
+    )
+
+
+def beta_allowable(G: LongEdgeGraph, beta) -> bool:
+    # maxv <= M + 1 and beta_j >= lambda_j on every gap j = 1, ..., M + 1
+    lam = G.loads()
+    return len(lam) <= len(beta) and all(
+        b >= l for b, l in itertools.zip_longest(beta, lam, fillvalue=0))
+
+
+def beta_semiallowable(G: LongEdgeGraph, beta) -> bool:
+    M = len(beta) - 1
+    if G.edges and G.maxv() > M + 1:
+        return False
+    return all(beta[j - 1] >= lambda_bar_j(G, j) for j in range(1, M + 2))
+
+
+def strictly_beta_allowable(G: LongEdgeGraph, beta) -> bool:
+    return beta_allowable(G, beta) and not _heavy_end(G, len(beta))
+
+
+def _heavy_end(G: LongEdgeGraph, n: int) -> bool:
+    """An edge of weight > 1 at vertex 0 or at vertex n = M + 1: what
+    strict allowability under a beta of length n adds. An edge starting
+    at n counts too; both callers rule it out first by maxv <= n."""
+    return any(w > 1 for i, j, w in G.edges if i in (0, n) or j in (0, n))
+
+
+def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+    """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
+    up to permutation of identical edges.
+
+    Each edge of ext_beta(G) occupies one gap j between vertices j-1 and j
+    of its span; orderings of a gap's edges count once per multiset
+    permutation. The f_j = beta[j-1] - lambda_j(G) added short edges sit in
+    gap j as one indistinguishable class. Placed after G's own edges, they
+    interleave with the n_j of those in gap j in C(f_j + n_j, n_j) ways, so
+    P is a polynomial in the free fills f: the sum over n of the fill
+    weights W_G(n) of _fill_weights times prod_j C(f_j + n_j, n_j).
+    """
+    if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
+        return 0
+    # beta is at least as long as the loads, so map stops at the last gap
+    return _fill_sum(_fill_weights(G), tuple(map(operator.sub, beta, G.loads())))
+
+
+@functools.cache
+def _euler_terms(m: tuple) -> tuple:
+    """For each nonzero j <= m in itertools.product order: (|j|, the
+    indices of the k with 0 < k < j, the indices of the matching j - k)."""
+    strides = [prod(x + 1 for x in m[c + 1:]) for c in range(len(m))]
+    terms = []
+    for j in itertools.islice(itertools.product(*[range(x + 1) for x in m]), 1, None):
+        # the box k <= j, listed by index, is the box of j - k listed backwards
+        box = list(map(sum, itertools.product(
+            *[range(0, (x + 1) * s, s) for x, s in zip(j, strides)])))
+        terms.append((sum(j), tuple(box[1:-1]), tuple(box[-2:0:-1])))
+    return tuple(terms)
+
+
+def _log_numerator(terms: tuple, F: list) -> int:
+    """A_m, from the Euler terms of m and F = [1] + the P of each nonzero
+    sub-multiset j <= m in itertools.product order.
+
+    The Euler operator on log F gives |j| F_j = sum_{0<k<=j} A_k F_{j-k},
+    with A_k = |k| [x^k] log F; every A_j is an integer."""
+    A = [0]
+    for (size, ks, rs), f in zip(terms, itertools.islice(F, 1, None)):
+        A.append(size * f - sum(map(operator.mul, map(A.__getitem__, ks),
+                                    map(F.__getitem__, rs))))
+    return A[-1]
+
+
+def phi(G: LongEdgeGraph, beta, strict: bool = False):
+    """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
+    decompositions of the edge multiset; an exact rational. A negative
+    beta entry raises ValueError.
+
+    With F_j the P of the sub-multiset of class multiplicities j <= m,
+    Phi = A_m / |m| by the integer recursion of _log_numerator. F_j = 0
+    whenever j takes a class past vertex len(beta); then log F does not
+    depend on that class, and Phi = 0. P^s of a sub-multiset is its P, or
+    0 when it has an edge of weight > 1 at vertex 0 or len(beta); such an
+    edge is a class of G, so by the same argument Phi^s is Phi, or 0 when
+    G has such an edge.
+    """
+    _refuse_negative(beta)
+    if is_empty(G) or G.maxv() > len(beta) or strict and _heavy_end(G, len(beta)):
+        return QQ(0)
+    edges, m = zip(*_edge_classes(G))
+    F = [1] + [count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta)
+               for j in itertools.islice(
+                   itertools.product(*[range(x + 1) for x in m]), 1, None)]
+    return QQ(_log_numerator(_euler_terms(m), F), sum(m))
+
+
+def _sub_multiset(edges, j) -> list:
+    """The sorted edge list taking j[c] copies of the class edge edges[c]."""
+    return [e for e, c in zip(edges, j) for _ in range(c)]
+
+
+def fit_phi_linear(T: LongEdgeGraph, probes):
+    """Fit Phi_beta(T) as an affine-linear form in the window entries
+    beta_i, minv(T) <= i <= maxv(T) (capped at the last beta index), from
+    probe beta sequences on which T is beta-semiallowable.
+
+    Returns (const, {i: coeff}). Raises when the probes are rank-deficient.
+    """
+    if is_empty(T):
+        return QQ(0), {}
+    lo, hi = T.minv(), T.maxv()
+    for beta in probes:
+        if not beta_semiallowable(T, beta):
+            raise ValueError("probe beta must make the graph semiallowable")
+    idxs = [i for i in range(lo, hi + 1) if i < len(probes[0])]
+    A = [[QQ(1)] + [QQ(b[i]) for i in idxs] for b in probes]
+    rhs = [phi(T, b) for b in probes]
+    sol = solve_exact(A, rhs)
+    return sol[0], {i: c for i, c in zip(idxs, sol[1:])}
+
+
+def eval_phi_linear(form, beta):
+    const, coeffs = form
+    return const + sum(c * beta[i] for i, c in coeffs.items())
+
+
+# -- the graph engine's oracles ------------------------------------------------
 
 
 def refined_count_all_graphs(beta, delta: int, y="sym"):
@@ -46,7 +219,7 @@ def q_log_count_templates(beta, delta: int):
     acc = YL_ZERO
     for T in enumerate_templates(delta):
         for k in range(1 - T.eps0(), M - T.length() + T.eps1() + 1):
-            acc = acc + T.multiplicity().scale(phi(T.shift(k), beta))
+            acc = acc + T.multiplicity().scale(phi(shift(T, k), beta))
     return acc
 
 
@@ -55,9 +228,9 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     n!, then divide by the product of identical-class factorials (the
     identical-edge permutation group acts freely on orderings)."""
     if strict:
-        if not G.strictly_beta_allowable(beta):
+        if not strictly_beta_allowable(G, beta):
             return 0
-    elif not G.beta_allowable(beta):
+    elif not beta_allowable(G, beta):
         return 0
     M = len(beta) - 1
     # (allowed gap range) per distinguishable instance
@@ -66,7 +239,7 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     for _, mult in _edge_classes(G):
         sym *= factorial(mult)
     for j in range(1, M + 2):
-        s = beta[j - 1] - G.lambda_j(j)
+        s = beta[j - 1] - lambda_j(G, j)
         for _ in range(s):
             items.append(range(j, j + 1))
         sym *= factorial(s)
@@ -88,7 +261,7 @@ def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int
     """The fill-vector programme over the edge classes, started from the
     free fills beta_g - lambda_g: placing t copies of a class into a gap
     holding f edges multiplies by C(f + t, t)."""
-    if not (G.strictly_beta_allowable(beta) if strict else G.beta_allowable(beta)):
+    if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
         return 0
     fills = {tuple(b - l for b, l
                    in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
@@ -110,7 +283,7 @@ def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int
 def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
     """Phi as the literal sum over ordered decompositions of the edge
     multiset into nonempty sub-multisets (only sane for a few edges)."""
-    if G.is_empty():
+    if is_empty(G):
         return QQ(0)
     edges, m = zip(*_edge_classes(G))
 

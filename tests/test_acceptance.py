@@ -10,14 +10,10 @@ import pytest
 from refsev.caporaso import CHTable, P2, Sigma, severi_degree
 from refsev.cache import CacheStore
 from refsev.conjectures import check_conjecture
-from refsev.floor_diagrams import floor_diagram_count
 from refsev.graphs import (
     LongEdgeGraph,
     enumerate_graphs,
     enumerate_templates,
-    eval_phi_linear,
-    fit_phi_linear,
-    phi,
     refined_count,
     s_beta,
 )
@@ -26,6 +22,17 @@ from refsev.nodepoly import fit_node_polynomial
 from refsev.qseries import QSeries, compose, compose_inverse
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
+
+from floor_diagrams import floor_diagram_count
+from oracles import (
+    beta_semiallowable,
+    eval_phi_linear,
+    fit_phi_linear,
+    is_template,
+    lambda_bar_j,
+    phi,
+    shift,
+)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -164,15 +171,15 @@ def test_criterion_11_property_suites(table, tmp_path):
     beta = (3, 4, 5, 6)
     for delta in (1, 2, 3):
         for G in enumerate_graphs(delta, len(beta)):
-            if not G.shift(-G.minv()).is_template():
+            if not is_template(shift(G, -G.minv())):
                 ok = ok and phi(G, beta, strict=True) == 0
     # Phi linearity held-out prediction
     for T in enumerate_templates(2):
-        base = [T.lambda_bar_j(j + 1) for j in range(T.maxv() + 2)]
+        base = [lambda_bar_j(T, j + 1) for j in range(T.maxv() + 2)]
         probes = []
         while len(probes) < 16:
             b = tuple(x + rng.randint(0, 5) for x in base)
-            if T.beta_semiallowable(b):
+            if beta_semiallowable(T, b):
                 probes.append(b)
         form = fit_phi_linear(T, probes[:10])
         ok = ok and all(eval_phi_linear(form, b) == phi(T, b) for b in probes[10:])

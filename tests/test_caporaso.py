@@ -14,11 +14,12 @@ from refsev.caporaso import (
     severi_degree,
     welschinger_degree,
 )
-from refsev.floor_diagrams import floor_diagram_count
 from refsev.genfun import Invariants, engine_data, solve_bundles
 from refsev.graphs import refined_count, s_beta
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
+
+from floor_diagrams import floor_diagram_count
 
 
 def test_initial_condition_line(chtable):

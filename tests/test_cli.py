@@ -245,6 +245,18 @@ def test_usage_error_exit_two():
       "--delta", "1"], "error: --k 1/0: zero denominator"),
     (["compute", "--surface", "sigma", "--m", "2", "--d", "1/0", "--k", "1/2",
       "--delta", "1"], "error: --d 1/0: zero denominator"),
+    (["compute", "--surface", "p2", "--d", "x", "--delta", "1"],
+     "error: --d x: 'x' is not an integer"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1-x"],
+     "error: --delta 1-x: 'x' is not an integer"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1-"],
+     "error: --delta 1-: '' is not an integer"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "5/2", "--k", "1/x",
+      "--delta", "1"], "error: --k 1/x: 'x' is not an integer"),
+    (["compute", "--surface", "sigma", "--m", "2", "--d", "5/x", "--k", "1/2",
+      "--delta", "1"], "error: --d 5/x: 'x' is not an integer"),
+    (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1",
+      "--beta", "3,,1"], "error: --beta 3,,1: '' is not an integer"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -256,7 +268,9 @@ def test_usage_error_exit_two():
         "series-order-0", "series-cache", "export-format", "b-minus1-order-19",
         "compute-p11m-m0", "foreign-cache", "nodepoly-p11m-m0",
         "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir", "k-third",
-        "k-three-quarters", "k-zero-denominator", "d-zero-denominator"])
+        "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
+        "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
+        "k-d-den-not-int", "beta-empty-entry"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN

@@ -2,7 +2,10 @@ import itertools
 
 import pytest
 
-from refsev.floor_diagrams import (
+from refsev.graphs import refined_count, s_beta
+from refsev.ylaurent import YLaurent
+
+from floor_diagrams import (
     FloorDiagram,
     FloorDiagramTooLarge,
     _marking_classes,
@@ -10,9 +13,6 @@ from refsev.floor_diagrams import (
     floor_diagram_count,
     marking_count,
 )
-from refsev.graphs import refined_count, s_beta
-from refsev.ylaurent import YLaurent
-
 from oracles import marking_count_literal
 
 

@@ -1,16 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from refsev import graphs
 from refsev.graphs import (
     LongEdgeGraph,
-    count_orderings,
     enumerate_graphs,
     enumerate_templates,
-    eval_phi_linear,
-    fit_phi_linear,
-    phi,
     q_log_count,
     refined_count,
     refined_counts,
@@ -21,14 +20,50 @@ from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
 
 from oracles import (
+    beta_allowable,
+    beta_semiallowable,
+    cogenus,
+    count_orderings,
     count_orderings_bruteforce,
     count_orderings_fill_dp,
+    eval_phi_linear,
+    fit_phi_linear,
+    is_template,
+    lambda_bar_j,
+    lambda_j,
+    phi,
     phi_bruteforce,
     q_log_count_templates,
     refined_count_all_graphs,
+    shift,
 )
 
 random.seed(1759)
+
+# the oracle-only names of the graph engine, kept in tests/oracles.py
+ORACLE_NAMES = (
+    "count_orderings", "phi", "_sub_multiset", "_euler_terms", "_log_numerator",
+    "fit_phi_linear", "eval_phi_linear", "is_empty", "cogenus", "shift",
+    "lambda_j", "lambda_bar_j", "beta_allowable", "beta_semiallowable",
+    "strictly_beta_allowable", "_heavy_end", "is_template",
+)
+
+
+def test_the_package_loads_no_oracle():
+    # in a fresh interpreter, where no test has imported an oracle: the
+    # package and its command line load no floor-diagram model, and the
+    # graph engine holds none of the oracle-only names
+    probe = (
+        "import sys, refsev, refsev.cli\n"
+        "from refsev.graphs import LongEdgeGraph\n"
+        "print('refsev.floor_diagrams' in sys.modules)\n"
+        f"print(sorted(n for n in {ORACLE_NAMES!r}\n"
+        "             if hasattr(refsev.graphs, n) or hasattr(LongEdgeGraph, n)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    assert proc.stdout == "False\n[]\n"
 
 
 # -- construction and enumeration ---------------------------------------------
@@ -82,21 +117,21 @@ def _naive_enumerate(delta, maxv):
 def test_enumeration_matches_naive_oracle(delta):
     got = {G.edges for G in enumerate_graphs(delta, 4)}
     assert got == _naive_enumerate(delta, 4)
-    assert all(G.cogenus() == delta for G in enumerate_graphs(delta, 4))
+    assert all(cogenus(G) == delta for G in enumerate_graphs(delta, 4))
 
 
 def test_templates_are_spanned():
     for delta in (1, 2, 3):
         for T in enumerate_templates(delta):
             assert T.minv() == 0
-            assert T.is_template()
+            assert is_template(T)
 
 
 @pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5])
 def test_templates_are_the_templates_among_all_graphs(delta):
     # same graphs in the same order as filtering the full enumeration
     assert enumerate_templates(delta) == [
-        G for G in enumerate_graphs(delta, delta + 1) if G.is_template()]
+        G for G in enumerate_graphs(delta, delta + 1) if is_template(G)]
 
 
 # -- multiplicities -------------------------------------------------------------
@@ -139,14 +174,14 @@ def test_loads_match_literal_gap_sums(delta):
         maxv = G.maxv() if G.edges else 0
         assert len(lam) == maxv
         for j in range(-1, maxv + 3):
-            assert G.lambda_j(j) == _literal_lambda(G, j), (G, j)
+            assert lambda_j(G, j) == _literal_lambda(G, j), (G, j)
             if 1 <= j <= maxv:
                 assert lam[j - 1] == _literal_lambda(G, j), (G, j)
         for beta in betas:
             M = len(beta) - 1
             literal = maxv <= M + 1 and all(
                 beta[j - 1] >= _literal_lambda(G, j) for j in range(1, M + 2))
-            assert G.beta_allowable(beta) == literal, (G, beta)
+            assert beta_allowable(G, beta) == literal, (G, beta)
 
 
 # -- ordering counts --------------------------------------------------------------
@@ -164,7 +199,7 @@ def test_orderings_single_long_edge():
 
 def test_orderings_zero_when_not_allowable():
     G = LongEdgeGraph([(0, 2, 3)])
-    assert not G.beta_allowable((1, 1))
+    assert not beta_allowable(G, (1, 1))
     assert count_orderings(G, (1, 1)) == 0
 
 
@@ -206,7 +241,7 @@ def test_orderings_match_fill_dp_on_templates(kappa):
     # windows past the reach of the brute force
     for T in enumerate_templates(kappa):
         for beta in _windows(T):
-            for G, b in ((T, beta), (T.shift(1), (3,) + beta)):
+            for G, b in ((T, beta), (shift(T, 1), (3,) + beta)):
                 for strict in (False, True):
                     assert count_orderings(G, b, strict) == count_orderings_fill_dp(
                         G, b, strict), (G, b, strict)
@@ -295,7 +330,7 @@ def test_phi_strict_vanishes_off_shifted_templates():
     beta = (3, 4, 5, 6)
     for delta in (1, 2, 3):
         for G in enumerate_graphs(delta, len(beta)):
-            if not G.shift(-G.minv()).is_template():
+            if not is_template(shift(G, -G.minv())):
                 assert phi(G, beta, strict=True) == 0
 
 
@@ -307,7 +342,7 @@ def test_phi_strict_bracketing():
         for T in enumerate_templates(delta):
             l, e0, e1 = T.length(), T.eps0(), T.eps1()
             for k in range(0, M + 2):
-                G = T.shift(k)
+                G = shift(T, k)
                 if G.maxv() > M + 1:
                     continue
                 strict_val = phi(G, beta, strict=True)
@@ -450,11 +485,11 @@ def test_phi_linear_empty_graph():
 def test_phi_linear_held_out():
     for delta in (1, 2, 3):
         for T in enumerate_templates(delta):
-            base = [T.lambda_bar_j(j + 1) for j in range(T.maxv() + 2)]
+            base = [lambda_bar_j(T, j + 1) for j in range(T.maxv() + 2)]
             probes = []
             while len(probes) < 22:
                 b = tuple(x + random.randint(0, 6) for x in base)
-                if T.beta_semiallowable(b):
+                if beta_semiallowable(T, b):
                     probes.append(b)
             form = fit_phi_linear(T, probes[:12])
             for b in probes[12:]:
