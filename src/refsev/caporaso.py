@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb, prod
 from operator import mul
 
@@ -43,13 +43,14 @@ __all__ = [
 # -- sequences ---------------------------------------------------------------
 
 
-def canon_seq(seq) -> tuple:
-    """Strip trailing zeros; sequences are indexed from 1."""
+def canon_seq(seq, name: str = "sequence") -> tuple:
+    """Strip trailing zeros; sequences are indexed from 1. A ValueError
+    naming the sequence when an entry is negative."""
     seq = list(seq)
+    if any(x < 0 for x in seq):
+        raise ValueError(f"{name} = {tuple(seq)} has a negative entry")
     while seq and seq[-1] == 0:
         seq.pop()
-    if any(x < 0 for x in seq):
-        raise ValueError("sequences have nonnegative entries")
     return tuple(seq)
 
 
@@ -71,8 +72,7 @@ def _strip(seq) -> tuple:
 SURFACES = ("p2", "p11m", "sigma")
 
 
-@dataclass(frozen=True)
-class SurfaceBundle:
+class SurfaceBundle(namedtuple("SurfaceBundle", "family m c d")):
     """A pair (surface, line bundle) from the three h-transversal families.
 
     family 'p2' is (P^2, dH); 'p11m' is (P(1,1,m), dH); 'sigma' is
@@ -81,23 +81,26 @@ class SurfaceBundle:
     intersection numbers the generating function reads.
     """
 
-    family: str
-    m: int
-    c: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in SURFACES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "p2" and (self.m != 1 or self.c != 0):
-            raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {self.m}, "
-                             f"c = {self.c}")
-        if self.family == "p11m" and self.c != 0:
-            raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {self.c}")
-        if self.family == "p11m" and self.m < 1:
-            raise ValueError(f"P(1,1,m) bundles have m >= 1, not m = {self.m}")
-        if self.m < 0 or self.c < 0 or self.d < 0:
-            raise ValueError("parameters must be nonnegative")
+    def __new__(cls, family: str, m: int, c: int, d: int):
+        if family not in SURFACES:
+            raise ValueError(f"unknown family {family!r}")
+        if family == "p2" and (m != 1 or c != 0):
+            raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {m}, c = {c}")
+        if family == "p11m" and c != 0:
+            raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {c}")
+        if family == "p11m" and m < 1:
+            raise ValueError(f"P(1,1,m) bundles have m >= 1, not m = {m}")
+        for name, value in (("m", m), ("c", c), ("d", d)):
+            if value < 0:
+                raise ValueError(f"{name} = {value} is negative")
+        return super().__new__(cls, family, m, c, d)
+
+    @classmethod
+    def _make(cls, iterable):
+        """As namedtuple's, but validated, and so is _replace, which calls it."""
+        return cls(*iterable)
 
     @property
     def HL(self) -> int:
@@ -235,8 +238,8 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    alpha = canon_seq(alpha)
-    beta = canon_seq(beta)
+    alpha = canon_seq(alpha, "alpha")
+    beta = canon_seq(beta, "beta")
     if iseq(alpha) + iseq(beta) != s.HL:
         raise ValueError(
             f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}"

@@ -20,8 +20,6 @@ probe can re-read a whole case.
 from __future__ import annotations
 
 import functools
-import inspect
-from dataclasses import dataclass, field
 
 from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
@@ -35,12 +33,15 @@ from .ylaurent import YLaurent
 __all__ = ["ConjectureReport", "check_conjecture", "CHECK_IDS"]
 
 
-@dataclass
 class ConjectureReport:
-    conj_id: str
-    params: dict
-    instances: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    """The verdicts of one check: (params, "pass" | "fail" | "skip",
+    detail) per instance, and free-text notes."""
+
+    def __init__(self, conj_id: str, params: dict):
+        self.conj_id = conj_id
+        self.params = params
+        self.instances = []
+        self.notes = []
 
     def record(self, params: dict, ok: bool, detail: str = ""):
         self.instances.append((params, "pass" if ok else "fail", detail))
@@ -403,6 +404,14 @@ _CHECKS = {
 CHECK_IDS = tuple(_CHECKS)
 
 
+def _parameters(check) -> tuple:
+    """The names a checker takes after its table: a function's own, or a
+    partial's function's after the positional arguments it binds."""
+    code = getattr(check, "func", check).__code__
+    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    return names[len(getattr(check, "args", ())) + 1:]
+
+
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
     """Run a named check; returns a ConjectureReport whose verdicts are
@@ -412,7 +421,7 @@ def check_conjecture(conj_id: str, table: CHTable | None = None,
     if conj_id not in _CHECKS:
         raise ValueError(f"unknown check id {conj_id!r}")
     check = _CHECKS[conj_id]
-    extra = sorted(set(params) - set(inspect.signature(check).parameters))
+    extra = sorted(set(params) - set(_parameters(check)))
     if extra:
         raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
     if table is None:

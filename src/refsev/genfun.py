@@ -23,7 +23,7 @@ a Laurent R = H_m * P^{-shift}).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .caporaso import P2, Sigma, severi_degree
@@ -37,19 +37,16 @@ __all__ = ["Invariants", "reform_eval", "reform_coefficient", "solve_bundles",
            "engine_data", "solve_universal_B", "base_series"]
 
 
-@dataclass(frozen=True)
-class Invariants:
-    """The intersection numbers K^2, L.K, chi(L) and chi(O) of (S, L).
+class Invariants(namedtuple("Invariants", "K2 LK chi_L chi_O", defaults=(1,))):
+    """The intersection numbers K^2, L.K, chi(L) and chi(O) of (S, L);
+    chi_O defaults to 1.
 
     chi_L may be rational only in so far as chi_L - chi_O stays a valid
     q-exponent; K2 may be rational (fractional powers of B_1 are fine since
     B_1 has constant term 1).
     """
 
-    K2: object
-    LK: int
-    chi_L: object
-    chi_O: int = 1
+    __slots__ = ()
 
     @property
     def qexp(self):

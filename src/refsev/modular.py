@@ -241,11 +241,11 @@ def fhat_cm(m: int, K: int) -> QSeries:
     """
     if m == 2:
         return theta2_of_qsq(K)
-    if m in tables.FHAT_TABLES:
+    if m in tables.FHAT_TRUSTED:
         trusted = tables.FHAT_TRUSTED[m]
         if K > trusted:
             raise ValueError(f"Fhat_c{m} is only trusted to q^{trusted - 1}")
-        tab = tables.FHAT_TABLES[m]
+        tab = tables.symmetric_table(f"Fhat_c{m}")
         return QSeries([tab.get(n, YL_ZERO) for n in range(K)], trunc=K)
     raise ValueError(f"no embedded table for Fhat_c{m}")
 
@@ -454,9 +454,11 @@ def b_series(which: int, K: int) -> QSeries:
     if K > tables.B_TRUSTED:
         raise ValueError(f"B tables are only trusted to q^{tables.B_TRUSTED - 1}")
     if which == 1:
-        return QSeries([tables.B1_TABLE[n] for n in range(K)], trunc=K)
+        tab = tables.symmetric_table("B1")
+        return QSeries([tab[n] for n in range(K)], trunc=K)
     if which == 2:
-        bracket = QSeries([tables.B2_BRACKET_TABLE[n] for n in range(K)], trunc=K)
+        tab = tables.symmetric_table("B2_bracket")
+        bracket = QSeries([tab[n] for n in range(K)], trunc=K)
         pref = QSeries([YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE][:K], trunc=K)
         return bracket / pref
     raise ValueError("which must be 1 or 2")

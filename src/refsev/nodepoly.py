@@ -13,8 +13,6 @@ sample points, and exponentiate to node polynomials N_delta.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .caporaso import SurfaceBundle
 from .graphs import q_log_of_counts, refined_counts_by_prefix, s_beta
 from .linalg import solve_exact
@@ -48,17 +46,18 @@ _MONOMIALS = {
 }
 
 
-@dataclass
 class NodePolynomial:
     """A fitted Q_delta with its provenance; evaluation reproduces the
     engine value exactly on the validated range."""
 
-    family: str
-    delta: int
-    basis: tuple
-    coeffs: list
-    fitted_from: list = field(default_factory=list)
-    validated_on: list = field(default_factory=list)
+    def __init__(self, family: str, delta: int, basis: tuple, coeffs: list,
+                 fitted_from=None, validated_on=None):
+        self.family = family
+        self.delta = delta
+        self.basis = basis
+        self.coeffs = coeffs
+        self.fitted_from = [] if fitted_from is None else fitted_from
+        self.validated_on = [] if validated_on is None else validated_on
 
     def q_at(self, c=0, m=0, d=0) -> YLaurent:
         acc = YL_ZERO

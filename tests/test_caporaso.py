@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from refsev.caporaso import (
     P2,
     P11m,
     Sigma,
+    SurfaceBundle,
     canon_seq,
     iseq,
     relative_degree,
@@ -60,6 +62,39 @@ def test_bundle_invariants():
     assert (p.dim_L, p.HL, inv.LK, inv.K2, inv.qexp) == (14, 4, -12, 9, (16 + 12) / 2)
     assert Invariants.of(P11m(2, 3)) == Invariants(K2=8, LK=-12, chi_L=16)
     assert Invariants.of(P11m(3, 1)).K2 == QQ(25, 3)
+
+
+def test_bundle_and_invariants_are_frozen_values():
+    b, inv = Sigma(2, 1, 3), Invariants(K2=QQ(25, 3), LK=-5, chi_L=3)
+    assert repr(b) == "SurfaceBundle(family='sigma', m=2, c=1, d=3)"
+    assert repr(inv) == "Invariants(K2=Fraction(25, 3), LK=-5, chi_L=3, chi_O=1)"
+    for value, field in ((b, "d"), (b, "extra"), (inv, "chi_O"), (inv, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    # compared and hashed by value, keyword and positional alike
+    assert b == SurfaceBundle(family="sigma", m=2, c=1, d=3) != Sigma(2, 1, 4)
+    assert len({b, SurfaceBundle("sigma", 2, 1, 3), P2(3)}) == 2
+    assert inv == Invariants(QQ(25, 3), -5, 3, 1) != Invariants(QQ(25, 3), -5, 3, 0)
+    assert hash(inv) == hash(Invariants(K2=QQ(25, 3), LK=-5, chi_L=3, chi_O=1))
+    assert inv.qexp == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (("torus", 1, 0, 2), "unknown family 'torus'"),
+    (("p2", 2, 0, 2), "P2 bundles have m = 1, c = 0, not m = 2, c = 0"),
+    (("p11m", 2, 1, 2), "P(1,1,m) bundles have c = 0, not c = 1"),
+    (("p11m", 0, 0, 2), "P(1,1,m) bundles have m >= 1, not m = 0"),
+    (("sigma", -1, 0, 2), "m = -1 is negative"),
+    (("sigma", 1, -2, 2), "c = -2 is negative"),
+    (("p2", 1, 0, -3), "d = -3 is negative"),
+])
+def test_bundle_validates_positional_and_keyword(args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SurfaceBundle(*args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SurfaceBundle(**dict(zip(("family", "m", "c", "d"), args)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Sigma(1, 0, 2)._replace(**dict(zip(("family", "m", "c", "d"), args)))
 
 
 def test_dim_formulas():
@@ -152,8 +187,10 @@ def test_canon_seq():
     assert canon_seq((1, 0, 2, 0, 0)) == (1, 0, 2)
     assert canon_seq([0, 0]) == ()
     assert iseq((2, 0, 1)) == 2 + 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sequence = \(1, -1\) has a negative entry"):
         canon_seq((1, -1))
+    with pytest.raises(ValueError, match=r"beta = \(0, -1, 0\) has a negative entry"):
+        relative_degree(P2(3), 1, (), (0, -1, 0))
 
 
 def test_welschinger_known_values(chtable):

@@ -170,6 +170,18 @@ def test_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+def test_start_up_loads_no_introspection():
+    # a job's start-up, in a fresh interpreter without site (whose .pth
+    # files may import typing): the command line imports none of these
+    probe = ("import sys, refsev.cli\n"
+             "print([m for m in ('ast', 'dataclasses', 'dis', 'inspect', 'typing')\n"
+             "       if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("args, message", [
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--k", "1/3"],
      "error: --k needs --surface sigma --m 2"),
@@ -257,6 +269,10 @@ def test_usage_error_exit_two():
       "--delta", "1"], "error: --d 5/x: 'x' is not an integer"),
     (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1",
       "--beta", "3,,1"], "error: --beta 3,,1: '' is not an integer"),
+    (["compute", "--surface", "p2", "--d", "-3", "--delta", "1"],
+     "error: d = -3 is negative"),
+    (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1,-1"],
+     "error: alpha = (1, -1) has a negative entry"),
 ], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
@@ -270,7 +286,7 @@ def test_usage_error_exit_two():
         "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir", "k-third",
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
-        "k-d-den-not-int", "beta-empty-entry"])
+        "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN

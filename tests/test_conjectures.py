@@ -240,10 +240,19 @@ def test_unknown_id_rejected(chtable):
     ("jacobi_triple", {"order": 5}, "order"),
     ("ruledblow", {"eta_route": True}, "eta_route"),
     ("multcon_H34_at_pm1", {"with_ambiguous_probe": False}, "with_ambiguous_probe"),
+    ("jacobi_triple", {"ident": "eta"}, "ident"),  # bound by the partial
+    ("cross_engine", {"order": 3}, "order"),
 ])
 def test_unknown_parameter_rejected(chtable, conj_id, params, name):
     with pytest.raises(ValueError, match=f"takes no parameter {name}"):
         check_conjecture(conj_id, table=chtable, **params)
+
+
+def test_reports_own_their_lists():
+    first, second = ConjectureReport("refpol", {}), ConjectureReport("refpol", {})
+    first.record({"d": 1}, True)
+    first.notes.append("a note")
+    assert second.instances == [] and second.notes == []
 
 
 def test_reports_are_structured(chtable):

@@ -1,6 +1,9 @@
+import importlib
+import sys
+
 import pytest
 
-from refsev import ylaurent
+from refsev import tables, ylaurent
 from refsev.modular import (
     b_bar_series,
     b_series,
@@ -116,6 +119,25 @@ def test_fhat_tables():
         fhat_cm(7, 4)
     for m in (2, 3, 4):
         assert fhat_cm_general(m, 4).agrees_with(fhat_cm(m, 4))
+
+
+def test_tables_are_parsed_on_first_use():
+    # loading refsev.tables parses no table; the first b_series parses B1
+    parsed = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "parse_symmetric_table":
+            parsed.append(frame.f_code.co_filename)
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        importlib.reload(tables)
+        at_load = len(parsed)
+        b_series(1, 5)
+    finally:
+        sys.setprofile(old)
+    assert at_load == 0 and parsed == [tables.__file__]
 
 
 def test_theta_normalized_constant_term():

@@ -70,6 +70,8 @@ def test_nodepoly_json_roundtrip():
     assert back.basis == np.basis and back.coeffs == np.coeffs
     assert back.q_at(d=9) == np.q_at(d=9)
     assert back.fitted_from == np.fitted_from
+    assert NodePolynomial("p2", 1, (), []).fitted_from is not \
+        NodePolynomial("p2", 1, (), []).fitted_from
 
 
 @pytest.mark.parametrize("family", ["p2", "sigma"])
