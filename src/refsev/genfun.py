@@ -79,8 +79,8 @@ def _substitution(T: int, y="sym"):
     order below g, as g' = dg/dt is."""
     dg, _, dt = base_series(T, y)
     g = compose_inverse(dg)
-    core = (g * g.tderiv()) / compose(dt, g)
-    return g, QSeries(list(g.coeffs), lead=0, trunc=T - 1), core
+    core = (g * g.D().shift(-1)) / compose(dt, g)
+    return g, g.shift(-1), core
 
 
 def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,

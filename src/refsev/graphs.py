@@ -163,10 +163,10 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
 
 
 @functools.cache
-def enumerate_templates(delta: int) -> list:
+def enumerate_templates(delta: int) -> tuple:
     """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
     # a template of cogenus delta has length at most delta + 1
-    return enumerate_graphs(delta, delta + 1, templates=True)
+    return tuple(enumerate_graphs(delta, delta + 1, templates=True))
 
 
 # -- ordering counts ----------------------------------------------------------

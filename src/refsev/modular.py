@@ -109,30 +109,36 @@ def _euler_type(K: int, poly, power: int = 1, out: QSeries | None = None) -> QSe
     return out
 
 
+def _pentagonal(n: int):
+    """The n-th pentagonal term (k(3k-1)/2, (-1)^k), k = 0, 1, -1, 2, -2, ..."""
+    k = (n + 1) // 2 * (-1) ** (n + 1)
+    return k * (3 * k - 1) // 2, (-1) ** k
+
+
 def euler_product(K: int) -> QSeries:
-    """prod_{n>0} (1 - q^n) mod q^K by the pentagonal number theorem: the
-    sum of (-1)^k q^(k(3k-1)/2) over k = 0, 1, -1, 2, -2, ..."""
-    def term(n):
-        k = (n + 1) // 2 * (-1) ** (n + 1)
-        return k * (3 * k - 1) // 2, (-1) ** k
-    return _lacunary(K, term)
+    """prod_{n>0} (1 - q^n) mod q^K by the pentagonal number theorem."""
+    return _lacunary(K, _pentagonal)
 
 
 def eta(K: int) -> QSeries:
     """Dirichlet eta: q^(1/24) prod (1 - q^n)."""
-    e = euler_product(K)
-    return QSeries(list(e.coeffs), lead=e.lead, trunc=e.trunc, offset24=1)
+    return _lacunary(K, _pentagonal, offset24=1)
+
+
+def _eisenstein_index(k2: int) -> None:
+    if k2 < 2 or k2 % 2:
+        raise ValueError("Eisenstein index must be a positive even integer")
 
 
 def eisenstein(k2: int, K: int) -> QSeries:
     """G_{2k}: -B_{2k}/4k + sum_n sigma_{2k-1}(n) q^n (k2 = 2k)."""
-    if k2 < 2 or k2 % 2:
-        raise ValueError("Eisenstein index must be a positive even integer")
+    _eisenstein_index(k2)
     return _divisor_sum(K, lambda n, d: d ** (k2 - 1), -bernoulli(k2) / QQ(2 * k2))
 
 
 def eisenstein_bar(k2: int, K: int) -> QSeries:
     """Gbar_{2k} = G_{2k}(q) - G_{2k}(q^2) = sum_{n/d odd} d^{2k-1} q^n."""
+    _eisenstein_index(k2)
     return _divisor_sum(K, lambda n, d: d ** (k2 - 1) if (n // d) % 2 else 0)
 
 
@@ -195,30 +201,23 @@ def delta_tilde(K: int) -> QSeries:
 
 
 def f_lower(l: int, K: int) -> QSeries:
-    """f_l: theta-derivative correction factor for multiplicity-l points at
-    an A_1 singularity; even l from theta_2(q^2), odd l from eta(q^2)^3."""
+    """f_l, the correction factor for multiplicity-l points at an A_1
+    singularity: with l = 2k + h, (-1)^k/l! prod_(i<k) (D - (i + h/2)^2)
+    applied to theta_2(q^2) (h = 0) or eta(q^2)^3 (h = 1)."""
     if l < 0:
         raise ValueError("f_l needs l >= 0")
-    if l % 2 == 0:
-        k = l // 2
-        out = theta2_of_qsq(K)
-        for i in range(k):
-            out = out.D() - out.scale(QQ(i * i))
-        if k:
-            out = out.scale(QQ((-1) ** k, factorial(2 * k)))
-        return out.truncate(K)
-    k = (l - 1) // 2
-    out = eta(K).subs_qpow(2).pow(3)
+    k, h = divmod(l, 2)
+    out = eta(K).subs_qpow(2).pow(3) if h else theta2_of_qsq(K)
     for i in range(k):
-        a = QQ(2 * i + 1, 2)
+        a = QQ(2 * i + h, 2)
         out = out.D() - out.scale(a * a)
-    return out.scale(QQ((-1) ** k, factorial(2 * k + 1))).truncate(K)
+    return out.scale(QQ((-1) ** k, factorial(l))).truncate(K)
 
 
 def f_bar(l: int, K: int) -> QSeries:
     """fbar_l = f_l / q^(l^2/4); integer q-powers for every l."""
     f = f_lower(l, K + (l * l + 3) // 4)
-    return QSeries(list(f.coeffs), lead=f.lead, trunc=f.trunc,
+    return QSeries(f.coeffs, lead=f.lead, trunc=f.trunc,
                    offset24=f.offset24 - 6 * l * l, step24=f.step24)
 
 
@@ -474,7 +473,6 @@ def b_bar_series(which: int, K: int) -> QSeries:
 
 # -- dispatcher ---------------------------------------------------------------------
 
-# lower-cased name -> constructor(K, param)
 # lower-cased name -> series(K)
 _NAMED = {
     "eta": eta,

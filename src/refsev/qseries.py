@@ -12,6 +12,11 @@ Operands share one lattice: +, - and first_difference need equal
 raises ValueError. All operations are exact; truncations combine by the
 min rule, shifted by leading orders under multiplication and division.
 
+A result on its operand's lattice is built by one private constructor,
+`_like`, on the operand's (offset24, step24) and by default its window:
+map_coeffs (so -, scale, dy and specialize_y), D, truncate, shift, +, log
+and exp. d/dq, on any lattice, is D().shift(-1).
+
 The product, power, log and exp build each output coefficient by one
 integer-weighted accumulation (ylaurent.sum_products) and one exact
 division, never a YLaurent per term of the sum.
@@ -77,6 +82,11 @@ class QSeries:
         if trunc is None:
             trunc = k + 1
         return QSeries([coeff], lead=k, trunc=trunc, offset24=offset24)
+
+    def _like(self, coeffs, lead=None, trunc=None) -> "QSeries":
+        """coeffs on this series' lattice, on its window unless told otherwise."""
+        return QSeries(coeffs, self.lead if lead is None else lead,
+                       self.trunc if trunc is None else trunc, self.offset24, self.step24)
 
     # -- views --------------------------------------------------------------
 
@@ -145,23 +155,20 @@ class QSeries:
         _same_lattice(self, other, "+")
         lead = min(self.lead, other.lead)
         trunc = min(self.trunc, other.trunc)
-        coeffs = [self.coeff_index(k) + other.coeff_index(k) for k in range(lead, trunc)]
-        return QSeries(coeffs, lead=lead, trunc=trunc,
-                       offset24=self.offset24, step24=self.step24)
+        return self._like([self.coeff_index(k) + other.coeff_index(k)
+                           for k in range(lead, trunc)], lead, trunc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QSeries([-c for c in self.coeffs], lead=self.lead, trunc=self.trunc,
-                       offset24=self.offset24, step24=self.step24)
+        return self.map_coeffs(YLaurent.__neg__)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "QSeries":
         """Each coefficient times c, a YLaurent or an exact scalar."""
-        return QSeries([ci * c for ci in self.coeffs], lead=self.lead,
-                       trunc=self.trunc, offset24=self.offset24, step24=self.step24)
+        return self.map_coeffs(lambda ci: ci * c)
 
     def __mul__(self, other):
         if not isinstance(other, QSeries):
@@ -200,7 +207,7 @@ class QSeries:
                 raise ZeroDivisionError("negative power of known-zero series")
             if r == 0:
                 return QSeries.one(1)
-            return QSeries.zero(self.trunc, offset24=self.offset24, step24=self.step24)
+            return self._like([])
         if r == 0:
             return QSeries.one(self.known_length())
         e24_new = QQ(self.offset24 + self.lead * self.step24) * r
@@ -231,7 +238,7 @@ class QSeries:
                              + [(d[k], -1, u[m - k]) for k in range(1, m)])
             d.append(s)
             out.append(s * QQ(1, m))
-        return QSeries(out, lead=0, trunc=n, offset24=0, step24=self.step24)
+        return self._like(out)
 
     def exp(self) -> "QSeries":
         """Formal exponential; requires constant term 0 and no lower terms.
@@ -248,32 +255,19 @@ class QSeries:
         for m in range(1, n):
             s = sum_products([(a[k], k, out[m - k]) for k in range(1, m + 1)])
             out.append(s * QQ(1, m))
-        return QSeries(out, lead=0, trunc=n, offset24=0, step24=self.step24)
+        return self._like(out, 0)
 
     # -- operators -----------------------------------------------------------
 
     def D(self) -> "QSeries":
         """q d/dq: multiplies each coefficient by its full exponent
         (including the offset24/24 part)."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.exponent(self.lead + i)
-            out.append(c.scale(e))
-        return QSeries(out, lead=self.lead, trunc=self.trunc,
-                       offset24=self.offset24, step24=self.step24)
+        return self._like([c.scale(self.exponent(k))
+                           for k, c in enumerate(self.coeffs, self.lead)])
 
     def dy(self) -> "QSeries":
         """y d/dy applied to every coefficient."""
-        return QSeries([c.dy() for c in self.coeffs], lead=self.lead,
-                       trunc=self.trunc, offset24=self.offset24, step24=self.step24)
-
-    def tderiv(self) -> "QSeries":
-        """d/dt for plain power series (offset 0, integer steps)."""
-        if self.offset24 != 0 or self.step24 != 24:
-            raise ValueError("tderiv needs an integer-exponent power series")
-        return QSeries([self.coeff_index(k + 1).scale(k + 1)
-                        for k in range(self.lead - 1, self.trunc - 1)],
-                       lead=self.lead - 1, trunc=self.trunc - 1)
+        return self.map_coeffs(YLaurent.dy)
 
     def subs_qpow(self, r: int) -> "QSeries":
         """Substitute q -> q^r for a positive integer r."""
@@ -281,11 +275,8 @@ class QSeries:
             raise ValueError("subs_qpow needs a positive integer power")
         if r == 1:
             return self
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if i > 0:
-                out.extend([YL_ZERO] * (r - 1))
-            out.append(c)
+        out = [YL_ZERO] * (r * len(self.coeffs) - r + 1)
+        out[::r] = self.coeffs
         return QSeries(out, lead=self.lead * r, trunc=(self.trunc - 1) * r + 1,
                        offset24=self.offset24 * r, step24=self.step24)
 
@@ -294,31 +285,23 @@ class QSeries:
         identity at y = 'sym'."""
         if y == "sym":
             return self
-        if y == 1:
-            vals = [c.at_one() for c in self.coeffs]
-        elif y == -1:
-            vals = [c.at_minus_one() for c in self.coeffs]
-        else:
+        at = {1: YLaurent.at_one, -1: YLaurent.at_minus_one}.get(y)
+        if at is None:
             raise ValueError("only y = 1 and y = -1 specializations are exact here")
-        return QSeries([YLaurent.const(v) for v in vals], lead=self.lead,
-                       trunc=self.trunc, offset24=self.offset24, step24=self.step24)
+        return self.map_coeffs(at)
 
     def truncate(self, new_trunc: int) -> "QSeries":
         if new_trunc >= self.trunc:
             return self
-        if new_trunc <= self.lead:
-            return QSeries.zero(new_trunc, offset24=self.offset24, step24=self.step24)
-        return QSeries(self.coeffs[: new_trunc - self.lead], lead=self.lead,
-                       trunc=new_trunc, offset24=self.offset24, step24=self.step24)
+        lead = min(self.lead, new_trunc)  # O(q^new_trunc) at or below the lead
+        return self._like(self.coeffs[: new_trunc - lead], lead, new_trunc)
 
     def shift(self, k: int) -> "QSeries":
         """Multiply by q^k (integer lattice steps)."""
-        return QSeries(list(self.coeffs), lead=self.lead + k, trunc=self.trunc + k,
-                       offset24=self.offset24, step24=self.step24)
+        return self._like(self.coeffs, self.lead + k, self.trunc + k)
 
     def map_coeffs(self, f) -> "QSeries":
-        return QSeries([f(c) for c in self.coeffs], lead=self.lead, trunc=self.trunc,
-                       offset24=self.offset24, step24=self.step24)
+        return self._like([f(c) for c in self.coeffs])
 
     def is_palindromic(self) -> bool:
         return all(c.is_palindromic() for c in self.coeffs)
@@ -358,12 +341,7 @@ class QSeries:
 
 
 def _divide_coeff(num: YLaurent, den: YLaurent) -> YLaurent:
-    if den.is_one():
-        return num
-    if len(den.terms) == 1:
-        (e, c), = den.terms.items()
-        return YLaurent({k - e: QQ(v) / c for k, v in num.terms.items()})
-    return num.divexact(den)
+    return num if den.is_one() else num.divexact(den)
 
 
 def _pow_coeff(c: YLaurent, r: QQ) -> YLaurent:
@@ -374,10 +352,8 @@ def _pow_coeff(c: YLaurent, r: QQ) -> YLaurent:
     ri = int(r)
     if ri >= 0:
         return c ** ri
-    if len(c.terms) == 1:
-        (e, v), = c.terms.items()
-        inv = YLaurent({-e: QQ(1) / v})
-        return inv ** (-ri)
+    if len(c.terms) == 1:  # a monomial: the Laurent ring's units
+        return YL_ONE.divexact(c) ** -ri
     raise ValueError("leading coefficient is not invertible in the Laurent ring")
 
 
@@ -427,4 +403,4 @@ def compose_inverse(a: QSeries) -> QSeries:
     for k in range(1, a.trunc):
         hk = hk * h
         coeffs.append(hk.coeff_index(k - 1).scale(QQ(1, k)))
-    return QSeries(coeffs, lead=1, trunc=a.trunc)
+    return a._like(coeffs, 1)

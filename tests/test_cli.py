@@ -273,7 +273,9 @@ def test_start_up_loads_no_introspection():
      "error: d = -3 is negative"),
     (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1,-1"],
      "error: alpha = (1, -1) has a negative entry"),
-], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
+] + [(["series", "--name", "gbar2k", "--param", p],
+      "error: Eisenstein index must be a positive even integer")
+     for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
         "solveB-order-0", "solveB-order-minus1-0", "solveB-order-minus1-neg",
@@ -286,7 +288,8 @@ def test_start_up_loads_no_introspection():
         "nodepoly-p11m-m-neg", "cache-missing-dir", "cache-is-dir", "k-third",
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
-        "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative"])
+        "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative",
+        "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN

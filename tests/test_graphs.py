@@ -130,8 +130,20 @@ def test_templates_are_spanned():
 @pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5])
 def test_templates_are_the_templates_among_all_graphs(delta):
     # same graphs in the same order as filtering the full enumeration
-    assert enumerate_templates(delta) == [
-        G for G in enumerate_graphs(delta, delta + 1) if is_template(G)]
+    assert enumerate_templates(delta) == tuple(
+        G for G in enumerate_graphs(delta, delta + 1) if is_template(G))
+
+
+def test_memoised_templates_cannot_be_changed_by_a_caller():
+    # the memo hands out its one copy; a list let a caller's pop() turn
+    # N^2 of beta = (0, 1, 2, 3) at y = 1 from 21 into 15
+    templates = enumerate_templates(2)
+    with pytest.raises(AttributeError):
+        templates.pop()
+    with pytest.raises(TypeError):
+        templates[0] = templates[1]
+    assert enumerate_templates(2) is templates
+    assert refined_count((0, 1, 2, 3), 2, y=1) == 21
 
 
 # -- multiplicities -------------------------------------------------------------

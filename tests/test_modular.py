@@ -140,6 +140,18 @@ def test_tables_are_parsed_on_first_use():
     assert at_load == 0 and parsed == [tables.__file__]
 
 
+def test_memoised_tables_cannot_be_changed_by_a_caller():
+    # the parsed table is the memo's one copy, read by every b_series
+    before = b_series(1, 6)
+    table = tables.symmetric_table("B1")
+    with pytest.raises(TypeError):
+        table[3] = YLaurent.const(0)
+    with pytest.raises(AttributeError):
+        table.pop(3)
+    assert tables.symmetric_table("B1") is table
+    assert b_series(1, 6) == before
+
+
 def test_theta_normalized_constant_term():
     assert theta_unit(6).coeff_at(0).is_one()
 

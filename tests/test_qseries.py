@@ -5,7 +5,8 @@ import pytest
 
 from oracles import (compose_termwise, exp_termwise, log_termwise, mul_termwise,
                      pow_termwise)
-from refsev.modular import ddgtilde2, delta_tilde, dgtilde2, eta, theta2, theta2_of_qsq
+from refsev.modular import (ddgtilde2, delta_tilde, dgtilde2, eta, theta2, theta2_of_qsq,
+                            theta_y)
 from refsev.qseries import QSeries, TruncationError, compose, compose_inverse
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
@@ -263,16 +264,52 @@ def test_product_with_a_known_zero_operand_at_offsets():
     assert (both.lead, both.trunc, both.offset24, both.step24) == (2, 2, 0, 12)
 
 
-def test_tderiv_of_a_series_with_a_negative_lead():
+def d_dq(s):
+    return s.D().shift(-1)
+
+
+def test_d_dq_of_a_series_with_a_negative_lead():
     # d/dt (3t^-2 + 5 + t^2 + O(t^3)) = -6t^-3 + 2t + O(t^2)
     s = QSeries([3, 0, 5, 0, 1], lead=-2, trunc=3)
-    d = s.tderiv()
+    d = d_dq(s)
     assert (d.lead, d.trunc) == (-3, 2)
     assert d.coeffs == [YLaurent.const(c) for c in (-6, 0, 0, 0, 2)]
     # a constant differentiates to O(1), a known zero to one order less
-    const = QSeries([7], trunc=1).tderiv()
+    const = d_dq(QSeries([7], trunc=1))
     assert const.is_known_zero() and const.trunc == 0
-    assert QSeries.zero(3).tderiv() == QSeries.zero(2)
+    assert d_dq(QSeries.zero(3)) == QSeries.zero(2)
+
+
+def test_d_dq_at_a_fractional_offset():
+    # theta_y lives on q^(1/8 + k): each coefficient times its exponent
+    # moves one step down, on the same lattice
+    th = theta_y(9)
+    d = d_dq(th)
+    assert (d.offset24, d.step24, d.lead, d.trunc) == (3, 24, th.lead - 1, th.trunc - 1)
+    for k in range(th.lead, th.trunc):
+        e = th.exponent(k)
+        assert d.coeff_at(e - 1) == th.coeff_index(k).scale(e)
+        assert d.coeff_index(k - 1) == th.coeff_index(k).scale(e)
+
+
+@pytest.mark.parametrize("kind", ["sym", "int"])
+@pytest.mark.parametrize("lead, offset24", [(0, 0), (2, 5)])
+def test_pow_with_a_monomial_unit_against_products(kind, lead, offset24):
+    # the kernel divides by the unit u0 at every coefficient; the reference
+    # sides here are products, which never divide
+    rng = random.Random(f"monomial-{kind}-{lead}")
+    unit = YLaurent.const(-2) if kind == "int" else YLaurent({1: QQ(3, 2)})
+    s = _series(rng, kind, trunc=lead + 9, lead=lead, unit=unit, offset24=offset24)
+    cube, want = s.pow(3), s * s * s
+    assert (cube.offset24, cube.step24, cube.lead, cube.trunc) == \
+        (want.offset24, want.step24, want.lead, want.trunc)
+    for g, w in zip(cube.coeffs, want.coeffs, strict=True):
+        assert g.terms == w.terms
+        assert {e: type(c) for e, c in g.terms.items()} == \
+            {e: type(c) for e, c in w.terms.items()}
+    for got in (s.pow(-2) * s * s, s / s):
+        assert (got.offset24, got.lead, got.trunc) == (0, 0, 9)
+        assert got == QSeries.one(9)
 
 
 # -- the kernel against the term-by-term oracle --------------------------------
