@@ -196,7 +196,7 @@ def _cmd_solve_b(args, table) -> list:
     if args.order < 1:
         raise ValueError("--order must be >= 1")
     y = Y_VALUES[args.y]
-    data = engine_data(solve_bundles(args.order), args.order, y, table)
+    data = engine_data(solve_bundles(args.order, y), args.order, y, table)
     B1, B2 = solve_universal_B(data, args.order, y=y)
     return [({"series": "B1"}, B1), ({"series": "B2"}, B2)]
 

@@ -23,8 +23,8 @@ import functools
 
 from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
-from .genfun import (Invariants, engine_data, reform_coefficient, reform_eval,
-                     solve_bundles, solve_universal_B)
+from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
+                     reform_eval, solve_bundles, solve_universal_B)
 from .graphs import refined_counts_by_prefix, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
@@ -163,8 +163,8 @@ def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
     rep = ConjectureReport("GSPSigmaW", {"delta_max": delta_max, "d_max": d_max})
     cases = [({"d": d}, P2(d), Invariants.of(P2(d))) for d in range(2, d_max + 1)]
     _against(rep, table, cases, delta_max, y=-1,
-             skip=lambda p, delta: "d < delta/3 + 1"
-             if delta > 3 * (p["d"] - 1) else None)
+             skip=lambda p, delta: None
+             if in_regime(P2(p["d"]), delta, -1) else "d < delta/3 + 1")
     return rep
 
 
@@ -363,7 +363,7 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
         (Invariants.of(Sigma(0, 5, 5)), node_values(fits_s0, order - 1, c=5, d=5)),
     ]
     # y = -1: recursion data from the smallest bundles inside the regime
-    wdata = engine_data(solve_bundles(order_minus1), order_minus1, -1, table)
+    wdata = engine_data(solve_bundles(order_minus1, -1), order_minus1, -1, table)
     sides = zip(("B1", "B2", "B1bar", "B2bar"), (order,) * 2 + (order_minus1,) * 2,
                 solve_universal_B(data, order)
                 + solve_universal_B(wdata, order_minus1, y=-1),

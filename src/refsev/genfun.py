@@ -22,6 +22,7 @@ a Laurent R = H_m * P^{-shift}).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -33,8 +34,8 @@ from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
 from .ylaurent import YL_ZERO
 
-__all__ = ["Invariants", "reform_eval", "reform_coefficient", "solve_bundles",
-           "engine_data", "solve_universal_B", "base_series"]
+__all__ = ["Invariants", "reform_eval", "reform_coefficient", "in_regime",
+           "solve_bundles", "engine_data", "solve_universal_B", "base_series"]
 
 
 class Invariants(namedtuple("Invariants", "K2 LK chi_L chi_O", defaults=(1,))):
@@ -122,14 +123,33 @@ def reform_coefficient(inv: Invariants, B1: QSeries, B2: QSeries, delta: int,
     return F.coeff_at(inv.qexp)
 
 
-def solve_bundles(order: int):
-    """The bundles solve-B takes its data from at the given order:
-    P^2(d0), Sigma_0(d0, d0) and P^2(d0 + 1), with d0 = max(order // 2 + 1,
-    2) the smallest degree whose Goettsche threshold delta <= 2 d0 - 2
-    covers every delta < order. Two bundles fix B; the third overdetermines
-    the solve, so data outside the regime raises instead of passing."""
-    d0 = max(order // 2 + 1, 2)
-    return P2(d0), Sigma(0, d0, d0), P2(d0 + 1)
+def in_regime(bundle, delta: int, y="sym") -> bool:
+    """Whether the identity holds for bundle at cogenus delta and y, by the
+    rules measured against the recursion. P^2(d): delta <= 2d - 2 at 'sym'
+    and y = 1 (Block's threshold), delta <= 3(d - 1) at y = -1, and
+    delta <= 2 for every d >= 1. P^1 x P^1 = Sigma_0(c, d): min(c, d) >=
+    ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1, at or above
+    every bound measured to delta = 14. A ValueError for any other bundle."""
+    k = {"sym": 2, 1: 2, -1: 3}[y]
+    if bundle.family == "p2":
+        return delta <= k * (bundle.d - 1) or (bundle.d >= 1 and delta <= 2)
+    if bundle.family == "sigma" and bundle.m == 0:
+        return min(bundle.c, bundle.d) >= -(-delta // k)
+    raise ValueError(f"no regime rule for {bundle}")
+
+
+def solve_bundles(order: int, y="sym"):
+    """The bundles solve-B takes its data from at the given order and y:
+    P^2(p), Sigma_0(s, s) and P^2(p + 1), with p >= 2 and s >= 1 the
+    smallest that keep every delta < order in_regime at y. Two bundles fix
+    B; the third overdetermines the solve, so data outside the regime
+    raises instead of passing."""
+    def smallest(bundle, start):
+        return next(n for n in itertools.count(start)
+                    if all(in_regime(bundle(n), dl, y) for dl in range(order)))
+
+    p, s = smallest(P2, 2), smallest(lambda n: Sigma(0, n, n), 1)
+    return P2(p), Sigma(0, s, s), P2(p + 1)
 
 
 def engine_data(bundles, order: int, y, table):

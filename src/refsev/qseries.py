@@ -275,9 +275,11 @@ class QSeries:
             raise ValueError("subs_qpow needs a positive integer power")
         if r == 1:
             return self
+        trunc = (self.trunc - 1) * r + 1
         out = [YL_ZERO] * (r * len(self.coeffs) - r + 1)
         out[::r] = self.coeffs
-        return QSeries(out, lead=self.lead * r, trunc=(self.trunc - 1) * r + 1,
+        # a known zero (lead = trunc) stays one, on the same truncation
+        return QSeries(out, lead=min(self.lead * r, trunc), trunc=trunc,
                        offset24=self.offset24 * r, step24=self.step24)
 
     def specialize_y(self, y) -> "QSeries":

@@ -219,12 +219,17 @@ def test_no_table_means_a_fresh_table(monkeypatch):
 
 @pytest.mark.parametrize("y, states", [("sym", 3899), (1, 3899), (-1, 1541)])
 def test_states_per_ring(y, states):
-    # the states solve-B --order 10 computes; at y = -1 a branch whose
-    # quantum-number factor vanishes is never entered, so fewer states are
-    # computed and cached than at 'sym' and y = 1
+    # on one bundle triple, at y = -1 a branch whose quantum-number factor
+    # vanishes is never entered, so fewer states are computed and cached
+    # than at 'sym' and y = 1
     table = CHTable()
-    engine_data(solve_bundles(10), 10, y, table)
+    engine_data((P2(6), Sigma(0, 6, 6), P2(7)), 10, y, table)
     assert len(table.memo[y]) == states
+    # the states solve-B --order 10 computes, on the smallest bundles in
+    # the regime at y
+    table = CHTable()
+    engine_data(solve_bundles(10, y), 10, y, table)
+    assert len(table.memo[y]) == {"sym": 2485, 1: 2485, -1: 357}[y]
 
 
 def test_deep_state_and_recursion_limit():

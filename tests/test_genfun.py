@@ -1,11 +1,14 @@
+import itertools
 import random
+import re
 
 import pytest
 
 from refsev import genfun
-from refsev.caporaso import P2, Sigma, severi_degree
-from refsev.genfun import (Invariants, base_series, engine_data, reform_coefficient,
-                           reform_eval, solve_bundles, solve_universal_B)
+from refsev.caporaso import P2, P11m, Sigma, severi_degree
+from refsev.genfun import (Invariants, base_series, engine_data, in_regime,
+                           reform_coefficient, reform_eval, solve_bundles,
+                           solve_universal_B)
 from refsev.modular import b_bar_series, b_series, h_series
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
@@ -151,14 +154,66 @@ def test_form2_takes_several_invariants():
     assert both == [reform_eval([inv], B1, B2, 4, R=R, shift=1)[0] for inv in invs]
 
 
+@pytest.mark.parametrize("inside, outside, delta, y", [
+    (P2(3), P2(2), 4, "sym"),
+    (P2(3), P2(2), 4, 1),
+    (P2(3), P2(2), 6, -1),
+    (Sigma(0, 3, 3), Sigma(0, 2, 2), 5, "sym"),
+    (Sigma(0, 3, 3), Sigma(0, 2, 2), 5, 1),
+    (Sigma(0, 2, 2), Sigma(0, 1, 1), 6, -1),
+])
+def test_regime_rule_is_met_inside_and_fails_just_outside(chtable, inside, outside,
+                                                           delta, y):
+    # one point on each side of each rule of in_regime: the recursion
+    # equals form (2) with the tables just inside it and differs just outside
+    assert in_regime(inside, delta, y) and not in_regime(outside, delta, y)
+    K = delta + 2
+    B = ((b_bar_series(1, K), b_bar_series(2, K)) if y == -1 else
+         (b_series(1, K).specialize_y(y), b_series(2, K).specialize_y(y)))
+    S_in, S_out = reform_eval([Invariants.of(inside), Invariants.of(outside)],
+                              *B, delta, y=y)
+
+    def engine(bundle):
+        value = severi_degree(bundle, delta, y=y, table=chtable)
+        return value if y == "sym" else YLaurent.const(value)
+
+    assert engine(inside) == S_in.coeff_at(delta)
+    assert engine(outside) != S_out.coeff_at(delta)
+
+
+@pytest.mark.parametrize("bundle", [Sigma(1, 2, 3), P11m(2, 3)])
+def test_in_regime_refuses_a_bundle_without_a_rule(bundle):
+    with pytest.raises(ValueError, match=re.escape(f"no regime rule for {bundle}")):
+        in_regime(bundle, 1)
+
+
 def test_solve_bundles_smallest_in_regime():
-    # P^2(d0), Sigma_0(d0, d0) and the overdetermining P^2(d0 + 1), d0 the
-    # smallest degree with delta <= 2 d0 - 2 for every delta < order
-    for order in range(1, 32):
-        d0 = max(order // 2 + 1, 2)
-        assert solve_bundles(order) == (P2(d0), Sigma(0, d0, d0), P2(d0 + 1))
-        assert order - 1 <= 2 * d0 - 2
-        assert d0 == 2 or order - 1 > 2 * (d0 - 1) - 2
+    # P^2(p), Sigma_0(s, s) and the overdetermining P^2(p + 1): every
+    # delta < order in the regime at y, and p >= 2, s >= 1 the smallest
+    # that keep it so
+    def covers(bundle, order, y):
+        return all(in_regime(bundle, dl, y) for dl in range(order))
+
+    for y, order in itertools.product(("sym", 1, -1), range(1, 32)):
+        p2, s0, p2_next = solve_bundles(order, y)
+        p, s = p2.d, s0.c
+        assert (p2, s0, p2_next) == (P2(p), Sigma(0, s, s), P2(p + 1))
+        assert all(covers(b, order, y) for b in (p2, s0, p2_next))
+        assert p == 2 or not covers(P2(p - 1), order, y)
+        assert s == 1 or not covers(Sigma(0, s - 1, s - 1), order, y)
+        if y != -1:
+            # Block's threshold delta <= 2p - 2 over every delta < order
+            assert p == max(order // 2 + 1, 2)
+    assert solve_bundles(31, -1) == (P2(11), Sigma(0, 10, 10), P2(12))
+
+
+def test_welschinger_solve_from_its_own_bundles(chtable):
+    # y = -1 takes P^2(9), Sigma_0(8, 8), P^2(10) at order 24, past the
+    # trusted range of the refined tables; the solve equals the Bbar tables
+    order = 24
+    B = solve_universal_B(engine_data(solve_bundles(order, -1), order, -1, chtable),
+                          order, y=-1)
+    assert B == (b_bar_series(1, order), b_bar_series(2, order))
 
 
 @pytest.mark.parametrize("order, y, tables", [

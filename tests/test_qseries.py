@@ -264,6 +264,17 @@ def test_product_with_a_known_zero_operand_at_offsets():
     assert (both.lead, both.trunc, both.offset24, both.step24) == (2, 2, 0, 12)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_subs_qpow_of_a_known_zero_at_an_offset(r):
+    # q -> q^r takes O(q^t) to a known zero on the substituted lattice, with
+    # the truncation a nonzero series on the same window gets
+    zero = QSeries.zero(3, offset24=5, step24=8)
+    ref = QSeries([1], lead=0, trunc=3, offset24=5, step24=8).subs_qpow(r)
+    got = zero.subs_qpow(r)
+    assert got.is_known_zero()
+    assert got == QSeries.zero(ref.trunc, offset24=ref.offset24, step24=ref.step24)
+
+
 def d_dq(s):
     return s.D().shift(-1)
 
