@@ -221,40 +221,35 @@ def verify_id(text: str) -> str:
 VERIFY_RANGE_FLAGS = ("order", "order_minus1", "lmax", "cmax", "dmax", "mmax",
                       "deltamax")
 _POSITIVE_FLAGS = ("order", "order_minus1", "lmax")
-_P2_RANGES = {"deltamax": ("delta_max", None), "dmax": ("d_max", None)}
-# check id -> {flag: (check parameter, CLI default)}; a CLI default of None
-# leaves the check's own; a check missing here takes no flag, as
-# fhat_general_tables, which compares a fixed q^3 expansion at any order
+_P2_RANGES = {"deltamax": "delta_max", "dmax": "d_max"}
+# check id -> {flag: check parameter}; a flag not given leaves the check's
+# own default; a check missing here takes no flag, as fhat_general_tables,
+# which compares a fixed q^3 expansion at any order
 VERIFY_FLAGS = {
-    **{i: {"order": ("K", 15)} for i in modular.SERIES_IDENTITIES
+    **{i: {"order": "K"} for i in modular.SERIES_IDENTITIES
        if i != "fhat_general_tables"},
-    "cross_engine": {"cmax": ("cmax", 4), "dmax": ("dmax", 4),
-                     "mmax": ("mmax", 2), "deltamax": ("deltamax", 3)},
-    "solveB": {"order": ("order", 5), "order_minus1": ("order_minus1", 9)},
-    "fbar_closed_form": {"order": ("K", 40), "lmax": ("param", 12)},
+    "cross_engine": {f: f for f in ("cmax", "dmax", "mmax", "deltamax")},
+    "solveB": {"order": "order", "order_minus1": "order_minus1"},
+    "fbar_closed_form": {"order": "K", "lmax": "param"},
     "refpol": _P2_RANGES,
     "GSPSigmaW": _P2_RANGES,
 }
 
 
 def verify_params(args) -> dict:
-    """The check parameters verify's flags set for the check args.id;
-    ValueError for a flag that check does not take, and for a non-positive
-    --order, --order-minus1 or --lmax."""
+    """The check parameters the flags given to verify set for the check
+    args.id; ValueError for a flag that check does not take, and for a
+    non-positive --order, --order-minus1 or --lmax."""
     takes = VERIFY_FLAGS.get(args.id, {})
-    for flag in VERIFY_RANGE_FLAGS:
-        if getattr(args, flag) is not None and flag not in takes:
+    given = {flag: getattr(args, flag) for flag in VERIFY_RANGE_FLAGS
+             if getattr(args, flag) is not None}
+    for flag in given:
+        if flag not in takes:
             raise ValueError(f"verify --id {args.id} takes no {_option(flag)}")
-    params = {}
-    for flag, (name, default) in takes.items():
-        value = getattr(args, flag)
-        if value is None:
-            value = default
-        elif flag in _POSITIVE_FLAGS and value < 1:
+    for flag, value in given.items():
+        if flag in _POSITIVE_FLAGS and value < 1:
             raise ValueError(f"{_option(flag)} must be >= 1")
-        if value is not None:
-            params[name] = value
-    return params
+    return {takes[flag]: value for flag, value in given.items()}
 
 
 def _option(flag: str) -> str:
@@ -268,11 +263,13 @@ def _cmd_verify(args, table) -> ConjectureReport:
 
 def _cmd_export_tables(args) -> str:
     """The embedded tables, each under a '# title' line."""
+    bar = f"q^0..q^{tables.BBAR_TRUSTED - 1}"
     return "".join(f"# {title}\n{body.strip()}\n" for title, body in (
-        ("B1 (symmetric-table format, trusted to q^17)", tables.B1_TEXT),
+        (f"B1 (symmetric-table format, trusted to q^{tables.B_TRUSTED - 1})",
+         tables.B1_TEXT),
         ("B2 bracket (full B2 = bracket/((1-yq)(1-q/y)))", tables.B2_BRACKET_TEXT),
-        ("B1bar (y=-1, q^0..q^30)", " ".join(map(str, tables.B1BAR))),
-        ("B2bar (y=-1, q^0..q^30)", " ".join(map(str, tables.B2BAR))),
+        (f"B1bar (y=-1, {bar})", " ".join(map(str, tables.B1BAR))),
+        (f"B2bar (y=-1, {bar})", " ".join(map(str, tables.B2BAR))),
         ("Fhat_c3", tables.FHAT_C3_TEXT),
         ("Fhat_c4", tables.FHAT_C4_TEXT),
     ))

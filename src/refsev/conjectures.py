@@ -1,7 +1,8 @@
 """Conjecture and identity checkers over computable parameter ranges.
 
 Every check compares an engine-computed degree (recursion or graph count)
-against a generating-function evaluation, coefficient by coefficient.
+against a generating-function evaluation, coefficient by coefficient, but
+solveB, which solves B from engine data and compares it to the tables.
 Passes are exact; a failure reports the earliest discrepancy (delta,
 q-power, doubled y-exponent) so table-typo triage is possible.
 
@@ -25,7 +26,7 @@ from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
 from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
-from .graphs import refined_counts_by_prefix, s_beta
+from .graphs import refined_counts, refined_counts_by_prefix, s_beta
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
@@ -329,7 +330,7 @@ def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
     return rep
 
 
-def _check_cross_engine(table, cmax=6, dmax=6, mmax=3, deltamax=4) -> ConjectureReport:
+def _check_cross_engine(table, cmax=4, dmax=4, mmax=2, deltamax=3) -> ConjectureReport:
     """Recursion equals the long-edge-graph count, exactly."""
     rep = ConjectureReport(
         "cross_engine",
@@ -352,17 +353,13 @@ def _check_cross_engine(table, cmax=6, dmax=6, mmax=3, deltamax=4) -> Conjecture
 
 
 def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
-    """Recover B_1/B_2 from node-polynomial data and compare to the
-    embedded tables; same at y = -1 against the Bbar tables."""
+    """B_1/B_2 solved from the graph counts and B1bar/B2bar from the
+    recursion (the graph route stalls at y = -1, order 12), each on the
+    three bundles of solve_bundles, against the embedded tables."""
     rep = ConjectureReport("solveB", {"order": order, "order_minus1": order_minus1})
-    # refined: fitted node polynomials evaluated at P^2 d=5 and Sigma_0 (5,5)
-    fits_p2 = {dl: fit_node_polynomial("p2", dl) for dl in range(1, order)}
-    fits_s0 = {dl: fit_node_polynomial("p1xp1", dl) for dl in range(1, order)}
-    data = [
-        (Invariants.of(P2(5)), node_values(fits_p2, order - 1, m=1, d=5)),
-        (Invariants.of(Sigma(0, 5, 5)), node_values(fits_s0, order - 1, c=5, d=5)),
-    ]
-    # y = -1: recursion data from the smallest bundles inside the regime
+    data = [(Invariants.of(b),
+             dict(enumerate(refined_counts(s_beta(b.c, b.m, b.d), order - 1))))
+            for b in solve_bundles(order)]
     wdata = engine_data(solve_bundles(order_minus1, -1), order_minus1, -1, table)
     sides = zip(("B1", "B2", "B1bar", "B2bar"), (order,) * 2 + (order_minus1,) * 2,
                 solve_universal_B(data, order)
@@ -399,6 +396,8 @@ _CHECKS = {
     "solveB": _check_solve_b,
     **{i: functools.partial(_check_series_identity, i)
        for i in modular.SERIES_IDENTITIES},
+    "fbar_closed_form": functools.partial(_check_series_identity,
+                                          "fbar_closed_form", K=40),
 }
 
 CHECK_IDS = tuple(_CHECKS)

@@ -126,13 +126,14 @@ def reform_coefficient(inv: Invariants, B1: QSeries, B2: QSeries, delta: int,
 def in_regime(bundle, delta: int, y="sym") -> bool:
     """Whether the identity holds for bundle at cogenus delta and y, by the
     rules measured against the recursion. P^2(d): delta <= 2d - 2 at 'sym'
-    and y = 1 (Block's threshold), delta <= 3(d - 1) at y = -1, and
-    delta <= 2 for every d >= 1. P^1 x P^1 = Sigma_0(c, d): min(c, d) >=
-    ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1, at or above
-    every bound measured to delta = 14. A ValueError for any other bundle."""
+    and y = 1 (Block's threshold), delta <= 3(d - 1) at y = -1, delta <= 2
+    for every d >= 1 and delta = 0 for every d. P^1 x P^1 = Sigma_0(c, d):
+    min(c, d) >= ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1,
+    at or above every bound measured to delta = 14. A ValueError for any
+    other bundle."""
     k = {"sym": 2, 1: 2, -1: 3}[y]
     if bundle.family == "p2":
-        return delta <= k * (bundle.d - 1) or (bundle.d >= 1 and delta <= 2)
+        return delta <= k * (bundle.d - 1) or delta <= (2 if bundle.d >= 1 else 0)
     if bundle.family == "sigma" and bundle.m == 0:
         return min(bundle.c, bundle.d) >= -(-delta // k)
     raise ValueError(f"no regime rule for {bundle}")

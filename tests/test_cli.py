@@ -106,22 +106,28 @@ def test_verify_cross_engine():
 
 
 def test_verify_solve_b_minus1_order(monkeypatch):
-    # --order-minus1 sets the order of the y = -1 side (9 when not given)
+    # --order-minus1 sets the order of the y = -1 side; a flag not given
+    # leaves the check's own default (order 5, order_minus1 9)
     seen = []
     real = cli.check_conjecture
 
     def spy(cid, table=None, **params):
         seen.append(params)
-        return real(cid, table=table, **params)
+        rep = real(cid, table=table, **params)
+        seen.append(rep.params)
+        return rep
 
     monkeypatch.setattr(cli, "check_conjecture", spy)
     code, out = run_cli(["verify", "--id", "solveB", "--order", "2",
                          "--order-minus1", "3"])
     assert code == 0
     assert out == "[PASS] solveB: 4 pass, 0 fail, 0 skip\n"
-    assert seen == [{"order": 2, "order_minus1": 3}]
+    assert seen == [{"order": 2, "order_minus1": 3}] * 2
     args = cli.make_parser().parse_args(["verify", "--id", "solveB"])
-    assert cli.verify_params(args) == {"order": 5, "order_minus1": 9}
+    assert cli.verify_params(args) == {}
+    seen.clear()
+    assert run_cli(["verify", "--id", "solveB"])[0] == 0
+    assert seen == [{}, {"order": 5, "order_minus1": 9}]
 
 
 def test_verify_unknown_id():

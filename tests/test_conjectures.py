@@ -1,15 +1,17 @@
 """Scaled-down runs of every checker; the acceptance module runs the
 full ranges."""
 import functools
+import inspect
 
 import pytest
 
 from refsev import conjectures, graphs, modular
-from refsev.caporaso import Sigma, severi_degree
+from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
-from refsev.genfun import Invariants, reform_eval
+from refsev.genfun import Invariants, reform_eval, solve_bundles
 from refsev.graphs import s_beta
 from refsev.qseries import QSeries
+from refsev.ylaurent import YLaurent
 
 
 def test_refpol_small(chtable):
@@ -227,6 +229,58 @@ def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
 def test_solve_b_small(chtable):
     rep = check_conjecture("solveB", table=chtable, order=4, order_minus1=5)
     assert rep.ok, rep.summary()
+
+
+def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
+    # the refined side solves from the graph counts of exactly the three
+    # bundles of solve_bundles, with no node-polynomial fit
+    order, read = 6, []
+    real = conjectures.refined_counts
+
+    def spy(beta, delta, y="sym"):
+        read.append((tuple(beta), delta, y))
+        return real(beta, delta, y)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("solveB fitted a node polynomial")
+
+    monkeypatch.setattr(conjectures, "refined_counts", spy)
+    monkeypatch.setattr(conjectures, "fit_node_polynomial", no_fit)
+    rep = check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
+    assert rep.ok, rep.summary()
+    assert read == [(s_beta(b.c, b.m, b.d), order - 1, "sym")
+                    for b in solve_bundles(order)]
+    assert solve_bundles(order) == (P2(4), Sigma(0, 3, 3), P2(5))
+
+
+@pytest.mark.parametrize("bundle", solve_bundles(6))
+def test_solve_b_refuses_one_perturbed_graph_count(chtable, monkeypatch, bundle):
+    # the third bundle overdetermines the solve, so one wrong count of any
+    # of the three raises instead of giving a B that passes or fails
+    real, wrong = conjectures.refined_counts, s_beta(bundle.c, bundle.m, bundle.d)
+
+    def perturbed(beta, delta, y="sym"):
+        counts = real(beta, delta, y)
+        if tuple(beta) == wrong:
+            counts = [*counts[:-1], counts[-1] + YLaurent.const(1)]
+        return counts
+
+    monkeypatch.setattr(conjectures, "refined_counts", perturbed)
+    with pytest.raises(ValueError, match="inconsistent"):
+        check_conjecture("solveB", table=chtable, order=6, order_minus1=3)
+
+
+@pytest.mark.parametrize("conj_id, defaults", [
+    ("cross_engine", {"cmax": 4, "dmax": 4, "mmax": 2, "deltamax": 3}),
+    ("solveB", {"order": 5, "order_minus1": 9}),
+    ("fbar_closed_form", {"K": 40, "param": None}),
+    ("jacobi_triple", {"K": 15, "param": None}),
+])
+def test_check_defaults_are_the_verify_defaults(conj_id, defaults):
+    # verify passes only the flags given, so a check's keyword defaults are
+    # those of the command line
+    params = inspect.signature(conjectures._CHECKS[conj_id]).parameters
+    assert {n: p.default for n, p in params.items() if n != "table"} == defaults
 
 
 def test_unknown_id_rejected(chtable):

@@ -181,6 +181,18 @@ def test_regime_rule_is_met_inside_and_fails_just_outside(chtable, inside, outsi
     assert engine(outside) != S_out.coeff_at(delta)
 
 
+def test_zero_cogenus_is_in_regime_for_p2_zero(chtable):
+    # P^2(0) is in the regime at delta = 0, where the engine gives 1 as
+    # form (2) does for every bundle, and outside it at delta = 1, where
+    # the engine gives 0 and form (2) y + 1 + 1/y
+    inv = Invariants.of(P2(0))
+    S, = reform_eval([inv], b_series(1, 3), b_series(2, 3), 1)
+    assert in_regime(P2(0), 0) and not in_regime(P2(0), 1)
+    assert severi_degree(P2(0), 0, table=chtable) == S.coeff_at(0) == YLaurent.const(1)
+    assert severi_degree(P2(0), 1, table=chtable) == YLaurent.const(0)
+    assert S.coeff_at(1) == YLaurent({-2: 1, 0: 1, 2: 1})
+
+
 @pytest.mark.parametrize("bundle", [Sigma(1, 2, 3), P11m(2, 3)])
 def test_in_regime_refuses_a_bundle_without_a_rule(bundle):
     with pytest.raises(ValueError, match=re.escape(f"no regime rule for {bundle}")):
@@ -220,8 +232,10 @@ def test_welschinger_solve_from_its_own_bundles(chtable):
     (12, "sym", b_series),   # refined, to q^11
     (18, -1, b_bar_series),  # Welschinger, to q^17
 ])
-def test_solve_from_smallest_bundles_gives_tables(chtable, order, y, tables):
-    B = solve_universal_B(engine_data(solve_bundles(order), order, y, chtable),
+def test_recursion_on_solve_bundles_solves_the_tables(chtable, order, y, tables):
+    # solve_bundles at the solve's own y: P^2(7), Sigma_0(6, 6), P^2(8) at
+    # y = -1, order 18, not the sym choice P^2(10), Sigma_0(9, 9), P^2(11)
+    B = solve_universal_B(engine_data(solve_bundles(order, y), order, y, chtable),
                           order, y=y)
     assert B == (tables(1, order), tables(2, order))
     assert all(type(c) is int or c.denominator != 1
