@@ -26,7 +26,7 @@ from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degree
 from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
-from .graphs import refined_counts, refined_counts_by_prefix, s_beta
+from .graphs import refined_counts_at
 from .nodepoly import fit_node_polynomial, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
@@ -142,9 +142,10 @@ def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
     """Refined node polynomials of P^2 from the generating identity with the
     embedded B tables equal the fitted ones and the engine degrees."""
     rep = ConjectureReport("refpol", {"delta_max": delta_max, "d_max": d_max})
-    fits = {dl: fit_node_polynomial("p2", dl) for dl in range(1, delta_max + 1)}
     ds = range(1, d_max + 1)
-    for d, S in zip(ds, _identity([Invariants.of(P2(d)) for d in ds], delta_max)):
+    series = _identity([Invariants.of(P2(d)) for d in ds], delta_max)
+    fits = {dl: fit_node_polynomial("p2", dl) for dl in range(1, delta_max + 1)}
+    for d, S in zip(ds, series):
         nv = node_values(fits, delta_max, m=1, d=d)
         for delta in range(delta_max + 1):
             if d < delta:
@@ -336,19 +337,16 @@ def _check_cross_engine(table, cmax=4, dmax=4, mmax=2, deltamax=3) -> Conjecture
         "cross_engine",
         {"cmax": cmax, "dmax": dmax, "mmax": mmax, "deltamax": deltamax},
     )
-    for m in range(mmax + 1):
-        for c in range(cmax + 1):
-            # s(c, m, d) is a prefix of s(c, m, dmax), so one sweep gives the
-            # graph counts of every d, at counts[d + 1]; it runs at the first
-            # point, so that an empty range computes none
-            counts = None
-            for delta in range(deltamax, -1, -1):
-                for d in range(dmax, 0, -1):
-                    a = severi_degree(Sigma(m, c, d), delta, table=table)
-                    if counts is None:
-                        counts = refined_counts_by_prefix(s_beta(c, m, dmax), deltamax)
-                    _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
-                             a, counts[d + 1][delta], delta)
+    cms = [(c, m) for m in range(mmax + 1) for c in range(cmax + 1)]
+    # an empty range must not reach the sweep, which refuses delta < 0
+    counts = refined_counts_at([(c, m, d) for c, m in cms for d in range(1, dmax + 1)],
+                               deltamax) if deltamax >= 0 else {}
+    for c, m in cms:
+        for delta in range(deltamax, -1, -1):
+            for d in range(dmax, 0, -1):
+                _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
+                         severi_degree(Sigma(m, c, d), delta, table=table),
+                         counts[c, m, d][delta], delta)
     return rep
 
 
@@ -357,14 +355,14 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
     recursion (the graph route stalls at y = -1, order 12), each on the
     three bundles of solve_bundles, against the embedded tables."""
     rep = ConjectureReport("solveB", {"order": order, "order_minus1": order_minus1})
-    data = [(Invariants.of(b),
-             dict(enumerate(refined_counts(s_beta(b.c, b.m, b.d), order - 1))))
-            for b in solve_bundles(order)]
+    known = _b_tables(order) + _b_tables(order_minus1, y=-1)  # before any engine
+    bundles = solve_bundles(order)
+    counts = refined_counts_at([(b.c, b.m, b.d) for b in bundles], order - 1)
+    data = [(Invariants.of(b), dict(enumerate(counts[b.c, b.m, b.d]))) for b in bundles]
     wdata = engine_data(solve_bundles(order_minus1, -1), order_minus1, -1, table)
     sides = zip(("B1", "B2", "B1bar", "B2bar"), (order,) * 2 + (order_minus1,) * 2,
                 solve_universal_B(data, order)
-                + solve_universal_B(wdata, order_minus1, y=-1),
-                _b_tables(order) + _b_tables(order_minus1, y=-1))
+                + solve_universal_B(wdata, order_minus1, y=-1), known)
     for side, n, got, want in sides:
         diff = got.first_difference(want)
         rep.record({"side": side, "order": n}, diff is None,

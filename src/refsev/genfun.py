@@ -142,7 +142,9 @@ def in_regime(bundle, delta: int, y="sym") -> bool:
 def solve_bundles(order: int, y="sym"):
     """The bundles solve-B takes its data from at the given order and y:
     P^2(p), Sigma_0(s, s) and P^2(p + 1), with p >= 2 and s >= 1 the
-    smallest that keep every delta < order in_regime at y. Two bundles fix
+    smallest that keep every delta < order in_regime at y, but s + 1 where
+    3s = 2p (only at (p, s) = (3, 2)): there the (K^2, L.K) of the first
+    two, (9, -3p) and (8, -4s), are proportional. Any two bundles then fix
     B; the third overdetermines the solve, so data outside the regime
     raises instead of passing."""
     def smallest(bundle, start):
@@ -150,6 +152,8 @@ def solve_bundles(order: int, y="sym"):
                     if all(in_regime(bundle(n), dl, y) for dl in range(order)))
 
     p, s = smallest(P2, 2), smallest(lambda n: Sigma(0, n, n), 1)
+    if 3 * s == 2 * p:
+        s += 1
     return P2(p), Sigma(0, s, s), P2(p + 1)
 
 

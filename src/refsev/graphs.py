@@ -8,30 +8,29 @@ a graph is a unique arrangement of shifted templates, and its cogenus,
 multiplicity and P^s_beta are sums or products over them.
 
 This module provides the graph-side engine: enumeration by cogenus,
-multiplicities, the counts N^delta_beta by template composition
-(refined_counts_by_prefix, one transfer sum over template placements for
-every prefix of beta) and their log Q^delta_beta (q_log_count). The
-ordering count P_beta of one graph, its log transform Phi and the sum of
+multiplicities, the counts N^delta_beta by template composition for every
+prefix of beta (refined_counts_by_prefix) or at points s(c, m, d), one
+sweep per (c, m) (refined_counts_at), and their log Q^delta_beta
+(q_log_count). P_beta of one graph, its log transform Phi and the sum of
 N^delta_beta over all graphs are test oracles, kept in tests/oracles.py.
 
 P is a polynomial in the free fills f = beta - lambda: a dynamic
-programme over the edge classes on {per-gap fill vector: count}, run once
-per graph from an empty fill (_fill_weights), gives weights W(n) with n_g
-of the graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g)
-(_fill_sum). Q^delta is the t^delta coefficient of the log of the counts
-N^0, ..., N^delta, taken by q_log_of_counts. Beside the index table of
-_compositions, the memos that outlive a call are the template list of each
-cogenus and, beside it, its placement table (_placement_tables): the
-templates' weights summed per placement and load vector, which every
-refined_counts_by_prefix sweep reads, so a sweep makes no P call and one
-sweep serves every prefix of its beta.
+programme on {per-gap fill vector: count} that places the edges one at a
+time, run once per graph from an empty fill (_fill_weights), gives
+weights W(n) with n_g of the graph's edges in gap g, and P = sum_n W(n)
+prod_g C(f_g + n_g, n_g) (_fill_sum). Q^delta is the t^delta coefficient
+of the log of the counts N^0, ..., N^delta (q_log_of_counts). The memos
+that outlive a call are the template list of each cogenus and its
+read-only placement table (_placement_tables): the templates' weights
+summed per placement and load vector, which every sweep reads, so a sweep
+makes no P call and serves every prefix of its beta.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
-from math import comb, prod
+from collections import Counter
+from math import comb, factorial, prod
 
 from .qseries import QSeries
 from .ylaurent import ring_at
@@ -44,6 +43,7 @@ __all__ = [
     "refined_count",
     "refined_counts",
     "refined_counts_by_prefix",
+    "refined_counts_at",
     "q_log_count",
     "q_log_of_counts",
 ]
@@ -172,57 +172,45 @@ def enumerate_templates(delta: int) -> tuple:
 # -- ordering counts ----------------------------------------------------------
 
 
-def _edge_classes(G: LongEdgeGraph):
-    """Group identical edges: list of ((i, j, w), multiplicity)."""
-    return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
-
-
-@functools.cache
-def _compositions(n: int, parts: int) -> tuple:
-    """The ways to write n as an ordered sum of parts terms >= 0."""
-    if parts == 1:
-        return ((n,),)
-    return tuple((t,) + rest for t in range(n + 1)
-                 for rest in _compositions(n - t, parts - 1))
-
-
 def _fill_weights(G: LongEdgeGraph) -> dict:
     """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
-    gap g + 1, by the fill-vector programme from an empty fill.
-
-    Placing t copies of a class into a gap that holds f edges multiplies
-    by C(f + t, t), which depends on the placement only through the fill
-    f; so this is a dynamic programme over the edge classes on {per-gap
-    fill vector: count}, merging the placements that reach the same fill.
-    """
+    gap g + 1, from an empty fill. The edges are placed one at a time as if
+    distinguishable: one put into a gap that holds f edges has f + 1 places
+    there, so the placements that reach the same fill merge; dividing by
+    the factorials of the multiplicities of identical edges then counts
+    each ordering once."""
     fills = {(0,) * len(G.loads()): 1}
-    for (i, j, _), mult in _edge_classes(G):
+    for i, j, _ in G.edges:
         placed: dict = {}
-        for fill, n in fills.items():
-            for ts in _compositions(mult, j - i):
-                f, c = list(fill), n
-                for g, t in enumerate(ts, i):
-                    if t:
-                        c *= comb(f[g] + t, t)
-                        f[g] += t
-                f = tuple(f)
-                placed[f] = placed.get(f, 0) + c
+        for fill, c in fills.items():
+            f = list(fill)
+            for g in range(i, j):
+                f[g] += 1
+                n = tuple(f)
+                placed[n] = placed.get(n, 0) + c * f[g]
+                f[g] -= 1
         fills = placed
-    return fills
+    sym = prod(map(factorial, Counter(G.edges).values()))
+    return {n: c // sym for n, c in fills.items()}
 
 
-def _fill_sum(weights: dict, free) -> int:
+def _fill_sum(weights, free) -> int:
     """sum_n W(n) prod_g C(free[g] + n[g], n[g]): P from the fill weights
-    of a graph and its free fills beta_g - lambda_g."""
+    (n, W(n)) of a graph and its free fills beta_g - lambda_g."""
     return sum(w * prod(map(comb, map(operator.add, free, n), n))
-               for n, w in weights.items())
+               for n, w in weights)
+
+
+def _pairs(table: dict) -> tuple:
+    """A nested dict as nested tuples of (key, value) pairs."""
+    return tuple((k, _pairs(v) if isinstance(v, dict) else v) for k, v in table.items())
 
 
 @functools.cache
-def _placement_tables(kappa: int) -> dict:
-    """(length, weights) -> {(eps0, eps1): {loads: {n: W}}}: the fill
-    weights of the templates of cogenus kappa, summed per placement and
-    load vector, for _table_sum."""
+def _placement_tables(kappa: int) -> tuple:
+    """The fill weights of the templates of cogenus kappa, summed per
+    placement and load vector, for _table_sum, in read-only pairs:
+    ((length, weights), ((eps0, eps1), ((loads, ((n, W), ...)), ...)), ...)."""
     tables: dict = {}
     for T in enumerate_templates(kappa):
         ell, e0, e1, weights = T.placement()
@@ -230,15 +218,15 @@ def _placement_tables(kappa: int) -> dict:
                   .setdefault(T.loads(), {}))
         for n, w in _fill_weights(T).items():
             summed[n] = summed.get(n, 0) + w
-    return tables
+    return _pairs(tables)
 
 
-def _table_sum(by_loads: dict, window) -> int:
+def _table_sum(by_loads, window) -> int:
     """The P sum under window of the templates of one _placement_tables
-    entry {loads: {n: W}}: a load vector above the window in any entry
-    leaves its templates not beta-allowable, and adds 0."""
+    entry ((loads, fill weights), ...): a load vector above the window in
+    any entry leaves its templates not beta-allowable, and adds 0."""
     return sum(_fill_sum(weights, tuple(map(operator.sub, window, loads)))
-               for loads, weights in by_loads.items()
+               for loads, weights in by_loads
                if all(map(operator.ge, window, loads)))
 
 
@@ -282,9 +270,9 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     beta = tuple(beta)
     n = len(beta)  # the last vertex, M + 1
     # a multiplicity of 0 (an even weight at y = -1) drops its templates
-    placements = [(ell, kappa, mu, tuple(classes.items()))
+    placements = [(ell, kappa, mu, classes)
                   for kappa in range(1, delta + 1)
-                  for (ell, weights), classes in _placement_tables(kappa).items()
+                  for (ell, weights), classes in _placement_tables(kappa)
                   if ell <= n and (mu := ring.multiplicity(weights))]
     # end[q][k], rest[q][k]: the (g, P sum, multiplicity) triples that sum
     # to the end row of q and to g[q][k] less it
@@ -314,6 +302,16 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
                     for k in range(delta + 1 - kappa):
                         if g[k]:
                             row[k + kappa].append((g[k], s, mu))
+
+
+def refined_counts_at(points, delta: int, y="sym") -> dict:
+    """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d) at y} over the points,
+    from one sweep per (c, m) at its largest d: s(c, m, d) is its prefix."""
+    rows: dict = {}
+    for c, m, d in sorted(points, key=lambda p: -p[2]):
+        if (c, m) not in rows:
+            rows[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta, y)
+    return {(c, m, d): rows[c, m][d + 1] for c, m, d in points}
 
 
 def refined_counts(beta, delta: int, y="sym") -> list:

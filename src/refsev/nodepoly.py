@@ -8,13 +8,15 @@ is polynomial in the bundle parameters once they are large enough:
   * of 1, c+d, cd on P^1 x P^1;
   * of 1, m, d, dm, d^2m for d, m >= delta.
 
-Fits are exact (rational linear solves), always validated on held-out
-sample points, and exponentiate to node polynomials N_delta.
+Fits are exact (rational linear solves) of the Q_delta of the graph
+counts, which graphs.refined_counts_at takes from one sweep per (c, m) of
+the sample points; they are always validated on held-out sample points,
+and exponentiate to node polynomials N_delta.
 """
 from __future__ import annotations
 
 from .caporaso import SurfaceBundle
-from .graphs import q_log_of_counts, refined_counts_by_prefix, s_beta
+from .graphs import q_log_of_counts, refined_counts_at
 from .linalg import solve_exact
 from .qseries import QSeries
 from .rationals import QQ
@@ -87,21 +89,12 @@ class NodePolynomial:
         )
 
 
-def _engine_q(points, delta: int) -> dict:
-    """{(c, m, d): Q_delta of s(c, m, d)} over the points. s(c, m, d) is a
-    prefix of s(c, m, dmax), so one sweep per (c, m), at its largest d,
-    gives the counts of every d, at row d + 1."""
-    sweeps: dict = {}
-    for c, m, d in sorted(points, key=lambda p: -p[2]):
-        if (c, m) not in sweeps:
-            sweeps[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta)
-    return {(c, m, d): q_log_of_counts(sweeps[c, m][d + 1]) for c, m, d in points}
-
-
 def _fit(family: str, delta: int, probes, holdout):
-    """Solve Q_delta = sum coeff_i * monomial_i on probes; verify holdout."""
+    """Solve Q_delta = sum coeff_i * monomial_i on probes; verify holdout.
+    Both read the counts of one refined_counts_at call."""
     basis = BASES[family]
-    q = _engine_q(probes + holdout, delta)
+    q = {p: q_log_of_counts(counts)
+         for p, counts in refined_counts_at(probes + holdout, delta).items()}
     A = [[QQ(_MONOMIALS[name](c, m, d)) for name in basis] for c, m, d in probes]
     coeffs = solve_exact(A, [q[p] for p in probes])
     np = NodePolynomial(family, delta, basis, coeffs,

@@ -6,8 +6,9 @@ lambda_bar_j, template test and (semi-, strict) beta-allowability; the
 ordering count P_beta (or P^s_beta) from its fill weights; Phi_beta (or
 Phi^s) by the integer Euler operator recursion, and its affine-linear fit
 in beta. Against these: ordering counts by distinguishable edge instances
-and by the fill-vector programme from the free fills beta - lambda, and
-Phi by its literal partition sum. For the graph engine's counts the
+and by the fill-vector programme over the edge classes, whose run from an
+empty fill is the reference for the engine's edge-by-edge fill weights,
+and Phi by its literal partition sum. For the graph engine's counts the
 all-graph sum for N^delta_beta and Q^delta_beta by the template sum of
 Phi; for the floor diagrams (floor_diagrams.py) the literal orbit count of
 markings; for the generating function its form (1), the q-series product;
@@ -22,8 +23,6 @@ from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
-    _compositions,
-    _edge_classes,
     _fill_sum,
     _fill_weights,
     _refuse_negative,
@@ -113,7 +112,8 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
         return 0
     # beta is at least as long as the loads, so map stops at the last gap
-    return _fill_sum(_fill_weights(G), tuple(map(operator.sub, beta, G.loads())))
+    return _fill_sum(_fill_weights(G).items(),
+                     tuple(map(operator.sub, beta, G.loads())))
 
 
 @functools.cache
@@ -257,14 +257,26 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     return q
 
 
-def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int:
-    """The fill-vector programme over the edge classes, started from the
-    free fills beta_g - lambda_g: placing t copies of a class into a gap
-    holding f edges multiplies by C(f + t, t)."""
-    if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
-        return 0
-    fills = {tuple(b - l for b, l
-                   in itertools.zip_longest(beta, G.loads(), fillvalue=0)): 1}
+def _edge_classes(G: LongEdgeGraph):
+    """Group identical edges: list of ((i, j, w), multiplicity)."""
+    return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
+
+
+@functools.cache
+def _compositions(n: int, parts: int) -> tuple:
+    """The ways to write n as an ordered sum of parts terms >= 0."""
+    if parts == 1:
+        return ((n,),)
+    return tuple((t,) + rest for t in range(n + 1)
+                 for rest in _compositions(n - t, parts - 1))
+
+
+def fill_programme(G: LongEdgeGraph, start) -> dict:
+    """The fill-vector programme over the edge classes from the per-gap
+    fills start: placing t copies of a class into a gap holding f edges
+    multiplies by C(f + t, t), and the placements that reach the same fill
+    merge. {fill: count}; from an empty fill, the fill weights of G."""
+    fills = {tuple(start): 1}
     for (i, j, _), mult in _edge_classes(G):
         placed: dict = {}
         for fill, n in fills.items():
@@ -277,7 +289,15 @@ def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int
                 f = tuple(f)
                 placed[f] = placed.get(f, 0) + c
         fills = placed
-    return sum(fills.values())
+    return fills
+
+
+def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+    """The class programme started from the free fills beta_g - lambda_g."""
+    if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
+        return 0
+    return sum(fill_programme(G, (b - l for b, l in itertools.zip_longest(
+        beta, G.loads(), fillvalue=0))).values())
 
 
 def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):

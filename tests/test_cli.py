@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from refsev import cli, modular
+from refsev import cli, conjectures, modular
 from refsev.cache import MAGIC
 from refsev.cli import main
 from refsev.qseries import QSeries
@@ -313,6 +313,27 @@ def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--id", "solveB", "--order", "19"], "error: B tables are only trusted to q^17"),
+    (["--id", "solveB", "--order-minus1", "32"],
+     "error: Bbar tables are only trusted to q^30"),
+    (["--id", "refpol", "--deltamax", "17"], "error: B tables are only trusted to q^17"),
+])
+def test_verify_reads_its_tables_before_any_engine(args, message, capsys, monkeypatch):
+    # a range past the tables is refused before the graph engine, the
+    # recursion or a fit runs: solveB at order 19 would first build the
+    # templates of cogenus 18, and refpol would first fit 17 polynomials
+    def engine(*args, **kwargs):
+        raise AssertionError("an engine ran before the tables were read")
+
+    for name in ("refined_counts_at", "engine_data", "fit_node_polynomial",
+                 "severi_degree"):
+        monkeypatch.setattr(conjectures, name, engine)
+    assert main(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
 
 
 def test_cache_file_cold_warm(tmp_path):

@@ -212,13 +212,13 @@ def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
     # tables and build each cogenus's table once over the whole check
     grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
     sweeps = []
-    sweep = conjectures.refined_counts_by_prefix
+    sweep = graphs.refined_counts_by_prefix
 
     def sweeping(beta, delta, y="sym"):
         sweeps.append((tuple(beta), delta))
         return sweep(beta, delta, y)
 
-    monkeypatch.setattr(conjectures, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
     graphs._placement_tables.cache_clear()
     rep = check_conjecture("cross_engine", table=chtable, **grid)
     assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
@@ -233,41 +233,61 @@ def test_solve_b_small(chtable):
 
 def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
     # the refined side solves from the graph counts of exactly the three
-    # bundles of solve_bundles, with no node-polynomial fit
-    order, read = 6, []
-    real = conjectures.refined_counts
+    # bundles of solve_bundles, with no node-polynomial fit: P^2(p) and
+    # P^2(p + 1) from one sweep of s(0, 1, p + 1), Sigma_0(s, s) from one
+    # of its own
+    order, read, sweeps = 6, [], []
+    real, sweep = conjectures.refined_counts_at, graphs.refined_counts_by_prefix
 
-    def spy(beta, delta, y="sym"):
-        read.append((tuple(beta), delta, y))
-        return real(beta, delta, y)
+    def spy(points, delta, y="sym"):
+        read.append((list(points), delta, y))
+        return real(points, delta, y)
+
+    def sweeping(beta, delta, y="sym"):
+        sweeps.append((tuple(beta), delta))
+        return sweep(beta, delta, y)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("solveB fitted a node polynomial")
 
-    monkeypatch.setattr(conjectures, "refined_counts", spy)
+    monkeypatch.setattr(conjectures, "refined_counts_at", spy)
+    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
     monkeypatch.setattr(conjectures, "fit_node_polynomial", no_fit)
     rep = check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
     assert rep.ok, rep.summary()
-    assert read == [(s_beta(b.c, b.m, b.d), order - 1, "sym")
-                    for b in solve_bundles(order)]
     assert solve_bundles(order) == (P2(4), Sigma(0, 3, 3), P2(5))
+    assert read == [([(0, 1, 4), (3, 0, 3), (0, 1, 5)], order - 1, "sym")]
+    assert sweeps == [(s_beta(0, 1, 5), order - 1), (s_beta(3, 0, 3), order - 1)]
+
+
+def _solve_b_with_one_wrong_count(chtable, monkeypatch, order, bundle):
+    """solveB at order with the last graph count of bundle raised by 1."""
+    real, wrong = conjectures.refined_counts_at, (bundle.c, bundle.m, bundle.d)
+
+    def perturbed(points, delta, y="sym"):
+        counts = real(points, delta, y)
+        counts[wrong] = [*counts[wrong][:-1], counts[wrong][-1] + YLaurent.const(1)]
+        return counts
+
+    monkeypatch.setattr(conjectures, "refined_counts_at", perturbed)
+    return check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
 
 
 @pytest.mark.parametrize("bundle", solve_bundles(6))
 def test_solve_b_refuses_one_perturbed_graph_count(chtable, monkeypatch, bundle):
     # the third bundle overdetermines the solve, so one wrong count of any
     # of the three raises instead of giving a B that passes or fails
-    real, wrong = conjectures.refined_counts, s_beta(bundle.c, bundle.m, bundle.d)
-
-    def perturbed(beta, delta, y="sym"):
-        counts = real(beta, delta, y)
-        if tuple(beta) == wrong:
-            counts = [*counts[:-1], counts[-1] + YLaurent.const(1)]
-        return counts
-
-    monkeypatch.setattr(conjectures, "refined_counts", perturbed)
     with pytest.raises(ValueError, match="inconsistent"):
-        check_conjecture("solveB", table=chtable, order=6, order_minus1=3)
+        _solve_b_with_one_wrong_count(chtable, monkeypatch, 6, bundle)
+
+
+def test_solve_b_at_order_5_refuses_a_wrong_p2_4_count(chtable, monkeypatch):
+    # at order 5 the rules give P^2(3) and Sigma_0(2, 2), whose (K^2, L.K)
+    # are proportional, so P^2(4) only restored the rank and a wrong P^2(4)
+    # count gave a FAIL at q^4; with Sigma_0(3, 3) it raises
+    assert solve_bundles(5) == (P2(3), Sigma(0, 3, 3), P2(4))
+    with pytest.raises(ValueError, match="inconsistent"):
+        _solve_b_with_one_wrong_count(chtable, monkeypatch, 5, P2(4))
 
 
 @pytest.mark.parametrize("conj_id, defaults", [

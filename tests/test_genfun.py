@@ -181,6 +181,28 @@ def test_regime_rule_is_met_inside_and_fails_just_outside(chtable, inside, outsi
     assert engine(outside) != S_out.coeff_at(delta)
 
 
+@pytest.mark.parametrize("bundle, y, rule, edge", [
+    (Sigma(0, 1, 1), "sym", 2, 3),
+    (Sigma(0, 1, 1), 1, 2, 3),
+    (Sigma(0, 2, 2), -1, 6, 8),
+])
+def test_regime_edges_past_the_rules_are_recorded(chtable, bundle, y, rule, edge):
+    # the P^1 x P^1 rules are conservative: in_regime ends at delta = rule,
+    # while the recursion equals form (2) through delta = edge and first
+    # differs at edge + 1; recorded here, the rules are not widened
+    K = edge + 3
+    B = ((b_bar_series(1, K), b_bar_series(2, K)) if y == -1 else
+         (b_series(1, K).specialize_y(y), b_series(2, K).specialize_y(y)))
+    S, = reform_eval([Invariants.of(bundle)], *B, edge + 1, y=y)
+    agrees = []
+    for delta in range(edge + 2):
+        value = severi_degree(bundle, delta, y=y, table=chtable)
+        agrees.append((value if y == "sym" else YLaurent.const(value)) == S.coeff_at(delta))
+    assert [in_regime(bundle, delta, y) for delta in range(edge + 2)] == [
+        delta <= rule for delta in range(edge + 2)]
+    assert agrees == [True] * (edge + 1) + [False]
+
+
 def test_zero_cogenus_is_in_regime_for_p2_zero(chtable):
     # P^2(0) is in the regime at delta = 0, where the engine gives 1 as
     # form (2) does for every bundle, and outside it at delta = 1, where
@@ -202,7 +224,8 @@ def test_in_regime_refuses_a_bundle_without_a_rule(bundle):
 def test_solve_bundles_smallest_in_regime():
     # P^2(p), Sigma_0(s, s) and the overdetermining P^2(p + 1): every
     # delta < order in the regime at y, and p >= 2, s >= 1 the smallest
-    # that keep it so
+    # that keep it so, but for s = 2 at p = 3, where Sigma_0(2, 2)'s
+    # (K^2, L.K) = (8, -8) is proportional to P^2(3)'s (9, -9)
     def covers(bundle, order, y):
         return all(in_regime(bundle, dl, y) for dl in range(order))
 
@@ -212,7 +235,9 @@ def test_solve_bundles_smallest_in_regime():
         assert (p2, s0, p2_next) == (P2(p), Sigma(0, s, s), P2(p + 1))
         assert all(covers(b, order, y) for b in (p2, s0, p2_next))
         assert p == 2 or not covers(P2(p - 1), order, y)
-        assert s == 1 or not covers(Sigma(0, s - 1, s - 1), order, y)
+        assert 3 * s != 2 * p
+        assert (s == 1 or not covers(Sigma(0, s - 1, s - 1), order, y)
+                or (p, s) == (3, 3))
         if y != -1:
             # Block's threshold delta <= 2p - 2 over every delta < order
             assert p == max(order // 2 + 1, 2)

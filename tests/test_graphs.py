@@ -20,6 +20,7 @@ from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
 
 from oracles import (
+    _edge_classes,
     beta_allowable,
     beta_semiallowable,
     cogenus,
@@ -27,6 +28,7 @@ from oracles import (
     count_orderings_bruteforce,
     count_orderings_fill_dp,
     eval_phi_linear,
+    fill_programme,
     fit_phi_linear,
     is_template,
     lambda_bar_j,
@@ -224,7 +226,7 @@ def test_orderings_match_bruteforce(delta):
              (2, 2, 2, 2, 2), (3, 2, 4, 2, 3), (5, 5, 5, 5, 5), (1, 2, 3, 4, 5)]
     merged = 0
     for G in enumerate_graphs(delta, 5):
-        merging = any(n > 1 and j - i > 1 for (i, j, _), n in graphs._edge_classes(G))
+        merging = any(n > 1 and j - i > 1 for (i, j, _), n in _edge_classes(G))
         for beta in betas:
             for strict in (False, True):
                 got = count_orderings(G, beta, strict)
@@ -259,6 +261,30 @@ def test_orderings_match_fill_dp_on_templates(kappa):
                         G, b, strict), (G, b, strict)
 
 
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
+def test_fill_weights_equal_the_class_programme(kappa):
+    # the engine places one edge at a time and divides by the factorials
+    # of the multiplicities; the oracle places each class of identical
+    # edges at once; from an empty fill both give the weights W(n)
+    for T in enumerate_templates(kappa):
+        assert graphs._fill_weights(T) == fill_programme(T, (0,) * len(T.loads())), T
+
+
+def test_placement_tables_cannot_be_changed():
+    # a process-lifetime memo hands out tuples of pairs at every level, so
+    # an attempt to change what a caller holds raises
+    tables = graphs._placement_tables(3)
+    level = [tables]
+    for _ in range(4):  # placements, ends, load vectors, fill weights
+        assert all(type(t) is tuple and all(type(pair) is tuple and len(pair) == 2
+                                            for pair in t) for t in level)
+        with pytest.raises(TypeError):
+            level[0][0] = level[0][0]
+        level = [value for t in level for _, value in t]
+    assert level and all(type(w) is int for w in level)
+    assert graphs._placement_tables(3) is tables
+
+
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
 def test_placement_tables_sum_their_templates(kappa):
     # each entry of the table, at each window, is the sum of the P of the
@@ -268,13 +294,13 @@ def test_placement_tables_sum_their_templates(kappa):
     for T in enumerate_templates(kappa):
         ell, e0, e1, weights = T.placement()
         groups.setdefault((ell, weights, e0, e1), []).append(T)
-    tables = graphs._placement_tables(kappa)
+    tables = {key: dict(classes) for key, classes in graphs._placement_tables(kappa)}
     assert sorted(groups) == sorted((ell, weights, e0, e1)
                                     for (ell, weights), classes in tables.items()
                                     for e0, e1 in classes)
     for (ell, weights, e0, e1), ts in groups.items():
         by_loads = tables[ell, weights][e0, e1]
-        assert sorted(by_loads) == sorted({T.loads() for T in ts})
+        assert sorted(loads for loads, _ in by_loads) == sorted({T.loads() for T in ts})
         for beta in {b[:ell] for T in ts for b in _windows(T) if len(b) >= ell}:
             assert graphs._table_sum(by_loads, beta) == sum(
                 count_orderings_fill_dp(T, beta) for T in ts), (ts, beta)

@@ -81,13 +81,13 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
     # among them, and each value is the engine's; the five share the
     # placement table of each cogenus
     sweeps = []
-    sweep = nodepoly.refined_counts_by_prefix
+    sweep = graphs.refined_counts_by_prefix
 
     def sweeping(beta, delta, y="sym"):
         sweeps.append((tuple(beta), delta))
         return sweep(beta, delta, y)
 
-    monkeypatch.setattr(nodepoly, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
     graphs._placement_tables.cache_clear()
     fits = {}
     for delta in range(1, 6):
@@ -107,16 +107,16 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
 
 
 def test_held_out_mismatch_rejects_the_fit(monkeypatch):
-    # one perturbed held-out engine value (p2, delta = 1 validates on
+    # one perturbed held-out engine count (p2, delta = 1 validates on
     # d = 4, 5, 6) rejects the fit and names the point
-    real = nodepoly._engine_q
+    real = nodepoly.refined_counts_at
 
-    def perturbed(points, delta):
-        values = real(points, delta)
-        values[0, 1, 5] = values[0, 1, 5] + YLaurent.const(1)
-        return values
+    def perturbed(points, delta, y="sym"):
+        counts = real(points, delta, y)
+        counts[0, 1, 5] = [*counts[0, 1, 5][:-1], counts[0, 1, 5][-1] + YLaurent.const(1)]
+        return counts
 
-    monkeypatch.setattr(nodepoly, "_engine_q", perturbed)
+    monkeypatch.setattr(nodepoly, "refined_counts_at", perturbed)
     with pytest.raises(ValueError, match=r"held-out mismatch for p2 delta=1 at "
                                          r"\(c,m,d\)=\(0,1,5\): fit rejected"):
         fit_node_polynomial("p2", 1)
