@@ -304,13 +304,13 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
                             row[k + kappa].append((g[k], s, mu))
 
 
-def refined_counts_at(points, delta: int, y="sym") -> dict:
-    """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d) at y} over the points,
+def refined_counts_at(points, delta: int) -> dict:
+    """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d)} at 'sym' over the points,
     from one sweep per (c, m) at its largest d: s(c, m, d) is its prefix."""
     rows: dict = {}
     for c, m, d in sorted(points, key=lambda p: -p[2]):
         if (c, m) not in rows:
-            rows[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta, y)
+            rows[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta)
     return {(c, m, d): rows[c, m][d + 1] for c, m, d in points}
 
 

@@ -19,7 +19,7 @@ import itertools
 import operator
 from math import comb, factorial, prod
 
-from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _marking_classes
+from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _compositions, _marking_classes
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
@@ -260,15 +260,6 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
 def _edge_classes(G: LongEdgeGraph):
     """Group identical edges: list of ((i, j, w), multiplicity)."""
     return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
-
-
-@functools.cache
-def _compositions(n: int, parts: int) -> tuple:
-    """The ways to write n as an ordered sum of parts terms >= 0."""
-    if parts == 1:
-        return ((n,),)
-    return tuple((t,) + rest for t in range(n + 1)
-                 for rest in _compositions(n - t, parts - 1))
 
 
 def fill_programme(G: LongEdgeGraph, start) -> dict:

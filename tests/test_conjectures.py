@@ -239,9 +239,9 @@ def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
     order, read, sweeps = 6, [], []
     real, sweep = conjectures.refined_counts_at, graphs.refined_counts_by_prefix
 
-    def spy(points, delta, y="sym"):
-        read.append((list(points), delta, y))
-        return real(points, delta, y)
+    def spy(points, delta):
+        read.append((list(points), delta))
+        return real(points, delta)
 
     def sweeping(beta, delta, y="sym"):
         sweeps.append((tuple(beta), delta))
@@ -256,7 +256,7 @@ def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
     rep = check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
     assert rep.ok, rep.summary()
     assert solve_bundles(order) == (P2(4), Sigma(0, 3, 3), P2(5))
-    assert read == [([(0, 1, 4), (3, 0, 3), (0, 1, 5)], order - 1, "sym")]
+    assert read == [([(0, 1, 4), (3, 0, 3), (0, 1, 5)], order - 1)]
     assert sweeps == [(s_beta(0, 1, 5), order - 1), (s_beta(3, 0, 3), order - 1)]
 
 
@@ -264,8 +264,8 @@ def _solve_b_with_one_wrong_count(chtable, monkeypatch, order, bundle):
     """solveB at order with the last graph count of bundle raised by 1."""
     real, wrong = conjectures.refined_counts_at, (bundle.c, bundle.m, bundle.d)
 
-    def perturbed(points, delta, y="sym"):
-        counts = real(points, delta, y)
+    def perturbed(points, delta):
+        counts = real(points, delta)
         counts[wrong] = [*counts[wrong][:-1], counts[wrong][-1] + YLaurent.const(1)]
         return counts
 

@@ -111,8 +111,8 @@ def test_held_out_mismatch_rejects_the_fit(monkeypatch):
     # d = 4, 5, 6) rejects the fit and names the point
     real = nodepoly.refined_counts_at
 
-    def perturbed(points, delta, y="sym"):
-        counts = real(points, delta, y)
+    def perturbed(points, delta):
+        counts = real(points, delta)
         counts[0, 1, 5] = [*counts[0, 1, 5][:-1], counts[0, 1, 5][-1] + YLaurent.const(1)]
         return counts
 
