@@ -5,7 +5,7 @@ graphs), plus generating-function verification; the brute-force oracles,
 floor diagrams among them, live in tests/."""
 
 from .caporaso import CHTable, P2, P11m, Sigma, SurfaceBundle, \
-    relative_degree, severi_degree, welschinger_degree
+    relative_degree, severi_degree, severi_degrees, welschinger_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .graphs import LongEdgeGraph, q_log_count, refined_count, refined_counts, s_beta
 from .modular import named_series, verify_series_identity
@@ -19,6 +19,7 @@ __all__ = [
     "P11m", "QSeries", "Sigma", "SurfaceBundle", "YLaurent",
     "check_conjecture", "compose", "compose_inverse", "named_series",
     "q_log_count", "qnum", "refined_count", "refined_counts",
-    "relative_degree", "s_beta", "severi_degree", "verify_series_identity",
+    "relative_degree", "s_beta", "severi_degree", "severi_degrees",
+    "verify_series_identity",
     "welschinger_degree", "__version__",
 ]

@@ -1,10 +1,14 @@
 """The refined Caporaso-Harris recursion for P^2, P(1,1,m) and Sigma_m.
 
-States are (m, c, d, delta, alpha, beta) with I(alpha) + I(beta) = HL,
-HL the lattice length c + m*d of the bottom edge of Delta_{c,m,d}. P^2 and
-P(1,1,m) run through the Sigma_m states with c = 0 (same polygons, same
-degrees); the recursion terminates at the fiber bundles (d = 0): the count
-is 1 exactly for delta = 0, beta = 0 and alpha = c simple contacts.
+States are (m, c, d, alpha, beta) with I(alpha) + I(beta) = HL, HL the
+lattice length c + m*d of the bottom edge of Delta_{c,m,d}. The value of a
+state is a row [N^0, ..., N^D] over delta: a state asked to D walks its
+children, alpha splits and beta lists once for the whole row and sums the
+terms of each delta once, so a caller asks a bundle once, at the largest
+delta it reads. P^2 and P(1,1,m) run through the Sigma_m states with c = 0
+(same polygons, same degrees); the recursion terminates at the fiber
+bundles (d = 0): the count is 1 exactly for delta = 0, beta = 0 and
+alpha = c simple contacts.
 
 The recursion runs once, over a value ring (ylaurent.YRing) chosen by y:
 'sym' computes exact Laurent polynomials in y; 1 and -1 compute their
@@ -34,6 +38,7 @@ __all__ = [
     "CHTable",
     "relative_degree",
     "severi_degree",
+    "severi_degrees",
     "welschinger_degree",
     "canon_seq",
     "iseq",
@@ -129,11 +134,11 @@ def Sigma(m: int, c: int, d: int) -> SurfaceBundle:
 class CHTable:
     """Memo for recursion values, optionally backed by an append-only store.
 
-    Entries are immutable once written; recomputation of a key reproduces
-    the stored value bit for bit (asserted in the test suite). The table
-    also owns the lists the recursion's second sum reads (_splits per
-    alpha, _gammas per (R, emax)): they hold sequences and integers, no
-    ring values, so they serve every ring and never reach the store.
+    memo[y] maps a state to its row, filled in ascending delta. Entries are
+    immutable once written; recomputation of a key reproduces the stored
+    value bit for bit (asserted in the test suite). The table also owns the
+    lists the second sum reads (_splits per (alpha, bound), _gammas per
+    (R, emax), _children per (y, beta, R, emax)), none of them stored.
     """
 
     def __init__(self, store: CacheStore | None = None):
@@ -141,6 +146,7 @@ class CHTable:
         self.store = store
         self.splits: dict = {}
         self.gammas: dict = {}
+        self.children: dict = {}
 
     @staticmethod
     def _store_key(y, key) -> str:
@@ -149,27 +155,35 @@ class CHTable:
         b = ",".join(map(str, beta))
         return f"{y}|{m}|{c}|{d}|{delta}|{a}|{b}"
 
-    def lookup(self, y, key):
-        hit = self.memo[y].get(key)
-        if hit is not None:
-            return hit
-        if self.store is not None:
-            skey = self._store_key(y, key)
+    def lookup(self, y, state, delta):
+        """The row held for state = (m, c, d, alpha, beta), or None: the
+        memo's, extended from the store one delta at a time up to delta,
+        until the first miss."""
+        row = self.memo[y].get(state)
+        if self.store is None:
+            return row
+        row = [] if row is None else row
+        m, c, d, alpha, beta = state
+        while len(row) <= delta:
+            skey = self._store_key(y, (m, c, d, len(row), alpha, beta))
             payload = self.store.get(skey)
-            if payload is not None:
-                try:
-                    val = ring_at(y).decode(payload)
-                except (ValueError, TypeError, ZeroDivisionError):
-                    # undecodable: a miss, so the recomputed value is
-                    # appended and wins on the next open
-                    self.store.forget(skey)
-                    return None
-                self.memo[y][key] = val
-                return val
-        return None
+            if payload is None:
+                break
+            try:
+                row.append(ring_at(y).decode(payload))
+            except (ValueError, TypeError, ZeroDivisionError):
+                # undecodable: a miss, so the recomputed value is
+                # appended and wins on the next open
+                self.store.forget(skey)
+                break
+        if row:
+            self.memo[y][state] = row
+        return row or None
 
     def insert(self, y, key, value):
-        self.memo[y][key] = value
+        """Append N^delta of key = (m, c, d, delta, alpha, beta) to its row."""
+        m, c, d, _, alpha, beta = key
+        self.memo[y].setdefault((m, c, d, alpha, beta), []).append(value)
         if self.store is not None:
             self.store.put(self._store_key(y, key), ring_at(y).encode(value))
 
@@ -177,14 +191,18 @@ class CHTable:
         if self.store is not None:
             self.store.flush()
 
-    def _splits(self, alpha) -> list:
+    def _splits(self, alpha, bound) -> list:
         """(alpha' stripped, I(alpha'), prod_i C(alpha_i, alpha'_i)) for
-        every alpha' <= alpha, in itertools.product order."""
-        hit = self.splits.get(alpha)
+        every alpha' <= alpha with I(alpha') <= bound (every alpha' for
+        bound None), in itertools.product order."""
+        hit = self.splits.get((alpha, bound))
         if hit is None:
-            hit = self.splits[alpha] = [
-                (_strip(a2), iseq(a2), prod(map(comb, alpha, a2)))
-                for a2 in itertools.product(*[range(x + 1) for x in alpha])]
+            if bound is None:
+                hit = [(_strip(a2), iseq(a2), prod(map(comb, alpha, a2)))
+                       for a2 in itertools.product(*[range(x + 1) for x in alpha])]
+            else:
+                hit = [s for s in self._splits(alpha, None) if s[1] <= bound]
+            self.splits[alpha, bound] = hit
         return hit
 
     def _gammas(self, R: int, emax: int) -> list:
@@ -205,6 +223,23 @@ class CHTable:
                     for p in mu:
                         gam[p + 1] = gam.get(p + 1, 0) + 1
                     hit.append((e, tuple(gam.items()), max(gam, default=0)))
+        return hit
+
+    def _children(self, ring, beta, R: int, emax: int) -> list:
+        """(f, C(beta', beta), e, beta' = beta + gamma') per (e, gamma') of
+        _gammas(R, emax) whose f = prod [gamma'_i]_y is nonzero in ring."""
+        hit = self.children.get((ring.y, beta, R, emax))
+        if hit is None:
+            hit = self.children[ring.y, beta, R, emax] = []
+            for e, gam, top in self._gammas(R, emax):
+                f = ring.qnum_prod(gam)
+                if not f:
+                    continue
+                b2 = list(beta) + [0] * (top - len(beta))
+                for i, gi in gam:
+                    b2[i - 1] += gi
+                # b2 ends in a positive entry, the last of beta or gamma'
+                hit.append((f, prod(map(comb, b2, beta)), e, tuple(b2)))
         return hit
 
 
@@ -251,82 +286,67 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
     if old < 50000:
         sys.setrecursionlimit(50000)
     try:
-        return _N(s.m, s.c, s.d, delta, alpha, beta, ring, table)
+        return _N(s.m, s.c, s.d, delta, alpha, beta, ring, table)[delta]
     finally:
         sys.setrecursionlimit(old)
 
 
-def _N(m, c, d, delta, alpha, beta, ring, table):
-    key = (m, c, d, delta, alpha, beta)
+def _N(m, c, d, D, alpha, beta, ring, table):
+    """The table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D."""
+    state = (m, c, d, alpha, beta)
     y = ring.y
-    hit = table.lookup(y, key)
-    if hit is not None:
-        return hit
+    row = table.lookup(y, state, D)
+    lo = 0 if row is None else len(row)
+    if lo > D:
+        return row
 
-    # initial conditions: the fiber bundles cF on Sigma_m
-    if d == 0 and delta == 0 and not beta and alpha == _strip((c,)):
-        table.insert(y, key, ring.one)
-        return ring.one
-
-    dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
-    HL = c + m * d
-    gamma = dim - HL + sum(beta) - delta
-    if gamma <= 0:
-        table.insert(y, key, ring.zero)
-        return ring.zero
-
-    # the children as (factor, binomial, value) triples, summed once
-    terms = []
-    # first sum: trade one moving contact of order k for a fixed one
-    for k_idx, bk in enumerate(beta):
-        if not bk:
-            continue
-        k = k_idx + 1
-        f = ring.qnum_prod(((k, 1),))
-        if not f:
-            continue
-        a2 = list(alpha) + [0] * (k - len(alpha))
-        a2[k - 1] += 1
-        b2 = list(beta)
-        b2[k - 1] -= 1
-        # a2 ends in a positive entry; b2 may end in a zero
-        terms.append((f, 1, _N(m, c, d, delta, tuple(a2), _strip(b2), ring, table)))
+    # gamma = dim - HL + |beta| - delta is positive to top; past it N = 0
+    top = min(D, (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 2 - c - m * d + sum(beta))
+    # per delta in [lo, top], its children as (factor, binomial, value) triples
+    terms = [[] for _ in range(lo, top + 1)]
+    if terms:
+        # first sum: trade one moving contact of order k for a fixed one
+        for k_idx, bk in enumerate(beta):
+            if not bk:
+                continue
+            k = k_idx + 1
+            f = ring.qnum_prod(((k, 1),))
+            if not f:
+                continue
+            a2 = list(alpha) + [0] * (k - len(alpha))
+            a2[k - 1] += 1
+            b2 = list(beta)
+            b2[k - 1] -= 1
+            # a2 ends in a positive entry; b2 may end in a zero
+            child = _N(m, c, d, top, tuple(a2), _strip(b2), ring, table)
+            for t, v in zip(terms, child[lo:]):
+                t.append((f, 1, v))
 
     # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
     # the bottom of the tower. alpha' <= alpha and beta' = beta + gamma' with
     # I(gamma') = R = HL2 - I(alpha') - I(beta) in R - e parts, and
-    # delta' = delta - HL2 + R - e; an alpha' with R < 0 or no delta' >= 0
-    # is dropped. The children (f, C(beta', beta), delta', beta') depend on
-    # alpha' only through R, so they are built once per R.
-    if d > 0:
+    # delta' = delta - HL2 + R - e; _splits drops the alpha' with R < 0 or
+    # no delta' >= 0 at top. The children depend on alpha' only through R.
+    if terms and d > 0:
         HL2 = c + m * (d - 1)
         room = HL2 - iseq(beta)
-        by_R: dict = {}
-        for a2, ia2, ca in table._splits(alpha):
+        for a2, ia2, ca in table._splits(alpha, room + min(0, top - HL2)):
             R = room - ia2
-            emax = delta - HL2 + R
-            if R < 0 or emax < 0:
-                continue
-            children = by_R.get(R)
-            if children is None:
-                children = by_R[R] = []
-                for e, gam, top in table._gammas(R, emax):
-                    f = ring.qnum_prod(gam)
-                    if not f:
-                        continue
-                    b2 = list(beta) + [0] * (top - len(beta))
-                    for i, gi in gam:
-                        b2[i - 1] += gi
-                    # b2 ends in a positive entry, the last of beta or gamma'
-                    children.append((f, prod(map(comb, b2, beta)), emax - e,
-                                     tuple(b2)))
-            for f, cb, delta2, b2 in children:
-                terms.append((f, ca * cb,
-                              _N(m, c, d - 1, delta2, a2, b2, ring, table)))
+            emax = top - HL2 + R
+            for f, cb, e, b2 in table._children(ring, beta, R, emax):
+                child = _N(m, c, d - 1, emax - e, a2, b2, ring, table)
+                # delta' = 0 at delta = top - emax + e, index `at` of terms
+                at, k = top - emax + e - lo, ca * cb
+                for t, v in zip(terms[max(at, 0):], child[max(-at, 0):]):
+                    t.append((f, k, v))
 
-    total = ring.sum_products(terms)
-    table.insert(y, key, total)
-    return total
+    vals = [ring.sum_products(t) for t in terms] + [ring.zero] * (D - max(top, lo - 1))
+    # initial conditions: the fiber bundles cF on Sigma_m
+    if lo == 0 and d == 0 and not beta and alpha == _strip((c,)):
+        vals[0] = ring.one
+    for delta, v in enumerate(vals, lo):
+        table.insert(y, (m, c, d, delta, alpha, beta), v)
+    return table.memo[y][state]
 
 
 def severi_degree(s: SurfaceBundle, delta: int, y="sym",
@@ -335,6 +355,16 @@ def severi_degree(s: SurfaceBundle, delta: int, y="sym",
     and moving, i.e. alpha = 0, beta = (HL)."""
     beta = (s.HL,) if s.HL > 0 else ()
     return relative_degree(s, delta, (), beta, y=y, table=table)
+
+
+def severi_degrees(s: SurfaceBundle, delta_max: int, y="sym",
+                   table: CHTable | None = None) -> list:
+    """[N^0, ..., N^delta_max] of (S, L) at y, from one run of the
+    recursion; ask once, at the largest delta wanted."""
+    table = CHTable() if table is None else table
+    beta = (s.HL,) if s.HL > 0 else ()
+    relative_degree(s, delta_max, (), beta, y=y, table=table)
+    return table.memo[y][s.m, s.c, s.d, (), beta][:delta_max + 1]
 
 
 def welschinger_degree(s: SurfaceBundle, delta: int,

@@ -16,7 +16,7 @@ import sys
 
 from . import modular, tables
 from .cache import CacheStore, CacheVersionError
-from .caporaso import SURFACES, CHTable, Sigma, SurfaceBundle, relative_degree, severi_degree
+from .caporaso import SURFACES, CHTable, Sigma, SurfaceBundle, relative_degree, severi_degrees
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .genfun import engine_data, solve_bundles, solve_universal_B
 from .nodepoly import BASES, fit_node_polynomial
@@ -166,10 +166,15 @@ def compute_bundles(args) -> list:
 def _cmd_compute(args, table) -> list:
     bundles = compute_bundles(args)
     deltas = _parse_range(args.delta, "--delta")
+    if deltas[0] < 0:
+        raise ValueError("delta must be nonnegative")
     y = Y_VALUES[args.y]
-    return [({**params, "delta": delta, "y": args.y},
-             severi_degree(bundle, delta, y=y, table=table))
-            for params, bundle in bundles for delta in deltas]
+    out = []
+    for params, bundle in bundles:
+        # one row per bundle, to the largest delta asked
+        row = severi_degrees(bundle, deltas[-1], y=y, table=table)
+        out += [({**params, "delta": delta, "y": args.y}, row[delta]) for delta in deltas]
+    return out
 
 
 def _cmd_relative(args, table) -> list:

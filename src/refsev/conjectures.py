@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 
 from . import modular, tables
-from .caporaso import CHTable, P2, Sigma, severi_degree
+from .caporaso import CHTable, P2, Sigma, severi_degrees
 from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
 from .graphs import refined_counts_at
@@ -124,13 +124,16 @@ def _against(rep, table, cases, delta_max, factor=None, shift=0, y="sym",
     regime."""
     series = _identity([inv for _, _, inv in cases], delta_max, factor, shift, y)
     for (params, bundle, _), S in zip(cases, series):
-        for delta in range(delta_max + 1):
+        reasons = [skip and skip(params, delta) for delta in range(delta_max + 1)]
+        # one row, to the largest delta not skipped
+        checked = [delta for delta, reason in enumerate(reasons) if not reason]
+        row = severi_degrees(bundle, checked[-1], y=y, table=table) if checked else []
+        for delta, reason in enumerate(reasons):
             p = {**params, "delta": delta}
-            reason = skip and skip(params, delta)
             if reason:
                 rep.skip(p, reason)
                 continue
-            eng = severi_degree(bundle, delta, y=y, table=table)
+            eng = row[delta]
             _compare(rep, p, YLaurent.const(eng) if y != "sym" else eng,
                      S.coeff_at(delta + shift), delta)
 
@@ -147,6 +150,7 @@ def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
     fits = {dl: fit_node_polynomial("p2", dl) for dl in range(1, delta_max + 1)}
     for d, S in zip(ds, series):
         nv = node_values(fits, delta_max, m=1, d=d)
+        row = severi_degrees(P2(d), min(d, delta_max), table=table)
         for delta in range(delta_max + 1):
             if d < delta:
                 rep.skip({"d": d, "delta": delta}, "outside the polynomial regime")
@@ -154,9 +158,8 @@ def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
             gen = S.coeff_at(delta)
             _compare(rep, {"d": d, "delta": delta, "side": "fit"},
                      nv[delta], gen, delta)
-            eng = severi_degree(P2(d), delta, table=table)
             _compare(rep, {"d": d, "delta": delta, "side": "engine"},
-                     eng, gen, delta)
+                     row[delta], gen, delta)
     return rep
 
 
@@ -244,10 +247,11 @@ def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
         # only chi - 1 - delta - k^2 and the extraction exponent need to
         # land on the exponent lattice, and they do
         inv = Invariants(K2=8, LK=int(-4 * d), chi_L=qexp + 1)
+        row = severi_degrees(Sigma(2, k2, int(d - k)), delta_max, table=table)
         for delta in range(delta_max + 1):
-            eng = severi_degree(Sigma(2, k2, int(d - k)), delta, table=table)
             gen = reform_coefficient(inv, B1, B2, delta, R=R, shift=k * k)
-            _compare(rep, {"k": str(k), "d": str(d), "delta": delta}, eng, gen, delta)
+            _compare(rep, {"k": str(k), "d": str(d), "delta": delta}, row[delta], gen,
+                     delta)
     return rep
 
 
@@ -304,9 +308,10 @@ def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
                                  factor, shift, yv)
 
             def first_bad(S, d):
-                for delta in range(min(delta_max, 2 * (d - m)) + 1):
-                    eng = severi_degree(Sigma(1, m, d - m), delta, y=yv, table=table)
-                    gen = S.coeff_at(delta + shift)
+                top = min(delta_max, 2 * (d - m))
+                row = severi_degrees(Sigma(1, m, d - m), top, y=yv, table=table)
+                for delta in range(top + 1):
+                    eng, gen = row[delta], S.coeff_at(delta + shift)
                     if eng != gen:
                         return delta, eng, gen
                 return None
@@ -342,11 +347,12 @@ def _check_cross_engine(table, cmax=4, dmax=4, mmax=2, deltamax=3) -> Conjecture
     counts = refined_counts_at([(c, m, d) for c, m in cms for d in range(1, dmax + 1)],
                                deltamax) if deltamax >= 0 else {}
     for c, m in cms:
+        rows = {d: severi_degrees(Sigma(m, c, d), deltamax, table=table)
+                for d in range(dmax, 0, -1)} if deltamax >= 0 else {}
         for delta in range(deltamax, -1, -1):
             for d in range(dmax, 0, -1):
                 _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
-                         severi_degree(Sigma(m, c, d), delta, table=table),
-                         counts[c, m, d][delta], delta)
+                         rows[d][delta], counts[c, m, d][delta], delta)
     return rep
 
 

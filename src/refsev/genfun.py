@@ -27,7 +27,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .caporaso import P2, Sigma, severi_degree
+from .caporaso import P2, Sigma, severi_degrees
 from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
@@ -161,7 +161,7 @@ def engine_data(bundles, order: int, y, table):
     """The data solve_universal_B takes, from the recursion: per bundle
     (Invariants, {delta: degree at y}) for delta < order."""
     return [(Invariants.of(b),
-             {dl: severi_degree(b, dl, y=y, table=table) for dl in range(order)})
+             dict(enumerate(severi_degrees(b, order - 1, y=y, table=table))))
             for b in bundles]
 
 

@@ -13,13 +13,16 @@ all-graph sum for N^delta_beta and Q^delta_beta by the template sum of
 Phi; for the floor diagrams (floor_diagrams.py) the literal orbit count of
 markings; for the generating function its form (1), the q-series product;
 for the q-series kernel the term-by-term loops of the product, power,
-log, exp and composition."""
+log, exp and composition; for the recursion's rows over delta the
+Caporaso-Harris recursion one delta at a time."""
 import functools
 import itertools
 import operator
+import sys
 from math import comb, factorial, prod
 
 from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _compositions, _marking_classes
+from refsev.caporaso import CHTable, _strip, canon_seq, iseq
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
@@ -462,3 +465,129 @@ def compose_termwise(outer: QSeries, inner: QSeries) -> QSeries:
     for k in range(n - 1, -1, -1):
         acc = mul_termwise(acc, inner).truncate(n - k) + outer.coeff_index(k)
     return acc
+
+
+# -- the Caporaso-Harris recursion, one delta at a time ------------------------
+
+
+class ScalarTable(CHTable):
+    """A CHTable keyed per (state, delta), for the scalar recursion:
+    memo[y] maps (m, c, d, delta, alpha, beta) to N^delta, and a store, if
+    any, gets each value as it is inserted, under the keys of CHTable."""
+
+    def lookup(self, y, key):
+        hit = self.memo[y].get(key)
+        if hit is not None:
+            return hit
+        if self.store is not None:
+            payload = self.store.get(self._store_key(y, key))
+            if payload is not None:
+                val = self.memo[y][key] = ring_at(y).decode(payload)
+                return val
+        return None
+
+    def insert(self, y, key, value):
+        self.memo[y][key] = value
+        if self.store is not None:
+            self.store.put(self._store_key(y, key), ring_at(y).encode(value))
+
+    def _splits(self, alpha) -> list:
+        return CHTable._splits(self, alpha, None)
+
+
+def per_delta(memo) -> dict:
+    """The rows of a CHTable memo as a ScalarTable memo holds them:
+    {(m, c, d, delta, alpha, beta): N^delta}."""
+    return {(m, c, d, delta, alpha, beta): value
+            for (m, c, d, alpha, beta), row in memo.items()
+            for delta, value in enumerate(row)}
+
+
+def relative_degree_scalar(s, delta: int, alpha, beta, y="sym", table=None):
+    """N^{(S,L),delta}(alpha, beta) by the recursion asked for this delta
+    alone, each state (m, c, d, delta, alpha, beta) computed on its own."""
+    table = ScalarTable() if table is None else table
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 50000))
+    try:
+        return _N(s.m, s.c, s.d, delta, canon_seq(alpha), canon_seq(beta),
+                  ring_at(y), table)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def severi_degree_scalar(s, delta: int, y="sym", table=None):
+    return relative_degree_scalar(s, delta, (), (s.HL,) if s.HL > 0 else (), y, table)
+
+
+def _N(m, c, d, delta, alpha, beta, ring, table):
+    key = (m, c, d, delta, alpha, beta)
+    y = ring.y
+    hit = table.lookup(y, key)
+    if hit is not None:
+        return hit
+
+    # initial conditions: the fiber bundles cF on Sigma_m
+    if d == 0 and delta == 0 and not beta and alpha == _strip((c,)):
+        table.insert(y, key, ring.one)
+        return ring.one
+
+    dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
+    HL = c + m * d
+    gamma = dim - HL + sum(beta) - delta
+    if gamma <= 0:
+        table.insert(y, key, ring.zero)
+        return ring.zero
+
+    # the children as (factor, binomial, value) triples, summed once
+    terms = []
+    # first sum: trade one moving contact of order k for a fixed one
+    for k_idx, bk in enumerate(beta):
+        if not bk:
+            continue
+        k = k_idx + 1
+        f = ring.qnum_prod(((k, 1),))
+        if not f:
+            continue
+        a2 = list(alpha) + [0] * (k - len(alpha))
+        a2[k - 1] += 1
+        b2 = list(beta)
+        b2[k - 1] -= 1
+        # a2 ends in a positive entry; b2 may end in a zero
+        terms.append((f, 1, _N(m, c, d, delta, tuple(a2), _strip(b2), ring, table)))
+
+    # second sum: peel off the divisor H (d -> d-1); the fiber bundles are
+    # the bottom of the tower. alpha' <= alpha and beta' = beta + gamma' with
+    # I(gamma') = R = HL2 - I(alpha') - I(beta) in R - e parts, and
+    # delta' = delta - HL2 + R - e; an alpha' with R < 0 or no delta' >= 0
+    # is dropped. The children (f, C(beta', beta), delta', beta') depend on
+    # alpha' only through R, so they are built once per R.
+    if d > 0:
+        HL2 = c + m * (d - 1)
+        room = HL2 - iseq(beta)
+        by_R: dict = {}
+        for a2, ia2, ca in table._splits(alpha):
+            R = room - ia2
+            emax = delta - HL2 + R
+            if R < 0 or emax < 0:
+                continue
+            children = by_R.get(R)
+            if children is None:
+                children = by_R[R] = []
+                for e, gam, top in table._gammas(R, emax):
+                    f = ring.qnum_prod(gam)
+                    if not f:
+                        continue
+                    b2 = list(beta) + [0] * (top - len(beta))
+                    for i, gi in gam:
+                        b2[i - 1] += gi
+                    # b2 ends in a positive entry, the last of beta or gamma'
+                    children.append((f, prod(map(comb, b2, beta)), emax - e,
+                                     tuple(b2)))
+            for f, cb, delta2, b2 in children:
+                terms.append((f, ca * cb,
+                              _N(m, c, d - 1, delta2, a2, b2, ring, table)))
+
+    total = ring.sum_products(terms)
+    table.insert(y, key, total)
+    return total

@@ -7,7 +7,10 @@ import pytest
 from refsev.cache import CacheStore, CacheVersionError, MAGIC
 from refsev.caporaso import CHTable, P2, Sigma, severi_degree
 from refsev.cli import main
+from refsev.genfun import solve_bundles
 from refsev.ylaurent import ring_at
+
+from oracles import ScalarTable, per_delta, severi_degree_scalar
 
 
 def test_roundtrip(tmp_path):
@@ -137,7 +140,7 @@ def test_cold_vs_warm_identical(tmp_path):
     assert cold == warm
     # decoded payloads keep integral coefficients as plain ints
     assert all(type(c) is int
-               for v in t2.memo["sym"].values() for c in v.terms.values())
+               for v in per_delta(t2.memo["sym"]).values() for c in v.terms.values())
     # warm run must be pure lookups: nothing new appended
     size_before = os.path.getsize(p)
     t2.flush()
@@ -180,7 +183,7 @@ def test_integer_mode_payloads(tmp_path):
         t3 = CHTable(store=warm_store)
         warm = severi_degree(P2(4), 2, y=1, table=t3)
     assert type(warm) is int and warm == cold
-    assert t3.memo[1] and all(type(x) is int for x in t3.memo[1].values())
+    assert t3.memo[1] and all(type(x) is int for x in per_delta(t3.memo[1]).values())
 
 
 @pytest.mark.parametrize("y, payload", [
@@ -280,3 +283,24 @@ def test_cache_file_golden(tmp_path, capsys, golden, y):
     capsys.readouterr()
     expected = (Path(__file__).parent / "golden" / f"{golden}.cache").read_bytes()
     assert p.read_bytes() == expected
+
+
+@pytest.mark.parametrize("y", ["sym", -1], ids=["sym", "ym1"])
+def test_scalar_order_cache_read_warm(tmp_path, capsys, y):
+    # a cache written one (state, delta) at a time, in the order of the
+    # recursion asked for each delta alone, holds every record the rows
+    # read: solve-B reads it warm, prints what it prints without a cache
+    # and appends nothing
+    p = tmp_path / "F"
+    args = ["solve-B", "--order", "5", "--y", str(y)]
+    with CacheStore(str(p)) as store:
+        table = ScalarTable(store=store)
+        for bundle in solve_bundles(5, y):
+            for delta in range(5):
+                severi_degree_scalar(bundle, delta, y, table)
+    written = p.read_bytes()
+    assert main(args) == 0
+    clean = capsys.readouterr().out
+    assert main([*args, "--cache", str(p)]) == 0
+    assert capsys.readouterr().out == clean
+    assert p.read_bytes() == written

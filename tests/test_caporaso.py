@@ -14,6 +14,7 @@ from refsev.caporaso import (
     iseq,
     relative_degree,
     severi_degree,
+    severi_degrees,
     welschinger_degree,
 )
 from refsev.genfun import Invariants, engine_data, solve_bundles
@@ -22,6 +23,7 @@ from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
 
 from floor_diagrams import floor_diagram_count
+from oracles import ScalarTable, per_delta, severi_degree_scalar
 
 
 def test_initial_condition_line(chtable):
@@ -151,12 +153,12 @@ def test_integer_rings_are_evaluations_of_the_laurent_ring():
     for y in ("sym", 1, -1):
         severi_degree(P2(5), 3, y=y, table=table)
         relative_degree(P2(4), 1, (2,), (0, 1), y=y, table=table)
-    sym = table.memo["sym"]
-    assert set(table.memo[1]) <= set(sym)
-    assert set(table.memo[-1]) <= set(sym)
-    for key, value in table.memo[1].items():
+    sym, one, minus1 = (per_delta(table.memo[y]) for y in ("sym", 1, -1))
+    assert set(one) <= set(sym)
+    assert set(minus1) <= set(sym)
+    for key, value in one.items():
         assert value == sym[key].at_one(), key
-    for key, value in table.memo[-1].items():
+    for key, value in minus1.items():
         assert value == sym[key].at_minus_one(), key
     assert sum(not v.is_integral() for v in sym.values()) >= 18
     # the Laurent recursion computes on plain ints
@@ -166,7 +168,7 @@ def test_integer_rings_are_evaluations_of_the_laurent_ring():
 def test_relative_memo_values_palindromic_nonnegative(chtable):
     severi_degree(Sigma(2, 1, 3), 2, table=chtable)
     checked = 0
-    for key, val in chtable.memo["sym"].items():
+    for key, val in per_delta(chtable.memo["sym"]).items():
         if val.is_zero():
             continue
         assert val.is_palindromic(), key
@@ -224,12 +226,34 @@ def test_states_per_ring(y, states):
     # than at 'sym' and y = 1
     table = CHTable()
     engine_data((P2(6), Sigma(0, 6, 6), P2(7)), 10, y, table)
-    assert len(table.memo[y]) == states
+    assert len(per_delta(table.memo[y])) == states
     # the states solve-B --order 10 computes, on the smallest bundles in
     # the regime at y
     table = CHTable()
     engine_data(solve_bundles(10, y), 10, y, table)
-    assert len(table.memo[y]) == {"sym": 2485, 1: 2485, -1: 357}[y]
+    assert len(per_delta(table.memo[y])) == {"sym": 2485, 1: 2485, -1: 357}[y]
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_rows_equal_the_scalar_recursion(y):
+    # asked for every delta to the largest, the rows hold exactly the
+    # (state, delta) values of the recursion asked one delta at a time
+    grid = [Sigma(m, c, d) for m in range(3) for c in range(4) for d in range(5)]
+    for bundles, delta_max in ((grid, 5), (solve_bundles(10, y), 9)):
+        rows, scalar = CHTable(), ScalarTable()
+        for bundle in bundles:
+            assert severi_degrees(bundle, delta_max, y, rows) == [
+                severi_degree_scalar(bundle, delta, y, scalar)
+                for delta in range(delta_max + 1)]
+        assert per_delta(rows.memo[y]) == scalar.memo[y]
+    # asked for one delta alone, the rows hold the scalar recursion's
+    # states and more: every delta below it
+    for bundle, delta in ((Sigma(1, 2, 3), 4), (P2(5), 3)):
+        rows, scalar = CHTable(), ScalarTable()
+        assert severi_degree(bundle, delta, y, rows) == \
+            severi_degree_scalar(bundle, delta, y, scalar)
+        held = per_delta(rows.memo[y])
+        assert scalar.memo[y].items() < held.items()
 
 
 def test_deep_state_and_recursion_limit():
@@ -241,7 +265,7 @@ def test_deep_state_and_recursion_limit():
     assert sys.getrecursionlimit() == old
 
     class Broken(CHTable):
-        def lookup(self, y, key):
+        def lookup(self, *args):
             raise RuntimeError("lookup failed")
 
     with pytest.raises(RuntimeError, match="lookup failed"):
