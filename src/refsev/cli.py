@@ -19,7 +19,7 @@ from .cache import CacheStore, CacheVersionError
 from .caporaso import SURFACES, CHTable, Sigma, SurfaceBundle, relative_degree, severi_degrees
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .genfun import engine_data, solve_bundles, solve_universal_B
-from .nodepoly import BASES, fit_node_polynomial
+from .nodepoly import BASES, fit_node_polynomials
 from .qseries import QSeries
 from .rationals import QQ
 from .ylaurent import RINGS, YLaurent
@@ -187,8 +187,8 @@ def _cmd_relative(args, table) -> list:
 
 def _cmd_fit_nodepoly(args) -> list:
     rows = []
-    for delta in _parse_range(args.delta, "--delta"):
-        np = fit_node_polynomial(args.family, delta, m=args.m)
+    deltas = _parse_range(args.delta, "--delta")
+    for delta, np in fit_node_polynomials(args.family, deltas, m=args.m).items():
         if args.format == "json":
             rows.append(({"delta": delta}, np))
         else:

@@ -27,7 +27,7 @@ from .caporaso import CHTable, P2, Sigma, severi_degrees
 from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
 from .graphs import refined_counts_at
-from .nodepoly import fit_node_polynomial, node_values
+from .nodepoly import fit_node_polynomials, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
 
@@ -143,16 +143,18 @@ def _against(rep, table, cases, delta_max, factor=None, shift=0, y="sym",
 
 def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
     """Refined node polynomials of P^2 from the generating identity with the
-    embedded B tables equal the fitted ones and the engine degrees."""
+    embedded B tables equal the fitted ones and the engine degrees, at every
+    (d, delta) in_regime."""
     rep = ConjectureReport("refpol", {"delta_max": delta_max, "d_max": d_max})
     ds = range(1, d_max + 1)
     series = _identity([Invariants.of(P2(d)) for d in ds], delta_max)
-    fits = {dl: fit_node_polynomial("p2", dl) for dl in range(1, delta_max + 1)}
+    fits = fit_node_polynomials("p2", range(1, delta_max + 1))
     for d, S in zip(ds, series):
         nv = node_values(fits, delta_max, m=1, d=d)
-        row = severi_degrees(P2(d), min(d, delta_max), table=table)
+        inside = [dl for dl in range(delta_max + 1) if in_regime(P2(d), dl)]
+        row = severi_degrees(P2(d), inside[-1], table=table)
         for delta in range(delta_max + 1):
-            if d < delta:
+            if delta not in inside:
                 rep.skip({"d": d, "delta": delta}, "outside the polynomial regime")
                 continue
             gen = S.coeff_at(delta)

@@ -9,21 +9,22 @@ multiplicity and P^s_beta are sums or products over them.
 
 This module provides the graph-side engine: enumeration by cogenus,
 multiplicities, the counts N^delta_beta by template composition for every
-prefix of beta (refined_counts_by_prefix) or at points s(c, m, d), one
-sweep per (c, m) (refined_counts_at), and their log Q^delta_beta
-(q_log_count). P_beta of one graph, its log transform Phi and the sum of
-N^delta_beta over all graphs are test oracles, kept in tests/oracles.py.
+prefix of beta (refined_counts_by_prefix) or at points s(c, m, d), each
+with its own delta, one sweep per (c, m) (refined_counts_at), and their log
+Q^delta_beta (q_log_count). P_beta of one graph, its log transform Phi and
+the sum of N^delta_beta over all graphs are oracles in tests/oracles.py.
 
 P is a polynomial in the free fills f = beta - lambda: a dynamic
 programme on {per-gap fill vector: count} that places the edges one at a
-time, run once per graph from an empty fill (_fill_weights), gives
-weights W(n) with n_g of the graph's edges in gap g, and P = sum_n W(n)
-prod_g C(f_g + n_g, n_g) (_fill_sum). Q^delta is the t^delta coefficient
-of the log of the counts N^0, ..., N^delta (q_log_of_counts). The memos
-that outlive a call are the template list of each cogenus and its
-read-only placement table (_placement_tables): the templates' weights
-summed per placement and load vector, which every sweep reads, so a sweep
-makes no P call and serves every prefix of its beta.
+time from an empty fill (_fill_weights) gives weights W(n) with n_g of the
+graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g)
+(_fill_sum). Q^delta is the t^delta coefficient of the log of the counts
+N^0, ..., N^delta (q_log_of_counts). The memos that outlive a call are the
+template list of each cogenus and its read-only placement table
+(_placement_tables), built with each edge prefix placed once: the
+templates' weights summed per placement and load vector, which every sweep
+reads, so a sweep makes no P call and serves every prefix of its beta. The
+sweeps of one call make each P sum of a table entry and window once.
 """
 from __future__ import annotations
 
@@ -172,24 +173,29 @@ def enumerate_templates(delta: int) -> tuple:
 # -- ordering counts ----------------------------------------------------------
 
 
+def _place(fills: dict, edge) -> dict:
+    """{n: count} after one more edge, placed as if distinguishable: one put
+    into a gap that holds f edges has f + 1 places there, so the placements
+    that reach the same fill merge. A fill reaches the farthest end placed."""
+    i, j, _ = edge
+    pad = (0,) * (j - len(next(iter(fills))))
+    placed: dict = {}
+    for fill, c in fills.items():
+        f = list(fill + pad)
+        for g in range(i, j):
+            f[g] += 1
+            n = tuple(f)
+            placed[n] = placed.get(n, 0) + c * f[g]
+            f[g] -= 1
+    return placed
+
+
 def _fill_weights(G: LongEdgeGraph) -> dict:
     """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
-    gap g + 1, from an empty fill. The edges are placed one at a time as if
-    distinguishable: one put into a gap that holds f edges has f + 1 places
-    there, so the placements that reach the same fill merge; dividing by
-    the factorials of the multiplicities of identical edges then counts
-    each ordering once."""
-    fills = {(0,) * len(G.loads()): 1}
-    for i, j, _ in G.edges:
-        placed: dict = {}
-        for fill, c in fills.items():
-            f = list(fill)
-            for g in range(i, j):
-                f[g] += 1
-                n = tuple(f)
-                placed[n] = placed.get(n, 0) + c * f[g]
-                f[g] -= 1
-        fills = placed
+    gap g + 1, from an empty fill. The edges are placed one at a time
+    (_place); dividing by the factorials of the multiplicities of identical
+    edges then counts each ordering once."""
+    fills = functools.reduce(_place, G.edges, {(): 1})
     sym = prod(map(factorial, Counter(G.edges).values()))
     return {n: c // sym for n, c in fills.items()}
 
@@ -210,14 +216,24 @@ def _pairs(table: dict) -> tuple:
 def _placement_tables(kappa: int) -> tuple:
     """The fill weights of the templates of cogenus kappa, summed per
     placement and load vector, for _table_sum, in read-only pairs:
-    ((length, weights), ((eps0, eps1), ((loads, ((n, W), ...)), ...)), ...)."""
+    ((length, weights), ((eps0, eps1), ((loads, ((n, W), ...)), ...)), ...).
+    Templates that share an edge prefix come one after another, so each
+    resumes the programme of _fill_weights at the longest prefix it shares
+    with the one before, whose first k edges placed give fills[k]."""
     tables: dict = {}
+    edges, fills = (), [{(): 1}]
     for T in enumerate_templates(kappa):
+        k = next((k for k, (a, b) in enumerate(zip(edges, T.edges)) if a != b),
+                 min(len(edges), len(T.edges)))
+        del fills[k + 1:]
+        for e in T.edges[k:]:
+            fills.append(_place(fills[-1], e))
+        edges, sym = T.edges, prod(map(factorial, Counter(T.edges).values()))
         ell, e0, e1, weights = T.placement()
         summed = (tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
                   .setdefault(T.loads(), {}))
-        for n, w in _fill_weights(T).items():
-            summed[n] = summed.get(n, 0) + w
+        for n, c in fills[-1].items():
+            summed[n] = summed.get(n, 0) + c // sym
     return _pairs(tables)
 
 
@@ -239,7 +255,7 @@ def _refuse_negative(beta) -> None:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
-def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
+def refined_counts_by_prefix(beta, delta: int, y="sym", memo=None) -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
     n^delta (y=1) or the Welschinger counts W^delta (y=-1). A negative beta
@@ -261,9 +277,11 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     counts of beta[:q] are the end row of q, the arrangements whose last
     piece is an empty gap or a template with eps1, and g[q] adds to it
     those ending in any other template; at the last vertex only the end
-    row is needed.
+    row is needed. The P sum of each table entry and window is made once,
+    into memo: a fresh dict, or the one the sweeps of a call share.
     """
     ring = ring_at(y)
+    memo = {} if memo is None else memo
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     _refuse_negative(beta)
@@ -296,7 +314,10 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
             sums = [0, 0]  # the P sums of the templates without and with eps1
             for (e0, e1), by_loads in classes:
                 if (e0 or p) and (e1 or q < n):
-                    sums[e1] += _table_sum(by_loads, window)
+                    key = (id(by_loads), window)  # the tables outlive the memo
+                    if key not in memo:
+                        memo[key] = _table_sum(by_loads, window)
+                    sums[e1] += memo[key]
             for row, s in zip((rest[q], end[q]), sums):
                 if s:
                     for k in range(delta + 1 - kappa):
@@ -304,14 +325,23 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
                             row[k + kappa].append((g[k], s, mu))
 
 
-def refined_counts_at(points, delta: int) -> dict:
-    """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d)} at 'sym' over the points,
-    from one sweep per (c, m) at its largest d: s(c, m, d) is its prefix."""
-    rows: dict = {}
-    for c, m, d in sorted(points, key=lambda p: -p[2]):
-        if (c, m) not in rows:
-            rows[c, m] = refined_counts_by_prefix(s_beta(c, m, d), delta)
-    return {(c, m, d): rows[c, m][d + 1] for c, m, d in points}
+def refined_counts_at(points, delta=None) -> dict:
+    """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d)} at 'sym', for points a
+    {(c, m, d): delta} map or points that all take one delta. Each (c, m) is
+    swept once, at its largest d and delta, with one memo of P sums for all:
+    s(c, m, d) is a prefix of its beta, and N^k reads no template of cogenus
+    above k, so a point's row is the head of its sweep's."""
+    if delta is not None:
+        points = dict.fromkeys(points, delta)
+    if any(dl < 0 for dl in points.values()):
+        raise ValueError("cogenus must be nonnegative")
+    top: dict = {}  # (c, m) -> the largest d and delta asked
+    for (c, m, d), dl in points.items():
+        top[c, m] = tuple(map(max, top.get((c, m), (d, dl)), (d, dl)))
+    memo: dict = {}
+    rows = {(c, m): refined_counts_by_prefix(s_beta(c, m, d), dl, memo=memo)
+            for (c, m), (d, dl) in top.items()}
+    return {(c, m, d): rows[c, m][d + 1][:dl + 1] for (c, m, d), dl in points.items()}
 
 
 def refined_counts(beta, delta: int, y="sym") -> list:

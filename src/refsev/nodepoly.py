@@ -9,20 +9,20 @@ is polynomial in the bundle parameters once they are large enough:
   * of 1, m, d, dm, d^2m for d, m >= delta.
 
 Fits are exact (rational linear solves) of the Q_delta of the graph
-counts, which graphs.refined_counts_at takes from one sweep per (c, m) of
-the sample points; they are always validated on held-out sample points,
-and exponentiate to node polynomials N_delta.
+counts, which a fit of any range of delta takes from one
+graphs.refined_counts_at call; they are always validated on held-out
+sample points, and exponentiate to node polynomials N_delta.
 """
 from __future__ import annotations
 
 from .caporaso import SurfaceBundle
-from .graphs import q_log_of_counts, refined_counts_at
+from .graphs import refined_counts_at
 from .linalg import solve_exact
 from .qseries import QSeries
 from .rationals import QQ
 from .ylaurent import YLaurent, YL_ZERO
 
-__all__ = ["NodePolynomial", "fit_node_polynomial", "node_values"]
+__all__ = ["NodePolynomial", "fit_node_polynomial", "fit_node_polynomials", "node_values"]
 
 
 BASES = {
@@ -89,35 +89,13 @@ class NodePolynomial:
         )
 
 
-def _fit(family: str, delta: int, probes, holdout):
-    """Solve Q_delta = sum coeff_i * monomial_i on probes; verify holdout.
-    Both read the counts of one refined_counts_at call."""
-    basis = BASES[family]
-    q = {p: q_log_of_counts(counts)
-         for p, counts in refined_counts_at(probes + holdout, delta).items()}
-    A = [[QQ(_MONOMIALS[name](c, m, d)) for name in basis] for c, m, d in probes]
-    coeffs = solve_exact(A, [q[p] for p in probes])
-    np = NodePolynomial(family, delta, basis, coeffs,
-                        fitted_from=list(probes), validated_on=[])
-    for (c, m, d) in holdout:
-        if np.q_at(c=c, m=m, d=d) != q[c, m, d]:
-            raise ValueError(
-                f"held-out mismatch for {family} delta={delta} at "
-                f"(c,m,d)=({c},{m},{d}): fit rejected"
-            )
-        np.validated_on.append((c, m, d))
-    return np
-
-
-def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomial:
-    """Fit Q_delta for the family, on the ranges the shape theorems allow.
-
-    'p11m-fixed-m': degree 2 in d at fixed m (pass m; no other family
-    takes one), fitted on d = delta..delta+2, validated on
+def _plan(family: str, delta: int, m):
+    """(probes, held-out points) of the fit of Q_delta, on the ranges the
+    shape theorems allow. 'p11m-fixed-m': degree 2 in d at fixed m (pass m;
+    no other family takes one), fitted on d = delta..delta+2, validated on
     d = delta+3..delta+5; 'p2' is that fit at m = 1. 'p1xp1': {1, c+d, cd}
     on c,d >= delta. 'sigma': the seven-term form on c,d >= delta, m in
-    {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta.
-    """
+    {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta."""
     if delta < 1:
         raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
     if m is not None and family != "p11m-fixed-m":
@@ -129,31 +107,53 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
         elif m is None:
             raise ValueError("pass m for the fixed-m fit")
         SurfaceBundle("p11m", m, 0, d0)  # refuses m < 1, as compute does
-        probes = [(0, m, d) for d in range(d0, d0 + 3)]
-        holdout = [(0, m, d) for d in range(d0 + 3, d0 + 6)]
-        return _fit(family, delta, probes, holdout)
+        return ([(0, m, d) for d in range(d0, d0 + 3)],
+                [(0, m, d) for d in range(d0 + 3, d0 + 6)])
     if family == "p1xp1":
-        pts = [(a, 0, b) for a in range(d0, d0 + 2) for b in range(d0, d0 + 2)]
-        holdout = [(d0 + 2, 0, d0 + 2), (d0, 0, d0 + 3), (d0 + 3, 0, d0 + 1)]
-        return _fit("p1xp1", delta, pts, holdout)
+        return ([(a, 0, b) for a in range(d0, d0 + 2) for b in range(d0, d0 + 2)],
+                [(d0 + 2, 0, d0 + 2), (d0, 0, d0 + 3), (d0 + 3, 0, d0 + 1)])
     if family == "sigma":
-        # the m = 0 block separates {1, c, d, cd}; three d-values at m = 1
-        # separate {m, md, md^2}
+        # m = 0 separates {1, c, d, cd}; three d at m = 1 separate {m, md, md^2}
         pts = [(a, 0, b) for a in (d0, d0 + 1) for b in (d0, d0 + 1)]
-        pts += [(d0, 1, b) for b in (d0, d0 + 1, d0 + 2)]
-        holdout = [
-            (a, mm, b)
-            for mm in (0, 1, 2)
-            for (a, b) in ((d0 + 2, d0 + 2), (d0, d0 + 3), (d0 + 3, d0 + 1))
-        ]
-        return _fit("sigma", delta, pts, holdout)
+        return pts + [(d0, 1, b) for b in (d0, d0 + 1, d0 + 2)], [
+            (a, mm, b) for mm in (0, 1, 2)
+            for (a, b) in ((d0 + 2, d0 + 2), (d0, d0 + 3), (d0 + 3, d0 + 1))]
     if family == "p11m":
-        pts = [(0, d0, b) for b in (d0, d0 + 1, d0 + 2)]
-        pts += [(0, d0 + 1, b) for b in (d0, d0 + 1)]
-        holdout = [(0, d0 + 3, d0 + 2), (0, d0, d0 + 3), (0, d0 + 2, d0 + 3),
-                   (0, d0 + 2, d0 + 1)]
-        return _fit("p11m", delta, pts, holdout)
+        return ([(0, d0, b) for b in (d0, d0 + 1, d0 + 2)]
+                + [(0, d0 + 1, b) for b in (d0, d0 + 1)],
+                [(0, d0 + 3, d0 + 2), (0, d0, d0 + 3), (0, d0 + 2, d0 + 3),
+                 (0, d0 + 2, d0 + 1)])
     raise ValueError(f"unknown family {family!r}")
+
+
+def fit_node_polynomials(family: str, deltas, m: int = None) -> dict:
+    """{delta: Q_delta} fitted for the family on the points of _plan, in
+    the order of deltas; the first held-out mismatch raises. Every point
+    comes from one refined_counts_at call, at the largest delta that reads
+    it, and one log of its row gives its Q_delta for every delta."""
+    plans = {delta: _plan(family, delta, m) for delta in deltas}
+    asked: dict = {}
+    for delta in sorted(plans):  # each point at the largest delta that reads it
+        asked.update(dict.fromkeys(plans[delta][0] + plans[delta][1], delta))
+    logs = {p: QSeries(row, trunc=len(row)).log()
+            for p, row in refined_counts_at(asked).items()}
+    fits = {}
+    for delta, (probes, holdout) in plans.items():
+        basis = BASES[family]
+        A = [[QQ(_MONOMIALS[name](c, m, d)) for name in basis] for c, m, d in probes]
+        coeffs = solve_exact(A, [logs[p].coeff_at(delta) for p in probes])
+        np = fits[delta] = NodePolynomial(family, delta, basis, coeffs, probes)
+        for (c, m, d) in holdout:
+            if np.q_at(c=c, m=m, d=d) != logs[c, m, d].coeff_at(delta):
+                raise ValueError(f"held-out mismatch for {family} delta={delta} "
+                                 f"at (c,m,d)=({c},{m},{d}): fit rejected")
+            np.validated_on.append((c, m, d))
+    return fits
+
+
+def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomial:
+    """Fit Q_delta for the family: the one-delta case of fit_node_polynomials."""
+    return fit_node_polynomials(family, [delta], m)[delta]
 
 
 def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:

@@ -328,7 +328,7 @@ def test_verify_reads_its_tables_before_any_engine(args, message, capsys, monkey
     def engine(*args, **kwargs):
         raise AssertionError("an engine ran before the tables were read")
 
-    for name in ("refined_counts_at", "engine_data", "fit_node_polynomial",
+    for name in ("refined_counts_at", "engine_data", "fit_node_polynomials",
                  "severi_degrees"):
         monkeypatch.setattr(conjectures, name, engine)
     assert main(["verify", *args]) == 2

@@ -10,6 +10,7 @@ from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from refsev.genfun import Invariants, reform_eval, solve_bundles
 from refsev.graphs import s_beta
+from refsev.nodepoly import fit_node_polynomials, node_values
 from refsev.qseries import QSeries
 from refsev.ylaurent import YLaurent
 
@@ -18,6 +19,21 @@ def test_refpol_small(chtable):
     rep = check_conjecture("refpol", table=chtable, delta_max=3, d_max=5)
     assert rep.ok, rep.summary()
     assert rep.counts["pass"] > 0
+
+
+def test_refpol_checks_every_point_in_regime(chtable):
+    # the skip reads in_regime, so refpol tests the points with d < delta
+    # inside it on both sides; at (2, 3), the first point outside, the
+    # fitted node polynomial differs from the engine, which is recorded
+    # here and does not widen the rule
+    rep = check_conjecture("refpol", table=chtable, delta_max=6)
+    assert rep.ok and rep.counts == {"pass": 92, "fail": 0, "skip": 10}, rep.summary()
+    verdicts = {(p["d"], p["delta"], p.get("side")): v for p, v, _ in rep.instances}
+    for d, delta in ((1, 2), (3, 4), (4, 5), (4, 6), (5, 6)):
+        assert verdicts[d, delta, "fit"] == verdicts[d, delta, "engine"] == "pass"
+    assert verdicts[2, 3, None] == "skip"
+    fits = fit_node_polynomials("p2", range(1, 4))
+    assert node_values(fits, 3, m=1, d=2)[3] != severi_degree(P2(2), 3, table=chtable)
 
 
 def test_gsp_sigma_w_small(chtable):
@@ -208,22 +224,56 @@ def test_cross_engine_small(chtable):
 
 
 def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
-    # one sweep of s(c, m, dmax) per (m, c); the sweeps read the placement
-    # tables and build each cogenus's table once over the whole check
+    # one sweep of s(c, m, dmax) per (m, c), at deltamax; the sweeps share
+    # one memo of P sums, read the placement tables and build each
+    # cogenus's table once over the whole check
     grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
-    sweeps = []
+    sweeps, memos = [], set()
     sweep = graphs.refined_counts_by_prefix
 
-    def sweeping(beta, delta, y="sym"):
+    def sweeping(beta, delta, y="sym", memo=None):
         sweeps.append((tuple(beta), delta))
-        return sweep(beta, delta, y)
+        memos.add(id(memo))
+        return sweep(beta, delta, y, memo)
 
     monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
     graphs._placement_tables.cache_clear()
     rep = check_conjecture("cross_engine", table=chtable, **grid)
     assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
     assert sweeps == [(s_beta(c, m, 3), 3) for m in range(3) for c in range(3)]
+    assert len(memos) == 1
     assert graphs._placement_tables.cache_info().misses <= grid["deltamax"]
+
+
+def _cross_engine_grid(cmax=4, dmax=4, mmax=2):
+    return [(c, m, d) for m in range(mmax + 1) for c in range(cmax + 1)
+            for d in range(1, dmax + 1)]
+
+
+def test_counts_at_mixed_deltas_equal_each_points_own_counts():
+    # each point of the cross-engine grid at its own delta: one sweep per
+    # (c, m) at the largest d and delta gives every point its own counts
+    points = {p: (p[0] + 2 * p[1] + p[2]) % 4 for p in _cross_engine_grid()}
+    counts = graphs.refined_counts_at(points)
+    assert counts == {p: graphs.refined_counts(s_beta(*p), delta)
+                      for p, delta in points.items()}
+
+
+def test_cross_engine_sums_each_entry_and_window_once(chtable, monkeypatch):
+    # s(c, m, .) and s(c + m, m, .) share windows, and every window of
+    # s(c, 0, d) is the same; the sweeps of the check's one call sum each
+    # (placement-table entry, window) once
+    sums = []
+    table_sum = graphs._table_sum
+
+    def summing(by_loads, window):
+        sums.append((id(by_loads), tuple(window)))
+        return table_sum(by_loads, window)
+
+    monkeypatch.setattr(graphs, "_table_sum", summing)
+    rep = check_conjecture("cross_engine", table=chtable)
+    assert rep.ok and rep.counts["pass"] == len(_cross_engine_grid()) * 4, rep.summary()
+    assert sums and len(sums) == len(set(sums))
 
 
 def test_solve_b_small(chtable):
@@ -239,20 +289,20 @@ def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
     order, read, sweeps = 6, [], []
     real, sweep = conjectures.refined_counts_at, graphs.refined_counts_by_prefix
 
-    def spy(points, delta):
+    def spy(points, delta=None):
         read.append((list(points), delta))
         return real(points, delta)
 
-    def sweeping(beta, delta, y="sym"):
+    def sweeping(beta, delta, y="sym", memo=None):
         sweeps.append((tuple(beta), delta))
-        return sweep(beta, delta, y)
+        return sweep(beta, delta, y, memo)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("solveB fitted a node polynomial")
 
     monkeypatch.setattr(conjectures, "refined_counts_at", spy)
     monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
-    monkeypatch.setattr(conjectures, "fit_node_polynomial", no_fit)
+    monkeypatch.setattr(conjectures, "fit_node_polynomials", no_fit)
     rep = check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
     assert rep.ok, rep.summary()
     assert solve_bundles(order) == (P2(4), Sigma(0, 3, 3), P2(5))

@@ -270,6 +270,21 @@ def test_fill_weights_equal_the_class_programme(kappa):
         assert graphs._fill_weights(T) == fill_programme(T, (0,) * len(T.loads())), T
 
 
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
+def test_placement_tables_equal_the_per_template_weights(kappa):
+    # the tables place each edge prefix once, resuming from the template
+    # before; summing _fill_weights of every template on its own gives the
+    # same tables, in the same order
+    tables: dict = {}
+    for T in enumerate_templates(kappa):
+        ell, e0, e1, weights = T.placement()
+        summed = (tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
+                  .setdefault(T.loads(), {}))
+        for n, w in graphs._fill_weights(T).items():
+            summed[n] = summed.get(n, 0) + w
+    assert graphs._placement_tables(kappa) == graphs._pairs(tables)
+
+
 def test_placement_tables_cannot_be_changed():
     # a process-lifetime memo hands out tuples of pairs at every level, so
     # an attempt to change what a caller holds raises

@@ -2,8 +2,9 @@ import pytest
 
 from refsev import graphs, nodepoly
 from refsev.caporaso import P2, Sigma, severi_degree
+from refsev.cli import main
 from refsev.graphs import q_log_count, s_beta
-from refsev.nodepoly import fit_node_polynomial, node_values
+from refsev.nodepoly import fit_node_polynomial, fit_node_polynomials, node_values
 from refsev.rationals import QQ
 from refsev.ylaurent import YLaurent
 
@@ -76,28 +77,31 @@ def test_nodepoly_json_roundtrip():
 
 @pytest.mark.parametrize("family", ["p2", "sigma"])
 def test_fit_sweeps_each_c_m_once(family, monkeypatch):
-    # the fits of --delta 1-5: each makes one sweep of s(c, m, dmax) per
-    # distinct (c, m) among its probe and held-out points, at the largest d
-    # among them, and each value is the engine's; the five share the
-    # placement table of each cogenus
-    sweeps = []
+    # the fit of --delta 1-5 makes one sweep of s(c, m, dmax) per distinct
+    # (c, m) among the probe and held-out points of every delta, at the
+    # largest d and the largest delta among them; the sweeps share one
+    # memo of P sums, the placement table of each cogenus is built once,
+    # and each value is the engine's
+    sweeps, memos = [], set()
     sweep = graphs.refined_counts_by_prefix
 
-    def sweeping(beta, delta, y="sym"):
+    def sweeping(beta, delta, y="sym", memo=None):
         sweeps.append((tuple(beta), delta))
-        return sweep(beta, delta, y)
+        memos.add(id(memo))
+        return sweep(beta, delta, y, memo)
 
     monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
     graphs._placement_tables.cache_clear()
-    fits = {}
-    for delta in range(1, 6):
-        sweeps.clear()
-        np = fits[delta] = fit_node_polynomial(family, delta)
-        dmax: dict = {}
+    fits = fit_node_polynomials(family, range(1, 6))
+    top: dict = {}
+    for delta, np in fits.items():
         for c, m, d in np.fitted_from + np.validated_on:
-            dmax[c, m] = max(d, dmax.get((c, m), d))
-        assert sorted(sweeps) == sorted((s_beta(c, m, d), delta)
-                                        for (c, m), d in dmax.items())
+            dmax, deltamax = top.get((c, m), (d, delta))
+            top[c, m] = max(d, dmax), max(delta, deltamax)
+    assert sorted(sweeps) == sorted((s_beta(c, m, d), delta)
+                                    for (c, m), (d, delta) in top.items())
+    assert len(memos) == 1
+    assert family != "p2" or sweeps == [(s_beta(0, 1, 10), 5)]
     assert graphs._placement_tables.cache_info().misses <= 5
     monkeypatch.undo()
     for delta in (1, 5):
@@ -106,17 +110,45 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
             assert np.q_at(c=c, m=m, d=d) == q_log_count(s_beta(c, m, d), delta)
 
 
-def test_held_out_mismatch_rejects_the_fit(monkeypatch):
-    # one perturbed held-out engine count (p2, delta = 1 validates on
-    # d = 4, 5, 6) rejects the fit and names the point
+@pytest.mark.parametrize("family, m", [("p2", None), ("p1xp1", None), ("sigma", None),
+                                       ("p11m", None), ("p11m-fixed-m", 2)])
+def test_range_fit_equals_the_fits_one_delta_at_a_time(family, m):
+    fits = fit_node_polynomials(family, range(1, 5), m=m)
+    assert list(fits) == [1, 2, 3, 4]
+    for delta, np in fits.items():
+        assert np.to_dict() == fit_node_polynomial(family, delta, m=m).to_dict()
+
+
+def _raise_one_count(monkeypatch, point, delta):
+    """nodepoly reads the count of cogenus delta at point raised by 1."""
     real = nodepoly.refined_counts_at
 
-    def perturbed(points, delta):
-        counts = real(points, delta)
-        counts[0, 1, 5] = [*counts[0, 1, 5][:-1], counts[0, 1, 5][-1] + YLaurent.const(1)]
+    def perturbed(points, dl=None):
+        counts = real(points, dl)
+        row = counts[point]
+        counts[point] = [*row[:delta], row[delta] + YLaurent.const(1), *row[delta + 1:]]
         return counts
 
     monkeypatch.setattr(nodepoly, "refined_counts_at", perturbed)
+
+
+def test_range_fit_rejects_at_the_first_mismatching_delta(monkeypatch, capsys):
+    # (0, 1, 8) is held out at delta = 3 and probed by no smaller delta, so
+    # the range fit and the command that runs it stop at delta = 3
+    _raise_one_count(monkeypatch, (0, 1, 8), 3)
+    message = "held-out mismatch for p2 delta=3 at (c,m,d)=(0,1,8): fit rejected"
+    with pytest.raises(ValueError) as err:
+        fit_node_polynomials("p2", range(1, 6))
+    assert str(err.value) == message
+    assert main(["fit-nodepoly", "--family", "p2", "--delta", "1-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_held_out_mismatch_rejects_the_fit(monkeypatch):
+    # one perturbed held-out engine count (p2, delta = 1 validates on
+    # d = 4, 5, 6) rejects the fit and names the point
+    _raise_one_count(monkeypatch, (0, 1, 5), 1)
     with pytest.raises(ValueError, match=r"held-out mismatch for p2 delta=1 at "
                                          r"\(c,m,d\)=\(0,1,5\): fit rejected"):
         fit_node_polynomial("p2", 1)
