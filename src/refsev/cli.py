@@ -243,8 +243,9 @@ VERIFY_FLAGS = {
 
 def verify_params(args) -> dict:
     """The check parameters the flags given to verify set for the check
-    args.id; ValueError for a flag that check does not take, and for a
-    non-positive --order, --order-minus1 or --lmax."""
+    args.id; ValueError for a flag that check does not take, for a
+    non-positive --order, --order-minus1 or --lmax, and for a negative
+    --deltamax of the form-(2) checks, refpol and GSPSigmaW."""
     takes = VERIFY_FLAGS.get(args.id, {})
     given = {flag: getattr(args, flag) for flag in VERIFY_RANGE_FLAGS
              if getattr(args, flag) is not None}
@@ -254,6 +255,8 @@ def verify_params(args) -> dict:
     for flag, value in given.items():
         if flag in _POSITIVE_FLAGS and value < 1:
             raise ValueError(f"{_option(flag)} must be >= 1")
+        if takes[flag] == "delta_max" and value < 0:  # form (2) to q^-1 is empty
+            raise ValueError(f"{_option(flag)} must be >= 0")
     return {takes[flag]: value for flag, value in given.items()}
 
 

@@ -16,22 +16,19 @@ the sum of N^delta_beta over all graphs are oracles in tests/oracles.py.
 
 P is a polynomial in the free fills f = beta - lambda: a dynamic
 programme on {per-gap fill vector: count} that places the edges one at a
-time from an empty fill (_fill_weights) gives weights W(n) with n_g of the
-graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g)
-(_fill_sum). Q^delta is the t^delta coefficient of the log of the counts
-N^0, ..., N^delta (q_log_of_counts). The memos that outlive a call are the
-template list of each cogenus and its read-only placement table
-(_placement_tables), built with each edge prefix placed once: the
-templates' weights summed per placement and load vector, which every sweep
-reads, so a sweep makes no P call and serves every prefix of its beta. The
-sweeps of one call make each P sum of a table entry and window once.
+time from an empty fill (_place) gives weights W(n) with n_g of the
+graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g).
+Q^delta is the t^delta coefficient of the log of the counts N^0, ...,
+N^delta (q_log_of_counts). A call gathers the windows its sweeps read
+(_windows) and walks the templates of each cogenus once, each edge prefix
+placed once, into P sums per placement and window (_window_sums), which
+it drops on return: only the template lists outlive a call.
 """
 from __future__ import annotations
 
 import functools
 import operator
-from collections import Counter
-from math import comb, factorial, prod
+from math import comb, prod
 
 from .qseries import QSeries
 from .ylaurent import ring_at
@@ -109,12 +106,6 @@ class LongEdgeGraph:
     def eps1(self) -> int:
         return int(self._light_at(self.maxv()))
 
-    def placement(self) -> tuple:
-        """(length, eps0, eps1, the sorted edge weights): what a sum over
-        shifts of the graph as a template reads of it."""
-        return (self.length(), self.eps0(), self.eps1(),
-                tuple(sorted(w for _, _, w in self.edges)))
-
     def multiplicity(self, y="sym"):
         """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
         Welschinger (y=-1) multiplicity."""
@@ -190,60 +181,71 @@ def _place(fills: dict, edge) -> dict:
     return placed
 
 
-def _fill_weights(G: LongEdgeGraph) -> dict:
-    """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
-    gap g + 1, from an empty fill. The edges are placed one at a time
-    (_place); dividing by the factorials of the multiplicities of identical
-    edges then counts each ordering once."""
-    fills = functools.reduce(_place, G.edges, {(): 1})
-    sym = prod(map(factorial, Counter(G.edges).values()))
-    return {n: c // sym for n, c in fills.items()}
+def _template_sum(fills: dict, last, free) -> int:
+    """P of a template under its free fills f, times the factorials of the
+    multiplicities of its identical edges, from the fills {n: count} of its
+    edges but the last: that one goes into a gap g of its span holding n_g
+    edges in n_g + 1 ways, and (n_g + 1) C(f_g + n_g + 1, n_g + 1) =
+    (f_g + n_g + 1) C(f_g + n_g, n_g), a sum over the span of linear terms."""
+    i, j, _ = last
+    span = sum(free[i:j]) + j - i
+    return sum(c * prod(map(comb, map(operator.add, free, n), n)) * (span + sum(n[i:j]))
+               for n, c in fills.items())
 
 
-def _fill_sum(weights, free) -> int:
-    """sum_n W(n) prod_g C(free[g] + n[g], n[g]): P from the fill weights
-    (n, W(n)) of a graph and its free fills beta_g - lambda_g."""
-    return sum(w * prod(map(comb, map(operator.add, free, n), n))
-               for n, w in weights)
+def _windows(sweeps) -> dict:
+    """{length: {(eps0, eps1): windows}}: the windows at which the sweeps of
+    each (beta, delta) read the templates of each length (at most delta + 1),
+    eps0 (asked at p = 0) and eps1 (asked at the last vertex)."""
+    windows: dict = {}
+    for beta, delta in sweeps:
+        n = len(beta)
+        for ell in range(1, min(n, delta + 1) + 1):
+            for e0, e1 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                windows.setdefault(ell, {}).setdefault((e0, e1), set()).update(
+                    beta[p:p + ell] for p in range(1 - e0, n - ell + e1))
+    return windows
 
 
-def _pairs(table: dict) -> tuple:
-    """A nested dict as nested tuples of (key, value) pairs."""
-    return tuple((k, _pairs(v) if isinstance(v, dict) else v) for k, v in table.items())
-
-
-@functools.cache
-def _placement_tables(kappa: int) -> tuple:
-    """The fill weights of the templates of cogenus kappa, summed per
-    placement and load vector, for _table_sum, in read-only pairs:
-    ((length, weights), ((eps0, eps1), ((loads, ((n, W), ...)), ...)), ...).
-    Templates that share an edge prefix come one after another, so each
-    resumes the programme of _fill_weights at the longest prefix it shares
-    with the one before, whose first k edges placed give fills[k]."""
-    tables: dict = {}
-    edges, fills = (), [{(): 1}]
-    for T in enumerate_templates(kappa):
-        k = next((k for k, (a, b) in enumerate(zip(edges, T.edges)) if a != b),
-                 min(len(edges), len(T.edges)))
-        del fills[k + 1:]
-        for e in T.edges[k:]:
-            fills.append(_place(fills[-1], e))
-        edges, sym = T.edges, prod(map(factorial, Counter(T.edges).values()))
-        ell, e0, e1, weights = T.placement()
-        summed = (tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
-                  .setdefault(T.loads(), {}))
-        for n, c in fills[-1].items():
-            summed[n] = summed.get(n, 0) + c // sym
-    return _pairs(tables)
-
-
-def _table_sum(by_loads, window) -> int:
-    """The P sum under window of the templates of one _placement_tables
-    entry ((loads, fill weights), ...): a load vector above the window in
-    any entry leaves its templates not beta-allowable, and adds 0."""
-    return sum(_fill_sum(weights, tuple(map(operator.sub, window, loads)))
-               for loads, weights in by_loads
-               if all(map(operator.ge, window, loads)))
+def _window_sums(windows: dict, delta: int) -> list:
+    """sums[kappa][length, weights][eps0, eps1][window], the placement
+    tables of a call: the P sum of the templates of cogenus kappa <= delta
+    with that placement at each window of their length, eps0 and eps1.
+    Each enumerate_templates(kappa) is walked once, and templates that
+    share an edge prefix come one after another, so each resumes at the
+    longest prefix it shares with the last one placed: stack[t] holds the
+    undivided fills of its first t edges, their loads (as long as the
+    reach), a heavy edge at vertex 0 and at the reach, the factorials of
+    the multiplicities and the last run. No template is a prefix of another
+    of its cogenus, so its own state, which leaves the last edge to
+    _template_sum, is dropped once summed."""
+    sums = [{} for _ in range(delta + 1)]
+    for kappa in range(1, delta + 1):
+        edges, stack = (), [({(): 1}, (), False, False, 1, 0)]
+        for T in enumerate_templates(kappa):
+            ell = max(j for _, j, _ in T.edges)
+            if ell not in windows:
+                continue
+            k = next((k for k, (a, b) in enumerate(zip(edges, T.edges)) if a != b),
+                     min(len(edges), len(T.edges)))
+            del stack[k + 1:]
+            for t in range(k, len(T.edges)):
+                fills, loads, heavy0, heavy1, sym, run = stack[-1]
+                i, j, w = e = T.edges[t]
+                heavy1 = w > 1 or heavy1 and j == len(loads) if j >= len(loads) else heavy1
+                loads += (0,) * (j - len(loads))  # reach j
+                run = run + 1 if t and T.edges[t - 1] == e else 1
+                stack.append((_place(fills, e) if t < len(T.edges) - 1 else fills,
+                              loads[:i] + tuple(lam + w for lam in loads[i:j]) + loads[j:],
+                              heavy0 or i == 0 and w > 1, heavy1, sym * run, run))
+            edges, (fills, loads, heavy0, heavy1, sym, _) = T.edges, stack.pop()
+            eps, weights = (int(not heavy0), int(not heavy1)), tuple(sorted(w for *_, w in edges))
+            by_window = sums[kappa].setdefault((ell, weights), {}).setdefault(eps, {})
+            for window in windows[ell][eps]:
+                free = tuple(map(operator.sub, window, loads))
+                p_sum = _template_sum(fills, edges[-1], free) // sym if min(free) >= 0 else 0
+                by_window[window] = by_window.get(window, 0) + p_sum
+    return sums
 
 
 # -- counts ------------------------------------------------------------------
@@ -255,7 +257,7 @@ def _refuse_negative(beta) -> None:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
-def refined_counts_by_prefix(beta, delta: int, y="sym", memo=None) -> list:
+def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
     n^delta (y=1) or the Welschinger counts W^delta (y=-1). A negative beta
@@ -271,26 +273,25 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", memo=None) -> list:
     arrangements inside [0, p] of cogenus k: an empty gap steps to p + 1,
     and the templates of cogenus kappa and length l step to p + l, weighted
     by the sum of their P (integers) times their multiplicity, one ring
-    product per weight tuple. That P sum is read off the placement table of
-    kappa, one _fill_sum per load vector at most the window. A window of
-    beta[:q] is a window of beta, so one sweep serves every prefix: the
-    counts of beta[:q] are the end row of q, the arrangements whose last
-    piece is an empty gap or a template with eps1, and g[q] adds to it
-    those ending in any other template; at the last vertex only the end
-    row is needed. The P sum of each table entry and window is made once,
-    into memo: a fresh dict, or the one the sweeps of a call share.
+    product per weight tuple. A window of beta[:q] is a window of beta, so
+    one sweep serves every prefix: the counts of beta[:q] are the end row
+    of q, the arrangements whose last piece is an empty gap or a template
+    with eps1, and g[q] adds to it those ending in any other template; at
+    the last vertex only the end row is needed. The P sums come from sums,
+    the _window_sums of one refined_counts_at call, or the sweep's own.
     """
     ring = ring_at(y)
-    memo = {} if memo is None else memo
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     _refuse_negative(beta)
     beta = tuple(beta)
     n = len(beta)  # the last vertex, M + 1
+    if sums is None:
+        sums = _window_sums(_windows([(beta, delta)]), delta)
     # a multiplicity of 0 (an even weight at y = -1) drops its templates
     placements = [(ell, kappa, mu, classes)
                   for kappa in range(1, delta + 1)
-                  for (ell, weights), classes in _placement_tables(kappa)
+                  for (ell, weights), classes in sums[kappa].items()
                   if ell <= n and (mu := ring.multiplicity(weights))]
     # end[q][k], rest[q][k]: the (g, P sum, multiplicity) triples that sum
     # to the end row of q and to g[q][k] less it
@@ -311,14 +312,11 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", memo=None) -> list:
             if q > n:
                 continue
             window = beta[p:q]
-            sums = [0, 0]  # the P sums of the templates without and with eps1
-            for (e0, e1), by_loads in classes:
+            p_sums = [0, 0]  # the templates without and with eps1
+            for (e0, e1), by_window in classes.items():
                 if (e0 or p) and (e1 or q < n):
-                    key = (id(by_loads), window)  # the tables outlive the memo
-                    if key not in memo:
-                        memo[key] = _table_sum(by_loads, window)
-                    sums[e1] += memo[key]
-            for row, s in zip((rest[q], end[q]), sums):
+                    p_sums[e1] += by_window[window]
+            for row, s in zip((rest[q], end[q]), p_sums):
                 if s:
                     for k in range(delta + 1 - kappa):
                         if g[k]:
@@ -328,9 +326,10 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", memo=None) -> list:
 def refined_counts_at(points, delta=None) -> dict:
     """{(c, m, d): [N^0, ..., N^delta] of s(c, m, d)} at 'sym', for points a
     {(c, m, d): delta} map or points that all take one delta. Each (c, m) is
-    swept once, at its largest d and delta, with one memo of P sums for all:
-    s(c, m, d) is a prefix of its beta, and N^k reads no template of cogenus
-    above k, so a point's row is the head of its sweep's."""
+    swept once, at its largest d and delta: s(c, m, d) is a prefix of its
+    beta, and N^k reads no template of cogenus above k, so a point's row is
+    the head of its sweep's. The sweeps share one _window_sums of all their
+    windows, which the call drops when it returns."""
     if delta is not None:
         points = dict.fromkeys(points, delta)
     if any(dl < 0 for dl in points.values()):
@@ -338,9 +337,10 @@ def refined_counts_at(points, delta=None) -> dict:
     top: dict = {}  # (c, m) -> the largest d and delta asked
     for (c, m, d), dl in points.items():
         top[c, m] = tuple(map(max, top.get((c, m), (d, dl)), (d, dl)))
-    memo: dict = {}
-    rows = {(c, m): refined_counts_by_prefix(s_beta(c, m, d), dl, memo=memo)
-            for (c, m), (d, dl) in top.items()}
+    sweeps = {(c, m): (s_beta(c, m, d), dl) for (c, m), (d, dl) in top.items()}
+    sums = _window_sums(_windows(sweeps.values()), max(points.values(), default=0))
+    rows = {cm: refined_counts_by_prefix(beta, dl, sums=sums)
+            for cm, (beta, dl) in sweeps.items()}
     return {(c, m, d): rows[c, m][d + 1][:dl + 1] for (c, m, d), dl in points.items()}
 
 

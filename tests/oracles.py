@@ -3,7 +3,8 @@ the graph engine that only the tests use.
 
 For one long edge graph: its cogenus, shifts, gap loads lambda_j and
 lambda_bar_j, template test and (semi-, strict) beta-allowability; the
-ordering count P_beta (or P^s_beta) from its fill weights; Phi_beta (or
+placement, its fill weights W(n), placed one edge at a time from an empty
+fill, and the ordering count P_beta (or P^s_beta) from them; Phi_beta (or
 Phi^s) by the integer Euler operator recursion, and its affine-linear fit
 in beta. Against these: ordering counts by distinguishable edge instances
 and by the fill-vector programme over the edge classes, whose run from an
@@ -19,6 +20,7 @@ import functools
 import itertools
 import operator
 import sys
+from collections import Counter
 from math import comb, factorial, prod
 
 from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _compositions, _marking_classes
@@ -26,8 +28,7 @@ from refsev.caporaso import CHTable, _strip, canon_seq, iseq
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     LongEdgeGraph,
-    _fill_sum,
-    _fill_weights,
+    _place,
     _refuse_negative,
     enumerate_graphs,
     enumerate_templates,
@@ -100,6 +101,29 @@ def _heavy_end(G: LongEdgeGraph, n: int) -> bool:
     return any(w > 1 for i, j, w in G.edges if i in (0, n) or j in (0, n))
 
 
+def placement(T: LongEdgeGraph) -> tuple:
+    """(length, eps0, eps1, the sorted edge weights): what a sum over
+    shifts of the template T reads of it, the key of the window sums."""
+    return T.length(), T.eps0(), T.eps1(), tuple(sorted(w for _, _, w in T.edges))
+
+
+def fill_weights(G: LongEdgeGraph) -> dict:
+    """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
+    gap g + 1, from an empty fill. The edges are placed one at a time by
+    the engine's step (graphs._place); dividing by the factorials of the
+    multiplicities of identical edges then counts each ordering once."""
+    fills = functools.reduce(_place, G.edges, {(): 1})
+    sym = prod(map(factorial, Counter(G.edges).values()))
+    return {n: c // sym for n, c in fills.items()}
+
+
+def fill_sum(weights, free) -> int:
+    """sum_n W(n) prod_g C(free[g] + n[g], n[g]): P from the fill weights
+    (n, W(n)) of a graph and its free fills beta_g - lambda_g."""
+    return sum(w * prod(map(comb, map(operator.add, free, n), n))
+               for n, w in weights)
+
+
 def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
     up to permutation of identical edges.
@@ -110,13 +134,13 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
     gap j as one indistinguishable class. Placed after G's own edges, they
     interleave with the n_j of those in gap j in C(f_j + n_j, n_j) ways, so
     P is a polynomial in the free fills f: the sum over n of the fill
-    weights W_G(n) of _fill_weights times prod_j C(f_j + n_j, n_j).
+    weights W_G(n) of fill_weights times prod_j C(f_j + n_j, n_j).
     """
     if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
         return 0
     # beta is at least as long as the loads, so map stops at the last gap
-    return _fill_sum(_fill_weights(G).items(),
-                     tuple(map(operator.sub, beta, G.loads())))
+    return fill_sum(fill_weights(G).items(),
+                    tuple(map(operator.sub, beta, G.loads())))
 
 
 @functools.cache

@@ -202,6 +202,8 @@ def test_start_up_loads_no_introspection():
     (["verify", "--id", "cross-engine", "--dmax", "-1"], "no point to check"),
     (["verify", "--id", "cross-engine", "--deltamax", "-1"], "no point to check"),
     (["verify", "--id", "refpol", "--dmax", "-1"], "no point to check"),
+    (["verify", "--id", "refpol", "--deltamax", "-1"], "error: --deltamax must be >= 0"),
+    (["verify", "--id", "GSPSigmaW", "--deltamax", "-1"], "error: --deltamax must be >= 0"),
     (["verify", "--id", "conjan_P112", "--dmax", "1"],
      "error: verify --id conjan_P112 takes no --dmax"),
     (["verify", "--id", "ruledblow", "--deltamax", "2"],
@@ -283,6 +285,7 @@ def test_start_up_loads_no_introspection():
       "error: Eisenstein index must be a positive even integer")
      for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
         "compute-range", "cross-dmax", "cross-deltamax", "refpol-dmax",
+        "refpol-deltamax", "gsp-deltamax",
         "conjan-dmax", "ruledblow-deltamax", "cross-order", "fhat-general-order",
         "solveB-order-0", "solveB-order-minus1-0", "solveB-order-minus1-neg",
         "refpol-order-minus1",

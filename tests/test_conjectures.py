@@ -2,6 +2,7 @@
 full ranges."""
 import functools
 import inspect
+import operator
 
 import pytest
 
@@ -225,24 +226,28 @@ def test_cross_engine_small(chtable):
 
 def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
     # one sweep of s(c, m, dmax) per (m, c), at deltamax; the sweeps share
-    # one memo of P sums, read the placement tables and build each
-    # cogenus's table once over the whole check
+    # one set of placement tables, and the check walks the templates of
+    # each cogenus once
     grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
-    sweeps, memos = [], set()
-    sweep = graphs.refined_counts_by_prefix
+    sweeps, tables, walked = [], set(), []
+    sweep, templates = graphs.refined_counts_by_prefix, graphs.enumerate_templates
 
-    def sweeping(beta, delta, y="sym", memo=None):
+    def sweeping(beta, delta, y="sym", sums=None):
         sweeps.append((tuple(beta), delta))
-        memos.add(id(memo))
-        return sweep(beta, delta, y, memo)
+        tables.add(id(sums))
+        return sweep(beta, delta, y, sums)
+
+    def walking(kappa):
+        walked.append(kappa)
+        return templates(kappa)
 
     monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
-    graphs._placement_tables.cache_clear()
+    monkeypatch.setattr(graphs, "enumerate_templates", walking)
     rep = check_conjecture("cross_engine", table=chtable, **grid)
     assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
     assert sweeps == [(s_beta(c, m, 3), 3) for m in range(3) for c in range(3)]
-    assert len(memos) == 1
-    assert graphs._placement_tables.cache_info().misses <= grid["deltamax"]
+    assert len(tables) == 1 and id(None) not in tables
+    assert walked == [1, 2, 3]
 
 
 def _cross_engine_grid(cmax=4, dmax=4, mmax=2):
@@ -261,19 +266,30 @@ def test_counts_at_mixed_deltas_equal_each_points_own_counts():
 
 def test_cross_engine_sums_each_entry_and_window_once(chtable, monkeypatch):
     # s(c, m, .) and s(c + m, m, .) share windows, and every window of
-    # s(c, 0, d) is the same; the sweeps of the check's one call sum each
-    # (placement-table entry, window) once
+    # s(c, 0, d) is the same; the check's one call makes the P of each
+    # template at each window its sweeps read, and under which it is
+    # allowable, once
     sums = []
-    table_sum = graphs._table_sum
+    template_sum = graphs._template_sum
 
-    def summing(by_loads, window):
-        sums.append((id(by_loads), tuple(window)))
-        return table_sum(by_loads, window)
+    def summing(fills, last, free):
+        sums.append(tuple(free))
+        return template_sum(fills, last, free)
 
-    monkeypatch.setattr(graphs, "_table_sum", summing)
+    monkeypatch.setattr(graphs, "_template_sum", summing)
     rep = check_conjecture("cross_engine", table=chtable)
-    assert rep.ok and rep.counts["pass"] == len(_cross_engine_grid()) * 4, rep.summary()
-    assert sums and len(sums) == len(set(sums))
+    grid = _cross_engine_grid()
+    assert rep.ok and rep.counts["pass"] == len(grid) * 4, rep.summary()
+    read = set()
+    for beta in {s_beta(c, m, 4) for c, m, _ in grid}:
+        n = len(beta)
+        for kappa in range(1, 4):  # the check's deltamax is 3
+            for T in graphs.enumerate_templates(kappa):
+                ell = T.length()
+                for p in range(1 - T.eps0(), n - ell + T.eps1()):
+                    if all(map(operator.ge, beta[p:p + ell], T.loads())):
+                        read.add((T, beta[p:p + ell]))
+    assert sums and len(sums) == len(read)
 
 
 def test_solve_b_small(chtable):
@@ -293,9 +309,9 @@ def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
         read.append((list(points), delta))
         return real(points, delta)
 
-    def sweeping(beta, delta, y="sym", memo=None):
+    def sweeping(beta, delta, y="sym", sums=None):
         sweeps.append((tuple(beta), delta))
-        return sweep(beta, delta, y, memo)
+        return sweep(beta, delta, y, sums)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("solveB fitted a node polynomial")

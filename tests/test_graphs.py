@@ -1,7 +1,10 @@
+import functools
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -29,12 +32,15 @@ from oracles import (
     count_orderings_fill_dp,
     eval_phi_linear,
     fill_programme,
+    fill_sum,
+    fill_weights,
     fit_phi_linear,
     is_template,
     lambda_bar_j,
     lambda_j,
     phi,
     phi_bruteforce,
+    placement,
     q_log_count_templates,
     refined_count_all_graphs,
     shift,
@@ -47,7 +53,8 @@ ORACLE_NAMES = (
     "count_orderings", "phi", "_sub_multiset", "_euler_terms", "_log_numerator",
     "fit_phi_linear", "eval_phi_linear", "is_empty", "cogenus", "shift",
     "lambda_j", "lambda_bar_j", "beta_allowable", "beta_semiallowable",
-    "strictly_beta_allowable", "_heavy_end", "is_template",
+    "strictly_beta_allowable", "_heavy_end", "is_template", "_fill_weights",
+    "_fill_sum", "placement",
 )
 
 
@@ -263,62 +270,134 @@ def test_orderings_match_fill_dp_on_templates(kappa):
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
 def test_fill_weights_equal_the_class_programme(kappa):
-    # the engine places one edge at a time and divides by the factorials
-    # of the multiplicities; the oracle places each class of identical
-    # edges at once; from an empty fill both give the weights W(n)
+    # the engine's step places one edge at a time, and the weights divide
+    # by the factorials of the multiplicities; the oracle places each class
+    # of identical edges at once; from an empty fill both give W(n)
     for T in enumerate_templates(kappa):
-        assert graphs._fill_weights(T) == fill_programme(T, (0,) * len(T.loads())), T
+        assert fill_weights(T) == fill_programme(T, (0,) * len(T.loads())), T
+
+
+def _table_windows(kappa):
+    """{length: {(eps0, eps1): windows}}: at most 12 windows of each length
+    up to kappa + 1 for every eps0 and eps1, cut from the _windows of about
+    four templates of cogenus kappa (their loads, one entry below, zeros,
+    random fills)."""
+    templates = enumerate_templates(kappa)
+    cut: dict = {}
+    for T in templates[::max(1, len(templates) // 4)]:
+        for b in _windows(T):
+            for ell in range(1, len(b) + 1):
+                cut.setdefault(ell, set()).add(b[:ell])
+    rng = random.Random(kappa)
+    return {ell: dict.fromkeys([(0, 0), (0, 1), (1, 0), (1, 1)],
+                               set(rng.sample(sorted(ws), min(12, len(ws)))))
+            for ell, ws in cut.items() if ell <= kappa + 1}
+
+
+def _tables_by_template(kappa, windows, p_of):
+    """The placement tables of cogenus kappa, template by template: the sum
+    of p_of(T)(window) at each window of T's length, eps0 and eps1, over
+    the templates T of each placement."""
+    tables: dict = {}
+    for T in enumerate_templates(kappa):
+        ell, e0, e1, weights = placement(T)
+        p_at = p_of(T)
+        by_window = tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
+        for window in windows[ell][e0, e1]:
+            by_window[window] = by_window.get(window, 0) + p_at(window)
+    return tables
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
 def test_placement_tables_equal_the_per_template_weights(kappa):
-    # the tables place each edge prefix once, resuming from the template
-    # before; summing _fill_weights of every template on its own gives the
-    # same tables, in the same order
-    tables: dict = {}
-    for T in enumerate_templates(kappa):
-        ell, e0, e1, weights = T.placement()
-        summed = (tables.setdefault((ell, weights), {}).setdefault((e0, e1), {})
-                  .setdefault(T.loads(), {}))
-        for n, w in graphs._fill_weights(T).items():
-            summed[n] = summed.get(n, 0) + w
-    assert graphs._placement_tables(kappa) == graphs._pairs(tables)
+    # the walk places each edge prefix once, resuming from the template
+    # before, and keeps the loads, the eps flags and the symmetry factor
+    # by prefix; the P of each template alone, from its own fill weights
+    # (count_orderings), gives the same tables, each window asked and no
+    # other
+    windows = _table_windows(kappa)
 
+    def p_of(T):
+        weights, loads = fill_weights(T).items(), T.loads()
+        return lambda window: beta_allowable(T, window) and fill_sum(
+            weights, [b - l for b, l in zip(window, loads)])
 
-def test_placement_tables_cannot_be_changed():
-    # a process-lifetime memo hands out tuples of pairs at every level, so
-    # an attempt to change what a caller holds raises
-    tables = graphs._placement_tables(3)
-    level = [tables]
-    for _ in range(4):  # placements, ends, load vectors, fill weights
-        assert all(type(t) is tuple and all(type(pair) is tuple and len(pair) == 2
-                                            for pair in t) for t in level)
-        with pytest.raises(TypeError):
-            level[0][0] = level[0][0]
-        level = [value for t in level for _, value in t]
-    assert level and all(type(w) is int for w in level)
-    assert graphs._placement_tables(3) is tables
+    assert all(p_of(T)(w) == count_orderings(T, w) for T in enumerate_templates(kappa)[:9]
+               for w in windows[T.length()][0, 0])
+    tables = graphs._window_sums(windows, kappa)
+    assert len(tables) == kappa + 1 and not tables[0]
+    assert tables[kappa] == _tables_by_template(kappa, windows, p_of)
 
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
 def test_placement_tables_sum_their_templates(kappa):
-    # each entry of the table, at each window, is the sum of the P of the
-    # templates of that length, weights, eps0, eps1; and the entries hold
-    # every template of cogenus kappa once
-    groups: dict = {}
-    for T in enumerate_templates(kappa):
-        ell, e0, e1, weights = T.placement()
-        groups.setdefault((ell, weights, e0, e1), []).append(T)
-    tables = {key: dict(classes) for key, classes in graphs._placement_tables(kappa)}
-    assert sorted(groups) == sorted((ell, weights, e0, e1)
-                                    for (ell, weights), classes in tables.items()
-                                    for e0, e1 in classes)
-    for (ell, weights, e0, e1), ts in groups.items():
-        by_loads = tables[ell, weights][e0, e1]
-        assert sorted(loads for loads, _ in by_loads) == sorted({T.loads() for T in ts})
-        for beta in {b[:ell] for T in ts for b in _windows(T) if len(b) >= ell}:
-            assert graphs._table_sum(by_loads, beta) == sum(
-                count_orderings_fill_dp(T, beta) for T in ts), (ts, beta)
+    # each entry of the tables, at each window, is the sum of the P of the
+    # templates of that length, weights, eps0 and eps1 by the class
+    # programme from the free fills; the entries hold every template of
+    # cogenus kappa
+    windows = _table_windows(kappa)
+    tables = graphs._window_sums(windows, kappa)[kappa]
+    assert tables == _tables_by_template(
+        kappa, windows, lambda T: functools.partial(count_orderings_fill_dp, T))
+    assert sorted(tables) == sorted({placement(T)[::3] for T in enumerate_templates(kappa)})
+
+
+def test_windows_are_those_the_sweep_reads():
+    # a template at p needs eps0 when p = 0 and eps1 when it ends at the
+    # last vertex; no template of cogenus at most delta is longer than
+    # delta + 1; the windows of several sweeps are merged
+    beta = (3, 1, 4, 1, 5)
+    windows = graphs._windows([(beta, 2)])
+    assert sorted(windows) == [1, 2, 3]
+    assert windows[2] == {(0, 0): {(1, 4), (4, 1)}, (0, 1): {(1, 4), (4, 1), (1, 5)},
+                          (1, 0): {(3, 1), (1, 4), (4, 1)},
+                          (1, 1): {(3, 1), (1, 4), (4, 1), (1, 5)}}
+    assert graphs._windows([(beta, 9)])[5] == {(0, 0): set(), (0, 1): set(),
+                                               (1, 0): set(), (1, 1): {beta}}
+    both = graphs._windows([(beta, 2), ((2, 7), 4)])
+    assert both[2][1, 1] == windows[2][1, 1] | {(2, 7)}
+    assert both[1][0, 0] == {(1,), (4,)} and not graphs._windows([((), 3)])
+
+
+def test_counts_at_hold_no_memo_past_the_call(monkeypatch):
+    # two calls on different grids in one process each equal the counts
+    # point by point; each walks every cogenus once; the tables of each
+    # call are gone when it returns, and graphs keeps no P sum or fill
+    # structure but the template lists of enumerate_templates
+    tables, walked = [], []
+    window_sums, templates = graphs._window_sums, graphs.enumerate_templates
+
+    class Tables(list):
+        __slots__ = ("__weakref__",)
+
+    def tracked(*args):
+        out = Tables(window_sums(*args))
+        tables.append(weakref.ref(out))
+        return out
+
+    def walking(kappa):
+        walked.append(kappa)
+        return templates(kappa)
+
+    monkeypatch.setattr(graphs, "_window_sums", tracked)
+    monkeypatch.setattr(graphs, "enumerate_templates", walking)
+    for points in ({(c, m, d): 4 for c in range(3) for m in range(3) for d in range(1, 4)},
+                   {(0, 1, 6): 5, (2, 0, 3): 2, (1, 2, 2): 3}):
+        walked.clear()
+        made = len(tables)
+        counts = graphs.refined_counts_at(points)
+        assert len(tables) == made + 1 and tables[-1]() is None
+        assert walked == list(range(1, max(points.values()) + 1))
+        assert counts == {p: refined_counts(s_beta(*p), delta) for p, delta in points.items()}
+    monkeypatch.undo()
+    del counts
+    gc.collect()
+    assert all(ref() is None for ref in tables)
+    held = {name for name, value in vars(graphs).items() if not name.startswith("__")
+            and (isinstance(value, (dict, list, set, tuple)) or hasattr(value, "cache_info"))}
+    assert held == {"enumerate_templates"}
+    assert all(type(ts) is tuple and all(type(T) is LongEdgeGraph for T in ts)
+               for ts in (templates(k) for k in range(6)))
 
 
 # -- the log transform ---------------------------------------------------------------

@@ -80,18 +80,22 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
     # the fit of --delta 1-5 makes one sweep of s(c, m, dmax) per distinct
     # (c, m) among the probe and held-out points of every delta, at the
     # largest d and the largest delta among them; the sweeps share one
-    # memo of P sums, the placement table of each cogenus is built once,
-    # and each value is the engine's
-    sweeps, memos = [], set()
-    sweep = graphs.refined_counts_by_prefix
+    # set of placement tables, the templates of each cogenus are walked
+    # once, and each value is the engine's
+    sweeps, tables, walked = [], set(), []
+    sweep, templates = graphs.refined_counts_by_prefix, graphs.enumerate_templates
 
-    def sweeping(beta, delta, y="sym", memo=None):
+    def sweeping(beta, delta, y="sym", sums=None):
         sweeps.append((tuple(beta), delta))
-        memos.add(id(memo))
-        return sweep(beta, delta, y, memo)
+        tables.add(id(sums))
+        return sweep(beta, delta, y, sums)
+
+    def walking(kappa):
+        walked.append(kappa)
+        return templates(kappa)
 
     monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
-    graphs._placement_tables.cache_clear()
+    monkeypatch.setattr(graphs, "enumerate_templates", walking)
     fits = fit_node_polynomials(family, range(1, 6))
     top: dict = {}
     for delta, np in fits.items():
@@ -100,9 +104,9 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
             top[c, m] = max(d, dmax), max(delta, deltamax)
     assert sorted(sweeps) == sorted((s_beta(c, m, d), delta)
                                     for (c, m), (d, delta) in top.items())
-    assert len(memos) == 1
+    assert len(tables) == 1 and id(None) not in tables
     assert family != "p2" or sweeps == [(s_beta(0, 1, 10), 5)]
-    assert graphs._placement_tables.cache_info().misses <= 5
+    assert walked == [1, 2, 3, 4, 5]
     monkeypatch.undo()
     for delta in (1, 5):
         np = fits[delta]
