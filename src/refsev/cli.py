@@ -4,8 +4,10 @@ Subcommands: compute | relative | fit-nodepoly | solve-B | series | verify
 | export-tables, each a function from the parsed options (and the recursion
 table, when it takes --cache) to its result. `main` alone owns the cache
 file, writes the result under a header of every option but --cache and sets
-the exit status: 0 success, 1 verification failure, 2 usage error. Outputs
-are deterministic; exact rationals are serialized as decimal strings.
+the exit status: 0 success, 1 verification failure, 2 usage error, 141
+when the reader of stdout closed it first (128 + SIGPIPE, as a shell
+reports a process the signal ended). Outputs are deterministic; exact
+rationals are serialized as decimal strings.
 """
 from __future__ import annotations
 
@@ -373,8 +375,15 @@ def main(argv=None) -> int:
             header = {k: v for k, v in vars(args).items()
                       if k not in ("cache", "func")}
             _emit(sys.stdout, header, result, args.format)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         if store is not None:
             store.flush()
+    except BrokenPipeError:
+        # stdout goes to devnull from here on, so the flush at exit is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, KeyError, CacheVersionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if store is not None and store.created and not len(store):

@@ -6,21 +6,20 @@ solveB, which solves B from engine data and compares it to the tables.
 Passes are exact; a failure reports the earliest discrepancy (delta,
 q-power, doubled y-exponent) so table-typo triage is possible.
 
-The second-part checks (singular surfaces, blowups, multiple points)
-share one path, `_against`. A check hands it its cases as (params,
-bundle, Invariants), the correction factor R as a function of the order,
-the point-series exponent shift and a validity predicate skip(params,
-delta). `_against` takes the B tables and R to the order form (2) needs,
-evaluates form (2) once for all cases, and at each delta records the
-recursion degree of the bundle against the t^(delta + shift) coefficient,
-or a SKIP with the reason skip returns. Two checks keep their own loops:
-A1con_sigma2 goes through form (3) (genfun.reform_coefficient), and
-multcon_H34_at_pm1 gives one verdict per case so that its table-typo
-probe can re-read a whole case.
+The nine second-part checks (singular surfaces, blowups, multiple points)
+are data: one `Spec` each in `_SPECS`, all run by `_run`. A spec turns its
+ranges into groups of cases (params, bundle, Invariants), each group with
+its correction factor, point-series exponent shift and y, and names its
+skip rule and the form of the identity. `_run` evaluates the identity once
+per group and asks each bundle once for its recursion row. The odd cases
+are fields: refpol's fit is a second row against the same coefficients,
+A1con_sigma2 names form (3), and multcon_H34_at_pm1 gives one verdict per
+case, which its H_4(1) probe factor may re-check.
 """
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 from . import modular, tables
 from .caporaso import CHTable, P2, Sigma, severi_degrees
@@ -76,25 +75,14 @@ class ConjectureReport:
         return "\n".join(lines)
 
 
-def _yl_diff(a: YLaurent, b: YLaurent):
-    d = a - b
-    if d.is_zero():
-        return None
-    e = min(d.terms)
-    return (e, a.coeff(e), b.coeff(e))
-
-
 def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
-    diff = _yl_diff(lhs, rhs)
-    if diff is None:
+    diff = lhs - rhs
+    if diff.is_zero():
         report.record(params, True)
-    else:
-        e, va, vb = diff
-        report.record(
-            params, False,
-            f"first discrepancy at (delta={delta}, y-exp {e}/2): "
-            f"engine {va} vs genfun {vb}",
-        )
+        return
+    e = min(diff.terms)
+    report.record(params, False, f"first discrepancy at (delta={delta}, y-exp {e}/2): "
+                                 f"engine {lhs.coeff(e)} vs genfun {rhs.coeff(e)}")
 
 
 def _b_tables(K: int, y="sym"):
@@ -104,75 +92,123 @@ def _b_tables(K: int, y="sym"):
             modular.b_series(2, K).specialize_y(y))
 
 
-def _identity(invs, delta_max, factor=None, shift=0, y="sym"):
-    """Form (2) for each of invs: the t-series whose t^(delta + shift)
-    coefficient is M^delta for delta <= delta_max, with the B tables and
-    R = factor(K) (R = 1 if None) to the order K form (2) needs."""
-    K = delta_max + shift + 2
-    B1, B2 = _b_tables(K, y)
-    return reform_eval(invs, B1, B2, delta_max, R=factor(K) if factor else None,
-                       shift=shift, y=y)
+def _form2(g) -> list:
+    """Form (2) for the cases of group g in one evaluation: per case
+    [M^0, ..., M^delta_max], with the B tables and R = factor(K) (R = 1 if
+    None) to the order K form (2) needs."""
+    K = g.delta_max + g.shift + 2
+    B1, B2 = _b_tables(K, g.y)
+    series = reform_eval([inv for _, _, inv in g.cases], B1, B2, g.delta_max,
+                         R=g.factor(K) if g.factor else None, shift=g.shift, y=g.y)
+    return [[S.coeff_at(delta + g.shift) for delta in range(g.delta_max + 1)]
+            for S in series]
 
 
-def _against(rep, table, cases, delta_max, factor=None, shift=0, y="sym",
-             skip=None):
-    """The one comparison path of the second-part checks. cases are
-    (params, bundle, Invariants); at each delta <= delta_max it records
-    the engine degree of the bundle against the t^(delta + shift)
-    coefficient of the identity (one form (2) evaluation for all cases),
-    or a SKIP with the reason skip(params, delta) gives outside the
-    regime."""
-    series = _identity([inv for _, _, inv in cases], delta_max, factor, shift, y)
-    for (params, bundle, _), S in zip(cases, series):
-        reasons = [skip and skip(params, delta) for delta in range(delta_max + 1)]
-        # one row, to the largest delta not skipped
-        checked = [delta for delta, reason in enumerate(reasons) if not reason]
-        row = severi_degrees(bundle, checked[-1], y=y, table=table) if checked else []
-        for delta, reason in enumerate(reasons):
-            p = {**params, "delta": delta}
-            if reason:
-                rep.skip(p, reason)
-                continue
-            eng = row[delta]
-            _compare(rep, p, YLaurent.const(eng) if y != "sym" else eng,
-                     S.coeff_at(delta + shift), delta)
+def _form3(g) -> list:
+    """Form (3) for the cases of group g at 'sym', one coefficient at a
+    time, with the B tables and R = factor(K) to the order K its case's
+    extraction exponent needs; the shift may be rational."""
+    out = []
+    for _, _, inv in g.cases:
+        K = int(inv.qexp) + 2
+        B1, B2 = _b_tables(K)
+        R = g.factor(K)
+        out.append([reform_coefficient(inv, B1, B2, delta, R=R, shift=g.shift)
+                    for delta in range(g.delta_max + 1)])
+    return out
 
 
-# -- individual checks ---------------------------------------------------------
+# The cases (params, bundle, Invariants) of one evaluation of the identity,
+# to delta_max, with the correction factor R = factor(K) (1 if None), the
+# point-series exponent shift and the y. fit(cases) gives each case a second
+# row to compare with the identity; probe is (factor, detail, note) for
+# a failed case that passes under the identity with that factor instead.
+Group = namedtuple("Group", "cases delta_max factor shift y fit probe",
+                   defaults=(None, 0, "sym", None, None))
+# A second-part check: groups(**ranges) -> (report params, groups), whose
+# keyword defaults are the check's ranges; a delta is a SKIP with reason skip
+# where inside(bundle, delta, y) is false; the form of the identity; and
+# whether each case gets one verdict, naming its first bad delta.
+Spec = namedtuple("Spec", "groups skip inside form one_verdict",
+                  defaults=(None, None, _form2, False))
 
 
-def _check_refpol(table, delta_max=4, d_max=8) -> ConjectureReport:
+def _run(conj_id: str, spec: Spec, table, **ranges) -> ConjectureReport:
+    """The one runner of the second-part checks. Per group it evaluates the
+    identity once, first, so that a range past the tables is refused before
+    any fit or engine runs; per case it asks the recursion for one row, to
+    the largest delta inside, compares it with the identity at each delta
+    inside, and records a SKIP at each delta outside."""
+    params, groups = spec.groups(**ranges)
+    rep = ConjectureReport(conj_id, params)
+    for g in groups:
+        coeffs = spec.form(g)
+        fits = g.fit(g.cases) if g.fit else [None] * len(g.cases)
+        for case, want, fit in zip(g.cases, coeffs, fits):
+            p, bundle, _ = case
+            deltas = range(g.delta_max + 1)
+            inside = [dl for dl in deltas if not spec.inside or spec.inside(bundle, dl, g.y)]
+            row = severi_degrees(bundle, inside[-1], y=g.y, table=table) if inside else []
+            row = row if g.y == "sym" else [YLaurent.const(v) for v in row]
+            if not spec.one_verdict:
+                sides = ([({}, row)] if fit is None else
+                         [({"side": "fit"}, fit), ({"side": "engine"}, row)])
+                for delta in inside:
+                    for tag, got in sides:
+                        _compare(rep, {**p, "delta": delta, **tag}, got[delta],
+                                 want[delta], delta)
+            elif inside:  # a verdict over no delta would read as a pass
+                bad = _first_bad(row, want, inside)
+                probe = bad and g.probe and spec.form(
+                    g._replace(cases=[case], factor=g.probe[0]))[0]
+                if probe and not _first_bad(row, probe, inside):
+                    rep.record(p, True, g.probe[1])
+                    rep.notes.append(g.probe[2])
+                else:
+                    rep.record(p, bad is None, "" if bad is None else
+                               "delta={}: engine {} vs genfun {}".format(*bad))
+            for delta in deltas:
+                if delta not in inside:
+                    rep.skip({**p, "delta": delta}, spec.skip)
+    return rep
+
+
+def _first_bad(row, want, deltas):
+    """(delta, row value, identity value) at the first of deltas where
+    they differ, or None."""
+    return next(((dl, row[dl], want[dl]) for dl in deltas if row[dl] != want[dl]), None)
+
+
+def _within(n):
+    """delta <= n * d for the bundle's d: d on Sigma_m, d - k on the
+    blowups of P(1,1,2), d - m on Sigma_1."""
+    return lambda bundle, delta, y: delta <= n * bundle.d
+
+
+def _on(params: dict, bundle):
+    """A case on bundle with its own invariants."""
+    return params, bundle, Invariants.of(bundle)
+
+
+# -- the second-part checks ----------------------------------------------------
+
+
+def _refpol(delta_max=4, d_max=8):
     """Refined node polynomials of P^2 from the generating identity with the
     embedded B tables equal the fitted ones and the engine degrees, at every
     (d, delta) in_regime."""
-    rep = ConjectureReport("refpol", {"delta_max": delta_max, "d_max": d_max})
-    ds = range(1, d_max + 1)
-    series = _identity([Invariants.of(P2(d)) for d in ds], delta_max)
-    fits = fit_node_polynomials("p2", range(1, delta_max + 1))
-    for d, S in zip(ds, series):
-        nv = node_values(fits, delta_max, m=1, d=d)
-        inside = [dl for dl in range(delta_max + 1) if in_regime(P2(d), dl)]
-        row = severi_degrees(P2(d), inside[-1], table=table)
-        for delta in range(delta_max + 1):
-            if delta not in inside:
-                rep.skip({"d": d, "delta": delta}, "outside the polynomial regime")
-                continue
-            gen = S.coeff_at(delta)
-            _compare(rep, {"d": d, "delta": delta, "side": "fit"},
-                     nv[delta], gen, delta)
-            _compare(rep, {"d": d, "delta": delta, "side": "engine"},
-                     row[delta], gen, delta)
-    return rep
+    def fit(cases):
+        fits = fit_node_polynomials("p2", range(1, delta_max + 1))
+        return [node_values(fits, delta_max, m=1, d=p["d"]) for p, _, _ in cases]
+
+    return {"delta_max": delta_max, "d_max": d_max}, [Group(
+        [_on({"d": d}, P2(d)) for d in range(1, d_max + 1)], delta_max, fit=fit)]
 
 
-def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
+def _gsp_sigma_w(delta_max=8, d_max=10):
     """The Welschinger generating identity on P^2 with the Bbar tables."""
-    rep = ConjectureReport("GSPSigmaW", {"delta_max": delta_max, "d_max": d_max})
-    cases = [({"d": d}, P2(d), Invariants.of(P2(d))) for d in range(2, d_max + 1)]
-    _against(rep, table, cases, delta_max, y=-1,
-             skip=lambda p, delta: None
-             if in_regime(P2(p["d"]), delta, -1) else "d < delta/3 + 1")
-    return rep
+    return {"delta_max": delta_max, "d_max": d_max}, [Group(
+        [_on({"d": d}, P2(d)) for d in range(2, d_max + 1)], delta_max, y=-1)]
 
 
 # table-limited scaled-down bounds: the Fhat_c3, Fhat_c4 tables reach
@@ -180,162 +216,121 @@ def _check_gsp_sigma_w(table, delta_max=8, d_max=10) -> ConjectureReport:
 _RULED_DELTA = {2: 5, **{m: t - 2 for m, t in tables.FHAT_TRUSTED.items()}}
 
 
-def _ruled(rep, table, ms, d_max, factor) -> ConjectureReport:
-    """N^{(Sigma_m,dH),delta} against the singular-surface identity whose
-    1/m(1,1) correction factor is factor(m, K)."""
-    for m in ms:
-        cases = [({"m": m, "d": d}, Sigma(m, 0, d), Invariants.of(Sigma(m, 0, d)))
-                 for d in range(1, d_max + 1)]
-        _against(rep, table, cases, _RULED_DELTA[m], functools.partial(factor, m),
-                 skip=lambda p, delta: "outside delta <= d" if delta > p["d"] else None)
-    return rep
-
-
-def _check_ruledblow(table, ms=(2, 3, 4), d_max=4) -> ConjectureReport:
-    """The ruled-surface identity with the factor Fhat_{c_m}."""
+def _ruledblow(ms=(2, 3, 4), d_max=4):
+    """N^{(Sigma_m,dH),delta} against the ruled-surface identity with the
+    correction factor Fhat_{c_m}."""
     for m in ms:
         if m not in _RULED_DELTA:
             raise ValueError(f"ruledblow has no Fhat_c{m} table for m = {m}; "
                              f"the tables cover m in {sorted(_RULED_DELTA)}")
-    return _ruled(ConjectureReport("ruledblow", {"ms": list(ms), "d_max": d_max}),
-                  table, ms, d_max, modular.fhat_cm)
+    return {"ms": list(ms), "d_max": d_max}, [Group(
+        [_on({"m": m, "d": d}, Sigma(m, 0, d)) for d in range(1, d_max + 1)],
+        _RULED_DELTA[m], functools.partial(modular.fhat_cm, m)) for m in ms]
 
 
-def _check_conjan_p112(table, d_max=4) -> ConjectureReport:
+def _conjan_p112(d_max=4):
     """The ruled-surface identity for P(1,1,2) alone, with the factor
     eta(q)^2/eta(q^2)."""
-    def eta_quotient(m, K):
+    def eta_quotient(K):
         e = modular.eta(K)
         return e * e / e.subs_qpow(2)
-    return _ruled(ConjectureReport("conjan_P112", {"ms": [2], "d_max": d_max}),
-                  table, (2,), d_max, eta_quotient)
+
+    _, (group,) = _ruledblow((2,), d_max)
+    return {"ms": [2], "d_max": d_max}, [group._replace(factor=eta_quotient)]
 
 
-def _check_blowk(table, ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2) -> ConjectureReport:
+def _blowk(ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2):
     """Multiplicity-k points at the A_1 singularity of P(1,1,2): the
     blown-up identity with the correction factor fbar_{2k}, for delta <=
-    2(d - k). At delta = 2(d - k) + 1 the identity disagrees with both
-    engines (its coefficient is negative, e.g. -4 at k = 1/2, d = 3/2,
-    where no refined count can be), so that delta is a SKIP naming it."""
-    rep = ConjectureReport("blowk", {"2k": list(ks), "dprimes": list(dprimes),
-                                     "delta_max": delta_max})
-
-    def skip(p, delta):
-        if delta > 2 * (QQ(p["d"]) - QQ(p["k"])):
-            return "outside delta <= 2(d-k): the identity fails at 2(d-k)+1"
-
-    for k2 in ks:  # k2 = 2k and dp = d - k, so half-integers stay exact
-        cases = [({"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}, Sigma(2, k2, dp),
-                  Invariants.of(Sigma(2, k2, dp))) for dp in dprimes]
-        _against(rep, table, cases, delta_max, functools.partial(modular.f_bar, k2),
-                 skip=skip)
-    return rep
+    2(d - k), with ks the values of 2k and dprimes those of d - k, so
+    half-integers stay exact. At delta = 2(d - k) + 1 the identity
+    disagrees with both engines (its coefficient is negative, e.g. -4 at
+    k = 1/2, d = 3/2, where no refined count can be), so that delta is a
+    SKIP naming it."""
+    return {"2k": list(ks), "dprimes": list(dprimes), "delta_max": delta_max}, [Group(
+        [_on({"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}, Sigma(2, k2, dp))
+         for dp in dprimes], delta_max, functools.partial(modular.f_bar, k2))
+        for k2 in ks]
 
 
-def _check_a1con_sigma2(table, delta_max=2) -> ConjectureReport:
-    """Same content as blowk but through form (3) with the un-barred f_{2k}
-    (fractional q-offsets exercised end to end)."""
-    rep = ConjectureReport("A1con_sigma2", {"delta_max": delta_max})
-    cases = [(QQ(1, 2), QQ(5, 2)), (QQ(1), QQ(3)), (QQ(3, 2), QQ(5, 2)), (QQ(2), QQ(3))]
-    for k, d in cases:
-        k2 = int(2 * k)
-        # extraction at L(L-K_S)/2 of the *unblown* bundle; the k^2 lives in
-        # the point-series exponent shift and in f_{2k} = q^(k^2) fbar_{2k}
-        qexp = d * d + 2 * d
-        Kq = int(qexp) + 2  # at most 17, inside the B tables
-        B1, B2 = _b_tables(Kq)
-        R = modular.f_lower(k2, Kq)
-        # chi(L) = (d+1)^2 is fractional for half-integral Weil divisors;
-        # only chi - 1 - delta - k^2 and the extraction exponent need to
-        # land on the exponent lattice, and they do
-        inv = Invariants(K2=8, LK=int(-4 * d), chi_L=qexp + 1)
-        row = severi_degrees(Sigma(2, k2, int(d - k)), delta_max, table=table)
-        for delta in range(delta_max + 1):
-            gen = reform_coefficient(inv, B1, B2, delta, R=R, shift=k * k)
-            _compare(rep, {"k": str(k), "d": str(d), "delta": delta}, row[delta], gen,
-                     delta)
-    return rep
+def _a1con_sigma2(delta_max=2):
+    """Same content as blowk but through form (3) with the un-barred
+    f_{2k} = q^(k^2) fbar_{2k} and the k^2 in the point-series exponent
+    shift (fractional q-offsets exercised end to end). The extraction is at
+    L(L-K_S)/2 of the *unblown* bundle, and chi(L) = (d+1)^2 is fractional
+    for half-integral Weil divisors: only chi - 1 - delta - k^2 and the
+    extraction exponent need to land on the exponent lattice, and they do.
+    The order K is at most 17, inside the B tables."""
+    return {"delta_max": delta_max}, [Group(
+        [({"k": str(k), "d": str(d)}, Sigma(2, int(2 * k), int(d - k)),
+          Invariants(K2=8, LK=int(-4 * d), chi_L=(d + 1) ** 2))],
+        delta_max, functools.partial(modular.f_lower, int(2 * k)), k * k)
+        for k, d in ((QQ(1, 2), QQ(5, 2)), (QQ(1), QQ(3)), (QQ(3, 2), QQ(5, 2)),
+                     (QQ(2), QQ(3)))]
 
 
-def _multiple_point(rep, table, m, ds, delta_max, skip=None):
-    """Curves with an ordinary m-fold point on P^2 as curves on the blowup
-    Sigma_1: the identity with the factor H_m and the point-series
-    exponent shifted by m(m+1)/2."""
-    cases = [({"m": m, "d": d}, Sigma(1, m, d - m), Invariants.of(P2(d))) for d in ds]
-    _against(rep, table, cases, delta_max, functools.partial(modular.h_series, m),
-             shift=m * (m + 1) // 2, skip=skip)
+def _m_fold(m, ds, **tag):
+    """Cases for plane curves of degree d with an ordinary m-fold point, as
+    curves on the blowup Sigma_1 with the invariants of P^2(d); their
+    identity has the factor H_m and the point-series exponent shifted by
+    m(m+1)/2."""
+    return [({"m": m, **tag, "d": d}, Sigma(1, m, d - m), Invariants.of(P2(d)))
+            for d in ds]
 
 
-def _check_p2blow(table, m_max=1, delta_max=4, d_max=8) -> ConjectureReport:
+def _p2blow(m_max=1, delta_max=4, d_max=8):
     """Multiple points on P^2 via blowups of Sigma_1; m = 1 has H_1 equal to
     the point series, reducing to the plain identity with a shifted
-    exponent."""
-    rep = ConjectureReport("P2blow", {"m_max": m_max, "delta_max": delta_max,
-                                      "d_max": d_max})
-    for m in range(1, m_max + 1):
-        # the naive validity bound overreaches at tiny d (the identity
-        # demonstrably fails at m=1, d=2, delta=3, where both engines give
-        # 0); stay within delta <= 2(d-m)
-        _multiple_point(rep, table, m, range(m + 1, d_max + 1), delta_max,
-                        skip=lambda p, delta: "outside validity"
-                        if delta > 2 * (p["d"] - p["m"]) else None)
-    return rep
+    exponent. The naive validity bound overreaches at tiny d (the identity
+    demonstrably fails at m=1, d=2, delta=3, where both engines give 0), so
+    the check stays within delta <= 2(d-m)."""
+    return {"m_max": m_max, "delta_max": delta_max, "d_max": d_max}, [Group(
+        _m_fold(m, range(m + 1, d_max + 1)), delta_max,
+        functools.partial(modular.h_series, m), m * (m + 1) // 2)
+        for m in range(1, m_max + 1)]
 
 
-def _check_multcon_h12(table, delta_max_h1=4, delta_max_h2=3,
-                       d_max=7) -> ConjectureReport:
+def _multcon_h12(delta_max_h1=4, delta_max_h2=3, d_max=7):
     """The refined multiple-point factors H_1 = point series and H_2 =
     theta-derived combination, on Sigma_1 data."""
-    rep = ConjectureReport("multcon_H12", {"delta_max": (delta_max_h1, delta_max_h2),
-                                           "d_max": d_max})
-    for m, delta_max in ((1, delta_max_h1), (2, delta_max_h2)):
-        _multiple_point(rep, table, m, range(m + 2, d_max + 1), delta_max)
-    return rep
+    return {"delta_max": (delta_max_h1, delta_max_h2), "d_max": d_max}, [Group(
+        _m_fold(m, range(m + 2, d_max + 1)), delta_max,
+        functools.partial(modular.h_series, m), m * (m + 1) // 2)
+        for m, delta_max in ((1, delta_max_h1), (2, delta_max_h2))]
 
 
-def _check_multcon_h34(table, delta_max=3) -> ConjectureReport:
+def _multcon_h34(delta_max=3):
     """H_3 and H_4 at y = +-1 from the quasimodular expressions, one
     verdict per (m, y, d) over delta <= 2(d - m); each delta past that
     is a SKIP. A failure that the literal D^4G_4 reading of the single
     ambiguous H_4(1) monomial mends is reported as a table-typo candidate
     rather than a failure."""
-    rep = ConjectureReport("multcon_H34_at_pm1", {"delta_max": delta_max})
     literal = [modular.H4_AT1_LITERAL if t == modular.H4_AT1_AMBIGUOUS else t
                for t in modular._H_AT1[4]]
-    for m in (3, 4):
-        shift = m * (m + 1) // 2
-        for yv in (1, -1):
-            def series(factor, ds):
-                return _identity([Invariants.of(P2(d)) for d in ds], delta_max,
-                                 factor, shift, yv)
+    probe = (functools.partial(modular.quasimodular_sum, literal),
+             "table-typo candidate: only the literal D^4G_4 reading of the "
+             "ambiguous monomial passes", "H_4(1) ambiguous monomial sensitive")
+    return {"delta_max": delta_max}, [Group(
+        _m_fold(m, (m + 2, m + 3), y=yv), delta_max,
+        functools.partial(modular.h_at, m, yv), m * (m + 1) // 2, yv,
+        probe=probe if (m, yv) == (4, 1) else None)
+        for m in (3, 4) for yv in (1, -1)]
 
-            def first_bad(S, d):
-                top = min(delta_max, 2 * (d - m))
-                row = severi_degrees(Sigma(1, m, d - m), top, y=yv, table=table)
-                for delta in range(top + 1):
-                    eng, gen = row[delta], S.coeff_at(delta + shift)
-                    if eng != gen:
-                        return delta, eng, gen
-                return None
 
-            ds = (m + 2, m + 3)
-            for d, S in zip(ds, series(functools.partial(modular.h_at, m, yv), ds)):
-                params = {"m": m, "y": yv, "d": d}
-                bad = first_bad(S, d)
-                if bad is None:
-                    rep.record(params, True)
-                elif m == 4 and yv == 1 and first_bad(series(functools.partial(
-                        modular.quasimodular_sum, literal), [d])[0], d) is None:
-                    rep.record(params, True,
-                               "table-typo candidate: only the literal "
-                               "D^4G_4 reading of the ambiguous monomial passes")
-                    rep.notes.append("H_4(1) ambiguous monomial sensitive")
-                else:
-                    rep.record(params, False,
-                               "delta={}: engine {} vs genfun {}".format(*bad))
-                for delta in range(2 * (d - m) + 1, delta_max + 1):
-                    rep.skip({**params, "delta": delta}, "outside delta <= 2(d-m)")
-    return rep
+# check id -> Spec of each second-part check, in the order of CHECK_IDS
+_SPECS = {
+    "refpol": Spec(_refpol, "outside the polynomial regime", in_regime),
+    "GSPSigmaW": Spec(_gsp_sigma_w, "d < delta/3 + 1", in_regime),
+    "ruledblow": Spec(_ruledblow, "outside delta <= d", _within(1)),
+    "conjan_P112": Spec(_conjan_p112, "outside delta <= d", _within(1)),
+    "blowk": Spec(_blowk, "outside delta <= 2(d-k): the identity fails at 2(d-k)+1",
+                  _within(2)),
+    "A1con_sigma2": Spec(_a1con_sigma2, form=_form3),
+    "P2blow": Spec(_p2blow, "outside validity", _within(2)),
+    "multcon_H12": Spec(_multcon_h12),
+    "multcon_H34_at_pm1": Spec(_multcon_h34, "outside delta <= 2(d-m)", _within(2),
+                               one_verdict=True),
+}
 
 
 def _check_cross_engine(table, cmax=4, dmax=4, mmax=2, deltamax=3) -> ConjectureReport:
@@ -387,17 +382,9 @@ def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:
     return rep
 
 
-# check id -> checker(table, **params); the order is the order of CHECK_IDS
+# check id -> checker(table, **params) of the other checks, in the order of
+# CHECK_IDS
 _CHECKS = {
-    "refpol": _check_refpol,
-    "GSPSigmaW": _check_gsp_sigma_w,
-    "ruledblow": _check_ruledblow,
-    "conjan_P112": _check_conjan_p112,
-    "blowk": _check_blowk,
-    "A1con_sigma2": _check_a1con_sigma2,
-    "P2blow": _check_p2blow,
-    "multcon_H12": _check_multcon_h12,
-    "multcon_H34_at_pm1": _check_multcon_h34,
     "cross_engine": _check_cross_engine,
     "solveB": _check_solve_b,
     **{i: functools.partial(_check_series_identity, i)
@@ -406,15 +393,15 @@ _CHECKS = {
                                           "fbar_closed_form", K=40),
 }
 
-CHECK_IDS = tuple(_CHECKS)
+CHECK_IDS = (*_SPECS, *_CHECKS)
 
 
 def _parameters(check) -> tuple:
-    """The names a checker takes after its table: a function's own, or a
-    partial's function's after the positional arguments it binds."""
+    """The names a check takes: those of a function, or of a partial's
+    function after the positional arguments it binds, but the table."""
     code = getattr(check, "func", check).__code__
     names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-    return names[len(getattr(check, "args", ())) + 1:]
+    return tuple(n for n in names[len(getattr(check, "args", ())):] if n != "table")
 
 
 def check_conjecture(conj_id: str, table: CHTable | None = None,
@@ -423,15 +410,16 @@ def check_conjecture(conj_id: str, table: CHTable | None = None,
     reproducible from the recorded parameters. Raises ValueError for a
     parameter the check does not take, and when the parameters leave no
     point to check, which must not read as a pass."""
-    if conj_id not in _CHECKS:
+    spec = _SPECS.get(conj_id)
+    check = spec.groups if spec else _CHECKS.get(conj_id)
+    if check is None:
         raise ValueError(f"unknown check id {conj_id!r}")
-    check = _CHECKS[conj_id]
     extra = sorted(set(params) - set(_parameters(check)))
     if extra:
         raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
     if table is None:
         table = CHTable()
-    rep = check(table, **params)
+    rep = _run(conj_id, spec, table, **params) if spec else check(table, **params)
     if all(v == "skip" for _, v, _ in rep.instances):
         raise ValueError(f"{conj_id}: the given ranges hold no point to check")
     return rep

@@ -176,6 +176,43 @@ def test_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+def run_with_stdout_closed(args):
+    """The CLI run from src/ with stdout a pipe whose reader closed it
+    before any output."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-m", "refsev.cli", *args], stdout=write,
+                              stderr=subprocess.PIPE, text=True,
+                              cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--id", "P2blow"],
+    ["compute", "--surface", "p2", "--d", "1-40", "--delta", "0-2", "--format", "csv"],
+    ["export-tables"]])
+def test_closed_stdout_exits_141(args):
+    # as `| head -1` can: no traceback, and neither the status of a pass
+    # nor that of a failed verification
+    proc = run_with_stdout_closed(args)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--id", "P2blow"],
+    ["compute", "--surface", "p2", "--d", "1-40", "--delta", "0-2", "--format", "csv"]])
+def test_closed_stdout_keeps_the_cache(args, tmp_path):
+    # the cache store is closed as on any other exit, so the next run
+    # reads every value warm and appends nothing
+    cache = str(tmp_path / "ch.txt")
+    assert run_with_stdout_closed([*args, "--cache", cache]).returncode == 141
+    size = os.path.getsize(cache)
+    assert run_cli([*args, "--cache", cache])[0] == 0
+    assert os.path.getsize(cache) == size > len(MAGIC) + 1
+
+
 def test_start_up_loads_no_introspection():
     # a job's start-up, in a fresh interpreter without site (whose .pth
     # files may import typing): the command line imports none of these
@@ -434,7 +471,7 @@ def test_fit_nodepoly_golden(family, extra):
 
 
 @pytest.mark.parametrize("check_id", [
-    "GSPSigmaW", "ruledblow", "conjan_P112", "blowk", "A1con_sigma2", "P2blow",
+    "refpol", "GSPSigmaW", "ruledblow", "conjan_P112", "blowk", "A1con_sigma2", "P2blow",
     "multcon_H12", "multcon_H34_at_pm1"])
 def test_verify_summary_golden(check_id):
     # the default summary (counts, SKIP and FAIL lines, notes) of every

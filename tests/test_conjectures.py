@@ -1,19 +1,41 @@
 """Scaled-down runs of every checker; the acceptance module runs the
 full ranges."""
-import functools
 import inspect
+import json
 import operator
+from pathlib import Path
 
 import pytest
 
 from refsev import conjectures, graphs, modular
 from refsev.caporaso import P2, Sigma, severi_degree
 from refsev.conjectures import CHECK_IDS, ConjectureReport, check_conjecture
-from refsev.genfun import Invariants, reform_eval, solve_bundles
+from refsev.genfun import reform_eval, solve_bundles
 from refsev.graphs import s_beta
 from refsev.nodepoly import fit_node_polynomials, node_values
 from refsev.qseries import QSeries
 from refsev.ylaurent import YLaurent
+
+# the checks of the paper's second part: the generating identity in form
+# (2) or (3), with a correction factor, against the recursion
+SECOND_PART = ("refpol", "GSPSigmaW", "ruledblow", "conjan_P112", "blowk",
+               "A1con_sigma2", "P2blow", "multcon_H12", "multcon_H34_at_pm1")
+
+
+def report_json(rep) -> str:
+    """The report as a JSON object, one instance a line."""
+    rows = ",\n  ".join(map(json.dumps, rep.instances))
+    return (f'{{"conj_id": {json.dumps(rep.conj_id)}, "params": {json.dumps(rep.params)},\n'
+            f' "instances": [\n  {rows}\n ],\n "notes": {json.dumps(rep.notes)}}}\n')
+
+
+@pytest.mark.parametrize("conj_id", SECOND_PART)
+def test_default_report_golden(chtable, conj_id):
+    # the whole default report, which the verify summary does not show:
+    # the parameters, every instance in order, PASS ones included, with its
+    # detail, and the notes, pinned byte for byte
+    golden = Path(__file__).parent / "golden" / f"report-{conj_id}.json"
+    assert report_json(check_conjecture(conj_id, table=chtable)) == golden.read_text()
 
 
 def test_refpol_small(chtable):
@@ -130,16 +152,15 @@ def test_blowk_instances(chtable):
 def test_blowk_fails_at_the_edge_of_its_regime(chtable):
     # at delta = 2(d-k)+1 the identity's coefficient is negative where the
     # engine's refined count is 0: (k, d-k) = (1/2, 1), delta = 3, engine 0
-    # against identity -4. The check skips that delta, naming the edge
-    rep = ConjectureReport("blowk", {})
-    bundle = Sigma(2, 1, 1)
-    conjectures._against(rep, chtable, [({}, bundle, Invariants.of(bundle))], 3,
-                         functools.partial(modular.f_bar, 1))
+    # against identity -4. The check skips that delta, naming the edge; its
+    # spec without the skip rule records the failure there
+    ranges = {"ks": (1,), "dprimes": (1,), "delta_max": 3}
+    spec = conjectures._SPECS["blowk"]
+    rep = conjectures._run("blowk", spec._replace(inside=None), chtable, **ranges)
     assert [v for _, v, _ in rep.instances] == ["pass"] * 3 + ["fail"]
     assert "engine 0 vs genfun -4" in rep.instances[3][2]
-    assert severi_degree(bundle, 3, table=chtable).is_zero()
-    rep = check_conjecture("blowk", table=chtable, ks=(1,), dprimes=(1,),
-                           delta_max=3)
+    assert severi_degree(Sigma(2, 1, 1), 3, table=chtable).is_zero()
+    rep = conjectures._run("blowk", spec, chtable, **ranges)
     assert rep.instances[3] == ({"k": "1/2", "d": "3/2", "delta": 3}, "skip",
                                 "outside delta <= 2(d-k): the identity fails "
                                 "at 2(d-k)+1")
@@ -216,6 +237,14 @@ def test_multcon_h34_reports_a_failure(chtable, monkeypatch):
     assert [(p, detail) for p, v, detail in rep.instances if v == "fail"] == [
         ({"m": 3, "y": 1, "d": 5}, "delta=1: engine 28 vs genfun 29"),
         ({"m": 3, "y": 1, "d": 6}, "delta=1: engine 55 vs genfun 56")]
+
+
+@pytest.mark.parametrize("conj_id", ["multcon_H34_at_pm1", "A1con_sigma2"])
+def test_no_delta_is_no_point_to_check(chtable, conj_id):
+    # at delta_max = -1 no case has a delta to check: one verdict per case
+    # over none must not read as a pass
+    with pytest.raises(ValueError, match="the given ranges hold no point to check"):
+        check_conjecture(conj_id, table=chtable, delta_max=-1)
 
 
 def test_cross_engine_small(chtable):
@@ -382,6 +411,11 @@ def test_unknown_id_rejected(chtable):
     ("multcon_H34_at_pm1", {"with_ambiguous_probe": False}, "with_ambiguous_probe"),
     ("jacobi_triple", {"ident": "eta"}, "ident"),  # bound by the partial
     ("cross_engine", {"order": 3}, "order"),
+    ("GSPSigmaW", {"ms": (2,)}, "ms"),
+    ("blowk", {"d_max": 3}, "d_max"),
+    ("A1con_sigma2", {"d_max": 3}, "d_max"),
+    ("P2blow", {"ks": (1,)}, "ks"),
+    ("multcon_H12", {"delta_max": 3}, "delta_max"),
 ])
 def test_unknown_parameter_rejected(chtable, conj_id, params, name):
     with pytest.raises(ValueError, match=f"takes no parameter {name}"):
