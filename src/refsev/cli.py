@@ -45,7 +45,7 @@ def _int(part: str, option: str, text: str) -> int:
 
 def _parse_range(text: str, option: str):
     """'3' -> [3]; '0-4' -> [0,1,2,3,4]; an empty range ('3-1') is refused."""
-    if "-" in text.lstrip("-")[1:] or ("-" in text and not text.startswith("-")):
+    if "-" in text.lstrip("-")[1:]:
         lo, _, hi = text.partition("-")
         lo, hi = _int(lo, option, text), _int(hi, option, text)
         if hi < lo:

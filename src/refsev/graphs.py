@@ -19,14 +19,13 @@ programme on {per-gap fill vector: count} that places the edges one at a
 time from an empty fill (_place) gives weights W(n) with n_g of the
 graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g).
 Q^delta is the t^delta coefficient of the log of the counts N^0, ...,
-N^delta (q_log_of_counts). A call gathers the windows its sweeps read
-(_windows) and walks the templates of each cogenus once, each edge prefix
-placed once, into P sums per placement and window (_window_sums), which
-it drops on return: only the template lists outlive a call.
+N^delta. A call gathers the windows its sweeps read (_windows), enumerates
+the templates of each cogenus once and walks them, each edge prefix placed
+once, into P sums per placement and window (_window_sums); it drops the
+templates and the sums on return, so nothing outlives a call.
 """
 from __future__ import annotations
 
-import functools
 import operator
 from math import comb, prod
 
@@ -43,7 +42,6 @@ __all__ = [
     "refined_counts_by_prefix",
     "refined_counts_at",
     "q_log_count",
-    "q_log_of_counts",
 ]
 
 
@@ -55,7 +53,7 @@ def s_beta(c: int, m: int, d: int) -> tuple:
 class LongEdgeGraph:
     """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
 
-    __slots__ = ("edges", "_loads")
+    __slots__ = ("edges",)
 
     def __init__(self, edges):
         es = []
@@ -66,7 +64,6 @@ class LongEdgeGraph:
                 raise ValueError("short edges (length 1, weight 1) are forbidden")
             es.append((int(i), int(j), int(w)))
         self.edges = tuple(sorted(es))
-        self._loads = None
 
     def __eq__(self, other):
         return isinstance(other, LongEdgeGraph) and self.edges == other.edges
@@ -87,14 +84,12 @@ class LongEdgeGraph:
         return self.maxv() - self.minv() if self.edges else 0
 
     def loads(self) -> tuple:
-        """The gap loads (lambda_1, ..., lambda_maxv); computed once."""
-        if self._loads is None:
-            lam = [0] * (self.maxv() if self.edges else 0)
-            for i, k, w in self.edges:
-                for g in range(i, k):
-                    lam[g] += w
-            self._loads = tuple(lam)
-        return self._loads
+        """The gap loads (lambda_1, ..., lambda_maxv)."""
+        lam = [0] * (self.maxv() if self.edges else 0)
+        for i, k, w in self.edges:
+            for g in range(i, k):
+                lam[g] += w
+        return tuple(lam)
 
     def _light_at(self, v: int) -> bool:
         """Every edge at the vertex v has weight 1."""
@@ -154,11 +149,11 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
     return list(rec(0, delta, 1 if templates else maxv_bound))
 
 
-@functools.cache
-def enumerate_templates(delta: int) -> tuple:
-    """All templates of cogenus delta (minv = 0, interior vertices spanned)."""
+def enumerate_templates(delta: int) -> list:
+    """All templates of cogenus delta (minv = 0, interior vertices spanned),
+    a new list on each call."""
     # a template of cogenus delta has length at most delta + 1
-    return tuple(enumerate_graphs(delta, delta + 1, templates=True))
+    return enumerate_graphs(delta, delta + 1, templates=True)
 
 
 # -- ordering counts ----------------------------------------------------------
@@ -211,8 +206,9 @@ def _window_sums(windows: dict, delta: int) -> list:
     """sums[kappa][length, weights][eps0, eps1][window], the placement
     tables of a call: the P sum of the templates of cogenus kappa <= delta
     with that placement at each window of their length, eps0 and eps1.
-    Each enumerate_templates(kappa) is walked once, and templates that
-    share an edge prefix come one after another, so each resumes at the
+    The templates of each cogenus are enumerated once, walked once and
+    dropped before the next cogenus. Templates that share an edge prefix
+    come one after another in enumeration order, so each resumes at the
     longest prefix it shares with the last one placed: stack[t] holds the
     undivided fills of its first t edges, their loads (as long as the
     reach), a heavy edge at vertex 0 and at the reach, the factorials of
@@ -356,16 +352,10 @@ def refined_count(beta, delta: int, y="sym"):
     return refined_counts(beta, delta, y)[delta]
 
 
-def q_log_of_counts(counts: list):
-    """The t^delta coefficient of log sum_k counts[k] t^k, delta =
-    len(counts) - 1: Q^delta from the counts [N^0, ..., N^delta]."""
-    return QSeries(counts, trunc=len(counts)).log().coeff_at(len(counts) - 1)
-
-
 def q_log_count(beta, delta: int):
     """Q^delta_beta: the t^delta coefficient of log sum_delta N^delta t^delta,
     the log of refined_counts(beta, delta). A negative beta entry raises
     ValueError."""
     if delta < 1:
         raise ValueError("the log transform starts at cogenus 1")
-    return q_log_of_counts(refined_counts(beta, delta))
+    return QSeries(refined_counts(beta, delta), trunc=delta + 1).log().coeff_at(delta)

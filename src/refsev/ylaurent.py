@@ -15,6 +15,7 @@ palindromic element and so for every refined count.
 """
 from __future__ import annotations
 
+import functools
 import json
 
 from .rationals import QQ
@@ -36,7 +37,7 @@ class YLaurent:
     Instances are treated as immutable; all operations return new objects.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=None, _canonical=False):
         if terms is None:
@@ -45,7 +46,6 @@ class YLaurent:
             self.terms = terms
         else:
             self.terms = {int(e): _exact(c) for e, c in dict(terms).items() if c != 0}
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -212,9 +212,7 @@ class YLaurent:
         return NotImplemented
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
-        return self._hash
+        return hash(tuple(sorted(self.terms.items())))
 
     def __bool__(self):
         return bool(self.terms)
@@ -301,8 +299,7 @@ class YRing:
     payloads.
     """
 
-    __slots__ = ("y", "at", "zero", "one", "sum_products", "encode", "decode",
-                 "_prods")
+    __slots__ = ("y", "at", "zero", "one", "sum_products", "encode", "decode")
 
     def __init__(self, y, at, sum_products, encode, decode):
         self.y = y
@@ -312,17 +309,14 @@ class YRing:
         self.sum_products = sum_products
         self.encode = encode
         self.decode = decode
-        self._prods: dict = {}
 
+    @functools.cache
     def qnum_prod(self, powers: tuple):
         """prod [i]_y ** e over the (i, e) pairs of powers; memoised."""
-        hit = self._prods.get(powers)
-        if hit is None:
-            hit = self.one
-            for i, e in powers:
-                hit = hit * self.at(qnum(i)) ** e
-            self._prods[powers] = hit
-        return hit
+        out = self.one
+        for i, e in powers:
+            out = out * self.at(qnum(i)) ** e
+        return out
 
     def multiplicity(self, weights):
         """prod [w]_y ** 2 over the edge weights of a long edge graph."""

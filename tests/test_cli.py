@@ -225,6 +225,52 @@ def test_start_up_loads_no_introspection():
     assert proc.stdout == "[]\n"
 
 
+# the only memos that outlive a call, all functools caches
+PROCESS_MEMOS = ["genfun._substitution", "genfun.base_series", "modular.bernoulli",
+                 "tables.symmetric_table", "ylaurent.YRing.qnum_prod"]
+
+
+def test_process_lifetime_memos_are_the_allowed_caches():
+    # in a fresh interpreter with every module of the package loaded: the
+    # functools caches on its modules and classes are PROCESS_MEMOS, no
+    # module or class dict, list or set grows across five jobs, so no
+    # hand-written memo outlives its call, and no value class keeps a
+    # lazily filled slot
+    probe = (
+        "import contextlib, importlib, io, pkgutil, refsev\n"
+        "from refsev import cli, graphs, ylaurent\n"
+        "mods = [importlib.import_module('refsev.' + m.name)\n"
+        "        for m in pkgutil.iter_modules(refsev.__path__)]\n"
+        "def owners():\n"
+        "    for mod in mods:\n"
+        "        yield mod.__name__[7:], vars(mod)\n"
+        "        for name, cls in vars(mod).items():\n"
+        "            if isinstance(cls, type) and cls.__module__ == mod.__name__:\n"
+        "                yield mod.__name__[7:] + '.' + name, vars(cls)\n"
+        "def held():\n"
+        "    return {o + '.' + n: len(v) for o, ns in owners() for n, v in ns.items()\n"
+        "            if isinstance(v, (dict, list, set))}\n"
+        "before = held()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for job in ('compute --surface p2 --d 4 --delta 0-3',\n"
+        "                'verify --id cross-engine --cmax 2 --dmax 3 --mmax 2 --deltamax 3',\n"
+        "                'fit-nodepoly --family p2 --delta 1-3',\n"
+        "                'solve-B --order 5', 'series --name eta --order 6'):\n"
+        "        assert cli.main(job.split()) == 0, job\n"
+        "print(sorted({o + '.' + n for o, ns in owners() for n, v in ns.items()\n"
+        "              if hasattr(v, 'cache_info')}))\n"
+        "print(sorted(k for k, n in held().items() if before.get(k) != n))\n"
+        "print(graphs.LongEdgeGraph.__slots__, ylaurent.YLaurent.__slots__,\n"
+        "      ylaurent.YRing.__slots__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    assert proc.stdout.splitlines() == [
+        repr(PROCESS_MEMOS), "[]",
+        "('edges',) ('terms',) ('y', 'at', 'zero', 'one', 'sum_products', 'encode', 'decode')"]
+
+
 @pytest.mark.parametrize("args, message", [
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--k", "1/3"],
      "error: --k needs --surface sigma --m 2"),
@@ -318,6 +364,8 @@ def test_start_up_loads_no_introspection():
      "error: d = -3 is negative"),
     (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1,-1"],
      "error: alpha = (1, -1) has a negative entry"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "-1"],
+     "error: delta must be nonnegative"),
 ] + [(["series", "--name", "gbar2k", "--param", p],
       "error: Eisenstein index must be a positive even integer")
      for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
@@ -335,7 +383,7 @@ def test_start_up_loads_no_introspection():
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
         "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative",
-        "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
+        "delta-negative", "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout; a check over zero
     # points must not report a pass, and no option may go unread; FOREIGN

@@ -139,19 +139,19 @@ def test_templates_are_spanned():
 @pytest.mark.parametrize("delta", [0, 1, 2, 3, 4, 5])
 def test_templates_are_the_templates_among_all_graphs(delta):
     # same graphs in the same order as filtering the full enumeration
-    assert enumerate_templates(delta) == tuple(
-        G for G in enumerate_graphs(delta, delta + 1) if is_template(G))
+    assert enumerate_templates(delta) == [
+        G for G in enumerate_graphs(delta, delta + 1) if is_template(G)]
 
 
-def test_memoised_templates_cannot_be_changed_by_a_caller():
-    # the memo hands out its one copy; a list let a caller's pop() turn
-    # N^2 of beta = (0, 1, 2, 3) at y = 1 from 21 into 15
+def test_templates_handed_to_a_caller_change_no_count():
+    # each call makes a new list, so a caller's pop() or overwrite reaches
+    # no later count: a shared list once let pop() turn N^2 of beta =
+    # (0, 1, 2, 3) at y = 1 from 21 into 15
     templates = enumerate_templates(2)
-    with pytest.raises(AttributeError):
-        templates.pop()
-    with pytest.raises(TypeError):
-        templates[0] = templates[1]
-    assert enumerate_templates(2) is templates
+    templates.pop()
+    templates[0] = templates[1]
+    assert enumerate_templates(2) is not templates
+    assert len(enumerate_templates(2)) == len(templates) + 1
     assert refined_count((0, 1, 2, 3), 2, y=1) == 21
 
 
@@ -362,8 +362,8 @@ def test_windows_are_those_the_sweep_reads():
 def test_counts_at_hold_no_memo_past_the_call(monkeypatch):
     # two calls on different grids in one process each equal the counts
     # point by point; each walks every cogenus once; the tables of each
-    # call are gone when it returns, and graphs keeps no P sum or fill
-    # structure but the template lists of enumerate_templates
+    # call are gone when it returns, and graphs keeps no container and no
+    # cache at all: no template list, P sum or fill structure
     tables, walked = [], []
     window_sums, templates = graphs._window_sums, graphs.enumerate_templates
 
@@ -395,9 +395,22 @@ def test_counts_at_hold_no_memo_past_the_call(monkeypatch):
     assert all(ref() is None for ref in tables)
     held = {name for name, value in vars(graphs).items() if not name.startswith("__")
             and (isinstance(value, (dict, list, set, tuple)) or hasattr(value, "cache_info"))}
-    assert held == {"enumerate_templates"}
-    assert all(type(ts) is tuple and all(type(T) is LongEdgeGraph for T in ts)
-               for ts in (templates(k) for k in range(6)))
+    assert held == set()
+
+
+def test_no_long_edge_graph_outlives_a_call():
+    # in a fresh interpreter: the 551 templates of cogenus 1 to 5 that a
+    # cogenus-5 sweep walks are all garbage once it returns
+    probe = (
+        "import gc\n"
+        "from refsev.graphs import LongEdgeGraph, refined_counts_at\n"
+        "refined_counts_at({(0, 1, 6): 5})\n"
+        "gc.collect()\n"
+        "print(sum(type(o) is LongEdgeGraph for o in gc.get_objects()))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          cwd=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    assert proc.stdout == "0\n"
 
 
 # -- the log transform ---------------------------------------------------------------
