@@ -7,7 +7,7 @@ floor diagrams among them, live in tests/."""
 from .caporaso import CHTable, P2, P11m, Sigma, SurfaceBundle, \
     relative_degree, severi_degree, severi_degrees, welschinger_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
-from .graphs import LongEdgeGraph, q_log_count, refined_count, refined_counts, s_beta
+from .graphs import q_log_count, refined_count, refined_counts, s_beta
 from .modular import named_series, verify_series_identity
 from .qseries import QSeries, compose, compose_inverse
 from .ylaurent import YLaurent, qnum
@@ -15,9 +15,9 @@ from .ylaurent import YLaurent, qnum
 __version__ = "0.1.0"
 
 __all__ = [
-    "CHECK_IDS", "CHTable", "ConjectureReport", "LongEdgeGraph", "P2",
-    "P11m", "QSeries", "Sigma", "SurfaceBundle", "YLaurent",
-    "check_conjecture", "compose", "compose_inverse", "named_series",
+    "CHECK_IDS", "CHTable", "ConjectureReport", "P2", "P11m", "QSeries",
+    "Sigma", "SurfaceBundle", "YLaurent", "check_conjecture", "compose",
+    "compose_inverse", "named_series",
     "q_log_count", "qnum", "refined_count", "refined_counts",
     "relative_degree", "s_beta", "severi_degree", "severi_degrees",
     "verify_series_identity",

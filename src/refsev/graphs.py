@@ -1,9 +1,10 @@
 """Long-edge-graph combinatorics.
 
 A long edge graph lives on the vertex set Z_{>=0}; edges (i -> j, w) carry
-i < j and weight w >= 1, and weight-1 edges of length 1 are forbidden. The
-cogenus is sum((j-i)w - 1) over edges, so a cogenus-delta graph has at most
-delta edges, all short-ranged. Cut at the vertices no edge spans strictly,
+i < j and weight w >= 1, and weight-1 edges of length 1 are forbidden. A
+graph is the sorted tuple of its (i, j, w) edges, a multiset. The cogenus
+is sum((j-i)w - 1) over edges, so a cogenus-delta graph has at most delta
+edges, all short-ranged. Cut at the vertices no edge spans strictly,
 a graph is a unique arrangement of shifted templates, and its cogenus,
 multiplicity and P^s_beta are sums or products over them.
 
@@ -33,7 +34,6 @@ from .qseries import QSeries
 from .ylaurent import ring_at
 
 __all__ = [
-    "LongEdgeGraph",
     "s_beta",
     "enumerate_graphs",
     "enumerate_templates",
@@ -50,63 +50,6 @@ def s_beta(c: int, m: int, d: int) -> tuple:
     return tuple(c + m * i for i in range(d + 1))
 
 
-class LongEdgeGraph:
-    """Immutable weighted edge multiset; edges are (i, j, w) with i < j."""
-
-    __slots__ = ("edges",)
-
-    def __init__(self, edges):
-        es = []
-        for i, j, w in edges:
-            if not (0 <= i < j) or w < 1:
-                raise ValueError(f"bad edge ({i},{j},{w})")
-            if j == i + 1 and w == 1:
-                raise ValueError("short edges (length 1, weight 1) are forbidden")
-            es.append((int(i), int(j), int(w)))
-        self.edges = tuple(sorted(es))
-
-    def __eq__(self, other):
-        return isinstance(other, LongEdgeGraph) and self.edges == other.edges
-
-    def __hash__(self):
-        return hash(self.edges)
-
-    def __repr__(self):
-        return f"LEG{list(self.edges)}"
-
-    def minv(self) -> int:
-        return self.edges[0][0]  # the edges are sorted by their start
-
-    def maxv(self) -> int:
-        return max(j for _, j, _ in self.edges)
-
-    def length(self) -> int:
-        return self.maxv() - self.minv() if self.edges else 0
-
-    def loads(self) -> tuple:
-        """The gap loads (lambda_1, ..., lambda_maxv)."""
-        lam = [0] * (self.maxv() if self.edges else 0)
-        for i, k, w in self.edges:
-            for g in range(i, k):
-                lam[g] += w
-        return tuple(lam)
-
-    def _light_at(self, v: int) -> bool:
-        """Every edge at the vertex v has weight 1."""
-        return all(w == 1 for i, j, w in self.edges if v in (i, j))
-
-    def eps0(self) -> int:
-        return int(self._light_at(self.minv()))
-
-    def eps1(self) -> int:
-        return int(self._light_at(self.maxv()))
-
-    def multiplicity(self, y="sym"):
-        """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
-        Welschinger (y=-1) multiplicity."""
-        return ring_at(y).multiplicity(w for _, _, w in self.edges)
-
-
 # -- enumeration -------------------------------------------------------------
 
 
@@ -118,8 +61,9 @@ def _edge_types(delta: int, maxv_bound: int):
 
 
 def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> list:
-    """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound;
-    templates keeps only the templates among them."""
+    """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound,
+    each the sorted tuple of its (i, j, w) edges; templates keeps only the
+    templates among them."""
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     if templates and not delta:
@@ -131,10 +75,11 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
     def rec(start: int, remaining: int, reach: int):
         # a template's first edge starts before vertex 1, and each later one
         # before the farthest end so far, else that end is an interior
-        # vertex no edge spans; the types come sorted by start, so the first
-        # type at or past reach ends the loop
+        # vertex no edge spans; the types come sorted by (i, j, w), so the
+        # first type at or past reach ends the loop, and the edges, picked
+        # at nondecreasing type index, come out sorted
         if remaining == 0:
-            yield LongEdgeGraph(chosen)
+            yield tuple(chosen)
             return
         for t in range(start, len(types)):
             i, j, _ = types[t]
@@ -219,22 +164,22 @@ def _window_sums(windows: dict, delta: int) -> list:
     for kappa in range(1, delta + 1):
         edges, stack = (), [({(): 1}, (), False, False, 1, 0)]
         for T in enumerate_templates(kappa):
-            ell = max(j for _, j, _ in T.edges)
+            ell = max(j for _, j, _ in T)
             if ell not in windows:
                 continue
-            k = next((k for k, (a, b) in enumerate(zip(edges, T.edges)) if a != b),
-                     min(len(edges), len(T.edges)))
+            k = next((k for k, (a, b) in enumerate(zip(edges, T)) if a != b),
+                     min(len(edges), len(T)))
             del stack[k + 1:]
-            for t in range(k, len(T.edges)):
+            for t in range(k, len(T)):
                 fills, loads, heavy0, heavy1, sym, run = stack[-1]
-                i, j, w = e = T.edges[t]
+                i, j, w = e = T[t]
                 heavy1 = w > 1 or heavy1 and j == len(loads) if j >= len(loads) else heavy1
                 loads += (0,) * (j - len(loads))  # reach j
-                run = run + 1 if t and T.edges[t - 1] == e else 1
-                stack.append((_place(fills, e) if t < len(T.edges) - 1 else fills,
+                run = run + 1 if t and T[t - 1] == e else 1
+                stack.append((_place(fills, e) if t < len(T) - 1 else fills,
                               loads[:i] + tuple(lam + w for lam in loads[i:j]) + loads[j:],
                               heavy0 or i == 0 and w > 1, heavy1, sym * run, run))
-            edges, (fills, loads, heavy0, heavy1, sym, _) = T.edges, stack.pop()
+            edges, (fills, loads, heavy0, heavy1, sym, _) = T, stack.pop()
             eps, weights = (int(not heavy0), int(not heavy1)), tuple(sorted(w for *_, w in edges))
             by_window = sums[kappa].setdefault((ell, weights), {}).setdefault(eps, {})
             for window in windows[ell][eps]:
@@ -325,11 +270,14 @@ def refined_counts_at(points, delta=None) -> dict:
     swept once, at its largest d and delta: s(c, m, d) is a prefix of its
     beta, and N^k reads no template of cogenus above k, so a point's row is
     the head of its sweep's. The sweeps share one _window_sums of all their
-    windows, which the call drops when it returns."""
+    windows, which the call drops when it returns. A negative d or delta
+    raises ValueError."""
     if delta is not None:
         points = dict.fromkeys(points, delta)
     if any(dl < 0 for dl in points.values()):
         raise ValueError("cogenus must be nonnegative")
+    if any(d < 0 for _, _, d in points):
+        raise ValueError("degree d must be nonnegative")
     top: dict = {}  # (c, m) -> the largest d and delta asked
     for (c, m, d), dl in points.items():
         top[c, m] = tuple(map(max, top.get((c, m), (d, dl)), (d, dl)))

@@ -1,8 +1,9 @@
 """Independent oracles, slow by design, and the per-graph quantities of
 the graph engine that only the tests use.
 
-For one long edge graph: its cogenus, shifts, gap loads lambda_j and
-lambda_bar_j, template test and (semi-, strict) beta-allowability; the
+For one long edge graph, the sorted tuple of its edges: its cogenus,
+shifts, end vertices, length, gap loads lambda_j and lambda_bar_j, eps0,
+eps1, multiplicity, template test and (semi-, strict) beta-allowability; the
 placement, its fill weights W(n), placed one edge at a time from an empty
 fill, and the ordering count P_beta (or P^s_beta) from them; Phi_beta (or
 Phi^s) by the integer Euler operator recursion, and its affine-linear fit
@@ -27,7 +28,6 @@ from floor_diagrams import FloorDiagram, FloorDiagramTooLarge, _compositions, _m
 from refsev.caporaso import CHTable, _strip, canon_seq, iseq
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
-    LongEdgeGraph,
     _place,
     _refuse_negative,
     enumerate_graphs,
@@ -40,80 +40,123 @@ from refsev.ylaurent import YL_ONE, YL_ZERO, ring_at
 
 
 # -- one long edge graph: its gap loads, allowability under beta, P and Phi --
+# A graph is the sorted tuple of its (i, j, w) edges, as the enumeration
+# yields it: minv, _edge_classes and the sub-multisets of phi rely on the
+# order.
 
 
-def is_empty(G: LongEdgeGraph) -> bool:
-    return not G.edges
+def is_empty(G: tuple) -> bool:
+    return not G
 
 
-def cogenus(G: LongEdgeGraph) -> int:
-    return sum((j - i) * w - 1 for i, j, w in G.edges)
+def cogenus(G: tuple) -> int:
+    return sum((j - i) * w - 1 for i, j, w in G)
 
 
-def shift(G: LongEdgeGraph, k: int) -> LongEdgeGraph:
-    return LongEdgeGraph([(i + k, j + k, w) for i, j, w in G.edges])
+def shift(G: tuple, k: int) -> tuple:
+    return tuple((i + k, j + k, w) for i, j, w in G)
 
 
-def lambda_j(G: LongEdgeGraph, j: int) -> int:
+def minv(G: tuple) -> int:
+    return G[0][0]  # the edges are sorted by their start
+
+
+def maxv(G: tuple) -> int:
+    return max(j for _, j, _ in G)
+
+
+def length(G: tuple) -> int:
+    return maxv(G) - minv(G) if G else 0
+
+
+def loads(G: tuple) -> tuple:
+    """The gap loads (lambda_1, ..., lambda_maxv)."""
+    lam = [0] * (maxv(G) if G else 0)
+    for i, k, w in G:
+        for g in range(i, k):
+            lam[g] += w
+    return tuple(lam)
+
+
+def _light_at(G: tuple, v: int) -> bool:
+    """Every edge at the vertex v has weight 1."""
+    return all(w == 1 for i, j, w in G if v in (i, j))
+
+
+def eps0(G: tuple) -> int:
+    return int(_light_at(G, minv(G)))
+
+
+def eps1(G: tuple) -> int:
+    return int(_light_at(G, maxv(G)))
+
+
+def multiplicity(G: tuple, y="sym"):
+    """prod [w]_y^2 over the edges: refined (y='sym'), Severi (y=1) or
+    Welschinger (y=-1) multiplicity."""
+    return ring_at(y).multiplicity(w for _, _, w in G)
+
+
+def lambda_j(G: tuple, j: int) -> int:
     """Total weight of edges (i -> k) spanning the gap i < j <= k."""
-    lam = G.loads()
+    lam = loads(G)
     return lam[j - 1] if 0 < j <= len(lam) else 0
 
 
-def lambda_bar_j(G: LongEdgeGraph, j: int) -> int:
+def lambda_bar_j(G: tuple, j: int) -> int:
     return lambda_j(G, j) - sum(
-        1 for i, k, _ in G.edges if i == j - 1 and k == j
+        1 for i, k, _ in G if i == j - 1 and k == j
     )
 
 
-def is_template(G: LongEdgeGraph) -> bool:
+def is_template(G: tuple) -> bool:
     """minv = 0 and every interior vertex is strictly spanned by an edge."""
-    if is_empty(G) or G.minv() != 0:
+    if is_empty(G) or minv(G) != 0:
         return False
     return all(
-        any(i < v < j for i, j, _ in G.edges)
-        for v in range(1, G.length())
+        any(i < v < j for i, j, _ in G)
+        for v in range(1, length(G))
     )
 
 
-def beta_allowable(G: LongEdgeGraph, beta) -> bool:
+def beta_allowable(G: tuple, beta) -> bool:
     # maxv <= M + 1 and beta_j >= lambda_j on every gap j = 1, ..., M + 1
-    lam = G.loads()
+    lam = loads(G)
     return len(lam) <= len(beta) and all(
         b >= l for b, l in itertools.zip_longest(beta, lam, fillvalue=0))
 
 
-def beta_semiallowable(G: LongEdgeGraph, beta) -> bool:
+def beta_semiallowable(G: tuple, beta) -> bool:
     M = len(beta) - 1
-    if G.edges and G.maxv() > M + 1:
+    if G and maxv(G) > M + 1:
         return False
     return all(beta[j - 1] >= lambda_bar_j(G, j) for j in range(1, M + 2))
 
 
-def strictly_beta_allowable(G: LongEdgeGraph, beta) -> bool:
+def strictly_beta_allowable(G: tuple, beta) -> bool:
     return beta_allowable(G, beta) and not _heavy_end(G, len(beta))
 
 
-def _heavy_end(G: LongEdgeGraph, n: int) -> bool:
+def _heavy_end(G: tuple, n: int) -> bool:
     """An edge of weight > 1 at vertex 0 or at vertex n = M + 1: what
     strict allowability under a beta of length n adds. An edge starting
     at n counts too; both callers rule it out first by maxv <= n."""
-    return any(w > 1 for i, j, w in G.edges if i in (0, n) or j in (0, n))
+    return any(w > 1 for i, j, w in G if i in (0, n) or j in (0, n))
 
 
-def placement(T: LongEdgeGraph) -> tuple:
+def placement(T: tuple) -> tuple:
     """(length, eps0, eps1, the sorted edge weights): what a sum over
     shifts of the template T reads of it, the key of the window sums."""
-    return T.length(), T.eps0(), T.eps1(), tuple(sorted(w for _, _, w in T.edges))
+    return length(T), eps0(T), eps1(T), tuple(sorted(w for _, _, w in T))
 
 
-def fill_weights(G: LongEdgeGraph) -> dict:
+def fill_weights(G: tuple) -> dict:
     """{n: W_G(n)}: the orderings of G's edges alone, with n[g] of them in
     gap g + 1, from an empty fill. The edges are placed one at a time by
     the engine's step (graphs._place); dividing by the factorials of the
     multiplicities of identical edges then counts each ordering once."""
-    fills = functools.reduce(_place, G.edges, {(): 1})
-    sym = prod(map(factorial, Counter(G.edges).values()))
+    fills = functools.reduce(_place, G, {(): 1})
+    sym = prod(map(factorial, Counter(G).values()))
     return {n: c // sym for n, c in fills.items()}
 
 
@@ -124,7 +167,7 @@ def fill_sum(weights, free) -> int:
                for n, w in weights)
 
 
-def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+def count_orderings(G: tuple, beta, strict: bool = False) -> int:
     """The number P_beta(G) (or P^s_beta) of beta-extended orderings of G,
     up to permutation of identical edges.
 
@@ -140,7 +183,7 @@ def count_orderings(G: LongEdgeGraph, beta, strict: bool = False) -> int:
         return 0
     # beta is at least as long as the loads, so map stops at the last gap
     return fill_sum(fill_weights(G).items(),
-                    tuple(map(operator.sub, beta, G.loads())))
+                    tuple(map(operator.sub, beta, loads(G))))
 
 
 @functools.cache
@@ -170,7 +213,7 @@ def _log_numerator(terms: tuple, F: list) -> int:
     return A[-1]
 
 
-def phi(G: LongEdgeGraph, beta, strict: bool = False):
+def phi(G: tuple, beta, strict: bool = False):
     """Phi_beta(G) (or Phi^s): the formal logarithm of P under ordered
     decompositions of the edge multiset; an exact rational. A negative
     beta entry raises ValueError.
@@ -184,21 +227,21 @@ def phi(G: LongEdgeGraph, beta, strict: bool = False):
     G has such an edge.
     """
     _refuse_negative(beta)
-    if is_empty(G) or G.maxv() > len(beta) or strict and _heavy_end(G, len(beta)):
+    if is_empty(G) or maxv(G) > len(beta) or strict and _heavy_end(G, len(beta)):
         return QQ(0)
     edges, m = zip(*_edge_classes(G))
-    F = [1] + [count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta)
+    F = [1] + [count_orderings(_sub_multiset(edges, j), beta)
                for j in itertools.islice(
                    itertools.product(*[range(x + 1) for x in m]), 1, None)]
     return QQ(_log_numerator(_euler_terms(m), F), sum(m))
 
 
-def _sub_multiset(edges, j) -> list:
-    """The sorted edge list taking j[c] copies of the class edge edges[c]."""
-    return [e for e, c in zip(edges, j) for _ in range(c)]
+def _sub_multiset(edges, j) -> tuple:
+    """The sorted edge tuple taking j[c] copies of the class edge edges[c]."""
+    return tuple(e for e, c in zip(edges, j) for _ in range(c))
 
 
-def fit_phi_linear(T: LongEdgeGraph, probes):
+def fit_phi_linear(T: tuple, probes):
     """Fit Phi_beta(T) as an affine-linear form in the window entries
     beta_i, minv(T) <= i <= maxv(T) (capped at the last beta index), from
     probe beta sequences on which T is beta-semiallowable.
@@ -207,7 +250,7 @@ def fit_phi_linear(T: LongEdgeGraph, probes):
     """
     if is_empty(T):
         return QQ(0), {}
-    lo, hi = T.minv(), T.maxv()
+    lo, hi = minv(T), maxv(T)
     for beta in probes:
         if not beta_semiallowable(T, beta):
             raise ValueError("probe beta must make the graph semiallowable")
@@ -233,7 +276,7 @@ def refined_count_all_graphs(beta, delta: int, y="sym"):
     for G in enumerate_graphs(delta, len(beta)):
         P = count_orderings(G, beta, strict=True)
         if P:
-            acc = acc + G.multiplicity(y) * P
+            acc = acc + multiplicity(G, y) * P
     return acc
 
 
@@ -245,12 +288,12 @@ def q_log_count_templates(beta, delta: int):
     M = len(beta) - 1
     acc = YL_ZERO
     for T in enumerate_templates(delta):
-        for k in range(1 - T.eps0(), M - T.length() + T.eps1() + 1):
-            acc = acc + T.multiplicity().scale(phi(shift(T, k), beta))
+        for k in range(1 - eps0(T), M - length(T) + eps1(T) + 1):
+            acc = acc + multiplicity(T).scale(phi(shift(T, k), beta))
     return acc
 
 
-def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+def count_orderings_bruteforce(G: tuple, beta, strict: bool = False) -> int:
     """Place distinguishable edge instances, count linear orders per gap as
     n!, then divide by the product of identical-class factorials (the
     identical-edge permutation group acts freely on orderings)."""
@@ -261,7 +304,7 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
         return 0
     M = len(beta) - 1
     # (allowed gap range) per distinguishable instance
-    items = [range(i + 1, j + 1) for i, j, _ in G.edges]
+    items = [range(i + 1, j + 1) for i, j, _ in G]
     sym = 1
     for _, mult in _edge_classes(G):
         sym *= factorial(mult)
@@ -284,12 +327,12 @@ def count_orderings_bruteforce(G: LongEdgeGraph, beta, strict: bool = False) -> 
     return q
 
 
-def _edge_classes(G: LongEdgeGraph):
+def _edge_classes(G: tuple):
     """Group identical edges: list of ((i, j, w), multiplicity)."""
-    return [(e, len(list(grp))) for e, grp in itertools.groupby(G.edges)]
+    return [(e, len(list(grp))) for e, grp in itertools.groupby(G)]
 
 
-def fill_programme(G: LongEdgeGraph, start) -> dict:
+def fill_programme(G: tuple, start) -> dict:
     """The fill-vector programme over the edge classes from the per-gap
     fills start: placing t copies of a class into a gap holding f edges
     multiplies by C(f + t, t), and the placements that reach the same fill
@@ -310,15 +353,15 @@ def fill_programme(G: LongEdgeGraph, start) -> dict:
     return fills
 
 
-def count_orderings_fill_dp(G: LongEdgeGraph, beta, strict: bool = False) -> int:
+def count_orderings_fill_dp(G: tuple, beta, strict: bool = False) -> int:
     """The class programme started from the free fills beta_g - lambda_g."""
     if not (strictly_beta_allowable(G, beta) if strict else beta_allowable(G, beta)):
         return 0
     return sum(fill_programme(G, (b - l for b, l in itertools.zip_longest(
-        beta, G.loads(), fillvalue=0))).values())
+        beta, loads(G), fillvalue=0))).values())
 
 
-def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
+def phi_bruteforce(G: tuple, beta, strict: bool = False):
     """Phi as the literal sum over ordered decompositions of the edge
     multiset into nonempty sub-multisets (only sane for a few edges)."""
     if is_empty(G):
@@ -326,7 +369,7 @@ def phi_bruteforce(G: LongEdgeGraph, beta, strict: bool = False):
     edges, m = zip(*_edge_classes(G))
 
     def P_of(j):
-        return count_orderings(LongEdgeGraph(_sub_multiset(edges, j)), beta, strict)
+        return count_orderings(_sub_multiset(edges, j), beta, strict)
 
     nonzero = [j for j in itertools.product(*[range(x + 1) for x in m])
                if any(j)]

@@ -16,6 +16,8 @@ from refsev.nodepoly import fit_node_polynomials, node_values
 from refsev.qseries import QSeries
 from refsev.ylaurent import YLaurent
 
+from oracles import eps0, eps1, length, loads
+
 # the checks of the paper's second part: the generating identity in form
 # (2) or (3), with a correction factor, against the recursion
 SECOND_PART = ("refpol", "GSPSigmaW", "ruledblow", "conjan_P112", "blowk",
@@ -314,9 +316,9 @@ def test_cross_engine_sums_each_entry_and_window_once(chtable, monkeypatch):
         n = len(beta)
         for kappa in range(1, 4):  # the check's deltamax is 3
             for T in graphs.enumerate_templates(kappa):
-                ell = T.length()
-                for p in range(1 - T.eps0(), n - ell + T.eps1()):
-                    if all(map(operator.ge, beta[p:p + ell], T.loads())):
+                ell = length(T)
+                for p in range(1 - eps0(T), n - ell + eps1(T)):
+                    if all(map(operator.ge, beta[p:p + ell], loads(T))):
                         read.add((T, beta[p:p + ell]))
     assert sums and len(sums) == len(read)
 
