@@ -8,7 +8,7 @@ from .caporaso import CHTable, P2, P11m, Sigma, SurfaceBundle, \
     relative_degree, severi_degree, severi_degrees, welschinger_degree
 from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
 from .graphs import q_log_count, refined_count, refined_counts, s_beta
-from .modular import named_series, verify_series_identity
+from .modular import named_series
 from .qseries import QSeries, compose, compose_inverse
 from .ylaurent import YLaurent, qnum
 
@@ -20,6 +20,5 @@ __all__ = [
     "compose_inverse", "named_series",
     "q_log_count", "qnum", "refined_count", "refined_counts",
     "relative_degree", "s_beta", "severi_degree", "severi_degrees",
-    "verify_series_identity",
     "welschinger_degree", "__version__",
 ]

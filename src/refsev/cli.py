@@ -19,7 +19,7 @@ import sys
 from . import modular, tables
 from .cache import CacheStore, CacheVersionError
 from .caporaso import SURFACES, CHTable, Sigma, SurfaceBundle, relative_degree, severi_degrees
-from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture
+from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture, check_parameters, option
 from .genfun import engine_data, solve_bundles, solve_universal_B
 from .nodepoly import BASES, fit_node_polynomials
 from .qseries import QSeries
@@ -223,48 +223,22 @@ def verify_id(text: str) -> str:
     return cid
 
 
-# verify's range flags (--order-minus1 for order_minus1), all defaulting to
-# None so that a given one is seen
-VERIFY_RANGE_FLAGS = ("order", "order_minus1", "lmax", "cmax", "dmax", "mmax",
-                      "deltamax")
-_POSITIVE_FLAGS = ("order", "order_minus1", "lmax")
-_P2_RANGES = {"deltamax": "delta_max", "dmax": "d_max"}
-# check id -> {flag: check parameter}; a flag not given leaves the check's
-# own default; a check missing here takes no flag, as fhat_general_tables,
-# which compares a fixed q^3 expansion at any order
-VERIFY_FLAGS = {
-    **{i: {"order": "K"} for i in modular.SERIES_IDENTITIES
-       if i != "fhat_general_tables"},
-    "cross_engine": {f: f for f in ("cmax", "dmax", "mmax", "deltamax")},
-    "solveB": {"order": "order", "order_minus1": "order_minus1"},
-    "fbar_closed_form": {"order": "K", "lmax": "param"},
-    "refpol": _P2_RANGES,
-    "GSPSigmaW": _P2_RANGES,
-}
+# verify's range flags, all defaulting to None so that a given one is seen;
+# each sets the check's parameter of its name, one not given its default
+VERIFY_RANGE_FLAGS = ("order", "order_minus1", "lmax", "cmax", "dmax", "mmax", "deltamax")
 
 
 def verify_params(args) -> dict:
-    """The check parameters the flags given to verify set for the check
-    args.id; ValueError for a flag that check does not take, for a
-    non-positive --order, --order-minus1 or --lmax, and for a negative
-    --deltamax of the form-(2) checks, refpol and GSPSigmaW."""
-    takes = VERIFY_FLAGS.get(args.id, {})
-    given = {flag: getattr(args, flag) for flag in VERIFY_RANGE_FLAGS
-             if getattr(args, flag) is not None}
-    for flag in given:
-        if flag not in takes:
-            raise ValueError(f"verify --id {args.id} takes no {_option(flag)}")
-    for flag, value in given.items():
-        if flag in _POSITIVE_FLAGS and value < 1:
-            raise ValueError(f"{_option(flag)} must be >= 1")
-        if takes[flag] == "delta_max" and value < 0:  # form (2) to q^-1 is empty
-            raise ValueError(f"{_option(flag)} must be >= 0")
-    return {takes[flag]: value for flag, value in given.items()}
-
-
-def _option(flag: str) -> str:
-    """The command-line spelling of a verify range flag."""
-    return "--" + flag.replace("_", "-")
+    """The check parameters the range flags given to verify set (the check
+    refuses a bad value); ValueError for a flag check args.id does not
+    take, and for a --cache on a series identity, which runs no recursion."""
+    given = {f: getattr(args, f) for f in VERIFY_RANGE_FLAGS if getattr(args, f) is not None}
+    extra = [flag for flag in given if flag not in check_parameters(args.id)]
+    if extra:
+        raise ValueError(f"verify --id {args.id} takes no {option(extra[0])}")
+    if args.cache is not None and args.id in modular.SERIES_IDENTITIES:
+        raise ValueError(f"verify --id {args.id} takes no --cache")
+    return given
 
 
 def _cmd_verify(args, table) -> ConjectureReport:
@@ -348,7 +322,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a conjecture/identity check")
     v.add_argument("--id", type=verify_id, required=True)
     for flag in VERIFY_RANGE_FLAGS:
-        v.add_argument(_option(flag), type=int, default=None)
+        v.add_argument(option(flag), type=int, default=None)
     common(v, "cache")
     v.set_defaults(func=_cmd_verify)
 

@@ -14,7 +14,9 @@ skip rule and the form of the identity. `_run` evaluates the identity once
 per group and asks each bundle once for its recursion row. The odd cases
 are fields: refpol's fit is a second row against the same coefficients,
 A1con_sigma2 names form (3), and multcon_H34_at_pm1 gives one verdict per
-case, which its H_4(1) probe factor may re-check.
+case, which its H_4(1) probe factor may re-check. A check's keyword
+parameters are its verify flags, spelled by `option` where verify has the
+flag, and the check refuses their bad values.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .nodepoly import fit_node_polynomials, node_values
 from .rationals import QQ
 from .ylaurent import YLaurent
 
-__all__ = ["ConjectureReport", "check_conjecture", "CHECK_IDS"]
+__all__ = ["CHECK_IDS", "ConjectureReport", "check_conjecture", "check_parameters", "option"]
 
 
 class ConjectureReport:
@@ -73,6 +75,18 @@ class ConjectureReport:
         for n in self.notes:
             lines.append(f"    note: {n}")
         return "\n".join(lines)
+
+
+def option(name: str) -> str:
+    """The command-line spelling of a check parameter: --order-minus1 for order_minus1."""
+    return "--" + name.replace("_", "-")
+
+
+def _at_least(low: int, **values):
+    """ValueError naming by its option the first of values below low."""
+    for name, value in values.items():
+        if value < low:
+            raise ValueError(f"{option(name)} must be >= {low}")
 
 
 def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
@@ -193,22 +207,24 @@ def _on(params: dict, bundle):
 # -- the second-part checks ----------------------------------------------------
 
 
-def _refpol(delta_max=4, d_max=8):
+def _refpol(deltamax=4, dmax=8):
     """Refined node polynomials of P^2 from the generating identity with the
     embedded B tables equal the fitted ones and the engine degrees, at every
     (d, delta) in_regime."""
     def fit(cases):
-        fits = fit_node_polynomials("p2", range(1, delta_max + 1))
-        return [node_values(fits, delta_max, m=1, d=p["d"]) for p, _, _ in cases]
+        fits = fit_node_polynomials("p2", range(1, deltamax + 1))
+        return [node_values(fits, deltamax, m=1, d=p["d"]) for p, _, _ in cases]
 
-    return {"delta_max": delta_max, "d_max": d_max}, [Group(
-        [_on({"d": d}, P2(d)) for d in range(1, d_max + 1)], delta_max, fit=fit)]
+    _at_least(0, deltamax=deltamax)  # form (2) to q^-1 is empty
+    return {"deltamax": deltamax, "dmax": dmax}, [Group(
+        [_on({"d": d}, P2(d)) for d in range(1, dmax + 1)], deltamax, fit=fit)]
 
 
-def _gsp_sigma_w(delta_max=8, d_max=10):
+def _gsp_sigma_w(deltamax=8, dmax=10):
     """The Welschinger generating identity on P^2 with the Bbar tables."""
-    return {"delta_max": delta_max, "d_max": d_max}, [Group(
-        [_on({"d": d}, P2(d)) for d in range(2, d_max + 1)], delta_max, y=-1)]
+    _at_least(0, deltamax=deltamax)
+    return {"deltamax": deltamax, "dmax": dmax}, [Group(
+        [_on({"d": d}, P2(d)) for d in range(2, dmax + 1)], deltamax, y=-1)]
 
 
 # table-limited scaled-down bounds: the Fhat_c3, Fhat_c4 tables reach
@@ -357,6 +373,7 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
     """B_1/B_2 solved from the graph counts and B1bar/B2bar from the
     recursion (the graph route stalls at y = -1, order 12), each on the
     three bundles of solve_bundles, against the embedded tables."""
+    _at_least(1, order=order, order_minus1=order_minus1)
     rep = ConjectureReport("solveB", {"order": order, "order_minus1": order_minus1})
     known = _b_tables(order) + _b_tables(order_minus1, y=-1)  # before any engine
     bundles = solve_bundles(order)
@@ -373,53 +390,60 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
     return rep
 
 
-def _check_series_identity(ident, table, K=15, param=None) -> ConjectureReport:
-    """A q-series identity; needs no recursion table."""
-    rep = ConjectureReport(ident, {"order": K})
-    r = modular.verify_series_identity(ident, K, param=param)
-    rep.record({"order": K, "detail": r["detail"]}, r["ok"],
-               "" if r["ok"] else f"first difference {r['first_difference']}")
+def _check_series_identity(ident, table, **params) -> ConjectureReport:
+    """The one verdict of series identity ident, whose checker takes the
+    params, each at least 1, in the order _CHECKS binds them; reads no table."""
+    _at_least(1, **params)
+    first, detail = modular.SERIES_IDENTITIES[ident](*params.values())
+    rep = ConjectureReport(ident, params)
+    rep.record({**params, "detail": detail}, first is None,
+               "" if first is None else f"first difference {first}")
     return rep
 
 
-# check id -> checker(table, **params) of the other checks, in the order of
-# CHECK_IDS
+# check id -> checker(table, **params) of the other checks, in CHECK_IDS order
 _CHECKS = {
     "cross_engine": _check_cross_engine,
     "solveB": _check_solve_b,
-    **{i: functools.partial(_check_series_identity, i)
+    **{i: functools.partial(_check_series_identity, i, order=15)
        for i in modular.SERIES_IDENTITIES},
-    "fbar_closed_form": functools.partial(_check_series_identity,
-                                          "fbar_closed_form", K=40),
+    "fbar_closed_form": functools.partial(_check_series_identity, "fbar_closed_form",
+                                          order=40, lmax=12),
+    # a fixed q^3 expansion, so no parameter
+    "fhat_general_tables": functools.partial(_check_series_identity, "fhat_general_tables"),
 }
 
 CHECK_IDS = (*_SPECS, *_CHECKS)
 
 
-def _parameters(check) -> tuple:
-    """The names a check takes: those of a function, or of a partial's
-    function after the positional arguments it binds, but the table."""
-    code = getattr(check, "func", check).__code__
-    names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
-    return tuple(n for n in names[len(getattr(check, "args", ())):] if n != "table")
+def check_parameters(conj_id: str) -> dict:
+    """The keyword parameters of check conj_id with their defaults, which all
+    but the table and a partial's id have, and those a partial binds by
+    name; ValueError for no such id."""
+    spec = _SPECS.get(conj_id)
+    check = spec.groups if spec else _CHECKS.get(conj_id)
+    if check is None:
+        raise ValueError(f"unknown check id {conj_id!r}")
+    func = getattr(check, "func", check)
+    code, defaults = func.__code__, func.__defaults__ or ()
+    names = code.co_varnames[:code.co_argcount]
+    return {**dict(zip(names[len(names) - len(defaults):], defaults)),
+            **getattr(check, "keywords", {})}
 
 
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
     """Run a named check; returns a ConjectureReport whose verdicts are
-    reproducible from the recorded parameters. Raises ValueError for a
-    parameter the check does not take, and when the parameters leave no
-    point to check, which must not read as a pass."""
-    spec = _SPECS.get(conj_id)
-    check = spec.groups if spec else _CHECKS.get(conj_id)
-    if check is None:
-        raise ValueError(f"unknown check id {conj_id!r}")
-    extra = sorted(set(params) - set(_parameters(check)))
+    reproducible from the recorded parameters. Raises ValueError for an
+    unknown id, a parameter the check does not take or a bad value of one,
+    and when the parameters leave no point to check: that is no pass."""
+    extra = sorted(set(params) - set(check_parameters(conj_id)))
     if extra:
         raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
     if table is None:
         table = CHTable()
-    rep = _run(conj_id, spec, table, **params) if spec else check(table, **params)
+    spec = _SPECS.get(conj_id)
+    rep = _run(conj_id, spec, table, **params) if spec else _CHECKS[conj_id](table, **params)
     if all(v == "skip" for _, v, _ in rep.instances):
         raise ValueError(f"{conj_id}: the given ranges hold no point to check")
     return rep

@@ -41,7 +41,6 @@ __all__ = [
     "b_bar_series",
     "named_series",
     "SERIES_IDENTITIES",
-    "verify_series_identity",
 ]
 
 DEFAULT_TRUNC = 20
@@ -530,22 +529,23 @@ def named_series(name: str, K: int = DEFAULT_TRUNC, param: int | None = None) ->
 
 # -- identity checks ------------------------------------------------------------------
 #
-# Each checker takes (K, param) and returns (first difference or None, detail).
+# Each checker takes the order K, fbar_closed_form also lmax and
+# fhat_general_tables nothing, and returns (first difference or None, detail).
 
 
 def _same(lhs, rhs):
     """The checker of lhs(K) == rhs(K)."""
-    return lambda K, param: (lhs(K).first_difference(rhs(K)), "")
+    return lambda K: (lhs(K).first_difference(rhs(K)), "")
 
 
-def _id_f0_theta(K, param):
+def _id_f0_theta(K):
     th = theta_y(K)
     lhs = named_series("F0", K) * th
     rhs = -(th.D()) - eisenstein(2, K).scale(3) * th
     return lhs.first_difference(rhs), ""
 
 
-def _id_f1_theta(K, param):
+def _id_f1_theta(K):
     th = theta_y(K)
     dth = th.D()
     g2 = eisenstein(2, K)
@@ -557,7 +557,7 @@ def _id_f1_theta(K, param):
     return lhs.first_difference(rhs), ""
 
 
-def _id_f2_theta(K, param):
+def _id_f2_theta(K):
     th = theta_y(K)
     dth = th.D()
     thp = th.dy()
@@ -567,8 +567,7 @@ def _id_f2_theta(K, param):
     return lhs.first_difference(rhs), ""
 
 
-def _id_fbar_closed_form(K, param):
-    lmax = param if param is not None else 12
+def _id_fbar_closed_form(K, lmax):
     for l in range(1, lmax + 1):
         fb = f_bar(l, K)
         d = fb.first_difference(f_bar_closed(l, K))
@@ -581,14 +580,14 @@ def _id_fbar_closed_form(K, param):
     return None, ""
 
 
-def _id_jacobi_triple(K, param):
+def _id_jacobi_triple(K):
     # eta(q^2)^3 = q^(1/4) sum_{n>=0} (-1)^n (2n+1) q^(n(n+1))
     lhs = eta(K).subs_qpow(2).pow(3)
     rhs = _lacunary(K, lambda n: (n * (n + 1), (-1) ** n * (2 * n + 1)), offset24=6)
     return lhs.first_difference(rhs), ""
 
 
-def _id_b_minus1_tables(K, param):
+def _id_b_minus1_tables(K):
     if K > tables.B_TRUSTED:
         raise ValueError(f"B_minus1_tables checks orders 1 to {tables.B_TRUSTED}, not {K}")
     for which in (1, 2):
@@ -599,7 +598,7 @@ def _id_b_minus1_tables(K, param):
     return None, ""
 
 
-def _id_fhat_general_tables(K, param):
+def _id_fhat_general_tables():
     for m in (2, 3, 4):
         d = fhat_cm_general(m, 4).first_difference(fhat_cm(m, 4))
         if d is not None:
@@ -626,19 +625,3 @@ SERIES_IDENTITIES = {
     "B_minus1_tables": _id_b_minus1_tables,
     "fhat_general_tables": _id_fhat_general_tables,
 }
-
-
-def verify_series_identity(ident: str, K: int = 15, param: int | None = None) -> dict:
-    """Evaluate both sides of a named identity to order K; report the first
-    discrepancy or pass. Failures are reported, never raised."""
-    check = SERIES_IDENTITIES.get(ident)
-    if check is None:
-        raise ValueError(f"unknown identity {ident!r}")
-    first, extra = check(K, param)
-    return {
-        "id": ident,
-        "order": K,
-        "ok": first is None,
-        "first_difference": first,
-        "detail": extra,
-    }

@@ -16,7 +16,6 @@ from refsev.graphs import (
     refined_count,
     s_beta,
 )
-from refsev.modular import verify_series_identity
 from refsev.nodepoly import fit_node_polynomial
 from refsev.qseries import QSeries, compose, compose_inverse
 from refsev.rationals import QQ
@@ -106,7 +105,7 @@ def test_criterion_05_b_recovery(table):
 
 def test_criterion_06_welschinger_genfun(table):
     """The Welschinger generating identity, delta <= 8, d <= 10."""
-    rep = check_conjecture("GSPSigmaW", table=table, delta_max=8, d_max=10)
+    rep = check_conjecture("GSPSigmaW", table=table, deltamax=8, dmax=10)
     _report(6, f"Welschinger generating function ({rep.counts['pass']} instances)",
             rep.ok, rep.summary())
 
@@ -126,9 +125,9 @@ def test_criterion_07_singularity_factors(table):
 def test_criterion_08_a1_closed_form():
     """fbar_l: theta-derivative definition equals the binomial closed form
     and is 1 mod q^(l+1), l <= 12, to q^40."""
-    r = verify_series_identity("fbar_closed_form", 40, param=12)
+    rep = check_conjecture("fbar_closed_form", order=40, lmax=12)
     _report(8, "A_1 multiplicity factors: closed form to q^40, l <= 12",
-            r["ok"], str(r["first_difference"]))
+            rep.ok, rep.summary())
 
 
 def test_criterion_09_multiple_point_factors(table):
@@ -149,9 +148,9 @@ def test_criterion_10_series_identities():
     ok, detail = True, ""
     for ident in ("F0_theta", "F1_theta", "F2_theta", "eta_quotient_theta2",
                   "delta_tilde_minus1", "B_minus1_tables"):
-        r = verify_series_identity(ident, 15)
-        if not r["ok"]:
-            ok, detail = False, f"{ident}: {r['first_difference']}"
+        rep = check_conjecture(ident, order=15)
+        if not rep.ok:
+            ok, detail = False, rep.summary()
             break
     _report(10, "series identities exact mod q^15", ok, detail)
 

@@ -366,6 +366,8 @@ def test_process_lifetime_memos_are_the_allowed_caches():
      "error: alpha = (1, -1) has a negative entry"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "-1"],
      "error: delta must be nonnegative"),
+    (["verify", "--id", "jacobi_triple", "--cache", "TMP/x.cache"],
+     "error: verify --id jacobi_triple takes no --cache"),
 ] + [(["series", "--name", "gbar2k", "--param", p],
       "error: Eisenstein index must be a positive even integer")
      for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
@@ -383,11 +385,12 @@ def test_process_lifetime_memos_are_the_allowed_caches():
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
         "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative",
-        "delta-negative", "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
+        "delta-negative", "series-identity-cache", "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
-    # refused as usage errors, with nothing on stdout; a check over zero
-    # points must not report a pass, and no option may go unread; FOREIGN
-    # names a file that is not a refsev cache, TMP the test's directory
+    # refused as usage errors, with nothing on stdout and no file left
+    # behind; a check over zero points must not report a pass, and no option
+    # may go unread; FOREIGN names a file that is not a refsev cache, TMP
+    # the test's directory
     foreign = tmp_path / "foreign.txt"
     foreign.write_text("some other format v9\n")
     args = [str(foreign) if a == "FOREIGN" else a.replace("TMP", str(tmp_path))
@@ -401,6 +404,7 @@ def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+    assert list(tmp_path.iterdir()) == [foreign]
 
 
 @pytest.mark.parametrize("args, message", [

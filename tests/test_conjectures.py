@@ -1,6 +1,5 @@
 """Scaled-down runs of every checker; the acceptance module runs the
 full ranges."""
-import inspect
 import json
 import operator
 from pathlib import Path
@@ -41,7 +40,7 @@ def test_default_report_golden(chtable, conj_id):
 
 
 def test_refpol_small(chtable):
-    rep = check_conjecture("refpol", table=chtable, delta_max=3, d_max=5)
+    rep = check_conjecture("refpol", table=chtable, deltamax=3, dmax=5)
     assert rep.ok, rep.summary()
     assert rep.counts["pass"] > 0
 
@@ -51,7 +50,7 @@ def test_refpol_checks_every_point_in_regime(chtable):
     # inside it on both sides; at (2, 3), the first point outside, the
     # fitted node polynomial differs from the engine, which is recorded
     # here and does not widen the rule
-    rep = check_conjecture("refpol", table=chtable, delta_max=6)
+    rep = check_conjecture("refpol", table=chtable, deltamax=6)
     assert rep.ok and rep.counts == {"pass": 92, "fail": 0, "skip": 10}, rep.summary()
     verdicts = {(p["d"], p["delta"], p.get("side")): v for p, v, _ in rep.instances}
     for d, delta in ((1, 2), (3, 4), (4, 5), (4, 6), (5, 6)):
@@ -62,13 +61,13 @@ def test_refpol_checks_every_point_in_regime(chtable):
 
 
 def test_gsp_sigma_w_small(chtable):
-    rep = check_conjecture("GSPSigmaW", table=chtable, delta_max=4, d_max=5)
+    rep = check_conjecture("GSPSigmaW", table=chtable, deltamax=4, dmax=5)
     assert rep.ok, rep.summary()
 
 
 def test_gsp_sigma_w_instances(chtable):
     # d = 2 leaves the regime d >= delta/3 + 1 at delta = 4
-    rep = check_conjecture("GSPSigmaW", table=chtable, delta_max=4, d_max=3)
+    rep = check_conjecture("GSPSigmaW", table=chtable, deltamax=4, dmax=3)
     assert rep.instances == (
         [({"d": 2, "delta": dl}, "pass", "") for dl in range(4)]
         + [({"d": 2, "delta": 4}, "skip", "d < delta/3 + 1")]
@@ -387,19 +386,6 @@ def test_solve_b_at_order_5_refuses_a_wrong_p2_4_count(chtable, monkeypatch):
         _solve_b_with_one_wrong_count(chtable, monkeypatch, 5, P2(4))
 
 
-@pytest.mark.parametrize("conj_id, defaults", [
-    ("cross_engine", {"cmax": 4, "dmax": 4, "mmax": 2, "deltamax": 3}),
-    ("solveB", {"order": 5, "order_minus1": 9}),
-    ("fbar_closed_form", {"K": 40, "param": None}),
-    ("jacobi_triple", {"K": 15, "param": None}),
-])
-def test_check_defaults_are_the_verify_defaults(conj_id, defaults):
-    # verify passes only the flags given, so a check's keyword defaults are
-    # those of the command line
-    params = inspect.signature(conjectures._CHECKS[conj_id]).parameters
-    assert {n: p.default for n, p in params.items() if n != "table"} == defaults
-
-
 def test_unknown_id_rejected(chtable):
     with pytest.raises(ValueError):
         check_conjecture("nonsense", table=chtable)
@@ -408,7 +394,7 @@ def test_unknown_id_rejected(chtable):
 @pytest.mark.parametrize("conj_id, params, name", [
     ("conjan_P112", {"ms": (3,)}, "ms"),  # was silently dropped
     ("refpol", {"cmax": 1}, "cmax"),      # was a TypeError
-    ("jacobi_triple", {"order": 5}, "order"),
+    ("jacobi_triple", {"K": 5}, "K"),     # the order's old name
     ("ruledblow", {"eta_route": True}, "eta_route"),
     ("multcon_H34_at_pm1", {"with_ambiguous_probe": False}, "with_ambiguous_probe"),
     ("jacobi_triple", {"ident": "eta"}, "ident"),  # bound by the partial
@@ -418,9 +404,34 @@ def test_unknown_id_rejected(chtable):
     ("A1con_sigma2", {"d_max": 3}, "d_max"),
     ("P2blow", {"ks": (1,)}, "ks"),
     ("multcon_H12", {"delta_max": 3}, "delta_max"),
+    ("fbar_closed_form", {"param": 12}, "param"),  # lmax's old name
+    ("refpol", {"delta_max": 3}, "delta_max"),     # deltamax's old name
+    ("jacobi_triple", {"param": 99}, "param"),     # was silently ignored
+    ("jacobi_triple", {"lmax": 3}, "lmax"),
+    ("fhat_general_tables", {"K": 99}, "K"),       # its q^3 is fixed, so it
+    ("fhat_general_tables", {"order": 99}, "order"),  # takes no order
 ])
 def test_unknown_parameter_rejected(chtable, conj_id, params, name):
     with pytest.raises(ValueError, match=f"takes no parameter {name}"):
+        check_conjecture(conj_id, table=chtable, **params)
+
+
+@pytest.mark.parametrize("conj_id, params, message", [
+    # passed after checking no l and no coefficient
+    ("fbar_closed_form", {"lmax": 0}, "--lmax must be >= 1"),
+    ("Fhat_c2_is_theta2", {"order": 0}, "--order must be >= 1"),
+    # raised ZeroDivisionError
+    ("solveB", {"order": 0}, "--order must be >= 1"),
+    ("eta_quotient_theta2", {"order": 0}, "--order must be >= 1"),
+    ("B_minus1_tables", {"order": 0}, "--order must be >= 1"),
+    ("solveB", {"order_minus1": 0}, "--order-minus1 must be >= 1"),
+    ("refpol", {"deltamax": -1}, "--deltamax must be >= 0"),
+    ("GSPSigmaW", {"deltamax": -1}, "--deltamax must be >= 0"),
+])
+def test_bad_values_refused(chtable, conj_id, params, message):
+    # a check refuses a bad value of its own parameter, naming it as verify
+    # spells it, before any engine runs
+    with pytest.raises(ValueError, match=message):
         check_conjecture(conj_id, table=chtable, **params)
 
 
@@ -432,7 +443,7 @@ def test_reports_own_their_lists():
 
 
 def test_reports_are_structured(chtable):
-    rep = check_conjecture("Fhat_c2_is_theta2", K=10)
+    rep = check_conjecture("Fhat_c2_is_theta2", order=10)
     assert rep.ok
     assert rep.conj_id in CHECK_IDS
     assert rep.counts["pass"] == 1

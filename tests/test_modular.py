@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from refsev import tables, ylaurent
+from refsev.conjectures import check_conjecture
 from refsev.modular import (
     b_bar_series,
     b_series,
@@ -24,7 +25,6 @@ from refsev.modular import (
     theta2_of_qsq,
     theta_unit,
     theta_y,
-    verify_series_identity,
 )
 from refsev.qseries import QSeries
 from refsev.rationals import QQ
@@ -197,9 +197,10 @@ IDENTS = [
 
 @pytest.mark.parametrize("ident", IDENTS)
 def test_series_identities(ident):
-    K = 40 if ident == "fbar_closed_form" else 15
-    r = verify_series_identity(ident, K)
-    assert r["ok"], (ident, r["first_difference"], r["detail"])
+    # fhat_general_tables compares a fixed q^3 expansion: it takes no order
+    params = {"fbar_closed_form": {"order": 40}, "fhat_general_tables": {}}
+    rep = check_conjecture(ident, **params.get(ident, {"order": 15}))
+    assert rep.ok, rep.summary()
 
 
 def test_named_series_dispatch():

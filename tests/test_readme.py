@@ -1,14 +1,14 @@
-"""README drift: the documented command lines and verify ids must be the
-ones the command line accepts. Nothing is executed; lines are only parsed
-and their options resolved: verify flags through cli.VERIFY_FLAGS, compute
-and relative surfaces into their bundles."""
+"""README drift: the documented command lines, verify ids and verify flags
+must be the ones the command line accepts. Nothing is executed; lines are
+only parsed and their options resolved: verify flags against the check's
+keyword parameters, compute and relative surfaces into their bundles."""
 import pathlib
 import re
 import shlex
 
 import pytest
 
-from refsev import cli
+from refsev import cli, conjectures
 from refsev.caporaso import SurfaceBundle
 from refsev.conjectures import CHECK_IDS
 
@@ -50,3 +50,33 @@ def test_readme_lists_commands_and_ids():
 @pytest.mark.parametrize("ident", _verify_ids())
 def test_readme_verify_id_known(ident):
     assert cli.verify_id(ident) in CHECK_IDS
+
+
+def _verify_flag_table() -> dict:
+    """check id -> {flag: default} from the README's verify flag table."""
+    text = _section("Command line").split("| verify id | flags (default) |\n|---|---|\n", 1)[1]
+    table = {}
+    for row in text.split("\n\n", 1)[0].splitlines():
+        ids, flags = row.strip("|").split("|")
+        for ident in ids.strip().split(", "):
+            cid = cli.verify_id(ident)
+            assert cid not in table, f"{cid} has two rows"
+            table[cid] = {flag: int(default)
+                          for flag, default in re.findall(r"(--[\w-]+) \((-?\d+)\)", flags)}
+            assert table[cid] or flags.strip() == "none", row
+    return table
+
+
+def test_readme_verify_flag_table_lists_every_id():
+    assert sorted(_verify_flag_table()) == sorted(CHECK_IDS)
+
+
+@pytest.mark.parametrize("conj_id", CHECK_IDS)
+def test_readme_verify_flags(conj_id):
+    # verify passes the flags given straight to the check, each to the
+    # keyword parameter of its name, so the README row is the check's
+    # parameters that are verify flags, with the check's own defaults
+    flags = {conjectures.option(name): default
+             for name, default in conjectures.check_parameters(conj_id).items()
+             if name in cli.VERIFY_RANGE_FLAGS}
+    assert _verify_flag_table().get(conj_id) == flags
