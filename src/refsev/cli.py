@@ -71,9 +71,11 @@ def _parse_seq(text: str, option: str) -> tuple:
 
 def _store(args) -> tuple:
     """The recursion cache on the --cache file or in CACHE_ENV, or None,
-    and the directories made for it, deepest first; ValueError naming the
-    path when it cannot be created or opened."""
+    and the directories made for it, deepest first; ValueError for an
+    empty --cache, and naming the path when it cannot be created or opened."""
     path, made = args.cache, []
+    if path == "":
+        raise ValueError("--cache needs a file path")
     try:
         if path is None:
             base = os.environ.get(CACHE_ENV)

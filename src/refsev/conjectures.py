@@ -1,22 +1,23 @@
 """Conjecture and identity checkers over computable parameter ranges.
 
-Every check compares an engine-computed degree (recursion or graph count)
-against a generating-function evaluation, coefficient by coefficient, but
-solveB, which solves B from engine data and compares it to the tables.
-Passes are exact; a failure reports the earliest discrepancy (delta,
+Every check is exact, coefficient by coefficient: the recursion's degrees
+against a generating-function evaluation or, in cross_engine, the graph
+count; solveB's B, solved from engine data, and the series identities
+against the tables. A failure reports the earliest discrepancy (delta,
 q-power, doubled y-exponent) so table-typo triage is possible.
 
 The nine second-part checks (singular surfaces, blowups, multiple points)
-are data: one `Spec` each in `_SPECS`, all run by `_run`. A spec turns its
-ranges into groups of cases (params, bundle, Invariants), each group with
-its correction factor, point-series exponent shift and y, and names its
-skip rule and the form of the identity. `_run` evaluates the identity once
-per group and asks each bundle once for its recursion row. The odd cases
-are fields: refpol's fit is a second row against the same coefficients,
-A1con_sigma2 names form (3), and multcon_H34_at_pm1 gives one verdict per
-case, which its H_4(1) probe factor may re-check. A check's keyword
-parameters are its verify flags, spelled by `option` where verify has the
-flag, and the check refuses their bad values.
+and cross_engine are data: one `Spec` each in `_SPECS`, all run by `_run`.
+A spec turns its ranges into groups of cases (params, bundle, Invariants),
+each with its correction factor, point-series exponent shift and y, and
+names its skip rule and the form of the other side. `_run` refuses ranges
+that leave a group no point, evaluates the other side once per group and
+asks each bundle once for its recursion row. Odd cases are fields: refpol's
+fit is a second row, A1con_sigma2 names form (3), cross_engine the graph
+counts, and multcon_H34_at_pm1 gives one verdict per case, which its H_4(1)
+probe factor may re-check. A check's keyword parameters, which its report
+records, are its verify flags where verify has them (`option` spells them);
+it refuses their bad values, and check_conjecture(id, **rep.params) reruns it.
 """
 from __future__ import annotations
 
@@ -132,29 +133,31 @@ def _form3(g) -> list:
     return out
 
 
-# The cases (params, bundle, Invariants) of one evaluation of the identity,
-# to delta_max, with the correction factor R = factor(K) (1 if None), the
-# point-series exponent shift and the y. fit(cases) gives each case a second
-# row to compare with the identity; probe is (factor, detail, note) for
+# The cases (params, bundle, Invariants or None) of one evaluation of the
+# other side, to delta_max, with the correction factor R = factor(K) (1 if
+# None), the point-series exponent shift and the y. fit(cases) gives each
+# case a second row to compare with it; probe is (factor, detail, note) for
 # a failed case that passes under the identity with that factor instead.
 Group = namedtuple("Group", "cases delta_max factor shift y fit probe",
                    defaults=(None, 0, "sym", None, None))
-# A second-part check: groups(**ranges) -> (report params, groups), whose
-# keyword defaults are the check's ranges; a delta is a SKIP with reason skip
-# where inside(bundle, delta, y) is false; the form of the identity; and
-# whether each case gets one verdict, naming its first bad delta.
+# A check against the recursion: groups(**ranges) -> groups, whose keyword
+# defaults are the check's ranges; a delta is a SKIP with reason skip where
+# inside(bundle, delta, y) is false; the form of the other side; and whether
+# each case gets one verdict, naming its first bad delta.
 Spec = namedtuple("Spec", "groups skip inside form one_verdict",
                   defaults=(None, None, _form2, False))
 
 
-def _run(conj_id: str, spec: Spec, table, **ranges) -> ConjectureReport:
-    """The one runner of the second-part checks. Per group it evaluates the
-    identity once, first, so that a range past the tables is refused before
-    any fit or engine runs; per case it asks the recursion for one row, to
-    the largest delta inside, compares it with the identity at each delta
-    inside, and records a SKIP at each delta outside."""
-    params, groups = spec.groups(**ranges)
-    rep = ConjectureReport(conj_id, params)
+def _run(rep: ConjectureReport, spec: Spec, table, **ranges):
+    """The one runner of the checks against the recursion, into rep. It
+    refuses ranges that leave a group no point, then per group evaluates
+    the other side once, first, so that a range past the tables is refused
+    before any fit or engine runs; per case it asks the recursion for one
+    row, to the largest delta inside, compares it with that side at each
+    delta inside, and records a SKIP at each delta outside."""
+    groups = spec.groups(**ranges)
+    if any(not g.cases or g.delta_max < 0 for g in groups):
+        raise ValueError(f"{rep.conj_id}: the given ranges hold no point to check")
     for g in groups:
         coeffs = spec.form(g)
         fits = g.fit(g.cases) if g.fit else [None] * len(g.cases)
@@ -184,7 +187,6 @@ def _run(conj_id: str, spec: Spec, table, **ranges) -> ConjectureReport:
             for delta in deltas:
                 if delta not in inside:
                     rep.skip({**p, "delta": delta}, spec.skip)
-    return rep
 
 
 def _first_bad(row, want, deltas):
@@ -216,15 +218,13 @@ def _refpol(deltamax=4, dmax=8):
         return [node_values(fits, deltamax, m=1, d=p["d"]) for p, _, _ in cases]
 
     _at_least(0, deltamax=deltamax)  # form (2) to q^-1 is empty
-    return {"deltamax": deltamax, "dmax": dmax}, [Group(
-        [_on({"d": d}, P2(d)) for d in range(1, dmax + 1)], deltamax, fit=fit)]
+    return [Group([_on({"d": d}, P2(d)) for d in range(1, dmax + 1)], deltamax, fit=fit)]
 
 
 def _gsp_sigma_w(deltamax=8, dmax=10):
     """The Welschinger generating identity on P^2 with the Bbar tables."""
     _at_least(0, deltamax=deltamax)
-    return {"deltamax": deltamax, "dmax": dmax}, [Group(
-        [_on({"d": d}, P2(d)) for d in range(2, dmax + 1)], deltamax, y=-1)]
+    return [Group([_on({"d": d}, P2(d)) for d in range(2, dmax + 1)], deltamax, y=-1)]
 
 
 # table-limited scaled-down bounds: the Fhat_c3, Fhat_c4 tables reach
@@ -239,9 +239,8 @@ def _ruledblow(ms=(2, 3, 4), d_max=4):
         if m not in _RULED_DELTA:
             raise ValueError(f"ruledblow has no Fhat_c{m} table for m = {m}; "
                              f"the tables cover m in {sorted(_RULED_DELTA)}")
-    return {"ms": list(ms), "d_max": d_max}, [Group(
-        [_on({"m": m, "d": d}, Sigma(m, 0, d)) for d in range(1, d_max + 1)],
-        _RULED_DELTA[m], functools.partial(modular.fhat_cm, m)) for m in ms]
+    return [Group([_on({"m": m, "d": d}, Sigma(m, 0, d)) for d in range(1, d_max + 1)],
+                  _RULED_DELTA[m], functools.partial(modular.fhat_cm, m)) for m in ms]
 
 
 def _conjan_p112(d_max=4):
@@ -251,8 +250,7 @@ def _conjan_p112(d_max=4):
         e = modular.eta(K)
         return e * e / e.subs_qpow(2)
 
-    _, (group,) = _ruledblow((2,), d_max)
-    return {"ms": [2], "d_max": d_max}, [group._replace(factor=eta_quotient)]
+    return [g._replace(factor=eta_quotient) for g in _ruledblow((2,), d_max)]
 
 
 def _blowk(ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2):
@@ -263,10 +261,9 @@ def _blowk(ks=(1, 2, 3, 4), dprimes=(2, 3), delta_max=2):
     disagrees with both engines (its coefficient is negative, e.g. -4 at
     k = 1/2, d = 3/2, where no refined count can be), so that delta is a
     SKIP naming it."""
-    return {"2k": list(ks), "dprimes": list(dprimes), "delta_max": delta_max}, [Group(
-        [_on({"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}, Sigma(2, k2, dp))
-         for dp in dprimes], delta_max, functools.partial(modular.f_bar, k2))
-        for k2 in ks]
+    return [Group([_on({"k": str(QQ(k2, 2)), "d": str(dp + QQ(k2, 2))}, Sigma(2, k2, dp))
+                   for dp in dprimes], delta_max, functools.partial(modular.f_bar, k2))
+            for k2 in ks]
 
 
 def _a1con_sigma2(delta_max=2):
@@ -277,11 +274,10 @@ def _a1con_sigma2(delta_max=2):
     for half-integral Weil divisors: only chi - 1 - delta - k^2 and the
     extraction exponent need to land on the exponent lattice, and they do.
     The order K is at most 17, inside the B tables."""
-    return {"delta_max": delta_max}, [Group(
-        [({"k": str(k), "d": str(d)}, Sigma(2, int(2 * k), int(d - k)),
-          Invariants(K2=8, LK=int(-4 * d), chi_L=(d + 1) ** 2))],
-        delta_max, functools.partial(modular.f_lower, int(2 * k)), k * k)
-        for k, d in ((QQ(1, 2), QQ(5, 2)), (QQ(1), QQ(3)), (QQ(3, 2), QQ(5, 2)),
+    return [Group([({"k": str(k), "d": str(d)}, Sigma(2, int(2 * k), int(d - k)),
+                    Invariants(K2=8, LK=int(-4 * d), chi_L=(d + 1) ** 2))],
+                  delta_max, functools.partial(modular.f_lower, int(2 * k)), k * k)
+            for k, d in ((QQ(1, 2), QQ(5, 2)), (QQ(1), QQ(3)), (QQ(3, 2), QQ(5, 2)),
                      (QQ(2), QQ(3)))]
 
 
@@ -300,19 +296,17 @@ def _p2blow(m_max=1, delta_max=4, d_max=8):
     exponent. The naive validity bound overreaches at tiny d (the identity
     demonstrably fails at m=1, d=2, delta=3, where both engines give 0), so
     the check stays within delta <= 2(d-m)."""
-    return {"m_max": m_max, "delta_max": delta_max, "d_max": d_max}, [Group(
-        _m_fold(m, range(m + 1, d_max + 1)), delta_max,
-        functools.partial(modular.h_series, m), m * (m + 1) // 2)
-        for m in range(1, m_max + 1)]
+    return [Group(_m_fold(m, range(m + 1, d_max + 1)), delta_max,
+                  functools.partial(modular.h_series, m), m * (m + 1) // 2)
+            for m in range(1, m_max + 1)]
 
 
 def _multcon_h12(delta_max_h1=4, delta_max_h2=3, d_max=7):
     """The refined multiple-point factors H_1 = point series and H_2 =
     theta-derived combination, on Sigma_1 data."""
-    return {"delta_max": (delta_max_h1, delta_max_h2), "d_max": d_max}, [Group(
-        _m_fold(m, range(m + 2, d_max + 1)), delta_max,
-        functools.partial(modular.h_series, m), m * (m + 1) // 2)
-        for m, delta_max in ((1, delta_max_h1), (2, delta_max_h2))]
+    return [Group(_m_fold(m, range(m + 2, d_max + 1)), delta_max,
+                  functools.partial(modular.h_series, m), m * (m + 1) // 2)
+            for m, delta_max in ((1, delta_max_h1), (2, delta_max_h2))]
 
 
 def _multcon_h34(delta_max=3):
@@ -326,14 +320,26 @@ def _multcon_h34(delta_max=3):
     probe = (functools.partial(modular.quasimodular_sum, literal),
              "table-typo candidate: only the literal D^4G_4 reading of the "
              "ambiguous monomial passes", "H_4(1) ambiguous monomial sensitive")
-    return {"delta_max": delta_max}, [Group(
-        _m_fold(m, (m + 2, m + 3), y=yv), delta_max,
-        functools.partial(modular.h_at, m, yv), m * (m + 1) // 2, yv,
-        probe=probe if (m, yv) == (4, 1) else None)
-        for m in (3, 4) for yv in (1, -1)]
+    return [Group(_m_fold(m, (m + 2, m + 3), y=yv), delta_max,
+                  functools.partial(modular.h_at, m, yv), m * (m + 1) // 2, yv,
+                  probe=probe if (m, yv) == (4, 1) else None)
+            for m in (3, 4) for yv in (1, -1)]
 
 
-# check id -> Spec of each second-part check, in the order of CHECK_IDS
+def _cross_engine(cmax=4, dmax=4, mmax=2, deltamax=3):
+    """The recursion equals the long-edge-graph count, exactly, on each
+    Sigma_m(c, d), in (m, c) order with d descending: one group."""
+    return [Group([({"m": m, "c": c, "d": d}, Sigma(m, c, d), None) for m in range(mmax + 1)
+                   for c in range(cmax + 1) for d in range(dmax, 0, -1)], deltamax)]
+
+
+def _graph_counts(g) -> list:
+    """The long-edge-graph counts of the cases of group g, from one call."""
+    counts = refined_counts_at([(b.c, b.m, b.d) for _, b, _ in g.cases], g.delta_max)
+    return [counts[b.c, b.m, b.d] for _, b, _ in g.cases]
+
+
+# check id -> Spec of each check against the recursion, in CHECK_IDS order
 _SPECS = {
     "refpol": Spec(_refpol, "outside the polynomial regime", in_regime),
     "GSPSigmaW": Spec(_gsp_sigma_w, "d < delta/3 + 1", in_regime),
@@ -346,35 +352,15 @@ _SPECS = {
     "multcon_H12": Spec(_multcon_h12),
     "multcon_H34_at_pm1": Spec(_multcon_h34, "outside delta <= 2(d-m)", _within(2),
                                one_verdict=True),
+    "cross_engine": Spec(_cross_engine, form=_graph_counts),
 }
 
 
-def _check_cross_engine(table, cmax=4, dmax=4, mmax=2, deltamax=3) -> ConjectureReport:
-    """Recursion equals the long-edge-graph count, exactly."""
-    rep = ConjectureReport(
-        "cross_engine",
-        {"cmax": cmax, "dmax": dmax, "mmax": mmax, "deltamax": deltamax},
-    )
-    cms = [(c, m) for m in range(mmax + 1) for c in range(cmax + 1)]
-    # an empty range must not reach the sweep, which refuses delta < 0
-    counts = refined_counts_at([(c, m, d) for c, m in cms for d in range(1, dmax + 1)],
-                               deltamax) if deltamax >= 0 else {}
-    for c, m in cms:
-        rows = {d: severi_degrees(Sigma(m, c, d), deltamax, table=table)
-                for d in range(dmax, 0, -1)} if deltamax >= 0 else {}
-        for delta in range(deltamax, -1, -1):
-            for d in range(dmax, 0, -1):
-                _compare(rep, {"m": m, "c": c, "d": d, "delta": delta},
-                         rows[d][delta], counts[c, m, d][delta], delta)
-    return rep
-
-
-def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
+def _check_solve_b(rep, table, order=5, order_minus1=9):
     """B_1/B_2 solved from the graph counts and B1bar/B2bar from the
     recursion (the graph route stalls at y = -1, order 12), each on the
     three bundles of solve_bundles, against the embedded tables."""
     _at_least(1, order=order, order_minus1=order_minus1)
-    rep = ConjectureReport("solveB", {"order": order, "order_minus1": order_minus1})
     known = _b_tables(order) + _b_tables(order_minus1, y=-1)  # before any engine
     bundles = solve_bundles(order)
     counts = refined_counts_at([(b.c, b.m, b.d) for b in bundles], order - 1)
@@ -387,23 +373,19 @@ def _check_solve_b(table, order=5, order_minus1=9) -> ConjectureReport:
         diff = got.first_difference(want)
         rep.record({"side": side, "order": n}, diff is None,
                    "" if diff is None else f"first difference at q^{diff[0]}")
-    return rep
 
 
-def _check_series_identity(ident, table, **params) -> ConjectureReport:
+def _check_series_identity(ident, rep, table, **params):
     """The one verdict of series identity ident, whose checker takes the
     params, each at least 1, in the order _CHECKS binds them; reads no table."""
     _at_least(1, **params)
     first, detail = modular.SERIES_IDENTITIES[ident](*params.values())
-    rep = ConjectureReport(ident, params)
     rep.record({**params, "detail": detail}, first is None,
                "" if first is None else f"first difference {first}")
-    return rep
 
 
-# check id -> checker(table, **params) of the other checks, in CHECK_IDS order
+# check id -> checker(report, table, **params) of the others, in CHECK_IDS order
 _CHECKS = {
-    "cross_engine": _check_cross_engine,
     "solveB": _check_solve_b,
     **{i: functools.partial(_check_series_identity, i, order=15)
        for i in modular.SERIES_IDENTITIES},
@@ -418,8 +400,8 @@ CHECK_IDS = (*_SPECS, *_CHECKS)
 
 def check_parameters(conj_id: str) -> dict:
     """The keyword parameters of check conj_id with their defaults, which all
-    but the table and a partial's id have, and those a partial binds by
-    name; ValueError for no such id."""
+    but the report, the table and a partial's id have, and those a partial
+    binds by name; ValueError for no such id."""
     spec = _SPECS.get(conj_id)
     check = spec.groups if spec else _CHECKS.get(conj_id)
     if check is None:
@@ -433,17 +415,22 @@ def check_parameters(conj_id: str) -> dict:
 
 def check_conjecture(conj_id: str, table: CHTable | None = None,
                      **params) -> ConjectureReport:
-    """Run a named check; returns a ConjectureReport whose verdicts are
-    reproducible from the recorded parameters. Raises ValueError for an
-    unknown id, a parameter the check does not take or a bad value of one,
-    and when the parameters leave no point to check: that is no pass."""
-    extra = sorted(set(params) - set(check_parameters(conj_id)))
+    """Run a named check; returns a ConjectureReport whose params are all the
+    check's keyword parameters, so check_conjecture(conj_id, **rep.params)
+    reruns it. Raises ValueError for an unknown id, a parameter the check
+    does not take or a bad value of one, and when the parameters leave a
+    group or the whole check no point to check: that is no pass."""
+    known = check_parameters(conj_id)
+    extra = sorted(set(params) - set(known))
     if extra:
         raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
-    if table is None:
-        table = CHTable()
+    table = CHTable() if table is None else table
+    rep = ConjectureReport(conj_id, {**known, **params})
     spec = _SPECS.get(conj_id)
-    rep = _run(conj_id, spec, table, **params) if spec else _CHECKS[conj_id](table, **params)
+    if spec:
+        _run(rep, spec, table, **params)
+    else:
+        _CHECKS[conj_id](rep, table, **params)
     if all(v == "skip" for _, v, _ in rep.instances):
         raise ValueError(f"{conj_id}: the given ranges hold no point to check")
     return rep

@@ -46,7 +46,9 @@ __all__ = [
 
 
 def s_beta(c: int, m: int, d: int) -> tuple:
-    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md)."""
+    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); d >= 0."""
+    if d < 0:
+        raise ValueError("degree d must be nonnegative")
     return tuple(c + m * i for i in range(d + 1))
 
 
@@ -270,10 +272,12 @@ def refined_counts_at(points, delta=None) -> dict:
     swept once, at its largest d and delta: s(c, m, d) is a prefix of its
     beta, and N^k reads no template of cogenus above k, so a point's row is
     the head of its sweep's. The sweeps share one _window_sums of all their
-    windows, which the call drops when it returns. A negative d or delta
-    raises ValueError."""
+    windows, which the call drops when it returns. A negative d or delta,
+    or points not in a map and no delta, raises ValueError."""
     if delta is not None:
         points = dict.fromkeys(points, delta)
+    elif not isinstance(points, dict):
+        raise ValueError("points not given as a {(c, m, d): delta} map need a delta")
     if any(dl < 0 for dl in points.values()):
         raise ValueError("cogenus must be nonnegative")
     if any(d < 0 for _, _, d in points):

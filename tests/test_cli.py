@@ -368,6 +368,8 @@ def test_process_lifetime_memos_are_the_allowed_caches():
      "error: delta must be nonnegative"),
     (["verify", "--id", "jacobi_triple", "--cache", "TMP/x.cache"],
      "error: verify --id jacobi_triple takes no --cache"),
+    (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache", ""],
+     "error: --cache needs a file path"),
 ] + [(["series", "--name", "gbar2k", "--param", p],
       "error: Eisenstein index must be a positive even integer")
      for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
@@ -385,7 +387,8 @@ def test_process_lifetime_memos_are_the_allowed_caches():
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
         "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative",
-        "delta-negative", "series-identity-cache", "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
+        "delta-negative", "series-identity-cache", "cache-empty",
+        "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout and no file left
     # behind; a check over zero points must not report a pass, and no option

@@ -157,11 +157,13 @@ def test_blowk_fails_at_the_edge_of_its_regime(chtable):
     # spec without the skip rule records the failure there
     ranges = {"ks": (1,), "dprimes": (1,), "delta_max": 3}
     spec = conjectures._SPECS["blowk"]
-    rep = conjectures._run("blowk", spec._replace(inside=None), chtable, **ranges)
+    rep = ConjectureReport("blowk", ranges)
+    conjectures._run(rep, spec._replace(inside=None), chtable, **ranges)
     assert [v for _, v, _ in rep.instances] == ["pass"] * 3 + ["fail"]
     assert "engine 0 vs genfun -4" in rep.instances[3][2]
     assert severi_degree(Sigma(2, 1, 1), 3, table=chtable).is_zero()
-    rep = conjectures._run("blowk", spec, chtable, **ranges)
+    rep = ConjectureReport("blowk", ranges)
+    conjectures._run(rep, spec, chtable, **ranges)
     assert rep.instances[3] == ({"k": "1/2", "d": "3/2", "delta": 3}, "skip",
                                 "outside delta <= 2(d-k): the identity fails "
                                 "at 2(d-k)+1")
@@ -246,6 +248,34 @@ def test_no_delta_is_no_point_to_check(chtable, conj_id):
     # over none must not read as a pass
     with pytest.raises(ValueError, match="the given ranges hold no point to check"):
         check_conjecture(conj_id, table=chtable, delta_max=-1)
+
+
+@pytest.mark.parametrize("conj_id, params", [
+    ("blowk", {"delta_max": -1}),  # raised from qseries, naming no range
+    ("multcon_H12", {"delta_max_h1": -1}),  # passed on H_2 alone
+    ("cross_engine", {"deltamax": -1}),
+    ("cross_engine", {"dmax": 0}),
+])
+def test_a_group_with_no_point_is_refused_before_any_evaluation(chtable, monkeypatch,
+                                                                conj_id, params):
+    def evaluate(*args, **kwargs):
+        raise AssertionError("evaluated before the ranges were read")
+
+    for name in ("reform_eval", "refined_counts_at", "severi_degrees"):
+        monkeypatch.setattr(conjectures, name, evaluate)
+    with pytest.raises(ValueError, match=f"{conj_id}: the given ranges hold no point"):
+        check_conjecture(conj_id, table=chtable, **params)
+
+
+def test_every_report_reruns_from_its_params(chtable):
+    # a report's params are its check's keyword parameters, so that they
+    # rerun it: at the defaults they are check_parameters, and the rerun
+    # gives the same instances
+    for conj_id in CHECK_IDS:
+        rep = check_conjecture(conj_id, table=chtable)
+        assert rep.params == conjectures.check_parameters(conj_id), conj_id
+        again = check_conjecture(conj_id, table=chtable, **rep.params)
+        assert again.instances == rep.instances and again.params == rep.params, conj_id
 
 
 def test_cross_engine_small(chtable):

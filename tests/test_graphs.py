@@ -438,6 +438,21 @@ def test_refined_counts_at_refuses_a_negative_degree():
             graphs.refined_counts_at(points)
 
 
+def test_s_beta_refuses_a_negative_degree():
+    # s(0, 1, -1) was (), whose counts are the empty beta's [1, 0, 0]
+    with pytest.raises(ValueError, match="degree d must be nonnegative"):
+        s_beta(0, 1, -1)
+    assert s_beta(0, 1, 0) == (0,)
+
+
+def test_refined_counts_at_refuses_points_without_a_delta():
+    # a list of points takes its delta from the call; without one it raised
+    # AttributeError on list.values
+    with pytest.raises(ValueError, match="need a delta"):
+        graphs.refined_counts_at([(0, 1, 2)])
+    assert graphs.refined_counts_at([(0, 1, 2)], 1) == graphs.refined_counts_at({(0, 1, 2): 1})
+
+
 # -- the log transform ---------------------------------------------------------------
 
 
