@@ -149,8 +149,8 @@ class CHTable:
         self.children: dict = {}
 
     @staticmethod
-    def _store_key(y, key) -> str:
-        m, c, d, delta, alpha, beta = key
+    def _store_key(y, state, delta) -> str:
+        m, c, d, alpha, beta = state
         a = ",".join(map(str, alpha))
         b = ",".join(map(str, beta))
         return f"{y}|{m}|{c}|{d}|{delta}|{a}|{b}"
@@ -163,9 +163,8 @@ class CHTable:
         if self.store is None:
             return row
         row = [] if row is None else row
-        m, c, d, alpha, beta = state
         while len(row) <= delta:
-            skey = self._store_key(y, (m, c, d, len(row), alpha, beta))
+            skey = self._store_key(y, state, len(row))
             payload = self.store.get(skey)
             if payload is None:
                 break
@@ -180,12 +179,13 @@ class CHTable:
             self.memo[y][state] = row
         return row or None
 
-    def insert(self, y, key, value):
-        """Append N^delta of key = (m, c, d, delta, alpha, beta) to its row."""
-        m, c, d, _, alpha, beta = key
-        self.memo[y].setdefault((m, c, d, alpha, beta), []).append(value)
+    def insert(self, y, state, lo, values):
+        """Append [N^lo, N^(lo+1), ...] to state's row; a store gets a record per value."""
+        self.memo[y].setdefault(state, []).extend(values)
         if self.store is not None:
-            self.store.put(self._store_key(y, key), ring_at(y).encode(value))
+            encode = ring_at(y).encode
+            for delta, value in enumerate(values, lo):
+                self.store.put(self._store_key(y, state, delta), encode(value))
 
     def flush(self):
         if self.store is not None:
@@ -292,13 +292,15 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
 
 
 def _N(m, c, d, D, alpha, beta, ring, table):
-    """The table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D."""
+    """The table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D.
+    A caller reads a long enough row from the memo, as lookup would, without calling."""
     state = (m, c, d, alpha, beta)
     y = ring.y
     row = table.lookup(y, state, D)
     lo = 0 if row is None else len(row)
     if lo > D:
         return row
+    memo = table.memo[y]
 
     # gamma = dim - HL + |beta| - delta is positive to top; past it N = 0
     top = min(D, (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 2 - c - m * d + sum(beta))
@@ -315,10 +317,11 @@ def _N(m, c, d, D, alpha, beta, ring, table):
                 continue
             a2 = list(alpha) + [0] * (k - len(alpha))
             a2[k - 1] += 1
-            b2 = list(beta)
-            b2[k - 1] -= 1
-            # a2 ends in a positive entry; b2 may end in a zero
-            child = _N(m, c, d, top, tuple(a2), _strip(b2), ring, table)
+            # a2 ends in a positive entry; beta - e_k may end in a zero
+            a2, b2 = tuple(a2), _strip(beta[:k_idx] + (bk - 1,) + beta[k:])
+            child = memo.get((m, c, d, a2, b2))
+            if child is None or len(child) <= top:
+                child = _N(m, c, d, top, a2, b2, ring, table)
             for t, v in zip(terms, child[lo:]):
                 t.append((f, 1, v))
 
@@ -334,27 +337,29 @@ def _N(m, c, d, D, alpha, beta, ring, table):
             R = room - ia2
             emax = top - HL2 + R
             for f, cb, e, b2 in table._children(ring, beta, R, emax):
-                child = _N(m, c, d - 1, emax - e, a2, b2, ring, table)
+                child = memo.get((m, c, d - 1, a2, b2))
+                if child is None or len(child) <= emax - e:
+                    child = _N(m, c, d - 1, emax - e, a2, b2, ring, table)
                 # delta' = 0 at delta = top - emax + e, index `at` of terms
                 at, k = top - emax + e - lo, ca * cb
                 for t, v in zip(terms[max(at, 0):], child[max(-at, 0):]):
                     t.append((f, k, v))
 
-    vals = [ring.sum_products(t) for t in terms] + [ring.zero] * (D - max(top, lo - 1))
+    # a lone 1 * 1 * v term is v itself, values being immutable
+    vals = [t[0][2] if len(t) == 1 and t[0][1] == 1 and t[0][0] == ring.one
+            else ring.sum_products(t) for t in terms] + [ring.zero] * (D - max(top, lo - 1))
     # initial conditions: the fiber bundles cF on Sigma_m
     if lo == 0 and d == 0 and not beta and alpha == _strip((c,)):
         vals[0] = ring.one
-    for delta, v in enumerate(vals, lo):
-        table.insert(y, (m, c, d, delta, alpha, beta), v)
-    return table.memo[y][state]
+    table.insert(y, state, lo, vals)
+    return memo[state]
 
 
 def severi_degree(s: SurfaceBundle, delta: int, y="sym",
                   table: CHTable | None = None):
     """N^{(S,L),delta}(y): all HL contacts with the bottom divisor simple
     and moving, i.e. alpha = 0, beta = (HL)."""
-    beta = (s.HL,) if s.HL > 0 else ()
-    return relative_degree(s, delta, (), beta, y=y, table=table)
+    return severi_degrees(s, delta, y, table)[delta]
 
 
 def severi_degrees(s: SurfaceBundle, delta_max: int, y="sym",

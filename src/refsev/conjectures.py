@@ -91,11 +91,10 @@ def _at_least(low: int, **values):
 
 
 def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
-    diff = lhs - rhs
-    if diff.is_zero():
+    if lhs == rhs:
         report.record(params, True)
         return
-    e = min(diff.terms)
+    e = min((lhs - rhs).terms)
     report.record(params, False, f"first discrepancy at (delta={delta}, y-exp {e}/2): "
                                  f"engine {lhs.coeff(e)} vs genfun {rhs.coeff(e)}")
 

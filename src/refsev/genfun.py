@@ -32,7 +32,7 @@ from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
 from .rationals import QQ
-from .ylaurent import YL_ZERO
+from .ylaurent import YL_ZERO, ring_at
 
 __all__ = ["Invariants", "reform_eval", "reform_coefficient", "in_regime",
            "solve_bundles", "engine_data", "solve_universal_B", "base_series"]
@@ -130,8 +130,10 @@ def in_regime(bundle, delta: int, y="sym") -> bool:
     for every d >= 1 and delta = 0 for every d. P^1 x P^1 = Sigma_0(c, d):
     min(c, d) >= ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1,
     at or above every bound measured to delta = 14. A ValueError for any
-    other bundle."""
-    k = {"sym": 2, 1: 2, -1: 3}[y]
+    other bundle, a negative delta or a y other than 'sym', 1 and -1."""
+    if delta < 0:
+        raise ValueError(f"delta = {delta} is negative")
+    k = 3 if ring_at(y).y == -1 else 2
     if bundle.family == "p2":
         return delta <= k * (bundle.d - 1) or delta <= (2 if bundle.d >= 1 else 0)
     if bundle.family == "sigma" and bundle.m == 0:
@@ -146,7 +148,10 @@ def solve_bundles(order: int, y="sym"):
     3s = 2p (only at (p, s) = (3, 2)): there the (K^2, L.K) of the first
     two, (9, -3p) and (8, -4s), are proportional. Any two bundles then fix
     B; the third overdetermines the solve, so data outside the regime
-    raises instead of passing."""
+    raises instead of passing, as do a negative order and any other y."""
+    if order < 0:
+        raise ValueError(f"order = {order} is negative")
+    ring_at(y)  # refuses any other y, also where no delta is asked
     def smallest(bundle, start):
         return next(n for n in itertools.count(start)
                     if all(in_regime(bundle(n), dl, y) for dl in range(order)))

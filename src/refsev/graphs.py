@@ -46,9 +46,10 @@ __all__ = [
 
 
 def s_beta(c: int, m: int, d: int) -> tuple:
-    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); d >= 0."""
-    if d < 0:
-        raise ValueError("degree d must be nonnegative")
+    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); c, m, d >= 0."""
+    for name, value in (("degree d", d), ("c", c), ("m", m)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, not {value}")
     return tuple(c + m * i for i in range(d + 1))
 
 
@@ -123,16 +124,16 @@ def _place(fills: dict, edge) -> dict:
     return placed
 
 
-def _template_sum(fills: dict, last, free) -> int:
+def _template_sum(fills: list, last, free) -> int:
     """P of a template under its free fills f, times the factorials of the
-    multiplicities of its identical edges, from the fills {n: count} of its
-    edges but the last: that one goes into a gap g of its span holding n_g
-    edges in n_g + 1 ways, and (n_g + 1) C(f_g + n_g + 1, n_g + 1) =
-    (f_g + n_g + 1) C(f_g + n_g, n_g), a sum over the span of linear terms."""
+    multiplicities of its identical edges, from the fills (n, count, sum of n
+    over the last edge's span) of its edges but the last: that one goes into
+    a gap g of its span holding n_g edges in n_g + 1 ways, and (n_g + 1)
+    C(f_g + n_g + 1, n_g + 1) = (f_g + n_g + 1) C(f_g + n_g, n_g)."""
     i, j, _ = last
     span = sum(free[i:j]) + j - i
-    return sum(c * prod(map(comb, map(operator.add, free, n), n)) * (span + sum(n[i:j]))
-               for n, c in fills.items())
+    return sum(c * prod(map(comb, map(operator.add, free, n), n)) * (span + in_span)
+               for n, c, in_span in fills)
 
 
 def _windows(sweeps) -> dict:
@@ -184,6 +185,8 @@ def _window_sums(windows: dict, delta: int) -> list:
             edges, (fills, loads, heavy0, heavy1, sym, _) = T, stack.pop()
             eps, weights = (int(not heavy0), int(not heavy1)), tuple(sorted(w for *_, w in edges))
             by_window = sums[kappa].setdefault((ell, weights), {}).setdefault(eps, {})
+            i, j, _ = edges[-1]
+            fills = [(n, c, sum(n[i:j])) for n, c in fills.items()]
             for window in windows[ell][eps]:
                 free = tuple(map(operator.sub, window, loads))
                 p_sum = _template_sum(fills, edges[-1], free) // sym if min(free) >= 0 else 0
@@ -194,8 +197,10 @@ def _window_sums(windows: dict, delta: int) -> list:
 # -- counts ------------------------------------------------------------------
 
 
-def _refuse_negative(beta) -> None:
+def _refuse_bad_beta(beta) -> None:
     for i, b in enumerate(beta):
+        if isinstance(b, bool) or not isinstance(b, int):
+            raise ValueError(f"beta[{i}] = {b!r} is not an integer")
         if b < 0:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
@@ -203,8 +208,8 @@ def _refuse_negative(beta) -> None:
 def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
-    n^delta (y=1) or the Welschinger counts W^delta (y=-1). A negative beta
-    entry raises ValueError.
+    n^delta (y=1) or the Welschinger counts W^delta (y=-1). A beta entry
+    that is negative or no integer raises ValueError.
 
     N^delta_beta sums multiplicity times P^s_beta over the cogenus-delta
     graphs with maxv <= M + 1. Cut at the vertices no edge spans strictly,
@@ -226,7 +231,7 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     ring = ring_at(y)
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
-    _refuse_negative(beta)
+    _refuse_bad_beta(beta)
     beta = tuple(beta)
     n = len(beta)  # the last vertex, M + 1
     if sums is None:

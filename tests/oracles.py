@@ -29,7 +29,7 @@ from refsev.caporaso import CHTable, _strip, canon_seq, iseq
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     _place,
-    _refuse_negative,
+    _refuse_bad_beta,
     enumerate_graphs,
     enumerate_templates,
 )
@@ -226,7 +226,7 @@ def phi(G: tuple, beta, strict: bool = False):
     edge is a class of G, so by the same argument Phi^s is Phi, or 0 when
     G has such an edge.
     """
-    _refuse_negative(beta)
+    _refuse_bad_beta(beta)
     if is_empty(G) or maxv(G) > len(beta) or strict and _heavy_end(G, len(beta)):
         return QQ(0)
     edges, m = zip(*_edge_classes(G))
@@ -547,16 +547,19 @@ class ScalarTable(CHTable):
         if hit is not None:
             return hit
         if self.store is not None:
-            payload = self.store.get(self._store_key(y, key))
+            m, c, d, delta, alpha, beta = key
+            payload = self.store.get(self._store_key(y, (m, c, d, alpha, beta), delta))
             if payload is not None:
                 val = self.memo[y][key] = ring_at(y).decode(payload)
                 return val
         return None
 
-    def insert(self, y, key, value):
-        self.memo[y][key] = value
-        if self.store is not None:
-            self.store.put(self._store_key(y, key), ring_at(y).encode(value))
+    def insert(self, y, state, lo, values):
+        m, c, d, alpha, beta = state
+        for delta, value in enumerate(values, lo):
+            self.memo[y][m, c, d, delta, alpha, beta] = value
+            if self.store is not None:
+                self.store.put(self._store_key(y, state, delta), ring_at(y).encode(value))
 
     def _splits(self, alpha) -> list:
         return CHTable._splits(self, alpha, None)
@@ -588,7 +591,7 @@ def severi_degree_scalar(s, delta: int, y="sym", table=None):
 
 
 def _N(m, c, d, delta, alpha, beta, ring, table):
-    key = (m, c, d, delta, alpha, beta)
+    key, state = (m, c, d, delta, alpha, beta), (m, c, d, alpha, beta)
     y = ring.y
     hit = table.lookup(y, key)
     if hit is not None:
@@ -596,14 +599,14 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
 
     # initial conditions: the fiber bundles cF on Sigma_m
     if d == 0 and delta == 0 and not beta and alpha == _strip((c,)):
-        table.insert(y, key, ring.one)
+        table.insert(y, state, delta, [ring.one])
         return ring.one
 
     dim = (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 1
     HL = c + m * d
     gamma = dim - HL + sum(beta) - delta
     if gamma <= 0:
-        table.insert(y, key, ring.zero)
+        table.insert(y, state, delta, [ring.zero])
         return ring.zero
 
     # the children as (factor, binomial, value) triples, summed once
@@ -656,5 +659,5 @@ def _N(m, c, d, delta, alpha, beta, ring, table):
                               _N(m, c, d - 1, delta2, a2, b2, ring, table)))
 
     total = ring.sum_products(terms)
-    table.insert(y, key, total)
+    table.insert(y, state, delta, [total])
     return total

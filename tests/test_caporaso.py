@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from refsev import caporaso
 from refsev.caporaso import (
     CHTable,
     P2,
@@ -208,9 +209,9 @@ def test_no_table_means_a_fresh_table(monkeypatch):
     inserts = []
     insert = CHTable.insert
 
-    def counting(self, y, key, value):
+    def counting(self, y, state, lo, values):
         inserts[-1] += 1
-        insert(self, y, key, value)
+        insert(self, y, state, lo, values)
 
     monkeypatch.setattr(CHTable, "insert", counting)
     for _ in range(2):
@@ -232,6 +233,34 @@ def test_states_per_ring(y, states):
     table = CHTable()
     engine_data(solve_bundles(10, y), 10, y, table)
     assert len(per_delta(table.memo[y])) == {"sym": 2485, 1: 2485, -1: 357}[y]
+
+
+@pytest.mark.parametrize("y", ["sym", 1])
+def test_recursion_is_entered_only_to_compute(monkeypatch, y):
+    # on the cross-engine grid a caller reads a child's row from the memo
+    # when it reaches the delta asked, so _N is entered once per row it
+    # computes, each inserted in one call, and once per ask whose row the
+    # memo already holds (10,037 entries for 4,182 rows at the parent)
+    entered, inserted = [], []
+    N, insert = caporaso._N, CHTable.insert
+
+    def entering(*args):
+        entered.append(args)
+        return N(*args)
+
+    def inserting(self, y, state, lo, values):
+        inserted.append(state)
+        insert(self, y, state, lo, values)
+
+    monkeypatch.setattr(caporaso, "_N", entering)
+    monkeypatch.setattr(CHTable, "insert", inserting)
+    table, held = CHTable(), 0
+    grid = [Sigma(m, c, d) for m in range(4) for c in range(5) for d in range(4, 0, -1)]
+    for s in grid:
+        held += len(table.memo[y].get((s.m, s.c, s.d, (), (s.HL,)), ())) > 4
+        severi_degrees(s, 4, y, table)
+    assert len(inserted) == 4182
+    assert len(entered) == len(inserted) + held and held <= len(grid)
 
 
 @pytest.mark.parametrize("y", ["sym", 1, -1])

@@ -352,6 +352,26 @@ def test_cross_engine_sums_each_entry_and_window_once(chtable, monkeypatch):
     assert sums and len(sums) == len(read)
 
 
+def test_compare_subtracts_only_on_a_failure(monkeypatch):
+    # a pass is recorded from lhs == rhs, with no lhs - rhs built; a
+    # failure names the first doubled y-exponent where the sides differ
+    subtracted, sub = [], YLaurent.__sub__
+
+    def subtracting(self, other):
+        subtracted.append(other)
+        return sub(self, other)
+
+    monkeypatch.setattr(YLaurent, "__sub__", subtracting)
+    rep = ConjectureReport("cross_engine", {})
+    lhs = YLaurent({-2: 1, 0: 3, 2: 1})
+    conjectures._compare(rep, {"d": 3}, lhs, YLaurent({-2: 1, 0: 3, 2: 1}), 1)
+    assert not subtracted
+    conjectures._compare(rep, {"d": 3}, lhs, YLaurent({-2: 1, 0: 2, 2: 1, 4: 5}), 2)
+    assert rep.instances == [
+        ({"d": 3}, "pass", ""),
+        ({"d": 3}, "fail", "first discrepancy at (delta=2, y-exp 0/2): engine 3 vs genfun 2")]
+
+
 def test_solve_b_small(chtable):
     rep = check_conjecture("solveB", table=chtable, order=4, order_minus1=5)
     assert rep.ok, rep.summary()

@@ -221,6 +221,26 @@ def test_in_regime_refuses_a_bundle_without_a_rule(bundle):
         in_regime(bundle, 1)
 
 
+@pytest.mark.parametrize("y", [0, 2, "1"])
+def test_regime_refuses_a_y_without_a_ring(y):
+    # y = 0, 2 and '1' raised a bare KeyError
+    message = re.escape(f"y must be 'sym', 1 or -1, not {y!r}")
+    for call in (lambda: in_regime(P2(3), 1, y), lambda: solve_bundles(3, y),
+                 lambda: solve_bundles(0, y)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_regime_refuses_a_negative_delta_or_order():
+    # both answered: in_regime(P2(3), -1) was True, and solve_bundles(-1)
+    # the bundles of order 0
+    with pytest.raises(ValueError, match="delta = -1 is negative"):
+        in_regime(P2(3), -1)
+    with pytest.raises(ValueError, match="order = -1 is negative"):
+        solve_bundles(-1)
+    assert solve_bundles(0) == solve_bundles(1)
+
+
 def test_solve_bundles_smallest_in_regime():
     # P^2(p), Sigma_0(s, s) and the overdetermining P^2(p + 1): every
     # delta < order in the regime at y, and p >= 2, s >= 1 the smallest

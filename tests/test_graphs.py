@@ -445,6 +445,21 @@ def test_s_beta_refuses_a_negative_degree():
     assert s_beta(0, 1, 0) == (0,)
 
 
+def test_s_beta_refuses_a_negative_c_or_m():
+    # s(0, -1, 2) was the negative beta (0, -1, -2)
+    for args, name in (((0, -1, 2), "m"), ((-1, 1, 2), "c")):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative, not -1$"):
+            s_beta(*args)
+
+
+def test_refined_counts_refuses_a_non_integer_beta():
+    # (1.5, 2) and (True, 2) were counted as (1, 2)
+    for beta, at in (((1.5, 2), 0), ((True, 2), 0), ((2, QQ(1, 2)), 1)):
+        with pytest.raises(ValueError, match=rf"beta\[{at}\] = .* is not an integer"):
+            refined_counts(beta, 2)
+    assert refined_counts((1, 2), 2) == refined_counts([1, 2], 2)
+
+
 def test_refined_counts_at_refuses_points_without_a_delta():
     # a list of points takes its delta from the call; without one it raised
     # AttributeError on list.values
