@@ -3,12 +3,12 @@
 States are (m, c, d, alpha, beta) with I(alpha) + I(beta) = HL, HL the
 lattice length c + m*d of the bottom edge of Delta_{c,m,d}. The value of a
 state is a row [N^0, ..., N^D] over delta: a state asked to D walks its
-children, alpha splits and beta lists once for the whole row and sums the
-terms of each delta once, so a caller asks a bundle once, at the largest
-delta it reads. P^2 and P(1,1,m) run through the Sigma_m states with c = 0
-(same polygons, same degrees); the recursion terminates at the fiber
-bundles (d = 0): the count is 1 exactly for delta = 0, beta = 0 and
-alpha = c simple contacts.
+children, alpha splits and beta lists once for the whole row, so a caller
+asks a bundle once, at the largest delta it reads. The walk is a loop over
+an explicit stack of suspended states, not Python recursion, so its depth
+(about 1,300 states for P^2(50)) has no cap but memory. P^2 and P(1,1,m)
+run through the Sigma_m states with c = 0; the recursion ends at the fiber
+bundles (d = 0): the count is 1 exactly for delta = 0, beta = 0, alpha = (c).
 
 The recursion runs once, over a value ring (ylaurent.YRing) chosen by y:
 'sym' computes exact Laurent polynomials in y; 1 and -1 compute their
@@ -22,12 +22,12 @@ count is palindromic.
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import namedtuple
 from math import comb, prod
 from operator import mul
 
 from .cache import CacheStore
+from .rationals import check_int
 from .ylaurent import RINGS, ring_at
 
 __all__ = [
@@ -50,13 +50,13 @@ __all__ = [
 
 def canon_seq(seq, name: str = "sequence") -> tuple:
     """Strip trailing zeros; sequences are indexed from 1. A ValueError
-    naming the sequence when an entry is negative."""
-    seq = list(seq)
+    naming the sequence when an entry is no int or negative."""
+    seq = tuple(seq)
+    for i, x in enumerate(seq):
+        check_int(f"{name}[{i}]", x)
     if any(x < 0 for x in seq):
-        raise ValueError(f"{name} = {tuple(seq)} has a negative entry")
-    while seq and seq[-1] == 0:
-        seq.pop()
-    return tuple(seq)
+        raise ValueError(f"{name} = {seq} has a negative entry")
+    return _strip(seq)
 
 
 def iseq(seq) -> int:
@@ -91,6 +91,8 @@ class SurfaceBundle(namedtuple("SurfaceBundle", "family m c d")):
     def __new__(cls, family: str, m: int, c: int, d: int):
         if family not in SURFACES:
             raise ValueError(f"unknown family {family!r}")
+        for name, value in (("m", m), ("c", c), ("d", d)):
+            check_int(name, value)
         if family == "p2" and (m != 1 or c != 0):
             raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {m}, c = {c}")
         if family == "p11m" and c != 0:
@@ -271,29 +273,36 @@ def relative_degree(s: SurfaceBundle, delta: int, alpha, beta, y="sym",
     I(alpha) + I(beta) must equal HL. y is 'sym' for the Laurent polynomial,
     1 or -1 for its integer value there (at y = -1, y^(1/2) = i).
     """
+    return _walk(s, delta, alpha, beta, y, table)[delta]
+
+
+def _walk(s: SurfaceBundle, delta: int, alpha, beta, y, table) -> list:
+    """The row [N^0, ..., N^delta, ...] of (s, alpha, beta) at y. The walk
+    keeps its own stack of _N frames, each suspended at the child it asks
+    for, so its depth is bounded by memory, not by Python's recursion limit."""
+    check_int("delta", delta)
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    alpha = canon_seq(alpha, "alpha")
-    beta = canon_seq(beta, "beta")
+    alpha, beta = canon_seq(alpha, "alpha"), canon_seq(beta, "beta")
     if iseq(alpha) + iseq(beta) != s.HL:
-        raise ValueError(
-            f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}"
-        )
+        raise ValueError(f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}")
     ring = ring_at(y)
-    if table is None:
-        table = CHTable()
-    old = sys.getrecursionlimit()
-    if old < 50000:
-        sys.setrecursionlimit(50000)
-    try:
-        return _N(s.m, s.c, s.d, delta, alpha, beta, ring, table)[delta]
-    finally:
-        sys.setrecursionlimit(old)
+    table = CHTable() if table is None else table
+    stack, row = [_N(s.m, s.c, s.d, delta, alpha, beta, ring, table)], None
+    while stack:
+        try:
+            stack.append(_N(*stack[-1].send(row), ring, table))
+            row = None
+        except StopIteration as done:
+            stack.pop()
+            row = done.value
+    return row
 
 
 def _N(m, c, d, D, alpha, beta, ring, table):
-    """The table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D.
-    A caller reads a long enough row from the memo, as lookup would, without calling."""
+    """Returns the table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D.
+    Yields the ask (m, c, d', D', alpha', beta') of a child the memo lacks to D', and is sent
+    its row; a row long enough it reads from the memo, as lookup would, without asking."""
     state = (m, c, d, alpha, beta)
     y = ring.y
     row = table.lookup(y, state, D)
@@ -321,7 +330,7 @@ def _N(m, c, d, D, alpha, beta, ring, table):
             a2, b2 = tuple(a2), _strip(beta[:k_idx] + (bk - 1,) + beta[k:])
             child = memo.get((m, c, d, a2, b2))
             if child is None or len(child) <= top:
-                child = _N(m, c, d, top, a2, b2, ring, table)
+                child = yield m, c, d, top, a2, b2
             for t, v in zip(terms, child[lo:]):
                 t.append((f, 1, v))
 
@@ -339,7 +348,7 @@ def _N(m, c, d, D, alpha, beta, ring, table):
             for f, cb, e, b2 in table._children(ring, beta, R, emax):
                 child = memo.get((m, c, d - 1, a2, b2))
                 if child is None or len(child) <= emax - e:
-                    child = _N(m, c, d - 1, emax - e, a2, b2, ring, table)
+                    child = yield m, c, d - 1, emax - e, a2, b2
                 # delta' = 0 at delta = top - emax + e, index `at` of terms
                 at, k = top - emax + e - lo, ca * cb
                 for t, v in zip(terms[max(at, 0):], child[max(-at, 0):]):
@@ -366,10 +375,7 @@ def severi_degrees(s: SurfaceBundle, delta_max: int, y="sym",
                    table: CHTable | None = None) -> list:
     """[N^0, ..., N^delta_max] of (S, L) at y, from one run of the
     recursion; ask once, at the largest delta wanted."""
-    table = CHTable() if table is None else table
-    beta = (s.HL,) if s.HL > 0 else ()
-    relative_degree(s, delta_max, (), beta, y=y, table=table)
-    return table.memo[y][s.m, s.c, s.d, (), beta][:delta_max + 1]
+    return _walk(s, delta_max, (), (s.HL,), y, table)[:delta_max + 1]
 
 
 def welschinger_degree(s: SurfaceBundle, delta: int,

@@ -31,6 +31,7 @@ import operator
 from math import comb, prod
 
 from .qseries import QSeries
+from .rationals import check_int
 from .ylaurent import ring_at
 
 __all__ = [
@@ -46,8 +47,9 @@ __all__ = [
 
 
 def s_beta(c: int, m: int, d: int) -> tuple:
-    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); c, m, d >= 0."""
+    """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); c, m, d ints >= 0."""
     for name, value in (("degree d", d), ("c", c), ("m", m)):
+        check_int(name, value)
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, not {value}")
     return tuple(c + m * i for i in range(d + 1))
@@ -67,6 +69,7 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
     """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound,
     each the sorted tuple of its (i, j, w) edges; templates keeps only the
     templates among them."""
+    check_int("delta", delta)
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     if templates and not delta:
@@ -199,8 +202,7 @@ def _window_sums(windows: dict, delta: int) -> list:
 
 def _refuse_bad_beta(beta) -> None:
     for i, b in enumerate(beta):
-        if isinstance(b, bool) or not isinstance(b, int):
-            raise ValueError(f"beta[{i}] = {b!r} is not an integer")
+        check_int(f"beta[{i}]", b)
         if b < 0:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
@@ -209,7 +211,7 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
     n^delta (y=1) or the Welschinger counts W^delta (y=-1). A beta entry
-    that is negative or no integer raises ValueError.
+    or delta that is negative or no integer raises ValueError.
 
     N^delta_beta sums multiplicity times P^s_beta over the cogenus-delta
     graphs with maxv <= M + 1. Cut at the vertices no edge spans strictly,
@@ -229,6 +231,7 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     the _window_sums of one refined_counts_at call, or the sweep's own.
     """
     ring = ring_at(y)
+    check_int("delta", delta)
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
     _refuse_bad_beta(beta)
@@ -277,12 +280,15 @@ def refined_counts_at(points, delta=None) -> dict:
     swept once, at its largest d and delta: s(c, m, d) is a prefix of its
     beta, and N^k reads no template of cogenus above k, so a point's row is
     the head of its sweep's. The sweeps share one _window_sums of all their
-    windows, which the call drops when it returns. A negative d or delta,
-    or points not in a map and no delta, raises ValueError."""
+    windows, which the call drops when it returns. A d or delta that is no
+    int or negative, or points not in a map and no delta, raises ValueError."""
     if delta is not None:
         points = dict.fromkeys(points, delta)
     elif not isinstance(points, dict):
         raise ValueError("points not given as a {(c, m, d): delta} map need a delta")
+    for (_, _, d), dl in points.items():
+        check_int("degree d", d)
+        check_int("delta", dl)
     if any(dl < 0 for dl in points.values()):
         raise ValueError("cogenus must be nonnegative")
     if any(d < 0 for _, _, d in points):

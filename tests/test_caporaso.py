@@ -90,6 +90,12 @@ def test_bundle_and_invariants_are_frozen_values():
     (("sigma", -1, 0, 2), "m = -1 is negative"),
     (("sigma", 1, -2, 2), "c = -2 is negative"),
     (("p2", 1, 0, -3), "d = -3 is negative"),
+    # a float or bool field was taken, P2(True) being P2(1)
+    (("p2", 1, 0, 2.5), "d = 2.5 is not an integer"),
+    (("sigma", 1, 0.5, 2), "c = 0.5 is not an integer"),
+    (("p2", 1, 0, True), "d = True is not an integer"),
+    (("p11m", True, 0, 2), "m = True is not an integer"),
+    (("p2", 1.0, 0, 3), "m = 1.0 is not an integer"),
 ])
 def test_bundle_validates_positional_and_keyword(args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -285,18 +291,54 @@ def test_rows_equal_the_scalar_recursion(y):
         assert scalar.memo[y].items() < held.items()
 
 
-def test_deep_state_and_recursion_limit():
-    # P2(50), delta = 1 nests about 1300 calls of the recursion, past the
-    # default limit of 1000; the limit it raises is restored afterwards,
-    # also when the table raises
-    old = sys.getrecursionlimit()
-    assert severi_degree(P2(50), 1, y=1) == 3 * 49 ** 2
-    assert sys.getrecursionlimit() == old
+def test_the_walk_runs_deep_states_without_recursion(monkeypatch):
+    # P2(50), delta = 1 nests about 1300 states, past the default recursion
+    # limit of 1000; the walk holds them on its own stack, so it runs within
+    # 100 frames of its caller and never sets the process's limit
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
+
+    def refuse(limit):
+        raise AssertionError(f"sys.setrecursionlimit({limit}) called")
+
+    set_limit(depth + 100)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "setrecursionlimit", refuse)
+            assert severi_degree(P2(50), 1, y=1) == 3 * 49 ** 2 == 7203
+    finally:
+        set_limit(old)
 
     class Broken(CHTable):
         def lookup(self, *args):
             raise RuntimeError("lookup failed")
 
+    # a table that raises stops the walk with its error; a fresh table then
+    # gives the same value as the recursion asked one delta at a time
     with pytest.raises(RuntimeError, match="lookup failed"):
         severi_degree(P2(5), 1, table=Broken())
-    assert sys.getrecursionlimit() == old
+    assert severi_degree(P2(5), 1, table=CHTable()) == \
+        severi_degree_scalar(P2(5), 1, "sym", ScalarTable())
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: severi_degrees(P2(3), True), "delta = True is not an integer",
+                 id="severi_degrees-bool-delta"),
+    pytest.param(lambda: severi_degree(P2(3), 1.0), "delta = 1.0 is not an integer",
+                 id="severi_degree-float-delta"),
+    pytest.param(lambda: relative_degree(P2(2), 1.5, (), (2,)),
+                 "delta = 1.5 is not an integer", id="relative-float-delta"),
+    pytest.param(lambda: relative_degree(P2(2), 1, (), (1.5, 0.25)),
+                 "beta[0] = 1.5 is not an integer", id="relative-float-beta"),
+    pytest.param(lambda: relative_degree(P2(3), 1, (), (True, True)),
+                 "beta[0] = True is not an integer", id="relative-bool-beta"),
+    pytest.param(lambda: relative_degree(P2(3), 1, (1, 0.5), (2,)),
+                 "alpha[1] = 0.5 is not an integer", id="relative-float-alpha"),
+])
+def test_recursion_inputs_refused_unless_int(call, message):
+    # severi_degrees(P2(3), True) returned two values and the beta
+    # (True, True) was read as (1, 1); a float ended in a TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

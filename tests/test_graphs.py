@@ -452,6 +452,25 @@ def test_s_beta_refuses_a_negative_c_or_m():
             s_beta(*args)
 
 
+def test_degree_and_cogenus_refused_unless_int():
+    # s(0, 1, True) was (0, 1), the sequence of d = 1, enumerate_templates(True)
+    # the templates of cogenus 1, and a float d or delta ended in a TypeError
+    for call, name, value in (
+        (lambda: s_beta(0, 1, True), "degree d", "True"),
+        (lambda: s_beta(0, 1.0, 2), "m", "1.0"),
+        (lambda: graphs.refined_counts_at({(0, 1, 2.5): 2}), "degree d", "2.5"),
+        (lambda: graphs.refined_counts_at({(0, 1, 2): 1.5}), "delta", "1.5"),
+        (lambda: graphs.refined_counts_at([(0, 1, 2)], True), "delta", "True"),
+        (lambda: refined_counts((1, 2), 1.5), "delta", "1.5"),
+        (lambda: q_log_count((1, 2), 1.0), "delta", "1.0"),
+        (lambda: graphs.enumerate_graphs(1.5, 3), "delta", "1.5"),
+        (lambda: graphs.enumerate_templates(True), "delta", "True"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{name} = {value} is not an integer$"):
+            call()
+    assert q_log_count((1, 2), 1) == refined_count((1, 2), 1)
+
+
 def test_refined_counts_refuses_a_non_integer_beta():
     # (1.5, 2) and (True, 2) were counted as (1, 2)
     for beta, at in (((1.5, 2), 0), ((True, 2), 0), ((2, QQ(1, 2)), 1)):
