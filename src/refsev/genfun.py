@@ -31,7 +31,7 @@ from .caporaso import P2, Sigma, severi_degrees
 from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
-from .rationals import QQ
+from .rationals import QQ, check_int
 from .ylaurent import YL_ZERO, ring_at
 
 __all__ = ["Invariants", "reform_eval", "reform_coefficient", "in_regime",
@@ -130,7 +130,8 @@ def in_regime(bundle, delta: int, y="sym") -> bool:
     for every d >= 1 and delta = 0 for every d. P^1 x P^1 = Sigma_0(c, d):
     min(c, d) >= ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1,
     at or above every bound measured to delta = 14. A ValueError for any
-    other bundle, a negative delta or a y other than 'sym', 1 and -1."""
+    other bundle, a negative or non-int delta or a y other than 'sym', 1 and -1."""
+    check_int("delta", delta)
     if delta < 0:
         raise ValueError(f"delta = {delta} is negative")
     k = 3 if ring_at(y).y == -1 else 2
@@ -148,7 +149,8 @@ def solve_bundles(order: int, y="sym"):
     3s = 2p (only at (p, s) = (3, 2)): there the (K^2, L.K) of the first
     two, (9, -3p) and (8, -4s), are proportional. Any two bundles then fix
     B; the third overdetermines the solve, so data outside the regime
-    raises instead of passing, as do a negative order and any other y."""
+    raises instead of passing, as do a negative or non-int order and any other y."""
+    check_int("order", order)
     if order < 0:
         raise ValueError(f"order = {order} is negative")
     ring_at(y)  # refuses any other y, also where no delta is asked

@@ -18,17 +18,18 @@ the sum of N^delta_beta over all graphs are oracles in tests/oracles.py.
 P is a polynomial in the free fills f = beta - lambda: a dynamic
 programme on {per-gap fill vector: count} that places the edges one at a
 time from an empty fill (_place) gives weights W(n) with n_g of the
-graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g).
-Q^delta is the t^delta coefficient of the log of the counts N^0, ...,
-N^delta. A call gathers the windows its sweeps read (_windows), enumerates
-the templates of each cogenus once and walks them, each edge prefix placed
-once, into P sums per placement and window (_window_sums); it drops the
-templates and the sums on return, so nothing outlives a call.
+graph's edges in gap g, and P = sum_n W(n) prod_g C(f_g + n_g, n_g); a
+factor is 1 where n_g = 0, so each n is kept sparse, its (g, n_g > 0), and
+pays one binomial per gap it fills. Q^delta is the t^delta coefficient of
+the log of the counts N^0, ..., N^delta. A call gathers the windows its
+sweeps read (_windows), enumerates the templates of each cogenus once and
+walks them, each edge prefix placed once, into P sums per placement and
+window (_window_sums); it drops the templates and the sums on return.
 """
 from __future__ import annotations
 
-import operator
-from math import comb, prod
+from math import comb
+from operator import eq, itemgetter, sub
 
 from .qseries import QSeries
 from .rationals import check_int
@@ -129,14 +130,18 @@ def _place(fills: dict, edge) -> dict:
 
 def _template_sum(fills: list, last, free) -> int:
     """P of a template under its free fills f, times the factorials of the
-    multiplicities of its identical edges, from the fills (n, count, sum of n
-    over the last edge's span) of its edges but the last: that one goes into
-    a gap g of its span holding n_g edges in n_g + 1 ways, and (n_g + 1)
+    multiplicities of its identical edges, from the sparse fills (count, n
+    over the last edge's span plus its length, the (g, n_g) of n_g > 0) of
+    its edges but the last, one binomial per gap filled. The last edge goes
+    into a gap g of its span holding n_g edges in n_g + 1 ways, and (n_g + 1)
     C(f_g + n_g + 1, n_g + 1) = (f_g + n_g + 1) C(f_g + n_g, n_g)."""
     i, j, _ = last
-    span = sum(free[i:j]) + j - i
-    return sum(c * prod(map(comb, map(operator.add, free, n), n)) * (span + in_span)
-               for n, c, in_span in fills)
+    span, total = sum(free[i:j]), 0
+    for c, in_span, gaps in fills:
+        for g, ng in gaps:
+            c *= comb(free[g] + ng, ng)
+        total += c * (span + in_span)
+    return total
 
 
 def _windows(sweeps) -> dict:
@@ -161,39 +166,42 @@ def _window_sums(windows: dict, delta: int) -> list:
     dropped before the next cogenus. Templates that share an edge prefix
     come one after another in enumeration order, so each resumes at the
     longest prefix it shares with the last one placed: stack[t] holds the
-    undivided fills of its first t edges, their loads (as long as the
-    reach), a heavy edge at vertex 0 and at the reach, the factorials of
-    the multiplicities and the last run. No template is a prefix of another
-    of its cogenus, so its own state, which leaves the last edge to
-    _template_sum, is dropped once summed."""
+    undivided fills of its first t edges and their sparse form, their loads
+    (as long as the reach), a heavy edge at vertex 0 and at the reach, the
+    factorials of the multiplicities and the last run. No template is a
+    prefix of another of its cogenus, so its own state, which leaves the
+    last edge to _template_sum, is dropped once summed at the windows it fits."""
     sums = [{} for _ in range(delta + 1)]
     for kappa in range(1, delta + 1):
-        edges, stack = (), [({(): 1}, (), False, False, 1, 0)]
+        edges, stack = (), [({(): 1}, [((), 1, ())], (), False, False, 1, 0)]
         for T in enumerate_templates(kappa):
-            ell = max(j for _, j, _ in T)
+            ell = max(map(itemgetter(1), T))
             if ell not in windows:
                 continue
-            k = next((k for k, (a, b) in enumerate(zip(edges, T)) if a != b),
-                     min(len(edges), len(T)))
+            k = [*map(eq, edges, T), False].index(False)  # the prefix shared
             del stack[k + 1:]
             for t in range(k, len(T)):
-                fills, loads, heavy0, heavy1, sym, run = stack[-1]
+                fills, sparse, loads, heavy0, heavy1, sym, run = stack[-1]
                 i, j, w = e = T[t]
                 heavy1 = w > 1 or heavy1 and j == len(loads) if j >= len(loads) else heavy1
                 loads += (0,) * (j - len(loads))  # reach j
                 run = run + 1 if t and T[t - 1] == e else 1
-                stack.append((_place(fills, e) if t < len(T) - 1 else fills,
+                if t < len(T) - 1:
+                    fills = _place(fills, e)
+                    sparse = [(n, c, [(g, ng) for g, ng in enumerate(n) if ng])
+                              for n, c in fills.items()]
+                stack.append((fills, sparse,
                               loads[:i] + tuple(lam + w for lam in loads[i:j]) + loads[j:],
                               heavy0 or i == 0 and w > 1, heavy1, sym * run, run))
-            edges, (fills, loads, heavy0, heavy1, sym, _) = T, stack.pop()
-            eps, weights = (int(not heavy0), int(not heavy1)), tuple(sorted(w for *_, w in edges))
-            by_window = sums[kappa].setdefault((ell, weights), {}).setdefault(eps, {})
-            i, j, _ = edges[-1]
-            fills = [(n, c, sum(n[i:j])) for n, c in fills.items()]
-            for window in windows[ell][eps]:
-                free = tuple(map(operator.sub, window, loads))
-                p_sum = _template_sum(fills, edges[-1], free) // sym if min(free) >= 0 else 0
-                by_window[window] = by_window.get(window, 0) + p_sum
+            edges, (_, sparse, loads, heavy0, heavy1, sym, _) = T, stack.pop()
+            eps, weights = (int(not heavy0), int(not heavy1)), sorted(map(itemgetter(2), edges))
+            classes, at = sums[kappa].setdefault((ell, tuple(weights)), {}), windows[ell][eps]
+            by_window = classes.get(eps) or classes.setdefault(eps, dict.fromkeys(at, 0))
+            fits = [(win, free) for win in at if min(free := tuple(map(sub, win, loads))) >= 0]
+            i, j, _ = last = edges[-1]
+            fills = fits and [(c, sum(n[i:j]) + j - i, gaps) for n, c, gaps in sparse]
+            for window, free in fits:
+                by_window[window] += _template_sum(fills, last, free) // sym
     return sums
 
 

@@ -19,7 +19,7 @@ from .caporaso import SurfaceBundle
 from .graphs import refined_counts_at
 from .linalg import solve_exact
 from .qseries import QSeries
-from .rationals import QQ
+from .rationals import QQ, check_int
 from .ylaurent import YLaurent, YL_ZERO
 
 __all__ = ["NodePolynomial", "fit_node_polynomial", "fit_node_polynomials", "node_values"]
@@ -96,6 +96,7 @@ def _plan(family: str, delta: int, m):
     d = delta+3..delta+5; 'p2' is that fit at m = 1. 'p1xp1': {1, c+d, cd}
     on c,d >= delta. 'sigma': the seven-term form on c,d >= delta, m in
     {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta."""
+    check_int("delta", delta)  # before the points, which take it as d
     if delta < 1:
         raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
     if m is not None and family != "p11m-fixed-m":

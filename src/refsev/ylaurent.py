@@ -319,8 +319,10 @@ class YRing:
         return out
 
     def multiplicity(self, weights):
-        """prod [w]_y ** 2 over the edge weights of a long edge graph."""
-        return self.qnum_prod(tuple((w, 2) for w in sorted(weights)))
+        """prod [w]_y ** 2 over the edge weights of a long edge graph: one
+        power per distinct weight, none for [1]_y = 1."""
+        ws = sorted(weights)
+        return self.qnum_prod(tuple((w, 2 * ws.count(w)) for w in dict.fromkeys(ws) if w != 1))
 
 
 def _integer_ring(y, at) -> YRing:

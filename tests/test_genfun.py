@@ -241,6 +241,17 @@ def test_regime_refuses_a_negative_delta_or_order():
     assert solve_bundles(0) == solve_bundles(1)
 
 
+@pytest.mark.parametrize("value", [1.5, True, 2.0])
+def test_regime_refuses_a_delta_or_order_that_is_no_int(value):
+    # in_regime(P2(3), 1.5 or True, 1) answered True, solve_bundles(True, 1)
+    # the bundles of order 1, and solve_bundles(2.5, 1) ended in a TypeError
+    with pytest.raises(ValueError, match=f"^delta = {value} is not an integer$"):
+        in_regime(P2(3), value, 1)
+    for order in (value, value + 0.5):
+        with pytest.raises(ValueError, match=f"^order = {order} is not an integer$"):
+            solve_bundles(order, 1)
+
+
 def test_solve_bundles_smallest_in_regime():
     # P^2(p), Sigma_0(s, s) and the overdetermining P^2(p + 1): every
     # delta < order in the regime at y, and p >= 2, s >= 1 the smallest

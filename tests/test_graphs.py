@@ -1,5 +1,6 @@
 import functools
 import gc
+import math
 import os
 import random
 import subprocess
@@ -342,7 +343,7 @@ def test_placement_tables_equal_the_per_template_weights(kappa):
     assert tables[kappa] == _tables_by_template(kappa, windows, p_of)
 
 
-@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
 def test_placement_tables_sum_their_templates(kappa):
     # each entry of the tables, at each window, is the sum of the P of the
     # templates of that length, weights, eps0 and eps1 by the class
@@ -353,6 +354,24 @@ def test_placement_tables_sum_their_templates(kappa):
     assert tables == _tables_by_template(
         kappa, windows, lambda T: functools.partial(count_orderings_fill_dp, T))
     assert sorted(tables) == sorted({placement(T)[::3] for T in enumerate_templates(kappa)})
+
+
+def test_template_sums_pay_one_binomial_per_filled_gap(monkeypatch):
+    # nodepoly's sweep, s(0, 1, 10) at delta = 5: _template_sum calls comb
+    # once per gap that a fill fills, never for C(f + 0, 0) = 1, so 26,340
+    # times, where one call per gap of every fill made 46,504; the counts
+    # stay those of the sweep without the count
+    calls = []
+
+    def counting(n, k):
+        calls.append(k)
+        return math.comb(n, k)
+
+    monkeypatch.setattr(graphs, "comb", counting)
+    counts = graphs.refined_counts_at({(0, 1, 10): 5})
+    assert len(calls) == 26340 and all(calls)
+    monkeypatch.undo()
+    assert counts == {(0, 1, 10): refined_counts(s_beta(0, 1, 10), 5)}
 
 
 def test_windows_are_those_the_sweep_reads():
@@ -414,7 +433,7 @@ def test_counts_at_hold_no_memo_past_the_call(monkeypatch):
 def test_no_long_edge_graph_outlives_a_call():
     # in a fresh interpreter: a cogenus-6 sweep walks the 2,262 templates of
     # cogenus 1 to 6, and once it returns the process holds fewer new
-    # memory blocks than that (about 760 on Python 3.11), so no template
+    # memory blocks than that (about 280 on Python 3.11), so no template
     # list survives it; with enumerate_templates cached it holds over 3,000
     probe = (
         "import gc, sys\n"

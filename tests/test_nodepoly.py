@@ -50,6 +50,16 @@ def test_m_refused_outside_fixed_m(family):
         fit_node_polynomial(family, 1, m=7)
 
 
+@pytest.mark.parametrize("family", ["p2", "p1xp1", "sigma", "p11m", "p11m-fixed-m"])
+def test_a_delta_that_is_no_int_is_refused_by_its_name(family):
+    # the points of a fit take delta as their d, so 1.5 was refused as
+    # "d = 1.5" or "degree d = 1.5", and True fitted Q_1
+    m = 2 if family == "p11m-fixed-m" else None
+    for delta in (1.5, True):
+        with pytest.raises(ValueError, match=f"^delta = {delta} is not an integer$"):
+            fit_node_polynomials(family, [2, delta], m)
+
+
 def test_node_values_match_engine(chtable):
     fits = {dl: fit_node_polynomial("p2", dl) for dl in (1, 2, 3, 4)}
     nv = node_values(fits, 4, m=1, d=6)

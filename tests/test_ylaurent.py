@@ -187,3 +187,18 @@ def test_sum_products_keeps_integral_coefficients_as_ints():
     # and so does the product of two Laurent polynomials: 2/3 * 3/2 = 1
     prod = YLaurent({0: QQ(2, 3), 2: QQ(1, 3)}) * YLaurent({0: QQ(3, 2)})
     assert prod.terms == {0: 1, 2: QQ(1, 2)} and type(prod.terms[0]) is int
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_multiplicity_is_the_product_over_the_edges(y):
+    # equal weights share one power and [1]_y = 1 is left out; the weights
+    # may come as a generator, read once
+    ring = ring_at(y)
+    for weights in [(3, 1, 2, 3, 1, 2, 3), (1, 1), (), (2,), (5, 4, 4, 1)]:
+        want = ring.one
+        for w in weights:
+            want = want * ring.at(qnum(w) * qnum(w))
+        assert ring.multiplicity(w for w in weights) == want
+    assert ring.multiplicity(iter((3, 1, 3))) == ring.qnum_prod(((3, 4),))
+    with pytest.raises(ValueError):
+        ring.multiplicity((2, 0))  # [0]_y is refused, not dropped as [1]_y is
