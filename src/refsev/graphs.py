@@ -23,12 +23,15 @@ factor is 1 where n_g = 0, so each n is kept sparse, its (g, n_g > 0), and
 pays one binomial per gap it fills. Q^delta is the t^delta coefficient of
 the log of the counts N^0, ..., N^delta. A call gathers the windows its
 sweeps read (_windows), enumerates the templates of each cogenus once and
-walks them, each edge prefix placed once, into P sums per placement and
-window (_window_sums); it drops the templates and the sums on return.
+walks them into P sums per placement and window (_window_sums): the loads,
+ends and symmetry of a template are read off its edges, and only one that
+fits a window is placed, each edge prefix once. A sweep (_sweep) reads the
+sums, and the call drops the templates and the sums on return.
 """
 from __future__ import annotations
 
-from math import comb
+from itertools import accumulate
+from math import comb, factorial, prod
 from operator import eq, itemgetter, sub
 
 from .qseries import QSeries
@@ -69,10 +72,14 @@ def _edge_types(delta: int, maxv_bound: int):
 def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> list:
     """All long edge graphs of cogenus exactly delta with maxv <= maxv_bound,
     each the sorted tuple of its (i, j, w) edges; templates keeps only the
-    templates among them."""
+    templates among them. A delta or maxv_bound that is negative or no int
+    raises ValueError."""
     check_int("delta", delta)
     if delta < 0:
         raise ValueError("cogenus must be nonnegative")
+    check_int("maxv_bound", maxv_bound)
+    if maxv_bound < 0:
+        raise ValueError(f"maxv_bound = {maxv_bound} is negative")
     if templates and not delta:
         return []  # the empty graph is no template
     types = _edge_types(delta, maxv_bound)
@@ -163,45 +170,45 @@ def _window_sums(windows: dict, delta: int) -> list:
     tables of a call: the P sum of the templates of cogenus kappa <= delta
     with that placement at each window of their length, eps0 and eps1.
     The templates of each cogenus are enumerated once, walked once and
-    dropped before the next cogenus. Templates that share an edge prefix
-    come one after another in enumeration order, so each resumes at the
-    longest prefix it shares with the last one placed: stack[t] holds the
-    undivided fills of its first t edges and their sparse form, their loads
-    (as long as the reach), a heavy edge at vertex 0 and at the reach, the
-    factorials of the multiplicities and the last run. No template is a
-    prefix of another of its cogenus, so its own state, which leaves the
-    last edge to _template_sum, is dropped once summed at the windows it fits."""
+    dropped before the next cogenus. A template's length, loads, eps0 (no
+    edge of weight > 1 at vertex 0), eps1 (none ending at the length),
+    weights and symmetry factor are read off its edges; one that fits no
+    window gets its entries, all 0, and no placement. Templates sharing an
+    edge prefix come one after another, and none is a prefix of another,
+    so each that fits resumes at the longest prefix it shares with the
+    last one placed: stack[t] holds the undivided fills of its first t
+    edges and their sparse form; _template_sum places the last edge."""
     sums = [{} for _ in range(delta + 1)]
     for kappa in range(1, delta + 1):
-        edges, stack = (), [({(): 1}, [((), 1, ())], (), False, False, 1, 0)]
+        placed, stack = (), [({(): 1}, [((), 1, ())])]
         for T in enumerate_templates(kappa):
             ell = max(map(itemgetter(1), T))
             if ell not in windows:
                 continue
-            k = [*map(eq, edges, T), False].index(False)  # the prefix shared
-            del stack[k + 1:]
-            for t in range(k, len(T)):
-                fills, sparse, loads, heavy0, heavy1, sym, run = stack[-1]
-                i, j, w = e = T[t]
-                heavy1 = w > 1 or heavy1 and j == len(loads) if j >= len(loads) else heavy1
-                loads += (0,) * (j - len(loads))  # reach j
-                run = run + 1 if t and T[t - 1] == e else 1
-                if t < len(T) - 1:
-                    fills = _place(fills, e)
-                    sparse = [(n, c, [(g, ng) for g, ng in enumerate(n) if ng])
-                              for n, c in fills.items()]
-                stack.append((fills, sparse,
-                              loads[:i] + tuple(lam + w for lam in loads[i:j]) + loads[j:],
-                              heavy0 or i == 0 and w > 1, heavy1, sym * run, run))
-            edges, (_, sparse, loads, heavy0, heavy1, sym, _) = T, stack.pop()
-            eps, weights = (int(not heavy0), int(not heavy1)), sorted(map(itemgetter(2), edges))
-            classes, at = sums[kappa].setdefault((ell, tuple(weights)), {}), windows[ell][eps]
+            steps, light = [0] * (ell + 1), [1] * (ell + 1)
+            for i, j, w in T:  # loads by their steps; light where no heavy edge ends
+                steps[i] += w
+                steps[j] -= w
+                if w > 1:
+                    light[i] = light[j] = 0
+            loads, eps = [*accumulate(steps)], (light[0], light[ell])
+            classes = sums[kappa].setdefault((ell, tuple(sorted(map(itemgetter(2), T)))), {})
+            at = windows[ell][eps]
             by_window = classes.get(eps) or classes.setdefault(eps, dict.fromkeys(at, 0))
             fits = [(win, free) for win in at if min(free := tuple(map(sub, win, loads))) >= 0]
-            i, j, _ = last = edges[-1]
-            fills = fits and [(c, sum(n[i:j]) + j - i, gaps) for n, c, gaps in sparse]
+            if not fits:
+                continue
+            k = [*map(eq, placed, T), False].index(False)  # the prefix shared
+            del stack[k + 1:]
+            for e in T[k:-1]:
+                fills = _place(stack[-1][0], e)
+                stack.append((fills, [(n, c, [(g, ng) for g, ng in enumerate(n) if ng])
+                                      for n, c in fills.items()]))
+            placed, (i, j, _) = T, T[-1]
+            sym = 1 if len(set(T)) == len(T) else prod(factorial(T.count(e)) for e in set(T))
+            fills = [(c, sum(n[i:j]) + j - i, gaps) for n, c, gaps in stack[-1][1]]
             for window, free in fits:
-                by_window[window] += _template_sum(fills, last, free) // sym
+                by_window[window] += _template_sum(fills, T[-1], free) // sym
     return sums
 
 
@@ -215,11 +222,24 @@ def _refuse_bad_beta(beta) -> None:
             raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
 
 
-def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
+def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
-    n^delta (y=1) or the Welschinger counts W^delta (y=-1). A beta entry
-    or delta that is negative or no integer raises ValueError.
+    n^delta (y=1) or the Welschinger counts W^delta (y=-1), from one
+    _sweep over the P sums of beta's own windows. A beta entry or delta
+    that is negative or no integer raises ValueError."""
+    ring = ring_at(y)
+    check_int("delta", delta)
+    if delta < 0:
+        raise ValueError("cogenus must be nonnegative")
+    _refuse_bad_beta(beta)
+    beta = tuple(beta)
+    return _sweep(beta, delta, _window_sums(_windows([(beta, delta)]), delta), ring)
+
+
+def _sweep(beta: tuple, delta: int, sums: list, ring) -> list:
+    """refined_counts_by_prefix of beta in ring, with the P sums read from
+    sums, _window_sums of windows that hold every window of beta.
 
     N^delta_beta sums multiplicity times P^s_beta over the cogenus-delta
     graphs with maxv <= M + 1. Cut at the vertices no edge spans strictly,
@@ -235,18 +255,9 @@ def refined_counts_by_prefix(beta, delta: int, y="sym", sums=None) -> list:
     one sweep serves every prefix: the counts of beta[:q] are the end row
     of q, the arrangements whose last piece is an empty gap or a template
     with eps1, and g[q] adds to it those ending in any other template; at
-    the last vertex only the end row is needed. The P sums come from sums,
-    the _window_sums of one refined_counts_at call, or the sweep's own.
+    the last vertex only the end row is needed.
     """
-    ring = ring_at(y)
-    check_int("delta", delta)
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    _refuse_bad_beta(beta)
-    beta = tuple(beta)
     n = len(beta)  # the last vertex, M + 1
-    if sums is None:
-        sums = _window_sums(_windows([(beta, delta)]), delta)
     # a multiplicity of 0 (an even weight at y = -1) drops its templates
     placements = [(ell, kappa, mu, classes)
                   for kappa in range(1, delta + 1)
@@ -306,8 +317,7 @@ def refined_counts_at(points, delta=None) -> dict:
         top[c, m] = tuple(map(max, top.get((c, m), (d, dl)), (d, dl)))
     sweeps = {(c, m): (s_beta(c, m, d), dl) for (c, m), (d, dl) in top.items()}
     sums = _window_sums(_windows(sweeps.values()), max(points.values(), default=0))
-    rows = {cm: refined_counts_by_prefix(beta, dl, sums=sums)
-            for cm, (beta, dl) in sweeps.items()}
+    rows = {cm: _sweep(beta, dl, sums, ring_at("sym")) for cm, (beta, dl) in sweeps.items()}
     return {(c, m, d): rows[c, m][d + 1][:dl + 1] for (c, m, d), dl in points.items()}
 
 

@@ -159,9 +159,12 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
 
 def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:
     """N_delta values at a parameter point from fitted Q polynomials:
-    the exponential of sum Q_delta t^delta."""
+    the exponential of sum Q_delta t^delta. A delta <= delta_max with no
+    fit raises ValueError."""
     qs = [YL_ZERO]
     for delta in range(1, delta_max + 1):
+        if delta not in fits:
+            raise ValueError(f"fits has no delta = {delta}, which delta_max = {delta_max} needs")
         qs.append(fits[delta].q_at(c=c, m=m, d=d))
     series = QSeries(qs, trunc=delta_max + 1).exp()
     return {delta: series.coeff_at(delta) for delta in range(delta_max + 1)}

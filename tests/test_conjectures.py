@@ -290,18 +290,18 @@ def test_cross_engine_sweeps_each_m_c_once(chtable, monkeypatch):
     # each cogenus once
     grid = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
     sweeps, tables, walked = [], set(), []
-    sweep, templates = graphs.refined_counts_by_prefix, graphs.enumerate_templates
+    sweep, templates = graphs._sweep, graphs.enumerate_templates
 
-    def sweeping(beta, delta, y="sym", sums=None):
-        sweeps.append((tuple(beta), delta))
+    def sweeping(beta, delta, sums, ring):
+        sweeps.append((beta, delta))
         tables.add(id(sums))
-        return sweep(beta, delta, y, sums)
+        return sweep(beta, delta, sums, ring)
 
     def walking(kappa):
         walked.append(kappa)
         return templates(kappa)
 
-    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "_sweep", sweeping)
     monkeypatch.setattr(graphs, "enumerate_templates", walking)
     rep = check_conjecture("cross_engine", table=chtable, **grid)
     assert rep.ok and rep.counts["pass"] == 3 * 3 * 3 * 4, rep.summary()
@@ -383,21 +383,21 @@ def test_solve_b_reads_graph_counts_of_solve_bundles(chtable, monkeypatch):
     # P^2(p + 1) from one sweep of s(0, 1, p + 1), Sigma_0(s, s) from one
     # of its own
     order, read, sweeps = 6, [], []
-    real, sweep = conjectures.refined_counts_at, graphs.refined_counts_by_prefix
+    real, sweep = conjectures.refined_counts_at, graphs._sweep
 
     def spy(points, delta=None):
         read.append((list(points), delta))
         return real(points, delta)
 
-    def sweeping(beta, delta, y="sym", sums=None):
-        sweeps.append((tuple(beta), delta))
-        return sweep(beta, delta, y, sums)
+    def sweeping(beta, delta, sums, ring):
+        sweeps.append((beta, delta))
+        return sweep(beta, delta, sums, ring)
 
     def no_fit(*args, **kwargs):
         raise AssertionError("solveB fitted a node polynomial")
 
     monkeypatch.setattr(conjectures, "refined_counts_at", spy)
-    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "_sweep", sweeping)
     monkeypatch.setattr(conjectures, "fit_node_polynomials", no_fit)
     rep = check_conjecture("solveB", table=chtable, order=order, order_minus1=3)
     assert rep.ok, rep.summary()

@@ -10,6 +10,7 @@ import weakref
 import pytest
 
 from refsev import graphs
+from refsev.genfun import solve_bundles
 from refsev.graphs import (
     enumerate_graphs,
     enumerate_templates,
@@ -324,11 +325,11 @@ def _tables_by_template(kappa, windows, p_of):
 
 @pytest.mark.parametrize("kappa", [1, 2, 3, 4, 5, 6])
 def test_placement_tables_equal_the_per_template_weights(kappa):
-    # the walk places each edge prefix once, resuming from the template
-    # before, and keeps the loads, the eps flags and the symmetry factor
-    # by prefix; the P of each template alone, from its own fill weights
-    # (count_orderings), gives the same tables, each window asked and no
-    # other
+    # the walk reads the loads, the eps flags and the symmetry factor off
+    # each template and places each edge prefix of one that fits once,
+    # resuming from the last one placed; the P of each template alone,
+    # from its own fill weights (count_orderings), gives the same tables,
+    # each window asked and no other
     windows = _table_windows(kappa)
 
     def p_of(T):
@@ -372,6 +373,39 @@ def test_template_sums_pay_one_binomial_per_filled_gap(monkeypatch):
     assert len(calls) == 26340 and all(calls)
     monkeypatch.undo()
     assert counts == {(0, 1, 10): refined_counts(s_beta(0, 1, 10), 5)}
+
+
+def test_only_templates_that_fit_a_window_are_placed(monkeypatch):
+    # a template whose loads fit no window asked is neither placed nor
+    # summed, but its class still holds its windows at 0; solveB's windows
+    # at order 9 placed 12,329 prefixes when every template of a length
+    # asked was placed, and now place under a third of that; nodepoly's
+    # sweep and the benchmark's cross-engine call, where nearly every
+    # template fits, place exactly the prefixes they placed
+    placed, summed, place, template_sum = [], [], graphs._place, graphs._template_sum
+
+    def placing(fills, edge):
+        placed.append(edge)
+        return place(fills, edge)
+
+    def summing(fills, last, free):
+        summed.append(last)
+        return template_sum(fills, last, free)
+
+    monkeypatch.setattr(graphs, "_place", placing)
+    monkeypatch.setattr(graphs, "_template_sum", summing)
+    tables = graphs._window_sums(graphs._windows([((0,) * 5, 3)]), 3)
+    assert not placed and not summed
+    assert sorted(tables[3]) == sorted({placement(T)[::3] for T in enumerate_templates(3)})
+    assert {s for kappa in (1, 2, 3) for classes in tables[kappa].values()
+            for by_window in classes.values() for s in by_window.values()} == {0}
+    counts = []
+    for points in ({(b.c, b.m, b.d): 8 for b in solve_bundles(9)}, {(0, 1, 10): 5},
+                   {(c, m, d): 4 for m in range(4) for c in range(5) for d in range(1, 5)}):
+        placed.clear()
+        graphs.refined_counts_at(points)
+        counts.append(len(placed))
+    assert 3 * counts[0] <= 12329 and counts[1:] == [183, 46]
 
 
 def test_windows_are_those_the_sweep_reads():
@@ -488,6 +522,18 @@ def test_degree_and_cogenus_refused_unless_int():
         with pytest.raises(ValueError, match=rf"^{name} = {value} is not an integer$"):
             call()
     assert q_log_count((1, 2), 1) == refined_count((1, 2), 1)
+
+
+def test_maxv_bound_refused_unless_a_nonnegative_int():
+    # enumerate_graphs(2, 2.5) ended in a TypeError, (2, True) enumerated to
+    # the bound 1 and (0, -3) gave the empty graph
+    for bound in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^maxv_bound = {bound} is not an integer$"):
+            enumerate_graphs(2, bound)
+    for delta in (0, 2):
+        with pytest.raises(ValueError, match="^maxv_bound = -3 is negative$"):
+            enumerate_graphs(delta, -3)
+    assert enumerate_graphs(0, 0) == [()] and enumerate_graphs(1, 0) == []
 
 
 def test_refined_counts_refuses_a_non_integer_beta():

@@ -74,6 +74,16 @@ def test_node_values_sigma(chtable):
         assert nv[delta] == severi_degree(Sigma(2, 4, 4), delta, table=chtable)
 
 
+def test_node_values_refuse_a_missing_delta():
+    # a fit missing some delta <= delta_max ended in a bare KeyError
+    fits = fit_node_polynomials("p2", [1, 2])
+    with pytest.raises(ValueError, match="no delta = 3, which delta_max = 3 needs"):
+        node_values(fits, 3, m=1, d=5)
+    with pytest.raises(ValueError, match="no delta = 2, which delta_max = 3 needs"):
+        node_values({1: fits[1], 3: fits[2]}, 3, m=1, d=5)
+    assert list(node_values(fits, 2, m=1, d=5)) == [0, 1, 2]
+
+
 def test_nodepoly_json_roundtrip():
     from refsev.nodepoly import NodePolynomial
     np = fit_node_polynomial("p2", 2)
@@ -93,18 +103,18 @@ def test_fit_sweeps_each_c_m_once(family, monkeypatch):
     # set of placement tables, the templates of each cogenus are walked
     # once, and each value is the engine's
     sweeps, tables, walked = [], set(), []
-    sweep, templates = graphs.refined_counts_by_prefix, graphs.enumerate_templates
+    sweep, templates = graphs._sweep, graphs.enumerate_templates
 
-    def sweeping(beta, delta, y="sym", sums=None):
-        sweeps.append((tuple(beta), delta))
+    def sweeping(beta, delta, sums, ring):
+        sweeps.append((beta, delta))
         tables.add(id(sums))
-        return sweep(beta, delta, y, sums)
+        return sweep(beta, delta, sums, ring)
 
     def walking(kappa):
         walked.append(kappa)
         return templates(kappa)
 
-    monkeypatch.setattr(graphs, "refined_counts_by_prefix", sweeping)
+    monkeypatch.setattr(graphs, "_sweep", sweeping)
     monkeypatch.setattr(graphs, "enumerate_templates", walking)
     fits = fit_node_polynomials(family, range(1, 6))
     top: dict = {}
