@@ -43,6 +43,8 @@ class CacheStore:
             return
         with open(self.path, "rb") as fh:
             data = fh.read()
+        if not data:
+            raise CacheVersionError(f"cache {self.path} is an empty file, not a refsev cache")
         header, sep, body = data.partition(b"\n")
         if header != MAGIC.encode():
             raise CacheVersionError(f"cache {self.path} has header "

@@ -10,6 +10,12 @@ an explicit stack of suspended states, not Python recursion, so its depth
 run through the Sigma_m states with c = 0; the recursion ends at the fiber
 bundles (d = 0): the count is 1 exactly for delta = 0, beta = 0, alpha = (c).
 
+A state asked only to delta = 0 is not walked: the second sum reaches delta = 0
+only through alpha' = 0, beta = 0, e = 0, whose one child is N^0 of ((), (HL2))
+a floor down, so N^0(alpha, 0) = 1 for d >= 1 and the first sum gives N^0(alpha,
+beta) = |beta|!/prod_k beta_k! * prod_k [k]_y^beta_k; on the fiber bundles N^0
+is 1 when alpha and beta hold only simple contacts (length <= 1), else 0.
+
 The recursion runs once, over a value ring (ylaurent.YRing) chosen by y:
 'sym' computes exact Laurent polynomials in y; 1 and -1 compute their
 values on plain ints (classical Severi degrees and tropical Welschinger
@@ -302,7 +308,10 @@ def _walk(s: SurfaceBundle, delta: int, alpha, beta, y, table) -> list:
 def _N(m, c, d, D, alpha, beta, ring, table):
     """Returns the table's row [N^0, ..., N^D, ...] of (m, c, d, alpha, beta), extended to D.
     Yields the ask (m, c, d', D', alpha', beta') of a child the memo lacks to D', and is sent
-    its row; a row long enough it reads from the memo, as lookup would, without asking."""
+    its row; a row long enough it reads from the memo, as lookup would, without asking.
+    Asked to D = 0 with no row held, it inserts N^0 in closed form and asks no child: at
+    delta = 0 the second sum reaches only alpha' = 0, beta = 0, e = 0, so N^0(alpha, 0) = 1
+    for d >= 1, and the first sum gives the multinomial of beta times prod [k]_y^beta_k."""
     state = (m, c, d, alpha, beta)
     y = ring.y
     row = table.lookup(y, state, D)
@@ -310,6 +319,9 @@ def _N(m, c, d, D, alpha, beta, ring, table):
     if lo > D:
         return row
     memo = table.memo[y]
+    if not D:
+        table.insert(y, state, 0, [_n0(d, alpha, beta, ring)])
+        return memo[state]
 
     # gamma = dim - HL + |beta| - delta is positive to top; past it N = 0
     top = min(D, (d + 1) * (c + 1) + m * d * (d + 1) // 2 - 2 - c - m * d + sum(beta))
@@ -362,6 +374,14 @@ def _N(m, c, d, D, alpha, beta, ring, table):
         vals[0] = ring.one
     table.insert(y, state, lo, vals)
     return memo[state]
+
+
+def _n0(d, alpha, beta, ring):
+    """N^0 = |beta|!/prod beta_k! * prod [k]_y^beta_k; at d = 0, 0 unless all contacts simple."""
+    if not d and max(len(alpha), len(beta)) > 1:
+        return ring.zero
+    n = prod(map(comb, itertools.accumulate(beta), beta))  # the multinomial of beta
+    return ring.qnum_prod(tuple((k, bk) for k, bk in enumerate(beta, 1) if bk)) * n
 
 
 def severi_degree(s: SurfaceBundle, delta: int, y="sym",

@@ -72,7 +72,8 @@ def _parse_seq(text: str, option: str) -> tuple:
 def _store(args) -> tuple:
     """The recursion cache on the --cache file or in CACHE_ENV, or None,
     and the directories made for it, deepest first; ValueError for an
-    empty --cache, and naming the path when it cannot be created or opened."""
+    empty --cache, and naming the path when it cannot be created or opened;
+    CacheVersionError for a file that is no refsev cache."""
     path, made = args.cache, []
     if path == "":
         raise ValueError("--cache needs a file path")
@@ -87,6 +88,11 @@ def _store(args) -> tuple:
     except OSError as exc:
         raise ValueError(f"cannot use cache {exc.filename or path}: "
                          f"{exc.strerror}") from exc
+    except CacheVersionError as exc:
+        if args.cache is None:
+            raise
+        raise CacheVersionError(f"{exc}; --cache takes a path that does not exist "
+                                "yet or an existing refsev cache") from exc
 
 
 def _missing_dirs(path: str) -> list:

@@ -84,6 +84,15 @@ def _substitution(T: int, y="sym"):
     return g, g.shift(-1), core
 
 
+def _check_order(order, least: int, y) -> None:
+    """A ValueError naming order when it is no int or below least (0 or 1),
+    and y's when there is no ring at y, before any series work."""
+    check_int("order", order)
+    if order < least:
+        raise ValueError(f"order = {order} is " + ("negative" if least == 0 else "below 1"))
+    ring_at(y)  # refuses any other y, also where no delta is asked
+
+
 def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,
                 R: QSeries | None = None, shift: int = 0, y="sym") -> list:
     """Form (2) for each of invs: the list of t-series whose
@@ -91,8 +100,10 @@ def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,
     and R (default 1) are composed with g once for all of them.
 
     `shift` lowers the point-series exponent (multiple-point checks).
-    y = 1/-1 run the scalar specializations.
+    y = 1/-1 run the scalar specializations. A negative or non-int order
+    and any other y are refused.
     """
+    _check_order(order, 0, y)
     if not isinstance(shift, int):
         raise ValueError("form 2 needs an integer exponent shift; "
                          "reform_coefficient takes a rational one")
@@ -150,10 +161,8 @@ def solve_bundles(order: int, y="sym"):
     two, (9, -3p) and (8, -4s), are proportional. Any two bundles then fix
     B; the third overdetermines the solve, so data outside the regime
     raises instead of passing, as do a negative or non-int order and any other y."""
-    check_int("order", order)
-    if order < 0:
-        raise ValueError(f"order = {order} is negative")
-    ring_at(y)  # refuses any other y, also where no delta is asked
+    _check_order(order, 0, y)
+
     def smallest(bundle, start):
         return next(n for n in itertools.count(start)
                     if all(in_regime(bundle(n), dl, y) for dl in range(order)))
@@ -185,8 +194,10 @@ def solve_universal_B(datasets, order: int, y="sym"):
     u = log(B_1)(g), v = log(B_2)(g). The B-independent left side is built
     once; each t^n coefficient is one exact solve over all bundles, so a
     third bundle makes inconsistent data raise. Then B_j = exp(u(P)) and
-    exp(v(P)), and every datum is fed back through form (2).
+    exp(v(P)), and every datum is fed back through form (2). An order below
+    1 or no int and any other y are refused.
     """
+    _check_order(order, 1, y)
     datasets = list(datasets)
     if len(datasets) < 2:
         raise ValueError("need at least two bundles to separate B_1 and B_2")

@@ -159,8 +159,11 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
 
 def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:
     """N_delta values at a parameter point from fitted Q polynomials:
-    the exponential of sum Q_delta t^delta. A delta <= delta_max with no
-    fit raises ValueError."""
+    the exponential of sum Q_delta t^delta. A delta_max that is no int or
+    negative, or a delta <= delta_max with no fit, raises ValueError."""
+    check_int("delta_max", delta_max)
+    if delta_max < 0:
+        raise ValueError(f"delta_max = {delta_max} is negative")
     qs = [YL_ZERO]
     for delta in range(1, delta_max + 1):
         if delta not in fits:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from refsev import conjectures
 from refsev.cache import CacheStore, CacheVersionError, MAGIC
 from refsev.caporaso import CHTable, P2, Sigma, severi_degree
 from refsev.cli import main
@@ -304,3 +305,33 @@ def test_scalar_order_cache_read_warm(tmp_path, capsys, y):
     assert main([*args, "--cache", str(p)]) == 0
     assert capsys.readouterr().out == clean
     assert p.read_bytes() == written
+
+
+def test_walked_cross_engine_cache_read_warm(tmp_path):
+    # a cache holding every (state, delta) value of the recursion asked one
+    # delta at a time, which is every record a walk that also walks the
+    # states asked to delta = 0 alone writes: the cross-engine check reads
+    # it warm, reports what it reports without a cache and appends nothing,
+    # and a cold cache written now holds a subset of its records, byte for
+    # byte
+    ranges = {"cmax": 2, "dmax": 3, "mmax": 2, "deltamax": 3}
+    walked, cold = tmp_path / "walked", tmp_path / "cold"
+    with CacheStore(str(walked)) as store:
+        table = ScalarTable(store=store)
+        for _, bundle, _ in conjectures._cross_engine(**ranges)[0].cases:
+            for delta in range(ranges["deltamax"] + 1):
+                severi_degree_scalar(bundle, delta, "sym", table)
+    written = walked.read_bytes()
+    clean = conjectures.check_conjecture("cross_engine", **ranges)
+    with CacheStore(str(walked)) as store:
+        warm = conjectures.check_conjecture("cross_engine", CHTable(store=store), **ranges)
+    assert walked.read_bytes() == written
+    assert (warm.params, warm.instances, warm.notes) == \
+        (clean.params, clean.instances, clean.notes)
+    assert clean.ok and len(clean.instances) == 108
+    with CacheStore(str(cold)) as store:
+        conjectures.check_conjecture("cross_engine", CHTable(store=store), **ranges)
+    head, *records = written.splitlines(keepends=True)
+    cold_head, *cold_records = cold.read_bytes().splitlines(keepends=True)
+    assert cold_head == head and set(cold_records) < set(records)
+    assert len(cold_records) == len(set(cold_records))

@@ -21,10 +21,10 @@ from refsev.caporaso import (
 from refsev.genfun import Invariants, engine_data, solve_bundles
 from refsev.graphs import refined_count, s_beta
 from refsev.rationals import QQ
-from refsev.ylaurent import YLaurent
+from refsev.ylaurent import YLaurent, ring_at
 
 from floor_diagrams import floor_diagram_count
-from oracles import ScalarTable, per_delta, severi_degree_scalar
+from oracles import ScalarTable, per_delta, relative_degree_scalar, severi_degree_scalar
 
 
 def test_initial_condition_line(chtable):
@@ -246,7 +246,9 @@ def test_recursion_is_entered_only_to_compute(monkeypatch, y):
     # on the cross-engine grid a caller reads a child's row from the memo
     # when it reaches the delta asked, so _N is entered once per row it
     # computes, each inserted in one call, and once per ask whose row the
-    # memo already holds (10,037 entries for 4,182 rows at the parent)
+    # memo already holds; a row asked only to delta = 0 takes its closed
+    # form and enters no child (4,182 rows when it walked them, 10,037
+    # entries before the memo was read at the call site)
     entered, inserted = [], []
     N, insert = caporaso._N, CHTable.insert
 
@@ -265,30 +267,92 @@ def test_recursion_is_entered_only_to_compute(monkeypatch, y):
     for s in grid:
         held += len(table.memo[y].get((s.m, s.c, s.d, (), (s.HL,)), ())) > 4
         severi_degrees(s, 4, y, table)
-    assert len(inserted) == 4182
+    assert len(inserted) == 3098
     assert len(entered) == len(inserted) + held and held <= len(grid)
 
 
 @pytest.mark.parametrize("y", ["sym", 1, -1])
 def test_rows_equal_the_scalar_recursion(y):
-    # asked for every delta to the largest, the rows hold exactly the
-    # (state, delta) values of the recursion asked one delta at a time
+    # asked for every delta to the largest, the rows hold (state, delta)
+    # values of the recursion asked one delta at a time, equal to its own;
+    # the scalar recursion holds more only where it walked a state asked to
+    # delta = 0 alone, which the rows take in closed form: a pinned number
+    # of entries, each at delta = 0 and equal to that closed form
+    ring = ring_at(y)
+
+    def scalar_only(rows, scalar, count):
+        # the scalar entries the rows lack: `count` of them, each at
+        # delta = 0 and equal to the closed form; the rest the rows hold
+        held = per_delta(rows.memo[y])
+        only = {key: v for key, v in scalar.memo[y].items() if key not in held}
+        assert len(only) == count
+        for (m, c, d, delta, alpha, beta), value in only.items():
+            assert delta == 0 and value == caporaso._n0(d, alpha, beta, ring)
+        return held, {key: v for key, v in scalar.memo[y].items() if key in held}
+
     grid = [Sigma(m, c, d) for m in range(3) for c in range(4) for d in range(5)]
-    for bundles, delta_max in ((grid, 5), (solve_bundles(10, y), 9)):
+    for bundles, delta_max, more in ((grid, 5, {"sym": 108, 1: 108, -1: 0}[y]),
+                                     (solve_bundles(10, y), 9, 0)):
         rows, scalar = CHTable(), ScalarTable()
         for bundle in bundles:
             assert severi_degrees(bundle, delta_max, y, rows) == [
                 severi_degree_scalar(bundle, delta, y, scalar)
                 for delta in range(delta_max + 1)]
-        assert per_delta(rows.memo[y]) == scalar.memo[y]
+        held, shared = scalar_only(rows, scalar, more)
+        assert held == shared
     # asked for one delta alone, the rows hold the scalar recursion's
-    # states and more: every delta below it
-    for bundle, delta in ((Sigma(1, 2, 3), 4), (P2(5), 3)):
+    # states, but for a pinned number at delta = 0, and more: every delta
+    # below the one asked
+    for bundle, delta, more in ((Sigma(1, 2, 3), 4, 0), (P2(5), 3, int(y != -1))):
         rows, scalar = CHTable(), ScalarTable()
         assert severi_degree(bundle, delta, y, rows) == \
             severi_degree_scalar(bundle, delta, y, scalar)
-        held = per_delta(rows.memo[y])
-        assert scalar.memo[y].items() < held.items()
+        held, shared = scalar_only(rows, scalar, more)
+        assert shared.items() < held.items()
+
+
+@pytest.mark.parametrize("y", ["sym", 1, -1])
+def test_closed_form_n0_equals_the_scalar_recursion(y):
+    # every delta = 0 value the recursion asked one delta at a time
+    # computes, on the cross-engine grid and on the bundles of solve-B
+    # --order 10, is |beta|!/prod beta_k! * prod [k]_y^beta_k, or on the
+    # fiber bundles 1 for simple contacts and 0 for any of order >= 2
+    ring, scalar = ring_at(y), ScalarTable()
+    grid = [Sigma(m, c, d) for m in range(4) for c in range(5) for d in range(4, 0, -1)]
+    for bundle in grid:
+        for delta in range(5):
+            severi_degree_scalar(bundle, delta, y, scalar)
+    for bundle in solve_bundles(10, y):
+        for delta in range(10):
+            severi_degree_scalar(bundle, delta, y, scalar)
+    # fiber bundles with contacts of order 2 and 3, fixed and moving
+    for c, alpha, beta in ((3, (1, 1), ()), (3, (), (1, 1)), (4, (0, 2), ()),
+                           (3, (0, 0, 1), ()), (5, (1,), (0, 2))):
+        relative_degree_scalar(Sigma(1, c, 0), 0, alpha, beta, y, scalar)
+    zeros = [(key, v) for key, v in scalar.memo[y].items() if key[3] == 0]
+    for (m, c, d, delta, alpha, beta), value in zeros:
+        assert caporaso._n0(d, alpha, beta, ring) == value, (m, c, d, alpha, beta)
+    fiber = [v for (_, _, d, _, alpha, beta), v in zeros
+             if d == 0 and max(len(alpha), len(beta)) > 1]
+    # the five above and more that the walks reach, all 0
+    assert len(fiber) > 5 and not any(fiber)
+    # the multinomial is not 1 on some state of every ring
+    assert any(d and len([b for b in beta if b]) > 1 and value
+               for (_, _, d, _, alpha, beta), value in zeros)
+
+
+def test_a_delta_zero_ask_enters_no_child(monkeypatch):
+    # the closed form answers the ask itself: one _N entry, one row
+    entered, N = [], caporaso._N
+
+    def entering(*args):
+        entered.append(args)
+        return N(*args)
+
+    monkeypatch.setattr(caporaso, "_N", entering)
+    table = CHTable()
+    assert relative_degree(P2(6), 0, (), (6,), table=table).is_one()
+    assert len(entered) == 1 and table.memo["sym"] == {(1, 0, 6, (), (6,)): [YLaurent.const(1)]}
 
 
 def test_the_walk_runs_deep_states_without_recursion(monkeypatch):

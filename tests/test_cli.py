@@ -370,6 +370,10 @@ def test_process_lifetime_memos_are_the_allowed_caches():
      "error: verify --id jacobi_triple takes no --cache"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache", ""],
      "error: --cache needs a file path"),
+    # was "has header '', expected 'refsev-cache v2'"
+    (["solve-B", "--order", "3", "--cache", "EMPTY"],
+     "error: cache EMPTY is an empty file, not a refsev cache; --cache takes a path "
+     "that does not exist yet or an existing refsev cache\n"),
 ] + [(["series", "--name", "gbar2k", "--param", p],
       "error: Eisenstein index must be a positive even integer")
      for p in ("-2", "0", "3")], ids=["k-surface", "k-not-integral", "order-0", "order-neg", "nodepoly-range",
@@ -387,18 +391,20 @@ def test_process_lifetime_memos_are_the_allowed_caches():
         "k-three-quarters", "k-zero-denominator", "d-zero-denominator",
         "d-not-int", "delta-hi-not-int", "delta-hi-empty", "k-den-not-int",
         "k-d-den-not-int", "beta-empty-entry", "d-negative", "alpha-negative",
-        "delta-negative", "series-identity-cache", "cache-empty",
+        "delta-negative", "series-identity-cache", "cache-empty", "cache-empty-file",
         "gbar2k-negative", "gbar2k-zero", "gbar2k-odd"])
 def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     # refused as usage errors, with nothing on stdout and no file left
     # behind; a check over zero points must not report a pass, and no option
-    # may go unread; FOREIGN names a file that is not a refsev cache, TMP
-    # the test's directory
-    foreign = tmp_path / "foreign.txt"
+    # may go unread; FOREIGN names a file that is not a refsev cache, EMPTY
+    # an empty file (as mktemp makes), TMP the test's directory
+    foreign, empty = tmp_path / "foreign.txt", tmp_path / "empty.txt"
     foreign.write_text("some other format v9\n")
-    args = [str(foreign) if a == "FOREIGN" else a.replace("TMP", str(tmp_path))
-            for a in args]
-    message = message.replace("FOREIGN", str(foreign)).replace("TMP", str(tmp_path))
+    empty.write_text("")
+    names = {"FOREIGN": str(foreign), "EMPTY": str(empty)}
+    args = [names.get(a, a.replace("TMP", str(tmp_path))) for a in args]
+    message = message.replace("FOREIGN", str(foreign)).replace("EMPTY", str(empty))
+    message = message.replace("TMP", str(tmp_path))
     try:
         code = main(args)
     except SystemExit as exc:  # refused by argparse
@@ -407,7 +413,8 @@ def test_bad_arguments_exit_two(args, message, capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
-    assert list(tmp_path.iterdir()) == [foreign]
+    assert sorted(tmp_path.iterdir()) == [empty, foreign]
+    assert empty.read_text() == ""
 
 
 @pytest.mark.parametrize("args, message", [

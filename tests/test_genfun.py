@@ -252,6 +252,41 @@ def test_regime_refuses_a_delta_or_order_that_is_no_int(value):
             solve_bundles(order, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda d, B: solve_universal_B(d, 0), "order = 0 is below 1",
+                 id="solve-zero-order"),
+    pytest.param(lambda d, B: solve_universal_B(d, -1), "order = -1 is below 1",
+                 id="solve-negative-order"),
+    pytest.param(lambda d, B: solve_universal_B(d, 2.0), "order = 2.0 is not an integer",
+                 id="solve-float-order"),
+    pytest.param(lambda d, B: solve_universal_B(d, True), "order = True is not an integer",
+                 id="solve-bool-order"),
+    pytest.param(lambda d, B: solve_universal_B(d, 3, y=2), "y must be 'sym', 1 or -1, not 2",
+                 id="solve-y2"),
+    pytest.param(lambda d, B: reform_eval([d[0][0]], *B, -1), "order = -1 is negative",
+                 id="form2-negative-order"),
+    pytest.param(lambda d, B: reform_eval([d[0][0]], *B, 1.5), "order = 1.5 is not an integer",
+                 id="form2-float-order"),
+    pytest.param(lambda d, B: reform_eval([d[0][0]], *B, 2, y=2),
+                 "y must be 'sym', 1 or -1, not 2", id="form2-y2"),
+])
+def test_b_solver_and_form2_refuse_order_and_y_by_name(chtable, monkeypatch, call, message):
+    # each ended deep in the series layer ("compositional inverse needs a =
+    # t + O(t^2)", "coeffs length exceeds the window", a TypeError, "only
+    # y = 1 and y = -1 specializations are exact here"); now the refusal
+    # names the parameter and comes before any series is built
+    data = engine_data(solve_bundles(3), 3, "sym", chtable)
+    B = (b_series(1, 4), b_series(2, 4))
+
+    def no_series(*args):
+        raise AssertionError("series work before the refusal")
+
+    monkeypatch.setattr(genfun, "_substitution", no_series)
+    monkeypatch.setattr(genfun, "compose", no_series)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(data, B)
+
+
 def test_solve_bundles_smallest_in_regime():
     # P^2(p), Sigma_0(s, s) and the overdetermining P^2(p + 1): every
     # delta < order in the regime at y, and p >= 2, s >= 1 the smallest

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from refsev import graphs, nodepoly
@@ -82,6 +84,22 @@ def test_node_values_refuse_a_missing_delta():
     with pytest.raises(ValueError, match="no delta = 2, which delta_max = 3 needs"):
         node_values({1: fits[1], 3: fits[2]}, 3, m=1, d=5)
     assert list(node_values(fits, 2, m=1, d=5)) == [0, 1, 2]
+
+
+@pytest.mark.parametrize("delta_max, message", [
+    (-1, "delta_max = -1 is negative"),  # ended in "coeffs length exceeds the window"
+    (2.0, "delta_max = 2.0 is not an integer"),  # a TypeError
+    (True, "delta_max = True is not an integer"),  # read as delta_max = 1
+])
+def test_node_values_refuse_delta_max_by_name(monkeypatch, delta_max, message):
+    fits = fit_node_polynomials("p2", [1, 2])
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("series work before the refusal")
+
+    monkeypatch.setattr(nodepoly, "QSeries", no_series)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        node_values(fits, delta_max, m=1, d=5)
 
 
 def test_nodepoly_json_roundtrip():
