@@ -33,7 +33,7 @@ from math import comb, prod
 from operator import mul
 
 from .cache import CacheStore
-from .rationals import check_int
+from .rationals import check_int, check_ints
 from .ylaurent import RINGS, ring_at
 
 __all__ = [
@@ -56,13 +56,8 @@ __all__ = [
 
 def canon_seq(seq, name: str = "sequence") -> tuple:
     """Strip trailing zeros; sequences are indexed from 1. A ValueError
-    naming the sequence when an entry is no int or negative."""
-    seq = tuple(seq)
-    for i, x in enumerate(seq):
-        check_int(f"{name}[{i}]", x)
-    if any(x < 0 for x in seq):
-        raise ValueError(f"{name} = {seq} has a negative entry")
-    return _strip(seq)
+    naming the entry that is no int or negative."""
+    return _strip(check_ints(name, seq, 0))
 
 
 def iseq(seq) -> int:
@@ -97,17 +92,13 @@ class SurfaceBundle(namedtuple("SurfaceBundle", "family m c d")):
     def __new__(cls, family: str, m: int, c: int, d: int):
         if family not in SURFACES:
             raise ValueError(f"unknown family {family!r}")
-        for name, value in (("m", m), ("c", c), ("d", d)):
-            check_int(name, value)
+        check_int("m", m, 1 if family == "p11m" else 0)
+        check_int("c", c, 0)
+        check_int("d", d, 0)
         if family == "p2" and (m != 1 or c != 0):
             raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {m}, c = {c}")
         if family == "p11m" and c != 0:
             raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {c}")
-        if family == "p11m" and m < 1:
-            raise ValueError(f"P(1,1,m) bundles have m >= 1, not m = {m}")
-        for name, value in (("m", m), ("c", c), ("d", d)):
-            if value < 0:
-                raise ValueError(f"{name} = {value} is negative")
         return super().__new__(cls, family, m, c, d)
 
     @classmethod
@@ -286,9 +277,7 @@ def _walk(s: SurfaceBundle, delta: int, alpha, beta, y, table) -> list:
     """The row [N^0, ..., N^delta, ...] of (s, alpha, beta) at y. The walk
     keeps its own stack of _N frames, each suspended at the child it asks
     for, so its depth is bounded by memory, not by Python's recursion limit."""
-    check_int("delta", delta)
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    check_int("delta", delta, 0)
     alpha, beta = canon_seq(alpha, "alpha"), canon_seq(beta, "beta")
     if iseq(alpha) + iseq(beta) != s.HL:
         raise ValueError(f"I(alpha) + I(beta) = {iseq(alpha) + iseq(beta)} != HL = {s.HL}")

@@ -23,7 +23,7 @@ from .conjectures import CHECK_IDS, ConjectureReport, check_conjecture, check_pa
 from .genfun import engine_data, solve_bundles, solve_universal_B
 from .nodepoly import BASES, fit_node_polynomials
 from .qseries import QSeries
-from .rationals import QQ
+from .rationals import QQ, check_int
 from .ylaurent import RINGS, YLaurent
 
 CACHE_ENV = "REFSEV_CACHE_DIR"
@@ -176,8 +176,7 @@ def compute_bundles(args) -> list:
 def _cmd_compute(args, table) -> list:
     bundles = compute_bundles(args)
     deltas = _parse_range(args.delta, "--delta")
-    if deltas[0] < 0:
-        raise ValueError("delta must be nonnegative")
+    check_int("delta", deltas[0], 0)
     y = Y_VALUES[args.y]
     out = []
     for params, bundle in bundles:
@@ -208,8 +207,7 @@ def _cmd_fit_nodepoly(args) -> list:
 
 
 def _cmd_solve_b(args, table) -> list:
-    if args.order < 1:
-        raise ValueError("--order must be >= 1")
+    check_int("--order", args.order, 1)
     y = Y_VALUES[args.y]
     data = engine_data(solve_bundles(args.order, y), args.order, y, table)
     B1, B2 = solve_universal_B(data, args.order, y=y)

@@ -30,7 +30,7 @@ from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
 from .graphs import refined_counts_at
 from .nodepoly import fit_node_polynomials, node_values
-from .rationals import QQ
+from .rationals import QQ, check_int
 from .ylaurent import YLaurent
 
 __all__ = ["CHECK_IDS", "ConjectureReport", "check_conjecture", "check_parameters", "option"]
@@ -81,13 +81,6 @@ class ConjectureReport:
 def option(name: str) -> str:
     """The command-line spelling of a check parameter: --order-minus1 for order_minus1."""
     return "--" + name.replace("_", "-")
-
-
-def _at_least(low: int, **values):
-    """ValueError naming by its option the first of values below low."""
-    for name, value in values.items():
-        if value < low:
-            raise ValueError(f"{option(name)} must be >= {low}")
 
 
 def _compare(report, params, lhs: YLaurent, rhs: YLaurent, delta):
@@ -141,10 +134,11 @@ Group = namedtuple("Group", "cases delta_max factor shift y fit probe",
                    defaults=(None, 0, "sym", None, None))
 # A check against the recursion: groups(**ranges) -> groups, whose keyword
 # defaults are the check's ranges; a delta is a SKIP with reason skip where
-# inside(bundle, delta, y) is false; the form of the other side; and whether
-# each case gets one verdict, naming its first bad delta.
-Spec = namedtuple("Spec", "groups skip inside form one_verdict",
-                  defaults=(None, None, _form2, False))
+# inside(bundle, delta, y) is false; the form of the other side; whether
+# each case gets one verdict, naming its first bad delta; and the least
+# value of each range that has one.
+Spec = namedtuple("Spec", "groups skip inside form one_verdict least",
+                  defaults=(None, None, _form2, False, {}))
 
 
 def _run(rep: ConjectureReport, spec: Spec, table, **ranges):
@@ -216,13 +210,11 @@ def _refpol(deltamax=4, dmax=8):
         fits = fit_node_polynomials("p2", range(1, deltamax + 1))
         return [node_values(fits, deltamax, m=1, d=p["d"]) for p, _, _ in cases]
 
-    _at_least(0, deltamax=deltamax)  # form (2) to q^-1 is empty
     return [Group([_on({"d": d}, P2(d)) for d in range(1, dmax + 1)], deltamax, fit=fit)]
 
 
 def _gsp_sigma_w(deltamax=8, dmax=10):
     """The Welschinger generating identity on P^2 with the Bbar tables."""
-    _at_least(0, deltamax=deltamax)
     return [Group([_on({"d": d}, P2(d)) for d in range(2, dmax + 1)], deltamax, y=-1)]
 
 
@@ -340,8 +332,9 @@ def _graph_counts(g) -> list:
 
 # check id -> Spec of each check against the recursion, in CHECK_IDS order
 _SPECS = {
-    "refpol": Spec(_refpol, "outside the polynomial regime", in_regime),
-    "GSPSigmaW": Spec(_gsp_sigma_w, "d < delta/3 + 1", in_regime),
+    # form (2) to q^-1 is empty
+    "refpol": Spec(_refpol, "outside the polynomial regime", in_regime, least={"deltamax": 0}),
+    "GSPSigmaW": Spec(_gsp_sigma_w, "d < delta/3 + 1", in_regime, least={"deltamax": 0}),
     "ruledblow": Spec(_ruledblow, "outside delta <= d", _within(1)),
     "conjan_P112": Spec(_conjan_p112, "outside delta <= d", _within(1)),
     "blowk": Spec(_blowk, "outside delta <= 2(d-k): the identity fails at 2(d-k)+1",
@@ -359,7 +352,6 @@ def _check_solve_b(rep, table, order=5, order_minus1=9):
     """B_1/B_2 solved from the graph counts and B1bar/B2bar from the
     recursion (the graph route stalls at y = -1, order 12), each on the
     three bundles of solve_bundles, against the embedded tables."""
-    _at_least(1, order=order, order_minus1=order_minus1)
     known = _b_tables(order) + _b_tables(order_minus1, y=-1)  # before any engine
     bundles = solve_bundles(order)
     counts = refined_counts_at([(b.c, b.m, b.d) for b in bundles], order - 1)
@@ -377,7 +369,6 @@ def _check_solve_b(rep, table, order=5, order_minus1=9):
 def _check_series_identity(ident, rep, table, **params):
     """The one verdict of series identity ident, whose checker takes the
     params, each at least 1, in the order _CHECKS binds them; reads no table."""
-    _at_least(1, **params)
     first, detail = modular.SERIES_IDENTITIES[ident](*params.values())
     rep.record({**params, "detail": detail}, first is None,
                "" if first is None else f"first difference {first}")
@@ -418,14 +409,19 @@ def check_conjecture(conj_id: str, table: CHTable | None = None,
     check's keyword parameters, so check_conjecture(conj_id, **rep.params)
     reruns it. Raises ValueError for an unknown id, a parameter the check
     does not take or a bad value of one, and when the parameters leave a
-    group or the whole check no point to check: that is no pass."""
+    group or the whole check no point to check: that is no pass. Int
+    parameters are refused by option name, below a Spec's least or else 1."""
     known = check_parameters(conj_id)
     extra = sorted(set(params) - set(known))
     if extra:
         raise ValueError(f"{conj_id} takes no parameter {', '.join(extra)}")
+    spec = _SPECS.get(conj_id)
+    least = spec.least if spec else dict.fromkeys(known, 1)
+    for name, value in params.items():
+        if isinstance(known[name], int):
+            check_int(option(name), value, least.get(name))
     table = CHTable() if table is None else table
     rep = ConjectureReport(conj_id, {**known, **params})
-    spec = _SPECS.get(conj_id)
     if spec:
         _run(rep, spec, table, **params)
     else:

@@ -84,15 +84,6 @@ def _substitution(T: int, y="sym"):
     return g, g.shift(-1), core
 
 
-def _check_order(order, least: int, y) -> None:
-    """A ValueError naming order when it is no int or below least (0 or 1),
-    and y's when there is no ring at y, before any series work."""
-    check_int("order", order)
-    if order < least:
-        raise ValueError(f"order = {order} is " + ("negative" if least == 0 else "below 1"))
-    ring_at(y)  # refuses any other y, also where no delta is asked
-
-
 def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,
                 R: QSeries | None = None, shift: int = 0, y="sym") -> list:
     """Form (2) for each of invs: the list of t-series whose
@@ -103,7 +94,8 @@ def reform_eval(invs: list, B1: QSeries, B2: QSeries, order: int,
     y = 1/-1 run the scalar specializations. A negative or non-int order
     and any other y are refused.
     """
-    _check_order(order, 0, y)
+    check_int("order", order, 0)
+    ring_at(y)  # refuses any other y before any series work
     if not isinstance(shift, int):
         raise ValueError("form 2 needs an integer exponent shift; "
                          "reform_coefficient takes a rational one")
@@ -142,9 +134,7 @@ def in_regime(bundle, delta: int, y="sym") -> bool:
     min(c, d) >= ceil(delta/2) at 'sym' and y = 1, ceil(delta/3) at y = -1,
     at or above every bound measured to delta = 14. A ValueError for any
     other bundle, a negative or non-int delta or a y other than 'sym', 1 and -1."""
-    check_int("delta", delta)
-    if delta < 0:
-        raise ValueError(f"delta = {delta} is negative")
+    check_int("delta", delta, 0)
     k = 3 if ring_at(y).y == -1 else 2
     if bundle.family == "p2":
         return delta <= k * (bundle.d - 1) or delta <= (2 if bundle.d >= 1 else 0)
@@ -161,7 +151,8 @@ def solve_bundles(order: int, y="sym"):
     two, (9, -3p) and (8, -4s), are proportional. Any two bundles then fix
     B; the third overdetermines the solve, so data outside the regime
     raises instead of passing, as do a negative or non-int order and any other y."""
-    _check_order(order, 0, y)
+    check_int("order", order, 0)
+    ring_at(y)  # refuses any other y, also where no delta is asked
 
     def smallest(bundle, start):
         return next(n for n in itertools.count(start)
@@ -197,7 +188,8 @@ def solve_universal_B(datasets, order: int, y="sym"):
     exp(v(P)), and every datum is fed back through form (2). An order below
     1 or no int and any other y are refused.
     """
-    _check_order(order, 1, y)
+    check_int("order", order, 1)
+    ring_at(y)  # refuses any other y before any series work
     datasets = list(datasets)
     if len(datasets) < 2:
         raise ValueError("need at least two bundles to separate B_1 and B_2")

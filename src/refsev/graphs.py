@@ -35,7 +35,7 @@ from math import comb, factorial, prod
 from operator import eq, itemgetter, sub
 
 from .qseries import QSeries
-from .rationals import check_int
+from .rationals import check_int, check_ints
 from .ylaurent import ring_at
 
 __all__ = [
@@ -52,10 +52,8 @@ __all__ = [
 
 def s_beta(c: int, m: int, d: int) -> tuple:
     """The tangency sequence s(c,m,d) = (c, c+m, ..., c+md); c, m, d ints >= 0."""
-    for name, value in (("degree d", d), ("c", c), ("m", m)):
-        check_int(name, value)
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, not {value}")
+    for name, value in (("d", d), ("c", c), ("m", m)):
+        check_int(name, value, 0)
     return tuple(c + m * i for i in range(d + 1))
 
 
@@ -74,12 +72,8 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
     each the sorted tuple of its (i, j, w) edges; templates keeps only the
     templates among them. A delta or maxv_bound that is negative or no int
     raises ValueError."""
-    check_int("delta", delta)
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    check_int("maxv_bound", maxv_bound)
-    if maxv_bound < 0:
-        raise ValueError(f"maxv_bound = {maxv_bound} is negative")
+    check_int("delta", delta, 0)
+    check_int("maxv_bound", maxv_bound, 0)
     if templates and not delta:
         return []  # the empty graph is no template
     types = _edge_types(delta, maxv_bound)
@@ -111,6 +105,7 @@ def enumerate_graphs(delta: int, maxv_bound: int, templates: bool = False) -> li
 def enumerate_templates(delta: int) -> list:
     """All templates of cogenus delta (minv = 0, interior vertices spanned),
     a new list on each call."""
+    check_int("delta", delta, 0)  # before delta + 1 is taken
     # a template of cogenus delta has length at most delta + 1
     return enumerate_graphs(delta, delta + 1, templates=True)
 
@@ -215,13 +210,6 @@ def _window_sums(windows: dict, delta: int) -> list:
 # -- counts ------------------------------------------------------------------
 
 
-def _refuse_bad_beta(beta) -> None:
-    for i, b in enumerate(beta):
-        check_int(f"beta[{i}]", b)
-        if b < 0:
-            raise ValueError(f"beta[{i}] = {b} is negative; tangencies are >= 0")
-
-
 def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     """out[q] = [N^0, ..., N^delta] of the prefix beta[:q] at y, for q = 0,
     ..., len(beta): the Laurent polynomials (y='sym'), the Severi counts
@@ -229,11 +217,8 @@ def refined_counts_by_prefix(beta, delta: int, y="sym") -> list:
     _sweep over the P sums of beta's own windows. A beta entry or delta
     that is negative or no integer raises ValueError."""
     ring = ring_at(y)
-    check_int("delta", delta)
-    if delta < 0:
-        raise ValueError("cogenus must be nonnegative")
-    _refuse_bad_beta(beta)
-    beta = tuple(beta)
+    check_int("delta", delta, 0)
+    beta = check_ints("beta", beta, 0)
     return _sweep(beta, delta, _window_sums(_windows([(beta, delta)]), delta), ring)
 
 
@@ -306,12 +291,8 @@ def refined_counts_at(points, delta=None) -> dict:
     elif not isinstance(points, dict):
         raise ValueError("points not given as a {(c, m, d): delta} map need a delta")
     for (_, _, d), dl in points.items():
-        check_int("degree d", d)
-        check_int("delta", dl)
-    if any(dl < 0 for dl in points.values()):
-        raise ValueError("cogenus must be nonnegative")
-    if any(d < 0 for _, _, d in points):
-        raise ValueError("degree d must be nonnegative")
+        check_int("d", d, 0)
+        check_int("delta", dl, 0)
     top: dict = {}  # (c, m) -> the largest d and delta asked
     for (c, m, d), dl in points.items():
         top[c, m] = tuple(map(max, top.get((c, m), (d, dl)), (d, dl)))
@@ -336,7 +317,6 @@ def refined_count(beta, delta: int, y="sym"):
 def q_log_count(beta, delta: int):
     """Q^delta_beta: the t^delta coefficient of log sum_delta N^delta t^delta,
     the log of refined_counts(beta, delta). A negative beta entry raises
-    ValueError."""
-    if delta < 1:
-        raise ValueError("the log transform starts at cogenus 1")
+    ValueError, as does a delta below 1: the log transform starts there."""
+    check_int("delta", delta, 1)
     return QSeries(refined_counts(beta, delta), trunc=delta + 1).log().coeff_at(delta)

@@ -2,8 +2,9 @@
 refined discriminant and point series, singularity correction factors, and
 the embedded universal-series tables.
 
-All constructors take a truncation order K and return exact QSeries over
-the YLaurent ring. The default K = 20 covers the embedded tables to q^17.
+All constructors take a truncation order K, refused as "order" below 1 or
+as no int, and return exact QSeries over the YLaurent ring. The default
+K = 20 covers the embedded tables to q^17.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from math import comb, factorial
 
 from . import tables
 from .qseries import QSeries
-from .rationals import QQ
+from .rationals import QQ, check_int
 from .ylaurent import YLaurent, YL_ONE, YL_ZERO, qnum
 
 __all__ = [
@@ -74,6 +75,7 @@ def _divisors(n: int):
 
 def _divisor_sum(K: int, term, c0=0) -> QSeries:
     """c0 + sum_{n>0} (sum_{d|n} term(n, d)) q^n mod q^K."""
+    check_int("order", K, 1)
     coeffs = [c0]
     for n in range(1, K):
         coeffs.append(sum(term(n, d) for d in _divisors(n)))
@@ -83,6 +85,7 @@ def _divisor_sum(K: int, term, c0=0) -> QSeries:
 def _lacunary(K: int, term, offset24: int = 0) -> QSeries:
     """sum_{n>=0} c q^e mod q^K (times q^(offset24/24)), where
     (e, c) = term(n) and e increases with n."""
+    check_int("order", K, 1)
     coeffs = [0] * K
     n = 0
     e, c = term(n)
@@ -96,6 +99,7 @@ def _lacunary(K: int, term, offset24: int = 0) -> QSeries:
 def _euler_type(K: int, poly, power: int = 1, out: QSeries | None = None) -> QSeries:
     """out * prod_{n>0} poly(q^n)^power mod q^K, where poly lists the
     coefficients of a polynomial; out defaults to 1."""
+    check_int("order", K, 1)
     out = QSeries.one(K) if out is None else out
     for n in range(1, K):
         fac = [YL_ZERO] * K
@@ -125,6 +129,7 @@ def eta(K: int) -> QSeries:
 
 
 def _eisenstein_index(k2: int) -> None:
+    check_int("k2", k2)  # positive and even are one rule, with its own message
     if k2 < 2 or k2 % 2:
         raise ValueError("Eisenstein index must be a positive even integer")
 
@@ -154,6 +159,7 @@ def theta2(K: int) -> QSeries:
     theta_2(q^2) to order 2K, read with step24 = 12 (index k <-> q^(k/2)).
     Series operations need operands with the same step24, so it combines
     only with other step-12 series; every caller prints it as it is."""
+    check_int("order", K, 1)
     return QSeries(theta2_of_qsq(2 * K).coeffs, trunc=2 * K, step24=12)
 
 
@@ -173,6 +179,7 @@ def theta_unit(K: int) -> QSeries:
 
 def theta_y_product(K: int) -> QSeries:
     """The product form of theta(y,q); equals theta_y(K) identically."""
+    check_int("order", K, 1)
     s = QSeries([YLaurent({1: 1, -1: -1})], trunc=K, offset24=3)
     return s * theta_unit(K)
 
@@ -203,8 +210,7 @@ def f_lower(l: int, K: int) -> QSeries:
     """f_l, the correction factor for multiplicity-l points at an A_1
     singularity: with l = 2k + h, (-1)^k/l! prod_(i<k) (D - (i + h/2)^2)
     applied to theta_2(q^2) (h = 0) or eta(q^2)^3 (h = 1)."""
-    if l < 0:
-        raise ValueError("f_l needs l >= 0")
+    check_int("l", l, 0)
     k, h = divmod(l, 2)
     out = eta(K).subs_qpow(2).pow(3) if h else theta2_of_qsq(K)
     for i in range(k):
@@ -215,6 +221,7 @@ def f_lower(l: int, K: int) -> QSeries:
 
 def f_bar(l: int, K: int) -> QSeries:
     """fbar_l = f_l / q^(l^2/4); integer q-powers for every l."""
+    check_int("order", K, 1)
     f = f_lower(l, K + (l * l + 3) // 4)
     return QSeries(f.coeffs, lead=f.lead, trunc=f.trunc,
                    offset24=f.offset24 - 6 * l * l, step24=f.step24)
@@ -222,8 +229,7 @@ def f_bar(l: int, K: int) -> QSeries:
 
 def f_bar_closed(l: int, K: int) -> QSeries:
     """Closed form: sum_m (-1)^m (2m+l)/(m+l) C(m+l,l) q^(m(m+l)), l >= 1."""
-    if l < 1:
-        raise ValueError("the closed form needs l >= 1")
+    check_int("l", l, 1)
     return _lacunary(K, lambda m: (m * (m + l),
                                    (-1) ** m * QQ(2 * m + l, m + l) * comb(m + l, l)))
 
@@ -237,6 +243,7 @@ def fhat_cm(m: int, K: int) -> QSeries:
     m = 2 is exactly theta_2(q^2); m = 3, 4 are table-backed to their
     trusted order; other m are unavailable beyond the generic q^3 part.
     """
+    check_int("order", K, 1)
     if m == 2:
         return theta2_of_qsq(K)
     if m in tables.FHAT_TRUSTED:
@@ -250,6 +257,7 @@ def fhat_cm(m: int, K: int) -> QSeries:
 
 def fhat_cm_general(m: int, K: int = 4) -> QSeries:
     """The displayed low-order expansion valid for every m >= 2 (to q^3)."""
+    check_int("order", K, 1)
     if K > 4:
         raise ValueError("the general expansion is only stated to q^3")
     c2 = YLaurent({2: m - 2, 0: QQ(m * m + 3 * m - 10, 2), -2: m - 2})
@@ -425,6 +433,7 @@ def _eval_factor(fac, K: int) -> QSeries:
 
 def h_at(m: int, y: int, K: int) -> QSeries:
     """The quasimodular expression for H_m(y) at y = 1 or y = -1, m <= 4."""
+    check_int("order", K, 1)
     table = _H_AT1 if y == 1 else (_H_ATM1 if y == -1 else None)
     if table is None:
         raise ValueError("y must be 1 or -1")
@@ -449,6 +458,7 @@ def quasimodular_sum(terms, K: int) -> QSeries:
 
 def b_series(which: int, K: int) -> QSeries:
     """B_1 or B_2 from the embedded tables (trusted to q^17)."""
+    check_int("order", K, 1)
     if K > tables.B_TRUSTED:
         raise ValueError(f"B tables are only trusted to q^{tables.B_TRUSTED - 1}")
     if which == 1:
@@ -464,6 +474,7 @@ def b_series(which: int, K: int) -> QSeries:
 
 def b_bar_series(which: int, K: int) -> QSeries:
     """Bbar_1 or Bbar_2 (the y = -1 tables, trusted to q^30)."""
+    check_int("order", K, 1)
     if K > tables.BBAR_TRUSTED:
         raise ValueError(f"Bbar tables are only trusted to q^{tables.BBAR_TRUSTED - 1}")
     data = tables.B1BAR if which == 1 else tables.B2BAR
@@ -510,17 +521,18 @@ def named_series(name: str, K: int = DEFAULT_TRUNC, param: int | None = None) ->
     DDGtilde2, DeltaTilde, ThetaY, fLower, fBar, FhatCm, H, H_at1,
     H_atMinus1, B1, B2, B1bar, B2bar, F0, F1, F2. G2k/Gbar2k take the
     weight as param (2k); fLower/fBar the multiplicity l; FhatCm/H/H_at*
-    the parameter m. ValueError for an order below 1, a missing param,
-    and a param given to a name that takes none.
+    the parameter m. ValueError for an order below 1 or no int, a missing
+    param or one that is no int, and a param given to a name that takes
+    none; each series keeps its own rule on the param's value.
     """
     key = name.lower()
     if key not in _NAMED and key not in _NAMED_WITH_PARAM:
         raise ValueError(f"unknown series name {name!r}")
-    if K < 1:
-        raise ValueError(f"order must be >= 1, not {K}")
+    check_int("order", K, 1)
     if key in _NAMED_WITH_PARAM:
         if param is None:
             raise ValueError(f"series {name!r} needs a param")
+        check_int("param", param)
         return _NAMED_WITH_PARAM[key](K, param)
     if param is not None:
         raise ValueError(f"series {name!r} takes no param")

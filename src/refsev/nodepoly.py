@@ -95,10 +95,8 @@ def _plan(family: str, delta: int, m):
     no other family takes one), fitted on d = delta..delta+2, validated on
     d = delta+3..delta+5; 'p2' is that fit at m = 1. 'p1xp1': {1, c+d, cd}
     on c,d >= delta. 'sigma': the seven-term form on c,d >= delta, m in
-    {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta."""
-    check_int("delta", delta)  # before the points, which take it as d
-    if delta < 1:
-        raise ValueError("Q_delta starts at delta = 1; N_0 = 1 identically")
+    {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta. Q_delta starts at delta = 1."""
+    check_int("delta", delta, 1)  # before the points, which take it as d
     if m is not None and family != "p11m-fixed-m":
         raise ValueError(f"the {family} fit takes no m (only p11m-fixed-m does)")
     d0 = delta  # where the ranges of the shape theorems start
@@ -161,9 +159,7 @@ def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:
     """N_delta values at a parameter point from fitted Q polynomials:
     the exponential of sum Q_delta t^delta. A delta_max that is no int or
     negative, or a delta <= delta_max with no fit, raises ValueError."""
-    check_int("delta_max", delta_max)
-    if delta_max < 0:
-        raise ValueError(f"delta_max = {delta_max} is negative")
+    check_int("delta_max", delta_max, 0)
     qs = [YL_ZERO]
     for delta in range(1, delta_max + 1):
         if delta not in fits:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .rationals import QQ
+from .rationals import QQ, check_int
 
 __all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "sum_products", "YRing",
            "RINGS", "ring_at"]
@@ -281,8 +281,7 @@ def qnum(n: int) -> YLaurent:
     [n]_y at y=1 is n; at y=-1 (y^(1/2) = i) it is 0 for even n and
     (-1)^((n-1)/2) for odd n.
     """
-    if n <= 0:
-        raise ValueError(f"[n]_y requires n >= 1, got {n}")
+    check_int("n", n, 1)
     return YLaurent({e: 1 for e in range(-(n - 1), n, 2)}, _canonical=True)
 
 

@@ -29,13 +29,12 @@ from refsev.caporaso import CHTable, _strip, canon_seq, iseq
 from refsev.genfun import Invariants, base_series
 from refsev.graphs import (
     _place,
-    _refuse_bad_beta,
     enumerate_graphs,
     enumerate_templates,
 )
 from refsev.linalg import solve_exact
 from refsev.qseries import QSeries, _divide_coeff, _pow_coeff, _same_lattice
-from refsev.rationals import QQ
+from refsev.rationals import QQ, check_ints
 from refsev.ylaurent import YL_ONE, YL_ZERO, ring_at
 
 
@@ -226,7 +225,7 @@ def phi(G: tuple, beta, strict: bool = False):
     edge is a class of G, so by the same argument Phi^s is Phi, or 0 when
     G has such an edge.
     """
-    _refuse_bad_beta(beta)
+    check_ints("beta", beta, 0)
     if is_empty(G) or maxv(G) > len(beta) or strict and _heavy_end(G, len(beta)):
         return QQ(0)
     edges, m = zip(*_edge_classes(G))

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import re
 import sys
 
 import pytest
 
-from refsev import caporaso
+from refsev import caporaso, modular
 from refsev.caporaso import (
     CHTable,
     P2,
@@ -18,10 +19,15 @@ from refsev.caporaso import (
     severi_degrees,
     welschinger_degree,
 )
-from refsev.genfun import Invariants, engine_data, solve_bundles
-from refsev.graphs import refined_count, s_beta
+from refsev.conjectures import check_conjecture, option
+from refsev.genfun import (Invariants, engine_data, in_regime, reform_eval, solve_bundles,
+                           solve_universal_B)
+from refsev.graphs import (enumerate_graphs, enumerate_templates, q_log_count, refined_count,
+                           refined_counts, refined_counts_at, s_beta)
+from refsev.modular import named_series
+from refsev.nodepoly import fit_node_polynomials, node_values
 from refsev.rationals import QQ
-from refsev.ylaurent import YLaurent, ring_at
+from refsev.ylaurent import YLaurent, qnum, ring_at
 
 from floor_diagrams import floor_diagram_count
 from oracles import ScalarTable, per_delta, relative_degree_scalar, severi_degree_scalar
@@ -86,7 +92,7 @@ def test_bundle_and_invariants_are_frozen_values():
     (("torus", 1, 0, 2), "unknown family 'torus'"),
     (("p2", 2, 0, 2), "P2 bundles have m = 1, c = 0, not m = 2, c = 0"),
     (("p11m", 2, 1, 2), "P(1,1,m) bundles have c = 0, not c = 1"),
-    (("p11m", 0, 0, 2), "P(1,1,m) bundles have m >= 1, not m = 0"),
+    (("p11m", 0, 0, 2), "m = 0 is below 1"),
     (("sigma", -1, 0, 2), "m = -1 is negative"),
     (("sigma", 1, -2, 2), "c = -2 is negative"),
     (("p2", 1, 0, -3), "d = -3 is negative"),
@@ -196,9 +202,9 @@ def test_canon_seq():
     assert canon_seq((1, 0, 2, 0, 0)) == (1, 0, 2)
     assert canon_seq([0, 0]) == ()
     assert iseq((2, 0, 1)) == 2 + 3
-    with pytest.raises(ValueError, match=r"sequence = \(1, -1\) has a negative entry"):
+    with pytest.raises(ValueError, match=r"^sequence\[1\] = -1 is negative$"):
         canon_seq((1, -1))
-    with pytest.raises(ValueError, match=r"beta = \(0, -1, 0\) has a negative entry"):
+    with pytest.raises(ValueError, match=r"^beta\[1\] = -1 is negative$"):
         relative_degree(P2(3), 1, (), (0, -1, 0))
 
 
@@ -387,22 +393,98 @@ def test_the_walk_runs_deep_states_without_recursion(monkeypatch):
         severi_degree_scalar(P2(5), 1, "sym", ScalarTable())
 
 
+# The refusal table of every int parameter of the public functions: (label,
+# a call of one value of it, the name its refusal gives, its least value or
+# None). Each gives the rows refusing a value below the least, a float, True
+# and a str by that name, with ids label-kind-name; the least itself is run.
+def _check(conj_id, name, **rest):
+    return lambda v: check_conjecture(conj_id, **rest, **{name: v})
+
+
+INT_PARAMETERS = [
+    ("P2", P2, "d", 0),
+    ("P11m", lambda v: P11m(v, 2), "m", 1),
+    ("P11m", lambda v: P11m(1, v), "d", 0),
+    ("Sigma", lambda v: Sigma(v, 0, 2), "m", 0),
+    ("Sigma", lambda v: Sigma(0, v, 2), "c", 0),
+    ("Sigma", lambda v: Sigma(0, 0, v), "d", 0),
+    ("severi_degrees", lambda v: severi_degrees(P2(3), v), "delta", 0),
+    ("severi_degree", lambda v: severi_degree(P2(3), v), "delta", 0),
+    ("welschinger_degree", lambda v: welschinger_degree(P2(3), v), "delta", 0),
+    ("relative", lambda v: relative_degree(P2(2), v, (), (2,)), "delta", 0),
+    ("relative", lambda v: relative_degree(P2(2), 1, (v,), (0, 1)), "alpha[0]", 0),
+    ("relative", lambda v: relative_degree(P2(2), 1, (), (v, 1)), "beta[0]", 0),
+    ("s_beta", lambda v: s_beta(v, 1, 2), "c", 0),
+    ("s_beta", lambda v: s_beta(0, v, 2), "m", 0),
+    ("s_beta", lambda v: s_beta(0, 1, v), "d", 0),
+    ("enumerate_graphs", lambda v: enumerate_graphs(v, 2), "delta", 0),
+    ("enumerate_graphs", lambda v: enumerate_graphs(1, v), "maxv_bound", 0),
+    ("enumerate_templates", enumerate_templates, "delta", 0),
+    ("refined_count", lambda v: refined_count((1, 2), v), "delta", 0),
+    ("refined_count", lambda v: refined_count((v, 2), 1), "beta[0]", 0),
+    ("refined_counts", lambda v: refined_counts((1, 2), v, 1), "delta", 0),
+    ("refined_counts", lambda v: refined_counts((1, v), 1, -1), "beta[1]", 0),
+    ("refined_counts_at", lambda v: refined_counts_at({(0, 1, v): 1}), "d", 0),
+    ("refined_counts_at", lambda v: refined_counts_at([(0, 1, 2)], v), "delta", 0),
+    ("q_log_count", lambda v: q_log_count((1, 2), v), "delta", 1),
+    ("q_log_count", lambda v: q_log_count((1, v), 1), "beta[1]", 0),
+    ("qnum", qnum, "n", 1),
+    ("in_regime", lambda v: in_regime(P2(3), v), "delta", 0),
+    ("solve_bundles", solve_bundles, "order", 0),
+    ("solve_universal_B", lambda v: solve_universal_B(
+        engine_data(solve_bundles(1), 1, "sym", CHTable()), v), "order", 1),
+    ("reform_eval", lambda v: reform_eval([Invariants.of(P2(2))], modular.b_series(1, 3),
+                                          modular.b_series(2, 3), v), "order", 0),
+    ("node_values", lambda v: node_values({}, v), "delta_max", 0),
+    ("fit_node_polynomials", lambda v: fit_node_polynomials("p2", [v]), "delta", 1),
+    ("fit_node_polynomials", lambda v: fit_node_polynomials("p11m-fixed-m", [1], v), "m", 1),
+    ("named_series", lambda v: named_series("Eta", v), "order", 1),
+    ("named_series", lambda v: named_series("fLower", 3, param=v), "param", None),
+    ("eisenstein", lambda v: modular.eisenstein(v, 3), "k2", None),
+    ("f_lower", lambda v: modular.f_lower(v, 3), "l", 0),
+    ("f_bar_closed", lambda v: modular.f_bar_closed(v, 3), "l", 1),
+    *[(f.__name__, functools.partial(f, *args), "order", 1) for f, *args in (
+        (modular.euler_product,), (modular.eta,), (modular.eisenstein, 4),
+        (modular.eisenstein_bar, 4), (modular.theta2_of_qsq,), (modular.theta2,),
+        (modular.theta_y,), (modular.theta_unit,), (modular.theta_y_product,),
+        (modular.dgtilde2,), (modular.ddgtilde2,), (modular.delta_tilde,),
+        (modular.f_lower, 1), (modular.f_bar, 1), (modular.f_bar_closed, 1),
+        (modular.fhat_cm, 3), (modular.fhat_cm_general, 2), (modular.h_series, 2),
+        (modular.h_at, 3, 1), (modular.b_series, 2), (modular.b_bar_series, 1))],
+    *[("cross_engine", _check("cross_engine", name, **dict.fromkeys(
+        {"dmax", "cmax", "mmax", "deltamax"} - {name}, 1)), option(name), None)
+      for name in ("dmax", "cmax", "mmax", "deltamax")],
+    ("P2blow", _check("P2blow", "m_max", delta_max=1, d_max=3), "--m-max", None),
+    ("refpol", _check("refpol", "deltamax", dmax=2), "--deltamax", 0),
+    ("GSPSigmaW", _check("GSPSigmaW", "deltamax", dmax=2), "--deltamax", 0),
+    ("solveB", _check("solveB", "order", order_minus1=1), "--order", 1),
+    ("solveB", _check("solveB", "order_minus1", order=1), "--order-minus1", 1),
+    ("fbar_closed_form", _check("fbar_closed_form", "lmax", order=3), "--lmax", 1),
+    *[(cid, _check(cid, "order"), "--order", 1) for cid in (
+        "fbar_closed_form", "Fhat_c2_is_theta2", "eta_quotient_theta2", "B_minus1_tables")],
+]
+
+
+def _refusals(label, call, name, least):
+    below = [] if least is None else [
+        ("below", least - 1, "negative" if least == 0 else f"below {least}")]
+    for kind, value, why in below + [("float", 2.0, None), ("bool", True, None),
+                                     ("str", "1", None)]:
+        message = f"{name} = {value if why else repr(value)} is {why or 'not an integer'}"
+        yield pytest.param(functools.partial(call, value), message,
+                           id=f"{label}-{kind}-{name.lstrip('-').partition('[')[0]}")
+
+
 @pytest.mark.parametrize("call, message", [
-    pytest.param(lambda: severi_degrees(P2(3), True), "delta = True is not an integer",
-                 id="severi_degrees-bool-delta"),
-    pytest.param(lambda: severi_degree(P2(3), 1.0), "delta = 1.0 is not an integer",
-                 id="severi_degree-float-delta"),
-    pytest.param(lambda: relative_degree(P2(2), 1.5, (), (2,)),
-                 "delta = 1.5 is not an integer", id="relative-float-delta"),
-    pytest.param(lambda: relative_degree(P2(2), 1, (), (1.5, 0.25)),
-                 "beta[0] = 1.5 is not an integer", id="relative-float-beta"),
-    pytest.param(lambda: relative_degree(P2(3), 1, (), (True, True)),
-                 "beta[0] = True is not an integer", id="relative-bool-beta"),
-    pytest.param(lambda: relative_degree(P2(3), 1, (1, 0.5), (2,)),
-                 "alpha[1] = 0.5 is not an integer", id="relative-float-alpha"),
-])
+    row for spec in INT_PARAMETERS for row in _refusals(*spec)])
 def test_recursion_inputs_refused_unless_int(call, message):
-    # severi_degrees(P2(3), True) returned two values and the beta
-    # (True, True) was read as (1, 1); a float ended in a TypeError
+    # a bool is no int, and no value reaches the computation unchecked
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("call, least", [
+    pytest.param(call, least, id=f"{label}-{name.lstrip('-').partition('[')[0]}")
+    for label, call, name, least in INT_PARAMETERS if least is not None])
+def test_least_values_are_accepted(call, least):
+    call(least)

@@ -277,16 +277,16 @@ def test_process_lifetime_memos_are_the_allowed_caches():
     (["compute", "--surface", "sigma", "--m", "2", "--d", "3", "--delta", "1",
       "--k", "7/2"],
      "error: --k needs d - k a nonnegative integer"),
-    (["solve-B", "--order", "0"], "error: --order must be >= 1"),
-    (["solve-B", "--order", "-3"], "error: --order must be >= 1"),
+    (["solve-B", "--order", "0"], "error: --order = 0 is below 1"),
+    (["solve-B", "--order", "-3"], "error: --order = -3 is below 1"),
     (["fit-nodepoly", "--family", "p2", "--delta", "3-1"], "error: empty range '3-1'"),
     (["compute", "--surface", "p2", "--d", "4", "--delta", "3-1"],
      "error: empty range '3-1'"),
     (["verify", "--id", "cross-engine", "--dmax", "-1"], "no point to check"),
     (["verify", "--id", "cross-engine", "--deltamax", "-1"], "no point to check"),
     (["verify", "--id", "refpol", "--dmax", "-1"], "no point to check"),
-    (["verify", "--id", "refpol", "--deltamax", "-1"], "error: --deltamax must be >= 0"),
-    (["verify", "--id", "GSPSigmaW", "--deltamax", "-1"], "error: --deltamax must be >= 0"),
+    (["verify", "--id", "refpol", "--deltamax", "-1"], "error: --deltamax = -1 is negative"),
+    (["verify", "--id", "GSPSigmaW", "--deltamax", "-1"], "error: --deltamax = -1 is negative"),
     (["verify", "--id", "conjan_P112", "--dmax", "1"],
      "error: verify --id conjan_P112 takes no --dmax"),
     (["verify", "--id", "ruledblow", "--deltamax", "2"],
@@ -295,15 +295,15 @@ def test_process_lifetime_memos_are_the_allowed_caches():
      "error: verify --id cross_engine takes no --order"),
     (["verify", "--id", "fhat_general_tables", "--order", "12"],
      "error: verify --id fhat_general_tables takes no --order"),
-    (["verify", "--id", "solveB", "--order", "0"], "error: --order must be >= 1"),
+    (["verify", "--id", "solveB", "--order", "0"], "error: --order = 0 is below 1"),
     (["verify", "--id", "solveB", "--order-minus1", "0"],
-     "error: --order-minus1 must be >= 1"),
+     "error: --order-minus1 = 0 is below 1"),
     (["verify", "--id", "solveB", "--order-minus1", "-2"],
-     "error: --order-minus1 must be >= 1"),
+     "error: --order-minus1 = -2 is below 1"),
     (["verify", "--id", "refpol", "--order-minus1", "3"],
      "error: verify --id refpol takes no --order-minus1"),
-    (["verify", "--id", "fbar", "--order", "0"], "error: --order must be >= 1"),
-    (["verify", "--id", "fbar", "--lmax", "0"], "error: --lmax must be >= 1"),
+    (["verify", "--id", "fbar", "--order", "0"], "error: --order = 0 is below 1"),
+    (["verify", "--id", "fbar", "--lmax", "0"], "error: --lmax = 0 is below 1"),
     (["verify", "--id", "bogus"], "unknown verify id 'bogus'"),
     (["verify", "--id", "refpol", "--format", "json"],
      "unrecognized arguments: --format json"),
@@ -318,23 +318,23 @@ def test_process_lifetime_memos_are_the_allowed_caches():
     (["fit-nodepoly", "--family", "p2", "--delta", "1", "--m", "7"],
      "error: the p2 fit takes no m"),
     (["fit-nodepoly", "--family", "p2", "--delta=-1"],
-     "error: Q_delta starts at delta = 1"),
+     "error: delta = -1 is below 1"),
     (["series", "--name", "eta", "--param", "3"], "error: series 'eta' takes no param"),
     (["series", "--name", "fbar", "--order", "8"], "error: series 'fbar' needs a param"),
-    (["series", "--name", "eta", "--order", "0"], "error: order must be >= 1, not 0"),
+    (["series", "--name", "eta", "--order", "0"], "error: order = 0 is below 1"),
     (["series", "--name", "eta", "--cache", "x"], "unrecognized arguments: --cache x"),
     (["export-tables", "--format", "json"], "unrecognized arguments: --format json"),
     (["verify", "--id", "B_minus1_tables", "--order", "19"],
      "error: B_minus1_tables checks orders 1 to 18"),
     (["compute", "--surface", "p11m", "--m", "0", "--d", "2", "--delta", "1"],
-     "error: P(1,1,m) bundles have m >= 1, not m = 0"),
+     "error: m = 0 is below 1"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
       "FOREIGN"], "error: cache FOREIGN has header 'some other format v9', "
                   "expected 'refsev-cache v2'"),
     (["fit-nodepoly", "--family", "p11m-fixed-m", "--m", "0", "--delta", "1"],
-     "error: P(1,1,m) bundles have m >= 1, not m = 0"),
+     "error: m = 0 is below 1"),
     (["fit-nodepoly", "--family", "p11m-fixed-m", "--m", "-1", "--delta", "1"],
-     "error: P(1,1,m) bundles have m >= 1, not m = -1"),
+     "error: m = -1 is below 1"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache",
       "TMP/missing/ch.txt"],
      "error: cannot use cache TMP/missing/ch.txt: No such file or directory"),
@@ -363,9 +363,9 @@ def test_process_lifetime_memos_are_the_allowed_caches():
     (["compute", "--surface", "p2", "--d", "-3", "--delta", "1"],
      "error: d = -3 is negative"),
     (["relative", "--surface", "p2", "--d", "3", "--delta", "1", "--alpha", "1,-1"],
-     "error: alpha = (1, -1) has a negative entry"),
+     "error: alpha[1] = -1 is negative"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "-1"],
-     "error: delta must be nonnegative"),
+     "error: delta = -1 is negative"),
     (["verify", "--id", "jacobi_triple", "--cache", "TMP/x.cache"],
      "error: verify --id jacobi_triple takes no --cache"),
     (["compute", "--surface", "p2", "--d", "3", "--delta", "1", "--cache", ""],

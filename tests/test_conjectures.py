@@ -466,25 +466,6 @@ def test_unknown_parameter_rejected(chtable, conj_id, params, name):
         check_conjecture(conj_id, table=chtable, **params)
 
 
-@pytest.mark.parametrize("conj_id, params, message", [
-    # passed after checking no l and no coefficient
-    ("fbar_closed_form", {"lmax": 0}, "--lmax must be >= 1"),
-    ("Fhat_c2_is_theta2", {"order": 0}, "--order must be >= 1"),
-    # raised ZeroDivisionError
-    ("solveB", {"order": 0}, "--order must be >= 1"),
-    ("eta_quotient_theta2", {"order": 0}, "--order must be >= 1"),
-    ("B_minus1_tables", {"order": 0}, "--order must be >= 1"),
-    ("solveB", {"order_minus1": 0}, "--order-minus1 must be >= 1"),
-    ("refpol", {"deltamax": -1}, "--deltamax must be >= 0"),
-    ("GSPSigmaW", {"deltamax": -1}, "--deltamax must be >= 0"),
-])
-def test_bad_values_refused(chtable, conj_id, params, message):
-    # a check refuses a bad value of its own parameter, naming it as verify
-    # spells it, before any engine runs
-    with pytest.raises(ValueError, match=message):
-        check_conjecture(conj_id, table=chtable, **params)
-
-
 def test_reports_own_their_lists():
     first, second = ConjectureReport("refpol", {}), ConjectureReport("refpol", {})
     first.record({"d": 1}, True)
