@@ -33,7 +33,7 @@ from math import comb, prod
 from operator import mul
 
 from .cache import CacheStore
-from .rationals import check_int, check_ints
+from .rationals import check_int, check_ints, choose
 from .ylaurent import RINGS, ring_at
 
 __all__ = [
@@ -75,7 +75,9 @@ def _strip(seq) -> tuple:
 
 # -- surfaces ----------------------------------------------------------------
 
-SURFACES = ("p2", "p11m", "sigma")
+# family -> (its name, the least m, the fields its bundles fix)
+SURFACES = {"p2": ("P2", 0, {"m": 1, "c": 0}), "p11m": ("P(1,1,m)", 1, {"c": 0}),
+            "sigma": ("Sigma_m", 0, {})}
 
 
 class SurfaceBundle(namedtuple("SurfaceBundle", "family m c d")):
@@ -90,15 +92,14 @@ class SurfaceBundle(namedtuple("SurfaceBundle", "family m c d")):
     __slots__ = ()
 
     def __new__(cls, family: str, m: int, c: int, d: int):
-        if family not in SURFACES:
-            raise ValueError(f"unknown family {family!r}")
-        check_int("m", m, 1 if family == "p11m" else 0)
+        name, least, fixed = choose("family", family, SURFACES)
+        check_int("m", m, least)
         check_int("c", c, 0)
         check_int("d", d, 0)
-        if family == "p2" and (m != 1 or c != 0):
-            raise ValueError(f"P2 bundles have m = 1, c = 0, not m = {m}, c = {c}")
-        if family == "p11m" and c != 0:
-            raise ValueError(f"P(1,1,m) bundles have c = 0, not c = {c}")
+        held = {"m": m, "c": c}
+        if any(held[k] != v for k, v in fixed.items()):
+            have, got = (", ".join(f"{k} = {f[k]}" for k in fixed) for f in (fixed, held))
+            raise ValueError(f"{name} bundles have {have}, not {got}")
         return super().__new__(cls, family, m, c, d)
 
     @classmethod
@@ -158,9 +159,9 @@ class CHTable:
         """The row held for state = (m, c, d, alpha, beta), or None: the
         memo's, extended from the store one delta at a time up to delta,
         until the first miss."""
-        row = self.memo[y].get(state)
         if self.store is None:
-            return row
+            return self.memo[y].get(state)
+        decode, row = ring_at(y).decode, self.memo[y].get(state)
         row = [] if row is None else row
         while len(row) <= delta:
             skey = self._store_key(y, state, len(row))
@@ -168,7 +169,7 @@ class CHTable:
             if payload is None:
                 break
             try:
-                row.append(ring_at(y).decode(payload))
+                row.append(decode(payload))
             except (ValueError, TypeError, ZeroDivisionError):
                 # undecodable: a miss, so the recomputed value is
                 # appended and wins on the next open
@@ -180,11 +181,11 @@ class CHTable:
 
     def insert(self, y, state, lo, values):
         """Append [N^lo, N^(lo+1), ...] to state's row; a store gets a record per value."""
-        self.memo[y].setdefault(state, []).extend(values)
         if self.store is not None:
             encode = ring_at(y).encode
             for delta, value in enumerate(values, lo):
                 self.store.put(self._store_key(y, state, delta), encode(value))
+        self.memo[y].setdefault(state, []).extend(values)
 
     def flush(self):
         if self.store is not None:

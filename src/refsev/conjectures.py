@@ -30,7 +30,7 @@ from .genfun import (Invariants, engine_data, in_regime, reform_coefficient,
                      reform_eval, solve_bundles, solve_universal_B)
 from .graphs import refined_counts_at
 from .nodepoly import fit_node_polynomials, node_values
-from .rationals import QQ, check_int
+from .rationals import QQ, check_int, check_ints, choose
 from .ylaurent import YLaurent
 
 __all__ = ["CHECK_IDS", "ConjectureReport", "check_conjecture", "check_parameters", "option"]
@@ -225,13 +225,10 @@ _RULED_DELTA = {2: 5, **{m: t - 2 for m, t in tables.FHAT_TRUSTED.items()}}
 
 def _ruledblow(ms=(2, 3, 4), d_max=4):
     """N^{(Sigma_m,dH),delta} against the ruled-surface identity with the
-    correction factor Fhat_{c_m}."""
-    for m in ms:
-        if m not in _RULED_DELTA:
-            raise ValueError(f"ruledblow has no Fhat_c{m} table for m = {m}; "
-                             f"the tables cover m in {sorted(_RULED_DELTA)}")
+    correction factor Fhat_{c_m}, each m one with a bound on record."""
+    bounds = [choose(f"--ms[{i}]", m, _RULED_DELTA) for i, m in enumerate(ms)]
     return [Group([_on({"m": m, "d": d}, Sigma(m, 0, d)) for d in range(1, d_max + 1)],
-                  _RULED_DELTA[m], functools.partial(modular.fhat_cm, m)) for m in ms]
+                  bound, functools.partial(modular.fhat_cm, m)) for m, bound in zip(ms, bounds)]
 
 
 def _conjan_p112(d_max=4):
@@ -338,7 +335,7 @@ _SPECS = {
     "ruledblow": Spec(_ruledblow, "outside delta <= d", _within(1)),
     "conjan_P112": Spec(_conjan_p112, "outside delta <= d", _within(1)),
     "blowk": Spec(_blowk, "outside delta <= 2(d-k): the identity fails at 2(d-k)+1",
-                  _within(2)),
+                  _within(2), least={"ks": 0, "dprimes": 0}),
     "A1con_sigma2": Spec(_a1con_sigma2, form=_form3),
     "P2blow": Spec(_p2blow, "outside validity", _within(2)),
     "multcon_H12": Spec(_multcon_h12),
@@ -392,10 +389,7 @@ def check_parameters(conj_id: str) -> dict:
     """The keyword parameters of check conj_id with their defaults, which all
     but the report, the table and a partial's id have, and those a partial
     binds by name; ValueError for no such id."""
-    spec = _SPECS.get(conj_id)
-    check = spec.groups if spec else _CHECKS.get(conj_id)
-    if check is None:
-        raise ValueError(f"unknown check id {conj_id!r}")
+    check = choose("conj_id", conj_id, {**{i: s.groups for i, s in _SPECS.items()}, **_CHECKS})
     func = getattr(check, "func", check)
     code, defaults = func.__code__, func.__defaults__ or ()
     names = code.co_varnames[:code.co_argcount]
@@ -410,7 +404,8 @@ def check_conjecture(conj_id: str, table: CHTable | None = None,
     reruns it. Raises ValueError for an unknown id, a parameter the check
     does not take or a bad value of one, and when the parameters leave a
     group or the whole check no point to check: that is no pass. Int
-    parameters are refused by option name, below a Spec's least or else 1."""
+    parameters are refused by option name, below a Spec's least or else 1,
+    and each entry of a tuple one as --name[i], below the Spec's least."""
     known = check_parameters(conj_id)
     extra = sorted(set(params) - set(known))
     if extra:
@@ -420,6 +415,8 @@ def check_conjecture(conj_id: str, table: CHTable | None = None,
     for name, value in params.items():
         if isinstance(known[name], int):
             check_int(option(name), value, least.get(name))
+        elif isinstance(known[name], tuple):
+            params[name] = check_ints(option(name), value, least.get(name))
     table = CHTable() if table is None else table
     rep = ConjectureReport(conj_id, {**known, **params})
     if spec:

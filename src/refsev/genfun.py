@@ -31,7 +31,7 @@ from .caporaso import P2, Sigma, severi_degrees
 from .linalg import solve_exact
 from .modular import dgtilde2, delta_tilde
 from .qseries import QSeries, compose, compose_inverse
-from .rationals import QQ, check_int
+from .rationals import QQ, check_int, choose
 from .ylaurent import YL_ZERO, ring_at
 
 __all__ = ["Invariants", "reform_eval", "reform_coefficient", "in_regime",
@@ -59,11 +59,9 @@ class Invariants(namedtuple("Invariants", "K2 LK chi_L chi_O", defaults=(1,))):
         """The invariants of a caporaso.SurfaceBundle: K^2 is 9 on P^2, 8 on
         Sigma_m and (m+2)^2/m on P(1,1,m); chi(L) = dim|L| + 1 and chi(O) = 1
         (rational surfaces)."""
-        m, c, d, chi_L = bundle.m, bundle.c, bundle.d, bundle.dim_L + 1
-        if bundle.family == "p2":
-            return Invariants(K2=9, LK=-3 * d, chi_L=chi_L)
-        K2 = 8 if bundle.family == "sigma" else QQ((m + 2) ** 2, m)
-        return Invariants(K2=K2, LK=-(2 * c + (m + 2) * d), chi_L=chi_L)
+        m, c, d = bundle.m, bundle.c, bundle.d
+        K2 = 9 if bundle.family == "p2" else 8 if bundle.family == "sigma" else QQ((m + 2) ** 2, m)
+        return Invariants(K2=K2, LK=-(2 * c + (m + 2) * d), chi_L=bundle.dim_L + 1)
 
 
 @lru_cache(maxsize=32)
@@ -135,7 +133,7 @@ def in_regime(bundle, delta: int, y="sym") -> bool:
     at or above every bound measured to delta = 14. A ValueError for any
     other bundle, a negative or non-int delta or a y other than 'sym', 1 and -1."""
     check_int("delta", delta, 0)
-    k = 3 if ring_at(y).y == -1 else 2
+    k = choose("y", y, {"sym": 2, 1: 2, -1: 3})
     if bundle.family == "p2":
         return delta <= k * (bundle.d - 1) or delta <= (2 if bundle.d >= 1 else 0)
     if bundle.family == "sigma" and bundle.m == 0:

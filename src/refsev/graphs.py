@@ -285,7 +285,10 @@ def refined_counts_at(points, delta=None) -> dict:
     beta, and N^k reads no template of cogenus above k, so a point's row is
     the head of its sweep's. The sweeps share one _window_sums of all their
     windows, which the call drops when it returns. A d or delta that is no
-    int or negative, or points not in a map and no delta, raises ValueError."""
+    int or negative, points not in a map and no delta, or a map and a delta
+    raises ValueError."""
+    if isinstance(points, dict) and delta is not None:
+        raise ValueError(f"points given as a {{(c, m, d): delta}} map take no delta = {delta!r}")
     if delta is not None:
         points = dict.fromkeys(points, delta)
     elif not isinstance(points, dict):

@@ -3,8 +3,11 @@ refined discriminant and point series, singularity correction factors, and
 the embedded universal-series tables.
 
 All constructors take a truncation order K, refused as "order" below 1 or
-as no int, and return exact QSeries over the YLaurent ring. The default
-K = 20 covers the embedded tables to q^17.
+as no int, or past an embedded table's trusted order, and return exact
+QSeries over the YLaurent ring; the default K = 20 covers the tables to q^17.
+A parameter that selects a series (B's which, the m of Fhat_{c_m} and H_m,
+the y of H_m(y)) must be a key on record, type included (True is not 1, 2.0
+is not 2), or rationals.choose refuses it as "m must be 1 or 2, not 3".
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from math import comb, factorial
 
 from . import tables
 from .qseries import QSeries
-from .rationals import QQ, check_int
+from .rationals import QQ, check_int, choose
 from .ylaurent import YLaurent, YL_ONE, YL_ZERO, qnum
 
 __all__ = [
@@ -71,6 +74,13 @@ def _divisors(n: int):
                 out.append(n // i)
         i += 1
     return out
+
+
+def _trusted(K: int, top: int, what: str) -> None:
+    """Refuses an order K that is no int, below 1 or above top as '{what} to q^{top - 1}'."""
+    check_int("order", K, 1)
+    if K > top:
+        raise ValueError(f"{what} to q^{top - 1}")
 
 
 def _divisor_sum(K: int, term, c0=0) -> QSeries:
@@ -243,23 +253,18 @@ def fhat_cm(m: int, K: int) -> QSeries:
     m = 2 is exactly theta_2(q^2); m = 3, 4 are table-backed to their
     trusted order; other m are unavailable beyond the generic q^3 part.
     """
-    check_int("order", K, 1)
-    if m == 2:
+    trusted = choose("m", m, {2: None, **tables.FHAT_TRUSTED})
+    if trusted is None:
         return theta2_of_qsq(K)
-    if m in tables.FHAT_TRUSTED:
-        trusted = tables.FHAT_TRUSTED[m]
-        if K > trusted:
-            raise ValueError(f"Fhat_c{m} is only trusted to q^{trusted - 1}")
-        tab = tables.symmetric_table(f"Fhat_c{m}")
-        return QSeries([tab.get(n, YL_ZERO) for n in range(K)], trunc=K)
-    raise ValueError(f"no embedded table for Fhat_c{m}")
+    _trusted(K, trusted, f"Fhat_c{m} is only trusted")
+    tab = tables.symmetric_table(f"Fhat_c{m}")
+    return QSeries([tab.get(n, YL_ZERO) for n in range(K)], trunc=K)
 
 
 def fhat_cm_general(m: int, K: int = 4) -> QSeries:
     """The displayed low-order expansion valid for every m >= 2 (to q^3)."""
-    check_int("order", K, 1)
-    if K > 4:
-        raise ValueError("the general expansion is only stated to q^3")
+    check_int("m", m, 2)
+    _trusted(K, 4, "the general expansion is only stated")
     c2 = YLaurent({2: m - 2, 0: QQ(m * m + 3 * m - 10, 2), -2: m - 2})
     c3 = YLaurent({
         2: -(m * m + 5 * m - 14),
@@ -289,20 +294,18 @@ def _f2_series(K: int) -> QSeries:
     return _divisor_sum(K, term)
 
 
+def _h2_series(K: int) -> QSeries:
+    s2 = YLaurent({2: 1, 0: -2, -2: 1})          # (y^(1/2)-y^(-1/2))^2
+    yy = YLaurent({2: 1, -2: -1})                # y - 1/y
+    den = s2 * s2 * yy
+    num = _f1_series(K) * yy + _f2_series(K) * s2
+    return num.map_coeffs(lambda c: c.divexact(den))
+
+
 def h_series(m: int, K: int) -> QSeries:
     """Refined correction factor H_m for an ordinary m-fold point;
     available for m = 1, 2."""
-    if m == 1:
-        return dgtilde2(K)
-    if m == 2:
-        s2 = YLaurent({2: 1, 0: -2, -2: 1})          # (y^(1/2)-y^(-1/2))^2
-        yy = YLaurent({2: 1, -2: -1})                # y - 1/y
-        den = s2 * s2 * yy
-        f1 = _f1_series(K)
-        f2 = _f2_series(K)
-        num = f1 * yy + f2 * s2
-        return num.map_coeffs(lambda c: c.divexact(den))
-    raise ValueError("refined H_m is only on record for m = 1, 2")
+    return choose("m", m, {1: dgtilde2, 2: _h2_series})(K)
 
 
 # quasimodular expressions for H_m(1) and H_m(-1); term = (coeff, factors),
@@ -413,19 +416,14 @@ _H_ATM1 = {
 }
 
 
+# factor kind -> its series(K, *args), before the l derivatives D
+_FACTORS = {"G": lambda K, k2: eisenstein(k2, K), "Gbar": lambda K, k2: eisenstein_bar(k2, K),
+            "Delta": lambda K: eta(K).pow(24)}
+
+
 def _eval_factor(fac, K: int) -> QSeries:
-    kind = fac[0]
-    if kind == "G":
-        _, l, k2 = fac
-        s = eisenstein(k2, K)
-    elif kind == "Gbar":
-        _, l, k2 = fac
-        s = eisenstein_bar(k2, K)
-    elif kind == "Delta":
-        l = fac[1]
-        s = eta(K).pow(24)
-    else:
-        raise ValueError(f"unknown factor {fac!r}")
+    kind, l, *args = fac
+    s = choose("factor", kind, _FACTORS)(K, *args)
     for _ in range(l):
         s = s.D()
     return s
@@ -433,13 +431,9 @@ def _eval_factor(fac, K: int) -> QSeries:
 
 def h_at(m: int, y: int, K: int) -> QSeries:
     """The quasimodular expression for H_m(y) at y = 1 or y = -1, m <= 4."""
+    terms = choose("m", m, choose("y", y, {1: _H_AT1, -1: _H_ATM1}))
     check_int("order", K, 1)
-    table = _H_AT1 if y == 1 else (_H_ATM1 if y == -1 else None)
-    if table is None:
-        raise ValueError("y must be 1 or -1")
-    if m not in table:
-        raise ValueError(f"no quasimodular expression on record for H_{m}({y})")
-    return quasimodular_sum(table[m], K)
+    return quasimodular_sum(terms, K)
 
 
 def quasimodular_sum(terms, K: int) -> QSeries:
@@ -456,28 +450,23 @@ def quasimodular_sum(terms, K: int) -> QSeries:
 # -- embedded B tables -------------------------------------------------------------
 
 
+# which -> (its table, its prefactor or None): B_2 is tabled as B_2 (1 - (y + 1/y) q + q^2)
+_B = {1: ("B1", None), 2: ("B2_bracket", [YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE])}
+
+
 def b_series(which: int, K: int) -> QSeries:
     """B_1 or B_2 from the embedded tables (trusted to q^17)."""
-    check_int("order", K, 1)
-    if K > tables.B_TRUSTED:
-        raise ValueError(f"B tables are only trusted to q^{tables.B_TRUSTED - 1}")
-    if which == 1:
-        tab = tables.symmetric_table("B1")
-        return QSeries([tab[n] for n in range(K)], trunc=K)
-    if which == 2:
-        tab = tables.symmetric_table("B2_bracket")
-        bracket = QSeries([tab[n] for n in range(K)], trunc=K)
-        pref = QSeries([YL_ONE, YLaurent({2: -1, -2: -1}), YL_ONE][:K], trunc=K)
-        return bracket / pref
-    raise ValueError("which must be 1 or 2")
+    name, pref = choose("which", which, _B)
+    _trusted(K, tables.B_TRUSTED, "B tables are only trusted")
+    tab = tables.symmetric_table(name)
+    out = QSeries([tab[n] for n in range(K)], trunc=K)
+    return out if pref is None else out / QSeries(pref[:K], trunc=K)
 
 
 def b_bar_series(which: int, K: int) -> QSeries:
     """Bbar_1 or Bbar_2 (the y = -1 tables, trusted to q^30)."""
-    check_int("order", K, 1)
-    if K > tables.BBAR_TRUSTED:
-        raise ValueError(f"Bbar tables are only trusted to q^{tables.BBAR_TRUSTED - 1}")
-    data = tables.B1BAR if which == 1 else tables.B2BAR
+    data = choose("which", which, {1: tables.B1BAR, 2: tables.B2BAR})
+    _trusted(K, tables.BBAR_TRUSTED, "Bbar tables are only trusted")
     return QSeries([YLaurent.const(x) for x in data[:K]], trunc=K)
 
 

@@ -19,7 +19,7 @@ from .caporaso import SurfaceBundle
 from .graphs import refined_counts_at
 from .linalg import solve_exact
 from .qseries import QSeries
-from .rationals import QQ, check_int
+from .rationals import QQ, check_int, choose
 from .ylaurent import YLaurent, YL_ZERO
 
 __all__ = ["NodePolynomial", "fit_node_polynomial", "fit_node_polynomials", "node_values"]
@@ -62,6 +62,8 @@ class NodePolynomial:
         self.validated_on = [] if validated_on is None else validated_on
 
     def q_at(self, c=0, m=0, d=0) -> YLaurent:
+        for name, value in zip("cmd", (c, m, d)):
+            check_int(name, value, 0)
         acc = YL_ZERO
         for name, coef in zip(self.basis, self.coeffs):
             k = _MONOMIALS[name](c, m, d)
@@ -97,6 +99,7 @@ def _plan(family: str, delta: int, m):
     on c,d >= delta. 'sigma': the seven-term form on c,d >= delta, m in
     {0,1,2}. 'p11m': {1,m,d,dm,d^2m} on d,m >= delta. Q_delta starts at delta = 1."""
     check_int("delta", delta, 1)  # before the points, which take it as d
+    choose("family", family, BASES)
     if m is not None and family != "p11m-fixed-m":
         raise ValueError(f"the {family} fit takes no m (only p11m-fixed-m does)")
     d0 = delta  # where the ranges of the shape theorems start
@@ -117,12 +120,9 @@ def _plan(family: str, delta: int, m):
         return pts + [(d0, 1, b) for b in (d0, d0 + 1, d0 + 2)], [
             (a, mm, b) for mm in (0, 1, 2)
             for (a, b) in ((d0 + 2, d0 + 2), (d0, d0 + 3), (d0 + 3, d0 + 1))]
-    if family == "p11m":
-        return ([(0, d0, b) for b in (d0, d0 + 1, d0 + 2)]
-                + [(0, d0 + 1, b) for b in (d0, d0 + 1)],
-                [(0, d0 + 3, d0 + 2), (0, d0, d0 + 3), (0, d0 + 2, d0 + 3),
-                 (0, d0 + 2, d0 + 1)])
-    raise ValueError(f"unknown family {family!r}")
+    return ([(0, d0, b) for b in (d0, d0 + 1, d0 + 2)]  # p11m
+            + [(0, d0 + 1, b) for b in (d0, d0 + 1)],
+            [(0, d0 + 3, d0 + 2), (0, d0, d0 + 3), (0, d0 + 2, d0 + 3), (0, d0 + 2, d0 + 1)])
 
 
 def fit_node_polynomials(family: str, deltas, m: int = None) -> dict:
@@ -157,9 +157,10 @@ def fit_node_polynomial(family: str, delta: int, m: int = None) -> NodePolynomia
 
 def node_values(fits: dict, delta_max: int, c=0, m=0, d=0) -> dict:
     """N_delta values at a parameter point from fitted Q polynomials:
-    the exponential of sum Q_delta t^delta. A delta_max that is no int or
-    negative, or a delta <= delta_max with no fit, raises ValueError."""
-    check_int("delta_max", delta_max, 0)
+    the exponential of sum Q_delta t^delta. A delta_max, c, m or d that is
+    no int or negative, or a delta <= delta_max with no fit, raises ValueError."""
+    for name, value in zip(("delta_max", "c", "m", "d"), (delta_max, c, m, d)):
+        check_int(name, value, 0)
     qs = [YL_ZERO]
     for delta in range(1, delta_max + 1):
         if delta not in fits:

@@ -25,10 +25,14 @@ from __future__ import annotations
 
 import math
 
-from .rationals import QQ
+from .rationals import QQ, choose
 from .ylaurent import YLaurent, YL_ONE, YL_ZERO, sum_products
 
 __all__ = ["QSeries", "compose", "compose_inverse"]
+
+
+# y -> the evaluation of a coefficient there, None for the identity at 'sym'
+_SPECIALIZE = {"sym": None, 1: YLaurent.at_one, -1: YLaurent.at_minus_one}
 
 
 class TruncationError(ValueError):
@@ -285,12 +289,8 @@ class QSeries:
     def specialize_y(self, y) -> "QSeries":
         """Evaluate every coefficient at y = 1 or y = -1 (y^(1/2) = i); the
         identity at y = 'sym'."""
-        if y == "sym":
-            return self
-        at = {1: YLaurent.at_one, -1: YLaurent.at_minus_one}.get(y)
-        if at is None:
-            raise ValueError("only y = 1 and y = -1 specializations are exact here")
-        return self.map_coeffs(at)
+        at = choose("y", y, _SPECIALIZE)
+        return self if at is None else self.map_coeffs(at)
 
     def truncate(self, new_trunc: int) -> "QSeries":
         if new_trunc >= self.trunc:

@@ -2,7 +2,9 @@
 
 Everything in this package computes over exact rationals; no floating point
 is ever introduced. QQ is the stdlib fractions.Fraction; check_int is the
-one refusal of an integer parameter, check_ints that of a sequence of them.
+one refusal of an integer parameter, check_ints that of a sequence of them,
+choose that of one that selects from a finite set; it refuses a value that is
+no key, type included (True is not 1), as "{name} must be a, b or c, not {value!r}".
 """
 from __future__ import annotations
 
@@ -26,6 +28,16 @@ def check_ints(name: str, values, least: int | None = None) -> tuple:
     for i, value in enumerate(values):
         check_int(f"{name}[{i}]", value, least)
     return values
+
+
+def choose(name: str, value, record):
+    """record[value] for the key that equals value and has its type; else a ValueError."""
+    for key in record:
+        if type(key) is type(value) and key == value:
+            return record[key]
+    *rest, last = map(repr, record)
+    keys = f"{', '.join(rest)} or {last}" if rest else last
+    raise ValueError(f"{name} must be {keys}, not {value!r}")
 
 
 def backend_name() -> str:

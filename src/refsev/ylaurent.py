@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 
-from .rationals import QQ, check_int
+from .rationals import QQ, check_int, choose
 
 __all__ = ["YLaurent", "qnum", "YL_ZERO", "YL_ONE", "sum_products", "YRing",
            "RINGS", "ring_at"]
@@ -346,7 +346,4 @@ RINGS = {r.y: r for r in (
 
 def ring_at(y) -> YRing:
     """The ring of values at y = 'sym', 1 or -1."""
-    ring = RINGS.get(y)
-    if ring is None:
-        raise ValueError(f"y must be 'sym', 1 or -1, not {y!r}")
-    return ring
+    return choose("y", y, RINGS)

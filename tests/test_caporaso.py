@@ -19,15 +19,16 @@ from refsev.caporaso import (
     severi_degrees,
     welschinger_degree,
 )
-from refsev.conjectures import check_conjecture, option
+from refsev.cache import MAGIC, CacheStore
+from refsev.conjectures import CHECK_IDS, check_conjecture, check_parameters, option
 from refsev.genfun import (Invariants, engine_data, in_regime, reform_eval, solve_bundles,
                            solve_universal_B)
 from refsev.graphs import (enumerate_graphs, enumerate_templates, q_log_count, refined_count,
                            refined_counts, refined_counts_at, s_beta)
 from refsev.modular import named_series
-from refsev.nodepoly import fit_node_polynomials, node_values
+from refsev.nodepoly import NodePolynomial, fit_node_polynomials, node_values
 from refsev.rationals import QQ
-from refsev.ylaurent import YLaurent, qnum, ring_at
+from refsev.ylaurent import YL_ONE, YLaurent, qnum, ring_at
 
 from floor_diagrams import floor_diagram_count
 from oracles import ScalarTable, per_delta, relative_degree_scalar, severi_degree_scalar
@@ -89,7 +90,8 @@ def test_bundle_and_invariants_are_frozen_values():
 
 
 @pytest.mark.parametrize("args, message", [
-    (("torus", 1, 0, 2), "unknown family 'torus'"),
+    pytest.param(("torus", 1, 0, 2), "family must be 'p2', 'p11m' or 'sigma', not 'torus'",
+                 id="args0-family 'torus'"),
     (("p2", 2, 0, 2), "P2 bundles have m = 1, c = 0, not m = 2, c = 0"),
     (("p11m", 2, 1, 2), "P(1,1,m) bundles have c = 0, not c = 1"),
     (("p11m", 0, 0, 2), "m = 0 is below 1"),
@@ -436,6 +438,9 @@ INT_PARAMETERS = [
     ("reform_eval", lambda v: reform_eval([Invariants.of(P2(2))], modular.b_series(1, 3),
                                           modular.b_series(2, 3), v), "order", 0),
     ("node_values", lambda v: node_values({}, v), "delta_max", 0),
+    *[("node_values", lambda v, n=name: node_values({}, 0, **{n: v}), name, 0) for name in "cmd"],
+    *[("q_at", lambda v, n=name: NodePolynomial("p2", 1, ("1",), [YL_ONE]).q_at(**{n: v}),
+       name, 0) for name in "cmd"],
     ("fit_node_polynomials", lambda v: fit_node_polynomials("p2", [v]), "delta", 1),
     ("fit_node_polynomials", lambda v: fit_node_polynomials("p11m-fixed-m", [1], v), "m", 1),
     ("named_series", lambda v: named_series("Eta", v), "order", 1),
@@ -443,6 +448,7 @@ INT_PARAMETERS = [
     ("eisenstein", lambda v: modular.eisenstein(v, 3), "k2", None),
     ("f_lower", lambda v: modular.f_lower(v, 3), "l", 0),
     ("f_bar_closed", lambda v: modular.f_bar_closed(v, 3), "l", 1),
+    ("fhat_cm_general", lambda v: modular.fhat_cm_general(v, 4), "m", 2),
     *[(f.__name__, functools.partial(f, *args), "order", 1) for f, *args in (
         (modular.euler_product,), (modular.eta,), (modular.eisenstein, 4),
         (modular.eisenstein_bar, 4), (modular.theta2_of_qsq,), (modular.theta2,),
@@ -460,6 +466,12 @@ INT_PARAMETERS = [
     ("solveB", _check("solveB", "order", order_minus1=1), "--order", 1),
     ("solveB", _check("solveB", "order_minus1", order=1), "--order-minus1", 1),
     ("fbar_closed_form", _check("fbar_closed_form", "lmax", order=3), "--lmax", 1),
+    # the entries of a tuple parameter, by its option name and index
+    ("blowk", lambda v: check_conjecture("blowk", ks=(v,), dprimes=(2,), delta_max=1),
+     "--ks[0]", 0),
+    ("blowk", lambda v: check_conjecture("blowk", ks=(2,), dprimes=(v,), delta_max=1),
+     "--dprimes[0]", 0),
+    ("ruledblow", lambda v: check_conjecture("ruledblow", ms=(v,), d_max=1), "--ms[0]", None),
     *[(cid, _check(cid, "order"), "--order", 1) for cid in (
         "fbar_closed_form", "Fhat_c2_is_theta2", "eta_quotient_theta2", "B_minus1_tables")],
 ]
@@ -488,3 +500,72 @@ def test_recursion_inputs_refused_unless_int(call, message):
     for label, call, name, least in INT_PARAMETERS if least is not None])
 def test_least_values_are_accepted(call, least):
     call(least)
+
+
+# The refusal table of every parameter that selects from a finite set: (label,
+# a call of one value of it, the name its refusal gives, its keys as the
+# refusal lists them, a key, a value off the record, the kinds refused). A
+# kind is True, the key as a float, as a str (an int key's digits, a str
+# key's upper case), or the value off the record; each is refused by name.
+_Y = "'sym', 1 or -1"
+SELECTING_PARAMETERS = [
+    ("ring_at", ring_at, "y", _Y, 1, 2),
+    ("severi_degree", lambda v: severi_degree(P2(3), 1, y=v), "y", _Y, 1, 0),
+    ("severi_degrees", lambda v: severi_degrees(P2(3), 1, v), "y", _Y, -1, 2),
+    ("relative_degree", lambda v: relative_degree(P2(2), 1, (), (2,), v), "y", _Y, -1, 0),
+    ("refined_counts", lambda v: refined_counts((1, 2), 1, v), "y", _Y, 1, 2),
+    ("refined_count", lambda v: refined_count((1, 2), 1, v), "y", _Y, -1, 3),
+    ("in_regime", lambda v: in_regime(P2(3), 1, v), "y", _Y, 1, 2),
+    ("specialize_y", lambda v: modular.eta(3).specialize_y(v), "y", _Y, -1, 2),
+    ("b_series", lambda v: modular.b_series(v, 3), "which", "1 or 2", 1, 3),
+    ("b_bar_series", lambda v: modular.b_bar_series(v, 3), "which", "1 or 2", 2, 3),
+    ("fhat_cm", lambda v: modular.fhat_cm(v, 3), "m", "2, 3 or 4", 2, 5),
+    ("h_series", lambda v: modular.h_series(v, 3), "m", "1 or 2", 1, 3),
+    ("h_at", lambda v: modular.h_at(1, v, 3), "y", "1 or -1", 1, 0),
+    ("h_at", lambda v: modular.h_at(v, -1, 3), "m", "1, 2, 3 or 4", 1, 5),
+    ("quasimodular_sum", lambda v: modular.quasimodular_sum([(QQ(1), ((v, 0, 2),))], 3),
+     "factor", "'G', 'Gbar' or 'Delta'", "Gbar", "E"),
+    ("SurfaceBundle", lambda v: SurfaceBundle(v, 1, 0, 2), "family",
+     "'p2', 'p11m' or 'sigma'", "p2", "torus"),
+    ("fit_node_polynomials", lambda v: fit_node_polynomials(v, [1]), "family",
+     "'p2', 'p11m-fixed-m', 'p1xp1', 'sigma' or 'p11m'", "p2", "torus"),
+    ("check_parameters", check_parameters, "conj_id",
+     ", ".join(map(repr, CHECK_IDS[:-1])) + f" or {CHECK_IDS[-1]!r}", "refpol", "nope"),
+    # True, 2.0 and "1" are refused as entries that are no int, in the int table
+    ("ruledblow", lambda v: check_conjecture("ruledblow", ms=(2, v), d_max=1), "--ms[1]",
+     "2, 3 or 4", 2, 5, ("off",)),
+]
+
+
+def _selections(label, call, name, keys, key, off, kinds=("bool", "float", "str", "off")):
+    values = {"bool": True, "off": off,
+              "float": float(key) if type(key) is int else 1.0,
+              "str": str(key) if type(key) is int else key.upper()}
+    for kind in kinds:
+        yield pytest.param(functools.partial(call, values[kind]),
+                           f"{name} must be {keys}, not {values[kind]!r}",
+                           id=f"{label}-{kind}-{name.lstrip('-').partition('[')[0]}")
+
+
+@pytest.mark.parametrize("call, message", [
+    row for spec in SELECTING_PARAMETERS for row in _selections(*spec)])
+def test_selecting_parameters_refused_unless_a_key(call, message):
+    # the key's type too: True is not 1, 1.0 not 1, '1' not 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_stored_table_refuses_y_true_and_writes_nothing(tmp_path):
+    # y = True read as y = 1 walked the y = 1 rows, and insert wrote True|...
+    # records under a y no reader asks for
+    path = tmp_path / "values.cache"
+    state = (1, 0, 1, (), (1,))
+    with CacheStore(str(path)) as store:
+        table = CHTable(store)
+        for call in (lambda: severi_degree(P2(3), 1, y=True, table=table),
+                     lambda: table.insert(True, state, 0, [1]),
+                     lambda: table.lookup(True, state, 0)):
+            with pytest.raises(ValueError, match=r"^y must be 'sym', 1 or -1, not True$"):
+                call()
+        assert len(store) == 0 and not any(table.memo.values())
+    assert path.read_text() == MAGIC + "\n"

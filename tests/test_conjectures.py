@@ -109,7 +109,7 @@ def test_ruledblow_tables_m34(chtable):
 
 
 def test_ruledblow_refuses_m_without_table(chtable):
-    with pytest.raises(ValueError, match=r"m = 5; the tables cover m in \[2, 3, 4\]"):
+    with pytest.raises(ValueError, match=r"^--ms\[0\] must be 2, 3 or 4, not 5$"):
         check_conjecture("ruledblow", table=chtable, ms=(5,))
 
 

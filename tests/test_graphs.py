@@ -3,6 +3,7 @@ import gc
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -490,6 +491,13 @@ def test_refined_counts_at_refuses_points_without_a_delta():
     with pytest.raises(ValueError, match="need a delta"):
         graphs.refined_counts_at([(0, 1, 2)])
     assert graphs.refined_counts_at([(0, 1, 2)], 1) == graphs.refined_counts_at({(0, 1, 2): 1})
+
+
+def test_refined_counts_at_refuses_a_map_and_a_delta():
+    # the map's own deltas were dropped for the one delta
+    message = "points given as a {(c, m, d): delta} map take no delta = 2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        graphs.refined_counts_at({(0, 1, 2): 1}, 2)
 
 
 # -- the log transform ---------------------------------------------------------------
